@@ -156,9 +156,21 @@ func TestCLIBenchWithCharts(t *testing.T) {
 }
 
 // TestCLIBenchJSONEnvelope checks the machine-readable output format:
-// a schema-3 envelope whose metadata makes BENCH_*.json files
-// comparable across machines, including the run's resource footprint.
+// an envelope carrying the writer's current schema version and the
+// metadata that makes BENCH_*.json files comparable across machines,
+// including the run's resource footprint.
 func TestCLIBenchJSONEnvelope(t *testing.T) {
+	// The version is whatever tsbench declares: a schema bump is made in
+	// one place and cannot leave this test behind.
+	src, err := os.ReadFile(filepath.Join("tsbench", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := regexp.MustCompile(`(?m)^const benchSchemaVersion = (\d+)$`).FindSubmatch(src)
+	if vm == nil {
+		t.Fatal("tsbench/main.go no longer declares benchSchemaVersion")
+	}
+	wantSchema, _ := strconv.Atoi(string(vm[1]))
 	jsonPath := filepath.Join(t.TempDir(), "bench.json")
 	runTool(t, "tsbench", "-fig", "8", "-queries", "1", "-stocks", "120", "-json", jsonPath)
 	data, err := os.ReadFile(jsonPath)
@@ -186,8 +198,8 @@ func TestCLIBenchJSONEnvelope(t *testing.T) {
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("parsing %s: %v", jsonPath, err)
 	}
-	if out.SchemaVersion != 4 {
-		t.Errorf("schema_version = %d, want 4", out.SchemaVersion)
+	if out.SchemaVersion != wantSchema {
+		t.Errorf("schema_version = %d, want %d", out.SchemaVersion, wantSchema)
 	}
 	if out.Meta.GoVersion == "" || out.Meta.GOMAXPROCS < 1 || out.Meta.NumCPU < 1 {
 		t.Errorf("implausible run metadata: %+v", out.Meta)

@@ -98,11 +98,15 @@ func (ix *Index) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMat
 	seen := make(map[[2]int64]bool)
 	h := &pairHeap{{bound: 0, a: ix.tree.Root(), b: ix.tree.Root()}}
 	loaded := make(map[storage.PageID]*nodeCache)
+	// A loaded node is copied into its nodeCache at once, so one decode
+	// slot serves the whole search.
+	slots := ix.tree.AcquireSlots()
+	defer slots.Release()
 	load := func(id storage.PageID) (*nodeCache, error) {
 		if n, ok := loaded[id]; ok {
 			return n, nil
 		}
-		n, err := ix.tree.Load(id)
+		n, err := ix.tree.LoadInto(nil, id, slots.At(0))
 		if err != nil {
 			return nil, err
 		}
@@ -150,11 +154,7 @@ func (ix *Index) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMat
 					best.Distance, best.TransformIdx = d, ti
 				}
 			}
-			results = append(results, best)
-			sort.Slice(results, func(x, y int) bool { return results[x].Distance < results[y].Distance })
-			if len(results) > k {
-				results = results[:k]
-			}
+			results = insertTopK(results, best, k, func(x, y JoinMatch) bool { return x.Distance < y.Distance })
 			if len(results) == k {
 				worst = results[k-1].Distance
 			}

@@ -570,7 +570,7 @@ func (ix *Index) Verify() error {
 		for _, e := range n.Entries {
 			info := indexed[e.Rec]
 			info.count++
-			info.pt = e.Rect.Lo
+			info.pt = e.Rect.Lo.Clone() // the node is gone after the callback
 			indexed[e.Rec] = info
 		}
 		return nil

@@ -84,7 +84,7 @@ func (ix *Index) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOp
 		st.IndexSearches++
 
 		pairs := make(map[[2]int64]bool)
-		if err := ix.joinWalk(ix.tree.Root(), ix.tree.Root(), mult, add, bounds, &st, pairs); err != nil {
+		if err := ix.joinWalk(mult, add, bounds, &st, pairs); err != nil {
 			return nil, st, err
 		}
 		// Verify each candidate pair, deterministically ordered.
@@ -203,8 +203,18 @@ func intervalGap(alo, ahi, blo, bhi float64) float64 {
 
 // joinWalk synchronously traverses the tree against itself, applying the
 // transformation rectangle to both sides before the gap test.
-func (ix *Index) joinWalk(a, b storage.PageID, mult, add geom.Rect, jb joinBounds, st *QueryStats, pairs map[[2]int64]bool) error {
-	na, err := ix.tree.Load(a)
+func (ix *Index) joinWalk(mult, add geom.Rect, jb joinBounds, st *QueryStats, pairs map[[2]int64]bool) error {
+	slots := ix.tree.AcquireSlots()
+	defer slots.Release()
+	root := ix.tree.Root()
+	return ix.joinNodes(slots, 0, root, root, mult, add, jb, st, pairs)
+}
+
+// joinNodes joins the subtrees at a and b. Each recursion depth holds its
+// pair of nodes in decode slots 2*depth and 2*depth+1 while it iterates
+// them around the deeper calls.
+func (ix *Index) joinNodes(slots *rtree.Slots, depth int, a, b storage.PageID, mult, add geom.Rect, jb joinBounds, st *QueryStats, pairs map[[2]int64]bool) error {
+	na, err := ix.tree.LoadInto(nil, a, slots.At(2*depth))
 	if err != nil {
 		return err
 	}
@@ -214,7 +224,7 @@ func (ix *Index) joinWalk(a, b storage.PageID, mult, add geom.Rect, jb joinBound
 	}
 	nb := na
 	if a != b {
-		nb, err = ix.tree.Load(b)
+		nb, err = ix.tree.LoadInto(nil, b, slots.At(2*depth+1))
 		if err != nil {
 			return err
 		}
@@ -256,7 +266,7 @@ func (ix *Index) joinWalk(a, b storage.PageID, mult, add geom.Rect, jb joinBound
 			}
 			for j := jStart; j < len(nb.Entries); j++ {
 				if ix.joinGapOK(ta[i], tb[j], jb) {
-					if err := ix.joinWalk(na.Entries[i].Child, nb.Entries[j].Child, mult, add, jb, st, pairs); err != nil {
+					if err := ix.joinNodes(slots, depth+1, na.Entries[i].Child, nb.Entries[j].Child, mult, add, jb, st, pairs); err != nil {
 						return err
 					}
 				}
@@ -264,13 +274,13 @@ func (ix *Index) joinWalk(a, b storage.PageID, mult, add geom.Rect, jb joinBound
 		}
 	case na.Leaf: // internal b
 		for j := range nb.Entries {
-			if err := ix.joinWalk(a, nb.Entries[j].Child, mult, add, jb, st, pairs); err != nil {
+			if err := ix.joinNodes(slots, depth+1, a, nb.Entries[j].Child, mult, add, jb, st, pairs); err != nil {
 				return err
 			}
 		}
 	default: // internal a, leaf b
 		for i := range na.Entries {
-			if err := ix.joinWalk(na.Entries[i].Child, b, mult, add, jb, st, pairs); err != nil {
+			if err := ix.joinNodes(slots, depth+1, na.Entries[i].Child, b, mult, add, jb, st, pairs); err != nil {
 				return err
 			}
 		}

@@ -75,6 +75,26 @@ func SeqScanNNCtx(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 	return out, st
 }
 
+// insertTopK inserts m into top, the at most k best results so far in
+// ascending order, and drops the worst once there are more than k. m
+// goes after every element it is not less than — arrival order among
+// equals — so no sort runs per resolved candidate.
+func insertTopK[T any](top []T, m T, k int, less func(a, b T) bool) []T {
+	i := len(top)
+	for i > 0 && less(m, top[i-1]) {
+		i--
+	}
+	if i == k {
+		return top
+	}
+	if len(top) < k {
+		top = append(top, m)
+	}
+	copy(top[i+1:], top[i:len(top)-1])
+	top[i] = m
+	return top
+}
+
 // nnEntry is a priority-queue element of the transformed NN search.
 type nnEntry struct {
 	bound float64
@@ -197,13 +217,18 @@ func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.T
 	// entry overwrites it).
 	scratchLo := make(geom.Point, ix.dim)
 	scratchHi := make(geom.Point, ix.dim)
+	// Best-first: each node is consumed (children pushed, leaf entries
+	// copied to leafCands) before the next is loaded, so one decode slot
+	// serves the whole search.
+	slots := ix.tree.AcquireSlots()
+	defer slots.Release()
 	h := &nnHeap{{bound: 0, page: ix.tree.Root()}}
 	for h.Len() > 0 {
 		e := heap.Pop(h).(nnEntry)
 		if len(results) == k && e.bound > worst {
 			break
 		}
-		n, err := ix.tree.LoadCtx(ctx, e.page)
+		n, err := ix.tree.LoadInto(ctx, e.page, slots.At(0))
 		if err != nil {
 			return nil, st, err
 		}
@@ -275,11 +300,7 @@ func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.T
 					m.Distance, m.TransformIdx = d, i
 				}
 			}
-			results = append(results, m)
-			sort.Slice(results, func(a, b int) bool { return results[a].Distance < results[b].Distance })
-			if len(results) > k {
-				results = results[:k]
-			}
+			results = insertTopK(results, m, k, func(a, b NNMatch) bool { return a.Distance < b.Distance })
 			if len(results) == k {
 				worst = results[k-1].Distance
 			}

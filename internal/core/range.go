@@ -389,11 +389,33 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 // feature point stored in the leaf entry (the rectangle of a point entry
 // is degenerate, so Rect.Lo is the record's indexed feature vector).
 // Carrying the point out of the traversal lets verification apply the
-// DFT-prefix lower bound before fetching the record page; nodes are
-// decoded fresh per load, so the slice reference stays valid.
+// DFT-prefix lower bound before fetching the record page. The leaf it
+// came from was decoded into a slot the traversal reuses, so feat is a
+// copy held by the query's featArena, never a slice of the node.
 type candidate struct {
 	rec  int64
 	feat geom.Point
+}
+
+// featArena copies admitted feature points out of reused decode slots.
+// It grows by whole chunks and never moves a chunk, so points handed
+// out earlier stay valid while later ones are added.
+type featArena struct {
+	chunk []float64
+}
+
+// featArenaPoints is the size of the first chunk, in points; each later
+// chunk doubles, so a query admitting c candidates allocates O(log c)
+// chunks.
+const featArenaPoints = 32
+
+func (a *featArena) copy(p geom.Point) geom.Point {
+	if len(a.chunk)+len(p) > cap(a.chunk) {
+		a.chunk = make([]float64, 0, max(2*cap(a.chunk), featArenaPoints*len(p)))
+	}
+	start := len(a.chunk)
+	a.chunk = append(a.chunk, p...)
+	return a.chunk[start:len(a.chunk):len(a.chunk)]
 }
 
 // filter runs the Algorithm 1 traversal for one transformation rectangle,
@@ -403,23 +425,28 @@ func (ix *Index) filter(mult, add, qrect geom.Rect, phaseDims []bool, st *QueryS
 	return ix.filterCtx(nil, mult, add, qrect, phaseDims, st, nil)
 }
 
-// filterCtx is filter with observability: node loads go through
-// rtree.LoadCtx so a storage.QueryIO in ctx sees them, and when sp is
-// non-nil the traversal counters (nodes, leaves, pruned subtrees,
-// candidates) are recorded on it. The caller closes sp.
+// filterCtx is filter with observability: node loads carry ctx so a
+// storage.QueryIO in it sees them, and when sp is non-nil the traversal
+// counters (nodes, leaves, pruned subtrees, candidates) are recorded on
+// it. The caller closes sp. The walk is depth-first, one decode slot per
+// tree level: the parent's entries are still being iterated while a
+// child is read.
 func (ix *Index) filterCtx(ctx context.Context, mult, add, qrect geom.Rect, phaseDims []bool, st *QueryStats, sp *obs.Span) ([]candidate, error) {
 	da0, dl0 := st.DAAll, st.DALeaf
 	var pruned int64
 	var out []candidate
+	var feats featArena
+	slots := ix.tree.AcquireSlots()
+	defer slots.Release()
 	// One scratch rectangle serves every internal entry of the walk
 	// (ApplyMBRs would allocate two points per entry inspected); leaf
 	// entries take the fused point path below and need no rectangle.
 	dim := ix.dim
 	scratchLo := make(geom.Point, dim)
 	scratchHi := make(geom.Point, dim)
-	var walk func(id storage.PageID) error
-	walk = func(id storage.PageID) error {
-		n, err := ix.tree.LoadCtx(ctx, id)
+	var walk func(id storage.PageID, depth int) error
+	walk = func(id storage.PageID, depth int) error {
+		n, err := ix.tree.LoadInto(ctx, id, slots.At(depth))
 		if err != nil {
 			return err
 		}
@@ -432,40 +459,33 @@ func (ix *Index) filterCtx(ctx context.Context, mult, add, qrect geom.Rect, phas
 			// in one contiguous block, so the admission test scans flat
 			// float64 data — the transformed-interval intersection test
 			// fused per dimension with early exit, no rectangle built.
-			if flat := n.FlatLo(); flat != nil {
-				for i := range n.Entries {
-					feat := geom.Point(flat[i*dim : (i+1)*dim : (i+1)*dim])
-					if leafPointAdmit(feat, mult, add, qrect, phaseDims) {
-						out = append(out, candidate{rec: n.Entries[i].Rec, feat: feat})
-					}
+			flat := n.FlatLo()
+			for i := range n.Entries {
+				feat := geom.Point(flat[i*dim : (i+1)*dim])
+				if leafPointAdmit(feat, mult, add, qrect, phaseDims) {
+					out = append(out, candidate{rec: n.Entries[i].Rec, feat: feats.copy(feat)})
 				}
-				return nil
 			}
+			return nil
 		}
 		for _, e := range n.Entries {
 			y := transform.ApplyMBRsInto(scratchLo, scratchHi, mult, add, e.Rect)
 			if phaseDims != nil {
 				if !intersectsModular(y, qrect, phaseDims) {
-					if !n.Leaf {
-						pruned++
-					}
+					pruned++
 					continue
 				}
 			} else if !y.Intersects(qrect) {
-				if !n.Leaf {
-					pruned++
-				}
+				pruned++
 				continue
 			}
-			if n.Leaf {
-				out = append(out, candidate{rec: e.Rec, feat: e.Rect.Lo})
-			} else if err := walk(e.Child); err != nil {
+			if err := walk(e.Child, depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(ix.tree.Root()); err != nil {
+	if err := walk(ix.tree.Root(), 0); err != nil {
 		return nil, err
 	}
 	if sp != nil {

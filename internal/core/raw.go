@@ -66,9 +66,11 @@ func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error
 	epsC := epsScale(eps, ix.opts.UseSymmetry)
 
 	var out []RawMatch
-	var walk func(id storage.PageID) error
-	walk = func(id storage.PageID) error {
-		node, err := ix.tree.Load(id)
+	slots := ix.tree.AcquireSlots() // depth-first: one slot per level
+	defer slots.Release()
+	var walk func(id storage.PageID, depth int) error
+	walk = func(id storage.PageID, depth int) error {
+		node, err := ix.tree.LoadInto(nil, id, slots.At(depth))
 		if err != nil {
 			return err
 		}
@@ -81,7 +83,7 @@ func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error
 				continue
 			}
 			if !node.Leaf {
-				if err := walk(e.Child); err != nil {
+				if err := walk(e.Child, depth+1); err != nil {
 					return err
 				}
 				continue
@@ -101,7 +103,7 @@ func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error
 		}
 		return nil
 	}
-	if err := walk(ix.tree.Root()); err != nil {
+	if err := walk(ix.tree.Root(), 0); err != nil {
 		return nil, st, err
 	}
 	return out, st, nil

@@ -559,7 +559,7 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 			ixa := s.shards[a]
 			st.IndexSearches++
 			localPairs := make(map[[2]int64]bool)
-			if err := ixa.joinWalk(ixa.Tree().Root(), ixa.Tree().Root(), mult, add, bounds, &st, localPairs); err != nil {
+			if err := ixa.joinWalk(mult, add, bounds, &st, localPairs); err != nil {
 				return nil, st, fmt.Errorf("shard %d: %w", a, err)
 			}
 			for k := range localPairs {
@@ -568,7 +568,7 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 			for b := a + 1; b < n; b++ {
 				ixb := s.shards[b]
 				st.IndexSearches++
-				err := crossJoinWalk(ixa, ixb, ixa.Tree().Root(), ixb.Tree().Root(), mult, add, bounds, &st,
+				err := crossJoinWalk(ixa, ixb, mult, add, bounds, &st,
 					func(ra, rb int64) { addPair(a, ra, b, rb) })
 				if err != nil {
 					return nil, st, fmt.Errorf("shards %d x %d: %w", a, b, err)
@@ -615,8 +615,18 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 // test — joinWalk without the self-pair bookkeeping, since records on
 // different shards are always distinct. Qualifying leaf pairs are
 // emitted as (local id in A, local id in B).
-func crossJoinWalk(ixA, ixB *Index, a, b storage.PageID, mult, add geom.Rect, jb joinBounds, st *QueryStats, emit func(ra, rb int64)) error {
-	na, err := ixA.Tree().Load(a)
+func crossJoinWalk(ixA, ixB *Index, mult, add geom.Rect, jb joinBounds, st *QueryStats, emit func(ra, rb int64)) error {
+	slotsA, slotsB := ixA.Tree().AcquireSlots(), ixB.Tree().AcquireSlots()
+	defer slotsA.Release()
+	defer slotsB.Release()
+	return crossJoinNodes(ixA, ixB, slotsA, slotsB, 0, ixA.Tree().Root(), ixB.Tree().Root(), mult, add, jb, st, emit)
+}
+
+// crossJoinNodes joins the subtree at a of shard A with the subtree at b
+// of shard B. Each recursion depth holds one node of either tree, in
+// slot depth of that tree's slots.
+func crossJoinNodes(ixA, ixB *Index, slotsA, slotsB *rtree.Slots, depth int, a, b storage.PageID, mult, add geom.Rect, jb joinBounds, st *QueryStats, emit func(ra, rb int64)) error {
+	na, err := ixA.Tree().LoadInto(nil, a, slotsA.At(depth))
 	if err != nil {
 		return err
 	}
@@ -624,7 +634,7 @@ func crossJoinWalk(ixA, ixB *Index, a, b storage.PageID, mult, add geom.Rect, jb
 	if na.Leaf {
 		st.DALeaf++
 	}
-	nb, err := ixB.Tree().Load(b)
+	nb, err := ixB.Tree().LoadInto(nil, b, slotsB.At(depth))
 	if err != nil {
 		return err
 	}
@@ -650,7 +660,7 @@ func crossJoinWalk(ixA, ixB *Index, a, b storage.PageID, mult, add geom.Rect, jb
 		for i := range na.Entries {
 			for j := range nb.Entries {
 				if ixA.joinGapOK(ta[i], tb[j], jb) {
-					if err := crossJoinWalk(ixA, ixB, na.Entries[i].Child, nb.Entries[j].Child, mult, add, jb, st, emit); err != nil {
+					if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, na.Entries[i].Child, nb.Entries[j].Child, mult, add, jb, st, emit); err != nil {
 						return err
 					}
 				}
@@ -658,13 +668,13 @@ func crossJoinWalk(ixA, ixB *Index, a, b storage.PageID, mult, add geom.Rect, jb
 		}
 	case na.Leaf: // internal b
 		for j := range nb.Entries {
-			if err := crossJoinWalk(ixA, ixB, a, nb.Entries[j].Child, mult, add, jb, st, emit); err != nil {
+			if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, a, nb.Entries[j].Child, mult, add, jb, st, emit); err != nil {
 				return err
 			}
 		}
 	default: // internal a, leaf b
 		for i := range na.Entries {
-			if err := crossJoinWalk(ixA, ixB, na.Entries[i].Child, b, mult, add, jb, st, emit); err != nil {
+			if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, na.Entries[i].Child, b, mult, add, jb, st, emit); err != nil {
 				return err
 			}
 		}
@@ -742,6 +752,13 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 		page  storage.PageID
 	}
 	loaded := make(map[cacheKey]*nodeCache)
+	// One decode slot per shard tree: a loaded node is copied into its
+	// nodeCache at once.
+	slots := make([]*rtree.Slots, len(s.shards))
+	for sh, ix := range s.shards {
+		slots[sh] = ix.Tree().AcquireSlots()
+		defer slots[sh].Release()
+	}
 	// load caches a shard node with its entry rectangles transformed
 	// and its record ids already translated to global, so expansion and
 	// dedup work in the global id space throughout.
@@ -750,7 +767,7 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 		if n, ok := loaded[key]; ok {
 			return n, nil
 		}
-		n, err := s.shards[sh].Tree().Load(id)
+		n, err := s.shards[sh].Tree().LoadInto(nil, id, slots[sh].At(0))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", sh, err)
 		}
@@ -800,19 +817,15 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 					best.Distance, best.TransformIdx = d, ti
 				}
 			}
-			results = append(results, best)
-			sort.Slice(results, func(x, y int) bool {
-				if results[x].Distance != results[y].Distance {
-					return results[x].Distance < results[y].Distance
+			results = insertTopK(results, best, k, func(x, y JoinMatch) bool {
+				if x.Distance != y.Distance {
+					return x.Distance < y.Distance
 				}
-				if results[x].IDA != results[y].IDA {
-					return results[x].IDA < results[y].IDA
+				if x.IDA != y.IDA {
+					return x.IDA < y.IDA
 				}
-				return results[x].IDB < results[y].IDB
+				return x.IDB < y.IDB
 			})
-			if len(results) > k {
-				results = results[:k]
-			}
 			if len(results) == k {
 				worst = results[k-1].Distance
 			}

@@ -1,14 +1,49 @@
 package rtree
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"tsq/internal/geom"
 	"tsq/internal/storage"
 )
 
-// FuzzDecodeNode checks the node codec never panics on corrupt pages and
-// that every node produced by encodeNode decodes back identically.
+// decodePage decodes a copy of page into the slot, the way LoadInto does
+// after the storage read.
+func decodePage(s *Scratch, page []byte) (*Node, error) {
+	copy(s.page, page)
+	return s.decode(storage.PageID(1))
+}
+
+// sameNode compares two decoded nodes bit for bit (NaN coordinates
+// included, which reflect.DeepEqual would call unequal).
+func sameNode(a, b *Node, dim int) bool {
+	if a.ID != b.ID || a.Leaf != b.Leaf || len(a.Entries) != len(b.Entries) || len(a.flatLo) != len(b.flatLo) {
+		return false
+	}
+	for i := range a.Entries {
+		ea, eb := a.Entries[i], b.Entries[i]
+		if ea.Child != eb.Child || ea.Rec != eb.Rec || len(ea.Rect.Lo) != dim || len(eb.Rect.Lo) != dim {
+			return false
+		}
+		for d := 0; d < dim; d++ {
+			if math.Float64bits(ea.Rect.Lo[d]) != math.Float64bits(eb.Rect.Lo[d]) ||
+				math.Float64bits(ea.Rect.Hi[d]) != math.Float64bits(eb.Rect.Hi[d]) ||
+				math.Float64bits(a.flatLo[i*dim+d]) != math.Float64bits(b.flatLo[i*dim+d]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzDecodeNode checks the node codec never panics on corrupt pages,
+// that every node produced by encodeNode decodes back identically, and
+// the reuse rule of a decode slot: whatever the slot held before (a
+// valid node of prev entries, fewer or more than the page under test
+// holds), decoding the page gives exactly what a fresh slot gives, and a
+// rejected page leaves none of the previous node visible.
 func FuzzDecodeNode(f *testing.F) {
 	// Seed with a valid encoded node.
 	dim := 3
@@ -18,16 +53,51 @@ func FuzzDecodeNode(f *testing.F) {
 	}}
 	buf := make([]byte, 512)
 	encodeNode(n, dim, buf)
-	f.Add(buf, dim)
-	f.Add(make([]byte, 512), 2)
-	f.Add([]byte{1, 0, 255, 255}, 6)
-	f.Fuzz(func(t *testing.T, page []byte, d int) {
+	f.Add(buf, dim, 1) // the page holds more entries than the slot did
+	f.Add(buf, dim, 5) // and fewer
+	torn := append([]byte(nil), buf...)
+	torn[nodeHeaderSize+3] ^= 0x40
+	f.Add(torn, dim, 4) // checksum failure after a valid node
+	f.Add(make([]byte, 512), 2, 0)
+	f.Add([]byte{1, 0, 255, 255, 0, 0, 0, 0}, 6, 0)
+	f.Fuzz(func(t *testing.T, page []byte, d, prev int) {
 		if d < 1 || d > 16 || len(page) < nodeHeaderSize {
 			return
 		}
-		node, err := decodeNode(storage.PageID(1), d, page)
+		fresh, freshErr := decodePage(newScratch(len(page), d), page)
+
+		slot := newScratch(len(page), d)
+		prev = max(0, min(prev, MaxEntries(len(page), d)))
+		before := &Node{ID: 9, Leaf: false}
+		for i := 0; i < prev; i++ {
+			p := make(geom.Point, d)
+			for j := range p {
+				p[j] = float64(100*i + j)
+			}
+			before.Entries = append(before.Entries, Entry{Rect: geom.PointRect(p), Child: storage.PageID(i + 2)})
+		}
+		first := make([]byte, len(page))
+		encodeNode(before, d, first)
+		held, err := decodePage(slot, first)
+		if err != nil || len(held.Entries) != prev {
+			t.Fatalf("valid %d-entry node did not decode: %v", prev, err)
+		}
+		node, err := decodePage(slot, page)
+		if (err == nil) != (freshErr == nil) || (err != nil && err.Error() != freshErr.Error()) {
+			t.Fatalf("reused slot: error %v, fresh slot: %v", err, freshErr)
+		}
 		if err != nil {
+			msg := err.Error()
+			if !strings.Contains(msg, "fails its checksum") && !strings.Contains(msg, "exceeds page") {
+				t.Fatalf("unexpected decode error: %v", err)
+			}
+			if node != nil || len(held.Entries) != 0 || held.FlatLo() != nil {
+				t.Fatalf("rejected page left %d entries of the previous node visible", len(held.Entries))
+			}
 			return
+		}
+		if !sameNode(node, fresh, d) {
+			t.Fatalf("decode into a slot that held %d entries differs from a fresh decode (%d entries)", prev, len(fresh.Entries))
 		}
 		// Whatever decoded must re-encode into a page of the same size
 		// without panicking, and round-trip.
@@ -36,12 +106,12 @@ func FuzzDecodeNode(f *testing.F) {
 			t.Fatalf("decoder accepted %d entries that cannot fit the page", len(node.Entries))
 		}
 		encodeNode(node, d, out)
-		back, err := decodeNode(storage.PageID(1), d, out)
+		back, err := decodePage(newScratch(len(out), d), out)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if back.Leaf != node.Leaf || len(back.Entries) != len(node.Entries) {
-			t.Fatal("round trip changed node shape")
+		if !sameNode(back, node, d) {
+			t.Fatal("round trip changed the node")
 		}
 	})
 }

@@ -8,8 +8,8 @@
 // The tree stores axis-aligned rectangles (points are degenerate
 // rectangles) with an int64 record id per leaf entry. It is the substrate
 // of the ST-index and MT-index algorithms, which drive their own
-// traversals via Root, Load, and Node; plain range, nearest-neighbor, and
-// spatial self-join searches are provided here.
+// traversals via Root, AcquireSlots, LoadInto, and Node; plain range,
+// nearest-neighbor, and spatial self-join searches are provided here.
 package rtree
 
 import (
@@ -42,7 +42,7 @@ type Node struct {
 	// entries of a feature index the low corner IS the feature vector,
 	// so a scan over the node's candidates walks one flat []float64
 	// instead of chasing per-entry slice headers. Nil for nodes built in
-	// memory (insert/split paths), non-nil after decodeNode.
+	// memory (insert/split paths), non-nil after a decode.
 	flatLo []float64
 }
 
@@ -50,6 +50,32 @@ type Node struct {
 // layout), or nil when the node was not produced by decoding a page.
 // Entry i's low corner is FlatLo()[i*dim : (i+1)*dim].
 func (n *Node) FlatLo() []float64 { return n.flatLo }
+
+// Scratch is a reusable decode slot: the page buffer a node is read
+// into and every piece of memory its decoded form lives in, sized once
+// for a tree's page size and dimensionality. Tree.LoadInto decodes into
+// a slot without allocating; the *Node it returns — its Entries, their
+// rectangles, FlatLo — is valid until the slot's next load, so whatever
+// must outlive that is copied out first. A slot serves one traversal at
+// a time and only the tree it was made for.
+type Scratch struct {
+	dim     int
+	page    []byte
+	lo, hi  []float64 // leaf-major corner slabs, maxE*dim each
+	entries []Entry   // maxE headers
+	node    Node
+}
+
+func newScratch(pageSize, dim int) *Scratch {
+	maxE := MaxEntries(pageSize, dim)
+	return &Scratch{
+		dim:     dim,
+		page:    make([]byte, pageSize),
+		lo:      make([]float64, maxE*dim),
+		hi:      make([]float64, maxE*dim),
+		entries: make([]Entry, maxE),
+	}
+}
 
 // mbr returns the minimum bounding rectangle of all entries of the node.
 func (n *Node) mbr() geom.Rect {
@@ -114,9 +140,12 @@ func encodeNode(n *Node, dim int, buf []byte) {
 	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[:off]))
 }
 
-// decodeNode deserializes a page into a Node.
-func decodeNode(id storage.PageID, dim int, buf []byte) (*Node, error) {
-	n := &Node{ID: id, Leaf: buf[0] == 1}
+// decode deserializes the slot's page buffer into the slot's node,
+// verifying the page checksum. On error the slot holds an empty node:
+// nothing of the node decoded before stays visible.
+func (s *Scratch) decode(id storage.PageID) (*Node, error) {
+	buf, dim := s.page, s.dim
+	s.node = Node{}
 	count := int(binary.LittleEndian.Uint16(buf[2:]))
 	used := nodeHeaderSize + count*entrySize(dim)
 	if used > len(buf) {
@@ -129,18 +158,17 @@ func decodeNode(id storage.PageID, dim int, buf []byte) (*Node, error) {
 	if sum != stored {
 		return nil, fmt.Errorf("rtree: node %d fails its checksum", id)
 	}
-	n.Entries = make([]Entry, count)
-	// Leaf-major layout: all low corners share one contiguous backing
-	// array (likewise the highs), so the node decodes with two float
-	// allocations instead of two per entry and a scan over the entries'
-	// feature vectors is a linear walk of one block.
-	los := make([]float64, count*dim)
-	his := make([]float64, count*dim)
-	n.flatLo = los
+	n := &s.node
+	n.ID, n.Leaf = id, buf[0] == 1
+	n.Entries = s.entries[:count]
+	// Leaf-major layout: all low corners share one contiguous slab
+	// (likewise the highs), so a scan over the entries' feature vectors
+	// is a linear walk of one block.
+	n.flatLo = s.lo[:count*dim]
 	off := nodeHeaderSize
 	for j := 0; j < count; j++ {
-		lo := geom.Point(los[j*dim : (j+1)*dim : (j+1)*dim])
-		hi := geom.Point(his[j*dim : (j+1)*dim : (j+1)*dim])
+		lo := geom.Point(s.lo[j*dim : (j+1)*dim : (j+1)*dim])
+		hi := geom.Point(s.hi[j*dim : (j+1)*dim : (j+1)*dim])
 		for i := 0; i < dim; i++ {
 			lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8

@@ -3,6 +3,7 @@ package rtree
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"tsq/internal/geom"
 	"tsq/internal/storage"
@@ -17,7 +18,9 @@ const reinsertFraction = 0.3
 // (the R*-tree paper recommends 40%).
 const minFillFraction = 0.4
 
-// Tree is a disk-resident R*-tree. It is not safe for concurrent use.
+// Tree is a disk-resident R*-tree. Writes need exclusive access; any
+// number of read traversals may run concurrently with each other, each
+// decoding into its own Slots.
 type Tree struct {
 	mgr    *storage.Manager
 	dim    int
@@ -28,7 +31,19 @@ type Tree struct {
 	height int // 1 = root is a leaf
 	size   int64
 	buf    []byte // scratch page buffer for writes
+
+	// idleSlots holds the decode slots of finished traversals for the
+	// next ones. The pool belongs to the tree because a slot is sized
+	// for one page size and dimensionality: a pool shared by the process
+	// would hand a slot to a tree it does not fit.
+	slotMu    sync.Mutex
+	idleSlots []*Slots
 }
+
+// maxIdleSlots bounds what a burst of concurrent traversals leaves
+// behind in a tree's pool (a set is about 45 KB at 4 KiB pages and
+// height 3); traversals beyond it allocate their slots and drop them.
+const maxIdleSlots = 32
 
 // New creates an empty tree of the given dimensionality on mgr.
 func New(mgr *storage.Manager, dim int) (*Tree, error) {
@@ -111,8 +126,9 @@ func (t *Tree) Len() int64 { return t.size }
 func (t *Tree) Capacity() (int, int) { return t.minE, t.maxE }
 
 // Load reads and decodes one node. Each call costs one page access, which
-// is how the experiments count disk accesses; callers driving their own
-// traversals (ST-index, MT-index) go through Load.
+// is how the experiments count disk accesses. The node is the caller's to
+// keep and modify: write paths, which hold a root-to-leaf path of nodes
+// while restructuring it, go through Load. Read traversals use LoadInto.
 func (t *Tree) Load(id storage.PageID) (*Node, error) {
 	return t.LoadCtx(nil, id)
 }
@@ -121,11 +137,65 @@ func (t *Tree) Load(id storage.PageID) (*Node, error) {
 // storage.QueryIO, the page fetch is credited to it. A nil ctx behaves
 // exactly like Load.
 func (t *Tree) LoadCtx(ctx context.Context, id storage.PageID) (*Node, error) {
-	buf := make([]byte, t.mgr.PageSize())
-	if err := t.mgr.ReadCtx(ctx, id, buf); err != nil {
+	return t.LoadInto(ctx, id, newScratch(t.mgr.PageSize(), t.dim))
+}
+
+// LoadInto reads and decodes one node into the slot s, allocating
+// nothing. It costs the same one page access through the storage manager
+// as Load and verifies the same checksum. The returned node is valid
+// until the next LoadInto on s; copy what must outlive it.
+func (t *Tree) LoadInto(ctx context.Context, id storage.PageID, s *Scratch) (*Node, error) {
+	if s.dim != t.dim || len(s.page) != t.mgr.PageSize() {
+		panic(fmt.Sprintf("rtree: decode slot for %d-byte pages of dimension %d used on a tree with %d-byte pages of dimension %d",
+			len(s.page), s.dim, t.mgr.PageSize(), t.dim))
+	}
+	if err := t.mgr.ReadCtx(ctx, id, s.page); err != nil {
+		s.node = Node{}
 		return nil, err
 	}
-	return decodeNode(id, t.dim, buf)
+	return s.decode(id)
+}
+
+// Slots is the set of decode slots of one read traversal, indexed by the
+// traversal's own numbering. A depth-first walk uses one slot per level,
+// because the parent is still being iterated while a child is read; a
+// best-first walk consumes each node before loading the next and uses
+// one; a synchronized join holds two nodes per level.
+type Slots struct {
+	t     *Tree
+	slots []*Scratch
+}
+
+// AcquireSlots returns the decode slots for one traversal of t, reusing
+// an idle set when there is one. The traversal owns them until Release.
+func (t *Tree) AcquireSlots() *Slots {
+	t.slotMu.Lock()
+	defer t.slotMu.Unlock()
+	if n := len(t.idleSlots); n > 0 {
+		s := t.idleSlots[n-1]
+		t.idleSlots = t.idleSlots[:n-1]
+		return s
+	}
+	return &Slots{t: t}
+}
+
+// At returns slot i, making it on first use.
+func (s *Slots) At(i int) *Scratch {
+	for len(s.slots) <= i {
+		s.slots = append(s.slots, newScratch(s.t.mgr.PageSize(), s.t.dim))
+	}
+	return s.slots[i]
+}
+
+// Release hands the slots back to the tree. Every node loaded into them
+// is invalid from here on.
+func (s *Slots) Release() {
+	t := s.t
+	t.slotMu.Lock()
+	defer t.slotMu.Unlock()
+	if len(t.idleSlots) < maxIdleSlots {
+		t.idleSlots = append(t.idleSlots, s)
+	}
 }
 
 func (t *Tree) store(n *Node) error {

@@ -28,20 +28,16 @@ type SearchStats struct {
 func (t *Tree) Search(query geom.Rect) ([]int64, SearchStats, error) {
 	var out []int64
 	var st SearchStats
-	err := t.walk(t.root, &st, func(n *Node) (bool, error) { return true, nil }, func(e Entry) error {
-		if e.Rect.Intersects(query) {
-			out = append(out, e.Rec)
-		}
-		return nil
-	}, func(e Entry) bool { return e.Rect.Intersects(query) })
+	slots := t.AcquireSlots()
+	defer slots.Release()
+	err := t.walk(slots, 0, t.root, query, &st, &out)
 	return out, st, err
 }
 
-// walk traverses the subtree at id. descend decides whether to expand an
-// internal entry; emit is called for each leaf entry (after its own check
-// in the caller-supplied closure).
-func (t *Tree) walk(id storage.PageID, st *SearchStats, visit func(*Node) (bool, error), emit func(Entry) error, descend func(Entry) bool) error {
-	n, err := t.Load(id)
+// walk collects into out the records under node id whose rectangles
+// intersect query, decoding each level of the descent into its own slot.
+func (t *Tree) walk(slots *Slots, depth int, id storage.PageID, query geom.Rect, st *SearchStats, out *[]int64) error {
+	n, err := t.LoadInto(nil, id, slots.At(depth))
 	if err != nil {
 		return err
 	}
@@ -49,20 +45,18 @@ func (t *Tree) walk(id storage.PageID, st *SearchStats, visit func(*Node) (bool,
 	if n.Leaf {
 		st.LeafAccesses++
 	}
-	if ok, err := visit(n); err != nil || !ok {
-		return err
-	}
 	for _, e := range n.Entries {
-		if n.Leaf {
-			if err := emit(e); err != nil {
+		switch {
+		case !e.Rect.Intersects(query):
+			if !n.Leaf {
+				st.Pruned++
+			}
+		case n.Leaf:
+			*out = append(*out, e.Rec)
+		default:
+			if err := t.walk(slots, depth+1, e.Child, query, st, out); err != nil {
 				return err
 			}
-		} else if descend(e) {
-			if err := t.walk(e.Child, st, visit, emit, descend); err != nil {
-				return err
-			}
-		} else {
-			st.Pruned++
 		}
 	}
 	return nil
@@ -109,6 +103,10 @@ func (t *Tree) NearestNeighbors(p geom.Point, k int) ([]Neighbor, SearchStats, e
 		return nil, st, nil
 	}
 	q := &nnQueue{{dist: 0, child: t.root}}
+	// Best-first: a node's entries are all pushed before the next node
+	// is loaded, so one slot serves the whole search.
+	slots := t.AcquireSlots()
+	defer slots.Release()
 	var out []Neighbor
 	// upper bounds the k-th nearest distance. MINMAXDIST guarantees one
 	// object per rectangle, so it can only tighten the k = 1 search.
@@ -131,7 +129,7 @@ func (t *Tree) NearestNeighbors(p geom.Point, k int) ([]Neighbor, SearchStats, e
 			}
 			continue
 		}
-		n, err := t.Load(it.child)
+		n, err := t.LoadInto(nil, it.child, slots.At(0))
 		if err != nil {
 			return nil, st, err
 		}
@@ -177,16 +175,17 @@ type JoinPair struct {
 func (t *Tree) SelfJoin(eps float64) ([]JoinPair, SearchStats, error) {
 	var st SearchStats
 	var out []JoinPair
-	err := t.joinNodes(t.root, t.root, eps, &st, &out, func(a, b Entry) bool {
-		return geom.RectMinDist(a.Rect, b.Rect) <= eps
-	})
+	slots := t.AcquireSlots()
+	defer slots.Release()
+	err := t.joinNodes(slots, 0, t.root, t.root, eps, &st, &out)
 	return out, st, err
 }
 
 // joinNodes joins the subtrees rooted at a and b. Loading is counted per
-// visit; when a == b the node is loaded once.
-func (t *Tree) joinNodes(a, b storage.PageID, eps float64, st *SearchStats, out *[]JoinPair, match func(a, b Entry) bool) error {
-	na, err := t.Load(a)
+// visit; when a == b the node is loaded once. Each recursion depth holds
+// its pair of nodes in slots 2*depth and 2*depth+1.
+func (t *Tree) joinNodes(slots *Slots, depth int, a, b storage.PageID, eps float64, st *SearchStats, out *[]JoinPair) error {
+	na, err := t.LoadInto(nil, a, slots.At(2*depth))
 	if err != nil {
 		return err
 	}
@@ -198,7 +197,7 @@ func (t *Tree) joinNodes(a, b storage.PageID, eps float64, st *SearchStats, out 
 	if a == b {
 		nb = na
 	} else {
-		nb, err = t.Load(b)
+		nb, err = t.LoadInto(nil, b, slots.At(2*depth+1))
 		if err != nil {
 			return err
 		}
@@ -218,7 +217,7 @@ func (t *Tree) joinNodes(a, b storage.PageID, eps float64, st *SearchStats, out 
 				if ea.Rec == eb.Rec {
 					continue
 				}
-				if match(ea, eb) {
+				if geom.RectMinDist(ea.Rect, eb.Rect) <= eps {
 					ra, rb := ea.Rec, eb.Rec
 					if ra > rb {
 						ra, rb = rb, ra
@@ -235,7 +234,7 @@ func (t *Tree) joinNodes(a, b storage.PageID, eps float64, st *SearchStats, out 
 			}
 			for _, eb := range nb.Entries[jStart:] {
 				if geom.RectMinDist(ea.Rect, eb.Rect) <= eps {
-					if err := t.joinNodes(ea.Child, eb.Child, eps, st, out, match); err != nil {
+					if err := t.joinNodes(slots, depth+1, ea.Child, eb.Child, eps, st, out); err != nil {
 						return err
 					}
 				}
@@ -243,13 +242,13 @@ func (t *Tree) joinNodes(a, b storage.PageID, eps float64, st *SearchStats, out 
 		}
 	case na.Leaf && !nb.Leaf:
 		for _, eb := range nb.Entries {
-			if err := t.joinNodes(a, eb.Child, eps, st, out, match); err != nil {
+			if err := t.joinNodes(slots, depth+1, a, eb.Child, eps, st, out); err != nil {
 				return err
 			}
 		}
 	default: // !na.Leaf && nb.Leaf
 		for _, ea := range na.Entries {
-			if err := t.joinNodes(ea.Child, b, eps, st, out, match); err != nil {
+			if err := t.joinNodes(slots, depth+1, ea.Child, b, eps, st, out); err != nil {
 				return err
 			}
 		}
@@ -258,13 +257,17 @@ func (t *Tree) joinNodes(a, b storage.PageID, eps float64, st *SearchStats, out 
 }
 
 // Visit walks the whole tree in depth-first order, calling fn for every
-// node. It is used by integrity checks and debugging tools.
+// node. It is used by integrity checks and debugging tools. The node is
+// decoded into a slot the walk reuses: it is valid only during the
+// callback, which must copy whatever it keeps (rectangles included).
 func (t *Tree) Visit(fn func(n *Node, level int) error) error {
-	return t.visit(t.root, t.height, fn)
+	slots := t.AcquireSlots()
+	defer slots.Release()
+	return t.visit(slots, t.root, t.height, fn)
 }
 
-func (t *Tree) visit(id storage.PageID, level int, fn func(n *Node, level int) error) error {
-	n, err := t.Load(id)
+func (t *Tree) visit(slots *Slots, id storage.PageID, level int, fn func(n *Node, level int) error) error {
+	n, err := t.LoadInto(nil, id, slots.At(t.height-level))
 	if err != nil {
 		return err
 	}
@@ -275,7 +278,7 @@ func (t *Tree) visit(id storage.PageID, level int, fn func(n *Node, level int) e
 		return nil
 	}
 	for _, e := range n.Entries {
-		if err := t.visit(e.Child, level-1, fn); err != nil {
+		if err := t.visit(slots, e.Child, level-1, fn); err != nil {
 			return err
 		}
 	}

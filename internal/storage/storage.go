@@ -200,9 +200,19 @@ func (b *FileBackend) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Grow implements Backend.
+// Grow implements Backend. It only ever extends the file: id may be a
+// page recycled from the free list, with live pages behind it.
 func (b *FileBackend) Grow(id PageID) error {
-	return b.f.Truncate((int64(id) + 1) * int64(b.pageSize))
+	st, err := b.f.Stat()
+	if err != nil {
+		return fmt.Errorf("storage: grow to page %d: %w", id, err)
+	}
+	if end := (int64(id) + 1) * int64(b.pageSize); end > st.Size() {
+		if err := b.f.Truncate(end); err != nil {
+			return fmt.Errorf("storage: grow to page %d: %w", id, err)
+		}
+	}
+	return nil
 }
 
 // Sync implements Syncer: it flushes completed writes to stable storage.

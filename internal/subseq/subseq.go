@@ -154,15 +154,18 @@ func (ix *Index) Search(query series.Series, eps float64) ([]Match, Stats, error
 	}
 	qf := windowFeature(query, ix.opts.K)
 	var out []Match
-	err := ix.walk(ix.tree.Root(), qf, eps, &st, &out, query)
+	slots := ix.tree.AcquireSlots()
+	defer slots.Release()
+	err := ix.walk(slots, 0, ix.tree.Root(), qf, eps, &st, &out, query)
 	return out, st, err
 }
 
 // walk is a MINDIST-pruned range traversal: a rectangle may contain a
 // qualifying feature point only if its MINDIST to the query feature is at
-// most eps (the feature map is contractive).
-func (ix *Index) walk(id storage.PageID, qf geom.Point, eps float64, st *Stats, out *[]Match, query series.Series) error {
-	n, err := ix.tree.Load(id)
+// most eps (the feature map is contractive). It is depth-first, decoding
+// each level of the descent into its own slot.
+func (ix *Index) walk(slots *rtree.Slots, depth int, id storage.PageID, qf geom.Point, eps float64, st *Stats, out *[]Match, query series.Series) error {
+	n, err := ix.tree.LoadInto(nil, id, slots.At(depth))
 	if err != nil {
 		return err
 	}
@@ -172,7 +175,7 @@ func (ix *Index) walk(id storage.PageID, qf geom.Point, eps float64, st *Stats, 
 			continue
 		}
 		if !n.Leaf {
-			if err := ix.walk(e.Child, qf, eps, st, out, query); err != nil {
+			if err := ix.walk(slots, depth+1, e.Child, qf, eps, st, out, query); err != nil {
 				return err
 			}
 			continue

@@ -377,7 +377,7 @@ func TestQueryLogFacade(t *testing.T) {
 // and root span carry the process resource deltas; off (the default),
 // they stay zero.
 func TestResourceAttributionFacade(t *testing.T) {
-	db := openPagedTestDB(t, 13, 150, 32)
+	db := openTestDB(t, 13, 2000, 32)
 	ts := MovingAverages(32, 2, 6)
 
 	_, st, err := db.Range(db.Get(1), ts, Correlation(0.9), QueryOptions{})
@@ -392,12 +392,17 @@ func TestResourceAttributionFacade(t *testing.T) {
 	defer DisableResourceAttribution()
 	tr := NewTrace()
 	ctx := WithTrace(context.Background(), tr)
-	_, st, err = db.RangeCtx(ctx, db.Get(1), ts, Correlation(0.9), QueryOptions{})
+	// The runtime counts small objects when a per-P span fills up, so a
+	// query that allocates little can read a zero delta. A sequential
+	// scan whose answer is most of the database grows its match slice
+	// past the large-object size, and large objects are counted at once.
+	m, st, err := db.RangeCtx(ctx, db.Get(1), ts, Correlation(0), QueryOptions{Algorithm: SeqScan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A paged range query allocates (candidate buffers, page frames), so
-	// the delta is positive even though it is process-wide.
+	if len(m) < 2000 {
+		t.Fatalf("only %d matches; the answer may fit in small objects", len(m))
+	}
 	if st.AllocBytes <= 0 || st.Mallocs <= 0 {
 		t.Errorf("attributed stats = %+v, want positive alloc deltas", st)
 	}
@@ -412,8 +417,9 @@ func TestResourceAttributionFacade(t *testing.T) {
 		t.Errorf("root span alloc_bytes = %d, stats say %d", root.Get(obs.AAllocBytes), st.AllocBytes)
 	}
 
-	// NN path books resources the same way.
-	_, nst, err := db.NearestNeighbors(db.Get(2), ts, 3, QueryOptions{})
+	// NN path books resources the same way (the scan's result buffer,
+	// one entry per stored series, is a large object too).
+	_, nst, err := db.NearestNeighbors(db.Get(2), ts, 3, QueryOptions{Algorithm: SeqScan})
 	if err != nil {
 		t.Fatal(err)
 	}

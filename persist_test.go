@@ -3,6 +3,7 @@ package tsq
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -328,5 +329,90 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	defer re.Close()
 	if err := re.Verify(); err == nil {
 		t.Error("verification passed on a corrupted file")
+	}
+}
+
+// TestDeleteNeverShrinksTheFile is the regression test for
+// FileBackend.Grow truncating the page file when the allocator hands
+// out a recycled page: R*-tree underflow frees pages, the next
+// allocation reuses one from the middle of the file, and growing "to"
+// that page used to cut off every page behind it.
+func TestDeleteNeverShrinksTheFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shrink.tsq")
+	ss := datagen.RandomWalks(21, 1200, 32)
+	db, err := CreateFile(path, ss, nil, Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileSize := func() int64 {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	size := fileSize()
+	order := rand.New(rand.NewSource(5)).Perm(len(ss))
+	deleted := make(map[int64]bool)
+	for _, id := range order[:len(ss)/2] {
+		if err := db.Delete(int64(id)); err != nil {
+			t.Fatalf("delete %d of %d (id %d): %v", len(deleted)+1, len(ss)/2, id, err)
+		}
+		deleted[int64(id)] = true
+		if now := fileSize(); now < size {
+			t.Fatalf("file shrank from %d to %d bytes at delete %d", size, now, len(deleted))
+		} else {
+			size = now
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := CheckFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.OK() {
+		t.Fatalf("file damaged after deletes:\n%s", r)
+	}
+
+	re, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	ts := MovingAverages(32, 3, 8)
+	thr := Correlation(0.8)
+	q := int64(order[len(ss)-1]) // a survivor
+	got, _, err := re.RangeByID(q, ts, thr, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := re.RangeByID(q, ts, thr, QueryOptions{Algorithm: SeqScan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	SortMatches(got)
+	SortMatches(want)
+	if len(want) < 2 {
+		t.Fatalf("only %d matches; the comparison is vacuous", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("index %d matches, sequential scan %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].RecordID != want[i].RecordID || got[i].TransformIdx != want[i].TransformIdx {
+			t.Fatalf("match %d: index %+v, sequential scan %+v", i, got[i], want[i])
+		}
+		if deleted[got[i].RecordID] {
+			t.Fatalf("deleted series %d answered", got[i].RecordID)
+		}
 	}
 }
