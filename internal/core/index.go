@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"tsq/internal/geom"
 	"tsq/internal/heapfile"
@@ -80,6 +82,11 @@ type Index struct {
 	heap  *heapfile.File // non-nil when Paged
 	comps []int          // polar component ids of the transform-sensitive dims
 	dim   int
+
+	// idleScratch holds the query buffers of finished range probes for
+	// the next ones (see scratch.go).
+	scratchMu   sync.Mutex
+	idleScratch []*scratch
 
 	// Online-write state (see write.go). wal and stage are nil for
 	// purely in-memory indexes, which mutate directly with in-memory
@@ -174,17 +181,25 @@ func OpenIndex(mgr *storage.Manager, treeMeta, heapDir storage.PageID, n int, op
 	if tree.Dim() != 2+2*opts.K {
 		return nil, fmt.Errorf("core: tree dimension %d does not match k=%d", tree.Dim(), opts.K)
 	}
-	ds := &Dataset{N: n}
-	for i := 0; i < heap.Len(); i++ {
-		hr, err := heap.Read(int64(i))
+	// Load the records through the run-batched fetch, a chunk of
+	// consecutive ids (so one page run) at a time with one run buffer.
+	ds := &Dataset{N: n, Records: make([]*Record, heap.Len())}
+	var fetch heapfile.Scratch
+	ids := make([]int64, 0, openChunk)
+	for lo := 0; lo < heap.Len(); lo += openChunk {
+		ids = ids[:0]
+		for i := lo; i < min(lo+openChunk, heap.Len()); i++ {
+			ids = append(ids, int64(i))
+		}
+		err := heap.Visit(nil, ids, &fetch, func(i int, v *heapfile.View) error {
+			if v != nil { // a tombstoned record stays nil; ids stay aligned
+				ds.Records[ids[i]] = viewToRecord(ids[i], v)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if hr == nil { // tombstoned record; keep ids aligned
-			ds.Records = append(ds.Records, nil)
-			continue
-		}
-		ds.Records = append(ds.Records, heapToRecord(int64(i), hr))
 	}
 	ix := &Index{ds: ds, opts: opts, mgr: mgr, tree: tree, heap: heap, dim: 2 + 2*opts.K}
 	for f := 1; f <= opts.K; f++ {
@@ -203,24 +218,47 @@ func recordToHeap(r *Record) *heapfile.Rec {
 	}
 }
 
-// heapToRecord rebuilds a Record from heap storage (the normal form is
-// recomputed from the raw series and statistics).
+// openChunk is the number of records OpenIndex fetches per batch.
+const openChunk = 64
+
+// heapToRecord rebuilds a Record from an owned heap record, taking over
+// its arrays (the normal form is recomputed from the raw series and
+// statistics).
 func heapToRecord(id int64, hr *heapfile.Rec) *Record {
-	norm := make(series.Series, len(hr.Raw))
-	if hr.Std != 0 {
-		for i, v := range hr.Raw {
-			norm[i] = (v - hr.Mean) / hr.Std
-		}
-	}
 	return &Record{
 		ID:   id,
 		Name: hr.Name,
 		Raw:  series.Series(hr.Raw),
-		Norm: norm,
+		Norm: normalForm(hr.Raw, hr.Mean, hr.Std),
 		Mean: hr.Mean,
 		Std:  hr.Std,
 		Mags: hr.Mags, Phases: hr.Phases,
 	}
+}
+
+// viewToRecord is heapToRecord for a record decoded in place: everything
+// is copied, since the view dies with the visit.
+func viewToRecord(id int64, v *heapfile.View) *Record {
+	return &Record{
+		ID:     id,
+		Name:   string(v.Name),
+		Raw:    slices.Clone(series.Series(v.Raw)),
+		Norm:   normalForm(v.Raw, v.Mean, v.Std),
+		Mean:   v.Mean,
+		Std:    v.Std,
+		Mags:   slices.Clone(v.Mags),
+		Phases: slices.Clone(v.Phases),
+	}
+}
+
+func normalForm(raw []float64, mean, std float64) series.Series {
+	norm := make(series.Series, len(raw))
+	if std != 0 {
+		for i, v := range raw {
+			norm[i] = (v - mean) / std
+		}
+	}
+	return norm
 }
 
 // fetch retrieves the full record for verification. In paged mode this
@@ -249,43 +287,6 @@ func (ix *Index) fetchCtx(ctx context.Context, id int64) (*Record, error) {
 		return nil, nil
 	}
 	return heapToRecord(id, hr), nil
-}
-
-// fetchBatchCtx retrieves several records at once. In paged mode the
-// heap page I/O is serviced in ascending page order with run batching
-// (heapfile.FetchBatch), so a candidate set clustered on consecutive
-// heap pages costs one backend call per run instead of one random read
-// per record. The result is parallel to ids; nil entries are deleted
-// records. Records already known deleted in the in-memory dataset are
-// never fetched (mirroring fetchCtx).
-func (ix *Index) fetchBatchCtx(ctx context.Context, ids []int64) ([]*Record, error) {
-	out := make([]*Record, len(ids))
-	if ix.heap == nil {
-		for i, id := range ids {
-			out[i] = ix.ds.Record(id)
-		}
-		return out, nil
-	}
-	fetchIdx := make([]int, 0, len(ids))
-	fetchIDs := make([]int64, 0, len(ids))
-	for i, id := range ids {
-		if ix.ds.Record(id) == nil {
-			continue // deleted: no page read, out[i] stays nil
-		}
-		fetchIdx = append(fetchIdx, i)
-		fetchIDs = append(fetchIDs, id)
-	}
-	hrs, err := ix.heap.FetchBatch(ctx, fetchIDs)
-	if err != nil {
-		return nil, err
-	}
-	for j, hr := range hrs {
-		if hr == nil {
-			continue // tombstoned on disk
-		}
-		out[fetchIdx[j]] = heapToRecord(fetchIDs[j], hr)
-	}
-	return out, nil
 }
 
 // Insert adds a new series to the dataset, the heap (when paged) and the

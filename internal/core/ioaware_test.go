@@ -231,9 +231,10 @@ func BenchmarkVerifyFetchOrdered(b *testing.B) { benchmarkVerifyFetch(b, false) 
 func BenchmarkVerifyFetchUnordered(b *testing.B) { benchmarkVerifyFetch(b, true) }
 
 // TestBatchVerifyAllocsPerCandidate pins the allocation contract of the
-// batched verification path: adding a candidate costs only its record
-// decode (heapfile Rec + arrays + name, wrapped into a Record) — no
-// per-candidate bookkeeping in the batching layer.
+// batched verification path: every fetched record is decoded into the
+// one slot of the scratch and verified through a view of it, so adding a
+// candidate costs no allocation — not its decode, not a Record, no
+// per-candidate bookkeeping. What a call allocates is its result.
 func TestBatchVerifyAllocsPerCandidate(t *testing.T) {
 	opts := DefaultIndexOptions()
 	opts.Paged = true
@@ -243,19 +244,65 @@ func TestBatchVerifyAllocsPerCandidate(t *testing.T) {
 	q := ds.Records[0]
 	eps := series.DistanceForCorrelation(64, 0.95)
 	measure := func(n int) float64 {
-		cands := verifyBenchCandidates(n, false)
+		cands := verifyBenchCandidates(n, true)
 		return testing.AllocsPerRun(10, func() {
 			if _, _, _, err := ix.verifySerial(nil, cands, ts, g, q, eps, nil, RangeOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, large := measure(64), measure(256)
-	perCandidate := (large - small) / 192
-	// Decode allocates 5 (Rec, Raw, Mags, Phases, name); the Record
-	// wrapper adds 2 (the struct and the renormalized series). Anything
-	// above that is batching overhead.
-	if perCandidate > 7.5 {
-		t.Errorf("%.2f allocations per candidate, want <= 7.5 (decode + Record wrap only)", perCandidate)
+	// 64 consecutive record pages are one 256 KiB run, which the scratch
+	// still keeps (maxScratchBytes); see TestScratchDropsLargeBuffers.
+	small, large := measure(16), measure(64)
+	if large > small {
+		t.Errorf("verifying 64 candidates allocates %.0f times, 16 candidates %.0f: want no growth", large, small)
+	}
+	t.Logf("%.0f allocations per call (the lower-bound cascade and the result)", large)
+}
+
+// TestStreamedVerifyKeepsCandidateOrder: records are verified in page
+// order as the batch streams by, but the matches must come out in the
+// caller's candidate order, exactly as record-at-a-time verification
+// emits them — compared here without sorting, on a shuffled candidate
+// list with tombstoned and deleted records in it, for a batch and for
+// the batch of one.
+func TestStreamedVerifyKeepsCandidateOrder(t *testing.T) {
+	opts := DefaultIndexOptions()
+	opts.Paged = true
+	opts.BufferPages = 4
+	ds, ix := buildFixture(t, 13, 300, 64, opts)
+	for _, id := range []int64{5, 77, 140} {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Tombstoned on disk but still in the dataset: the fetch must find out.
+	if err := ix.heap.Delete(200); err != nil {
+		t.Fatal(err)
+	}
+	ts := transform.MovingAverageSet(64, 5, 12)
+	g := identityIndexes(len(ts))
+	eps := series.DistanceForCorrelation(64, 0.8)
+	cands := verifyBenchCandidates(300, true)
+	for _, q := range []*Record{ds.Records[0], ds.Records[150]} {
+		for _, list := range [][]candidate{cands, cands[:1], cands[40:41], nil} {
+			want, wantSt, wantFP, err := ix.verifySerial(nil, list, ts, g, q, eps, nil, RangeOptions{NaiveVerify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotSt, gotFP, err := ix.verifySerial(nil, list, ts, g, q, eps, nil, RangeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d candidates: streamed verification returned %d matches in another order or with other values than the %d of the naive path", len(list), len(got), len(want))
+			}
+			if len(list) > 1 && len(got) < 20 {
+				t.Fatalf("only %d matches; the test is vacuous", len(got))
+			}
+			if gotSt.Candidates != wantSt.Candidates || gotSt.Comparisons != wantSt.Comparisons || gotFP != wantFP {
+				t.Fatalf("%d candidates: effort %+v (false positives %d), naive %+v (%d)", len(list), gotSt, gotFP, wantSt, wantFP)
+			}
+		}
 	}
 }

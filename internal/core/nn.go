@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"tsq/internal/geom"
+	"tsq/internal/heapfile"
 	"tsq/internal/obs"
 	"tsq/internal/storage"
 	"tsq/internal/transform"
@@ -93,6 +94,15 @@ func insertTopK[T any](top []T, m T, k int, less func(a, b T) bool) []T {
 	copy(top[i+1:], top[i:len(top)-1])
 	top[i] = m
 	return top
+}
+
+// nnCand is a leaf entry the NN search has not pruned yet: its lower
+// bound, and tombstoned once the batched fetch finds the record deleted
+// on disk.
+type nnCand struct {
+	lb         float64
+	rec        int64
+	tombstoned bool
 }
 
 // nnEntry is a priority-queue element of the transformed NN search.
@@ -205,13 +215,6 @@ func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.T
 
 	var results []NNMatch
 	worst := math.Inf(1)
-	// Per-leaf candidate buffer for the batched fetch, reused across
-	// leaves.
-	type nnCand struct {
-		lb  float64
-		rec int64
-	}
-	var leafCands []nnCand
 	// Scratch rectangle reused for every entry the traversal inspects
 	// (the bound only reads the transformed rectangle before the next
 	// entry overwrites it).
@@ -222,6 +225,13 @@ func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.T
 	// serves the whole search.
 	slots := ix.tree.AcquireSlots()
 	defer slots.Release()
+	sc := ix.acquireScratch()
+	defer ix.releaseScratch(sc)
+	// spectrum is where the slab keeps the i-th leaf candidate's record.
+	spectrum := func(i int) (mags, phases []float64) {
+		n := ix.ds.N
+		return sc.slab[2*i*n : (2*i+1)*n], sc.slab[(2*i+1)*n : (2*i+2)*n]
+	}
 	h := &nnHeap{{bound: 0, page: ix.tree.Root()}}
 	for h.Len() > 0 {
 		e := heap.Pop(h).(nnEntry)
@@ -252,23 +262,42 @@ func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.T
 		// actually verified — and every statistic derived from them —
 		// are exactly those of record-at-a-time traversal; batching can
 		// only prefetch a page for an entry the tightening bound later
-		// rejects.
-		leafCands = leafCands[:0]
+		// rejects. That is also why, unlike a range probe, the records
+		// cannot be verified as their pages stream by: which of them are
+		// verified at all depends on the order. The fetch copies each
+		// spectrum out of the decode slot into the leaf's slab instead.
+		leafCands := sc.leaf[:0]
 		for _, ent := range n.Entries {
 			y := transform.ApplyMBRsInto(scratchLo, scratchHi, mult, add, ent.Rect)
 			lb := lowerBound(y)
 			if len(results) == k && lb > worst {
 				continue
 			}
+			if ix.ds.Record(ent.Rec) == nil {
+				continue // deleted since the entry was written: no page read
+			}
 			leafCands = append(leafCands, nnCand{lb: lb, rec: ent.Rec})
 		}
-		var recs []*Record
-		if ix.heap != nil && len(leafCands) > 1 {
-			ids := make([]int64, len(leafCands))
-			for i, c := range leafCands {
-				ids[i] = c.rec
+		sc.leaf = leafCands
+		if ix.heap != nil {
+			sc.ids = sc.ids[:0]
+			for _, c := range leafCands {
+				sc.ids = append(sc.ids, c.rec)
 			}
-			if recs, err = ix.fetchBatchCtx(ctx, ids); err != nil {
+			if need := 2 * len(leafCands) * ix.ds.N; cap(sc.slab) < need {
+				sc.slab = make([]float64, need)
+			}
+			err := ix.heap.Visit(ctx, sc.ids, &sc.fetch, func(i int, v *heapfile.View) error {
+				if v == nil {
+					leafCands[i].tombstoned = true
+					return nil
+				}
+				mags, phases := spectrum(i)
+				copy(mags, v.Mags)
+				copy(phases, v.Phases)
+				return nil
+			})
+			if err != nil {
 				return nil, st, err
 			}
 		}
@@ -276,14 +305,13 @@ func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.T
 			if len(results) == k && c.lb > worst {
 				continue // bound tightened since the batch was formed
 			}
-			var r *Record
-			if recs != nil {
-				r = recs[ci]
-			} else if r, err = ix.fetchCtx(ctx, c.rec); err != nil {
-				return nil, st, err
-			}
-			if r == nil || r.ID == q.ID {
+			if c.tombstoned || c.rec == q.ID {
 				continue
+			}
+			r := ix.ds.Record(c.rec)
+			if ix.heap != nil {
+				mags, phases := spectrum(ci)
+				r = &Record{ID: c.rec, Mags: mags, Phases: phases}
 			}
 			st.Candidates++
 			m := NNMatch{RecordID: r.ID, Distance: math.Inf(1)}

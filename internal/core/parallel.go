@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"tsq/internal/heapfile"
 	"tsq/internal/transform"
 )
 
@@ -19,14 +20,21 @@ import (
 // Unless opts.NaiveVerify, this is the I/O-aware pipeline: candidates
 // whose DFT-prefix lower bound already exceeds eps are dropped without
 // retrieval (SkippedLB, split per cascade tier into SkippedLB0/1/2),
-// the survivors' record pages are fetched in one page-ordered batch,
-// and the surviving distance evaluations run through the
-// early-abandoning kernels. The bound is evaluated through a tiered
-// cascade whose candidate-independent state is hoisted here, once per
-// call — and therefore once per shard under verifyParallel, so shards
-// never share scratch. Verification still happens in the caller's
-// candidate order, so matches — values and order — are identical to
-// the naive path.
+// the survivors' record pages are fetched in one page-ordered batch — a
+// single survivor is a batch of one — and the surviving distance
+// evaluations run through the early-abandoning kernels. The bound is
+// evaluated through a tiered cascade whose candidate-independent state
+// is hoisted here, once per call — and therefore once per shard under
+// verifyParallel; the buffers come from a scratch acquired here too, so
+// shards never share one.
+//
+// Each survivor is verified as its page streams by, in page order,
+// against a Record that is only a view of the heap's decode slot: a
+// range match depends on nothing but its own record and eps, so the
+// order of verification changes no match and no counter. The matches
+// are then emitted in the caller's candidate order, through the span
+// each survivor wrote into the scratch match buffer, so matches —
+// values and order — are identical to the naive path.
 func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub []transform.Transform, g []int, q *Record, eps float64, ordered *orderedSet, opts RangeOptions) ([]Match, QueryStats, int, error) {
 	var st QueryStats
 	var falsePos int
@@ -59,10 +67,12 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 		}
 		return out, st, falsePos, nil
 	}
+	sc := ix.acquireScratch()
+	defer ix.releaseScratch(sc)
 	survivors := candidates
 	if len(candidates) > 0 {
 		lbStart := time.Now()
-		survivors = make([]candidate, 0, len(candidates))
+		survivors = sc.survivors[:0]
 		if opts.FlatLB {
 			// Original flat bound: per-candidate cutoff and coefficient
 			// loads, kept for A/B benchmarks. Its dismissals all come
@@ -97,38 +107,16 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 				survivors = append(survivors, c)
 			}
 		}
+		sc.survivors = survivors
 		st.LBTimeNs = time.Since(lbStart).Nanoseconds()
 	}
-	var recs []*Record
-	if ix.heap != nil && len(survivors) > 1 {
-		ids := make([]int64, len(survivors))
-		for i, c := range survivors {
-			ids[i] = c.rec
-		}
-		var err error
-		recs, err = ix.fetchBatchCtx(ctx, ids)
-		if err != nil {
-			return nil, st, falsePos, err
-		}
-	}
-	for i, c := range survivors {
-		var r *Record
-		if recs != nil {
-			r = recs[i]
-		} else {
-			var err error
-			r, err = ix.fetchCtx(ctx, c.rec)
-			if err != nil {
-				return nil, st, falsePos, err
-			}
-		}
-		if r == nil { // deleted since the entry was written
-			continue
-		}
+	// verify appends r's matches to the scratch match buffer.
+	sc.matches = sc.matches[:0]
+	verify := func(r *Record) {
 		st.Candidates++
-		before := len(out)
+		before := len(sc.matches)
 		if ordered != nil {
-			out = appendOrderedMatches(out, ordered, r, q, eps, &st, g, false)
+			sc.matches = appendOrderedMatches(sc.matches, ordered, r, q, eps, &st, g, false)
 		} else {
 			for ti, t := range sub {
 				st.Comparisons++
@@ -138,13 +126,48 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 					continue
 				}
 				if d <= eps {
-					out = append(out, Match{RecordID: r.ID, TransformIdx: g[ti], Distance: d})
+					sc.matches = append(sc.matches, Match{RecordID: r.ID, TransformIdx: g[ti], Distance: d})
 				}
 			}
 		}
-		if len(out) == before {
+		if len(sc.matches) == before {
 			falsePos++
 		}
+	}
+	if ix.heap == nil {
+		for _, c := range survivors {
+			if r := ix.ds.Record(c.rec); r != nil { // nil: deleted since the entry was written
+				verify(r)
+			}
+		}
+		return append(out, sc.matches...), st, falsePos, nil
+	}
+	ids := sc.ids[:0]
+	for _, c := range survivors {
+		if ix.ds.Record(c.rec) != nil { // known deleted: no page read
+			ids = append(ids, c.rec)
+		}
+	}
+	sc.ids = ids
+	sc.spans = append(sc.spans[:0], make([]matchSpan, len(ids))...)
+	err := ix.heap.Visit(ctx, ids, &sc.fetch, func(i int, v *heapfile.View) error {
+		if v == nil { // tombstoned on disk: the span stays empty
+			return nil
+		}
+		lo := len(sc.matches)
+		verify(&Record{ID: ids[i], Mags: v.Mags, Phases: v.Phases})
+		sc.spans[i] = matchSpan{lo, len(sc.matches)}
+		return nil
+	})
+	if err != nil {
+		return nil, st, falsePos, err
+	}
+	if len(sc.matches) == 0 {
+		return nil, st, falsePos, nil
+	}
+	out = make([]Match, 0, len(sc.matches))
+	for _, sp := range sc.spans {
+		out = append(out, sc.matches[sp.lo:sp.hi]...)
 	}
 	return out, st, falsePos, nil
 }

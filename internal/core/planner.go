@@ -126,7 +126,9 @@ func (ix *Index) PlanRangeCtx(ctx context.Context, q *Record, ts []transform.Tra
 		mult, add := ix.fullMBRs(sub)
 		qrect := ix.queryRect(q, sub, eps, mode)
 		var st QueryStats
-		cands, err := ix.filterCtx(ctx, mult, add, qrect, nil, &st, nil)
+		sc := ix.acquireScratch()
+		defer ix.releaseScratch(sc)
+		cands, err := ix.filterCtx(ctx, sc, mult, add, qrect, nil, &st, nil)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -343,7 +343,9 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	if probe != nil {
 		fsp = probe.Child(obs.KindFilter, "filter")
 	}
-	candidates, err := ix.filterCtx(ctx, mult, add, qrect, phaseDims, &st, fsp)
+	sc := ix.acquireScratch()
+	defer ix.releaseScratch(sc)
+	candidates, err := ix.filterCtx(ctx, sc, mult, add, qrect, phaseDims, &st, fsp)
 	fsp.EndErr(err)
 	if err != nil {
 		return nil, st, err
@@ -391,7 +393,8 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 // Carrying the point out of the traversal lets verification apply the
 // DFT-prefix lower bound before fetching the record page. The leaf it
 // came from was decoded into a slot the traversal reuses, so feat is a
-// copy held by the query's featArena, never a slice of the node.
+// copy held by the featArena of the probe's scratch, never a slice of
+// the node.
 type candidate struct {
 	rec  int64
 	feat geom.Point
@@ -399,30 +402,60 @@ type candidate struct {
 
 // featArena copies admitted feature points out of reused decode slots.
 // It grows by whole chunks and never moves a chunk, so points handed
-// out earlier stay valid while later ones are added.
+// out earlier stay valid while later ones are added. reset keeps the
+// chunks, and the next query fills them again in the same order.
 type featArena struct {
-	chunk []float64
+	chunks [][]float64
+	cur    int // the chunk being filled
 }
 
-// featArenaPoints is the size of the first chunk, in points; each later
-// chunk doubles, so a query admitting c candidates allocates O(log c)
-// chunks.
-const featArenaPoints = 32
+const (
+	// featArenaPoints is the size of the first chunk, in points. Each
+	// later chunk doubles up to featArenaMaxChunk floats, so a query
+	// admitting c candidates allocates O(log c) chunks while it is small
+	// and wastes at most one bounded chunk when it is large.
+	featArenaPoints   = 32
+	featArenaMaxChunk = 8192
+)
 
 func (a *featArena) copy(p geom.Point) geom.Point {
-	if len(a.chunk)+len(p) > cap(a.chunk) {
-		a.chunk = make([]float64, 0, max(2*cap(a.chunk), featArenaPoints*len(p)))
+	for a.cur < len(a.chunks) && len(a.chunks[a.cur])+len(p) > cap(a.chunks[a.cur]) {
+		a.cur++
 	}
-	start := len(a.chunk)
-	a.chunk = append(a.chunk, p...)
-	return a.chunk[start:len(a.chunk):len(a.chunk)]
+	if a.cur == len(a.chunks) {
+		size := featArenaPoints * len(p)
+		if a.cur > 0 {
+			size = max(size, min(2*cap(a.chunks[a.cur-1]), featArenaMaxChunk))
+		}
+		a.chunks = append(a.chunks, make([]float64, 0, size))
+	}
+	c := &a.chunks[a.cur]
+	start := len(*c)
+	*c = append(*c, p...)
+	return (*c)[start:len(*c):len(*c)]
+}
+
+func (a *featArena) reset() {
+	for i := range a.chunks {
+		a.chunks[i] = a.chunks[i][:0]
+	}
+	a.cur = 0
+}
+
+func (a *featArena) bytes() int {
+	n := 0
+	for _, c := range a.chunks {
+		n += 8 * cap(c)
+	}
+	return n
 }
 
 // filter runs the Algorithm 1 traversal for one transformation rectangle,
-// returning the candidates. phaseDims, when non-nil, selects
-// modulo-2*pi comparison for the marked dimensions (one-sided mode).
+// returning the candidates, which the caller owns. phaseDims, when
+// non-nil, selects modulo-2*pi comparison for the marked dimensions
+// (one-sided mode).
 func (ix *Index) filter(mult, add, qrect geom.Rect, phaseDims []bool, st *QueryStats) ([]candidate, error) {
-	return ix.filterCtx(nil, mult, add, qrect, phaseDims, st, nil)
+	return ix.filterCtx(nil, new(scratch), mult, add, qrect, phaseDims, st, nil)
 }
 
 // filterCtx is filter with observability: node loads carry ctx so a
@@ -430,12 +463,13 @@ func (ix *Index) filter(mult, add, qrect geom.Rect, phaseDims []bool, st *QueryS
 // counters (nodes, leaves, pruned subtrees, candidates) are recorded on
 // it. The caller closes sp. The walk is depth-first, one decode slot per
 // tree level: the parent's entries are still being iterated while a
-// child is read.
-func (ix *Index) filterCtx(ctx context.Context, mult, add, qrect geom.Rect, phaseDims []bool, st *QueryStats, sp *obs.Span) ([]candidate, error) {
+// child is read. The candidates and their feature points live in sc and
+// are valid until sc is released.
+func (ix *Index) filterCtx(ctx context.Context, sc *scratch, mult, add, qrect geom.Rect, phaseDims []bool, st *QueryStats, sp *obs.Span) ([]candidate, error) {
 	da0, dl0 := st.DAAll, st.DALeaf
 	var pruned int64
-	var out []candidate
-	var feats featArena
+	out, feats := sc.cands[:0], &sc.feats
+	feats.reset()
 	slots := ix.tree.AcquireSlots()
 	defer slots.Release()
 	// One scratch rectangle serves every internal entry of the walk
@@ -485,7 +519,9 @@ func (ix *Index) filterCtx(ctx context.Context, mult, add, qrect geom.Rect, phas
 		}
 		return nil
 	}
-	if err := walk(ix.tree.Root(), 0); err != nil {
+	err := walk(ix.tree.Root(), 0)
+	sc.cands = out
+	if err != nil {
 		return nil, err
 	}
 	if sp != nil {

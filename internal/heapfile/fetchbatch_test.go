@@ -3,6 +3,7 @@ package heapfile
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tsq/internal/storage"
@@ -24,9 +25,51 @@ func buildHeap(t testing.TB, count, n int) (*storage.Manager, *File) {
 	return mgr, f
 }
 
-// TestFetchBatchParity: FetchBatch returns exactly what record-at-a-time
-// Read returns, parallel to the requested ids — including duplicates,
-// reversed order, and tombstoned records (nil).
+// viewIsRec reports whether a visited view (nil for a tombstone) shows
+// the record Read returned.
+func viewIsRec(v *View, r *Rec) bool {
+	if v == nil || r == nil {
+		return v == nil && r == nil
+	}
+	return recsEqual(&Rec{Name: string(v.Name), Mean: v.Mean, Std: v.Std, Raw: v.Raw, Mags: v.Mags, Phases: v.Phases}, r)
+}
+
+// checkVisitMatchesRead visits ids through s and compares every view,
+// while it is valid, with the record Read returns for the same id; every
+// position of ids must be visited exactly once, in page order.
+func checkVisitMatchesRead(t *testing.T, f *File, s *Scratch, ids []int64) {
+	t.Helper()
+	seen := make([]int, len(ids))
+	lastPage := storage.NilPage
+	err := f.Visit(nil, ids, s, func(i int, v *View) error {
+		seen[i]++
+		if page := f.pages[ids[i]]; page < lastPage {
+			t.Errorf("visit of ids[%d]=%d goes back from page %d to %d", i, ids[i], lastPage, page)
+		} else {
+			lastPage = page
+		}
+		want, err := f.Read(ids[i])
+		if err != nil {
+			return err
+		}
+		if !viewIsRec(v, want) {
+			t.Errorf("ids[%d]=%d: visited record differs from Read (tombstone: visit %v, read %v)", i, ids[i], v == nil, want == nil)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("ids[%d]=%d visited %d times", i, ids[i], n)
+		}
+	}
+}
+
+// TestFetchBatchParity: FetchBatch and Visit return exactly what
+// record-at-a-time Read returns, parallel to the requested ids —
+// including duplicates, reversed order, and tombstoned records (nil).
 func TestFetchBatchParity(t *testing.T) {
 	mgr, f := buildHeap(t, 60, 16)
 	defer mgr.Close()
@@ -56,10 +99,16 @@ func TestFetchBatchParity(t *testing.T) {
 			t.Errorf("ids[%d]=%d: batch record differs from Read", i, id)
 		}
 	}
+	// One scratch serves fetch after fetch, whatever it held before.
+	var s Scratch
+	checkVisitMatchesRead(t, f, &s, ids)
+	checkVisitMatchesRead(t, f, &s, []int64{17})
+	checkVisitMatchesRead(t, f, &s, ids[3:9])
 	// Empty batch.
 	if out, err := f.FetchBatch(nil, nil); err != nil || len(out) != 0 {
 		t.Errorf("empty batch: out=%v err=%v", out, err)
 	}
+	checkVisitMatchesRead(t, f, &s, nil)
 }
 
 // TestFetchBatchOutOfRange: any invalid id fails the whole batch before
@@ -125,9 +174,11 @@ func TestFetchBatchDuplicatePagesReadOnce(t *testing.T) {
 	}
 }
 
-// TestFetchBatchAllocsPerCandidate pins the allocation contract: growing
-// the batch costs only the decode allocations per added record (the Rec,
-// its three arrays, and the name — no per-candidate bookkeeping).
+// TestFetchBatchAllocsPerCandidate pins the allocation contract of the
+// two fetches: on the visiting path a record added to the batch costs no
+// allocation at all (one slot, one run buffer, one order, all in the
+// Scratch), and on the owning path only its decode (the Rec, its three
+// arrays and the name — no per-candidate bookkeeping).
 func TestFetchBatchAllocsPerCandidate(t *testing.T) {
 	mgr, f := buildHeap(t, 128, 16)
 	defer mgr.Close()
@@ -138,24 +189,83 @@ func TestFetchBatchAllocsPerCandidate(t *testing.T) {
 		}
 		return ids
 	}
-	measure := func(ids []int64) float64 {
+	var s Scratch
+	var sum float64
+	visit := func(ids []int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			err := f.Visit(nil, ids, &s, func(_ int, v *View) error {
+				sum += v.Mags[0] + v.Phases[len(v.Phases)-1]
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := visit(idsFor(32)), visit(idsFor(128)); small != 0 || large != 0 {
+		t.Errorf("visiting fetch allocates %.0f times for 32 records and %.0f for 128, want 0 with a warm scratch", small, large)
+	}
+	owned := func(ids []int64) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, err := f.FetchBatch(nil, ids); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, large := measure(idsFor(32)), measure(idsFor(128))
-	perCandidate := (large - small) / 96
+	perCandidate := (owned(idsFor(128)) - owned(idsFor(32))) / 96
 	// Decode allocates the Rec, Raw, Mags, Phases, and the name string: 5.
 	if perCandidate > 5.5 {
-		t.Errorf("%.2f allocations per candidate, want <= 5.5 (decode only)", perCandidate)
+		t.Errorf("owning fetch: %.2f allocations per candidate, want <= 5.5 (decode only)", perCandidate)
+	}
+}
+
+// TestVisitStopsAtACorruptPage: a record page that fails its checksum in
+// the middle of a batch ends the fetch with the error naming the record;
+// the callback sees the records before it, never the bad one, and never
+// the previous record's contents under the bad one's position.
+func TestVisitStopsAtACorruptPage(t *testing.T) {
+	mgr, f := buildHeap(t, 12, 16)
+	defer mgr.Close()
+	const bad = 5
+	buf := make([]byte, mgr.PageSize())
+	if err := mgr.Read(f.pages[bad], buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[recHeaderSize+40] ^= 0x10
+	if err := mgr.Write(f.pages[bad], buf); err != nil {
+		t.Fatal(err)
+	}
+	ids := []int64{9, 3, bad, 4, 8, 6}
+	var s Scratch
+	var visited []int64
+	err := f.Visit(nil, ids, &s, func(i int, v *View) error {
+		visited = append(visited, ids[i])
+		want, err := f.Read(ids[i])
+		if err != nil {
+			return err
+		}
+		if !viewIsRec(v, want) {
+			t.Errorf("record %d: visited contents differ from Read", ids[i])
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "record 5 fails its checksum") {
+		t.Fatalf("Visit over a corrupt page returned %v, want the checksum error of record 5", err)
+	}
+	if fmt.Sprint(visited) != "[3 4]" {
+		t.Errorf("visited %v before the error, want the two records on earlier pages", visited)
+	}
+	if len(s.slot.Raw)+len(s.slot.Mags)+len(s.slot.Phases)+len(s.slot.Name) != 0 {
+		t.Errorf("the slot still shows a record after the failed decode")
+	}
+	if _, err := f.FetchBatch(nil, ids); err == nil || !strings.Contains(err.Error(), "record 5 fails its checksum") {
+		t.Errorf("FetchBatch over a corrupt page returned %v", err)
 	}
 }
 
 // FuzzFetchBatch drives random append/delete/sync interleavings and
 // random id multisets (duplicates, boundary ids, arbitrary order) and
-// asserts FetchBatch parity with record-at-a-time Read.
+// asserts FetchBatch and Visit parity with record-at-a-time Read.
 func FuzzFetchBatch(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint16(8))
 	f.Add(int64(7), uint8(1), uint16(32))
@@ -212,5 +322,10 @@ func FuzzFetchBatch(f *testing.F) {
 				t.Fatalf("seed=%d ids[%d]=%d: batch record differs from Read", seed, i, id)
 			}
 		}
+		// The visiting fetch over the same history, twice through one
+		// scratch: the second pass decodes into a slot the first filled.
+		var s Scratch
+		checkVisitMatchesRead(t, hf, &s, ids)
+		checkVisitMatchesRead(t, hf, &s, ids[len(ids)/2:])
 	})
 }

@@ -71,8 +71,8 @@ var dirMagic = [4]byte{'H', 'D', 'I', 'R'}
 const dirHeaderSize = 12
 
 // Create allocates an empty heap on mgr for series of length n.
-// Records must fit in one page: 24 bytes of header, 24 bytes per sample
-// and the name.
+// Records must fit in one page: recHeaderSize bytes of header, 24 bytes
+// per sample and the name.
 func Create(mgr *storage.Manager, n int) (*File, error) {
 	if recSize(n, 0) > mgr.PageSize() {
 		return nil, fmt.Errorf("heapfile: series length %d does not fit a %d-byte page", n, mgr.PageSize())
@@ -186,82 +186,137 @@ func (f *File) ReadCtx(ctx context.Context, rec int64) (*Rec, error) {
 	if err := f.mgr.ReadCtx(ctx, f.pages[rec], buf); err != nil {
 		return nil, fmt.Errorf("heapfile: reading record %d: %w", rec, err)
 	}
-	return f.decodeRec(buf, rec)
+	return f.decodeOwned(buf, rec)
 }
 
-// decodeRec decodes the record page image in buf into a Rec. The CRC
-// field is zeroed for the checksum and restored afterwards, so the same
-// image can be decoded more than once (duplicate ids in a batch).
-func (f *File) decodeRec(buf []byte, rec int64) (*Rec, error) {
+// View is a record decoded in place by Visit. Its arrays belong to the
+// fetch's Scratch and Name aliases the page image, so a View is valid
+// only until the visit callback returns: copy what outlives it.
+type View struct {
+	Name      []byte
+	Mean, Std float64
+	Raw       []float64
+	Mags      []float64
+	Phases    []float64
+}
+
+// decode is the one record decoder: it checks the record page image in
+// buf (magic, IEEE CRC, series length, overflow) and decodes it into v,
+// reusing v's arrays when they have room. It reports false for a
+// tombstone. On an error or a tombstone v's arrays are emptied, so a
+// reused v never shows the previous record. The CRC field is zeroed for
+// the checksum and restored afterwards, so the same image can be decoded
+// more than once (duplicate ids in a batch).
+func (f *File) decode(buf []byte, rec int64, v *View) (live bool, err error) {
+	v.Name, v.Raw, v.Mags, v.Phases = nil, v.Raw[:0], v.Mags[:0], v.Phases[:0]
 	if buf[0] == 'D' {
-		return nil, nil // tombstone
+		return false, nil // tombstone
 	}
 	if buf[0] != 'R' {
-		return nil, fmt.Errorf("heapfile: page %d is not a record page", f.pages[rec])
+		return false, fmt.Errorf("heapfile: page %d is not a record page", f.pages[rec])
 	}
 	stored := binary.LittleEndian.Uint32(buf[8:])
 	binary.LittleEndian.PutUint32(buf[8:], 0)
 	sum := crc32.ChecksumIEEE(buf)
 	binary.LittleEndian.PutUint32(buf[8:], stored)
 	if sum != stored {
-		return nil, fmt.Errorf("heapfile: record %d fails its checksum (page %d)", rec, f.pages[rec])
+		return false, fmt.Errorf("heapfile: record %d fails its checksum (page %d)", rec, f.pages[rec])
 	}
 	nameLen := int(binary.LittleEndian.Uint16(buf[2:]))
 	n := int(binary.LittleEndian.Uint32(buf[4:]))
 	if n != f.n {
-		return nil, fmt.Errorf("heapfile: record %d has length %d, heap expects %d", rec, n, f.n)
+		return false, fmt.Errorf("heapfile: record %d has length %d, heap expects %d", rec, n, f.n)
 	}
 	if recSize(n, nameLen) > len(buf) {
-		return nil, fmt.Errorf("heapfile: record %d overflows its page (name length %d)", rec, nameLen)
+		return false, fmt.Errorf("heapfile: record %d overflows its page (name length %d)", rec, nameLen)
 	}
-	out := &Rec{
-		Mean:   math.Float64frombits(binary.LittleEndian.Uint64(buf[16:])),
-		Std:    math.Float64frombits(binary.LittleEndian.Uint64(buf[24:])),
-		Raw:    make([]float64, n),
-		Mags:   make([]float64, n),
-		Phases: make([]float64, n),
-	}
-	off := recHeaderSize
-	for _, arr := range [][]float64{out.Raw, out.Mags, out.Phases} {
-		for i := range arr {
-			arr[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-	}
-	out.Name = string(buf[off : off+nameLen])
-	return out, nil
+	v.Mean = math.Float64frombits(binary.LittleEndian.Uint64(buf[16:]))
+	v.Std = math.Float64frombits(binary.LittleEndian.Uint64(buf[24:]))
+	v.Raw = decodeFloats(v.Raw, n, buf[recHeaderSize:])
+	v.Mags = decodeFloats(v.Mags, n, buf[recHeaderSize+8*n:])
+	v.Phases = decodeFloats(v.Phases, n, buf[recHeaderSize+16*n:])
+	v.Name = buf[recHeaderSize+24*n:][:nameLen]
+	return true, nil
 }
 
-// FetchBatch fetches the given records, servicing the page I/O in
-// ascending page order: the ids are sorted by record page, maximal runs
-// of consecutive pages are read with one storage.ReadRunCtx call each
-// (one backend access plus readahead on run-capable backends), and each
-// page is fetched at most once per call even when ids repeat. The
-// result is parallel to ids — out[i] is the record for ids[i], nil if
-// tombstoned — so callers keep their own candidate order while the
-// underlying I/O happens in file order. Allocation per record is the
-// decode itself (the Rec and its arrays); the run buffer and the sort
-// order are shared across the whole batch.
-func (f *File) FetchBatch(ctx context.Context, ids []int64) ([]*Rec, error) {
-	out := make([]*Rec, len(ids))
+// decodeFloats decodes n little-endian float64 values from src into dst,
+// which is reused when it has room.
+func decodeFloats(dst []float64, n int, src []byte) []float64 {
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return dst
+}
+
+// decodeOwned decodes buf into a fresh Rec that owns its arrays and
+// name; a tombstone is (nil, nil).
+func (f *File) decodeOwned(buf []byte, rec int64) (*Rec, error) {
+	var v View
+	if live, err := f.decode(buf, rec, &v); err != nil || !live {
+		return nil, err
+	}
+	return &Rec{Name: string(v.Name), Mean: v.Mean, Std: v.Std, Raw: v.Raw, Mags: v.Mags, Phases: v.Phases}, nil
+}
+
+// Scratch is the reusable state of a batch fetch: the run buffer, the
+// page order of the ids and the decode slot Visit hands to its callback.
+// The zero value is ready to use. A Scratch serves one fetch at a time.
+type Scratch struct {
+	run  []byte
+	by   pageOrder
+	slot View
+}
+
+// Bytes returns the memory the scratch holds on to, for callers that cap
+// what they keep between fetches.
+func (s *Scratch) Bytes() int {
+	return cap(s.run) + 4*cap(s.by.order) + 8*(cap(s.slot.Raw)+cap(s.slot.Mags)+cap(s.slot.Phases))
+}
+
+// pageOrder sorts the positions of ids by record page, ties by position.
+// It lives in the Scratch so that sort.Sort is handed a pointer that is
+// on the heap already.
+type pageOrder struct {
+	f     *File
+	ids   []int64
+	order []int32
+}
+
+func (o *pageOrder) Len() int      { return len(o.order) }
+func (o *pageOrder) Swap(a, b int) { o.order[a], o.order[b] = o.order[b], o.order[a] }
+func (o *pageOrder) Less(a, b int) bool {
+	pa, pb := o.f.pages[o.ids[o.order[a]]], o.f.pages[o.ids[o.order[b]]]
+	if pa != pb {
+		return pa < pb
+	}
+	return o.order[a] < o.order[b]
+}
+
+// fetch services the page I/O of a batch in ascending page order: the
+// ids are sorted by record page, maximal runs of consecutive pages are
+// read with one storage.ReadRunCtx call each (one backend access plus
+// readahead on run-capable backends), and each page is fetched at most
+// once per call even when ids repeat. page is called once per id, in
+// page order, with the id's position in ids and its page image, which is
+// valid until page returns. The run buffer and the order come from s.
+func (f *File) fetch(ctx context.Context, ids []int64, s *Scratch, page func(i int, buf []byte) error) error {
 	for _, rec := range ids {
 		if rec < 0 || rec >= int64(len(f.pages)) {
-			return nil, fmt.Errorf("heapfile: record %d out of range [0, %d)", rec, len(f.pages))
+			return fmt.Errorf("heapfile: record %d out of range [0, %d)", rec, len(f.pages))
 		}
 	}
-	order := make([]int32, len(ids))
-	for i := range order {
-		order[i] = int32(i)
+	s.by.f, s.by.ids, s.by.order = f, ids, s.by.order[:0]
+	for i := range ids {
+		s.by.order = append(s.by.order, int32(i))
 	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := f.pages[ids[order[a]]], f.pages[ids[order[b]]]
-		if pa != pb {
-			return pa < pb
-		}
-		return order[a] < order[b]
-	})
+	sort.Sort(&s.by)
+	s.by.ids = nil // the caller's slice is not the scratch's to keep
+	order := s.by.order
 	ps := f.mgr.PageSize()
-	var runBuf []byte
 	for start := 0; start < len(order); {
 		// Extend the run while page ids stay consecutive (or repeat).
 		end, distinct := start+1, 1
@@ -279,30 +334,60 @@ func (f *File) FetchBatch(ctx context.Context, ids []int64) ([]*Rec, error) {
 			break
 		}
 		first := f.pages[ids[order[start]]]
-		if need := distinct * ps; cap(runBuf) < need {
-			grow := 2 * cap(runBuf)
-			if grow < need {
-				grow = need
-			}
-			runBuf = make([]byte, grow)
+		if need := distinct * ps; cap(s.run) < need {
+			s.run = make([]byte, max(need, 2*cap(s.run)))
 		}
-		buf := runBuf[:distinct*ps]
+		buf := s.run[:distinct*ps]
 		if err := f.mgr.ReadRunCtx(ctx, first, distinct, buf); err != nil {
-			return nil, fmt.Errorf("heapfile: batch-fetching records: %w", err)
+			return fmt.Errorf("heapfile: batch-fetching records: %w", err)
 		}
 		for j := start; j < end; j++ {
-			idx := order[j]
-			rec := ids[idx]
-			off := int(f.pages[rec]-first) * ps
-			r, err := f.decodeRec(buf[off:off+ps], rec)
-			if err != nil {
-				return nil, err
+			idx := int(order[j])
+			off := int(f.pages[ids[idx]]-first) * ps
+			if err := page(idx, buf[off:off+ps]); err != nil {
+				return err
 			}
-			out[idx] = r
 		}
 		start = end
 	}
+	return nil
+}
+
+// FetchBatch fetches the given records with the page-ordered, run-batched
+// I/O of fetch. The result is parallel to ids — out[i] is the record for
+// ids[i], nil if tombstoned — so callers keep their own candidate order
+// while the underlying I/O happens in file order. Every record is owned
+// by the caller: allocation per record is the decode itself (the Rec, its
+// arrays and its name).
+func (f *File) FetchBatch(ctx context.Context, ids []int64) ([]*Rec, error) {
+	out := make([]*Rec, len(ids))
+	err := f.fetch(ctx, ids, new(Scratch), func(i int, buf []byte) (err error) {
+		out[i], err = f.decodeOwned(buf, ids[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// Visit is FetchBatch without ownership: the same I/O, but every record
+// is decoded into the one slot of s and passed to visit with its
+// position in ids — in page order, not in the order of ids — and nil for
+// a tombstone. The View is valid until visit returns. With a warm s,
+// Visit allocates nothing per page and nothing per record. A decode
+// error stops the fetch before visit sees the failing record.
+func (f *File) Visit(ctx context.Context, ids []int64, s *Scratch, visit func(i int, v *View) error) error {
+	return f.fetch(ctx, ids, s, func(i int, buf []byte) error {
+		live, err := f.decode(buf, ids[i], &s.slot)
+		if err != nil {
+			return err
+		}
+		if !live {
+			return visit(i, nil)
+		}
+		return visit(i, &s.slot)
+	})
 }
 
 // Delete tombstones record rec: subsequent reads return (nil, nil). The

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // maxPoolShards bounds the lock striping of the buffer pool. The actual
 // shard count never exceeds the pool capacity, so every shard owns at
@@ -13,70 +10,104 @@ const maxPoolShards = 16
 // bufferPool is a simple LRU page cache — one shard of the striped pool.
 // It is not safe for concurrent use on its own; the owning poolShard's
 // mutex serializes access to it.
+//
+// Frames are recycled, never dropped: a put on a full pool overwrites
+// the least recently used frame in place, and evict and reset park
+// frames on a free list the next put draws from. A pool therefore
+// allocates only while it fills, one frame at a time, and holds at most
+// capacity frames however long it lives.
 type bufferPool struct {
 	capacity int
 	pageSize int
-	lru      *list.List // front = most recently used; values are *frame
-	frames   map[PageID]*list.Element
+	// lru is the sentinel of the circular recency list: lru.next is the
+	// most recently used frame, lru.prev the next victim.
+	lru    frame
+	frames map[PageID]*frame
+	free   *frame // parked frames, linked through next
 }
 
 type frame struct {
-	id   PageID
-	data []byte
+	id         PageID
+	data       []byte
+	prev, next *frame
 }
 
 func newBufferPool(capacity, pageSize int) *bufferPool {
-	return &bufferPool{
+	b := &bufferPool{
 		capacity: capacity,
 		pageSize: pageSize,
-		lru:      list.New(),
-		frames:   make(map[PageID]*list.Element, capacity),
+		frames:   make(map[PageID]*frame, capacity),
 	}
+	b.lru.prev, b.lru.next = &b.lru, &b.lru
+	return b
+}
+
+func (b *bufferPool) unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+}
+
+func (b *bufferPool) pushFront(f *frame) {
+	f.prev, f.next = &b.lru, b.lru.next
+	f.prev.next, f.next.prev = f, f
 }
 
 // get returns the cached contents of id, if present, and marks it recently
 // used. The returned slice must not be retained.
 func (b *bufferPool) get(id PageID) ([]byte, bool) {
-	el, ok := b.frames[id]
+	f, ok := b.frames[id]
 	if !ok {
 		return nil, false
 	}
-	b.lru.MoveToFront(el)
-	return el.Value.(*frame).data, true
+	b.unlink(f)
+	b.pushFront(f)
+	return f.data, true
 }
 
-// put caches the contents of id, evicting the least recently used page if
-// the pool is full.
+// put caches the contents of id. On a full pool the least recently used
+// frame is re-keyed and overwritten in place.
 func (b *bufferPool) put(id PageID, data []byte) {
-	if el, ok := b.frames[id]; ok {
-		copy(el.Value.(*frame).data, data)
-		b.lru.MoveToFront(el)
-		return
-	}
-	if b.lru.Len() >= b.capacity {
-		oldest := b.lru.Back()
-		if oldest != nil {
-			b.lru.Remove(oldest)
-			delete(b.frames, oldest.Value.(*frame).id)
+	f, ok := b.frames[id]
+	if ok {
+		b.unlink(f)
+	} else {
+		switch {
+		case len(b.frames) >= b.capacity:
+			f = b.lru.prev // the victim
+			b.unlink(f)
+			delete(b.frames, f.id)
+		case b.free != nil:
+			f, b.free = b.free, b.free.next
+		default:
+			f = &frame{data: make([]byte, b.pageSize)}
 		}
+		f.id = id
+		b.frames[id] = f
 	}
-	f := &frame{id: id, data: make([]byte, b.pageSize)}
 	copy(f.data, data)
-	b.frames[id] = b.lru.PushFront(f)
+	b.pushFront(f)
+}
+
+// park takes f out of the recency list and the index and keeps it for
+// the next put.
+func (b *bufferPool) park(f *frame) {
+	b.unlink(f)
+	delete(b.frames, f.id)
+	f.prev, f.next = nil, b.free
+	b.free = f
 }
 
 // evict drops page id from the pool if present.
 func (b *bufferPool) evict(id PageID) {
-	if el, ok := b.frames[id]; ok {
-		b.lru.Remove(el)
-		delete(b.frames, id)
+	if f, ok := b.frames[id]; ok {
+		b.park(f)
 	}
 }
 
 // reset empties the pool.
 func (b *bufferPool) reset() {
-	b.lru.Init()
-	b.frames = make(map[PageID]*list.Element, b.capacity)
+	for b.lru.next != &b.lru {
+		b.park(b.lru.next)
+	}
 }
 
 // shardedPool is the Manager's buffer pool, lock-striped by PageID: shard

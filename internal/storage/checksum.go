@@ -53,8 +53,14 @@ type ChecksumBackend struct {
 	inner    Backend
 	physSize int
 	logSize  int
-	scratch  sync.Pool // *[]byte of physSize, reused across reads/writes
+	// scratch holds *[]byte of at least physSize, reused across reads and
+	// writes. A run read grows the buffer it draws; a buffer grown past
+	// maxScratchPages pages is not put back.
+	scratch sync.Pool
 }
+
+// maxScratchPages caps the scratch buffer a run read leaves in the pool.
+const maxScratchPages = 256
 
 // NewChecksumBackend wraps inner, whose pages are physPageSize bytes.
 // The wrapper exposes pages of physPageSize − ChecksumTrailerSize bytes.
@@ -74,11 +80,18 @@ func NewChecksumBackend(inner Backend, physPageSize int) *ChecksumBackend {
 // LogicalPageSize returns the page size callers of this backend see.
 func (b *ChecksumBackend) LogicalPageSize() int { return b.logSize }
 
-// pageCRC computes the trailer checksum for page id with payload data.
+// pageCRC computes the trailer checksum for page id with payload data:
+// the CRC32C of data followed by the little-endian id. The four id bytes
+// are folded through the table here, one step of the byte-wise CRC each
+// (crc32.Update would take them as a slice that escapes to the heap),
+// which yields exactly crc32.Update(crc32.Checksum(data, castagnoli),
+// castagnoli, idBytes).
 func pageCRC(id PageID, data []byte) uint32 {
-	var idb [4]byte
-	binary.LittleEndian.PutUint32(idb[:], uint32(id))
-	return crc32.Update(crc32.Checksum(data, castagnoli), castagnoli, idb[:])
+	crc := ^crc32.Checksum(data, castagnoli)
+	for shift := 0; shift < 32; shift += 8 {
+		crc = castagnoli[byte(crc)^byte(uint32(id)>>shift)] ^ (crc >> 8)
+	}
+	return ^crc
 }
 
 // verify checks the trailer of the physical page image phys for page id.
@@ -97,7 +110,7 @@ func (b *ChecksumBackend) verify(id PageID, phys []byte) error {
 // verified, and the logical payload copied into buf.
 func (b *ChecksumBackend) ReadPage(id PageID, buf []byte) error {
 	sp := b.scratch.Get().(*[]byte)
-	phys := *sp
+	phys := (*sp)[:b.physSize]
 	defer b.scratch.Put(sp)
 	if err := b.inner.ReadPage(id, phys); err != nil {
 		return err
@@ -124,7 +137,15 @@ func (b *ChecksumBackend) ReadRun(first PageID, n int, buf []byte) error {
 		}
 		return nil
 	}
-	phys := make([]byte, n*b.physSize)
+	sp := b.scratch.Get().(*[]byte)
+	need := n * b.physSize
+	if cap(*sp) < need {
+		*sp = make([]byte, max(need, 2*cap(*sp)))
+	}
+	if cap(*sp) <= maxScratchPages*b.physSize {
+		defer b.scratch.Put(sp)
+	}
+	phys := (*sp)[:need]
 	if err := rr.ReadRun(first, n, phys); err != nil {
 		return err
 	}
@@ -142,7 +163,7 @@ func (b *ChecksumBackend) ReadRun(first PageID, n int, buf []byte) error {
 // trailer and written as one physical page.
 func (b *ChecksumBackend) WritePage(id PageID, buf []byte) error {
 	sp := b.scratch.Get().(*[]byte)
-	phys := *sp
+	phys := (*sp)[:b.physSize]
 	defer b.scratch.Put(sp)
 	copy(phys, buf[:b.logSize])
 	copy(phys[b.logSize:], checksumMarker[:])
