@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench benchdiff benchbase verify figures clean
+.PHONY: all build test race bench benchdiff benchbase verify figures loc clean
 
 all: verify
 
@@ -56,6 +56,11 @@ benchdiff:
 		echo "benchstat not installed; skipping (go install golang.org/x/perf/cmd/benchstat@latest)"; \
 		$(GO) test $(KERNEL_BENCH) -count 1 $(KERNEL_PKGS); \
 	fi
+
+# loc prints the size ROADMAP item 2 tracks: non-blank, non-comment,
+# non-test Go lines in internal/core plus the root package.
+loc:
+	@cat $$(ls internal/core/*.go *.go | grep -v _test.go) | grep -vcE '^\s*(//.*)?$$'
 
 figures:
 	$(GO) run ./cmd/tsbench -fig all -out figures

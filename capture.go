@@ -100,62 +100,38 @@ func captureQueryStats(st Stats, dur time.Duration, matches int, ioPre, ioPost s
 	}
 }
 
-// captureRange journals one completed range query. Lives behind the
-// cw != nil check in rangeRecord, so a disabled journal costs nothing
-// here. A stored query point (RangeByID) is journaled by reference
-// plus content hash; an ad-hoc query carries its raw vector inline.
-func captureRange(cw *capture.Writer, qid uint64, qr *core.Record, ts []Transform, eps float64,
-	opts QueryOptions, m []Match, st Stats, dur time.Duration, qerr error, ioPre, ioPost storage.Stats) {
-	if !cw.Admit() {
+// captureQuery journals one completed range or nearest-neighbor query.
+// Lives behind the cw != nil check in queryEvent.finish, so a disabled
+// journal costs nothing here. A stored query point (RangeByID) is
+// journaled by reference plus content hash; an ad-hoc query carries its
+// raw vector inline.
+func captureQuery(ev *queryEvent, dur time.Duration, ioPost storage.Stats) {
+	if !ev.cw.Admit() {
 		return
 	}
 	rec := capture.Record{
-		QueryID:   qid,
-		Kind:      capture.KindRange,
+		QueryID:   ev.qid,
+		Kind:      ev.kind,
 		UnixNano:  time.Now().UnixNano(),
-		SeriesID:  qr.ID,
-		QueryHash: capture.HashFloats(qr.Raw),
-		Eps:       eps,
-		Opts:      captureQueryOpts(opts),
-		Stats:     captureQueryStats(st, dur, len(m), ioPre, ioPost),
+		SeriesID:  ev.qr.ID,
+		QueryHash: capture.HashFloats(ev.qr.Raw),
+		Eps:       ev.eps,
+		K:         int32(ev.k),
+		Opts:      captureQueryOpts(ev.opts),
+		Stats:     captureQueryStats(ev.st, dur, len(ev.matches)+len(ev.nn), ev.ioPre, ioPost),
 	}
-	if qr.ID < 0 {
-		rec.Query = qr.Raw
+	if ev.qr.ID < 0 {
+		rec.Query = ev.qr.Raw
 	}
-	if qerr != nil {
-		rec.Err = qerr.Error()
-	} else {
-		rec.Digest = core.AnswerDigestRange(m)
+	switch {
+	case ev.err != nil:
+		rec.Err = ev.err.Error()
+	case ev.kind == capture.KindNN:
+		rec.Digest = core.AnswerDigestNN(ev.nn)
+	default:
+		rec.Digest = core.AnswerDigestRange(ev.matches)
 	}
-	cw.Append(&rec, ts)
-}
-
-// captureNN journals one completed nearest-neighbor query. NN queries
-// always take an ad-hoc query series, so the vector is always inline.
-func captureNN(cw *capture.Writer, qid uint64, qr *core.Record, ts []Transform, k int,
-	opts QueryOptions, m []NNMatch, st Stats, dur time.Duration, qerr error, ioPre, ioPost storage.Stats) {
-	if !cw.Admit() {
-		return
-	}
-	rec := capture.Record{
-		QueryID:   qid,
-		Kind:      capture.KindNN,
-		UnixNano:  time.Now().UnixNano(),
-		SeriesID:  qr.ID,
-		QueryHash: capture.HashFloats(qr.Raw),
-		K:         int32(k),
-		Opts:      captureQueryOpts(opts),
-		Stats:     captureQueryStats(st, dur, len(m), ioPre, ioPost),
-	}
-	if qr.ID < 0 {
-		rec.Query = qr.Raw
-	}
-	if qerr != nil {
-		rec.Err = qerr.Error()
-	} else {
-		rec.Digest = core.AnswerDigestNN(m)
-	}
-	cw.Append(&rec, ts)
+	ev.cw.Append(&rec, ev.ts)
 }
 
 // captureSubseq journals one completed subsequence search: the pattern

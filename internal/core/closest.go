@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"tsq/internal/geom"
+	"tsq/internal/rtree"
 	"tsq/internal/storage"
 	"tsq/internal/transform"
 )
@@ -16,31 +17,23 @@ import (
 // best-first synchronized traversal in the style of Hjaltason and Samet,
 // pruned by a provable lower bound on transformed pair distances.
 
-// pairItem is a priority-queue element: a pair of subtrees (or a resolved
-// record pair) ordered by a lower bound of the transformed distance.
-type pairItem struct {
-	bound    float64
-	a, b     storage.PageID
-	resolved bool
-	ra, rb   int64
-}
-
-type pairHeap []pairItem
-
-func (h pairHeap) Len() int            { return len(h) }
-func (h pairHeap) Less(i, j int) bool  { return h[i].bound < h[j].bound }
-func (h pairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x interface{}) { *h = append(*h, x.(pairItem)) }
-func (h *pairHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// lessPair is the rank order of closest-pairs answers: distance, then the
+// pair's ids. The scan, the index search's top-k insertion and test
+// oracles all rank by it, so equal distances at the k boundary resolve
+// the same way on every path.
+func lessPair(a, b JoinMatch) bool {
+	if a.Distance != b.Distance {
+		return a.Distance < b.Distance
+	}
+	if a.IDA != b.IDA {
+		return a.IDA < b.IDA
+	}
+	return a.IDB < b.IDB
 }
 
 // SeqScanClosestPairs returns the k pairs with the smallest best
-// transformed distance min_t D(t(a), t(b)), by exhaustive scan.
+// transformed distance min_t D(t(a), t(b)), in rank order, by exhaustive
+// scan.
 func SeqScanClosestPairs(ds *Dataset, ts []transform.Transform, k int) ([]JoinMatch, QueryStats) {
 	var st QueryStats
 	var all []JoinMatch
@@ -61,32 +54,61 @@ func SeqScanClosestPairs(ds *Dataset, ts []transform.Transform, k int) ([]JoinMa
 			all = append(all, best)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Distance < all[j].Distance })
+	sort.Slice(all, func(i, j int) bool { return lessPair(all[i], all[j]) })
 	if k < len(all) {
 		all = all[:k]
 	}
 	return all, st
 }
 
+// shardPairItem is a priority-queue element: a pair of subtrees, each
+// side tagged with its shard, or a resolved pair of global record ids,
+// ordered by a lower bound of the transformed distance.
+type shardPairItem struct {
+	bound    float64
+	sa, sb   int
+	a, b     storage.PageID
+	resolved bool
+	ra, rb   int64
+}
+
+type shardPairHeap []shardPairItem
+
+func (h shardPairHeap) Len() int            { return len(h) }
+func (h shardPairHeap) Less(i, j int) bool  { return h[i].bound < h[j].bound }
+func (h shardPairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *shardPairHeap) Push(x interface{}) { *h = append(*h, x.(shardPairItem)) }
+func (h *shardPairHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
 // MTIndexClosestPairs returns the k closest pairs under the
-// transformation set through the index: subtree pairs are expanded in
-// order of a lower bound built from the transformed magnitude intervals
-// (phases carry no valid lower bound and are excluded), so the search is
-// exact and stops as soon as k pairs beat every remaining bound.
-func (ix *Index) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMatch, QueryStats, error) {
+// transformation set, in rank order (lessPair), with one best-first
+// search over all shards: the priority queue is seeded with every shard
+// root pair (a <= b) — the single root paired with itself at one shard —
+// and subtree pairs, same-shard or cross-shard, are expanded in order of
+// a lower bound built from the transformed magnitude intervals (phases
+// carry no valid lower bound and are excluded). The search is exact and
+// stops as soon as k pairs beat every remaining bound.
+func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMatch, QueryStats, error) {
 	var st QueryStats
 	if k <= 0 || len(ts) == 0 {
 		return nil, st, nil
 	}
-	mult, add := ix.fullMBRs(ts)
-	st.IndexSearches++
+	ix0 := s.shards[0]
+	opts := ix0.Options()
+	mult, add := ix0.fullMBRs(ts)
 	symFactor := 1.0
-	if ix.opts.UseSymmetry {
+	if opts.UseSymmetry {
 		symFactor = math.Sqrt2
 	}
 	lowerBound := func(ya, yb geom.Rect) float64 {
 		var ss float64
-		for j := 1; j <= ix.opts.K; j++ {
+		for j := 1; j <= opts.K; j++ {
 			gap := intervalGap(ya.Lo[2*j], ya.Hi[2*j], yb.Lo[2*j], yb.Hi[2*j])
 			ss += gap * gap
 		}
@@ -96,19 +118,36 @@ func (ix *Index) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMat
 	var results []JoinMatch
 	worst := math.Inf(1)
 	seen := make(map[[2]int64]bool)
-	h := &pairHeap{{bound: 0, a: ix.tree.Root(), b: ix.tree.Root()}}
-	loaded := make(map[storage.PageID]*nodeCache)
-	// A loaded node is copied into its nodeCache at once, so one decode
-	// slot serves the whole search.
-	slots := ix.tree.AcquireSlots()
-	defer slots.Release()
-	load := func(id storage.PageID) (*nodeCache, error) {
-		if n, ok := loaded[id]; ok {
+	h := &shardPairHeap{}
+	for sa := range s.shards {
+		for sb := sa; sb < len(s.shards); sb++ {
+			st.IndexSearches++
+			heap.Push(h, shardPairItem{sa: sa, sb: sb, a: s.shards[sa].tree.Root(), b: s.shards[sb].tree.Root()})
+		}
+	}
+	type cacheKey struct {
+		shard int
+		page  storage.PageID
+	}
+	loaded := make(map[cacheKey]*nodeCache)
+	// One decode slot per shard tree: a loaded node is copied into its
+	// nodeCache at once.
+	slots := make([]*rtree.Slots, len(s.shards))
+	for sh, ix := range s.shards {
+		slots[sh] = ix.tree.AcquireSlots()
+		defer slots[sh].Release()
+	}
+	// load caches a shard node with its entry rectangles transformed
+	// and its record ids already translated to global, so expansion and
+	// dedup work in the global id space throughout.
+	load := func(sh int, id storage.PageID) (*nodeCache, error) {
+		key := cacheKey{sh, id}
+		if n, ok := loaded[key]; ok {
 			return n, nil
 		}
-		n, err := ix.tree.LoadInto(nil, id, slots.At(0))
+		n, err := s.shards[sh].tree.LoadInto(nil, id, slots[sh].At(0))
 		if err != nil {
-			return nil, err
+			return nil, s.shardErr(sh, err)
 		}
 		st.DAAll++
 		if n.Leaf {
@@ -118,14 +157,16 @@ func (ix *Index) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMat
 		for i, e := range n.Entries {
 			nc.rects[i] = transform.ApplyMBRs(mult, add, e.Rect)
 			nc.children[i] = e.Child
-			nc.recs[i] = e.Rec
+			if n.Leaf {
+				nc.recs[i] = s.globalID(sh, e.Rec)
+			}
 		}
-		loaded[id] = nc
+		loaded[key] = nc
 		return nc, nil
 	}
 
 	for h.Len() > 0 {
-		it := heap.Pop(h).(pairItem)
+		it := heap.Pop(h).(shardPairItem)
 		if len(results) == k && it.bound > worst {
 			break
 		}
@@ -135,11 +176,11 @@ func (ix *Index) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMat
 				continue
 			}
 			seen[key] = true
-			a, err := ix.fetch(it.ra)
+			a, err := s.fetchGlobal(it.ra)
 			if err != nil {
 				return nil, st, err
 			}
-			b, err := ix.fetch(it.rb)
+			b, err := s.fetchGlobal(it.rb)
 			if err != nil {
 				return nil, st, err
 			}
@@ -154,21 +195,21 @@ func (ix *Index) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMat
 					best.Distance, best.TransformIdx = d, ti
 				}
 			}
-			results = insertTopK(results, best, k, func(x, y JoinMatch) bool { return x.Distance < y.Distance })
+			results = insertTopK(results, best, k, lessPair)
 			if len(results) == k {
 				worst = results[k-1].Distance
 			}
 			continue
 		}
-		na, err := load(it.a)
+		na, err := load(it.sa, it.a)
 		if err != nil {
 			return nil, st, err
 		}
-		nb, err := load(it.b)
+		nb, err := load(it.sb, it.b)
 		if err != nil {
 			return nil, st, err
 		}
-		expandPair(h, it, na, nb, lowerBound, worst, len(results) == k)
+		expandShardPair(h, it, na, nb, lowerBound, worst, len(results) == k)
 	}
 	return results, st, nil
 }
@@ -181,20 +222,26 @@ type nodeCache struct {
 	recs     []int64
 }
 
-// expandPair pushes the children pairs of (na, nb). Mixed depths (one
-// leaf, one internal) expand only the internal side, bounding against the
-// whole leaf node, so no pair is enqueued twice.
-func expandPair(h *pairHeap, it pairItem, na, nb *nodeCache, lowerBound func(a, b geom.Rect) float64, worst float64, full bool) {
-	push := func(lb float64, item pairItem) {
+// expandShardPair pushes the children pairs of (na, nb), each side
+// tagged with its shard. Mixed depths (one leaf, one internal) expand
+// only the internal side, bounding against the whole leaf node, so no
+// pair is enqueued twice. The self-pair bookkeeping applies only when
+// both sides are the same node of the same shard; record ids are already
+// global (see load above), so the dedup ordering is global.
+func expandShardPair(h *shardPairHeap, it shardPairItem, na, nb *nodeCache, lowerBound func(a, b geom.Rect) float64, worst float64, full bool) {
+	if len(na.rects) == 0 || len(nb.rects) == 0 {
+		return // an empty shard pairs with nothing
+	}
+	push := func(lb float64, item shardPairItem) {
 		if full && lb > worst {
 			return
 		}
 		item.bound = lb
 		heap.Push(h, item)
 	}
+	same := it.sa == it.sb && it.a == it.b
 	switch {
 	case na.leaf && nb.leaf:
-		same := it.a == it.b
 		for i := range na.rects {
 			jStart := 0
 			if same {
@@ -208,11 +255,10 @@ func expandPair(h *pairHeap, it pairItem, na, nb *nodeCache, lowerBound func(a, 
 				if ra > rb {
 					ra, rb = rb, ra
 				}
-				push(lowerBound(na.rects[i], nb.rects[j]), pairItem{resolved: true, ra: ra, rb: rb})
+				push(lowerBound(na.rects[i], nb.rects[j]), shardPairItem{resolved: true, ra: ra, rb: rb})
 			}
 		}
 	case !na.leaf && !nb.leaf:
-		same := it.a == it.b
 		for i := range na.rects {
 			jStart := 0
 			if same {
@@ -220,18 +266,18 @@ func expandPair(h *pairHeap, it pairItem, na, nb *nodeCache, lowerBound func(a, 
 			}
 			for j := jStart; j < len(nb.rects); j++ {
 				push(lowerBound(na.rects[i], nb.rects[j]),
-					pairItem{a: na.children[i], b: nb.children[j]})
+					shardPairItem{sa: it.sa, sb: it.sb, a: na.children[i], b: nb.children[j]})
 			}
 		}
 	case na.leaf: // nb internal
 		aMBR := geom.MBRRects(na.rects)
 		for j := range nb.rects {
-			push(lowerBound(aMBR, nb.rects[j]), pairItem{a: it.a, b: nb.children[j]})
+			push(lowerBound(aMBR, nb.rects[j]), shardPairItem{sa: it.sa, sb: it.sb, a: it.a, b: nb.children[j]})
 		}
 	default: // na internal, nb leaf
 		bMBR := geom.MBRRects(nb.rects)
 		for i := range na.rects {
-			push(lowerBound(na.rects[i], bMBR), pairItem{a: na.children[i], b: it.b})
+			push(lowerBound(na.rects[i], bMBR), shardPairItem{sa: it.sa, sb: it.sb, a: na.children[i], b: it.b})
 		}
 	}
 }

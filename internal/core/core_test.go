@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -64,8 +65,8 @@ func TestMTEqualsSeqScanRange(t *testing.T) {
 	eps := series.DistanceForCorrelation(64, 0.90)
 	for trial := 0; trial < 10; trial++ {
 		q := ds.Records[trial*17%len(ds.Records)]
-		want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{})
-		got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +84,8 @@ func TestSTEqualsSeqScanRange(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 8, 15)
 	eps := series.DistanceForCorrelation(64, 0.90)
 	q := ds.Records[42]
-	want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{})
-	got, st, err := ix.STIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+	want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+	got, st, err := ix.STIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +119,8 @@ func TestMTRangePropertyAcrossSeeds(t *testing.T) {
 		}
 		eps := 1 + rng.Float64()*6
 		q := ds.Records[rng.Intn(len(ds.Records))]
-		want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{})
-		got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,9 +137,9 @@ func TestGroupedMTRangeSameAnswer(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 6, 29)
 	eps := series.DistanceForCorrelation(64, 0.92)
 	q := ds.Records[7]
-	want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{})
+	want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 	for _, per := range []int{1, 2, 5, 7, 24} {
-		got, st, err := ix.MTIndexRange(q, ts, eps, RangeOptions{
+		got, st, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{
 			Mode:   QRectSafe,
 			Groups: EqualPartition(len(ts), per),
 		})
@@ -162,8 +163,8 @@ func TestPaperModeIsSubsetAndUsuallyExact(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 10, 25)
 	eps := series.DistanceForCorrelation(64, 0.92)
 	q := ds.Records[11]
-	want := matchKeySet(first(SeqScanRange(ds, q, ts, eps, RangeOptions{})))
-	got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectPaper})
+	want := matchKeySet(first(SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})))
+	got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectPaper})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,11 @@ func TestMTFiltersBetterThanST(t *testing.T) {
 	ts := transform.MovingAverageSet(128, 10, 25) // 16 transforms as in Fig. 5
 	eps := series.DistanceForCorrelation(128, 0.96)
 	q := ds.Records[123]
-	_, stMT, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+	_, stMT, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stST, err := ix.STIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+	_, stST, err := ix.STIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +221,8 @@ func TestOrderedScaleRangeBinarySearch(t *testing.T) {
 	q := ds.Records[3]
 	// Pick eps so a mid prefix of scales qualifies for close records.
 	eps := 20.0
-	wantMatches, stLinear := SeqScanRange(ds, q, ts, eps, RangeOptions{})
-	gotMatches, stOrdered := SeqScanRange(ds, q, ts, eps, RangeOptions{UseOrdering: true})
+	wantMatches, stLinear := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+	gotMatches, stOrdered := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{UseOrdering: true})
 	if !sameKeys(matchKeySet(gotMatches), matchKeySet(wantMatches)) {
 		t.Fatal("ordered seqscan changed the answer")
 	}
@@ -229,7 +230,7 @@ func TestOrderedScaleRangeBinarySearch(t *testing.T) {
 		t.Errorf("ordered comparisons %d vs linear %d: no win", stOrdered.Comparisons, stLinear.Comparisons)
 	}
 	// Same through the MT index.
-	gotMT, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true})
+	gotMT, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestJoinMTEqualsSeqScan(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 5, 12)
 	eps := series.DistanceForCorrelation(64, 0.85)
 	want, _ := SeqScanJoin(ds, ts, eps)
-	got, st, err := ix.MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
+	got, st, err := WrapIndex(ix).MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +284,11 @@ func TestJoinSTEqualsMT(t *testing.T) {
 	_ = ds
 	ts := transform.MovingAverageSet(64, 5, 10)
 	eps := series.DistanceForCorrelation(64, 0.85)
-	mt, stMT, err := ix.MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
+	mt, stMT, err := WrapIndex(ix).MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, stST, err := ix.STIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
+	st, stST, err := WrapIndex(ix).STIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +305,8 @@ func TestNNMTEqualsSeqScan(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 5, 20)
 	q := ds.Records[17]
 	for _, k := range []int{1, 5, 10} {
-		want, _ := SeqScanNN(ds, q, ts, k, false)
-		got, st, err := ix.MTIndexNN(q, ts, k, false)
+		want, _ := SeqScanNN(nil, ds, q, ts, k, false)
+		got, st, err := ix.MTIndexNN(nil, q, ts, k, RangeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +406,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 			mult, add := ix.fullMBRs(sub)
 			qrect := ix.queryRect(q, sub, eps, QRectPaper)
 			var probe QueryStats
-			if _, err := ix.filter(mult, add, qrect, nil, &probe); err != nil {
+			if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, &probe, nil); err != nil {
 				t.Fatal(err)
 			}
 			total += DefaultCostParams().Cost(probe.DAAll, probe.DALeaf, len(sub), caLeaf)
@@ -419,8 +420,8 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 		t.Errorf("optimal cost %v worse than singletons %v", cost, singletons)
 	}
 	// The answer with the optimal partition is still exact.
-	want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{})
-	got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe, Groups: groups})
+	want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+	got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, Groups: groups})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,11 +519,11 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestEmptyTransformSet(t *testing.T) {
 	ds, ix := buildFixture(t, 12, 20, 32, DefaultIndexOptions())
 	q := ds.Records[0]
-	got, st, err := ix.MTIndexRange(q, nil, 1, RangeOptions{})
+	got, st, err := ix.MTIndexRange(nil, q, nil, 1, RangeOptions{})
 	if err != nil || len(got) != 0 || st.DAAll != 0 {
 		t.Errorf("empty set: %v %v %v", got, st, err)
 	}
-	j, _, err := ix.MTIndexJoin(nil, 1, RangeOptions{})
+	j, _, err := WrapIndex(ix).MTIndexJoin(nil, 1, RangeOptions{})
 	if err != nil || len(j) != 0 {
 		t.Errorf("empty join: %v %v", j, err)
 	}
@@ -531,7 +532,7 @@ func TestEmptyTransformSet(t *testing.T) {
 func TestBadGroupIndexRejected(t *testing.T) {
 	ds, ix := buildFixture(t, 13, 20, 32, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(32, 2, 4)
-	_, _, err := ix.MTIndexRange(ds.Records[0], ts, 1, RangeOptions{Groups: [][]int{{0, 9}}})
+	_, _, err := ix.MTIndexRange(nil, ds.Records[0], ts, 1, RangeOptions{Groups: [][]int{{0, 9}}})
 	if err == nil {
 		t.Error("out-of-range group index accepted")
 	}
@@ -555,7 +556,7 @@ func TestJoinWrapStressEqualsSeqScan(t *testing.T) {
 		ts := transform.WithInverted(transform.MovingAverageSet(n, 2, 3+rng.Intn(4)))
 		eps := 2 + rng.Float64()*5
 		want, _ := SeqScanJoin(ds, ts, eps)
-		got, _, err := ix.MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
+		got, _, err := WrapIndex(ix).MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -587,8 +588,8 @@ func TestRangeWrapStressEqualsSeqScan(t *testing.T) {
 		ts := transform.WithInverted(transform.MovingAverageSet(n, 1, 2+rng.Intn(6)))
 		eps := 1 + rng.Float64()*6
 		q := ds.Records[rng.Intn(len(ds.Records))]
-		want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{})
-		got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -611,8 +612,8 @@ func TestMTExactWithGeneralTransforms(t *testing.T) {
 	for _, eps := range []float64{2, 5, 9} {
 		for _, qid := range []int{3, 77, 150} {
 			q := ds.Records[qid]
-			want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{})
-			got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+			want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+			got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -632,7 +633,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	// One transformation: ST and MT coincide; either index plan must beat
 	// the scan and be chosen.
 	one := transform.MovingAverageSet(128, 10, 10)
-	plan, err := ix.PlanRange(q, one, eps, QRectSafe, params)
+	plan, err := ix.PlanRange(nil, q, one, eps, QRectSafe, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,18 +644,18 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	// Many transformations: MT should win, and the plan must be
 	// executable with the same answer as the scan.
 	many := transform.MovingAverageSet(128, 5, 34)
-	plan, err = ix.PlanRange(q, many, eps, QRectSafe, params)
+	plan, err = ix.PlanRange(nil, q, many, eps, QRectSafe, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Kind != PlanMTIndex {
 		t.Errorf("planner chose %v for |T|=30", plan.Kind)
 	}
-	got, _, err := ix.MTIndexRange(q, many, eps, RangeOptions{Mode: QRectSafe, Groups: plan.Groups})
+	got, _, err := ix.MTIndexRange(nil, q, many, eps, RangeOptions{Mode: QRectSafe, Groups: plan.Groups})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := SeqScanRange(ds, q, many, eps, RangeOptions{})
+	want, _ := SeqScanRange(nil, ds, q, many, eps, RangeOptions{})
 	if !sameKeys(matchKeySet(got), matchKeySet(want)) {
 		t.Error("planned MT query changed the answer")
 	}
@@ -663,7 +664,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	}
 
 	// Empty set degenerates gracefully.
-	empty, err := ix.PlanRange(q, nil, eps, QRectSafe, params)
+	empty, err := ix.PlanRange(nil, q, nil, eps, QRectSafe, params)
 	if err != nil || empty.Kind != PlanSeqScan {
 		t.Errorf("empty set: %v %v", empty, err)
 	}
@@ -672,7 +673,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 func TestPlannerClusterAwareOnTwoClusterSet(t *testing.T) {
 	ds, ix := buildFixture(t, 71, 800, 128, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: true})
 	ts := transform.WithInverted(transform.MovingAverageSet(128, 6, 29))
-	plan, err := ix.PlanRange(ds.Records[5], ts, 3.0, QRectSafe, DefaultCostParams())
+	plan, err := ix.PlanRange(nil, ds.Records[5], ts, 3.0, QRectSafe, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -776,8 +777,8 @@ func TestQueryWithTinyCoefficientsStaysExact(t *testing.T) {
 			t.Fatalf("test setup: query %d has |F1| = %v, want tiny", qid, q.Mags[1])
 		}
 		for _, eps := range []float64{1, 4, 8} {
-			want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{})
-			got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+			want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+			got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -824,22 +825,23 @@ func TestParallelSeqScanEqualsSerial(t *testing.T) {
 	eps := series.DistanceForCorrelation(64, 0.9)
 	q := ds.Records[7]
 	for _, opts := range []RangeOptions{{}, {OneSided: true}} {
-		want, wantSt := SeqScanRange(ds, q, ts, eps, opts)
+		want, wantSt := SeqScanRange(nil, ds, q, ts, eps, opts)
 		for _, workers := range []int{0, 1, 2, 7, 64, 1000} {
-			got, gotSt := SeqScanRangeParallel(ds, q, ts, eps, opts, workers)
-			if !sameKeys(matchKeySet(got), matchKeySet(want)) {
+			opts.Workers = workers
+			got, gotSt := SeqScanRange(nil, ds, q, ts, eps, opts)
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers=%d opts=%+v: parallel scan diverged", workers, opts)
 			}
-			if gotSt.Comparisons != wantSt.Comparisons || gotSt.Candidates != wantSt.Candidates {
+			if gotSt != wantSt {
 				t.Fatalf("workers=%d: stats %+v vs %+v", workers, gotSt, wantSt)
 			}
 		}
 	}
 	// Ordered (scale) sets too.
 	scales := transform.ScaleSet(64, []float64{1, 2, 4, 8, 16})
-	want, _ := SeqScanRange(ds, q, scales, 30, RangeOptions{UseOrdering: true})
-	got, _ := SeqScanRangeParallel(ds, q, scales, 30, RangeOptions{UseOrdering: true}, 4)
-	if !sameKeys(matchKeySet(got), matchKeySet(want)) {
+	want, _ := SeqScanRange(nil, ds, q, scales, 30, RangeOptions{UseOrdering: true})
+	got, _ := SeqScanRange(nil, ds, q, scales, 30, RangeOptions{UseOrdering: true, Workers: 4})
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel ordered scan diverged")
 	}
 }
@@ -849,7 +851,7 @@ func TestClosestPairsMTEqualsSeqScan(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 5, 14)
 	for _, k := range []int{1, 5, 12} {
 		want, _ := SeqScanClosestPairs(ds, ts, k)
-		got, st, err := ix.MTIndexClosestPairs(ts, k)
+		got, st, err := WrapIndex(ix).MTIndexClosestPairs(ts, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -868,10 +870,10 @@ func TestClosestPairsMTEqualsSeqScan(t *testing.T) {
 		}
 	}
 	// Degenerate inputs.
-	if got, _, err := ix.MTIndexClosestPairs(ts, 0); err != nil || len(got) != 0 {
+	if got, _, err := WrapIndex(ix).MTIndexClosestPairs(ts, 0); err != nil || len(got) != 0 {
 		t.Errorf("k=0: %v %v", got, err)
 	}
-	if got, _, err := ix.MTIndexClosestPairs(nil, 3); err != nil || len(got) != 0 {
+	if got, _, err := WrapIndex(ix).MTIndexClosestPairs(nil, 3); err != nil || len(got) != 0 {
 		t.Errorf("empty set: %v %v", got, err)
 	}
 }
@@ -887,7 +889,7 @@ func TestClosestPairsStockWorkload(t *testing.T) {
 	}
 	ts := transform.MovingAverageSet(128, 5, 20)
 	want, _ := SeqScanClosestPairs(ds, ts, 5)
-	got, _, err := ix.MTIndexClosestPairs(ts, 5)
+	got, _, err := WrapIndex(ix).MTIndexClosestPairs(ts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -934,7 +936,7 @@ func TestAnalyticalEstimatorIsPositionBlind(t *testing.T) {
 		mult, add := ix.fullMBRs(sub)
 		qrect := ix.queryRect(q, sub, eps, QRectPaper)
 		var st QueryStats
-		if _, err := ix.filter(mult, add, qrect, nil, &st); err != nil {
+		if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, &st, nil); err != nil {
 			t.Fatal(err)
 		}
 		return st.DAAll
@@ -989,12 +991,12 @@ func TestParallelMTVerificationEqualsSerial(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 5, 20)
 	eps := series.DistanceForCorrelation(64, 0.9)
 	q := ds.Records[11]
-	want, wantSt, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+	want, wantSt, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 1000} {
-		got, gotSt, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe, Workers: workers})
+		got, gotSt, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,8 +56,8 @@ type ExecResult struct {
 // runs unchanged over either.
 type QueryEngine interface {
 	Dataset() *Dataset
-	MTIndexRangeCtx(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error)
-	MTIndexNNCtx(ctx context.Context, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats, error)
+	MTIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error)
+	MTIndexNN(ctx context.Context, q *Record, ts []transform.Transform, k int, opts RangeOptions) ([]NNMatch, QueryStats, error)
 }
 
 // Executor runs many queries concurrently over one shared index with a
@@ -104,32 +104,10 @@ func (e *Executor) Index() QueryEngine { return e.ix }
 func (e *Executor) Run(ctx context.Context, reqs []ExecRequest) []ExecResult {
 	results := make([]ExecResult, len(reqs))
 	tr := obs.FromContext(ctx)
-	workers := e.workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers <= 1 {
-		for i := range reqs {
-			results[i] = e.execOne(ctx, tr, i, &reqs[i])
-		}
-		return results
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = e.execOne(ctx, tr, i, &reqs[i])
-			}
-		}()
-	}
-	for i := range reqs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	_ = parallelFor(len(reqs), e.workers, func(i int) error {
+		results[i] = e.execOne(ctx, tr, i, &reqs[i])
+		return nil // a failed query is its own result, not the batch's
+	})
 	return results
 }
 
@@ -181,17 +159,17 @@ func (e *Executor) runOne(ctx context.Context, req *ExecRequest) ExecResult {
 	}
 	if req.K > 0 {
 		if req.SeqScan {
-			nn, st := SeqScanNNCtx(ctx, e.ix.Dataset(), qr, req.Transforms, req.K, opts.OneSided)
+			nn, st := SeqScanNN(ctx, e.ix.Dataset(), qr, req.Transforms, req.K, opts.OneSided)
 			return ExecResult{NN: nn, Stats: st}
 		}
-		nn, st, err := e.ix.MTIndexNNCtx(ctx, qr, req.Transforms, req.K, opts.OneSided)
+		nn, st, err := e.ix.MTIndexNN(ctx, qr, req.Transforms, req.K, opts)
 		return ExecResult{NN: nn, Stats: st, Err: err}
 	}
 	if req.SeqScan {
-		m, st := SeqScanRangeCtx(ctx, e.ix.Dataset(), qr, req.Transforms, req.Eps, opts)
+		m, st := SeqScanRange(ctx, e.ix.Dataset(), qr, req.Transforms, req.Eps, opts)
 		return ExecResult{Matches: m, Stats: st}
 	}
-	m, st, err := e.ix.MTIndexRangeCtx(ctx, qr, req.Transforms, req.Eps, opts)
+	m, st, err := e.ix.MTIndexRange(ctx, qr, req.Transforms, req.Eps, opts)
 	return ExecResult{Matches: m, Stats: st, Err: err}
 }
 

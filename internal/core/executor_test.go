@@ -108,7 +108,7 @@ func TestExecutorBatchBySeries(t *testing.T) {
 			t.Fatalf("req %d: %v", i, res.Err)
 		}
 		id := int64((i % 2) * 7)
-		want, _, err := ix.MTIndexRange(ds.Records[id], ts, eps, RangeOptions{})
+		want, _, err := ix.MTIndexRange(nil, ds.Records[id], ts, eps, RangeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,11 +76,11 @@ func TestIndexHealthFoldTrace(t *testing.T) {
 		root := tr.Start(obs.KindQuery, "range")
 		ctx := obs.ContextWithSpan(obs.WithTrace(context.Background(), tr), root)
 		opts := RangeOptions{Mode: QRectSafe, Groups: groups}
-		if _, _, err := ix.MTIndexRangeCtx(ctx, ds.Records[qi], ts, eps, opts); err != nil {
+		if _, _, err := ix.MTIndexRange(ctx, ds.Records[qi], ts, eps, opts); err != nil {
 			t.Fatal(err)
 		}
 		// An NN query in the same trace must not disturb group folds.
-		if _, _, err := ix.MTIndexNNCtx(ctx, ds.Records[qi], ts, 3, false); err != nil {
+		if _, _, err := ix.MTIndexNN(ctx, ds.Records[qi], ts, 3, RangeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		root.End()

@@ -262,17 +262,10 @@ func normalForm(raw []float64, mean, std float64) series.Series {
 }
 
 // fetch retrieves the full record for verification. In paged mode this
-// reads (and counts) one record page, the Eq. 18 retrieval; otherwise it
-// returns the in-memory record. A nil result with nil error marks a
-// deleted record.
-func (ix *Index) fetch(id int64) (*Record, error) {
-	return ix.fetchCtx(nil, id)
-}
-
-// fetchCtx is fetch with per-query I/O attribution: a storage.QueryIO in
-// ctx is credited with the record-page read. A nil ctx behaves like
-// fetch.
-func (ix *Index) fetchCtx(ctx context.Context, id int64) (*Record, error) {
+// reads (and counts) one record page, the Eq. 18 retrieval, crediting a
+// storage.QueryIO in ctx (nil is fine); otherwise it returns the
+// in-memory record. A nil result with nil error marks a deleted record.
+func (ix *Index) fetch(ctx context.Context, id int64) (*Record, error) {
 	if ix.heap == nil {
 		return ix.ds.Record(id), nil
 	}
@@ -302,6 +295,9 @@ func (ix *Index) Insert(name string, s series.Series) (int64, error) {
 		return 0, fmt.Errorf("core: inserting series of length %d into dataset of length %d", len(s), ix.ds.N)
 	}
 	id := int64(len(ix.ds.Records))
+	if err := checkFinite(s); err != nil { // before the WAL sees the record
+		return 0, fmt.Errorf("core: series %d: %w", id, err)
+	}
 	r := NewRecord(id, name, s)
 	if ix.wal != nil && ix.stage != nil {
 		if err := ix.insertStaged(r, name, s); err != nil {

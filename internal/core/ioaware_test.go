@@ -40,8 +40,8 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 				naive := variant
 				naive.NaiveVerify = true
 
-				wantSeq, seqNaiveSt := SeqScanRange(ds, q, ts, eps, naive)
-				gotSeq, seqSt := SeqScanRange(ds, q, ts, eps, variant)
+				wantSeq, seqNaiveSt := SeqScanRange(nil, ds, q, ts, eps, naive)
+				gotSeq, seqSt := SeqScanRange(nil, ds, q, ts, eps, variant)
 				if !reflect.DeepEqual(gotSeq, wantSeq) {
 					t.Fatalf("paged=%v trial=%d %+v: seqscan pipeline diverged", paged, trial, variant)
 				}
@@ -49,11 +49,11 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 					t.Fatalf("paged=%v trial=%d: seqscan effort accounting changed: %+v vs %+v", paged, trial, seqSt, seqNaiveSt)
 				}
 
-				wantST, stNaiveSt, err := ix.STIndexRange(q, ts, eps, naive)
+				wantST, stNaiveSt, err := ix.STIndexRange(nil, q, ts, eps, naive)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotST, stSt, err := ix.STIndexRange(q, ts, eps, variant)
+				gotST, stSt, err := ix.STIndexRange(nil, q, ts, eps, variant)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,11 +67,11 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 						paged, trial, stSt.Candidates, stSt.SkippedLB, stNaiveSt.Candidates)
 				}
 
-				wantMT, mtNaiveSt, err := ix.MTIndexRange(q, ts, eps, naive)
+				wantMT, mtNaiveSt, err := ix.MTIndexRange(nil, q, ts, eps, naive)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotMT, mtSt, err := ix.MTIndexRange(q, ts, eps, variant)
+				gotMT, mtSt, err := ix.MTIndexRange(nil, q, ts, eps, variant)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,16 +125,16 @@ func TestPipelineMatchesNaiveOrdered(t *testing.T) {
 		eps := 10.0 + 15.0*float64(trial)
 		naive := RangeOptions{UseOrdering: true, NaiveVerify: true}
 		pipe := RangeOptions{UseOrdering: true}
-		want, _ := SeqScanRange(ds, q, ts, eps, naive)
-		got, _ := SeqScanRange(ds, q, ts, eps, pipe)
+		want, _ := SeqScanRange(nil, ds, q, ts, eps, naive)
+		got, _ := SeqScanRange(nil, ds, q, ts, eps, pipe)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: ordered seqscan pipeline diverged", trial)
 		}
-		wantMT, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true, NaiveVerify: true})
+		wantMT, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true, NaiveVerify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMT, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true})
+		gotMT, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,14 +162,14 @@ func TestOrderedBatchFetchFewerReads(t *testing.T) {
 		q := ds.Records[trial*53%len(ds.Records)]
 
 		ix.ResetDiskStats()
-		want, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe, NaiveVerify: true})
+		want, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, NaiveVerify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		naiveReads += ix.DiskStats().Reads
 
 		ix.ResetDiskStats()
-		got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}

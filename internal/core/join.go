@@ -45,20 +45,19 @@ func SeqScanJoin(ds *Dataset, ts []transform.Transform, eps float64) ([]JoinMatc
 
 // STIndexJoin runs the index join once per transformation (singleton
 // groups).
-func (ix *Index) STIndexJoin(ts []transform.Transform, eps float64, opts RangeOptions) ([]JoinMatch, QueryStats, error) {
-	groups := make([][]int, len(ts))
-	for i := range ts {
-		groups[i] = []int{i}
-	}
-	opts.Groups = groups
-	return ix.MTIndexJoin(ts, eps, opts)
+func (s *Sharded) STIndexJoin(ts []transform.Transform, eps float64, opts RangeOptions) ([]JoinMatch, QueryStats, error) {
+	opts.Groups = SingletonGroups(len(ts))
+	return s.MTIndexJoin(ts, eps, opts)
 }
 
-// MTIndexJoin answers Query 2 with a synchronized self-join of the R*-tree
-// in which the transformation rectangle is applied to both data
-// rectangles before the overlap test (Sec. 4.1). Candidate pairs are
-// verified exactly against every transformation in the rectangle.
-func (ix *Index) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOptions) ([]JoinMatch, QueryStats, error) {
+// MTIndexJoin answers Query 2 with a synchronized traversal in which the
+// transformation rectangle is applied to both data rectangles before the
+// overlap test (Sec. 4.1). Per transformation group, each shard's tree is
+// joined with itself and every shard pair (a < b) with each other, all
+// feeding one candidate-pair set that is verified exactly, against every
+// transformation in the rectangle, in (IDA, IDB) order. One shard is the
+// paper's self-join: the pair loop is empty.
+func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOptions) ([]JoinMatch, QueryStats, error) {
 	if len(ts) == 0 {
 		return nil, QueryStats{}, nil
 	}
@@ -66,6 +65,7 @@ func (ix *Index) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOp
 	if groups == nil {
 		groups = [][]int{identityIndexes(len(ts))}
 	}
+	ix0 := s.shards[0]
 	var st QueryStats
 	var out []JoinMatch
 	for _, g := range groups {
@@ -79,14 +79,31 @@ func (ix *Index) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOp
 			}
 			sub[i] = ts[idx]
 		}
-		mult, add := ix.fullMBRs(sub)
-		bounds := ix.joinBounds(sub, eps, opts.Mode)
-		st.IndexSearches++
+		// The lifted MBRs and gap bounds depend only on the transform
+		// set and index options, which are identical across shards.
+		mult, add := ix0.fullMBRs(sub)
+		bounds := ix0.joinBounds(sub, eps, opts.Mode)
 
-		pairs := make(map[[2]int64]bool)
-		if err := ix.joinWalk(mult, add, bounds, &st, pairs); err != nil {
-			return nil, st, err
+		pairs := make(map[[2]int64]bool) // global id pairs, a < b
+		for a, ixa := range s.shards {
+			for b := a; b < len(s.shards); b++ {
+				st.IndexSearches++
+				err := crossJoinWalk(ixa, s.shards[b], mult, add, bounds, &st, func(ra, rb int64) {
+					ga, gb := s.globalID(a, ra), s.globalID(b, rb)
+					if ga > gb {
+						ga, gb = gb, ga
+					}
+					pairs[[2]int64{ga, gb}] = true
+				})
+				if err != nil {
+					if a == b {
+						return nil, st, s.shardErr(a, err)
+					}
+					return nil, st, fmt.Errorf("shards %d x %d: %w", a, b, err)
+				}
+			}
 		}
+
 		// Verify each candidate pair, deterministically ordered.
 		keys := make([][2]int64, 0, len(pairs))
 		for k := range pairs {
@@ -99,11 +116,11 @@ func (ix *Index) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOp
 			return keys[i][1] < keys[j][1]
 		})
 		for _, k := range keys {
-			a, err := ix.fetch(k[0])
+			a, err := s.fetchGlobal(k[0])
 			if err != nil {
 				return nil, st, err
 			}
-			b, err := ix.fetch(k[1])
+			b, err := s.fetchGlobal(k[1])
 			if err != nil {
 				return nil, st, err
 			}
@@ -114,7 +131,7 @@ func (ix *Index) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOp
 			for i, t := range sub {
 				st.Comparisons++
 				if d := t.DistancePolar(a.Mags, a.Phases, b.Mags, b.Phases); d <= eps {
-					out = append(out, JoinMatch{IDA: a.ID, IDB: b.ID, TransformIdx: g[i], Distance: d})
+					out = append(out, JoinMatch{IDA: k[0], IDB: k[1], TransformIdx: g[i], Distance: d})
 				}
 			}
 		}
@@ -201,20 +218,27 @@ func intervalGap(alo, ahi, blo, bhi float64) float64 {
 	}
 }
 
-// joinWalk synchronously traverses the tree against itself, applying the
-// transformation rectangle to both sides before the gap test.
-func (ix *Index) joinWalk(mult, add geom.Rect, jb joinBounds, st *QueryStats, pairs map[[2]int64]bool) error {
-	slots := ix.tree.AcquireSlots()
-	defer slots.Release()
-	root := ix.tree.Root()
-	return ix.joinNodes(slots, 0, root, root, mult, add, jb, st, pairs)
+// crossJoinWalk synchronously traverses the trees of ixA and ixB — two
+// shards, or one tree against itself — applying the transformation
+// rectangle to both sides before the gap test, and emits every
+// qualifying leaf pair as (record id in A, record id in B). A tree joined
+// with itself emits each unordered pair of distinct records once.
+func crossJoinWalk(ixA, ixB *Index, mult, add geom.Rect, jb joinBounds, st *QueryStats, emit func(ra, rb int64)) error {
+	// Two sets of slots even when ixA == ixB: each depth holds a node of
+	// either side.
+	slotsA, slotsB := ixA.tree.AcquireSlots(), ixB.tree.AcquireSlots()
+	defer slotsA.Release()
+	defer slotsB.Release()
+	return crossJoinNodes(ixA, ixB, slotsA, slotsB, 0, ixA.tree.Root(), ixB.tree.Root(), mult, add, jb, st, emit)
 }
 
-// joinNodes joins the subtrees at a and b. Each recursion depth holds its
-// pair of nodes in decode slots 2*depth and 2*depth+1 while it iterates
-// them around the deeper calls.
-func (ix *Index) joinNodes(slots *rtree.Slots, depth int, a, b storage.PageID, mult, add geom.Rect, jb joinBounds, st *QueryStats, pairs map[[2]int64]bool) error {
-	na, err := ix.tree.LoadInto(nil, a, slots.At(2*depth))
+// crossJoinNodes joins the subtree at a of ixA with the subtree at b of
+// ixB. Each recursion depth holds one node of either tree, in slot depth
+// of that tree's slots, while it iterates them around the deeper calls. A
+// node paired with itself is read once and joined above the diagonal.
+func crossJoinNodes(ixA, ixB *Index, slotsA, slotsB *rtree.Slots, depth int, a, b storage.PageID, mult, add geom.Rect, jb joinBounds, st *QueryStats, emit func(ra, rb int64)) error {
+	same := ixA == ixB && a == b
+	na, err := ixA.tree.LoadInto(nil, a, slotsA.At(depth))
 	if err != nil {
 		return err
 	}
@@ -222,51 +246,43 @@ func (ix *Index) joinNodes(slots *rtree.Slots, depth int, a, b storage.PageID, m
 	if na.Leaf {
 		st.DALeaf++
 	}
-	nb := na
-	if a != b {
-		nb, err = ix.tree.LoadInto(nil, b, slots.At(2*depth+1))
-		if err != nil {
+	ta := ixA.transformEntries(na, mult, add)
+	nb, tb := na, ta
+	if !same {
+		if nb, err = ixB.tree.LoadInto(nil, b, slotsB.At(depth)); err != nil {
 			return err
 		}
 		st.DAAll++
 		if nb.Leaf {
 			st.DALeaf++
 		}
+		tb = ixB.transformEntries(nb, mult, add)
 	}
-	ta := ix.transformEntries(na, mult, add)
-	tb := ta
-	if a != b {
-		tb = ix.transformEntries(nb, mult, add)
+	if len(na.Entries) == 0 || len(nb.Entries) == 0 {
+		return nil // an empty shard joins nothing
 	}
 	switch {
 	case na.Leaf && nb.Leaf:
 		for i := range na.Entries {
 			jStart := 0
-			if a == b {
+			if same {
 				jStart = i + 1
 			}
 			for j := jStart; j < len(nb.Entries); j++ {
-				ra, rb := na.Entries[i].Rec, nb.Entries[j].Rec
-				if ra == rb {
-					continue
-				}
-				if ix.joinGapOK(ta[i], tb[j], jb) {
-					if ra > rb {
-						ra, rb = rb, ra
-					}
-					pairs[[2]int64{ra, rb}] = true
+				if ixA.joinGapOK(ta[i], tb[j], jb) {
+					emit(na.Entries[i].Rec, nb.Entries[j].Rec)
 				}
 			}
 		}
 	case !na.Leaf && !nb.Leaf:
 		for i := range na.Entries {
 			jStart := 0
-			if a == b {
-				jStart = i
+			if same {
+				jStart = i // (i, i): pairs within one subtree
 			}
 			for j := jStart; j < len(nb.Entries); j++ {
-				if ix.joinGapOK(ta[i], tb[j], jb) {
-					if err := ix.joinNodes(slots, depth+1, na.Entries[i].Child, nb.Entries[j].Child, mult, add, jb, st, pairs); err != nil {
+				if ixA.joinGapOK(ta[i], tb[j], jb) {
+					if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, na.Entries[i].Child, nb.Entries[j].Child, mult, add, jb, st, emit); err != nil {
 						return err
 					}
 				}
@@ -274,13 +290,13 @@ func (ix *Index) joinNodes(slots *rtree.Slots, depth int, a, b storage.PageID, m
 		}
 	case na.Leaf: // internal b
 		for j := range nb.Entries {
-			if err := ix.joinNodes(slots, depth+1, a, nb.Entries[j].Child, mult, add, jb, st, pairs); err != nil {
+			if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, a, nb.Entries[j].Child, mult, add, jb, st, emit); err != nil {
 				return err
 			}
 		}
 	default: // internal a, leaf b
 		for i := range na.Entries {
-			if err := ix.joinNodes(slots, depth+1, na.Entries[i].Child, b, mult, add, jb, st, pairs); err != nil {
+			if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, na.Entries[i].Child, b, mult, add, jb, st, emit); err != nil {
 				return err
 			}
 		}

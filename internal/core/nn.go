@@ -23,10 +23,34 @@ type NNMatch struct {
 	Distance     float64
 }
 
+// lessNN is the rank order of nearest-neighbor answers: distance, then
+// record id, then transformation index. The scan, the index search's
+// top-k insertion and the shard merge all rank by it, so equal distances
+// at the k boundary resolve the same way on every path.
+func lessNN(a, b NNMatch) bool {
+	if a.Distance != b.Distance {
+		return a.Distance < b.Distance
+	}
+	if a.RecordID != b.RecordID {
+		return a.RecordID < b.RecordID
+	}
+	return a.TransformIdx < b.TransformIdx
+}
+
+// sortNN puts nearest-neighbor answers in rank order.
+func sortNN(ms []NNMatch) {
+	sort.Slice(ms, func(i, j int) bool { return lessNN(ms[i], ms[j]) })
+}
+
 // SeqScanNN returns the k records whose best transformed distance
 // min_{t in ts} D(t(r), t(q)) (or D(t(r), q) when oneSided) is smallest,
-// by exhaustive scan.
-func SeqScanNN(ds *Dataset, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats) {
+// in rank order, by exhaustive scan. When ctx carries a span, a KindScan
+// child records the records scanned and comparisons made.
+func SeqScanNN(ctx context.Context, ds *Dataset, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats) {
+	var sp *obs.Span
+	if parent := obs.SpanFromContext(ctx); parent != nil {
+		sp = parent.Child(obs.KindScan, fmt.Sprintf("nn seq scan (k=%d, %d records)", k, len(ds.Records)))
+	}
 	var st QueryStats
 	best := make([]NNMatch, 0, len(ds.Records))
 	for _, r := range ds.Records {
@@ -50,36 +74,25 @@ func SeqScanNN(ds *Dataset, q *Record, ts []transform.Transform, k int, oneSided
 		}
 		best = append(best, m)
 	}
-	sort.Slice(best, func(i, j int) bool { return best[i].Distance < best[j].Distance })
+	sortNN(best)
 	if k < len(best) {
 		best = best[:k]
+	}
+	if sp != nil {
+		sp.Set(obs.ACandidates, int64(st.Candidates))
+		sp.Set(obs.AComparisons, int64(st.Comparisons))
+		sp.Set(obs.AMatches, int64(len(best)))
+		sp.Set(obs.ATransforms, int64(len(ts)))
+		sp.End()
 	}
 	return best, st
 }
 
-// SeqScanNNCtx is SeqScanNN under the trace in ctx: a KindScan span
-// records the records scanned and comparisons made.
-func SeqScanNNCtx(ctx context.Context, ds *Dataset, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats) {
-	parent := obs.SpanFromContext(ctx)
-	var sp *obs.Span
-	if parent != nil {
-		sp = parent.Child(obs.KindScan, fmt.Sprintf("nn seq scan (k=%d, %d records)", k, len(ds.Records)))
-	}
-	out, st := SeqScanNN(ds, q, ts, k, oneSided)
-	if sp != nil {
-		sp.Set(obs.ACandidates, int64(st.Candidates))
-		sp.Set(obs.AComparisons, int64(st.Comparisons))
-		sp.Set(obs.AMatches, int64(len(out)))
-		sp.Set(obs.ATransforms, int64(len(ts)))
-		sp.End()
-	}
-	return out, st
-}
-
 // insertTopK inserts m into top, the at most k best results so far in
-// ascending order, and drops the worst once there are more than k. m
-// goes after every element it is not less than — arrival order among
-// equals — so no sort runs per resolved candidate.
+// ascending order, and drops the worst once there are more than k, so no
+// sort runs per resolved candidate. less is the answer's rank order
+// (lessNN, lessPair): a total order, so the k kept do not depend on the
+// order candidates arrive in.
 func insertTopK[T any](top []T, m T, k int, less func(a, b T) bool) []T {
 	i := len(top)
 	for i > 0 && less(m, top[i-1]) {
@@ -131,24 +144,15 @@ func (h *nnHeap) Pop() interface{} {
 // distance prunes subtrees (a MINDIST analogue restricted to the magnitude
 // dimensions, which lower-bound the true distance; phase dimensions do not
 // and are excluded from the bound), and leaf candidates are resolved
-// exactly. Results are exact.
-func (ix *Index) MTIndexNN(q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats, error) {
-	return ix.MTIndexNNCtx(nil, q, ts, k, oneSided)
-}
-
-// MTIndexNNCtx is MTIndexNN under the trace carried in ctx: the
-// best-first traversal is recorded as one KindProbe span (node visits,
-// MINDIST-pruned subtrees, candidates resolved, page I/O) when ctx holds
-// a parent span. A nil ctx takes the exact untraced path.
-func (ix *Index) MTIndexNNCtx(ctx context.Context, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats, error) {
-	return ix.mtIndexNNShard(ctx, q, ts, k, oneSided, -1)
-}
-
-// mtIndexNNShard is MTIndexNNCtx with a shard tag: when shard >= 0 the
-// probe span carries an AShard attribute so scatter-gather traces can be
-// rolled up per shard. shard < 0 (the single-shard path) leaves the span
-// exactly as before.
-func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.Transform, k int, oneSided bool, shard int) (_ []NNMatch, _ QueryStats, retErr error) {
+// exactly. Results are exact and in rank order (lessNN). Of opts only
+// OneSided and the shard tag apply.
+//
+// When ctx holds a parent span the traversal is recorded as one KindProbe
+// span (node visits, MINDIST-pruned subtrees, candidates resolved, page
+// I/O), tagged with AShard when opts.ShardTotal > 1 so scatter-gather
+// traces roll up per shard. A nil ctx takes the untraced path.
+func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transform, k int, opts RangeOptions) (_ []NNMatch, _ QueryStats, retErr error) {
+	oneSided := opts.OneSided
 	var st QueryStats
 	if k <= 0 || len(ts) == 0 {
 		return nil, st, nil
@@ -160,8 +164,8 @@ func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.T
 	if parent != nil {
 		sp = parent.Child(obs.KindProbe, fmt.Sprintf("nn best-first (k=%d)", k))
 		sp.Set(obs.ATransforms, int64(len(ts)))
-		if shard >= 0 {
-			sp.Set(obs.AShard, int64(shard))
+		if opts.ShardTotal > 1 {
+			sp.Set(obs.AShard, int64(opts.ShardID))
 		}
 		qio := &storage.QueryIO{}
 		ctx = storage.WithQueryIO(ctx, qio)
@@ -328,7 +332,7 @@ func (ix *Index) mtIndexNNShard(ctx context.Context, q *Record, ts []transform.T
 					m.Distance, m.TransformIdx = d, i
 				}
 			}
-			results = insertTopK(results, m, k, func(a, b NNMatch) bool { return a.Distance < b.Distance })
+			results = insertTopK(results, m, k, lessNN)
 			if len(results) == k {
 				worst = results[k-1].Distance
 			}

@@ -23,8 +23,8 @@ func TestOneSidedMTEqualsSeqScan(t *testing.T) {
 	total := 0
 	for trial := 0; trial < 5; trial++ {
 		q := ds.Records[trial*31%len(ds.Records)]
-		want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{OneSided: true})
-		got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
+		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{OneSided: true})
+		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,8 +55,8 @@ func TestOneSidedShiftSetsWithWrap(t *testing.T) {
 		ts := transform.TimeShiftSet(n, 0, 5+rng.Intn(20))
 		eps := 2 + rng.Float64()*4
 		q := ds.Records[rng.Intn(len(ds.Records))]
-		want, _ := SeqScanRange(ds, q, ts, eps, RangeOptions{OneSided: true})
-		got, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
+		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{OneSided: true})
+		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,8 +132,8 @@ func TestOneSidedNNEqualsSeqScan(t *testing.T) {
 	ds, ix := buildFixture(t, 23, 300, 64, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(64, 3, 12)
 	q := ds.Records[9]
-	want, _ := SeqScanNN(ds, q, ts, 5, true)
-	got, _, err := ix.MTIndexNN(q, ts, 5, true)
+	want, _ := SeqScanNN(nil, ds, q, ts, 5, true)
+	got, _, err := ix.MTIndexNN(nil, q, ts, 5, RangeOptions{OneSided: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestOneSidedExample12EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	qm := q.ApplyTransform(mom)
-	nn, _, err := ix.MTIndexNN(qm, ts, 1, true)
+	nn, _, err := ix.MTIndexNN(nil, qm, ts, 1, RangeOptions{OneSided: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tsq/internal/heapfile"
@@ -11,8 +11,8 @@ import (
 )
 
 // verifySerial verifies one transformation rectangle's candidates on the
-// calling goroutine. It is the fallback of verifyParallel and the body of
-// the serial MT-index verification phase; both paths therefore produce
+// calling goroutine: the body every verifyParallel worker runs, and the
+// whole of it at one worker, so serial and parallel verification produce
 // identical matches and statistics. The extra falsePos return counts
 // candidates that produced no match — the paper's false positives, the
 // filter quality the trace reports.
@@ -24,9 +24,9 @@ import (
 // single survivor is a batch of one — and the surviving distance
 // evaluations run through the early-abandoning kernels. The bound is
 // evaluated through a tiered cascade whose candidate-independent state
-// is hoisted here, once per call — and therefore once per shard under
+// is hoisted here, once per call — and therefore once per chunk under
 // verifyParallel; the buffers come from a scratch acquired here too, so
-// shards never share one.
+// chunks never share one.
 //
 // Each survivor is verified as its page streams by, in page order,
 // against a Record that is only a view of the heap's decode slot: a
@@ -41,7 +41,7 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 	var out []Match
 	if opts.NaiveVerify {
 		for _, c := range candidates {
-			r, err := ix.fetchCtx(ctx, c.rec)
+			r, err := ix.fetch(ctx, c.rec)
 			if err != nil {
 				return nil, st, falsePos, err
 			}
@@ -172,176 +172,94 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 	return out, st, falsePos, nil
 }
 
-// verifyParallel shards the verification of one transformation
-// rectangle's candidates across opts.Workers goroutines, each shard
-// running verifySerial on its chunk (so every shard gets the same
-// lower-bound skip and page-ordered batch fetch). Empty candidate sets
-// and non-positive worker counts fall back to the serial path (a zero
-// divisor would otherwise panic in the chunk computation).
+// verifyParallel splits the verification of one transformation
+// rectangle's candidates into opts.Workers chunks, each running
+// verifySerial (so every chunk gets the same lower-bound skip and
+// page-ordered batch fetch), and concatenates them in candidate order.
+// One worker, or fewer than two candidates, is verifySerial itself: no
+// chunk table, no closure, and no division by a zero worker count.
 func (ix *Index) verifyParallel(ctx context.Context, candidates []candidate, sub []transform.Transform, g []int, q *Record, eps float64, ordered *orderedSet, opts RangeOptions) ([]Match, QueryStats, int, error) {
-	workers := opts.Workers
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
+	workers := min(opts.Workers, len(candidates))
 	if workers <= 1 {
 		return ix.verifySerial(ctx, candidates, sub, g, q, eps, ordered, opts)
 	}
-	type shard struct {
+	type part struct {
 		matches  []Match
 		stats    QueryStats
 		falsePos int
-		err      error
 	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
+	parts := make([]part, workers)
 	chunk := (len(candidates) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
+	err := parallelFor(workers, workers, func(w int) (err error) {
+		lo := min(w*chunk, len(candidates))
 		hi := min(lo+chunk, len(candidates))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sh := &shards[w]
-			sh.matches, sh.stats, sh.falsePos, sh.err = ix.verifySerial(ctx, candidates[lo:hi], sub, g, q, eps, ordered, opts)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		p := &parts[w]
+		p.matches, p.stats, p.falsePos, err = ix.verifySerial(ctx, candidates[lo:hi], sub, g, q, eps, ordered, opts)
+		return err
+	})
 	var out []Match
 	var st QueryStats
 	var falsePos int
-	for _, sh := range shards {
-		if sh.err != nil {
-			return nil, st, falsePos, sh.err
-		}
-		out = append(out, sh.matches...)
-		st.Add(sh.stats)
-		falsePos += sh.falsePos
+	for _, p := range parts {
+		out = append(out, p.matches...)
+		st.Add(p.stats)
+		falsePos += p.falsePos
+	}
+	if err != nil {
+		return nil, st, falsePos, err
 	}
 	return out, st, falsePos, nil
 }
 
-// mtRangeParallel probes the transformation rectangles of an MT-index
-// range query concurrently: one goroutine per MBR, bounded by
-// opts.Workers, each running the same filter-and-verify pipeline as the
-// serial loop (including verifyParallel for its candidates). Results are
-// merged in group order, so matches and aggregate statistics are
-// identical to the serial evaluation. Each goroutine records its own
-// KindProbe span when ctx carries a parent span; the trace's span list
-// is mutex-protected, so concurrent probes trace safely.
-func (ix *Index) mtRangeParallel(ctx context.Context, q *Record, ts []transform.Transform, groups [][]int, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	type groupResult struct {
-		matches []Match
-		st      QueryStats
-		err     error
-	}
-	results := make([]groupResult, len(groups))
-	sem := make(chan struct{}, opts.Workers)
-	var wg sync.WaitGroup
-	for gi := range groups {
-		if len(groups[gi]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			m, st, err := ix.rangeGroup(ctx, q, ts, groups[gi], gi, len(groups), eps, opts)
-			results[gi] = groupResult{matches: m, st: st, err: err}
-		}(gi)
-	}
-	wg.Wait()
-	var out []Match
-	var st QueryStats
-	for _, r := range results {
-		st.Add(r.st)
-		if r.err != nil {
-			return nil, st, r.err
-		}
-		out = append(out, r.matches...)
-	}
-	return out, st, nil
-}
-
-// SeqScanRangeParallel evaluates the sequential scan across the given
-// number of worker goroutines (0 or 1 means GOMAXPROCS). The answer and
-// the aggregate statistics equal the serial SeqScanRange; matches are
-// returned in record order. Sequential scans are embarrassingly parallel
-// — each record's verification is independent — so this is the natural
-// way to use a multicore machine when no index helps.
-func SeqScanRangeParallel(ds *Dataset, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, workers int) ([]Match, QueryStats) {
+// parallelFor is the engine's one fork-join: it calls fn(i) for every i
+// in [0, n) on at most workers goroutines and returns once all calls
+// have, with the error of the lowest failing index. With one worker (or
+// none, or at most one index) it runs on the calling goroutine, in index
+// order, and stops at the first error: a serial run is the one-worker
+// case of the same loop. In parallel, indexes are handed out in
+// ascending order and no new one is handed out after a failure, so every
+// index below a failing one has run.
+func parallelFor(n, workers int, fn func(i int) error) error {
+	workers = min(workers, n)
 	if workers <= 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := len(ds.Records)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return SeqScanRange(ds, q, ts, eps, opts)
-	}
-	ordered := orderedPrefix(ts, opts.UseOrdering && !opts.OneSided)
-
-	type shard struct {
-		matches []Match
-		stats   QueryStats
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sh := &shards[w]
-			for _, r := range ds.Records[lo:hi] {
-				if r == nil {
-					continue
-				}
-				sh.stats.Candidates++
-				if ordered != nil {
-					sh.matches = appendOrderedMatches(sh.matches, ordered, r, q, eps, &sh.stats, identityIndexes(len(ts)), opts.NaiveVerify)
-					continue
-				}
-				for i, t := range ts {
-					sh.stats.Comparisons++
-					if !opts.NaiveVerify {
-						d, abandoned := distancePredAbandon(t, r, q, eps, opts.OneSided)
-						if abandoned {
-							sh.stats.Abandoned++
-							continue
-						}
-						if d <= eps {
-							sh.matches = append(sh.matches, Match{RecordID: r.ID, TransformIdx: i, Distance: d})
-						}
-						continue
-					}
-					d := distancePred(t, r, q, opts.OneSided)
-					if d <= eps {
-						sh.matches = append(sh.matches, Match{RecordID: r.ID, TransformIdx: i, Distance: d})
-					}
-				}
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
 			}
-		}(w, lo, hi)
+		}
+		return nil
 	}
-	wg.Wait()
-
-	var out []Match
-	var st QueryStats
-	for _, sh := range shards {
-		out = append(out, sh.matches...)
-		st.Add(sh.stats)
+	// One heap object for everything the goroutines share.
+	var run struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		idx  int // lowest failing index so far
+		err  error
 	}
-	return out, st
+	run.idx = n
+	worker := func() {
+		defer run.wg.Done()
+		for {
+			i := int(run.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				run.next.Store(int64(n))
+				run.mu.Lock()
+				if i < run.idx {
+					run.idx, run.err = i, err
+				}
+				run.mu.Unlock()
+				return
+			}
+		}
+	}
+	run.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go worker()
+	}
+	run.wg.Wait()
+	return run.err
 }

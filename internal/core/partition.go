@@ -143,6 +143,8 @@ func (ix *Index) OptimalPartition(q *Record, ts []transform.Transform, eps float
 	if err != nil {
 		return nil, 0, err
 	}
+	sc := ix.acquireScratch()
+	defer ix.releaseScratch(sc)
 	// segCost[i][j] = cost of one rectangle covering ts[i..j].
 	segCost := make([][]float64, n)
 	for i := 0; i < n; i++ {
@@ -152,7 +154,7 @@ func (ix *Index) OptimalPartition(q *Record, ts []transform.Transform, eps float
 			mult, add := ix.fullMBRs(sub)
 			qrect := ix.queryRect(q, sub, eps, mode)
 			var probe QueryStats
-			if _, err := ix.filter(mult, add, qrect, nil, &probe); err != nil {
+			if _, err := ix.filter(nil, sc, mult, add, qrect, nil, &probe, nil); err != nil {
 				return nil, 0, err
 			}
 			segCost[i][j] = params.Cost(probe.DAAll, probe.DALeaf, len(sub), caLeaf)

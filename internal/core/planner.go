@@ -78,16 +78,11 @@ func (p *Plan) String() string {
 // PlanRange estimates the alternatives for a range query and returns the
 // cheapest. Probing costs a handful of filter-only index traversals; a
 // plan is worth it when the same transformation set is queried repeatedly
-// or the relation is large.
-func (ix *Index) PlanRange(q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) (*Plan, error) {
-	return ix.PlanRangeCtx(nil, q, ts, eps, mode, params)
-}
-
-// PlanRangeCtx is PlanRange under the trace carried in ctx: the probing
+// or the relation is large. When ctx carries a span, the probing
 // traversals are recorded as one KindPlan span (node visits and page I/O
 // attributed), so an EXPLAIN ANALYZE of an Auto query accounts for the
 // planner's own disk accesses too.
-func (ix *Index) PlanRangeCtx(ctx context.Context, q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) (_ *Plan, retErr error) {
+func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) (_ *Plan, retErr error) {
 	nT := len(ts)
 	nS := len(ix.ds.Records)
 	if nT == 0 {
@@ -128,7 +123,7 @@ func (ix *Index) PlanRangeCtx(ctx context.Context, q *Record, ts []transform.Tra
 		var st QueryStats
 		sc := ix.acquireScratch()
 		defer ix.releaseScratch(sc)
-		cands, err := ix.filterCtx(ctx, sc, mult, add, qrect, nil, &st, nil)
+		cands, err := ix.filter(ctx, sc, mult, add, qrect, nil, &st, nil)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -110,9 +110,9 @@ type RangeOptions struct {
 	// pure scale set orderable per Definition 1. Ignored in one-sided
 	// mode (Definition 1 is a statement about the two-sided predicate).
 	UseOrdering bool
-	// Workers parallelizes candidate verification (and the sequential
-	// scan, via SeqScanRangeParallel) across that many goroutines when
-	// above 1. Answers are identical to serial evaluation.
+	// Workers parallelizes the probes of a multi-rectangle query, candidate
+	// verification and the sequential scan across that many goroutines
+	// when above 1. Answers are identical to serial evaluation.
 	Workers int
 	// OneSided switches the predicate from the symmetric Query-1 form
 	// D(t(s), t(q)) to the literal Algorithm-1 form D(t(s), q): the
@@ -146,59 +146,65 @@ type RangeOptions struct {
 // SeqScanRange answers Query 1 by scanning the whole relation: for every
 // record and transformation, evaluate the distance predicate. With
 // UseOrdering and an orderable set, each record costs O(log |T|)
-// comparisons instead of |T|. Only the UseOrdering and OneSided options
-// apply.
-func SeqScanRange(ds *Dataset, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats) {
-	var st QueryStats
-	var out []Match
-	ordered := orderedPrefix(ts, opts.UseOrdering && !opts.OneSided)
-	for _, r := range ds.Records {
-		if r == nil { // deleted
-			continue
-		}
-		st.Candidates++
-		if ordered != nil {
-			out = appendOrderedMatches(out, ordered, r, q, eps, &st, identityIndexes(len(ts)), opts.NaiveVerify)
-			continue
-		}
-		for i, t := range ts {
-			st.Comparisons++
-			if !opts.NaiveVerify {
-				d, abandoned := distancePredAbandon(t, r, q, eps, opts.OneSided)
-				if abandoned {
-					st.Abandoned++
-					continue
-				}
-				if d <= eps {
-					out = append(out, Match{RecordID: r.ID, TransformIdx: i, Distance: d})
-				}
-				continue
-			}
-			d := distancePred(t, r, q, opts.OneSided)
-			if d <= eps {
-				out = append(out, Match{RecordID: r.ID, TransformIdx: i, Distance: d})
-			}
-		}
-	}
-	return out, st
-}
-
-// SeqScanRangeCtx evaluates the sequential scan (parallel when
-// opts.Workers > 1) under the trace in ctx: a KindScan span records the
-// records scanned, comparisons made and matches found. With no span in
-// ctx (or a nil ctx) it is exactly SeqScanRange / SeqScanRangeParallel.
-func SeqScanRangeCtx(ctx context.Context, ds *Dataset, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats) {
-	parent := obs.SpanFromContext(ctx)
+// comparisons instead of |T|. Only the UseOrdering, OneSided, NaiveVerify
+// and Workers options apply: above one worker the relation is scanned in
+// that many contiguous chunks (each record's verification is
+// independent), concatenated in record order, so the answer and the
+// statistics equal the serial scan. When ctx carries a span, a KindScan
+// child records the records scanned, comparisons made and matches found.
+func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats) {
 	var sp *obs.Span
-	if parent != nil {
+	if parent := obs.SpanFromContext(ctx); parent != nil {
 		sp = parent.Child(obs.KindScan, fmt.Sprintf("seq scan (%d records, %d transforms)", len(ds.Records), len(ts)))
 	}
-	var out []Match
-	var st QueryStats
-	if opts.Workers > 1 {
-		out, st = SeqScanRangeParallel(ds, q, ts, eps, opts, opts.Workers)
-	} else {
-		out, st = SeqScanRange(ds, q, ts, eps, opts)
+	ordered := orderedPrefix(ts, opts.UseOrdering && !opts.OneSided)
+	var all []int
+	if ordered != nil {
+		all = identityIndexes(len(ts))
+	}
+	n := len(ds.Records)
+	workers := max(1, min(opts.Workers, n))
+	chunk := (n + workers - 1) / workers
+	type part struct {
+		matches []Match
+		st      QueryStats
+	}
+	parts := make([]part, workers)
+	_ = parallelFor(workers, workers, func(w int) error {
+		p := &parts[w]
+		lo := min(w*chunk, n)
+		for _, r := range ds.Records[lo:min(lo+chunk, n)] {
+			if r == nil { // deleted
+				continue
+			}
+			p.st.Candidates++
+			if ordered != nil {
+				p.matches = appendOrderedMatches(p.matches, ordered, r, q, eps, &p.st, all, opts.NaiveVerify)
+				continue
+			}
+			for i, t := range ts {
+				p.st.Comparisons++
+				var d float64
+				if opts.NaiveVerify {
+					d = distancePred(t, r, q, opts.OneSided)
+				} else {
+					var abandoned bool
+					if d, abandoned = distancePredAbandon(t, r, q, eps, opts.OneSided); abandoned {
+						p.st.Abandoned++
+						continue
+					}
+				}
+				if d <= eps {
+					p.matches = append(p.matches, Match{RecordID: r.ID, TransformIdx: i, Distance: d})
+				}
+			}
+		}
+		return nil
+	})
+	out, st := parts[0].matches, parts[0].st
+	for _, p := range parts[1:] {
+		out = append(out, p.matches...)
+		st.Add(p.st)
 	}
 	if sp != nil {
 		sp.Set(obs.ACandidates, int64(st.Candidates))
@@ -231,41 +237,37 @@ func distancePredAbandon(t transform.Transform, r, q *Record, eps float64, oneSi
 	return t.DistancePolarAbandon(r.Mags, r.Phases, q.Mags, q.Phases, eps)
 }
 
-// STIndexRange answers Query 1 with one index traversal per transformation
-// (the ST-index algorithm): equivalent to MT-index with singleton groups.
-func (ix *Index) STIndexRange(q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	return ix.STIndexRangeCtx(nil, q, ts, eps, opts)
-}
-
-// STIndexRangeCtx is STIndexRange under the trace and I/O attribution
-// carried in ctx.
-func (ix *Index) STIndexRangeCtx(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	groups := make([][]int, len(ts))
-	for i := range ts {
+// SingletonGroups is the ST-index packing: one transformation rectangle
+// per transformation, so an MT-index run over it probes the index once
+// per transformation.
+func SingletonGroups(n int) [][]int {
+	groups := make([][]int, n)
+	for i := range groups {
 		groups[i] = []int{i}
 	}
-	opts.Groups = groups
-	return ix.MTIndexRangeCtx(ctx, q, ts, eps, opts)
+	return groups
+}
+
+// STIndexRange answers Query 1 with one index traversal per transformation
+// (the ST-index algorithm): MT-index over singleton groups.
+func (ix *Index) STIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
+	opts.Groups = SingletonGroups(len(ts))
+	return ix.MTIndexRange(ctx, q, ts, eps, opts)
 }
 
 // MTIndexRange answers Query 1 with Algorithm 1: build the transformation
 // MBR(s), traverse the index once per MBR applying Eq. 12 to every index
 // rectangle, and verify candidates against every transformation in the
-// rectangle (binary search when ordered). With opts.Workers > 1 and more
-// than one transformation rectangle, the rectangles are probed
-// concurrently (see mtRangeParallel); matches and statistics are
-// identical to the serial evaluation either way.
-func (ix *Index) MTIndexRange(q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	return ix.MTIndexRangeCtx(nil, q, ts, eps, opts)
-}
-
-// MTIndexRangeCtx is MTIndexRange under the trace carried in ctx: when
-// ctx holds a parent span (obs.ContextWithSpan), every transformation
-// rectangle contributes a KindProbe span with KindFilter and KindVerify
-// children, and the probe's page I/O is attributed via storage.QueryIO.
-// A nil ctx — or one without a span — takes the exact untraced path:
-// the only added work is one context lookup per query, no allocations.
-func (ix *Index) MTIndexRangeCtx(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
+// rectangle (binary search when ordered). The rectangles are probed by
+// up to opts.Workers goroutines and merged in group order, so matches
+// and statistics do not depend on the worker count.
+//
+// When ctx holds a parent span (obs.ContextWithSpan), every rectangle
+// contributes a KindProbe span with KindFilter and KindVerify children,
+// and the probe's page I/O is attributed via storage.QueryIO. A nil ctx —
+// or one without a span — takes the untraced path: the only added work
+// is one context lookup per query, no allocations.
+func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
 	if len(ts) == 0 {
 		return nil, QueryStats{}, nil
 	}
@@ -273,21 +275,29 @@ func (ix *Index) MTIndexRangeCtx(ctx context.Context, q *Record, ts []transform.
 	if groups == nil {
 		groups = [][]int{identityIndexes(len(ts))}
 	}
-	if opts.Workers > 1 && len(groups) > 1 {
-		return ix.mtRangeParallel(ctx, q, ts, groups, eps, opts)
+	if len(groups) == 1 {
+		// One rectangle is one probe: nothing to fork and nothing to
+		// merge, so the probe's matches are returned as they are.
+		return ix.rangeGroup(ctx, q, ts, groups[0], 0, 1, eps, opts)
 	}
+	type part struct {
+		matches []Match
+		st      QueryStats
+	}
+	parts := make([]part, len(groups))
+	err := parallelFor(len(groups), opts.Workers, func(gi int) (err error) {
+		p := &parts[gi]
+		p.matches, p.st, err = ix.rangeGroup(ctx, q, ts, groups[gi], gi, len(groups), eps, opts)
+		return err
+	})
 	var st QueryStats
 	var out []Match
-	for gi, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		matches, gst, err := ix.rangeGroup(ctx, q, ts, g, gi, len(groups), eps, opts)
-		st.Add(gst)
-		if err != nil {
-			return nil, st, err
-		}
-		out = append(out, matches...)
+	for _, p := range parts {
+		st.Add(p.st)
+		out = append(out, p.matches...)
+	}
+	if err != nil {
+		return nil, st, err
 	}
 	return out, st, nil
 }
@@ -295,14 +305,17 @@ func (ix *Index) MTIndexRangeCtx(ctx context.Context, q *Record, ts []transform.
 // rangeGroup runs the filter-and-verify pipeline for one transformation
 // rectangle: lift the group's MBR, build the query rectangle, traverse
 // the index, and verify the candidates (in parallel when opts.Workers >
-// 1). It is called from the serial group loop and from mtRangeParallel;
-// it only reads index state, so any number of rangeGroup calls may run
-// concurrently. When ctx carries a parent span, the pipeline is recorded
-// as a KindProbe span (one per transformation rectangle, owned by the
-// goroutine running this call) with KindFilter and KindVerify children,
-// and every page this probe touches is attributed to it.
+// 1). It only reads index state, so any number of rangeGroup calls may
+// run concurrently. When ctx carries a parent span, the pipeline is
+// recorded as a KindProbe span (one per transformation rectangle, owned
+// by the goroutine running this call) with KindFilter and KindVerify
+// children, and every page this probe touches is attributed to it. An
+// empty group is no probe at all.
 func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Transform, g []int, gi, ngroups int, eps float64, opts RangeOptions) (_ []Match, _ QueryStats, retErr error) {
 	var st QueryStats
+	if len(g) == 0 {
+		return nil, st, nil
+	}
 	parent := obs.SpanFromContext(ctx)
 	var probe *obs.Span
 	var qio *storage.QueryIO
@@ -345,7 +358,7 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	}
 	sc := ix.acquireScratch()
 	defer ix.releaseScratch(sc)
-	candidates, err := ix.filterCtx(ctx, sc, mult, add, qrect, phaseDims, &st, fsp)
+	candidates, err := ix.filter(ctx, sc, mult, add, qrect, phaseDims, &st, fsp)
 	fsp.EndErr(err)
 	if err != nil {
 		return nil, st, err
@@ -355,14 +368,7 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	if probe != nil {
 		vsp = probe.Child(obs.KindVerify, "verify")
 	}
-	var matches []Match
-	var vst QueryStats
-	var falsePos int
-	if opts.Workers > 1 && len(candidates) > 1 {
-		matches, vst, falsePos, err = ix.verifyParallel(ctx, candidates, sub, g, q, eps, ordered, opts)
-	} else {
-		matches, vst, falsePos, err = ix.verifySerial(ctx, candidates, sub, g, q, eps, ordered, opts)
-	}
+	matches, vst, falsePos, err := ix.verifyParallel(ctx, candidates, sub, g, q, eps, ordered, opts)
 	if vsp != nil {
 		vsp.Set(obs.ACandidates, int64(vst.Candidates))
 		vsp.Set(obs.AComparisons, int64(vst.Comparisons))
@@ -450,22 +456,16 @@ func (a *featArena) bytes() int {
 	return n
 }
 
-// filter runs the Algorithm 1 traversal for one transformation rectangle,
-// returning the candidates, which the caller owns. phaseDims, when
-// non-nil, selects modulo-2*pi comparison for the marked dimensions
-// (one-sided mode).
-func (ix *Index) filter(mult, add, qrect geom.Rect, phaseDims []bool, st *QueryStats) ([]candidate, error) {
-	return ix.filterCtx(nil, new(scratch), mult, add, qrect, phaseDims, st, nil)
-}
-
-// filterCtx is filter with observability: node loads carry ctx so a
-// storage.QueryIO in it sees them, and when sp is non-nil the traversal
-// counters (nodes, leaves, pruned subtrees, candidates) are recorded on
-// it. The caller closes sp. The walk is depth-first, one decode slot per
-// tree level: the parent's entries are still being iterated while a
-// child is read. The candidates and their feature points live in sc and
-// are valid until sc is released.
-func (ix *Index) filterCtx(ctx context.Context, sc *scratch, mult, add, qrect geom.Rect, phaseDims []bool, st *QueryStats, sp *obs.Span) ([]candidate, error) {
+// filter runs the Algorithm 1 traversal for one transformation rectangle.
+// phaseDims, when non-nil, selects modulo-2*pi comparison for the marked
+// dimensions (one-sided mode). Node loads carry ctx so a storage.QueryIO
+// in it sees them, and when sp is non-nil the traversal counters (nodes,
+// leaves, pruned subtrees, candidates) are recorded on it. The caller
+// closes sp. The walk is depth-first, one decode slot per tree level: the
+// parent's entries are still being iterated while a child is read. The
+// candidates and their feature points live in sc and are valid until sc
+// is released.
+func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.Rect, phaseDims []bool, st *QueryStats, sp *obs.Span) ([]candidate, error) {
 	da0, dl0 := st.DAAll, st.DALeaf
 	var pruned int64
 	out, feats := sc.cands[:0], &sc.feats

@@ -88,7 +88,7 @@ func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error
 				}
 				continue
 			}
-			r, err := ix.fetch(e.Rec)
+			r, err := ix.fetch(nil, e.Rec)
 			if err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -102,6 +103,24 @@ func (r *Record) Feature(k int) geom.Point {
 	return p
 }
 
+// ErrNonFinite rejects a series holding a NaN or an infinity. Such a value
+// poisons the normal form and the spectrum, and through them the R*-tree:
+// min and max ignore NaN, so a node's rectangle stops covering its
+// entries. It is checked wherever a series enters from outside: dataset
+// construction, query points and inserts.
+var ErrNonFinite = errors.New("non-finite value in series")
+
+// checkFinite returns ErrNonFinite, with the first offending position, if
+// s holds a NaN or an infinity.
+func checkFinite(s series.Series) error {
+	for i, v := range s {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %v at position %d", ErrNonFinite, v, i)
+		}
+	}
+	return nil
+}
+
 // Dataset is the stored relation: a collection of equal-length records.
 type Dataset struct {
 	// N is the common series length.
@@ -128,6 +147,9 @@ func NewDataset(ss []series.Series, names []string) (*Dataset, error) {
 		if len(s) != n {
 			return nil, fmt.Errorf("core: series %d has length %d, want %d", i, len(s), n)
 		}
+		if err := checkFinite(s); err != nil {
+			return nil, fmt.Errorf("core: series %d: %w", i, err)
+		}
 		name := fmt.Sprintf("s%d", i)
 		if names != nil {
 			name = names[i]
@@ -150,6 +172,9 @@ func (d *Dataset) Record(id int64) *Record {
 func (d *Dataset) QueryRecord(s series.Series) (*Record, error) {
 	if len(s) != d.N {
 		return nil, fmt.Errorf("core: query length %d, dataset length %d", len(s), d.N)
+	}
+	if err := checkFinite(s); err != nil {
+		return nil, fmt.Errorf("core: query: %w", err)
 	}
 	return NewRecord(-1, "query", s), nil
 }

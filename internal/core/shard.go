@@ -1,12 +1,9 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"math"
 	"sort"
-	"sync"
 
 	"tsq/internal/geom"
 	"tsq/internal/rtree"
@@ -15,16 +12,18 @@ import (
 	"tsq/internal/transform"
 )
 
-// This file implements the sharded index: the dataset is partitioned
-// into N independent shards by a deterministic hash of the global
-// series id, each shard owning its own R*-tree, heap file, buffer pool
-// and storage counters. Shards are built in parallel and queried
+// This file implements the query engine: the dataset is partitioned into
+// N independent shards by a deterministic hash of the global series id,
+// each shard an Index owning its own R*-tree, heap file, buffer pool and
+// storage counters. Shards are built in parallel and queried
 // scatter-gather with a deterministic merge (range: id-ordered union;
-// NN: per-shard top-k merged by (distance, id); join/closest-pairs:
-// intra-shard walks plus pairwise cross-shard walks). With one shard
-// every method is a direct passthrough to the underlying Index — no
-// extra spans, no merge, no id translation — so the single-shard
-// engine is bit-identical to the pre-shard one.
+// NN: per-shard top-k merged in rank order; join and closest pairs, in
+// join.go and closest.go: same-shard plus pairwise cross-shard walks).
+// An unsharded database is the one-shard case of the same code, not a
+// separate path: the gather calls the one stage on the calling goroutine
+// and hands back its answer, the cross-shard loops are empty, and no id
+// is translated, so one shard does exactly the work — same matches, same
+// statistics, same spans, same page reads — of the bare Index.
 
 // ShardOf is the partition function: the shard owning global series id
 // g in an n-shard layout. It is a fixed (splitmix64-style) integer mix
@@ -82,9 +81,9 @@ func PartitionDataset(ds *Dataset, n int) ([]*Dataset, error) {
 	return out, nil
 }
 
-// Sharded is N independent feature indexes queried scatter-gather. It
-// exposes the same query surface as Index; the tsq facade always talks
-// to a Sharded, which at one shard is a zero-cost passthrough.
+// Sharded is the query engine: N independent feature indexes queried
+// scatter-gather, each Index the per-shard stage of every query shape.
+// The tsq facade always talks to a Sharded.
 type Sharded struct {
 	ds     *Dataset // global dataset; at one shard, identical to shards[0].Dataset()
 	shards []*Index
@@ -95,19 +94,19 @@ type Sharded struct {
 	global [][]int64
 }
 
-// WrapIndex presents a single Index as a one-shard Sharded. Every
-// method passes straight through.
+// WrapIndex presents a single Index as the one-shard engine, sharing its
+// dataset.
 func WrapIndex(ix *Index) *Sharded {
 	return &Sharded{ds: ix.Dataset(), shards: []*Index{ix}}
 }
 
 // BuildSharded partitions the dataset into nshards shards and builds
-// their indexes in parallel, one goroutine per shard. nshards <= 1
-// builds a single Index over ds itself — exactly the unsharded build.
-// opts applies to every shard; opts.Manager must be nil for a
-// multi-shard build (each shard owns its own manager and buffer pool).
+// their indexes in parallel, one goroutine per shard. opts applies to
+// every shard; opts.Manager must be nil for a multi-shard build (each
+// shard owns its own manager and buffer pool).
 func BuildSharded(ds *Dataset, nshards int, opts IndexOptions) (*Sharded, error) {
 	if nshards <= 1 {
+		// One shard indexes ds itself rather than a partition's copy of it.
 		ix, err := BuildIndex(ds, opts)
 		if err != nil {
 			return nil, err
@@ -122,28 +121,23 @@ func BuildSharded(ds *Dataset, nshards int, opts IndexOptions) (*Sharded, error)
 		return nil, err
 	}
 	shards := make([]*Index, nshards)
-	errs := make([]error, nshards)
-	var wg sync.WaitGroup
-	for s := 0; s < nshards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			o := opts
-			if len(locals[s].Records) == 0 {
-				// STR bulk loading needs at least one item; an empty
-				// shard gets an empty insert-built tree.
-				o.BulkLoad = false
-			}
-			shards[s], errs[s] = BuildIndex(locals[s], o)
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: build shard %d: %w", s, err)
+	err = parallelFor(nshards, nshards, func(s int) (err error) {
+		o := opts
+		if len(locals[s].Records) == 0 {
+			// STR bulk loading needs at least one item; an empty
+			// shard gets an empty insert-built tree.
+			o.BulkLoad = false
 		}
+		if shards[s], err = BuildIndex(locals[s], o); err != nil {
+			return fmt.Errorf("core: build shard %d: %w", s, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return assemble(ds, shards)
+	local, global := shardLayout(int64(len(ds.Records)), nshards)
+	return &Sharded{ds: ds, shards: shards, local: local, global: global}, nil
 }
 
 // AssembleShards reassembles a Sharded from independently opened
@@ -153,6 +147,7 @@ func BuildSharded(ds *Dataset, nshards int, opts IndexOptions) (*Sharded, error)
 // names the offending shard.
 func AssembleShards(shards []*Index) (*Sharded, error) {
 	if len(shards) == 1 {
+		// One shard's dataset is the global one: shared, not copied.
 		return WrapIndex(shards[0]), nil
 	}
 	var total int64
@@ -186,14 +181,18 @@ func AssembleShards(shards []*Index) (*Sharded, error) {
 	return &Sharded{ds: ds, shards: shards, local: local, global: global}, nil
 }
 
-// assemble wires an already-partitioned build (global dataset known)
-// without rebuilding records.
-func assemble(ds *Dataset, shards []*Index) (*Sharded, error) {
-	local, global := shardLayout(int64(len(ds.Records)), len(shards))
-	return &Sharded{ds: ds, shards: shards, local: local, global: global}, nil
-}
-
+// single reports the one-shard layout, which keeps no id mapping (local
+// and global ids coincide) and shares the shard's dataset.
 func (s *Sharded) single() bool { return len(s.shards) == 1 }
+
+// shardErr names the failing shard in err; with one shard there is
+// nothing to name and the stage's error is the engine's.
+func (s *Sharded) shardErr(sh int, err error) error {
+	if err == nil || len(s.shards) == 1 {
+		return err
+	}
+	return fmt.Errorf("shard %d: %w", sh, err)
+}
 
 // ShardCount returns the number of shards (1 for an unsharded DB).
 func (s *Sharded) ShardCount() int { return len(s.shards) }
@@ -259,9 +258,6 @@ func (s *Sharded) Checkpoint() error {
 
 // DiskStats sums the storage counters across shards.
 func (s *Sharded) DiskStats() storage.Stats {
-	if s.single() {
-		return s.shards[0].DiskStats()
-	}
 	var total storage.Stats
 	for _, ix := range s.shards {
 		total = addStats(total, ix.DiskStats())
@@ -297,7 +293,7 @@ func addStats(a, b storage.Stats) storage.Stats {
 
 // locate maps a global id to its (shard, local id).
 func (s *Sharded) locate(g int64) (int, int64) {
-	if s.single() {
+	if s.single() { // no mapping kept: the ids coincide
 		return 0, g
 	}
 	return ShardOf(g, len(s.shards)), s.local[g]
@@ -305,45 +301,19 @@ func (s *Sharded) locate(g int64) (int, int64) {
 
 // globalID maps shard sh's local id l back to the global id.
 func (s *Sharded) globalID(sh int, l int64) int64 {
-	if s.single() {
+	if s.single() { // no mapping kept: the ids coincide
 		return l
 	}
 	return s.global[sh][l]
 }
 
 // fetchGlobal retrieves the record with global id g through its owning
-// shard (counting that shard's page I/O), with the ID translated back
-// to global. nil, nil marks a deleted record.
+// shard (counting that shard's page I/O). nil, nil marks a deleted
+// record. The record carries its shard-local id; callers name it by g.
 func (s *Sharded) fetchGlobal(g int64) (*Record, error) {
 	sh, l := s.locate(g)
-	r, err := s.shards[sh].fetch(l)
-	if r == nil || err != nil {
-		return nil, err
-	}
-	r2 := *r
-	r2.ID = g
-	return &r2, nil
-}
-
-// scatter runs fn once per shard, concurrently, and returns the first
-// error in shard order (so error reporting is deterministic).
-func (s *Sharded) scatter(fn func(sh int, ix *Index) error) error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for sh := range s.shards {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			errs[sh] = fn(sh, s.shards[sh])
-		}(sh)
-	}
-	wg.Wait()
-	for sh, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", sh, err)
-		}
-	}
-	return nil
+	r, err := s.shards[sh].fetch(nil, l)
+	return r, s.shardErr(sh, err)
 }
 
 // shardQuery returns the query record as shard sh should see it: the
@@ -362,579 +332,113 @@ func (s *Sharded) shardQuery(q *Record, sh int) *Record {
 	return &q2
 }
 
-// MTIndexRange is MTIndexRangeCtx without a trace context.
-func (s *Sharded) MTIndexRange(q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	return s.MTIndexRangeCtx(nil, q, ts, eps, opts)
+// probe is one scatter-gather query as a per-shard stage receives it. It
+// travels by value and the stages are plain functions, not closures over
+// the query's arguments: a closure handed to gather would escape to the
+// heap on every query, including the one-shard ones that fork nothing.
+type probe struct {
+	ctx  context.Context
+	q    *Record
+	ts   []transform.Transform
+	eps  float64 // threshold of a range or raw-range probe
+	k    int     // answer size of an NN probe
+	opts RangeOptions
 }
 
-// MTIndexRangeCtx answers a range query scatter-gather: every shard
-// runs the unchanged MT-index pipeline (filter, LB cascade, batched
-// fetch, early abandoning) over its own tree, concurrently; the
-// per-shard answers are translated to global ids and merged into the
-// deterministic (RecordID, TransformIdx) order. Statistics sum in
-// shard order. With one shard this is a passthrough.
-func (s *Sharded) MTIndexRangeCtx(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	if s.single() {
-		return s.shards[0].MTIndexRangeCtx(ctx, q, ts, eps, opts)
-	}
+// gather is the engine's one scatter-gather: run stage on every shard
+// concurrently, translate the answers' shard-local record ids (reached
+// through id) to global ones, sum the statistics in shard order,
+// concatenate and put the whole in order. Each shard sees the query under
+// shardQuery's id and its probe spans carry the shard tag. The first
+// error in shard order wins and names its shard.
+//
+// One shard is the degenerate case: its stage runs on the calling
+// goroutine and its answer, statistics and error are the engine's as
+// they stand — nothing to translate, sum or re-order.
+func gather[T any](s *Sharded, p probe, stage func(*Index, probe) ([]T, QueryStats, error), id func(*T) *int64, order func([]T)) ([]T, QueryStats, error) {
 	n := len(s.shards)
-	matches := make([][]Match, n)
+	if n == 1 {
+		return stage(s.shards[0], p)
+	}
+	parts := make([][]T, n)
 	stats := make([]QueryStats, n)
-	err := s.scatter(func(sh int, ix *Index) error {
-		o := opts
-		o.ShardID, o.ShardTotal = sh, n
-		m, st, err := ix.MTIndexRangeCtx(ctx, q, ts, eps, o)
-		if err != nil {
-			return err
+	shared := p // what the goroutines capture; p stays on the one-shard caller's stack
+	err := parallelFor(n, n, func(sh int) (err error) {
+		p := shared
+		p.q = s.shardQuery(p.q, sh)
+		p.opts.ShardID, p.opts.ShardTotal = sh, n
+		parts[sh], stats[sh], err = stage(s.shards[sh], p)
+		for i := range parts[sh] {
+			rec := id(&parts[sh][i])
+			*rec = s.globalID(sh, *rec)
 		}
-		for i := range m {
-			m[i].RecordID = s.globalID(sh, m[i].RecordID)
-		}
-		matches[sh], stats[sh] = m, st
-		return nil
+		return s.shardErr(sh, err)
 	})
 	var st QueryStats
-	for _, s := range stats {
-		st.Add(s)
+	var out []T
+	for sh := range parts {
+		st.Add(stats[sh])
+		out = append(out, parts[sh]...)
 	}
 	if err != nil {
 		return nil, st, err
 	}
-	var out []Match
-	for _, m := range matches {
-		out = append(out, m...)
-	}
-	SortMatches(out)
+	order(out)
 	return out, st, nil
 }
 
-// STIndexRange is STIndexRangeCtx without a trace context.
-func (s *Sharded) STIndexRange(q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	return s.STIndexRangeCtx(nil, q, ts, eps, opts)
+// MTIndexRange answers a range query scatter-gather: every shard runs
+// the MT-index pipeline (filter, LB cascade, batched fetch, early
+// abandoning) over its own tree, and the answers merge into
+// (RecordID, TransformIdx) order. See Index.MTIndexRange for ctx.
+func (s *Sharded) MTIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
+	return gather(s, probe{ctx: ctx, q: q, ts: ts, eps: eps, opts: opts},
+		func(ix *Index, p probe) ([]Match, QueryStats, error) {
+			return ix.MTIndexRange(p.ctx, p.q, p.ts, p.eps, p.opts)
+		},
+		func(m *Match) *int64 { return &m.RecordID }, SortMatches)
 }
 
-// STIndexRangeCtx runs the range query with singleton groups (one
-// index probe per transformation) on every shard.
-func (s *Sharded) STIndexRangeCtx(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	if s.single() {
-		return s.shards[0].STIndexRangeCtx(ctx, q, ts, eps, opts)
-	}
-	groups := make([][]int, len(ts))
-	for i := range ts {
-		groups[i] = []int{i}
-	}
-	opts.Groups = groups
-	return s.MTIndexRangeCtx(ctx, q, ts, eps, opts)
+// STIndexRange runs the range query with singleton groups (one index
+// probe per transformation) on every shard.
+func (s *Sharded) STIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
+	opts.Groups = SingletonGroups(len(ts))
+	return s.MTIndexRange(ctx, q, ts, eps, opts)
 }
 
-// MTIndexNN is MTIndexNNCtx without a trace context.
-func (s *Sharded) MTIndexNN(q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats, error) {
-	return s.MTIndexNNCtx(nil, q, ts, k, oneSided)
-}
-
-// MTIndexNNCtx answers a k-NN query scatter-gather: every shard runs
-// the unchanged best-first search for its own top k, concurrently; the
-// per-shard candidate lists are translated to global ids, merged by
-// (distance, id, transform) and truncated to k. The query record is
-// handed to its owning shard under its local id so self-exclusion
-// matches the single-tree semantics, and as an anonymous query (-1)
-// elsewhere. With one shard this is a passthrough.
-func (s *Sharded) MTIndexNNCtx(ctx context.Context, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats, error) {
-	if s.single() {
-		return s.shards[0].MTIndexNNCtx(ctx, q, ts, k, oneSided)
-	}
-	n := len(s.shards)
-	matches := make([][]NNMatch, n)
-	stats := make([]QueryStats, n)
-	err := s.scatter(func(sh int, ix *Index) error {
-		m, st, err := ix.mtIndexNNShard(ctx, s.shardQuery(q, sh), ts, k, oneSided, sh)
-		if err != nil {
-			return err
-		}
-		for i := range m {
-			m[i].RecordID = s.globalID(sh, m[i].RecordID)
-		}
-		matches[sh], stats[sh] = m, st
-		return nil
-	})
-	var st QueryStats
-	for _, s := range stats {
-		st.Add(s)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	var out []NNMatch
-	for _, m := range matches {
-		out = append(out, m...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
-		}
-		if out[i].RecordID != out[j].RecordID {
-			return out[i].RecordID < out[j].RecordID
-		}
-		return out[i].TransformIdx < out[j].TransformIdx
-	})
+// MTIndexNN answers a k-NN query scatter-gather: every shard runs the
+// best-first search for its own top k, and the candidate lists merge in
+// rank order (lessNN) and are cut to k. Of opts only OneSided applies.
+func (s *Sharded) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transform, k int, opts RangeOptions) ([]NNMatch, QueryStats, error) {
+	out, st, err := gather(s, probe{ctx: ctx, q: q, ts: ts, k: k, opts: opts},
+		func(ix *Index, p probe) ([]NNMatch, QueryStats, error) {
+			return ix.MTIndexNN(p.ctx, p.q, p.ts, p.k, p.opts)
+		},
+		func(m *NNMatch) *int64 { return &m.RecordID }, sortNN)
 	if len(out) > k {
 		out = out[:k]
 	}
-	return out, st, nil
+	return out, st, err
 }
 
-// PlanRange is PlanRangeCtx without a trace context.
-func (s *Sharded) PlanRange(q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) (*Plan, error) {
-	return s.PlanRangeCtx(nil, q, ts, eps, mode, params)
+// RawRange answers the raw-distance range query scatter-gather, merged
+// into ascending global id order.
+func (s *Sharded) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error) {
+	return gather(s, probe{q: q, eps: eps},
+		func(ix *Index, p probe) ([]RawMatch, QueryStats, error) { return ix.RawRange(p.q, p.eps) },
+		func(m *RawMatch) *int64 { return &m.RecordID },
+		func(ms []RawMatch) {
+			sort.Slice(ms, func(i, j int) bool { return ms[i].RecordID < ms[j].RecordID })
+		})
 }
 
-// PlanRangeCtx plans on shard 0 — a plan is a transformation grouping
+// PlanRange plans on shard 0 — a plan is a transformation grouping
 // plus an algorithm choice, both shard-independent, so one shard's
 // sampled probes stand in for all. (At N>1 the absolute cost figures
 // describe one shard, i.e. ~1/N of the data; the *relative* ranking of
 // the candidate plans, which is all the planner uses, is unaffected.)
-func (s *Sharded) PlanRangeCtx(ctx context.Context, q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) (*Plan, error) {
-	return s.shards[0].PlanRangeCtx(ctx, q, ts, eps, mode, params)
-}
-
-// STIndexJoin runs the index join with singleton groups on the sharded
-// index.
-func (s *Sharded) STIndexJoin(ts []transform.Transform, eps float64, opts RangeOptions) ([]JoinMatch, QueryStats, error) {
-	if s.single() {
-		return s.shards[0].STIndexJoin(ts, eps, opts)
-	}
-	groups := make([][]int, len(ts))
-	for i := range ts {
-		groups[i] = []int{i}
-	}
-	opts.Groups = groups
-	return s.MTIndexJoin(ts, eps, opts)
-}
-
-// MTIndexJoin answers the transformed join over the sharded index: per
-// transformation group, each shard self-joins its own tree and every
-// shard pair (s < t) runs a synchronized cross-tree walk, all feeding
-// one global candidate-pair set that is verified in deterministic
-// (IDA, IDB) order. With one shard this is a passthrough.
-func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOptions) ([]JoinMatch, QueryStats, error) {
-	if s.single() {
-		return s.shards[0].MTIndexJoin(ts, eps, opts)
-	}
-	if len(ts) == 0 {
-		return nil, QueryStats{}, nil
-	}
-	groups := opts.Groups
-	if groups == nil {
-		groups = [][]int{identityIndexes(len(ts))}
-	}
-	n := len(s.shards)
-	ix0 := s.shards[0]
-	var st QueryStats
-	var out []JoinMatch
-	for _, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		sub := make([]transform.Transform, len(g))
-		for i, idx := range g {
-			if idx < 0 || idx >= len(ts) {
-				return nil, st, fmt.Errorf("core: group index %d out of range", idx)
-			}
-			sub[i] = ts[idx]
-		}
-		// The lifted MBRs and gap bounds depend only on the transform
-		// set and index options, which are identical across shards.
-		mult, add := ix0.fullMBRs(sub)
-		bounds := ix0.joinBounds(sub, eps, opts.Mode)
-
-		pairs := make(map[[2]int64]bool) // global id pairs, a < b
-		addPair := func(shA int, ra int64, shB int, rb int64) {
-			ga, gb := s.globalID(shA, ra), s.globalID(shB, rb)
-			if ga > gb {
-				ga, gb = gb, ga
-			}
-			pairs[[2]int64{ga, gb}] = true
-		}
-		for a := 0; a < n; a++ {
-			ixa := s.shards[a]
-			st.IndexSearches++
-			localPairs := make(map[[2]int64]bool)
-			if err := ixa.joinWalk(mult, add, bounds, &st, localPairs); err != nil {
-				return nil, st, fmt.Errorf("shard %d: %w", a, err)
-			}
-			for k := range localPairs {
-				addPair(a, k[0], a, k[1])
-			}
-			for b := a + 1; b < n; b++ {
-				ixb := s.shards[b]
-				st.IndexSearches++
-				err := crossJoinWalk(ixa, ixb, mult, add, bounds, &st,
-					func(ra, rb int64) { addPair(a, ra, b, rb) })
-				if err != nil {
-					return nil, st, fmt.Errorf("shards %d x %d: %w", a, b, err)
-				}
-			}
-		}
-
-		keys := make([][2]int64, 0, len(pairs))
-		for k := range pairs {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
-		for _, k := range keys {
-			a, err := s.fetchGlobal(k[0])
-			if err != nil {
-				return nil, st, err
-			}
-			b, err := s.fetchGlobal(k[1])
-			if err != nil {
-				return nil, st, err
-			}
-			if a == nil || b == nil { // deleted
-				continue
-			}
-			st.Candidates++
-			for i, t := range sub {
-				st.Comparisons++
-				if d := t.DistancePolar(a.Mags, a.Phases, b.Mags, b.Phases); d <= eps {
-					out = append(out, JoinMatch{IDA: a.ID, IDB: b.ID, TransformIdx: g[i], Distance: d})
-				}
-			}
-		}
-	}
-	return out, st, nil
-}
-
-// crossJoinWalk synchronously traverses two distinct shards' trees,
-// applying the transformation rectangle to both sides before the gap
-// test — joinWalk without the self-pair bookkeeping, since records on
-// different shards are always distinct. Qualifying leaf pairs are
-// emitted as (local id in A, local id in B).
-func crossJoinWalk(ixA, ixB *Index, mult, add geom.Rect, jb joinBounds, st *QueryStats, emit func(ra, rb int64)) error {
-	slotsA, slotsB := ixA.Tree().AcquireSlots(), ixB.Tree().AcquireSlots()
-	defer slotsA.Release()
-	defer slotsB.Release()
-	return crossJoinNodes(ixA, ixB, slotsA, slotsB, 0, ixA.Tree().Root(), ixB.Tree().Root(), mult, add, jb, st, emit)
-}
-
-// crossJoinNodes joins the subtree at a of shard A with the subtree at b
-// of shard B. Each recursion depth holds one node of either tree, in
-// slot depth of that tree's slots.
-func crossJoinNodes(ixA, ixB *Index, slotsA, slotsB *rtree.Slots, depth int, a, b storage.PageID, mult, add geom.Rect, jb joinBounds, st *QueryStats, emit func(ra, rb int64)) error {
-	na, err := ixA.Tree().LoadInto(nil, a, slotsA.At(depth))
-	if err != nil {
-		return err
-	}
-	st.DAAll++
-	if na.Leaf {
-		st.DALeaf++
-	}
-	nb, err := ixB.Tree().LoadInto(nil, b, slotsB.At(depth))
-	if err != nil {
-		return err
-	}
-	st.DAAll++
-	if nb.Leaf {
-		st.DALeaf++
-	}
-	if len(na.Entries) == 0 || len(nb.Entries) == 0 {
-		return nil // an empty shard joins nothing
-	}
-	ta := ixA.transformEntries(na, mult, add)
-	tb := ixB.transformEntries(nb, mult, add)
-	switch {
-	case na.Leaf && nb.Leaf:
-		for i := range na.Entries {
-			for j := range nb.Entries {
-				if ixA.joinGapOK(ta[i], tb[j], jb) {
-					emit(na.Entries[i].Rec, nb.Entries[j].Rec)
-				}
-			}
-		}
-	case !na.Leaf && !nb.Leaf:
-		for i := range na.Entries {
-			for j := range nb.Entries {
-				if ixA.joinGapOK(ta[i], tb[j], jb) {
-					if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, na.Entries[i].Child, nb.Entries[j].Child, mult, add, jb, st, emit); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	case na.Leaf: // internal b
-		for j := range nb.Entries {
-			if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, a, nb.Entries[j].Child, mult, add, jb, st, emit); err != nil {
-				return err
-			}
-		}
-	default: // internal a, leaf b
-		for i := range na.Entries {
-			if err := crossJoinNodes(ixA, ixB, slotsA, slotsB, depth+1, na.Entries[i].Child, b, mult, add, jb, st, emit); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// shardPairItem is the sharded analogue of pairItem: each side carries
-// its owning shard; resolved record ids are global.
-type shardPairItem struct {
-	bound    float64
-	sa, sb   int
-	a, b     storage.PageID
-	resolved bool
-	ra, rb   int64
-}
-
-type shardPairHeap []shardPairItem
-
-func (h shardPairHeap) Len() int            { return len(h) }
-func (h shardPairHeap) Less(i, j int) bool  { return h[i].bound < h[j].bound }
-func (h shardPairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *shardPairHeap) Push(x interface{}) { *h = append(*h, x.(shardPairItem)) }
-func (h *shardPairHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// MTIndexClosestPairs answers the top-k closest-pairs query over the
-// sharded index with one global best-first search: the priority queue
-// is seeded with every shard root pair (s <= t) and expands subtree
-// pairs — same-shard or cross-shard — in lower-bound order, so the
-// search is exact and stops as soon as k pairs beat every remaining
-// bound, exactly like the single-tree traversal. With one shard this
-// is a passthrough.
-func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMatch, QueryStats, error) {
-	if s.single() {
-		return s.shards[0].MTIndexClosestPairs(ts, k)
-	}
-	var st QueryStats
-	if k <= 0 || len(ts) == 0 {
-		return nil, st, nil
-	}
-	ix0 := s.shards[0]
-	opts := ix0.Options()
-	mult, add := ix0.fullMBRs(ts)
-	symFactor := 1.0
-	if opts.UseSymmetry {
-		symFactor = math.Sqrt2
-	}
-	lowerBound := func(ya, yb geom.Rect) float64 {
-		var ss float64
-		for j := 1; j <= opts.K; j++ {
-			gap := intervalGap(ya.Lo[2*j], ya.Hi[2*j], yb.Lo[2*j], yb.Hi[2*j])
-			ss += gap * gap
-		}
-		return symFactor * math.Sqrt(ss)
-	}
-
-	var results []JoinMatch
-	worst := math.Inf(1)
-	seen := make(map[[2]int64]bool)
-	h := &shardPairHeap{}
-	for sa := 0; sa < len(s.shards); sa++ {
-		for sb := sa; sb < len(s.shards); sb++ {
-			st.IndexSearches++
-			heap.Push(h, shardPairItem{sa: sa, sb: sb, a: s.shards[sa].Tree().Root(), b: s.shards[sb].Tree().Root()})
-		}
-	}
-	type cacheKey struct {
-		shard int
-		page  storage.PageID
-	}
-	loaded := make(map[cacheKey]*nodeCache)
-	// One decode slot per shard tree: a loaded node is copied into its
-	// nodeCache at once.
-	slots := make([]*rtree.Slots, len(s.shards))
-	for sh, ix := range s.shards {
-		slots[sh] = ix.Tree().AcquireSlots()
-		defer slots[sh].Release()
-	}
-	// load caches a shard node with its entry rectangles transformed
-	// and its record ids already translated to global, so expansion and
-	// dedup work in the global id space throughout.
-	load := func(sh int, id storage.PageID) (*nodeCache, error) {
-		key := cacheKey{sh, id}
-		if n, ok := loaded[key]; ok {
-			return n, nil
-		}
-		n, err := s.shards[sh].Tree().LoadInto(nil, id, slots[sh].At(0))
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sh, err)
-		}
-		st.DAAll++
-		if n.Leaf {
-			st.DALeaf++
-		}
-		nc := &nodeCache{leaf: n.Leaf, rects: make([]geom.Rect, len(n.Entries)), children: make([]storage.PageID, len(n.Entries)), recs: make([]int64, len(n.Entries))}
-		for i, e := range n.Entries {
-			nc.rects[i] = transform.ApplyMBRs(mult, add, e.Rect)
-			nc.children[i] = e.Child
-			if n.Leaf {
-				nc.recs[i] = s.globalID(sh, e.Rec)
-			}
-		}
-		loaded[key] = nc
-		return nc, nil
-	}
-
-	for h.Len() > 0 {
-		it := heap.Pop(h).(shardPairItem)
-		if len(results) == k && it.bound > worst {
-			break
-		}
-		if it.resolved {
-			key := [2]int64{it.ra, it.rb}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			a, err := s.fetchGlobal(it.ra)
-			if err != nil {
-				return nil, st, err
-			}
-			b, err := s.fetchGlobal(it.rb)
-			if err != nil {
-				return nil, st, err
-			}
-			if a == nil || b == nil {
-				continue
-			}
-			st.Candidates++
-			best := JoinMatch{IDA: it.ra, IDB: it.rb, Distance: math.Inf(1)}
-			for ti, t := range ts {
-				st.Comparisons++
-				if d := t.DistancePolar(a.Mags, a.Phases, b.Mags, b.Phases); d < best.Distance {
-					best.Distance, best.TransformIdx = d, ti
-				}
-			}
-			results = insertTopK(results, best, k, func(x, y JoinMatch) bool {
-				if x.Distance != y.Distance {
-					return x.Distance < y.Distance
-				}
-				if x.IDA != y.IDA {
-					return x.IDA < y.IDA
-				}
-				return x.IDB < y.IDB
-			})
-			if len(results) == k {
-				worst = results[k-1].Distance
-			}
-			continue
-		}
-		na, err := load(it.sa, it.a)
-		if err != nil {
-			return nil, st, err
-		}
-		nb, err := load(it.sb, it.b)
-		if err != nil {
-			return nil, st, err
-		}
-		expandShardPair(h, it, na, nb, lowerBound, worst, len(results) == k)
-	}
-	return results, st, nil
-}
-
-// expandShardPair pushes the children pairs of (na, nb), each side
-// tagged with its shard. The self-pair bookkeeping applies only when
-// both sides are the same node of the same shard; record ids are
-// already global (see load above), so the dedup ordering is global.
-func expandShardPair(h *shardPairHeap, it shardPairItem, na, nb *nodeCache, lowerBound func(a, b geom.Rect) float64, worst float64, full bool) {
-	if len(na.rects) == 0 || len(nb.rects) == 0 {
-		return // an empty shard pairs with nothing
-	}
-	push := func(lb float64, item shardPairItem) {
-		if full && lb > worst {
-			return
-		}
-		item.bound = lb
-		heap.Push(h, item)
-	}
-	same := it.sa == it.sb && it.a == it.b
-	switch {
-	case na.leaf && nb.leaf:
-		for i := range na.rects {
-			jStart := 0
-			if same {
-				jStart = i + 1
-			}
-			for j := jStart; j < len(nb.rects); j++ {
-				ra, rb := na.recs[i], nb.recs[j]
-				if ra == rb {
-					continue
-				}
-				if ra > rb {
-					ra, rb = rb, ra
-				}
-				push(lowerBound(na.rects[i], nb.rects[j]), shardPairItem{resolved: true, ra: ra, rb: rb})
-			}
-		}
-	case !na.leaf && !nb.leaf:
-		for i := range na.rects {
-			jStart := 0
-			if same {
-				jStart = i // (i, i): pairs within one subtree
-			}
-			for j := jStart; j < len(nb.rects); j++ {
-				push(lowerBound(na.rects[i], nb.rects[j]),
-					shardPairItem{sa: it.sa, sb: it.sb, a: na.children[i], b: nb.children[j]})
-			}
-		}
-	case na.leaf: // nb internal
-		aMBR := geom.MBRRects(na.rects)
-		for j := range nb.rects {
-			push(lowerBound(aMBR, nb.rects[j]), shardPairItem{sa: it.sa, sb: it.sb, a: it.a, b: nb.children[j]})
-		}
-	default: // na internal, nb leaf
-		bMBR := geom.MBRRects(nb.rects)
-		for i := range na.rects {
-			push(lowerBound(na.rects[i], bMBR), shardPairItem{sa: it.sa, sb: it.sb, a: na.children[i], b: it.b})
-		}
-	}
-}
-
-// RawRange answers the raw-distance range query scatter-gather,
-// merged into ascending global id order.
-func (s *Sharded) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error) {
-	if s.single() {
-		return s.shards[0].RawRange(q, eps)
-	}
-	n := len(s.shards)
-	matches := make([][]RawMatch, n)
-	stats := make([]QueryStats, n)
-	err := s.scatter(func(sh int, ix *Index) error {
-		m, st, err := ix.RawRange(q, eps)
-		if err != nil {
-			return err
-		}
-		for i := range m {
-			m[i].RecordID = s.globalID(sh, m[i].RecordID)
-		}
-		matches[sh], stats[sh] = m, st
-		return nil
-	})
-	var st QueryStats
-	for _, s := range stats {
-		st.Add(s)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	var out []RawMatch
-	for _, m := range matches {
-		out = append(out, m...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RecordID < out[j].RecordID })
-	return out, st, nil
+func (s *Sharded) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) (*Plan, error) {
+	return s.shards[0].PlanRange(ctx, q, ts, eps, mode, params)
 }
 
 // Insert routes a new series to its shard. New ids are assigned
@@ -942,14 +446,14 @@ func (s *Sharded) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, erro
 // invariant of the per-shard layouts is preserved: the new global id is
 // the maximum, hence also the last local id of its shard.
 func (s *Sharded) Insert(name string, ser series.Series) (int64, error) {
-	if s.single() {
+	if s.single() { // shared dataset: the shard's append is the global one
 		return s.shards[0].Insert(name, ser)
 	}
 	g := int64(len(s.ds.Records))
 	sh := ShardOf(g, len(s.shards))
 	l, err := s.shards[sh].Insert(name, ser)
 	if err != nil {
-		return 0, fmt.Errorf("shard %d: %w", sh, err)
+		return 0, s.shardErr(sh, err)
 	}
 	if l != int64(len(s.global[sh])) {
 		return 0, fmt.Errorf("core: shard %d assigned local id %d, layout expects %d", sh, l, len(s.global[sh]))
@@ -965,7 +469,7 @@ func (s *Sharded) Insert(name string, ser series.Series) (int64, error) {
 // Delete removes global id g from its shard and tombstones the global
 // record (ids are never reused, so the layout stays intact).
 func (s *Sharded) Delete(g int64) error {
-	if s.single() {
+	if s.single() { // shared dataset: the shard's tombstone is the global one
 		return s.shards[0].Delete(g)
 	}
 	if g < 0 || g >= int64(len(s.ds.Records)) || s.ds.Records[g] == nil {
@@ -973,7 +477,7 @@ func (s *Sharded) Delete(g int64) error {
 	}
 	sh, l := s.locate(g)
 	if err := s.shards[sh].Delete(l); err != nil {
-		return fmt.Errorf("shard %d: %w", sh, err)
+		return s.shardErr(sh, err)
 	}
 	s.ds.Records[g] = nil
 	return nil
@@ -984,13 +488,10 @@ func (s *Sharded) Delete(g int64) error {
 // function's assignment and the global dataset must agree with the
 // shard-local records.
 func (s *Sharded) Verify() error {
-	if s.single() {
-		return s.shards[0].Verify()
-	}
 	_, global := shardLayout(int64(len(s.ds.Records)), len(s.shards))
 	for sh, ix := range s.shards {
 		if err := ix.Verify(); err != nil {
-			return fmt.Errorf("shard %d: %w", sh, err)
+			return s.shardErr(sh, err)
 		}
 		if got, want := len(ix.Dataset().Records), len(global[sh]); got != want {
 			return fmt.Errorf("core: shard %d holds %d records, partition expects %d", sh, got, want)
@@ -1011,9 +512,6 @@ func (s *Sharded) Verify() error {
 
 // AvgLeafCapacity returns records per leaf across all shards.
 func (s *Sharded) AvgLeafCapacity() (float64, error) {
-	if s.single() {
-		return s.shards[0].AvgLeafCapacity()
-	}
 	leaves, records := 0, 0
 	for sh, ix := range s.shards {
 		err := ix.Tree().Visit(func(n *rtree.Node, level int) error {
@@ -1023,7 +521,7 @@ func (s *Sharded) AvgLeafCapacity() (float64, error) {
 			return nil
 		})
 		if err != nil {
-			return 0, fmt.Errorf("shard %d: %w", sh, err)
+			return 0, s.shardErr(sh, err)
 		}
 		records += len(ix.Dataset().Records)
 	}
@@ -1039,7 +537,7 @@ func (s *Sharded) AvgLeafCapacity() (float64, error) {
 // the union. The result feeds the same analytical estimator as the
 // single-tree stats.
 func (s *Sharded) TreeStats() ([]LevelStats, geom.Rect, error) {
-	if s.single() {
+	if s.single() { // a weighted mean of one, (x*n)/n, need not round back to x
 		return s.shards[0].TreeStats()
 	}
 	byLevel := make(map[int]*LevelStats)
@@ -1049,7 +547,7 @@ func (s *Sharded) TreeStats() ([]LevelStats, geom.Rect, error) {
 	for sh, ix := range s.shards {
 		stats, w, err := ix.TreeStats()
 		if err != nil {
-			return nil, geom.Rect{}, fmt.Errorf("shard %d: %w", sh, err)
+			return nil, geom.Rect{}, s.shardErr(sh, err)
 		}
 		if len(w.Lo) > 0 {
 			if first {
@@ -1115,7 +613,7 @@ func (s *Sharded) OptimalPartition(q *Record, ts []transform.Transform, eps floa
 // top level carries the summed storage counters, the group geometry
 // (shard-independent) and a per-shard report in Shards.
 func (s *Sharded) Health(ctx context.Context, ts []transform.Transform, groups [][]int) (*HealthReport, error) {
-	if s.single() {
+	if s.single() { // the classic report has no per-shard sub-reports
 		return s.shards[0].Health(ctx, ts, groups)
 	}
 	opts := s.Options()
@@ -1130,7 +628,7 @@ func (s *Sharded) Health(ctx context.Context, ts []transform.Transform, groups [
 	for sh, ix := range s.shards {
 		shr, err := ix.Health(ctx, nil, nil)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sh, err)
+			return nil, s.shardErr(sh, err)
 		}
 		hr.Shards = append(hr.Shards, shr)
 		hr.Storage = addStats(hr.Storage, shr.Storage)

@@ -1,14 +1,17 @@
 package core
 
-// Shard parity: the sharded engine must return exactly the single-tree
-// answer on every query shape. At one shard that identity is bitwise
-// (same matches, same stats, same I/O accounting — the passthrough adds
-// nothing); at N > 1 the answers must be identical after the
+// Shard parity: the engine must return exactly the single-tree answer on
+// every query shape. At one shard that identity is bitwise (same
+// matches, same stats, same I/O accounting — one shard is the stage
+// itself); at N > 1 the answers must be identical after the
 // deterministic merge, while the per-shard statistics are allowed to
 // differ (N smaller trees do different amounts of work).
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -64,21 +67,6 @@ func TestShardLayoutRoundTrip(t *testing.T) {
 	}
 }
 
-// sortNN orders NN matches by the sharded merge comparator so single-
-// and multi-shard answers compare exactly (the single-tree search only
-// orders by distance).
-func sortNN(ms []NNMatch) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Distance != ms[j].Distance {
-			return ms[i].Distance < ms[j].Distance
-		}
-		if ms[i].RecordID != ms[j].RecordID {
-			return ms[i].RecordID < ms[j].RecordID
-		}
-		return ms[i].TransformIdx < ms[j].TransformIdx
-	})
-}
-
 func sortJoin(ms []JoinMatch) {
 	sort.Slice(ms, func(i, j int) bool {
 		if ms[i].IDA != ms[j].IDA {
@@ -91,22 +79,34 @@ func sortJoin(ms []JoinMatch) {
 	})
 }
 
+// sortClosest puts closest-pairs answers in rank order.
 func sortClosest(ms []JoinMatch) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Distance != ms[j].Distance {
-			return ms[i].Distance < ms[j].Distance
-		}
-		if ms[i].IDA != ms[j].IDA {
-			return ms[i].IDA < ms[j].IDA
-		}
-		return ms[i].IDB < ms[j].IDB
-	})
+	sort.Slice(ms, func(i, j int) bool { return lessPair(ms[i], ms[j]) })
 }
 
-// TestWrapIndexBitIdentity pins the N=1 contract: BuildSharded at one
-// shard and a bare BuildIndex over the same dataset return bit-identical
-// answers AND bit-identical statistics on every query shape — the
-// passthrough must add no spans, no merge, no accounting.
+// joinHash folds a join answer, order included, into one number, so a
+// 5783-pair answer can be pinned as a literal.
+func joinHash(ms []JoinMatch) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, m := range ms {
+		for _, v := range []uint64{uint64(m.IDA), uint64(m.IDB), uint64(m.TransformIdx), math.Float64bits(m.Distance)} {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestWrapIndexBitIdentity pins the N=1 contract: the engine at one
+// shard does exactly the work of the bare per-shard stage. Range, NN and
+// raw range are compared against the stage itself — same answers, same
+// statistics, and not one allocation more. Join and closest pairs have
+// no stage-level implementation to compare against (the engine's is the
+// only one), so they are held to the answers and statistics the
+// single-tree functions deleted in PR 15 (Index.MTIndexJoin,
+// Index.STIndexJoin, Index.MTIndexClosestPairs) returned on this fixture
+// at the parent commit.
 func TestWrapIndexBitIdentity(t *testing.T) {
 	ds, ix := buildFixture(t, 7, 300, 64, DefaultIndexOptions())
 	sh, err := BuildSharded(ds, 1, DefaultIndexOptions())
@@ -122,12 +122,13 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 5, 20)
 	eps := series.DistanceForCorrelation(64, 0.90)
 	q := ds.Records[13]
+	ro := RangeOptions{Mode: QRectSafe}
 
-	wm, wst, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+	wm, wst, err := ix.MTIndexRange(nil, q, ts, eps, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, gst, err := sh.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+	gm, gst, err := sh.MTIndexRange(nil, q, ts, eps, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 		t.Errorf("range stats differ:\n got %+v\nwant %+v", noTime(gst), noTime(wst))
 	}
 
-	wn, wnst, err := ix.MTIndexNN(q, ts, 5, false)
+	wn, wnst, err := ix.MTIndexNN(nil, q, ts, 5, RangeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gn, gnst, err := sh.MTIndexNN(q, ts, 5, false)
+	gn, gnst, err := sh.MTIndexNN(nil, q, ts, 5, RangeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,33 +152,6 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 	}
 	if noTime(gnst) != noTime(wnst) {
 		t.Errorf("NN stats differ:\n got %+v\nwant %+v", noTime(gnst), noTime(wnst))
-	}
-
-	wj, wjst, err := ix.MTIndexJoin(ts[:4], eps, RangeOptions{Mode: QRectSafe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gj, gjst, err := sh.MTIndexJoin(ts[:4], eps, RangeOptions{Mode: QRectSafe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gj, wj) {
-		t.Errorf("join answers differ: %d vs %d", len(gj), len(wj))
-	}
-	if noTime(gjst) != noTime(wjst) {
-		t.Errorf("join stats differ:\n got %+v\nwant %+v", noTime(gjst), noTime(wjst))
-	}
-
-	wc, _, err := ix.MTIndexClosestPairs(ts[:3], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc, _, err := sh.MTIndexClosestPairs(ts[:3], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gc, wc) {
-		t.Errorf("closest-pairs answers differ:\n got %+v\nwant %+v", gc, wc)
 	}
 
 	wr, wrst, err := ix.RawRange(q, eps)
@@ -194,11 +168,73 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 	if noTime(grst) != noTime(wrst) {
 		t.Errorf("raw stats differ:\n got %+v\nwant %+v", noTime(grst), noTime(wrst))
 	}
+
+	// The gather at one shard forks nothing and builds nothing: no
+	// goroutine, no per-shard result table, no closure on the heap.
+	for _, c := range []struct {
+		shape         string
+		stage, engine func()
+	}{
+		{"range",
+			func() { _, _, _ = ix.MTIndexRange(nil, q, ts, eps, ro) },
+			func() { _, _, _ = sh.MTIndexRange(nil, q, ts, eps, ro) }},
+		{"nn",
+			func() { _, _, _ = ix.MTIndexNN(nil, q, ts, 5, RangeOptions{}) },
+			func() { _, _, _ = sh.MTIndexNN(nil, q, ts, 5, RangeOptions{}) }},
+		{"raw",
+			func() { _, _, _ = ix.RawRange(q, eps) },
+			func() { _, _, _ = sh.RawRange(q, eps) }},
+	} {
+		if stage, engine := testing.AllocsPerRun(10, c.stage), testing.AllocsPerRun(10, c.engine); engine > stage {
+			t.Errorf("%s: the one-shard engine allocates %.0f/op, the bare stage %.0f/op", c.shape, engine, stage)
+		}
+	}
+
+	gj, gjst, err := sh.MTIndexJoin(ts[:4], eps, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gj) != 5783 || joinHash(gj) != 0x276abd706ab053c1 {
+		t.Errorf("join answer: %d pairs, hash %#x; the parent commit returned 5783, 0x276abd706ab053c1", len(gj), joinHash(gj))
+	}
+	if want := (QueryStats{DAAll: 122, DALeaf: 121, Candidates: 32730, Comparisons: 130920, IndexSearches: 1}); gjst != want {
+		t.Errorf("join stats differ from the parent commit's:\n got %+v\nwant %+v", gjst, want)
+	}
+
+	gsj, gsjst, err := sh.STIndexJoin(ts[:4], eps, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gsj) != 5783 || joinHash(gsj) != 0xcf759499dbc74b51 {
+		t.Errorf("ST join answer: %d pairs, hash %#x; the parent commit returned 5783, 0xcf759499dbc74b51", len(gsj), joinHash(gsj))
+	}
+	if want := (QueryStats{DAAll: 488, DALeaf: 484, Candidates: 124308, Comparisons: 124308, IndexSearches: 4}); gsjst != want {
+		t.Errorf("ST join stats differ from the parent commit's:\n got %+v\nwant %+v", gsjst, want)
+	}
+
+	gc, gcst, err := sh.MTIndexClosestPairs(ts[:3], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantC := []JoinMatch{
+		{221, 298, 2, 0.7649495416054465},
+		{259, 298, 2, 0.7821719427855761},
+		{18, 102, 2, 0.9444261386483597},
+		{16, 32, 2, 1.0309056369849383},
+		{72, 174, 2, 1.0348586359985184},
+	}
+	if !reflect.DeepEqual(gc, wantC) {
+		t.Errorf("closest-pairs answers differ from the parent commit's:\n got %+v\nwant %+v", gc, wantC)
+	}
+	if want := (QueryStats{DAAll: 12, DALeaf: 11, Candidates: 11184, Comparisons: 33552, IndexSearches: 1}); gcst != want {
+		t.Errorf("closest-pairs stats differ from the parent commit's:\n got %+v\nwant %+v", gcst, want)
+	}
 }
 
 // TestShardedAnswerParity is the scatter-gather exactness claim: for any
-// shard count the merged answers equal the single-tree answers on every
-// query shape, in the deterministic merge order.
+// shard count, and for one worker as for several (the shared fork-join
+// runs under every shape), the merged answers equal the single-tree
+// answers on every query shape, in the deterministic merge order.
 func TestShardedAnswerParity(t *testing.T) {
 	ds, ix := buildFixture(t, 11, 260, 64, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(64, 5, 16)
@@ -219,14 +255,21 @@ func TestShardedAnswerParity(t *testing.T) {
 			t.Fatalf("%d shards: verify: %v", nshards, err)
 		}
 
-		for trial := 0; trial < 8; trial++ {
-			q := ds.Records[(trial*31)%len(ds.Records)]
+		for trial := 0; trial < 16; trial++ {
+			q := ds.Records[(trial/2*31)%len(ds.Records)]
+			// The Workers axis: each query runs serially and on four
+			// workers over three rectangles, so that both the probes and
+			// the verification fork.
+			ro := RangeOptions{Mode: QRectSafe, Workers: 1, Groups: EqualPartition(len(ts), 4)}
+			if trial%2 == 1 {
+				ro.Workers = 4
+			}
 
-			want, _, err := ix.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+			want, _, err := ix.MTIndexRange(nil, q, ts, eps, ro)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := sh.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+			got, _, err := sh.MTIndexRange(nil, q, ts, eps, ro)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,11 +278,11 @@ func TestShardedAnswerParity(t *testing.T) {
 				t.Fatalf("%d shards trial %d: range mismatch (%d vs %d matches)", nshards, trial, len(got), len(want))
 			}
 
-			wantST, _, err := ix.STIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+			wantST, _, err := ix.STIndexRange(nil, q, ts, eps, ro)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotST, _, err := sh.STIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+			gotST, _, err := sh.STIndexRange(nil, q, ts, eps, ro)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,11 +291,11 @@ func TestShardedAnswerParity(t *testing.T) {
 				t.Fatalf("%d shards trial %d: ST range mismatch", nshards, trial)
 			}
 
-			wantNN, _, err := ix.MTIndexNN(q, ts, 7, false)
+			wantNN, _, err := ix.MTIndexNN(nil, q, ts, 7, RangeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotNN, _, err := sh.MTIndexNN(q, ts, 7, false)
+			gotNN, _, err := sh.MTIndexNN(nil, q, ts, 7, RangeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +318,7 @@ func TestShardedAnswerParity(t *testing.T) {
 			}
 		}
 
-		wantJ, _, err := ix.MTIndexJoin(ts[:4], eps, RangeOptions{Mode: QRectSafe})
+		wantJ, _, err := WrapIndex(ix).MTIndexJoin(ts[:4], eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +332,7 @@ func TestShardedAnswerParity(t *testing.T) {
 			t.Fatalf("%d shards: join mismatch (%d vs %d pairs)", nshards, len(gotJ), len(wantJ))
 		}
 
-		wantSJ, _, err := ix.STIndexJoin(ts[:4], eps, RangeOptions{Mode: QRectSafe})
+		wantSJ, _, err := WrapIndex(ix).STIndexJoin(ts[:4], eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +346,7 @@ func TestShardedAnswerParity(t *testing.T) {
 			t.Fatalf("%d shards: ST join mismatch", nshards)
 		}
 
-		wantC, _, err := ix.MTIndexClosestPairs(ts[:3], 8)
+		wantC, _, err := WrapIndex(ix).MTIndexClosestPairs(ts[:3], 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +374,7 @@ func TestShardedNNSelfExclusion(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, qid := range []int{0, 7, 63, 119} {
-			nn, _, err := sh.MTIndexNN(ds.Records[qid], ts, 3, false)
+			nn, _, err := sh.MTIndexNN(nil, ds.Records[qid], ts, 3, RangeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,8 +406,8 @@ func TestShardedEmptyShards(t *testing.T) {
 	}
 	ts := transform.MovingAverageSet(32, 3, 6)
 	q := ds.Records[0]
-	want, _ := SeqScanRange(ds, q, ts, 50, RangeOptions{})
-	got, _, err := sh.MTIndexRange(q, ts, 50, RangeOptions{Mode: QRectSafe})
+	want, _ := SeqScanRange(nil, ds, q, ts, 50, RangeOptions{})
+	got, _, err := sh.MTIndexRange(nil, q, ts, 50, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,11 +477,11 @@ func TestShardedInsertDelete(t *testing.T) {
 	ts := transform.MovingAverageSet(32, 3, 6)
 	eps := series.DistanceForCorrelation(32, 0.85)
 	q := sh.Dataset().Records[81]
-	want, _, err := ix2.MTIndexRange(ds2.Records[81], ts, eps, RangeOptions{Mode: QRectSafe})
+	want, _, err := ix2.MTIndexRange(nil, ds2.Records[81], ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := sh.MTIndexRange(q, ts, eps, RangeOptions{Mode: QRectSafe})
+	got, _, err := sh.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestFilterAllocsDoNotGrowWithNodesVisited(t *testing.T) {
 		qrect := ix.queryRect(q, ts, series.DistanceForCorrelation(64, rho), QRectSafe)
 		allocs = testing.AllocsPerRun(10, func() {
 			var st QueryStats
-			out, err := ix.filter(mult, add, qrect, nil, &st)
+			out, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, &st, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestFilterCandidateFeaturesSurviveTraversal(t *testing.T) {
 	mult, add := ix.fullMBRs(ts)
 	qrect := ix.queryRect(ds.Records[5], ts, series.DistanceForCorrelation(64, 0.5), QRectSafe)
 	var st QueryStats
-	cands, err := ix.filter(mult, add, qrect, nil, &st)
+	cands, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, &st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 	q := ds.Records[7]
 	opts := RangeOptions{Mode: QRectSafe, Groups: EqualPartition(len(ts), 4)}
 
-	want, wantSt, err := ix.MTIndexRange(q, ts, eps, opts)
+	want, wantSt, err := ix.MTIndexRange(nil, q, ts, eps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 		root := tr.Start(obs.KindQuery, "range")
 		ctx := obs.ContextWithSpan(obs.WithTrace(context.Background(), tr), root)
 		before := ix.Manager().Stats()
-		got, st, err := ix.MTIndexRangeCtx(ctx, q, ts, eps, opts)
+		got, st, err := ix.MTIndexRange(ctx, q, ts, eps, opts)
 		root.End()
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func TestTracedNNCrossCheck(t *testing.T) {
 	ts := transform.MovingAverageSet(32, 2, 6)
 	q := ds.Records[3]
 
-	want, wantSt, err := ix.MTIndexNN(q, ts, 5, false)
+	want, wantSt, err := ix.MTIndexNN(nil, q, ts, 5, RangeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTracedNNCrossCheck(t *testing.T) {
 	root := tr.Start(obs.KindQuery, "nn")
 	ctx := obs.ContextWithSpan(obs.WithTrace(context.Background(), tr), root)
 	before := ix.Manager().Stats()
-	got, st, err := ix.MTIndexNNCtx(ctx, q, ts, 5, false)
+	got, st, err := ix.MTIndexNN(ctx, q, ts, 5, RangeOptions{})
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +123,8 @@ func TestTracedNNCrossCheck(t *testing.T) {
 }
 
 // TestUntracedRangeAddsNoAllocs is the overhead contract on the hot
-// path: evaluating a range query through the Ctx entry point without a
-// trace must allocate exactly as much as the legacy entry point.
+// path: evaluating a range query under a context that carries no trace
+// must allocate exactly as much as under a nil context.
 func TestUntracedRangeAddsNoAllocs(t *testing.T) {
 	ds, ix := buildFixture(t, 2, 200, 64, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(64, 3, 10)
@@ -134,17 +134,17 @@ func TestUntracedRangeAddsNoAllocs(t *testing.T) {
 	ctx := context.Background()
 
 	plain := testing.AllocsPerRun(20, func() {
-		if _, _, err := ix.MTIndexRange(q, ts, eps, opts); err != nil {
+		if _, _, err := ix.MTIndexRange(nil, q, ts, eps, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	withCtx := testing.AllocsPerRun(20, func() {
-		if _, _, err := ix.MTIndexRangeCtx(ctx, q, ts, eps, opts); err != nil {
+		if _, _, err := ix.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if withCtx > plain {
-		t.Errorf("untraced Ctx path allocates %.0f/op, legacy path %.0f/op: instrumentation added %v allocs",
+		t.Errorf("an untraced context allocates %.0f/op, a nil one %.0f/op: instrumentation added %v allocs",
 			withCtx, plain, withCtx-plain)
 	}
 }
@@ -248,7 +248,7 @@ func BenchmarkMTIndexRangeUntraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.MTIndexRangeCtx(ctx, q, ts, eps, opts); err != nil {
+		if _, _, err := ix.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func BenchmarkMTIndexRangeTraced(b *testing.B) {
 		tr := obs.New()
 		root := tr.Start(obs.KindQuery, "bench")
 		ctx := obs.ContextWithSpan(obs.WithTrace(context.Background(), tr), root)
-		if _, _, err := ix.MTIndexRangeCtx(ctx, q, ts, eps, opts); err != nil {
+		if _, _, err := ix.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
 			b.Fatal(err)
 		}
 		root.End()

@@ -130,14 +130,7 @@ func (t *Tree) Capacity() (int, int) { return t.minE, t.maxE }
 // keep and modify: write paths, which hold a root-to-leaf path of nodes
 // while restructuring it, go through Load. Read traversals use LoadInto.
 func (t *Tree) Load(id storage.PageID) (*Node, error) {
-	return t.LoadCtx(nil, id)
-}
-
-// LoadCtx is Load with per-query read attribution: when ctx carries a
-// storage.QueryIO, the page fetch is credited to it. A nil ctx behaves
-// exactly like Load.
-func (t *Tree) LoadCtx(ctx context.Context, id storage.PageID) (*Node, error) {
-	return t.LoadInto(ctx, id, newScratch(t.mgr.PageSize(), t.dim))
+	return t.LoadInto(nil, id, newScratch(t.mgr.PageSize(), t.dim))
 }
 
 // LoadInto reads and decodes one node into the slot s, allocating

@@ -39,6 +39,7 @@ import (
 
 	"tsq/internal/core"
 	"tsq/internal/obs"
+	"tsq/internal/obs/capture"
 	"tsq/internal/query"
 	"tsq/internal/series"
 	"tsq/internal/storage"
@@ -109,6 +110,12 @@ var (
 	mNNLatency    = obs.Default.Histogram("tsq_nn_latency_ns", obs.DurationBuckets())
 )
 
+// ErrNonFinite is the error (wrapped with the series and position) of
+// every entry point that takes a series — Open, CreateFile, Insert, and
+// the query series of Range, NearestNeighbors, RawRange and Batch — when
+// the series holds a NaN or an infinity. Nothing is stored or logged.
+var ErrNonFinite = core.ErrNonFinite
+
 // Pipeline is a sequence of transformation-set steps applied in order;
 // Flatten rewrites it to a single set by composition.
 type Pipeline = query.Pipeline
@@ -139,7 +146,8 @@ const (
 	// the index with a few filter-only traversals, estimates each plan
 	// with the paper's Eq. 18/20 model, and runs the cheapest (including
 	// the choice of transformation packing for MT-index). Use Explain to
-	// see the decision.
+	// see the decision. Only Range has a planner: NearestNeighbors, Join,
+	// ClosestPairs and Batch run the index under Auto.
 	Auto
 )
 
@@ -446,126 +454,188 @@ func (db *DB) RangeByIDCtx(ctx context.Context, id int64, ts []Transform, thr Th
 	return db.rangeRecord(ctx, r, ts, thr, opts)
 }
 
-// rangeRecord opens the root span (when ctx carries a trace), dispatches
-// to the chosen algorithm and records the query metrics. Every disabled
-// diagnostics feature costs one atomic load here (pinned by the
-// zero-alloc test); the attributed path lives in its own method so its
-// closure never forces this function's locals onto the heap.
-func (db *DB) rangeRecord(ctx context.Context, qr *core.Record, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
-	start := time.Now()
-	qid := obs.NextQueryID()
-	var root *obs.Span
-	if tr := obs.FromContext(ctx); tr != nil {
-		root = tr.Start(obs.KindQuery, fmt.Sprintf("range %s (%d transforms)", opts.Algorithm, len(ts)))
-		ctx = obs.ContextWithSpan(ctx, root)
-	}
-	ql := queryLogger.Load()
-	cw := captureWriter.Load()
-	var ioPre storage.Stats
-	if ql != nil || cw != nil {
-		ioPre = storage.GlobalStats()
-	}
-	var m []Match
-	var st Stats
-	var err error
-	if obs.AttributionEnabled() {
-		m, st, err = db.rangeAttributed(ctx, qid, qr, ts, thr, opts, root)
-	} else {
-		m, st, err = db.rangeDispatch(ctx, qr, ts, thr, opts)
-	}
-	if root != nil {
-		root.Set(obs.AMatches, int64(len(m)))
-		root.Set(obs.ACandidates, int64(st.Candidates))
-		root.Set(obs.ATransforms, int64(len(ts)))
-		root.EndErr(err)
-	}
-	mRangeQueries.Inc()
-	dur := time.Since(start)
-	mRangeLatency.ObserveDurationExemplar(dur, qid)
-	if rec := flightRecorder.Load(); rec != nil {
-		rec.Record("range", opts.Algorithm.String(), qid, dur, err, obs.FromContext(ctx))
-	}
-	if ql != nil || cw != nil {
-		ioPost := storage.GlobalStats()
-		if cw != nil {
-			captureRange(cw, qid, qr, ts, thr.Epsilon(db.ds.N), opts, m, st, dur, err, ioPre, ioPost)
-		}
-		if ql != nil {
-			ql.Log(obs.QueryLogRecord{
-				QueryID:         qid,
-				Kind:            "range",
-				Label:           opts.Algorithm.String(),
-				Transforms:      len(ts),
-				Eps:             thr.Epsilon(db.ds.N),
-				Duration:        dur,
-				Err:             err,
-				Matches:         int64(len(m)),
-				Candidates:      int64(st.Candidates),
-				SkippedLB:       int64(st.SkippedLB),
-				SkippedLB0:      int64(st.SkippedLB0),
-				SkippedLB1:      int64(st.SkippedLB1),
-				SkippedLB2:      int64(st.SkippedLB2),
-				Abandoned:       int64(st.Abandoned),
-				Comparisons:     int64(st.Comparisons),
-				PagesRead:       ioPost.Reads - ioPre.Reads,
-				PagesPrefetched: ioPost.Prefetched - ioPre.Prefetched,
-				BufferHits:      ioPost.Hits - ioPre.Hits,
-				Resources: obs.Resources{
-					AllocBytes: st.AllocBytes,
-					Mallocs:    st.Mallocs,
-					GCCycles:   st.GCCycles,
-					GCPauseNs:  st.GCPauseNs,
-				},
-				Trace: obs.FromContext(ctx),
-			})
-		}
-	}
-	return m, st, err
+// queryEvent is one facade query as its diagnostics see it: what was
+// asked, the instrumentation begin opened, and the outcome finish reports
+// to the metrics, the flight recorder, the capture journal and the query
+// log. Range and nearest-neighbor queries share it; kind names the shape
+// in every label.
+type queryEvent struct {
+	kind capture.Kind
+	opts QueryOptions
+	qr   *core.Record
+	ts   []Transform
+	eps  float64 // range threshold
+	k    int     // nearest-neighbor answer size
+
+	qid   uint64
+	start time.Time
+	root  *obs.Span
+	ql    *obs.QueryLogger
+	cw    *capture.Writer
+	ioPre storage.Stats
+
+	matches []Match   // range answer
+	nn      []NNMatch // nearest-neighbor answer
+	st      Stats
+	err     error
 }
 
-// rangeAttributed runs the dispatch under resource attribution: the
+// begin takes the query id and start time, opens the root span when ctx
+// carries a trace (returning the context its children hang from), and
+// snapshots the storage counters when a sink that reports page I/O is
+// installed. Every disabled diagnostics feature costs one atomic load
+// here (pinned by the zero-alloc tests).
+func (ev *queryEvent) begin(ctx context.Context) context.Context {
+	ev.start = time.Now()
+	ev.qid = obs.NextQueryID()
+	if tr := obs.FromContext(ctx); tr != nil {
+		var name string
+		if ev.kind == capture.KindNN {
+			name = fmt.Sprintf("nn %s (k=%d)", ev.opts.Algorithm, ev.k)
+		} else {
+			name = fmt.Sprintf("range %s (%d transforms)", ev.opts.Algorithm, len(ev.ts))
+		}
+		ev.root = tr.Start(obs.KindQuery, name)
+		ctx = obs.ContextWithSpan(ctx, ev.root)
+	}
+	ev.ql = queryLogger.Load()
+	ev.cw = captureWriter.Load()
+	if ev.ql != nil || ev.cw != nil {
+		ev.ioPre = storage.GlobalStats()
+	}
+	return ctx
+}
+
+// finish closes the root span and reports the outcome to every sink.
+func (ev *queryEvent) finish(ctx context.Context) {
+	matches := len(ev.matches) + len(ev.nn)
+	queries, latency := mRangeQueries, mRangeLatency
+	if ev.kind == capture.KindNN {
+		queries, latency = mNNQueries, mNNLatency
+	}
+	if ev.root != nil {
+		ev.root.Set(obs.AMatches, int64(matches))
+		ev.root.Set(obs.ACandidates, int64(ev.st.Candidates))
+		if ev.kind == capture.KindRange {
+			ev.root.Set(obs.ATransforms, int64(len(ev.ts)))
+		}
+		ev.root.EndErr(ev.err)
+	}
+	queries.Inc()
+	dur := time.Since(ev.start)
+	latency.ObserveDurationExemplar(dur, ev.qid)
+	if rec := flightRecorder.Load(); rec != nil {
+		rec.Record(ev.kind.String(), ev.opts.Algorithm.String(), ev.qid, dur, ev.err, obs.FromContext(ctx))
+	}
+	if ev.ql == nil && ev.cw == nil {
+		return
+	}
+	ioPost := storage.GlobalStats()
+	if ev.cw != nil {
+		captureQuery(ev, dur, ioPost)
+	}
+	if ev.ql != nil {
+		ev.ql.Log(obs.QueryLogRecord{
+			QueryID:         ev.qid,
+			Kind:            ev.kind.String(),
+			Label:           ev.opts.Algorithm.String(),
+			Transforms:      len(ev.ts),
+			Eps:             ev.eps,
+			K:               ev.k,
+			Duration:        dur,
+			Err:             ev.err,
+			Matches:         int64(matches),
+			Candidates:      int64(ev.st.Candidates),
+			SkippedLB:       int64(ev.st.SkippedLB),
+			SkippedLB0:      int64(ev.st.SkippedLB0),
+			SkippedLB1:      int64(ev.st.SkippedLB1),
+			SkippedLB2:      int64(ev.st.SkippedLB2),
+			Abandoned:       int64(ev.st.Abandoned),
+			Comparisons:     int64(ev.st.Comparisons),
+			PagesRead:       ioPost.Reads - ev.ioPre.Reads,
+			PagesPrefetched: ioPost.Prefetched - ev.ioPre.Prefetched,
+			BufferHits:      ioPost.Hits - ev.ioPre.Hits,
+			Resources: obs.Resources{
+				AllocBytes: ev.st.AllocBytes,
+				Mallocs:    ev.st.Mallocs,
+				GCCycles:   ev.st.GCCycles,
+				GCPauseNs:  ev.st.GCPauseNs,
+			},
+			Trace: obs.FromContext(ctx),
+		})
+	}
+}
+
+// attributed runs one query's dispatch under resource attribution: the
 // goroutine (and any workers it spawns) carries pprof labels naming the
 // query shape, and the process resource delta around the dispatch is
-// booked into the stats and the root span. Only called with attribution
-// enabled, so its label and closure allocations never touch the fast
-// path.
-func (db *DB) rangeAttributed(ctx context.Context, qid uint64, qr *core.Record, ts []Transform, thr Threshold, opts QueryOptions, root *obs.Span) (m []Match, st Stats, err error) {
+// booked into the stats and the root span. It is only called — and the
+// closure it takes only built — with attribution enabled, so neither
+// touches the fast path.
+func attributed[T any](ctx context.Context, ev *queryEvent, run func(context.Context) ([]T, Stats, error)) (out []T, st Stats, err error) {
 	pre := obs.ReadResources()
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	pprof.Do(ctx, pprof.Labels(
-		"tsq_query", "range",
-		"tsq_algo", opts.Algorithm.String(),
-		"tsq_qid", strconv.FormatUint(qid, 10),
+		"tsq_query", ev.kind.String(),
+		"tsq_algo", ev.opts.Algorithm.String(),
+		"tsq_qid", strconv.FormatUint(ev.qid, 10),
 	), func(lctx context.Context) {
-		m, st, err = db.rangeDispatch(lctx, qr, ts, thr, opts)
+		out, st, err = run(lctx)
 	})
 	res := obs.ReadResources().Sub(pre)
 	st.AllocBytes = res.AllocBytes
 	st.Mallocs = res.Mallocs
 	st.GCCycles = res.GCCycles
 	st.GCPauseNs = res.GCPauseNs
-	if root != nil {
-		root.Set(obs.AAllocBytes, res.AllocBytes)
-		root.Set(obs.AMallocs, res.Mallocs)
-		root.Set(obs.AGCCycles, res.GCCycles)
-		root.Set(obs.AGCPauseNs, res.GCPauseNs)
+	if ev.root != nil {
+		ev.root.Set(obs.AAllocBytes, res.AllocBytes)
+		ev.root.Set(obs.AMallocs, res.Mallocs)
+		ev.root.Set(obs.AGCCycles, res.GCCycles)
+		ev.root.Set(obs.AGCPauseNs, res.GCPauseNs)
 	}
-	return m, st, err
+	return out, st, err
 }
 
-func (db *DB) rangeDispatch(ctx context.Context, qr *core.Record, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
+// rangeRecord answers a range query for an already-featurized query
+// point under the facade's instrumentation.
+func (db *DB) rangeRecord(ctx context.Context, qr *core.Record, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
 	eps := thr.Epsilon(db.ds.N)
+	ev := queryEvent{kind: capture.KindRange, opts: opts, qr: qr, ts: ts, eps: eps}
+	ctx = ev.begin(ctx)
+	if obs.AttributionEnabled() {
+		ev.matches, ev.st, ev.err = attributed(ctx, &ev, func(lctx context.Context) ([]Match, Stats, error) {
+			return db.rangeDispatch(lctx, qr, ts, eps, opts)
+		})
+	} else {
+		ev.matches, ev.st, ev.err = db.rangeDispatch(ctx, qr, ts, eps, opts)
+	}
+	ev.finish(ctx)
+	return ev.matches, ev.st, ev.err
+}
+
+// resolve names the algorithm a query shape without a planner runs: Auto
+// means the index there (Range plans it before resolving). Values outside
+// the enumeration are an error on every query shape.
+func (a Algorithm) resolve() (Algorithm, error) {
+	switch a {
+	case MTIndex, STIndex, SeqScan:
+		return a, nil
+	case Auto:
+		return MTIndex, nil
+	default:
+		return a, fmt.Errorf("tsq: unknown algorithm %v", a)
+	}
+}
+
+func (db *DB) rangeDispatch(ctx context.Context, qr *core.Record, ts []Transform, eps float64, opts QueryOptions) ([]Match, Stats, error) {
 	if opts.QueryTransform != nil {
 		qr = qr.ApplyTransform(*opts.QueryTransform)
 	}
+	ro := db.rangeOpts(ts, opts)
 	if opts.Algorithm == Auto {
-		mode := core.QRectSafe
-		if opts.PaperQueryRect {
-			mode = core.QRectPaper
-		}
-		plan, err := db.ix.PlanRangeCtx(ctx, qr, ts, eps, mode, core.DefaultCostParams())
+		plan, err := db.ix.PlanRange(ctx, qr, ts, eps, ro.Mode, core.DefaultCostParams())
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -575,22 +645,21 @@ func (db *DB) rangeDispatch(ctx context.Context, qr *core.Record, ts []Transform
 		case core.PlanSTIndex:
 			opts.Algorithm = STIndex
 		default:
-			opts.Algorithm = MTIndex
-			ro := db.rangeOpts(ts, opts)
-			ro.Groups = plan.Groups
-			return db.ix.MTIndexRangeCtx(ctx, qr, ts, eps, ro)
+			opts.Algorithm, ro.Groups = MTIndex, plan.Groups
 		}
 	}
-	switch opts.Algorithm {
+	alg, err := opts.Algorithm.resolve()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	switch alg {
 	case SeqScan:
-		m, st := core.SeqScanRangeCtx(ctx, db.ds, qr, ts, eps, db.rangeOpts(ts, opts))
+		m, st := core.SeqScanRange(ctx, db.ds, qr, ts, eps, ro)
 		return m, st, nil
 	case STIndex:
-		return db.ix.STIndexRangeCtx(ctx, qr, ts, eps, db.rangeOpts(ts, opts))
-	case MTIndex:
-		return db.ix.MTIndexRangeCtx(ctx, qr, ts, eps, db.rangeOpts(ts, opts))
+		return db.ix.STIndexRange(ctx, qr, ts, eps, ro)
 	default:
-		return nil, Stats{}, fmt.Errorf("tsq: unknown algorithm %v", opts.Algorithm)
+		return db.ix.MTIndexRange(ctx, qr, ts, eps, ro)
 	}
 }
 
@@ -638,11 +707,16 @@ func (db *DB) Batch(ctx context.Context, reqs []BatchRequest, workers int) []Bat
 	execReqs := make([]core.ExecRequest, 0, len(reqs))
 	idx := make([]int, 0, len(reqs))
 	for i, r := range reqs {
+		alg, err := r.Opts.Algorithm.resolve()
+		if err != nil {
+			results[i].Err = err
+			continue
+		}
 		er := core.ExecRequest{
 			Transforms:     r.Transforms,
 			K:              r.K,
 			QueryTransform: r.Opts.QueryTransform,
-			SeqScan:        r.Opts.Algorithm == SeqScan,
+			SeqScan:        alg == SeqScan,
 		}
 		if r.ByID {
 			rec := db.ds.Record(r.ID)
@@ -658,12 +732,8 @@ func (db *DB) Batch(ctx context.Context, reqs []BatchRequest, workers int) []Bat
 			er.Eps = r.Threshold.Epsilon(db.ds.N)
 		}
 		er.Opts = db.rangeOpts(r.Transforms, r.Opts)
-		if r.Opts.Algorithm == STIndex {
-			groups := make([][]int, len(r.Transforms))
-			for t := range r.Transforms {
-				groups[t] = []int{t}
-			}
-			er.Opts.Groups = groups
+		if alg == STIndex {
+			er.Opts.Groups = core.SingletonGroups(len(r.Transforms))
 		}
 		execReqs = append(execReqs, er)
 		idx = append(idx, i)
@@ -677,47 +747,55 @@ func (db *DB) Batch(ctx context.Context, reqs []BatchRequest, workers int) []Bat
 }
 
 // Join answers Query 2: every pair of stored series and transformation
-// within the threshold.
+// within the threshold. Algorithm Auto runs the MT-index join.
 func (db *DB) Join(ts []Transform, thr Threshold, opts QueryOptions) ([]JoinMatch, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	mJoinQueries.Inc()
 	eps := thr.Epsilon(db.ds.N)
-	switch opts.Algorithm {
+	alg, err := opts.Algorithm.resolve()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	switch alg {
 	case SeqScan:
 		m, st := core.SeqScanJoin(db.ds, ts, eps)
 		return m, st, nil
 	case STIndex:
 		return db.ix.STIndexJoin(ts, eps, db.rangeOpts(ts, opts))
-	case MTIndex:
-		return db.ix.MTIndexJoin(ts, eps, db.rangeOpts(ts, opts))
 	default:
-		return nil, Stats{}, fmt.Errorf("tsq: unknown algorithm %v", opts.Algorithm)
+		return db.ix.MTIndexJoin(ts, eps, db.rangeOpts(ts, opts))
 	}
 }
 
 // ClosestPairs returns the k pairs of stored series with the smallest
 // best transformed distance — the incremental top-k form of Query 2
 // ("the k most correlated pairs under some moving average"). The index
-// algorithm is exact and prunes with a provable lower bound; SeqScan
-// evaluates every pair.
+// algorithm (every Algorithm but SeqScan) is exact and prunes with a
+// provable lower bound; SeqScan evaluates every pair. Both rank pairs by
+// distance and break ties by the smaller IDA, then the smaller IDB, so
+// the two return the same k pairs in the same order.
 func (db *DB) ClosestPairs(ts []Transform, k int, alg Algorithm) ([]JoinMatch, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	switch alg {
-	case SeqScan:
+	alg, err := alg.resolve()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if alg == SeqScan {
 		m, st := core.SeqScanClosestPairs(db.ds, ts, k)
 		return m, st, nil
-	case MTIndex, STIndex, Auto:
-		return db.ix.MTIndexClosestPairs(ts, k)
-	default:
-		return nil, Stats{}, fmt.Errorf("tsq: unknown algorithm %v", alg)
 	}
+	return db.ix.MTIndexClosestPairs(ts, k)
 }
 
 // NearestNeighbors returns the k stored series with the smallest best
-// transformed distance to q, with the minimizing transformation for each.
-// Only the Algorithm, OneSided and QueryTransform options apply.
+// transformed distance to q, with the minimizing transformation for each,
+// ranked by distance; equal distances rank by the smaller series id (and
+// then the smaller transformation index), so the index algorithms and
+// SeqScan return the same k series in the same order. Only the Algorithm
+// (Auto runs the index search), OneSided and QueryTransform options
+// apply.
 func (db *DB) NearestNeighbors(q Series, ts []Transform, k int, opts QueryOptions) ([]NNMatch, Stats, error) {
 	return db.NearestNeighborsCtx(nil, q, ts, k, opts)
 }
@@ -727,125 +805,41 @@ func (db *DB) NearestNeighbors(q Series, ts []Transform, k int, opts QueryOption
 func (db *DB) NearestNeighborsCtx(ctx context.Context, q Series, ts []Transform, k int, opts QueryOptions) ([]NNMatch, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	start := time.Now()
-	qid := obs.NextQueryID()
 	qr, err := db.ds.QueryRecord(q)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	ev := queryEvent{kind: capture.KindNN, opts: opts, qr: qr, ts: ts, k: k}
+	ctx = ev.begin(ctx)
+	if obs.AttributionEnabled() {
+		ev.nn, ev.st, ev.err = attributed(ctx, &ev, func(lctx context.Context) ([]NNMatch, Stats, error) {
+			return db.nnDispatch(lctx, qr, ts, k, opts)
+		})
+	} else {
+		ev.nn, ev.st, ev.err = db.nnDispatch(ctx, qr, ts, k, opts)
+	}
+	ev.finish(ctx)
+	if ev.err != nil {
+		return nil, ev.st, ev.err
+	}
+	return ev.nn, ev.st, nil
+}
+
+// nnDispatch runs the nearest-neighbor algorithm switch.
+func (db *DB) nnDispatch(ctx context.Context, qr *core.Record, ts []Transform, k int, opts QueryOptions) ([]NNMatch, Stats, error) {
+	alg, err := opts.Algorithm.resolve()
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	if opts.QueryTransform != nil {
 		qr = qr.ApplyTransform(*opts.QueryTransform)
 	}
-	var root *obs.Span
-	if tr := obs.FromContext(ctx); tr != nil {
-		root = tr.Start(obs.KindQuery, fmt.Sprintf("nn %s (k=%d)", opts.Algorithm, k))
-		ctx = obs.ContextWithSpan(ctx, root)
-	}
-	oneSided := opts.OneSided || opts.QueryTransform != nil
-	ql := queryLogger.Load()
-	cw := captureWriter.Load()
-	var ioPre storage.Stats
-	if ql != nil || cw != nil {
-		ioPre = storage.GlobalStats()
-	}
-	var m []NNMatch
-	var st Stats
-	if obs.AttributionEnabled() {
-		m, st, err = db.nnAttributed(ctx, qid, qr, ts, k, oneSided, opts.Algorithm, root)
-	} else {
-		m, st, err = db.nnDispatch(ctx, qr, ts, k, oneSided, opts.Algorithm)
-	}
-	if root != nil {
-		root.Set(obs.AMatches, int64(len(m)))
-		root.Set(obs.ACandidates, int64(st.Candidates))
-		root.EndErr(err)
-	}
-	mNNQueries.Inc()
-	dur := time.Since(start)
-	mNNLatency.ObserveDurationExemplar(dur, qid)
-	if rec := flightRecorder.Load(); rec != nil {
-		rec.Record("nn", opts.Algorithm.String(), qid, dur, err, obs.FromContext(ctx))
-	}
-	if ql != nil || cw != nil {
-		ioPost := storage.GlobalStats()
-		if cw != nil {
-			captureNN(cw, qid, qr, ts, k, opts, m, st, dur, err, ioPre, ioPost)
-		}
-		if ql != nil {
-			ql.Log(obs.QueryLogRecord{
-				QueryID:         qid,
-				Kind:            "nn",
-				Label:           opts.Algorithm.String(),
-				Transforms:      len(ts),
-				K:               k,
-				Duration:        dur,
-				Err:             err,
-				Matches:         int64(len(m)),
-				Candidates:      int64(st.Candidates),
-				SkippedLB:       int64(st.SkippedLB),
-				SkippedLB0:      int64(st.SkippedLB0),
-				SkippedLB1:      int64(st.SkippedLB1),
-				SkippedLB2:      int64(st.SkippedLB2),
-				Abandoned:       int64(st.Abandoned),
-				Comparisons:     int64(st.Comparisons),
-				PagesRead:       ioPost.Reads - ioPre.Reads,
-				PagesPrefetched: ioPost.Prefetched - ioPre.Prefetched,
-				BufferHits:      ioPost.Hits - ioPre.Hits,
-				Resources: obs.Resources{
-					AllocBytes: st.AllocBytes,
-					Mallocs:    st.Mallocs,
-					GCCycles:   st.GCCycles,
-					GCPauseNs:  st.GCPauseNs,
-				},
-				Trace: obs.FromContext(ctx),
-			})
-		}
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	return m, st, nil
-}
-
-// nnDispatch runs the nearest-neighbor algorithm switch.
-func (db *DB) nnDispatch(ctx context.Context, qr *core.Record, ts []Transform, k int, oneSided bool, alg Algorithm) ([]NNMatch, Stats, error) {
-	switch alg {
-	case SeqScan:
-		m, st := core.SeqScanNNCtx(ctx, db.ds, qr, ts, k, oneSided)
+	ro := core.RangeOptions{OneSided: opts.OneSided || opts.QueryTransform != nil}
+	if alg == SeqScan {
+		m, st := core.SeqScanNN(ctx, db.ds, qr, ts, k, ro.OneSided)
 		return m, st, nil
-	case MTIndex, STIndex:
-		return db.ix.MTIndexNNCtx(ctx, qr, ts, k, oneSided)
-	default:
-		return nil, Stats{}, fmt.Errorf("tsq: unknown algorithm %v", alg)
 	}
-}
-
-// nnAttributed is rangeAttributed's nearest-neighbor counterpart; see
-// there for why it is a separate method.
-func (db *DB) nnAttributed(ctx context.Context, qid uint64, qr *core.Record, ts []Transform, k int, oneSided bool, alg Algorithm, root *obs.Span) (m []NNMatch, st Stats, err error) {
-	pre := obs.ReadResources()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pprof.Do(ctx, pprof.Labels(
-		"tsq_query", "nn",
-		"tsq_algo", alg.String(),
-		"tsq_qid", strconv.FormatUint(qid, 10),
-	), func(lctx context.Context) {
-		m, st, err = db.nnDispatch(lctx, qr, ts, k, oneSided, alg)
-	})
-	res := obs.ReadResources().Sub(pre)
-	st.AllocBytes = res.AllocBytes
-	st.Mallocs = res.Mallocs
-	st.GCCycles = res.GCCycles
-	st.GCPauseNs = res.GCPauseNs
-	if root != nil {
-		root.Set(obs.AAllocBytes, res.AllocBytes)
-		root.Set(obs.AMallocs, res.Mallocs)
-		root.Set(obs.AGCCycles, res.GCCycles)
-		root.Set(obs.AGCPauseNs, res.GCPauseNs)
-	}
-	return m, st, err
+	return db.ix.MTIndexNN(ctx, qr, ts, k, ro)
 }
 
 // Explain returns the planner's cost comparison for a range query with
@@ -857,7 +851,7 @@ func (db *DB) Explain(q Series, ts []Transform, thr Threshold) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, err := db.ix.PlanRange(qr, ts, thr.Epsilon(db.ds.N), core.QRectSafe, core.DefaultCostParams())
+	plan, err := db.ix.PlanRange(nil, qr, ts, thr.Epsilon(db.ds.N), core.QRectSafe, core.DefaultCostParams())
 	if err != nil {
 		return "", err
 	}
