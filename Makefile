@@ -33,8 +33,10 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
 
 # Distance-kernel and lower-bound micro-benchmarks: the blocked
-# Euclidean/polar kernels and the flat-vs-cascade lower-bound pair.
-KERNEL_BENCH = -bench 'BenchmarkKernel|BenchmarkLB' -run xxx -benchtime 200ms -count 6
+# Euclidean/polar kernels, the shared-cosine pair kernel, the
+# flat-vs-cascade lower-bound pair and the NN search that runs on all of
+# them.
+KERNEL_BENCH = -bench 'BenchmarkKernel|BenchmarkLB|BenchmarkNNResolve' -run xxx -benchtime 200ms -count 6
 KERNEL_PKGS  = ./internal/series/ ./internal/transform/ ./internal/core/
 
 # benchbase refreshes the checked-in kernel benchmark baseline that

@@ -438,13 +438,15 @@ func writeBundle(db *tsq.DB, path string) error {
 	return nil
 }
 
-// printTrace renders a span tree when tracing was requested.
+// printTrace renders a span tree when tracing was requested, with the
+// per-shard rollup under it on a sharded database.
 func printTrace(tr *tsq.Trace) {
 	if tr == nil {
 		return
 	}
 	fmt.Println("trace:")
 	fmt.Print(tr.String())
+	printShardRollup(tr)
 }
 
 // explainAnalyze runs the same range query under each of the three
@@ -542,6 +544,8 @@ func printShardRollup(tr *tsq.Trace) {
 		pages   int64
 		hits    int64
 		cand    int64
+		skipped int64
+		aband   int64
 		matches int64
 		dur     time.Duration
 	}
@@ -562,6 +566,8 @@ func printShardRollup(tr *tsq.Trace) {
 		a.pages += s.Get(obs.APagesRead)
 		a.hits += s.Get(obs.ABufferHits)
 		a.cand += s.Get(obs.ACandidates)
+		a.skipped += s.Get(obs.ASkippedLB)
+		a.aband += s.Get(obs.AAbandoned)
 		a.matches += s.Get(obs.AMatches)
 		a.dur += s.Duration()
 	}
@@ -570,12 +576,12 @@ func printShardRollup(tr *tsq.Trace) {
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	fmt.Printf("per-shard rollup (%d shards probed):\n", len(order))
-	fmt.Printf("  %-7s %7s %11s %9s %11s %9s %12s\n",
-		"shard", "probes", "pages_read", "buf_hits", "candidates", "matches", "probe time")
+	fmt.Printf("  %-7s %7s %11s %9s %11s %11s %10s %9s %12s\n",
+		"shard", "probes", "pages_read", "buf_hits", "candidates", "skipped_lb", "abandoned", "matches", "probe time")
 	for _, id := range order {
 		a := byShard[id]
-		fmt.Printf("  %-7d %7d %11d %9d %11d %9d %12s\n",
-			id, a.probes, a.pages, a.hits, a.cand, a.matches, a.dur.Round(time.Microsecond))
+		fmt.Printf("  %-7d %7d %11d %9d %11d %11d %10d %9d %12s\n",
+			id, a.probes, a.pages, a.hits, a.cand, a.skipped, a.aband, a.matches, a.dur.Round(time.Microsecond))
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
 	"tsq/internal/geom"
+	"tsq/internal/minheap"
 	"tsq/internal/rtree"
 	"tsq/internal/storage"
 	"tsq/internal/transform"
@@ -62,28 +62,13 @@ func SeqScanClosestPairs(ds *Dataset, ts []transform.Transform, k int) ([]JoinMa
 }
 
 // shardPairItem is a priority-queue element: a pair of subtrees, each
-// side tagged with its shard, or a resolved pair of global record ids,
-// ordered by a lower bound of the transformed distance.
+// side tagged with its shard, or a resolved pair of global record ids. Its
+// key in the queue is a lower bound of the transformed distance.
 type shardPairItem struct {
-	bound    float64
 	sa, sb   int
 	a, b     storage.PageID
 	resolved bool
 	ra, rb   int64
-}
-
-type shardPairHeap []shardPairItem
-
-func (h shardPairHeap) Len() int            { return len(h) }
-func (h shardPairHeap) Less(i, j int) bool  { return h[i].bound < h[j].bound }
-func (h shardPairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *shardPairHeap) Push(x interface{}) { *h = append(*h, x.(shardPairItem)) }
-func (h *shardPairHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // MTIndexClosestPairs returns the k closest pairs under the
@@ -92,8 +77,12 @@ func (h *shardPairHeap) Pop() interface{} {
 // root pair (a <= b) — the single root paired with itself at one shard —
 // and subtree pairs, same-shard or cross-shard, are expanded in order of
 // a lower bound built from the transformed magnitude intervals (phases
-// carry no valid lower bound and are excluded). The search is exact and
-// stops as soon as k pairs beat every remaining bound.
+// carry no valid lower bound and are excluded). A resolved pair is
+// verified by bestWithin: the pair kernel, every evaluation abandoning at
+// the smaller of the pair's running minimum and the k-th best distance so
+// far — above it, strictly, so ties at the k boundary are computed and
+// ranked — and Abandoned counts the evaluations cut short. The search is
+// exact and stops as soon as k pairs beat every remaining bound.
 func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMatch, QueryStats, error) {
 	var st QueryStats
 	if k <= 0 || len(ts) == 0 {
@@ -118,13 +107,17 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 	var results []JoinMatch
 	worst := math.Inf(1)
 	seen := make(map[[2]int64]bool)
-	h := &shardPairHeap{}
+	h := &minheap.Heap[shardPairItem]{}
 	for sa := range s.shards {
 		for sb := sa; sb < len(s.shards); sb++ {
 			st.IndexSearches++
-			heap.Push(h, shardPairItem{sa: sa, sb: sb, a: s.shards[sa].tree.Root(), b: s.shards[sb].tree.Root()})
+			h.Push(0, shardPairItem{sa: sa, sb: sb, a: s.shards[sa].tree.Root(), b: s.shards[sb].tree.Root()})
 		}
 	}
+	sc := ix0.acquireScratch()
+	defer ix0.releaseScratch(sc)
+	pair := &sc.pair
+	pair.Init(ts, false)
 	type cacheKey struct {
 		shard int
 		page  storage.PageID
@@ -166,8 +159,8 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 	}
 
 	for h.Len() > 0 {
-		it := heap.Pop(h).(shardPairItem)
-		if len(results) == k && it.bound > worst {
+		bound, it := h.Pop()
+		if bound > worst { // worst is +Inf until k pairs are in
 			break
 		}
 		if it.resolved {
@@ -188,13 +181,12 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 				continue
 			}
 			st.Candidates++
-			best := JoinMatch{IDA: it.ra, IDB: it.rb, Distance: math.Inf(1)}
-			for ti, t := range ts {
-				st.Comparisons++
-				if d := t.DistancePolar(a.Mags, a.Phases, b.Mags, b.Phases); d < best.Distance {
-					best.Distance, best.TransformIdx = d, ti
-				}
+			pair.Set(a.Mags, a.Phases, b.Mags, b.Phases)
+			d, ti, ok := bestWithin(pair, len(ts), worst, &st)
+			if !ok {
+				continue
 			}
+			best := JoinMatch{IDA: it.ra, IDB: it.rb, TransformIdx: ti, Distance: d}
 			results = insertTopK(results, best, k, lessPair)
 			if len(results) == k {
 				worst = results[k-1].Distance
@@ -209,7 +201,7 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 		if err != nil {
 			return nil, st, err
 		}
-		expandShardPair(h, it, na, nb, lowerBound, worst, len(results) == k)
+		expandShardPair(h, it, na, nb, lowerBound, worst)
 	}
 	return results, st, nil
 }
@@ -228,16 +220,15 @@ type nodeCache struct {
 // pair is enqueued twice. The self-pair bookkeeping applies only when
 // both sides are the same node of the same shard; record ids are already
 // global (see load above), so the dedup ordering is global.
-func expandShardPair(h *shardPairHeap, it shardPairItem, na, nb *nodeCache, lowerBound func(a, b geom.Rect) float64, worst float64, full bool) {
+func expandShardPair(h *minheap.Heap[shardPairItem], it shardPairItem, na, nb *nodeCache, lowerBound func(a, b geom.Rect) float64, worst float64) {
 	if len(na.rects) == 0 || len(nb.rects) == 0 {
 		return // an empty shard pairs with nothing
 	}
 	push := func(lb float64, item shardPairItem) {
-		if full && lb > worst {
+		if lb > worst {
 			return
 		}
-		item.bound = lb
-		heap.Push(h, item)
+		h.Push(lb, item)
 	}
 	same := it.sa == it.sb && it.a == it.b
 	switch {

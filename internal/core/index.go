@@ -88,6 +88,11 @@ type Index struct {
 	scratchMu   sync.Mutex
 	idleScratch []*scratch
 
+	// nnDismissed, when a test sets it, sees every leaf entry MTIndexNN
+	// dismisses by the prefix bound, with the k-th best distance in
+	// force.
+	nnDismissed func(rec int64, worst float64)
+
 	// Online-write state (see write.go). wal and stage are nil for
 	// purely in-memory indexes, which mutate directly with in-memory
 	// unwind instead of log-then-apply.

@@ -55,8 +55,10 @@ func (s *Sharded) STIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 // overlap test (Sec. 4.1). Per transformation group, each shard's tree is
 // joined with itself and every shard pair (a < b) with each other, all
 // feeding one candidate-pair set that is verified exactly, against every
-// transformation in the rectangle, in (IDA, IDB) order. One shard is the
-// paper's self-join: the pair loop is empty.
+// transformation in the rectangle, in (IDA, IDB) order, by the pair
+// kernel with eps as the abandoning cutoff (Abandoned counts the
+// evaluations it cut short). One shard is the paper's self-join: the pair
+// loop is empty.
 func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeOptions) ([]JoinMatch, QueryStats, error) {
 	if len(ts) == 0 {
 		return nil, QueryStats{}, nil
@@ -66,6 +68,9 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 		groups = [][]int{identityIndexes(len(ts))}
 	}
 	ix0 := s.shards[0]
+	sc := ix0.acquireScratch()
+	defer ix0.releaseScratch(sc)
+	pair := &sc.pair
 	var st QueryStats
 	var out []JoinMatch
 	for _, g := range groups {
@@ -105,6 +110,7 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 		}
 
 		// Verify each candidate pair, deterministically ordered.
+		pair.Init(sub, false)
 		keys := make([][2]int64, 0, len(pairs))
 		for k := range pairs {
 			keys = append(keys, k)
@@ -128,9 +134,15 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 				continue
 			}
 			st.Candidates++
-			for i, t := range sub {
+			pair.Set(a.Mags, a.Phases, b.Mags, b.Phases)
+			for i := range sub {
 				st.Comparisons++
-				if d := t.DistancePolar(a.Mags, a.Phases, b.Mags, b.Phases); d <= eps {
+				d, abandoned := pair.DistanceAbandon(i, eps)
+				if abandoned {
+					st.Abandoned++
+					continue
+				}
+				if d <= eps {
 					out = append(out, JoinMatch{IDA: k[0], IDB: k[1], TransformIdx: g[i], Distance: d})
 				}
 			}

@@ -148,6 +148,13 @@ func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64,
 	return c
 }
 
+// rearm moves the cascade's cutoff to a new eps. Everything else it
+// hoisted depends on the transformations and the query only, so a search
+// whose threshold tightens as it runs (MTIndexNN: the k-th best distance
+// so far) keeps one cascade. Like the kernels' cutoff it sits a hair
+// above eps², so a dismissal proves d > eps strictly.
+func (c *lbCascade) rearm(eps float64) { c.cut = transform.AbandonCutoff(eps) }
+
 // cos evaluates cos(aPh·φ + c) from the candidate's shared
 // (sin φ, cos φ) pair: cos(φ+c) = cosφ·cosc - sinφ·sinc and
 // cos(-φ+c) = cosφ·cosc + sinφ·sinc. The direct path recomputes the

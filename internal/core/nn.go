@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 
 	"tsq/internal/geom"
 	"tsq/internal/heapfile"
+	"tsq/internal/minheap"
 	"tsq/internal/obs"
 	"tsq/internal/storage"
 	"tsq/internal/transform"
@@ -109,48 +109,65 @@ func insertTopK[T any](top []T, m T, k int, less func(a, b T) bool) []T {
 	return top
 }
 
+// bestWithin resolves the pair bound to the kernel for a top-k search: the
+// smallest distance over the kernel's nts transformations and the
+// transformation attaining it, each evaluation abandoning at the smaller
+// of the running minimum and worst, the k-th best distance so far (+Inf
+// until there are k). An abandoned evaluation proves d above that cutoff,
+// strictly, so it can neither lower the minimum nor tie its way into the
+// k best. ok is false when every evaluation abandoned: the pair is beyond
+// worst under every transformation and is not a result.
+func bestWithin(pair *transform.Pair, nts int, worst float64, st *QueryStats) (best float64, ti int, ok bool) {
+	best = math.Inf(1)
+	for i := 0; i < nts; i++ {
+		st.Comparisons++
+		d, abandoned := pair.DistanceAbandon(i, math.Min(best, worst))
+		if abandoned {
+			st.Abandoned++
+			continue
+		}
+		ok = true
+		if d < best {
+			best, ti = d, i
+		}
+	}
+	return best, ti, ok
+}
+
 // nnCand is a leaf entry the NN search has not pruned yet: its lower
-// bound, and tombstoned once the batched fetch finds the record deleted
-// on disk.
+// bound from the transformed magnitude intervals, and tombstoned once the
+// batched fetch finds the record deleted on disk.
 type nnCand struct {
 	lb         float64
 	rec        int64
 	tombstoned bool
 }
 
-// nnEntry is a priority-queue element of the transformed NN search.
-type nnEntry struct {
-	bound float64
-	page  storage.PageID
-}
-
-type nnHeap []nnEntry
-
-func (h nnHeap) Len() int            { return len(h) }
-func (h nnHeap) Less(i, j int) bool  { return h[i].bound < h[j].bound }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnEntry)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // MTIndexNN answers the transformed nearest-neighbor query (Sec. 4.1's
-// sketch) with a best-first traversal: index rectangles are transformed by
-// the MBR of ts on the fly, a provable lower bound on the transformed
-// distance prunes subtrees (a MINDIST analogue restricted to the magnitude
-// dimensions, which lower-bound the true distance; phase dimensions do not
-// and are excluded from the bound), and leaf candidates are resolved
-// exactly. Results are exact and in rank order (lessNN). Of opts only
-// OneSided and the shard tag apply.
+// sketch) with a best-first traversal. Index rectangles are transformed
+// by the MBR of ts on the fly and subtrees are pruned by a provable lower
+// bound on the transformed distance: the gap between the transformed
+// magnitude intervals of the rectangle and of the query (a MINDIST
+// analogue restricted to the magnitude dimensions; phase intervals do not
+// lower-bound the distance and are left out). A leaf entry is a point, so
+// there the bound is the DFT-prefix lower bound of the range pipeline,
+// per transformation and phases included (lbCascade), against the k-th
+// best distance so far; what it lets through is resolved exactly by the
+// pair kernel, every evaluation abandoning at that same distance. Both
+// dismiss only on d > k-th best, strictly, so ties at the k boundary are
+// computed and ranked. Results are exact and in rank order (lessNN). Of
+// opts only OneSided and the shard tag apply.
+//
+// The statistics follow the range pipeline's: SkippedLB (and its tiers)
+// counts leaf entries the prefix bound dismissed, Candidates the records
+// resolved, Abandoned the evaluations cut short. LBTimeNs stays zero: the
+// bound runs entry by entry inside the traversal, not as a timed stage.
 //
 // When ctx holds a parent span the traversal is recorded as one KindProbe
-// span (node visits, MINDIST-pruned subtrees, candidates resolved, page
-// I/O), tagged with AShard when opts.ShardTotal > 1 so scatter-gather
-// traces roll up per shard. A nil ctx takes the untraced path.
+// span (node visits, MINDIST-pruned subtrees, prefix-bound dismissals,
+// candidates resolved, evaluations abandoned, page I/O), tagged with
+// AShard when opts.ShardTotal > 1 so scatter-gather traces roll up per
+// shard. A nil ctx takes the untraced path.
 func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transform, k int, opts RangeOptions) (_ []NNMatch, _ QueryStats, retErr error) {
 	oneSided := opts.OneSided
 	var st QueryStats
@@ -179,6 +196,10 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			sp.Set(obs.APagesRead, qio.Reads.Load())
 			sp.Set(obs.ABufferHits, qio.Hits.Load())
 			sp.Set(obs.APagesPrefetched, qio.Prefetched.Load())
+			sp.Set(obs.ASkippedLB, int64(st.SkippedLB))
+			sp.Set(obs.ASkippedLB0, int64(st.SkippedLB0))
+			sp.Set(obs.ASkippedLB1, int64(st.SkippedLB1))
+			sp.Set(obs.ASkippedLB2, int64(st.SkippedLB2))
 			sp.Set(obs.AAbandoned, int64(st.Abandoned))
 			sp.EndErr(retErr)
 		}()
@@ -217,32 +238,40 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 		return symFactor * math.Sqrt(ss)
 	}
 
+	// results holds the k best so far in rank order and worst the k-th
+	// best distance, +Inf until there are k. Nothing is dismissed before
+	// then: every bound and every kernel cutoff below compares against
+	// worst. The cascade's cutoff follows worst down.
 	var results []NNMatch
 	worst := math.Inf(1)
+	casc := ix.newLBCascade(ts, q, worst, oneSided)
 	// Scratch rectangle reused for every entry the traversal inspects
 	// (the bound only reads the transformed rectangle before the next
 	// entry overwrites it).
 	scratchLo := make(geom.Point, ix.dim)
 	scratchHi := make(geom.Point, ix.dim)
 	// Best-first: each node is consumed (children pushed, leaf entries
-	// copied to leafCands) before the next is loaded, so one decode slot
-	// serves the whole search.
+	// resolved) before the next is loaded, so one decode slot serves the
+	// whole search.
 	slots := ix.tree.AcquireSlots()
 	defer slots.Release()
 	sc := ix.acquireScratch()
 	defer ix.releaseScratch(sc)
+	pair := &sc.pair
+	pair.Init(ts, oneSided)
 	// spectrum is where the slab keeps the i-th leaf candidate's record.
 	spectrum := func(i int) (mags, phases []float64) {
 		n := ix.ds.N
 		return sc.slab[2*i*n : (2*i+1)*n], sc.slab[(2*i+1)*n : (2*i+2)*n]
 	}
-	h := &nnHeap{{bound: 0, page: ix.tree.Root()}}
+	var h minheap.Heap[storage.PageID]
+	h.Push(0, ix.tree.Root())
 	for h.Len() > 0 {
-		e := heap.Pop(h).(nnEntry)
-		if len(results) == k && e.bound > worst {
+		bound, page := h.Pop()
+		if bound > worst {
 			break
 		}
-		n, err := ix.tree.LoadInto(ctx, e.page, slots.At(0))
+		n, err := ix.tree.LoadInto(ctx, page, slots.At(0))
 		if err != nil {
 			return nil, st, err
 		}
@@ -251,20 +280,21 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			for _, ent := range n.Entries {
 				y := transform.ApplyMBRsInto(scratchLo, scratchHi, mult, add, ent.Rect)
 				lb := lowerBound(y)
-				if len(results) == k && lb > worst {
+				if lb > worst {
 					pruned++
 					continue
 				}
-				heap.Push(h, nnEntry{bound: lb, page: ent.Child})
+				h.Push(lb, ent.Child)
 			}
 			continue
 		}
 		st.DALeaf++
 		// Collect the leaf's surviving entries, fetch their records in
-		// one page-ordered batch, then verify in entry order. The bound
-		// is re-checked per entry as it tightens, so the candidates
-		// actually verified — and every statistic derived from them —
-		// are exactly those of record-at-a-time traversal; batching can
+		// one page-ordered batch, then verify in entry order. The prefix
+		// bound runs once per entry, here, before anything is fetched; the
+		// magnitude bound is re-checked per entry as worst tightens, so
+		// the candidates verified — and every statistic derived from them
+		// — are the same with and without a heap file, and batching can
 		// only prefetch a page for an entry the tightening bound later
 		// rejects. That is also why, unlike a range probe, the records
 		// cannot be verified as their pages stream by: which of them are
@@ -274,11 +304,20 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 		for _, ent := range n.Entries {
 			y := transform.ApplyMBRsInto(scratchLo, scratchHi, mult, add, ent.Rect)
 			lb := lowerBound(y)
-			if len(results) == k && lb > worst {
+			if lb > worst {
 				continue
 			}
 			if ix.ds.Record(ent.Rec) == nil {
 				continue // deleted since the entry was written: no page read
+			}
+			// A leaf entry is a point: Rect.Lo is the record's feature
+			// vector, what the prefix bound is computed from.
+			if tier := casc.skip(ent.Rect.Lo); tier >= 0 {
+				st.skippedAt(tier)
+				if ix.nnDismissed != nil {
+					ix.nnDismissed(ent.Rec, worst)
+				}
+				continue
 			}
 			leafCands = append(leafCands, nnCand{lb: lb, rec: ent.Rec})
 		}
@@ -306,7 +345,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			}
 		}
 		for ci, c := range leafCands {
-			if len(results) == k && c.lb > worst {
+			if c.lb > worst {
 				continue // bound tightened since the batch was formed
 			}
 			if c.tombstoned || c.rec == q.ID {
@@ -318,23 +357,16 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 				r = &Record{ID: c.rec, Mags: mags, Phases: phases}
 			}
 			st.Candidates++
-			m := NNMatch{RecordID: r.ID, Distance: math.Inf(1)}
-			for i, t := range ts {
-				st.Comparisons++
-				// Abandon against the running minimum: an abandoned
-				// evaluation proves d > m.Distance and cannot update it.
-				d, abandoned := distancePredAbandon(t, r, q, m.Distance, oneSided)
-				if abandoned {
-					st.Abandoned++
-					continue
-				}
-				if d < m.Distance {
-					m.Distance, m.TransformIdx = d, i
-				}
+			pair.Set(r.Mags, r.Phases, q.Mags, q.Phases)
+			d, ti, ok := bestWithin(pair, len(ts), worst, &st)
+			if !ok {
+				continue
 			}
+			m := NNMatch{RecordID: r.ID, TransformIdx: ti, Distance: d}
 			results = insertTopK(results, m, k, lessNN)
 			if len(results) == k {
 				worst = results[k-1].Distance
+				casc.rearm(worst)
 			}
 		}
 	}

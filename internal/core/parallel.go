@@ -51,7 +51,7 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 			st.Candidates++
 			before := len(out)
 			if ordered != nil {
-				out = appendOrderedMatches(out, ordered, r, q, eps, &st, g, true)
+				out = appendOrderedMatches(out, ordered, r, q, eps, &st, g, true, nil)
 			} else {
 				for i, t := range sub {
 					st.Comparisons++
@@ -89,18 +89,8 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 			casc := ix.newLBCascade(sub, q, eps, opts.OneSided)
 			for _, c := range candidates {
 				if c.feat != nil {
-					switch casc.skip(c.feat) {
-					case 0:
-						st.SkippedLB++
-						st.SkippedLB0++
-						continue
-					case 1:
-						st.SkippedLB++
-						st.SkippedLB1++
-						continue
-					case 2:
-						st.SkippedLB++
-						st.SkippedLB2++
+					if tier := casc.skip(c.feat); tier >= 0 {
+						st.skippedAt(tier)
 						continue
 					}
 				}
@@ -110,17 +100,26 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 		sc.survivors = survivors
 		st.LBTimeNs = time.Since(lbStart).Nanoseconds()
 	}
-	// verify appends r's matches to the scratch match buffer.
+	// verify appends r's matches to the scratch match buffer. The
+	// distances come from the pair kernel: one cosine per coefficient of
+	// (r, q) serves every transformation of the rectangle.
+	pair := &sc.pair
+	if ordered != nil {
+		pair.Init(ordered.set.Transforms, opts.OneSided)
+	} else {
+		pair.Init(sub, opts.OneSided)
+	}
 	sc.matches = sc.matches[:0]
 	verify := func(r *Record) {
 		st.Candidates++
 		before := len(sc.matches)
+		pair.Set(r.Mags, r.Phases, q.Mags, q.Phases)
 		if ordered != nil {
-			sc.matches = appendOrderedMatches(sc.matches, ordered, r, q, eps, &st, g, false)
+			sc.matches = appendOrderedMatches(sc.matches, ordered, r, q, eps, &st, g, false, pair)
 		} else {
-			for ti, t := range sub {
+			for ti := range sub {
 				st.Comparisons++
-				d, abandoned := distancePredAbandon(t, r, q, eps, opts.OneSided)
+				d, abandoned := pair.DistanceAbandon(ti, eps)
 				if abandoned {
 					st.Abandoned++
 					continue

@@ -30,7 +30,10 @@ type QueryStats struct {
 	DAAll int
 	// DALeaf counts leaf node accesses (DA_leaf).
 	DALeaf int
-	// Candidates counts candidate records retrieved for verification.
+	// Candidates counts candidate records retrieved for verification: a
+	// range probe's filter-admitted candidates that passed the lower
+	// bound, the leaf entries an NN search resolved, the candidate pairs
+	// a join or a closest-pairs search verified.
 	Candidates int
 	// Comparisons counts full-record distance evaluations.
 	Comparisons int
@@ -38,9 +41,11 @@ type QueryStats struct {
 	// of transformation rectangles for MT-index).
 	IndexSearches int
 	// SkippedLB counts candidates rejected by the DFT-prefix lower bound
-	// before their record was retrieved; they are not counted in
-	// Candidates (nothing was fetched) and save both the page read and
-	// the full-record comparisons. It is always the sum of the per-tier
+	// before their record was retrieved — by a range probe against eps, by
+	// an NN search against the k-th best distance so far (join and closest
+	// pairs run no prefix bound). They are not counted in Candidates
+	// (nothing was fetched) and save both the page read and the
+	// full-record comparisons. It is always the sum of the per-tier
 	// counters below (the flat FlatLB mode attributes everything to
 	// tier 2, the full prefix bound).
 	SkippedLB int
@@ -55,15 +60,18 @@ type QueryStats struct {
 	// bound over all K indexed coefficients.
 	SkippedLB2 int
 	// Abandoned counts distance evaluations cut short by the
-	// early-abandoning cutoff. Each is still counted in Comparisons (it
-	// is one predicate evaluation); this reports how many of them
-	// stopped before the full n coefficients.
+	// early-abandoning cutoff: eps for a range query or a join, the
+	// smaller of the record's (pair's) running minimum and the k-th best
+	// distance so far for NN and closest pairs. Each is still counted in
+	// Comparisons (it is one predicate evaluation); this reports how many
+	// of them stopped before the full n coefficients.
 	Abandoned int
 	// LBTimeNs is the wall time, in nanoseconds, spent in the
 	// lower-bound stage of verification — the loop that decides skip
 	// or fetch for every filter-admitted candidate (cascade or flat,
 	// including the cascade's per-call construction). It is zero under
-	// NaiveVerify, which runs no lower bound. Dividing by
+	// NaiveVerify, which runs no lower bound, and for an NN search,
+	// whose bound runs entry by entry inside the traversal. Dividing by
 	// Candidates+SkippedLB gives the per-candidate decision cost the
 	// tiered cascade optimizes; under parallel verification the shard
 	// times sum, so it is CPU time, not elapsed time.
@@ -96,6 +104,20 @@ func (s *QueryStats) Add(other QueryStats) {
 	s.Mallocs += other.Mallocs
 	s.GCCycles += other.GCCycles
 	s.GCPauseNs += other.GCPauseNs
+}
+
+// skippedAt counts one candidate the lower-bound cascade dismissed at
+// tier (0, 1 or 2).
+func (s *QueryStats) skippedAt(tier int) {
+	s.SkippedLB++
+	switch tier {
+	case 0:
+		s.SkippedLB0++
+	case 1:
+		s.SkippedLB1++
+	default:
+		s.SkippedLB2++
+	}
 }
 
 // RangeOptions tunes the index-based range algorithms.
@@ -179,7 +201,7 @@ func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 			}
 			p.st.Candidates++
 			if ordered != nil {
-				p.matches = appendOrderedMatches(p.matches, ordered, r, q, eps, &p.st, all, opts.NaiveVerify)
+				p.matches = appendOrderedMatches(p.matches, ordered, r, q, eps, &p.st, all, opts.NaiveVerify, nil)
 				continue
 			}
 			for i, t := range ts {
@@ -385,6 +407,8 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 		probe.Set(obs.ACandidates, int64(vst.Candidates))
 		probe.Set(obs.AMatches, int64(len(matches)))
 		probe.Set(obs.AFalsePositives, int64(falsePos))
+		probe.Set(obs.ASkippedLB, int64(vst.SkippedLB))
+		probe.Set(obs.AAbandoned, int64(vst.Abandoned))
 	}
 	st.Add(vst)
 	if err != nil {
@@ -603,15 +627,24 @@ func orderedPrefix(ts []transform.Transform, useOrdering bool) *orderedSet {
 // (Definition 1 guarantees all smaller scales qualify) and appends one
 // match per qualifying transformation. groupIdx maps local positions to
 // the caller's transformation indices. Unless naive, the predicate runs
-// through the early-abandoning kernel; the qualify/fail decisions (and
-// hence the binary search path) are identical either way.
-func appendOrderedMatches(out []Match, o *orderedSet, r, q *Record, eps float64, st *QueryStats, groupIdx []int, naive bool) []Match {
-	k := o.set.LargestQualifying(func(t transform.Transform) bool {
+// through an early-abandoning kernel: pair, bound to o's transformations
+// and to (r, q), when the index verifies, the plain kernel when pair is
+// nil (the scan). The qualify/fail decisions (and hence the binary search
+// path) are identical all three ways.
+func appendOrderedMatches(out []Match, o *orderedSet, r, q *Record, eps float64, st *QueryStats, groupIdx []int, naive bool, pair *transform.Pair) []Match {
+	k := o.set.LargestQualifying(func(i int) bool {
 		st.Comparisons++
+		t := o.set.Transforms[i]
 		if naive {
 			return t.DistancePolar(r.Mags, r.Phases, q.Mags, q.Phases) <= eps
 		}
-		d, abandoned := t.DistancePolarAbandon(r.Mags, r.Phases, q.Mags, q.Phases, eps)
+		var d float64
+		var abandoned bool
+		if pair != nil {
+			d, abandoned = pair.DistanceAbandon(i, eps)
+		} else {
+			d, abandoned = t.DistancePolarAbandon(r.Mags, r.Phases, q.Mags, q.Phases, eps)
+		}
 		if abandoned {
 			st.Abandoned++
 			return false

@@ -4,14 +4,16 @@ import (
 	"unsafe"
 
 	"tsq/internal/heapfile"
+	"tsq/internal/transform"
 )
 
 // scratch holds the buffers a probe fills and empties on every query,
 // kept between queries so a steady workload stops allocating them. A
 // range probe takes one for its filter stage (rangeGroup) and one per
 // verifySerial call, so parallel verification workers never share one;
-// an NN search takes one. Nothing in a scratch outlives the call that
-// acquired it: what a query returns is copied out first.
+// an NN search, a join and a closest-pairs search take one each. Nothing
+// in a scratch outlives the call that acquired it: what a query returns
+// is copied out first.
 type scratch struct {
 	// Filter stage: the admitted candidates and the arena their feature
 	// points are copied into.
@@ -27,6 +29,13 @@ type scratch struct {
 	fetch     heapfile.Scratch
 	matches   []Match
 	spans     []matchSpan
+
+	// Verification, of a range probe's survivors, an NN search's leaf
+	// candidates or a join's candidate pairs: the pair kernel, which
+	// keeps one cosine per coefficient of the record and query at hand
+	// for all the transformations of the rectangle. Its buffer is one
+	// series length and is left out of bytes().
+	pair transform.Pair
 
 	// NN search: one leaf's candidates and their spectra, copied out of
 	// the decode slot because the leaf is verified in entry order.
@@ -88,6 +97,7 @@ func (ix *Index) releaseScratch(sc *scratch) {
 	// (the filter stage's); left in place they would keep its chunks
 	// alive after that scratch was dropped.
 	clear(sc.survivors)
+	sc.pair.Init(nil, false) // likewise the transformation set and the last pair
 	ix.scratchMu.Lock()
 	defer ix.scratchMu.Unlock()
 	if len(ix.idleScratch) < maxIdleScratch {

@@ -106,7 +106,8 @@ func joinHash(ms []JoinMatch) uint64 {
 // only one), so they are held to the answers and statistics the
 // single-tree functions deleted in PR 15 (Index.MTIndexJoin,
 // Index.STIndexJoin, Index.MTIndexClosestPairs) returned on this fixture
-// at the parent commit.
+// at the parent commit; Abandoned alone is PR 16's, which made both
+// verify through the early-abandoning pair kernel.
 func TestWrapIndexBitIdentity(t *testing.T) {
 	ds, ix := buildFixture(t, 7, 300, 64, DefaultIndexOptions())
 	sh, err := BuildSharded(ds, 1, DefaultIndexOptions())
@@ -197,7 +198,7 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 	if len(gj) != 5783 || joinHash(gj) != 0x276abd706ab053c1 {
 		t.Errorf("join answer: %d pairs, hash %#x; the parent commit returned 5783, 0x276abd706ab053c1", len(gj), joinHash(gj))
 	}
-	if want := (QueryStats{DAAll: 122, DALeaf: 121, Candidates: 32730, Comparisons: 130920, IndexSearches: 1}); gjst != want {
+	if want := (QueryStats{DAAll: 122, DALeaf: 121, Candidates: 32730, Comparisons: 130920, IndexSearches: 1, Abandoned: 125137}); gjst != want {
 		t.Errorf("join stats differ from the parent commit's:\n got %+v\nwant %+v", gjst, want)
 	}
 
@@ -208,7 +209,7 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 	if len(gsj) != 5783 || joinHash(gsj) != 0xcf759499dbc74b51 {
 		t.Errorf("ST join answer: %d pairs, hash %#x; the parent commit returned 5783, 0xcf759499dbc74b51", len(gsj), joinHash(gsj))
 	}
-	if want := (QueryStats{DAAll: 488, DALeaf: 484, Candidates: 124308, Comparisons: 124308, IndexSearches: 4}); gsjst != want {
+	if want := (QueryStats{DAAll: 488, DALeaf: 484, Candidates: 124308, Comparisons: 124308, IndexSearches: 4, Abandoned: 118525}); gsjst != want {
 		t.Errorf("ST join stats differ from the parent commit's:\n got %+v\nwant %+v", gsjst, want)
 	}
 
@@ -226,7 +227,7 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 	if !reflect.DeepEqual(gc, wantC) {
 		t.Errorf("closest-pairs answers differ from the parent commit's:\n got %+v\nwant %+v", gc, wantC)
 	}
-	if want := (QueryStats{DAAll: 12, DALeaf: 11, Candidates: 11184, Comparisons: 33552, IndexSearches: 1}); gcst != want {
+	if want := (QueryStats{DAAll: 12, DALeaf: 11, Candidates: 11184, Comparisons: 33552, IndexSearches: 1, Abandoned: 33456}); gcst != want {
 		t.Errorf("closest-pairs stats differ from the parent commit's:\n got %+v\nwant %+v", gcst, want)
 	}
 }

@@ -120,6 +120,22 @@ func TestTracedNNCrossCheck(t *testing.T) {
 	if tr.Sum(obs.KindProbe, obs.ANodes) != int64(st.DAAll) {
 		t.Errorf("trace nodes = %d, stats DAAll = %d", tr.Sum(obs.KindProbe, obs.ANodes), st.DAAll)
 	}
+	// Where the pruning happened: the probe span carries the prefix-bound
+	// dismissals, tier by tier, and the abandoned evaluations.
+	if st.SkippedLB == 0 || st.Abandoned == 0 {
+		t.Fatalf("degenerate fixture: %d skipped, %d abandoned", st.SkippedLB, st.Abandoned)
+	}
+	for _, c := range []struct {
+		attr obs.Attr
+		want int
+	}{
+		{obs.ASkippedLB, st.SkippedLB}, {obs.ASkippedLB0, st.SkippedLB0}, {obs.ASkippedLB1, st.SkippedLB1},
+		{obs.ASkippedLB2, st.SkippedLB2}, {obs.AAbandoned, st.Abandoned}, {obs.ACandidates, st.Candidates},
+	} {
+		if got := tr.Sum(obs.KindProbe, c.attr); got != int64(c.want) {
+			t.Errorf("probe span %s = %d, stats say %d", c.attr, got, c.want)
+		}
+	}
 }
 
 // TestUntracedRangeAddsNoAllocs is the overhead contract on the hot

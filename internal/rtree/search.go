@@ -1,11 +1,11 @@
 package rtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
 	"tsq/internal/geom"
+	"tsq/internal/minheap"
 	"tsq/internal/storage"
 )
 
@@ -68,27 +68,12 @@ type Neighbor struct {
 	Dist float64
 }
 
-// nnItem is a priority-queue element for best-first NN search.
+// nnItem is a priority-queue element for best-first NN search, keyed by
+// its MINDIST: a record, or the subtree at child.
 type nnItem struct {
-	dist  float64
 	isRec bool
 	rec   int64
 	child storage.PageID
-	rect  geom.Rect
-}
-
-type nnQueue []nnItem
-
-func (q nnQueue) Len() int            { return len(q) }
-func (q nnQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x interface{}) { *q = append(*q, x.(nnItem)) }
-func (q *nnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }
 
 // NearestNeighbors returns the k entries nearest to p by MINDIST-ordered
@@ -102,7 +87,8 @@ func (t *Tree) NearestNeighbors(p geom.Point, k int) ([]Neighbor, SearchStats, e
 	if k <= 0 {
 		return nil, st, nil
 	}
-	q := &nnQueue{{dist: 0, child: t.root}}
+	var q minheap.Heap[nnItem]
+	q.Push(0, nnItem{child: t.root})
 	// Best-first: a node's entries are all pushed before the next node
 	// is loaded, so one slot serves the whole search.
 	slots := t.AcquireSlots()
@@ -118,13 +104,13 @@ func (t *Tree) NearestNeighbors(p geom.Point, k int) ([]Neighbor, SearchStats, e
 		return upper
 	}
 	for q.Len() > 0 {
-		it := heap.Pop(q).(nnItem)
-		if len(out) == k && it.dist > worst() {
+		dist, it := q.Pop()
+		if len(out) == k && dist > worst() {
 			break
 		}
 		if it.isRec {
 			if len(out) < k {
-				out = append(out, Neighbor{Rec: it.rec, Dist: it.dist})
+				out = append(out, Neighbor{Rec: it.rec, Dist: dist})
 				sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
 			}
 			continue
@@ -149,14 +135,14 @@ func (t *Tree) NearestNeighbors(p geom.Point, k int) ([]Neighbor, SearchStats, e
 				if k == 1 && d < upper {
 					upper = d // a point entry IS an object at distance d
 				}
-				heap.Push(q, nnItem{dist: d, isRec: true, rec: e.Rec})
+				q.Push(d, nnItem{isRec: true, rec: e.Rec})
 			} else {
 				if k == 1 {
 					if mm := e.Rect.MinMaxDist(p); mm < upper {
 						upper = mm
 					}
 				}
-				heap.Push(q, nnItem{dist: d, child: e.Child})
+				q.Push(d, nnItem{child: e.Child})
 			}
 		}
 	}

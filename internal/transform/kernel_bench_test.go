@@ -46,3 +46,50 @@ func BenchmarkKernelPolarAbandonSurvive(b *testing.B) { benchPolar(b, false, tru
 func BenchmarkKernelPolarAbandonEarly(b *testing.B)   { benchPolar(b, false, true, true) }
 func BenchmarkKernelPolarLeft(b *testing.B)           { benchPolar(b, true, false, false) }
 func BenchmarkKernelPolarLeftAbandon(b *testing.B)    { benchPolar(b, true, true, false) }
+
+// benchPolarPair16 is one verified candidate of the repo benchmark's
+// range workloads: 16 moving averages evaluated on one (x, y) pair.
+// shared runs them on a Pair, which computes each cosine once; otherwise
+// every transformation calls DistancePolarAbandon and recomputes them.
+// early sets the cutoff so every evaluation abandons in its first block
+// (the Pair has nothing to amortize there: it must not be slower).
+func benchPolarPair16(b *testing.B, shared, early bool) {
+	rng := rand.New(rand.NewSource(3))
+	ts := MovingAverageSet(64, 5, 20)
+	xm, xp := randPolar(rng, 64)
+	ym, yp := randPolar(rng, 64)
+	eps := 1e-3
+	if !early {
+		for _, tr := range ts {
+			eps = max(eps, tr.DistancePolar(xm, xp, ym, yp)+1)
+		}
+	}
+	var p Pair
+	p.Init(ts, false)
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if shared {
+			p.Set(xm, xp, ym, yp)
+			for ti := range ts {
+				d, _ := p.DistanceAbandon(ti, eps)
+				sink += d
+			}
+			continue
+		}
+		for _, tr := range ts {
+			d, _ := tr.DistancePolarAbandon(xm, xp, ym, yp, eps)
+			sink += d
+		}
+	}
+	if sink == 0 {
+		b.Fatal("kernel returned zero on random input")
+	}
+}
+
+func BenchmarkKernelPolarPair16SharedSurvive(b *testing.B) { benchPolarPair16(b, true, false) }
+func BenchmarkKernelPolarPair16PerTransformSurvive(b *testing.B) {
+	benchPolarPair16(b, false, false)
+}
+func BenchmarkKernelPolarPair16SharedEarly(b *testing.B)       { benchPolarPair16(b, true, true) }
+func BenchmarkKernelPolarPair16PerTransformEarly(b *testing.B) { benchPolarPair16(b, false, true) }

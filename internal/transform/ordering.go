@@ -30,18 +30,18 @@ func NewScaleOrderedSet(n int, factors []float64) OrderedSet {
 }
 
 // LargestQualifying returns the index of the largest transformation in the
-// ordered set for which pred holds, or -1 if none does. pred must be
-// monotone along the ordering (true for a distance-threshold predicate, by
-// Definition 1: if t_k qualifies then so does every t_l <= t_k).
-// It evaluates pred O(log |T|) times.
-func (o OrderedSet) LargestQualifying(pred func(Transform) bool) int {
+// ordered set for which pred holds, or -1 if none does. pred takes the
+// position in Transforms and must be monotone along the ordering (true
+// for a distance-threshold predicate, by Definition 1: if t_k qualifies
+// then so does every t_l <= t_k). It evaluates pred O(log |T|) times.
+func (o OrderedSet) LargestQualifying(pred func(i int) bool) int {
 	// Invariant: everything at or below lo-1 qualifies, everything at or
 	// above hi+1 does not.
 	lo, hi := 0, len(o.Transforms)-1
 	ans := -1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		if pred(o.Transforms[mid]) {
+		if pred(mid) {
 			ans = mid
 			lo = mid + 1
 		} else {
@@ -56,8 +56,8 @@ func (o OrderedSet) LargestQualifying(pred func(Transform) bool) int {
 // Definition 1 the qualifying transformations form a prefix of the order.
 // The number of distance evaluations is O(log |T|) instead of |T|.
 func (o OrderedSet) QualifyingByDistance(X, Y []complex128, eps float64) []Transform {
-	k := o.LargestQualifying(func(t Transform) bool {
-		return t.Distance(X, Y) <= eps
+	k := o.LargestQualifying(func(i int) bool {
+		return o.Transforms[i].Distance(X, Y) <= eps
 	})
 	return o.Transforms[:k+1]
 }

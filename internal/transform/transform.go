@@ -330,9 +330,17 @@ func (t Transform) Distance(X, Y []complex128) float64 {
 // Factoring the term into one function keeps the plain and
 // early-abandoning kernels bit-identical by construction.
 func polarTerm(a, b, ap, xm, xp, ym, yp float64) float64 {
+	return polarTermCos(a, b, xm, ym, math.Cos(ap*(xp-yp)))
+}
+
+// polarTermCos is polarTerm with the cosine of the transformed phase
+// difference supplied. It is the only place the term's arithmetic is
+// written down, so a kernel that takes the cosine from a cache (Pair)
+// and one that computes it in place sum the same expression.
+func polarTermCos(a, b, xm, ym, cosd float64) float64 {
 	mu := a*xm + b
 	mv := a*ym + b
-	return mu*mu + mv*mv - 2*mu*mv*math.Cos(ap*(xp-yp))
+	return mu*mu + mv*mv - 2*mu*mv*cosd
 }
 
 // polarTermLeft is the one-sided counterpart of polarTerm: the

@@ -419,9 +419,9 @@ func TestOrderedBinarySearch(t *testing.T) {
 	// Choose eps so roughly half the scales qualify.
 	eps := base * 33
 	var evals int
-	k := o.LargestQualifying(func(tr Transform) bool {
+	k := o.LargestQualifying(func(i int) bool {
 		evals++
-		return tr.Distance(x, y) <= eps
+		return o.Transforms[i].Distance(x, y) <= eps
 	})
 	// Verify against linear scan.
 	want := -1
@@ -444,10 +444,10 @@ func TestOrderedBinarySearch(t *testing.T) {
 
 func TestLargestQualifyingEdges(t *testing.T) {
 	o := NewScaleOrderedSet(8, []float64{1, 2, 3})
-	if got := o.LargestQualifying(func(Transform) bool { return false }); got != -1 {
+	if got := o.LargestQualifying(func(int) bool { return false }); got != -1 {
 		t.Errorf("none qualifying: got %d, want -1", got)
 	}
-	if got := o.LargestQualifying(func(Transform) bool { return true }); got != 2 {
+	if got := o.LargestQualifying(func(int) bool { return true }); got != 2 {
 		t.Errorf("all qualifying: got %d, want 2", got)
 	}
 }
