@@ -108,12 +108,19 @@ func TestCLIJoinNNSubseqExplain(t *testing.T) {
 		t.Errorf("explain output:\n%s", expl)
 	}
 	// EXPLAIN ANALYZE runs all three algorithms with tracing on and
-	// cross-checks every trace against the storage counters.
+	// cross-checks every trace against the storage counters and, for the
+	// two index runs, the filter and verify stage counters summed from
+	// the spans against the Stats the query returned.
 	if !strings.Contains(expl, "EXPLAIN ANALYZE") {
 		t.Errorf("explain output missing EXPLAIN ANALYZE section:\n%s", expl)
 	}
-	if got := strings.Count(expl, "— OK"); got != 3 {
-		t.Errorf("want 3 passing cross-check lines, got %d:\n%s", got, expl)
+	if got := strings.Count(expl, "storage counted") + strings.Count(expl, "stage counters against Stats"); got != 5 || strings.Count(expl, "— OK") != got {
+		t.Errorf("want 3 page and 2 stage cross-check lines, all passing, got %d lines and %d passes:\n%s", got, strings.Count(expl, "— OK"), expl)
+	}
+	for _, needle := range []string{"filter: ", " admitted -> ", " survivors, lower bound ", "verify: ", " fetched, "} {
+		if strings.Count(expl, needle) != 2 {
+			t.Errorf("want the %q of a stage summary under each index run:\n%s", needle, expl)
+		}
 	}
 	if strings.Contains(expl, "MISMATCH") {
 		t.Errorf("trace/storage accounting mismatch:\n%s", expl)

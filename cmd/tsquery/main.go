@@ -493,6 +493,7 @@ func explainAnalyze(db *tsq.DB, id int64, ts []tsq.Transform, thr tsq.Threshold,
 
 		fmt.Printf("\n--- %s ---\n", ar.name)
 		fmt.Print(tr.String())
+		printStages(tr, st, len(matches))
 		printShardRollup(tr)
 		storageIO := (after.Reads - before.Reads) + (after.Hits - before.Hits) +
 			(after.Prefetched - before.Prefetched)
@@ -532,6 +533,34 @@ func explainAnalyze(db *tsq.DB, id int64, ts []tsq.Transform, thr tsq.Threshold,
 			r.name, r.da, r.cand, ratio, r.skipped, r.sk0, r.sk1, r.sk2, r.abandoned, r.fp, r.matches, r.dur.Round(time.Microsecond))
 	}
 	return nil
+}
+
+// printStages sums the filter and verify spans of an index run into the
+// two stages of Algorithm 1 — what the traversal admitted, what the
+// lower bound in the leaf scan dismissed (by cascade tier) and what it
+// passed on, then what verification fetched, compared, abandoned and
+// matched — and checks every figure against the Stats the query
+// returned. A scan has no filter span and prints nothing.
+func printStages(tr *tsq.Trace, st tsq.Stats, matches int) {
+	if tr.Sum(obs.KindFilter, obs.ANodes) == 0 { // a traversal reads its root at least
+		return
+	}
+	admitted := tr.Sum(obs.KindFilter, obs.ACandidates)
+	skipped := tr.Sum(obs.KindFilter, obs.ASkippedLB)
+	sk0, sk1, sk2 := tr.Sum(obs.KindFilter, obs.ASkippedLB0), tr.Sum(obs.KindFilter, obs.ASkippedLB1), tr.Sum(obs.KindFilter, obs.ASkippedLB2)
+	lb := time.Duration(tr.Sum(obs.KindFilter, obs.ALBNanos))
+	fetched, compared := tr.Sum(obs.KindVerify, obs.ACandidates), tr.Sum(obs.KindVerify, obs.AComparisons)
+	abandoned, matched := tr.Sum(obs.KindVerify, obs.AAbandoned), tr.Sum(obs.KindVerify, obs.AMatches)
+	fmt.Printf("filter: %d admitted -> %d skipped (tier 0/1/2: %d/%d/%d) -> %d survivors, lower bound %s\n",
+		admitted, skipped, sk0, sk1, sk2, admitted-skipped, lb.Round(100*time.Nanosecond))
+	fmt.Printf("verify: %d fetched, %d compared, %d abandoned, %d matched\n", fetched, compared, abandoned, matched)
+	verdict := "OK"
+	if skipped != int64(st.SkippedLB) || sk0 != int64(st.SkippedLB0) || sk1 != int64(st.SkippedLB1) || sk2 != int64(st.SkippedLB2) ||
+		int64(lb) != st.LBTimeNs || fetched != int64(st.Candidates) || compared != int64(st.Comparisons) ||
+		abandoned != int64(st.Abandoned) || matched != int64(matches) {
+		verdict = "MISMATCH"
+	}
+	fmt.Printf("cross-check: stage counters against Stats — %s\n", verdict)
 }
 
 // printShardRollup aggregates the trace's probe spans by shard ordinal

@@ -2,7 +2,8 @@ package tsq
 
 // Contracts every query shape shares, each pinned over all the shapes at
 // once: top-k answers rank ties the way the sequential scan does, a
-// non-finite series is rejected at every door, and every Algorithm value
+// non-finite series is rejected at every door and so is a NaN threshold,
+// a negative threshold is the empty answer, and every Algorithm value
 // means the same thing everywhere.
 
 import (
@@ -162,6 +163,73 @@ func TestNonFiniteRejected(t *testing.T) {
 		}
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestBadThresholds: a NaN threshold is ErrNonFinite on every shape that
+// takes one — it used to walk the whole index and return no matches and
+// no error — and a negative distance is the empty answer without a
+// single node or page read, on the index and the scan alike.
+func TestBadThresholds(t *testing.T) {
+	ss := datagen.RandomWalks(53, 150, 32)
+	ts := MovingAverages(32, 3, 8)
+	for _, shards := range []int{1, 2} {
+		db, err := Open(ss, nil, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := db.Get(3)
+		for _, alg := range []Algorithm{Auto, MTIndex, STIndex, SeqScan} {
+			opts := QueryOptions{Algorithm: alg}
+			run := func(thr Threshold) map[string]error {
+				errs := map[string]error{}
+				var m []Match
+				var j []JoinMatch
+				m, _, errs["Range"] = db.Range(q, ts, thr, opts)
+				n := len(m)
+				m, _, errs["RangeByID"] = db.RangeByID(3, ts, thr, opts)
+				n += len(m)
+				res := db.Batch(context.Background(), []BatchRequest{{Query: q, Transforms: ts, Threshold: thr, Opts: opts}}, 1)
+				errs["Batch"] = res[0].Err
+				n += len(res[0].Matches)
+				j, _, errs["Join"] = db.Join(ts[:2], thr, opts)
+				if n += len(j); n != 0 {
+					t.Errorf("shards=%d %v %v: %d matches", shards, alg, thr, n)
+				}
+				return errs
+			}
+			for _, thr := range []Threshold{Distance(math.NaN()), Correlation(math.NaN())} {
+				for shape, err := range run(thr) {
+					if !errors.Is(err, ErrNonFinite) {
+						t.Errorf("shards=%d %v %s with %v: err %v, want ErrNonFinite", shards, alg, shape, thr, err)
+					}
+				}
+			}
+			before := db.DiskStats()
+			for _, thr := range []Threshold{Distance(-1), Distance(math.Inf(-1))} {
+				for shape, err := range run(thr) {
+					if err != nil {
+						t.Errorf("shards=%d %v %s with %v: %v, want the empty answer", shards, alg, shape, thr, err)
+					}
+				}
+			}
+			if after := db.DiskStats(); after != before {
+				t.Errorf("shards=%d %v: a negative threshold touched pages: %+v -> %+v", shards, alg, before, after)
+			}
+		}
+		for _, useIndex := range []bool{true, false} {
+			if _, _, err := db.RawRange(q, math.NaN(), useIndex); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("shards=%d RawRange(index=%v) with NaN: %v", shards, useIndex, err)
+			}
+			before := db.DiskStats()
+			if m, st, err := db.RawRange(q, -1, useIndex); err != nil || len(m) != 0 || st.DAAll != 0 || db.DiskStats() != before {
+				t.Errorf("shards=%d RawRange(index=%v) with -1: %d matches, stats %+v, err %v", shards, useIndex, len(m), st, err)
+			}
+		}
+		// The smallest thresholds that do ask something still answer.
+		if m, _, err := db.Range(q, ts, Distance(0), QueryOptions{}); err != nil || len(m) == 0 {
+			t.Errorf("shards=%d: eps = 0 finds %d matches of a stored query, err %v", shards, len(m), err)
 		}
 	}
 }

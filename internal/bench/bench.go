@@ -504,11 +504,12 @@ type VerifyRow struct {
 	SkippedLB2  float64 // ... decided by the full DFT-prefix tier
 	Abandoned   float64 // distance evaluations cut short by the eps cutoff
 	Comparisons float64
-	// NsPerCandidate is the verification phase's wall time divided by the
-	// candidates it inspected (skipped + verified): the sum of the traced
-	// KindVerify span durations over candidates + skipped. It isolates
-	// the per-candidate CPU cost of the verification hot path from the
-	// R-tree filter, which is identical across modes. The phase includes
+	// NsPerCandidate is the wall time spent on the admitted candidates,
+	// divided by their number (skipped + verified): the lower-bound time
+	// of the traced KindFilter spans plus the KindVerify span durations,
+	// over candidates + skipped. It isolates the per-candidate CPU cost
+	// of the verification hot path from the R-tree traversal, which is
+	// identical across modes. The phase includes
 	// the exact-distance evaluation of the survivors, which the answer
 	// contract fixes bit-identically across modes, so mode-to-mode
 	// deltas here understate the pruning-stage win; LBNsPerCandidate is
@@ -546,8 +547,11 @@ func runRangeVerify(db *tsq.DB, cfg Config, ts []tsq.Transform, thr tsq.Threshol
 			return 0, 0, stats, 0, qerr
 		}
 		for _, sp := range tr.Spans() {
-			if sp.Kind() == obs.KindVerify {
+			switch sp.Kind() {
+			case obs.KindVerify:
 				verifyNs += float64(sp.Duration().Nanoseconds())
+			case obs.KindFilter:
+				verifyNs += float64(sp.Get(obs.ALBNanos))
 			}
 		}
 		totalOut += len(matches)

@@ -406,7 +406,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 			mult, add := ix.fullMBRs(sub)
 			qrect := ix.queryRect(q, sub, eps, QRectPaper)
 			var probe QueryStats
-			if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, &probe, nil); err != nil {
+			if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, &probe, nil); err != nil {
 				t.Fatal(err)
 			}
 			total += DefaultCostParams().Cost(probe.DAAll, probe.DALeaf, len(sub), caLeaf)
@@ -847,6 +847,7 @@ func TestParallelSeqScanEqualsSerial(t *testing.T) {
 }
 
 func TestClosestPairsMTEqualsSeqScan(t *testing.T) {
+	t.Parallel()
 	ds, ix := buildFixture(t, 95, 250, 64, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(64, 5, 14)
 	for _, k := range []int{1, 5, 12} {
@@ -879,6 +880,7 @@ func TestClosestPairsMTEqualsSeqScan(t *testing.T) {
 }
 
 func TestClosestPairsStockWorkload(t *testing.T) {
+	t.Parallel()
 	ds, err := NewDataset(datagen.StockMarket(96, 300, 128, datagen.DefaultMarketOptions()), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -936,7 +938,7 @@ func TestAnalyticalEstimatorIsPositionBlind(t *testing.T) {
 		mult, add := ix.fullMBRs(sub)
 		qrect := ix.queryRect(q, sub, eps, QRectPaper)
 		var st QueryStats
-		if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, &st, nil); err != nil {
+		if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, &st, nil); err != nil {
 			t.Fatal(err)
 		}
 		return st.DAAll

@@ -22,6 +22,7 @@ import (
 // heap file, must equal the scan's in rank order, while evaluations do
 // get abandoned.
 func TestNNTiesAtKthEqualScan(t *testing.T) {
+	t.Parallel()
 	const query = 10
 	ss := datagen.RandomWalks(16, 320, 64)
 	ts := transform.MovingAverageSet(64, 4, 9)
@@ -81,6 +82,7 @@ func TestNNTiesAtKthEqualScan(t *testing.T) {
 // to the final answer (dismissing above the final k-th distance but not
 // above the one in force) fails here.
 func TestNNCascadeDismissalsSound(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		name     string
 		sym      bool
@@ -141,6 +143,7 @@ func TestNNCascadeDismissalsSound(t *testing.T) {
 // pairs with k cutting through them must rank them by id — both equal to
 // the scans at every shard count, while reporting abandoned evaluations.
 func TestJoinClosestTiesEqualScan(t *testing.T) {
+	t.Parallel()
 	ss := datagen.RandomWalks(29, 150, 64)
 	ts := transform.MovingAverageSet(64, 4, 7)
 	base, err := NewDataset(ss, nil)

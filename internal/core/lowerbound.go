@@ -76,14 +76,14 @@ type lbTerm struct {
 	direct     bool    // general multiplier: evaluate math.Cos directly
 }
 
-// lbCascade evaluates the tiered DFT-prefix lower bound for one
-// verification call: one transformation group, one query, one eps. The
+// lbCascade evaluates the tiered DFT-prefix lower bound for one probe:
+// one transformation group, one query, one eps. The
 // constructor hoists everything candidate-independent — the abandon
 // cutoff, the A/B coefficient loads, the transformed query magnitudes,
 // and the factored phase constants — out of the per-candidate loop;
 // skip then touches only the candidate's feature point. The scratch
-// slices make a cascade single-goroutine; verifySerial builds one per
-// call, so parallel verification shards never share one.
+// slices make a cascade single-goroutine; a probe builds its own
+// (rangeGroup, MTIndexNN) and its traversal is serial.
 type lbCascade struct {
 	k    int
 	nt   int
@@ -246,8 +246,8 @@ func (c *lbCascade) skip(feat geom.Point) int {
 // 1..K.
 //
 // This is the flat, single-tier form, recomputing the cutoff and the
-// coefficient loads per call — the verification path of the original
-// I/O-aware pipeline, kept verbatim as the RangeOptions.FlatLB mode so
+// coefficient loads per call — the bound of the original I/O-aware
+// pipeline, kept verbatim as the RangeOptions.FlatLB mode so
 // benchmarks can A/B the cascade against it, and as the reference the
 // cascade's dismissals are tested against.
 func (ix *Index) skipByPrefixLB(feat geom.Point, sub []transform.Transform, q *Record, eps float64, oneSided bool) bool {

@@ -161,7 +161,8 @@ type nnCand struct {
 // The statistics follow the range pipeline's: SkippedLB (and its tiers)
 // counts leaf entries the prefix bound dismissed, Candidates the records
 // resolved, Abandoned the evaluations cut short. LBTimeNs stays zero: the
-// bound runs entry by entry inside the traversal, not as a timed stage.
+// bound meets one entry at a time between queue operations, and a clock
+// read per entry would cost more than the bound.
 //
 // When ctx holds a parent span the traversal is recorded as one KindProbe
 // span (node visits, MINDIST-pruned subtrees, prefix-bound dismissals,

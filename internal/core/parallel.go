@@ -4,44 +4,39 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tsq/internal/heapfile"
 	"tsq/internal/transform"
 )
 
-// verifySerial verifies one transformation rectangle's candidates on the
-// calling goroutine: the body every verifyParallel worker runs, and the
-// whole of it at one worker, so serial and parallel verification produce
-// identical matches and statistics. The extra falsePos return counts
-// candidates that produced no match — the paper's false positives, the
-// filter quality the trace reports.
+// verifySerial verifies one transformation rectangle's candidates — the
+// records the filter stage's lower bound let through — on the calling
+// goroutine: the body every verifyParallel worker runs, and the whole of
+// it at one worker, so serial and parallel verification produce
+// identical matches and statistics. The buffers are sc's, which no
+// other goroutine may hold. The extra falsePos return counts candidates
+// that produced no match — the paper's false positives, the filter
+// quality the trace reports.
 //
-// Unless opts.NaiveVerify, this is the I/O-aware pipeline: candidates
-// whose DFT-prefix lower bound already exceeds eps are dropped without
-// retrieval (SkippedLB, split per cascade tier into SkippedLB0/1/2),
-// the survivors' record pages are fetched in one page-ordered batch — a
-// single survivor is a batch of one — and the surviving distance
-// evaluations run through the early-abandoning kernels. The bound is
-// evaluated through a tiered cascade whose candidate-independent state
-// is hoisted here, once per call — and therefore once per chunk under
-// verifyParallel; the buffers come from a scratch acquired here too, so
-// chunks never share one.
+// Unless opts.NaiveVerify, this is the I/O-aware pipeline: the
+// candidates' record pages are fetched in one page-ordered batch — a
+// single candidate is a batch of one — and the distance evaluations run
+// through the early-abandoning kernels.
 //
-// Each survivor is verified as its page streams by, in page order,
+// Each candidate is verified as its page streams by, in page order,
 // against a Record that is only a view of the heap's decode slot: a
 // range match depends on nothing but its own record and eps, so the
 // order of verification changes no match and no counter. The matches
 // are then emitted in the caller's candidate order, through the span
-// each survivor wrote into the scratch match buffer, so matches —
+// each candidate wrote into the scratch match buffer, so matches —
 // values and order — are identical to the naive path.
-func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub []transform.Transform, g []int, q *Record, eps float64, ordered *orderedSet, opts RangeOptions) ([]Match, QueryStats, int, error) {
+func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int64, sub []transform.Transform, g []int, q *Record, eps float64, ordered *orderedSet, opts RangeOptions) ([]Match, QueryStats, int, error) {
 	var st QueryStats
 	var falsePos int
 	var out []Match
 	if opts.NaiveVerify {
-		for _, c := range candidates {
-			r, err := ix.fetch(ctx, c.rec)
+		for _, id := range candidates {
+			r, err := ix.fetch(ctx, id)
 			if err != nil {
 				return nil, st, falsePos, err
 			}
@@ -66,39 +61,6 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 			}
 		}
 		return out, st, falsePos, nil
-	}
-	sc := ix.acquireScratch()
-	defer ix.releaseScratch(sc)
-	survivors := candidates
-	if len(candidates) > 0 {
-		lbStart := time.Now()
-		survivors = sc.survivors[:0]
-		if opts.FlatLB {
-			// Original flat bound: per-candidate cutoff and coefficient
-			// loads, kept for A/B benchmarks. Its dismissals all come
-			// from the full prefix bound, i.e. tier 2.
-			for _, c := range candidates {
-				if c.feat != nil && ix.skipByPrefixLB(c.feat, sub, q, eps, opts.OneSided) {
-					st.SkippedLB++
-					st.SkippedLB2++
-					continue
-				}
-				survivors = append(survivors, c)
-			}
-		} else {
-			casc := ix.newLBCascade(sub, q, eps, opts.OneSided)
-			for _, c := range candidates {
-				if c.feat != nil {
-					if tier := casc.skip(c.feat); tier >= 0 {
-						st.skippedAt(tier)
-						continue
-					}
-				}
-				survivors = append(survivors, c)
-			}
-		}
-		sc.survivors = survivors
-		st.LBTimeNs = time.Since(lbStart).Nanoseconds()
 	}
 	// verify appends r's matches to the scratch match buffer. The
 	// distances come from the pair kernel: one cosine per coefficient of
@@ -134,17 +96,17 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 		}
 	}
 	if ix.heap == nil {
-		for _, c := range survivors {
-			if r := ix.ds.Record(c.rec); r != nil { // nil: deleted since the entry was written
+		for _, id := range candidates {
+			if r := ix.ds.Record(id); r != nil { // nil: deleted since the entry was written
 				verify(r)
 			}
 		}
 		return append(out, sc.matches...), st, falsePos, nil
 	}
 	ids := sc.ids[:0]
-	for _, c := range survivors {
-		if ix.ds.Record(c.rec) != nil { // known deleted: no page read
-			ids = append(ids, c.rec)
+	for _, id := range candidates {
+		if ix.ds.Record(id) != nil { // known deleted: no page read
+			ids = append(ids, id)
 		}
 	}
 	sc.ids = ids
@@ -173,14 +135,15 @@ func (ix *Index) verifySerial(ctx context.Context, candidates []candidate, sub [
 
 // verifyParallel splits the verification of one transformation
 // rectangle's candidates into opts.Workers chunks, each running
-// verifySerial (so every chunk gets the same lower-bound skip and
-// page-ordered batch fetch), and concatenates them in candidate order.
+// verifySerial (so every chunk gets the same page-ordered batch fetch),
+// and concatenates them in candidate order. The first chunk works in
+// sc, the probe's scratch, and every other one in a scratch of its own.
 // One worker, or fewer than two candidates, is verifySerial itself: no
 // chunk table, no closure, and no division by a zero worker count.
-func (ix *Index) verifyParallel(ctx context.Context, candidates []candidate, sub []transform.Transform, g []int, q *Record, eps float64, ordered *orderedSet, opts RangeOptions) ([]Match, QueryStats, int, error) {
+func (ix *Index) verifyParallel(ctx context.Context, sc *scratch, candidates []int64, sub []transform.Transform, g []int, q *Record, eps float64, ordered *orderedSet, opts RangeOptions) ([]Match, QueryStats, int, error) {
 	workers := min(opts.Workers, len(candidates))
 	if workers <= 1 {
-		return ix.verifySerial(ctx, candidates, sub, g, q, eps, ordered, opts)
+		return ix.verifySerial(ctx, sc, candidates, sub, g, q, eps, ordered, opts)
 	}
 	type part struct {
 		matches  []Match
@@ -192,8 +155,13 @@ func (ix *Index) verifyParallel(ctx context.Context, candidates []candidate, sub
 	err := parallelFor(workers, workers, func(w int) (err error) {
 		lo := min(w*chunk, len(candidates))
 		hi := min(lo+chunk, len(candidates))
+		wsc := sc
+		if w > 0 {
+			wsc = ix.acquireScratch()
+			defer ix.releaseScratch(wsc)
+		}
 		p := &parts[w]
-		p.matches, p.stats, p.falsePos, err = ix.verifySerial(ctx, candidates[lo:hi], sub, g, q, eps, ordered, opts)
+		p.matches, p.stats, p.falsePos, err = ix.verifySerial(ctx, wsc, candidates[lo:hi], sub, g, q, eps, ordered, opts)
 		return err
 	})
 	var out []Match

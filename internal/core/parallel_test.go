@@ -23,20 +23,20 @@ func TestVerifyParallelEmptyCandidates(t *testing.T) {
 	q := ds.Records[0]
 	for _, tc := range []struct {
 		name       string
-		candidates []candidate
+		candidates []int64
 		workers    int
 	}{
 		{"empty-candidates", nil, 4},
-		{"zero-workers", []candidate{{rec: 0}, {rec: 1}, {rec: 2}}, 0},
-		{"negative-workers", []candidate{{rec: 0}, {rec: 1}}, -3},
-		{"one-candidate", []candidate{{rec: 0}}, 8},
+		{"zero-workers", []int64{0, 1, 2}, 0},
+		{"negative-workers", []int64{0, 1}, -3},
+		{"one-candidate", []int64{0}, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			matches, st, fp, err := ix.verifyParallel(nil, tc.candidates, ts, g, q, 1.0, nil, RangeOptions{Workers: tc.workers})
+			matches, st, fp, err := ix.verifyParallel(nil, new(scratch), tc.candidates, ts, g, q, 1.0, nil, RangeOptions{Workers: tc.workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantSt, wantFP, err := ix.verifySerial(nil, tc.candidates, ts, g, q, 1.0, nil, RangeOptions{})
+			want, wantSt, wantFP, err := ix.verifySerial(nil, new(scratch), tc.candidates, ts, g, q, 1.0, nil, RangeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

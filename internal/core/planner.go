@@ -123,7 +123,7 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 		var st QueryStats
 		sc := ix.acquireScratch()
 		defer ix.releaseScratch(sc)
-		cands, err := ix.filter(ctx, sc, mult, add, qrect, nil, &st, nil)
+		cands, err := ix.filter(ctx, sc, mult, add, qrect, nil, nil, &st, nil)
 		if err != nil {
 			return 0, 0, err
 		}

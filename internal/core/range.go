@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"tsq/internal/geom"
 	"tsq/internal/obs"
@@ -30,10 +31,12 @@ type QueryStats struct {
 	DAAll int
 	// DALeaf counts leaf node accesses (DA_leaf).
 	DALeaf int
-	// Candidates counts candidate records retrieved for verification: a
-	// range probe's filter-admitted candidates that passed the lower
-	// bound, the leaf entries an NN search resolved, the candidate pairs
-	// a join or a closest-pairs search verified.
+	// Candidates counts candidate records retrieved for verification:
+	// what a range probe's filter stage emits (the leaf entries it
+	// admitted and its lower bound did not dismiss), the leaf entries an
+	// NN search resolved, the candidate pairs a join or a closest-pairs
+	// search verified. Candidates+SkippedLB is what the traversal
+	// admitted.
 	Candidates int
 	// Comparisons counts full-record distance evaluations.
 	Comparisons int
@@ -66,15 +69,16 @@ type QueryStats struct {
 	// Comparisons (it is one predicate evaluation); this reports how many
 	// of them stopped before the full n coefficients.
 	Abandoned int
-	// LBTimeNs is the wall time, in nanoseconds, spent in the
-	// lower-bound stage of verification — the loop that decides skip
-	// or fetch for every filter-admitted candidate (cascade or flat,
-	// including the cascade's per-call construction). It is zero under
-	// NaiveVerify, which runs no lower bound, and for an NN search,
-	// whose bound runs entry by entry inside the traversal. Dividing by
-	// Candidates+SkippedLB gives the per-candidate decision cost the
-	// tiered cascade optimizes; under parallel verification the shard
-	// times sum, so it is CPU time, not elapsed time.
+	// LBTimeNs is the wall time, in nanoseconds, a range probe spends
+	// deciding skip or fetch for the leaf entries its traversal admits:
+	// building the lower bound (cascade or flat) and, in every leaf that
+	// admits something, one timed pass of it over that leaf's admitted
+	// entries. It is part of the filter stage, which is serial, so it is
+	// elapsed time of the probe; the probes of a multi-rectangle or
+	// multi-shard query sum. It is zero under NaiveVerify, which runs no
+	// lower bound, and for an NN search, whose bound is not timed.
+	// Dividing by Candidates+SkippedLB gives the per-candidate decision
+	// cost the tiered cascade optimizes.
 	LBTimeNs int64
 	// AllocBytes/Mallocs/GCCycles/GCPauseNs are process-wide runtime
 	// deltas sampled around the query when resource attribution is
@@ -357,13 +361,16 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 			probe.EndErr(retErr)
 		}()
 	}
-	sub := make([]transform.Transform, len(g))
-	for i, idx := range g {
+	sc := ix.acquireScratch()
+	defer ix.releaseScratch(sc)
+	sub := sc.sub[:0]
+	for _, idx := range g {
 		if idx < 0 || idx >= len(ts) {
 			return nil, st, fmt.Errorf("core: group index %d out of range", idx)
 		}
-		sub[i] = ts[idx]
+		sub = append(sub, ts[idx])
 	}
+	sc.sub = sub
 	mult, add := ix.fullMBRs(sub)
 	var qrect geom.Rect
 	var phaseDims []bool
@@ -378,10 +385,34 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	if probe != nil {
 		fsp = probe.Child(obs.KindFilter, "filter")
 	}
-	sc := ix.acquireScratch()
-	defer ix.releaseScratch(sc)
-	candidates, err := ix.filter(ctx, sc, mult, add, qrect, phaseDims, &st, fsp)
-	fsp.EndErr(err)
+	// The filter stage's lower bound: the tiered cascade, its flat
+	// reference under FlatLB (whose every dismissal is the full prefix
+	// bound's, tier 2), none under NaiveVerify. Building it counts as
+	// lower-bound time.
+	var bound func(feat geom.Point) int
+	if !opts.NaiveVerify {
+		lbStart := time.Now()
+		if opts.FlatLB {
+			bound = func(feat geom.Point) int {
+				if ix.skipByPrefixLB(feat, sub, q, eps, opts.OneSided) {
+					return 2
+				}
+				return -1
+			}
+		} else {
+			bound = ix.newLBCascade(sub, q, eps, opts.OneSided).skip
+		}
+		st.LBTimeNs = time.Since(lbStart).Nanoseconds()
+	}
+	survivors, err := ix.filter(ctx, sc, mult, add, qrect, phaseDims, bound, &st, fsp)
+	if fsp != nil {
+		fsp.Set(obs.ASkippedLB, int64(st.SkippedLB))
+		fsp.Set(obs.ASkippedLB0, int64(st.SkippedLB0))
+		fsp.Set(obs.ASkippedLB1, int64(st.SkippedLB1))
+		fsp.Set(obs.ASkippedLB2, int64(st.SkippedLB2))
+		fsp.Set(obs.ALBNanos, st.LBTimeNs)
+		fsp.EndErr(err)
+	}
 	if err != nil {
 		return nil, st, err
 	}
@@ -390,24 +421,19 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	if probe != nil {
 		vsp = probe.Child(obs.KindVerify, "verify")
 	}
-	matches, vst, falsePos, err := ix.verifyParallel(ctx, candidates, sub, g, q, eps, ordered, opts)
+	matches, vst, falsePos, err := ix.verifyParallel(ctx, sc, survivors, sub, g, q, eps, ordered, opts)
 	if vsp != nil {
 		vsp.Set(obs.ACandidates, int64(vst.Candidates))
 		vsp.Set(obs.AComparisons, int64(vst.Comparisons))
 		vsp.Set(obs.AMatches, int64(len(matches)))
 		vsp.Set(obs.AFalsePositives, int64(falsePos))
-		vsp.Set(obs.ASkippedLB, int64(vst.SkippedLB))
-		vsp.Set(obs.ASkippedLB0, int64(vst.SkippedLB0))
-		vsp.Set(obs.ASkippedLB1, int64(vst.SkippedLB1))
-		vsp.Set(obs.ASkippedLB2, int64(vst.SkippedLB2))
-		vsp.Set(obs.ALBNanos, vst.LBTimeNs)
 		vsp.Set(obs.AAbandoned, int64(vst.Abandoned))
 		vsp.EndErr(err)
 		// Rolled up on the probe so per-group health folds read one span.
 		probe.Set(obs.ACandidates, int64(vst.Candidates))
 		probe.Set(obs.AMatches, int64(len(matches)))
 		probe.Set(obs.AFalsePositives, int64(falsePos))
-		probe.Set(obs.ASkippedLB, int64(vst.SkippedLB))
+		probe.Set(obs.ASkippedLB, int64(st.SkippedLB))
 		probe.Set(obs.AAbandoned, int64(vst.Abandoned))
 	}
 	st.Add(vst)
@@ -417,91 +443,46 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	return matches, st, nil
 }
 
-// candidate is one record admitted by the index filter: its id plus the
-// feature point stored in the leaf entry (the rectangle of a point entry
-// is degenerate, so Rect.Lo is the record's indexed feature vector).
-// Carrying the point out of the traversal lets verification apply the
-// DFT-prefix lower bound before fetching the record page. The leaf it
-// came from was decoded into a slot the traversal reuses, so feat is a
-// copy held by the featArena of the probe's scratch, never a slice of
-// the node.
-type candidate struct {
-	rec  int64
-	feat geom.Point
-}
-
-// featArena copies admitted feature points out of reused decode slots.
-// It grows by whole chunks and never moves a chunk, so points handed
-// out earlier stay valid while later ones are added. reset keeps the
-// chunks, and the next query fills them again in the same order.
-type featArena struct {
-	chunks [][]float64
-	cur    int // the chunk being filled
-}
-
-const (
-	// featArenaPoints is the size of the first chunk, in points. Each
-	// later chunk doubles up to featArenaMaxChunk floats, so a query
-	// admitting c candidates allocates O(log c) chunks while it is small
-	// and wastes at most one bounded chunk when it is large.
-	featArenaPoints   = 32
-	featArenaMaxChunk = 8192
-)
-
-func (a *featArena) copy(p geom.Point) geom.Point {
-	for a.cur < len(a.chunks) && len(a.chunks[a.cur])+len(p) > cap(a.chunks[a.cur]) {
-		a.cur++
-	}
-	if a.cur == len(a.chunks) {
-		size := featArenaPoints * len(p)
-		if a.cur > 0 {
-			size = max(size, min(2*cap(a.chunks[a.cur-1]), featArenaMaxChunk))
-		}
-		a.chunks = append(a.chunks, make([]float64, 0, size))
-	}
-	c := &a.chunks[a.cur]
-	start := len(*c)
-	*c = append(*c, p...)
-	return (*c)[start:len(*c):len(*c)]
-}
-
-func (a *featArena) reset() {
-	for i := range a.chunks {
-		a.chunks[i] = a.chunks[i][:0]
-	}
-	a.cur = 0
-}
-
-func (a *featArena) bytes() int {
-	n := 0
-	for _, c := range a.chunks {
-		n += 8 * cap(c)
-	}
-	return n
-}
-
-// filter runs the Algorithm 1 traversal for one transformation rectangle.
+// filter is the filter stage of one transformation rectangle: the
+// Algorithm 1 traversal and, on every leaf entry it admits, the
+// DFT-prefix lower bound, read straight off the decode slot's feature
+// block. It returns the ids of the survivors — the records verification
+// has to fetch — in traversal order; no feature point leaves the
+// traversal. bound returns the tier (0, 1 or 2) at which it dismissed a
+// feature point, or -1 to keep it; a caller that only wants the
+// traversal's counts passes nil, and every admitted entry survives.
 // phaseDims, when non-nil, selects modulo-2*pi comparison for the marked
-// dimensions (one-sided mode). Node loads carry ctx so a storage.QueryIO
-// in it sees them, and when sp is non-nil the traversal counters (nodes,
-// leaves, pruned subtrees, candidates) are recorded on it. The caller
-// closes sp. The walk is depth-first, one decode slot per tree level: the
-// parent's entries are still being iterated while a child is read. The
-// candidates and their feature points live in sc and are valid until sc
-// is released.
-func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.Rect, phaseDims []bool, st *QueryStats, sp *obs.Span) ([]candidate, error) {
+// dimensions (one-sided mode).
+//
+// The dismissals go to st.SkippedLB* and the time bound took to
+// st.LBTimeNs: a leaf's admitted entries meet it in one timed pass, and a
+// leaf that admits nothing reads no clock. Node loads carry ctx so a
+// storage.QueryIO in it sees them, and when sp is non-nil the traversal
+// counters (nodes, leaves, pruned subtrees, admitted entries) are
+// recorded on it. The caller closes sp. The walk is depth-first, one
+// decode slot per tree level: the parent's entries are still being
+// iterated while a child is read. The returned ids live in sc and are
+// valid until sc is released.
+func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.Rect, phaseDims []bool, bound func(feat geom.Point) int, st *QueryStats, sp *obs.Span) ([]int64, error) {
 	da0, dl0 := st.DAAll, st.DALeaf
-	var pruned int64
-	out, feats := sc.cands[:0], &sc.feats
-	feats.reset()
+	var pruned, admittedTotal int64
+	out := sc.cands[:0]
 	slots := ix.tree.AcquireSlots()
 	defer slots.Release()
 	// One scratch rectangle serves every internal entry of the walk
 	// (ApplyMBRs would allocate two points per entry inspected); leaf
 	// entries take the fused point path below and need no rectangle.
 	dim := ix.dim
-	scratchLo := make(geom.Point, dim)
-	scratchHi := make(geom.Point, dim)
+	if len(sc.rect) != 2*dim {
+		sc.rect = make([]float64, 2*dim)
+	}
+	scratchLo, scratchHi := geom.Point(sc.rect[:dim]), geom.Point(sc.rect[dim:])
+	// The leaves time their passes against one reading of the clock:
+	// time.Since is a single monotonic read, half the cost of time.Now.
+	var clock time.Time
+	if bound != nil {
+		clock = time.Now()
+	}
 	var walk func(id storage.PageID, depth int) error
 	walk = func(id storage.PageID, depth int) error {
 		n, err := ix.tree.LoadInto(ctx, id, slots.At(depth))
@@ -516,14 +497,36 @@ func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.
 			// feature vector), and decoded nodes store all low corners
 			// in one contiguous block, so the admission test scans flat
 			// float64 data — the transformed-interval intersection test
-			// fused per dimension with early exit, no rectangle built.
+			// fused per dimension with early exit, no rectangle built —
+			// and the bound reads the admitted points from the same
+			// block while the leaf is still in cache.
 			flat := n.FlatLo()
+			admitted := sc.admitted[:0]
 			for i := range n.Entries {
-				feat := geom.Point(flat[i*dim : (i+1)*dim])
-				if leafPointAdmit(feat, mult, add, qrect, phaseDims) {
-					out = append(out, candidate{rec: n.Entries[i].Rec, feat: feats.copy(feat)})
+				if leafPointAdmit(flat[i*dim:(i+1)*dim], mult, add, qrect, phaseDims) {
+					admitted = append(admitted, int32(i))
 				}
 			}
+			sc.admitted = admitted
+			admittedTotal += int64(len(admitted))
+			if len(admitted) == 0 {
+				return nil
+			}
+			if bound == nil {
+				for _, i := range admitted {
+					out = append(out, n.Entries[i].Rec)
+				}
+				return nil
+			}
+			lbStart := time.Since(clock)
+			for _, i := range admitted {
+				if tier := bound(flat[int(i)*dim : (int(i)+1)*dim]); tier >= 0 {
+					st.skippedAt(tier)
+					continue
+				}
+				out = append(out, n.Entries[i].Rec)
+			}
+			st.LBTimeNs += int64(time.Since(clock) - lbStart)
 			return nil
 		}
 		for _, e := range n.Entries {
@@ -552,7 +555,7 @@ func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.
 		sp.Set(obs.ANodes, int64(st.DAAll-da0))
 		sp.Set(obs.ALeaves, int64(st.DALeaf-dl0))
 		sp.Set(obs.APruned, pruned)
-		sp.Set(obs.ACandidates, int64(len(out)))
+		sp.Set(obs.ACandidates, admittedTotal)
 	}
 	return out, nil
 }

@@ -9,28 +9,31 @@ import (
 
 // scratch holds the buffers a probe fills and empties on every query,
 // kept between queries so a steady workload stops allocating them. A
-// range probe takes one for its filter stage (rangeGroup) and one per
-// verifySerial call, so parallel verification workers never share one;
-// an NN search, a join and a closest-pairs search take one each. Nothing
-// in a scratch outlives the call that acquired it: what a query returns
-// is copied out first.
+// range probe takes one (rangeGroup) for both of its stages, and one
+// more per extra worker when verification is parallel, so workers never
+// share one; an NN search, a join, a closest-pairs search and a
+// planner's counting traversals take one each. Nothing in a scratch
+// outlives the call that acquired it: what a query returns is copied out
+// first.
 type scratch struct {
-	// Filter stage: the admitted candidates and the arena their feature
-	// points are copied into.
-	cands []candidate
-	feats featArena
+	// Filter stage: the rectangle's transformations, the rectangle every
+	// internal entry is transformed into (low corner, then high), the
+	// entries of the leaf at hand that passed the admission test, and
+	// the ids of those the lower bound let through — the candidates.
+	sub      []transform.Transform
+	rect     []float64
+	admitted []int32
+	cands    []int64
 
-	// Verify stage: the candidates the lower bound let through, the ids
-	// of those to fetch, the record decode slot and run buffer, the
-	// matches in the order their pages streamed by, and each fetched
-	// id's span of them.
-	survivors []candidate
-	ids       []int64
-	fetch     heapfile.Scratch
-	matches   []Match
-	spans     []matchSpan
+	// Verify stage: the ids of the candidates to fetch, the record
+	// decode slot and run buffer, the matches in the order their pages
+	// streamed by, and each fetched id's span of them.
+	ids     []int64
+	fetch   heapfile.Scratch
+	matches []Match
+	spans   []matchSpan
 
-	// Verification, of a range probe's survivors, an NN search's leaf
+	// Verification, of a range probe's candidates, an NN search's leaf
 	// candidates or a join's candidate pairs: the pair kernel, which
 	// keeps one cosine per coefficient of the record and query at hand
 	// for all the transformations of the rectangle. Its buffer is one
@@ -49,21 +52,24 @@ type matchSpan struct{ lo, hi int }
 
 const (
 	// maxScratchBytes bounds what one idle scratch may hold on to: a
-	// scratch grown past it by a large query is dropped on release
-	// rather than kept. 384 KiB is room for the filter stage of a probe
-	// that admits about 4 000 candidates; above it the benchmark's
-	// file-backed range workload ends with more than 1 % more live heap
-	// than without the free list.
+	// scratch grown past it is dropped on release rather than kept. No
+	// buffer grows with the entries a probe admits any more, only with
+	// what it fetches and returns, so an ordinary query stays far below
+	// the cap. It is there for the pathological one (a threshold that
+	// matches most of the relation) and for the heap's run buffer, which
+	// takes a run of consecutive record pages whole: 1 MiB once a probe
+	// fetches 256 neighbouring records.
 	maxScratchBytes = 384 << 10
 	// maxIdleScratch bounds what a burst of concurrent probes leaves
 	// behind.
 	maxIdleScratch = 8
 )
 
+// bytes is what sc holds on to, less what cannot grow: rect and admitted
+// are bounded by the dimension and a leaf's fan-out.
 func (sc *scratch) bytes() int {
-	return cap(sc.cands)*int(unsafe.Sizeof(candidate{})) +
-		sc.feats.bytes() +
-		cap(sc.survivors)*int(unsafe.Sizeof(candidate{})) +
+	return cap(sc.sub)*int(unsafe.Sizeof(transform.Transform{})) +
+		8*cap(sc.cands) +
 		8*cap(sc.ids) +
 		sc.fetch.Bytes() +
 		cap(sc.matches)*int(unsafe.Sizeof(Match{})) +
@@ -93,11 +99,10 @@ func (ix *Index) releaseScratch(sc *scratch) {
 	if sc.bytes() > maxScratchBytes {
 		return
 	}
-	// The survivors' feature points are slices of another scratch's arena
-	// (the filter stage's); left in place they would keep its chunks
-	// alive after that scratch was dropped.
-	clear(sc.survivors)
-	sc.pair.Init(nil, false) // likewise the transformation set and the last pair
+	// An idle scratch must not keep the caller's transformation set and
+	// last pair alive.
+	clear(sc.sub[:cap(sc.sub)])
+	sc.pair.Init(nil, false)
 	ix.scratchMu.Lock()
 	defer ix.scratchMu.Unlock()
 	if len(ix.idleScratch) < maxIdleScratch {

@@ -38,38 +38,6 @@ func TestScratchDropsLargeBuffers(t *testing.T) {
 	}
 }
 
-// TestFeatArenaReuse: an emptied arena hands out the same memory again,
-// in the same order, and points handed out earlier in a query are not
-// disturbed by later ones.
-func TestFeatArenaReuse(t *testing.T) {
-	var a featArena
-	fill := func(n int) [][]float64 {
-		a.reset()
-		var pts [][]float64
-		for i := 0; i < n; i++ {
-			pts = append(pts, a.copy([]float64{float64(i), 1, 2, 3, 4, float64(-i)}))
-		}
-		for i, p := range pts {
-			if p[0] != float64(i) || p[5] != float64(-i) || len(p) != 6 || cap(p) != 6 {
-				t.Fatalf("point %d of %d reads %v after the arena grew", i, n, p)
-			}
-		}
-		return pts
-	}
-	first := fill(5000)
-	size := a.bytes()
-	if allocs := testing.AllocsPerRun(5, func() { a.reset(); a.copy(first[0]) }); allocs != 0 {
-		t.Errorf("a warm arena allocates %.0f times", allocs)
-	}
-	again := fill(5000)
-	if &again[4999][0] != &first[4999][0] || a.bytes() != size {
-		t.Error("the second fill did not reuse the chunks of the first")
-	}
-	if waste := size - 5000*48; waste > 8*featArenaMaxChunk+48*featArenaPoints*8 {
-		t.Errorf("arena holds %d bytes for %d of points", size, 5000*48)
-	}
-}
-
 // TestOpenIndexBatchedLoad: OpenIndex loads the dataset through the
 // run-batched fetch. It must fetch exactly the pages the record-at-a-time
 // load fetched (one per record, on top of the directory and the tree

@@ -237,6 +237,7 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 // runs under every shape), the merged answers equal the single-tree
 // answers on every query shape, in the deterministic merge order.
 func TestShardedAnswerParity(t *testing.T) {
+	t.Parallel()
 	ds, ix := buildFixture(t, 11, 260, 64, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(64, 5, 16)
 	eps := series.DistanceForCorrelation(64, 0.90)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
+	"tsq/internal/geom"
 	"tsq/internal/rtree"
 	"tsq/internal/series"
 	"tsq/internal/storage"
@@ -38,7 +40,7 @@ func TestFilterAllocsDoNotGrowWithNodesVisited(t *testing.T) {
 		qrect := ix.queryRect(q, ts, series.DistanceForCorrelation(64, rho), QRectSafe)
 		allocs = testing.AllocsPerRun(10, func() {
 			var st QueryStats
-			out, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, &st, nil)
+			out, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, &st, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,23 +61,51 @@ func TestFilterAllocsDoNotGrowWithNodesVisited(t *testing.T) {
 	}
 }
 
-// TestFilterCandidateFeaturesSurviveTraversal is the aliasing check of
-// the reused slots: every feature point a traversal hands to
-// verification must still be the record's indexed point after the whole
-// walk has finished and every slot has been overwritten many times. The
-// truth is read back with Tree.Load, which owns its node.
-func TestFilterCandidateFeaturesSurviveTraversal(t *testing.T) {
+// TestFilterBoundSeesLeafFeatures is the aliasing check of the reused
+// slots, for a stage that lets no slice of a decode slot outlive its
+// leaf: the feature point the lower bound is handed for an admitted
+// entry must be that record's indexed point at the moment of the call,
+// however many times the slots have been overwritten by then, and the id
+// the stage emits for a kept point must be that record's. The bound
+// here copies what it is shown, keeps every third point and dismisses
+// the others at alternating tiers; the truth is read back with
+// Tree.Load, which owns its node.
+func TestFilterBoundSeesLeafFeatures(t *testing.T) {
 	ds, ix := deepFixture(t)
 	ts := transform.MovingAverageSet(64, 3, 10)
 	mult, add := ix.fullMBRs(ts)
 	qrect := ix.queryRect(ds.Records[5], ts, series.DistanceForCorrelation(64, 0.5), QRectSafe)
-	var st QueryStats
-	cands, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, &st, nil)
+	var admitted, st QueryStats
+	all, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, &admitted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands) < 100 || st.DALeaf < 20 {
-		t.Fatalf("%d candidates from %d leaves; the test is vacuous", len(cands), st.DALeaf)
+	all = append([]int64(nil), all...)
+	if len(all) < 100 || admitted.DALeaf < 20 {
+		t.Fatalf("%d candidates from %d leaves; the test is vacuous", len(all), admitted.DALeaf)
+	}
+	var shown [][]float64
+	kept, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, func(feat geom.Point) int {
+		shown = append(shown, append([]float64(nil), feat...))
+		if n := len(shown) - 1; n%3 != 0 {
+			return n % 3 // tiers 1 and 2
+		}
+		return -1
+	}, &st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shown) != len(all) {
+		t.Fatalf("the bound saw %d points, the traversal admits %d", len(shown), len(all))
+	}
+	if want := (len(all) + 2) / 3; len(kept) != want || st.SkippedLB != len(all)-want || st.SkippedLB0 != 0 ||
+		st.SkippedLB1 != (len(all)+1)/3 || st.SkippedLB2 != len(all)/3 || st.Candidates != 0 {
+		t.Fatalf("%d kept of %d, stats %+v", len(kept), len(all), st)
+	}
+	for i, rec := range kept {
+		if rec != all[3*i] {
+			t.Fatalf("survivor %d is record %d, want %d: a kept point's id is not its entry's", i, rec, all[3*i])
+		}
 	}
 
 	leafOf := make(map[int64]storage.PageID)
@@ -89,28 +119,23 @@ func TestFilterCandidateFeaturesSurviveTraversal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cands {
-		leaf, err := ix.Tree().Load(leafOf[c.rec])
+	for i, rec := range all {
+		leaf, err := ix.Tree().Load(leafOf[rec])
 		if err != nil {
 			t.Fatal(err)
 		}
 		found := false
 		for _, e := range leaf.Entries {
-			if e.Rec != c.rec {
+			if e.Rec != rec {
 				continue
 			}
 			found = true
-			if len(c.feat) != len(e.Rect.Lo) {
-				t.Fatalf("record %d: candidate feature has %d dimensions, leaf entry %d", c.rec, len(c.feat), len(e.Rect.Lo))
-			}
-			for d := range c.feat {
-				if c.feat[d] != e.Rect.Lo[d] {
-					t.Fatalf("record %d dim %d: candidate carries %v, its leaf entry holds %v", c.rec, d, c.feat[d], e.Rect.Lo[d])
-				}
+			if !reflect.DeepEqual(shown[i], []float64(e.Rect.Lo)) {
+				t.Fatalf("record %d: the bound was shown %v, its leaf entry holds %v", rec, shown[i], e.Rect.Lo)
 			}
 		}
 		if !found {
-			t.Fatalf("record %d not in leaf %d", c.rec, leafOf[c.rec])
+			t.Fatalf("record %d not in leaf %d", rec, leafOf[rec])
 		}
 	}
 }

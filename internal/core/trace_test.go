@@ -36,9 +36,20 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 	q := ds.Records[7]
 	opts := RangeOptions{Mode: QRectSafe, Groups: EqualPartition(len(ts), 4)}
 
+	intact, intactSt, err := ix.MTIndexRange(nil, q, ts, eps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A record deleted since its leaf entry was written: the filter stage
+	// still lets it through, verification knows better than to fetch it.
+	ix.ds.Records[intact[len(intact)-1].RecordID] = nil
 	want, wantSt, err := ix.MTIndexRange(nil, q, ts, eps, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	knownDeleted := int64(intactSt.Candidates - wantSt.Candidates)
+	if knownDeleted == 0 || wantSt.SkippedLB == 0 || wantSt.SkippedLB != intactSt.SkippedLB {
+		t.Fatalf("degenerate fixture: stats %+v, %+v before the deletion", wantSt, intactSt)
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -79,6 +90,38 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 		}
 		if gm := tr.Sum(obs.KindVerify, obs.AMatches); gm != int64(len(want)) {
 			t.Errorf("workers=%d: trace matches = %d, want %d", workers, gm, len(want))
+		}
+		// The lower bound runs in the filter stage: its dismissals, tier by
+		// tier, and its time are the filter span's, the verify span has
+		// none of them, and the probe span keeps the roll-up.
+		for _, c := range []struct {
+			attr obs.Attr
+			want int64
+		}{
+			{obs.ASkippedLB, int64(st.SkippedLB)}, {obs.ASkippedLB0, int64(st.SkippedLB0)}, {obs.ASkippedLB1, int64(st.SkippedLB1)},
+			{obs.ASkippedLB2, int64(st.SkippedLB2)}, {obs.ALBNanos, st.LBTimeNs},
+		} {
+			if got := tr.Sum(obs.KindFilter, c.attr); got != c.want {
+				t.Errorf("workers=%d: filter spans %s = %d, stats say %d", workers, c.attr, got, c.want)
+			}
+			for _, sp := range tr.Spans() {
+				if sp.Kind() == obs.KindVerify && sp.Has(c.attr) {
+					t.Errorf("workers=%d: verify span %q carries %s", workers, sp.Label(), c.attr)
+				}
+			}
+		}
+		if got, want := tr.Sum(obs.KindProbe, obs.ASkippedLB), int64(st.SkippedLB); got != want {
+			t.Errorf("workers=%d: probe roll-up skipped_lb = %d, stats = %d", workers, got, want)
+		}
+		if got, want := tr.Sum(obs.KindProbe, obs.ACandidates), int64(st.Candidates); got != want {
+			t.Errorf("workers=%d: probe roll-up candidates = %d, stats = %d", workers, got, want)
+		}
+		// The filter span's candidates are the admitted entries; what it
+		// hands on is those less the dismissed, and verification fetches
+		// all of them but the known-deleted.
+		survivors := tr.Sum(obs.KindFilter, obs.ACandidates) - tr.Sum(obs.KindFilter, obs.ASkippedLB)
+		if fetched := tr.Sum(obs.KindVerify, obs.ACandidates); survivors != fetched+knownDeleted {
+			t.Errorf("workers=%d: filter spans pass on %d survivors, verify spans fetched %d with %d known deleted", workers, survivors, fetched, knownDeleted)
 		}
 		// One probe span per non-empty group, each with filter+verify child.
 		if probes := tr.Sum(obs.KindProbe, obs.ATransforms); probes != int64(len(ts)) {

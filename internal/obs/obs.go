@@ -38,7 +38,8 @@ const (
 	// KindProbe covers one transformation rectangle's filter-and-verify
 	// pipeline (an index traversal plus candidate verification).
 	KindProbe
-	// KindFilter covers the R*-tree traversal of one probe.
+	// KindFilter covers the filter stage of one probe: the R*-tree
+	// traversal and the lower bound it runs on the leaf entries it admits.
 	KindFilter
 	// KindFetch covers candidate record retrieval (heap page reads).
 	KindFetch
@@ -89,7 +90,10 @@ const (
 	APagesRead
 	// ABufferHits counts buffer-pool hits attributed to the span.
 	ABufferHits
-	// ACandidates counts candidate records kept for verification.
+	// ACandidates counts candidate records: on a filter span the leaf
+	// entries the traversal admitted (ACandidates - ASkippedLB of them
+	// go on to verification), on every other span the records kept for
+	// verification.
 	ACandidates
 	// AComparisons counts full-record distance evaluations.
 	AComparisons
@@ -108,13 +112,16 @@ const (
 	// run read (the first page of a run counts as APagesRead).
 	APagesPrefetched
 	// ASkippedLB counts candidates rejected by the DFT-prefix lower
-	// bound before their record page was fetched.
+	// bound before their record page was fetched. A range probe's bound
+	// runs in the leaf scan, so the filter span carries it, with the
+	// per-tier split and ALBNanos; the probe span repeats the total. An
+	// NN probe has no filter span and carries all of it itself.
 	ASkippedLB
 	// AAbandoned counts distance evaluations cut short by the
 	// early-abandoning cutoff (each still counts in AComparisons).
 	AAbandoned
 	// ASkippedLB0 counts the ASkippedLB dismissals decided by tier 0 of
-	// the verification cascade (cosine-free magnitude-gap bound).
+	// the lower-bound cascade (cosine-free magnitude-gap bound).
 	ASkippedLB0
 	// ASkippedLB1 counts dismissals decided by tier 1 (exact first
 	// coefficient, shared Sincos).
@@ -122,8 +129,10 @@ const (
 	// ASkippedLB2 counts dismissals that needed the full DFT-prefix
 	// bound (tier 2).
 	ASkippedLB2
-	// ALBNanos is the wall time of the verification lower-bound stage
-	// in nanoseconds (shard times sum under parallel verification).
+	// ALBNanos is the wall time, in nanoseconds, a range probe's filter
+	// stage spent on the lower bound: building it, then one timed pass
+	// per leaf over the entries that leaf admitted. It is part of the
+	// filter span's duration.
 	ALBNanos
 	// AAllocBytes is the heap allocation (bytes) attributed to the query
 	// by the resource-attribution sampler; process-wide totals sampled

@@ -31,6 +31,7 @@ package tsq
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime/pprof"
 	"strconv"
@@ -113,7 +114,8 @@ var (
 // ErrNonFinite is the error (wrapped with the series and position) of
 // every entry point that takes a series — Open, CreateFile, Insert, and
 // the query series of Range, NearestNeighbors, RawRange and Batch — when
-// the series holds a NaN or an infinity. Nothing is stored or logged.
+// the series holds a NaN or an infinity. Nothing is stored or logged. A
+// NaN threshold of Range, Batch, Join or RawRange is the same error.
 var ErrNonFinite = core.ErrNonFinite
 
 // Pipeline is a sequence of transformation-set steps applied in order;
@@ -121,7 +123,8 @@ var ErrNonFinite = core.ErrNonFinite
 type Pipeline = query.Pipeline
 
 // Threshold is a similarity threshold, given as a Euclidean distance on
-// normal forms or as a cross-correlation.
+// normal forms or as a cross-correlation. A query given a NaN threshold
+// fails with ErrNonFinite; a negative distance matches nothing.
 type Threshold = query.Threshold
 
 // Distance returns a threshold fixed in Euclidean distance on normal
@@ -602,6 +605,9 @@ func attributed[T any](ctx context.Context, ev *queryEvent, run func(context.Con
 // point under the facade's instrumentation.
 func (db *DB) rangeRecord(ctx context.Context, qr *core.Record, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
 	eps := thr.Epsilon(db.ds.N)
+	if empty, err := vetEps(eps); empty || err != nil {
+		return nil, Stats{}, err
+	}
 	ev := queryEvent{kind: capture.KindRange, opts: opts, qr: qr, ts: ts, eps: eps}
 	ctx = ev.begin(ctx)
 	if obs.AttributionEnabled() {
@@ -613,6 +619,18 @@ func (db *DB) rangeRecord(ctx context.Context, qr *core.Record, ts []Transform, 
 	}
 	ev.finish(ctx)
 	return ev.matches, ev.st, ev.err
+}
+
+// vetEps checks a resolved range threshold before anything is planned or
+// probed. Every comparison against a NaN is false, so a NaN threshold
+// would walk the index (or the relation) and match nothing without a
+// word: it is ErrNonFinite instead. No distance is below a negative
+// threshold, so that answer is empty and needs no probe.
+func vetEps(eps float64) (empty bool, err error) {
+	if math.IsNaN(eps) {
+		return false, fmt.Errorf("tsq: threshold is NaN: %w", ErrNonFinite)
+	}
+	return eps < 0, nil
 }
 
 // resolve names the algorithm a query shape without a planner runs: Auto
@@ -730,6 +748,10 @@ func (db *DB) Batch(ctx context.Context, reqs []BatchRequest, workers int) []Bat
 		}
 		if r.K <= 0 {
 			er.Eps = r.Threshold.Epsilon(db.ds.N)
+			if empty, err := vetEps(er.Eps); empty || err != nil {
+				results[i].Err = err
+				continue
+			}
 		}
 		er.Opts = db.rangeOpts(r.Transforms, r.Opts)
 		if alg == STIndex {
@@ -753,6 +775,9 @@ func (db *DB) Join(ts []Transform, thr Threshold, opts QueryOptions) ([]JoinMatc
 	defer db.mu.RUnlock()
 	mJoinQueries.Inc()
 	eps := thr.Epsilon(db.ds.N)
+	if empty, err := vetEps(eps); empty || err != nil {
+		return nil, Stats{}, err
+	}
 	alg, err := opts.Algorithm.resolve()
 	if err != nil {
 		return nil, Stats{}, err
@@ -868,6 +893,9 @@ func (db *DB) RawRange(q Series, maxDistance float64, useIndex bool) ([]RawMatch
 	defer db.mu.RUnlock()
 	qr, err := db.ds.QueryRecord(q)
 	if err != nil {
+		return nil, Stats{}, err
+	}
+	if empty, err := vetEps(maxDistance); empty || err != nil {
 		return nil, Stats{}, err
 	}
 	if !useIndex {
