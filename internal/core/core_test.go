@@ -406,7 +406,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 			mult, add := ix.fullMBRs(sub)
 			qrect := ix.queryRect(q, sub, eps, QRectPaper)
 			var probe QueryStats
-			if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, &probe, nil); err != nil {
+			if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, nil, &probe, nil); err != nil {
 				t.Fatal(err)
 			}
 			total += DefaultCostParams().Cost(probe.DAAll, probe.DALeaf, len(sub), caLeaf)
@@ -633,7 +633,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	// One transformation: ST and MT coincide; either index plan must beat
 	// the scan and be chosen.
 	one := transform.MovingAverageSet(128, 10, 10)
-	plan, err := ix.PlanRange(nil, q, one, eps, QRectSafe, params)
+	plan, err := ix.PlanRange(nil, q, one, eps, RangeOptions{Mode: QRectSafe}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +644,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	// Many transformations: MT should win, and the plan must be
 	// executable with the same answer as the scan.
 	many := transform.MovingAverageSet(128, 5, 34)
-	plan, err = ix.PlanRange(nil, q, many, eps, QRectSafe, params)
+	plan, err = ix.PlanRange(nil, q, many, eps, RangeOptions{Mode: QRectSafe}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +664,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	}
 
 	// Empty set degenerates gracefully.
-	empty, err := ix.PlanRange(nil, q, nil, eps, QRectSafe, params)
+	empty, err := ix.PlanRange(nil, q, nil, eps, RangeOptions{Mode: QRectSafe}, params)
 	if err != nil || empty.Kind != PlanSeqScan {
 		t.Errorf("empty set: %v %v", empty, err)
 	}
@@ -673,22 +673,115 @@ func TestPlannerPicksReasonably(t *testing.T) {
 func TestPlannerClusterAwareOnTwoClusterSet(t *testing.T) {
 	ds, ix := buildFixture(t, 71, 800, 128, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: true})
 	ts := transform.WithInverted(transform.MovingAverageSet(128, 6, 29))
-	plan, err := ix.PlanRange(nil, ds.Records[5], ts, 3.0, QRectSafe, DefaultCostParams())
+	half := len(ts) / 2
+	spansGap := func(groups [][]int) bool {
+		for _, g := range groups {
+			for _, idx := range g {
+				if (idx >= half) != (g[0] >= half) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	// Without the lower bound (NaiveVerify) every admitted entry is
+	// fetched and compared with the whole rectangle, so a rectangle that
+	// holds original and inverted transforms pays for the gap between the
+	// clusters: the chosen packing must not have one.
+	plan, err := ix.PlanRange(nil, ds.Records[5], ts, 3.0, RangeOptions{Mode: QRectSafe, NaiveVerify: true}, DefaultCostParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Kind != PlanMTIndex || spansGap(plan.Groups) {
+		t.Fatalf("without the bound the planner chose %v with packing %v", plan.Kind, plan.Groups)
+	}
+	// With it, what a wide rectangle admits across the gap the bound
+	// dismisses per transformation before anything is fetched, and the
+	// planner prices that: any packing may win, as long as the clustered
+	// one was considered and nothing considered would have run cheaper.
+	plan, err = ix.PlanRange(nil, ds.Records[5], ts, 3.0, RangeOptions{Mode: QRectSafe}, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Kind != PlanMTIndex {
 		t.Fatalf("planner chose %v", plan.Kind)
 	}
-	// The chosen packing must not put original and inverted transforms in
-	// one rectangle (the planner saw the clustered alternative).
-	half := len(ts) / 2
-	for _, g := range plan.Groups {
-		inverted := g[0] >= half
-		for _, idx := range g {
-			if (idx >= half) != inverted {
-				t.Fatalf("chosen packing spans the cluster gap: %v", g)
+	clustered := false
+	for _, alt := range plan.Considered {
+		if alt.Kind == PlanMTIndex && len(alt.Groups) > 1 && !spansGap(alt.Groups) {
+			clustered = true
+		}
+		if alt.Cost < plan.Cost {
+			t.Errorf("%s costs %.0f, the chosen plan %.0f", alt.Description, alt.Cost, plan.Cost)
+		}
+	}
+	if !clustered {
+		t.Errorf("no cluster-aware packing among the alternatives: %s", plan)
+	}
+}
+
+// TestPlannerPricesWhatTheExecutorRuns: for every packing the planner
+// considers, the node reads and the record fetches it predicts are the
+// ones an execution of that packing reports, with the lower bound (on
+// index rectangles and on leaf entries), with the flat bound, without
+// one, and one-sided. Before the planner built the executor's bound its
+// candidates term was the admitted count, an order of magnitude above
+// what is fetched, and every index plan was overcharged against the scan.
+func TestPlannerPricesWhatTheExecutorRuns(t *testing.T) {
+	ds, ix := buildFixture(t, 72, 1500, 128, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: true})
+	ts := transform.MovingAverageSet(128, 10, 25)
+	eps := series.DistanceForCorrelation(128, 0.96)
+	params := DefaultCostParams()
+	for _, opts := range []RangeOptions{
+		{Mode: QRectSafe},
+		{Mode: QRectSafe, FlatLB: true},
+		{Mode: QRectSafe, NaiveVerify: true},
+		{Mode: QRectSafe, OneSided: true},
+	} {
+		var fetched, admitted int
+		for _, qid := range []int{7, 400, 1111} {
+			q := ds.Records[qid]
+			plan, err := ix.PlanRange(nil, q, ts, eps, opts, params)
+			if err != nil {
+				t.Fatal(err)
 			}
+			packings := 0
+			for _, alt := range plan.Considered {
+				if alt.Kind != PlanMTIndex {
+					continue
+				}
+				packings++
+				run := opts
+				run.Groups = alt.Groups
+				_, st, err := ix.MTIndexRange(nil, q, ts, eps, run)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if alt.DAAll != st.DAAll || alt.Candidates != st.Candidates {
+					t.Errorf("%+v query %d, %s: planned %d node reads and %d candidates, executed %d and %d",
+						opts, qid, alt.Description, alt.DAAll, alt.Candidates, st.DAAll, st.Candidates)
+				}
+				want := 0.0
+				for _, g := range alt.Groups {
+					_, gst, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: opts.Mode, Groups: [][]int{g},
+						FlatLB: opts.FlatLB, NaiveVerify: opts.NaiveVerify, OneSided: opts.OneSided})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want += params.CDA*float64(gst.DAAll+gst.Candidates) + params.Ccmp*float64(gst.Candidates*len(g))
+				}
+				if math.Abs(alt.Cost-want) > 1e-6*want {
+					t.Errorf("%+v query %d, %s: cost %.1f, Eq. 18 on the executed counts gives %.1f", opts, qid, alt.Description, alt.Cost, want)
+				}
+				fetched += st.Candidates
+				admitted += st.Candidates + st.SkippedLB
+			}
+			if packings < 3 {
+				t.Fatalf("%d packings considered: %s", packings, plan)
+			}
+		}
+		if !opts.NaiveVerify && fetched*3 > admitted {
+			t.Errorf("%+v: %d of %d admitted entries fetched; the bound prices nothing here", opts, fetched, admitted)
 		}
 	}
 }
@@ -938,7 +1031,7 @@ func TestAnalyticalEstimatorIsPositionBlind(t *testing.T) {
 		mult, add := ix.fullMBRs(sub)
 		qrect := ix.queryRect(q, sub, eps, QRectPaper)
 		var st QueryStats
-		if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, &st, nil); err != nil {
+		if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, nil, &st, nil); err != nil {
 			t.Fatal(err)
 		}
 		return st.DAAll

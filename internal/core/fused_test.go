@@ -91,51 +91,38 @@ func engineFixture(t testing.TB, seed int64, count, n, nshards int, onFile, sym 
 // stageDecisions is everything the filter stage of one transformation
 // rectangle decides.
 type stageDecisions struct {
-	Admitted  []int64 // the leaf entries the traversal admits, in traversal order
-	Tiers     []int   // parallel to Admitted: the tier that dismissed the entry, -1 if kept
-	Survivors []int64 // the kept ones, in the order verification receives them
+	Admitted  []int64      // the leaf entries the unpruned traversal admits, in traversal order
+	Met       []geom.Point // the feature points the bound met, in order: all of Admitted's for the reference
+	Tiers     []int        // parallel to Met: the tier that dismissed the entry, -1 if kept
+	Survivors []int64      // the kept ones, in the order verification receives them
 	DAAll     int
 	DALeaf    int
 }
 
-// stageGeometry is the rectangle arithmetic rangeGroup does before the
-// traversal.
-func stageGeometry(ix *Index, q *Record, sub []transform.Transform, eps float64, opts RangeOptions) (mult, add, qrect geom.Rect, phaseDims []bool) {
-	mult, add = ix.fullMBRs(sub)
-	if opts.OneSided {
-		qrect, phaseDims = ix.oneSidedQueryRect(q, eps, opts.Mode)
-	} else {
-		qrect = ix.queryRect(q, sub, eps, opts.Mode)
+// stageBound is the lower bound opts asks for, as Index.stageBound builds
+// it: none under NaiveVerify, the flat bound and no node bound under
+// FlatLB, else the cascade for leaf entries and index rectangles alike.
+// A caller who wants a broken one gets two instances, so that it can
+// break either (mutate, mutateNode) and leave the other sound.
+func stageBound(ix *Index, sub []transform.Transform, q *Record, eps float64, opts RangeOptions, mutate, mutateNode func(*lbCascade)) (func(geom.Point) int, *lbCascade) {
+	bound, node := ix.stageBound(sub, q, eps, opts)
+	if node == nil || (mutate == nil && mutateNode == nil) {
+		return bound, node
 	}
-	return mult, add, qrect, phaseDims
-}
-
-// stageBound is the lower bound opts asks for: the cascade, passed
-// through mutate first when the caller wants a broken one, the flat
-// bound under FlatLB, none under NaiveVerify.
-func stageBound(ix *Index, sub []transform.Transform, q *Record, eps float64, opts RangeOptions, mutate func(*lbCascade)) func(geom.Point) int {
-	switch {
-	case opts.NaiveVerify:
-		return nil
-	case opts.FlatLB:
-		return func(feat geom.Point) int {
-			if ix.skipByPrefixLB(feat, sub, q, eps, opts.OneSided) {
-				return 2
-			}
-			return -1
-		}
-	}
-	casc := ix.newLBCascade(sub, q, eps, opts.OneSided)
+	entry := ix.newLBCascade(sub, q, eps, opts.OneSided)
 	if mutate != nil {
-		mutate(casc)
+		mutate(entry)
 	}
-	return casc.skip
+	if mutateNode != nil {
+		mutateNode(node)
+	}
+	return entry.skip, node
 }
 
 // twoPassStage is the reference: the traversal on owned nodes with the
-// unfused rectangle test (ApplyMBRs, then Intersects), collecting (id,
-// feature point) for every admitted leaf entry, and only then the bound,
-// candidate by candidate.
+// unfused rectangle test (ApplyMBRs, then Intersects) and no bound on
+// index rectangles, collecting (id, feature point) for every admitted
+// leaf entry, and only then the bound, candidate by candidate.
 func twoPassStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims []bool, bound func(geom.Point) int) stageDecisions {
 	t.Helper()
 	type candidate struct {
@@ -177,6 +164,7 @@ func twoPassStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims
 			tier = bound(c.feat)
 		}
 		res.Admitted = append(res.Admitted, c.rec)
+		res.Met = append(res.Met, c.feat)
 		res.Tiers = append(res.Tiers, tier)
 		if tier < 0 {
 			res.Survivors = append(res.Survivors, c.rec)
@@ -186,14 +174,15 @@ func twoPassStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims
 }
 
 // fusedStage reads the same decisions off Index.filter: the admitted
-// entries from a run without a bound, the tiers from a bound that notes
-// what it answers. The counters filter books must be those answers.
-func fusedStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims []bool, bound func(geom.Point) int) stageDecisions {
+// entries from a run with no bound at all, the tiers from a bound that
+// notes what it answers for the entries the node bound let it see. The
+// counters filter books must be those answers.
+func fusedStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims []bool, bound func(geom.Point) int, node *lbCascade) stageDecisions {
 	t.Helper()
 	var res stageDecisions
 	var plain, st QueryStats
 	sc := new(scratch)
-	admitted, err := ix.filter(nil, sc, mult, add, qrect, phaseDims, nil, &plain, nil)
+	admitted, err := ix.filter(nil, sc, mult, add, qrect, phaseDims, nil, nil, &plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,33 +193,75 @@ func fusedStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims [
 		if bound != nil {
 			tier = bound(feat)
 		}
+		res.Met = append(res.Met, feat.Clone())
 		res.Tiers = append(res.Tiers, tier)
 		if tier >= 0 {
 			perTier[tier]++
 		}
 		return tier
-	}, &st, nil)
+	}, node, &st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Survivors = append(res.Survivors, survivors...)
 	res.DAAll, res.DALeaf = st.DAAll, st.DALeaf
-	want := QueryStats{DAAll: plain.DAAll, DALeaf: plain.DALeaf, SkippedLB: perTier[0] + perTier[1] + perTier[2],
+	want := QueryStats{DAAll: st.DAAll, DALeaf: st.DALeaf, SkippedLB: perTier[0] + perTier[1] + perTier[2],
 		SkippedLB0: perTier[0], SkippedLB1: perTier[1], SkippedLB2: perTier[2]}
-	if noTime(st) != want || plain.LBTimeNs != 0 || (len(res.Admitted) == 0 && st.LBTimeNs != 0) {
-		t.Fatalf("filter booked %+v (%+v without a bound) for %d admitted entries dismissed %v by tier", st, plain, len(res.Admitted), perTier)
+	if noTime(st) != want || plain.LBTimeNs != 0 || (len(res.Met) == 0 && st.LBTimeNs != 0) {
+		t.Fatalf("filter booked %+v (%+v without a bound) for %d entries dismissed %v by tier", st, plain, len(res.Met), perTier)
+	}
+	if node == nil && (st.DAAll != plain.DAAll || st.DALeaf != plain.DALeaf) {
+		t.Fatalf("without a node bound filter read %d nodes (%d leaves), %d (%d) without any bound", st.DAAll, st.DALeaf, plain.DAAll, plain.DALeaf)
 	}
 	return res
+}
+
+// stageDiff holds the fused stage to the two-pass reference and returns
+// the first difference ("" for none). The unpruned traversal admits the
+// same entries in the same order and verification receives the same
+// survivors in the same order. The bound on index rectangles may keep the
+// stage from reading a subtree, so it reads at most the reference's nodes
+// and leaves, and the entries its bound meets are a subsequence of the
+// reference's, dismissed at the same tier or kept alike; every entry of
+// the reference the stage never saw is one the reference dismissed.
+func stageDiff(got, ref stageDecisions) string {
+	if !reflect.DeepEqual(got.Admitted, ref.Admitted) {
+		return fmt.Sprintf("the traversal admits %d entries, the reference %d, or the same in another order", len(got.Admitted), len(ref.Admitted))
+	}
+	if !reflect.DeepEqual(got.Survivors, ref.Survivors) {
+		return fmt.Sprintf("fused stage decided %s, the two-pass reference %s: not the same survivors in the same order", got.summary(), ref.summary())
+	}
+	if got.DAAll > ref.DAAll || got.DALeaf > ref.DALeaf {
+		return fmt.Sprintf("fused stage read %d nodes (%d leaves), more than the reference's %d (%d)", got.DAAll, got.DALeaf, ref.DAAll, ref.DALeaf)
+	}
+	gi := 0
+	for ri, feat := range ref.Met {
+		if gi < len(got.Met) && reflect.DeepEqual(got.Met[gi], feat) {
+			if got.Tiers[gi] != ref.Tiers[ri] {
+				return fmt.Sprintf("entry %d decided at tier %d, by the reference at tier %d", ref.Admitted[ri], got.Tiers[gi], ref.Tiers[ri])
+			}
+			gi++
+		} else if ref.Tiers[ri] < 0 {
+			return fmt.Sprintf("entry %d, which the reference keeps, was in a subtree the stage did not read", ref.Admitted[ri])
+		}
+	}
+	if gi != len(got.Met) {
+		return fmt.Sprintf("the bound met %d entries out of the reference's order", len(got.Met)-gi)
+	}
+	return ""
 }
 
 // rangeParity runs one query through the engine and through the
 // reference, shard by shard and rectangle by rectangle, and returns the
 // first difference it finds ("" for none): the stage decisions, the full
 // QueryStats but LBTimeNs, and the matches, unsorted on one shard,
-// against the reference's, NaiveVerify's and FlatLB's. mutate, when
-// non-nil, breaks the cascade of the fused side only; the end-to-end
-// comparisons are then left out, since production is not what is broken.
-func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, mutate func(*lbCascade)) string {
+// against the reference's, NaiveVerify's and FlatLB's. What the reference
+// counts per tier, and the nodes it reads, bound the engine's from above
+// (see stageDiff); everything else is equal. mutate and mutateNode, when
+// non-nil, break the entry bound or the node bound of the fused side
+// only; the end-to-end comparisons are then left out, since production is
+// not what is broken.
+func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, mutate, mutateNode func(*lbCascade)) string {
 	t.Helper()
 	groups := opts.Groups
 	if groups == nil {
@@ -245,16 +276,18 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 			for i, idx := range g {
 				sub[i] = ts[idx]
 			}
-			mult, add, qrect, phaseDims := stageGeometry(ix, sq, sub, eps, opts)
-			ref := twoPassStage(t, ix, mult, add, qrect, phaseDims, stageBound(ix, sub, sq, eps, opts, nil))
-			got := fusedStage(t, ix, mult, add, qrect, phaseDims, stageBound(ix, sub, sq, eps, opts, mutate))
-			if !reflect.DeepEqual(got, ref) {
-				return fmt.Sprintf("shard %d rectangle %d: fused stage decided %s, the two-pass reference %s", sh, gi, got.summary(), ref.summary())
+			mult, add, qrect, phaseDims := ix.stageRects(sq, sub, eps, opts)
+			refBound, _ := stageBound(ix, sub, sq, eps, opts, nil, nil)
+			ref := twoPassStage(t, ix, mult, add, qrect, phaseDims, refBound)
+			bound, node := stageBound(ix, sub, sq, eps, opts, mutate, mutateNode)
+			got := fusedStage(t, ix, mult, add, qrect, phaseDims, bound, node)
+			if diff := stageDiff(got, ref); diff != "" {
+				return fmt.Sprintf("shard %d rectangle %d: %s", sh, gi, diff)
 			}
 			want.IndexSearches++
-			want.DAAll += ref.DAAll
-			want.DALeaf += ref.DALeaf
-			for _, tier := range ref.Tiers {
+			want.DAAll += got.DAAll
+			want.DALeaf += got.DALeaf
+			for _, tier := range got.Tiers {
 				if tier >= 0 {
 					want.skippedAt(tier)
 				}
@@ -267,7 +300,7 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 			wantMatches = append(wantMatches, matches...)
 		}
 	}
-	if mutate != nil {
+	if mutate != nil || mutateNode != nil {
 		return ""
 	}
 	got, st, err := s.MTIndexRange(nil, q, ts, eps, opts)
@@ -293,12 +326,17 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 		if !reflect.DeepEqual(got, ref) {
 			return fmt.Sprintf("%d matches, %s returns %d, or the same in another order", len(got), other, len(ref))
 		}
-		if rst.Candidates+rst.SkippedLB != st.Candidates+st.SkippedLB || rst.DAAll != st.DAAll {
-			return fmt.Sprintf("stats %+v, under %s %+v: not the same admitted set", st, other, rst)
+		// The references prune no subtree by the bound: they read and
+		// admit what the engine does and whatever it left unread.
+		if rst.Candidates+rst.SkippedLB < st.Candidates+st.SkippedLB || rst.DAAll < st.DAAll || rst.DALeaf < st.DALeaf {
+			return fmt.Sprintf("stats %+v, under %s %+v: the reference reads or admits less", st, other, rst)
 		}
-		// The cascade's decisions are the flat bound's, entry by entry.
-		if o.FlatLB && !opts.NaiveVerify && (rst.SkippedLB != st.SkippedLB || rst.Comparisons != st.Comparisons) {
-			return fmt.Sprintf("%d dismissed and %d comparisons, under FlatLB %d and %d", st.SkippedLB, st.Comparisons, rst.SkippedLB, rst.Comparisons)
+		// The cascade's decisions are the flat bound's, entry by entry:
+		// the same survivors, verified alike.
+		if o.FlatLB && !opts.NaiveVerify && (rst.Candidates != st.Candidates || rst.Comparisons != st.Comparisons ||
+			rst.Abandoned != st.Abandoned || rst.SkippedLB < st.SkippedLB) {
+			return fmt.Sprintf("%d candidates, %d comparisons, %d abandoned, %d dismissed; under FlatLB %d, %d, %d and %d",
+				st.Candidates, st.Comparisons, st.Abandoned, st.SkippedLB, rst.Candidates, rst.Comparisons, rst.Abandoned, rst.SkippedLB)
 		}
 	}
 	return ""
@@ -311,8 +349,8 @@ func (d stageDecisions) summary() string {
 			perTier[tier]++
 		}
 	}
-	return fmt.Sprintf("{%d admitted, dismissed by tier %v, %d survivors, %d nodes (%d leaves)}",
-		len(d.Admitted), perTier, len(d.Survivors), d.DAAll, d.DALeaf)
+	return fmt.Sprintf("{%d admitted, %d met the bound, dismissed by tier %v, %d survivors, %d nodes (%d leaves)}",
+		len(d.Admitted), len(d.Met), perTier, len(d.Survivors), d.DAAll, d.DALeaf)
 }
 
 // parityQuery is one seeded query shape of the parity suites.
@@ -368,7 +406,7 @@ func TestFusedStageDecisionParity(t *testing.T) {
 					for _, workers := range []int{1, 4} {
 						opts := pq.opts
 						opts.Workers = workers
-						if diff := rangeParity(t, s, q, pq.ts, eps, opts, nil); diff != "" {
+						if diff := rangeParity(t, s, q, pq.ts, eps, opts, nil, nil); diff != "" {
 							t.Fatalf("%s, query %d, eps %.3f, %d workers: %s", pq.name, q.ID, eps, workers, diff)
 						}
 					}
@@ -423,17 +461,66 @@ func TestFusedParityCatchesMutations(t *testing.T) {
 			}
 			q := ds.Records[(qi*53+7)%len(ds.Records)]
 			eps := lbBoundaryEps(ix, ds, q, pq.ts, pq.opts.OneSided, 12)
-			if diff := rangeParity(t, s, q, pq.ts, eps, pq.opts, nil); diff != "" {
+			if diff := rangeParity(t, s, q, pq.ts, eps, pq.opts, nil, nil); diff != "" {
 				t.Fatalf("sym=%v %s, eps on a prefix bound: %s", sym, pq.name, diff)
 			}
 			shrunk := func(c *lbCascade) { c.cut *= 0.9999999 }
-			if diff := rangeParity(t, s, q, pq.ts, eps, pq.opts, shrunk); diff == "" {
+			if diff := rangeParity(t, s, q, pq.ts, eps, pq.opts, shrunk, nil); diff == "" {
 				t.Errorf("sym=%v %s: a cutoff of 0.9999999 times the right one went unnoticed at eps = %v", sym, pq.name, eps)
 			}
 			eps = series.DistanceForCorrelation(n, 0.85)
 			stale := func(c *lbCascade) { c.rearm(0.9 * eps) }
-			if diff := rangeParity(t, s, q, pq.ts, eps, pq.opts, stale); diff == "" {
+			if diff := rangeParity(t, s, q, pq.ts, eps, pq.opts, stale, nil); diff == "" {
 				t.Errorf("sym=%v %s: a cascade armed for 0.9 eps went unnoticed", sym, pq.name)
+			}
+		}
+	}
+}
+
+// TestFusedParityCatchesNodeMutation is the same check for the bound on
+// index rectangles, the entry bound left sound. A rectangle's bound is
+// below the point bound of what it holds, usually far below, so a node
+// cutoff a hair too small shows only where the two meet: every series is
+// stored twenty times, nine entries fit a node, and whole leaves are
+// copies of one point, which is then their rectangle. With eps on the
+// prefix bound of such a record the reference keeps its copies, a sound
+// node bound reads their leaves, and one cut at 0.9999999 of the cutoff
+// leaves them unread.
+func TestFusedParityCatchesNodeMutation(t *testing.T) {
+	t.Parallel()
+	const n, distinct, copies = 64, 40, 20
+	walks := datagen.RandomWalks(79, distinct, n)
+	var ss []series.Series
+	for c := 0; c < copies; c++ {
+		for _, w := range walks {
+			ss = append(ss, w.Clone())
+		}
+	}
+	ds, err := NewDataset(ss, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sym := range []bool{true, false} {
+		ix, err := BuildIndex(ds, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := AssembleShards([]*Index{ix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, pq := range parityQueries(n) {
+			if pq.opts.FlatLB || pq.opts.NaiveVerify || pq.opts.Groups != nil || pq.opts.Mode == QRectPaper {
+				continue // as in TestFusedParityCatchesMutations
+			}
+			q := ds.Records[(qi*7+3)%distinct]
+			eps := lbBoundaryEps(ix, ds, q, pq.ts, pq.opts.OneSided, 3*copies+1)
+			if diff := rangeParity(t, s, q, pq.ts, eps, pq.opts, nil, nil); diff != "" {
+				t.Fatalf("sym=%v %s, eps on a prefix bound: %s", sym, pq.name, diff)
+			}
+			shrunk := func(c *lbCascade) { c.cut *= 0.9999999 }
+			if diff := rangeParity(t, s, q, pq.ts, eps, pq.opts, nil, shrunk); diff == "" {
+				t.Errorf("sym=%v %s: a node cutoff of 0.9999999 times the right one went unnoticed at eps = %v", sym, pq.name, eps)
 			}
 		}
 	}

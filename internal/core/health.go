@@ -218,7 +218,13 @@ func (hr *HealthReport) writeStructure(w io.Writer) {
 		fmt.Fprintf(w, "%-6s %7d %9d %9.2f %11.3g %11.3g %13.3g %13.3g\n",
 			name, l.Nodes, l.Entries, l.AvgFill, l.AvgMargin, l.Overlap, l.CoveredArea, l.DeadSpace)
 	}
-	fmt.Fprintf(w, "leaf occupancy (fill deciles 0-100%%): %s\n", occupancyBar(t.Levels[t.Height-1].Occupancy))
+	leaves := t.Levels[t.Height-1]
+	fmt.Fprintf(w, "leaf occupancy (fill deciles 0-100%%): %s\n", occupancyBar(leaves.Occupancy))
+	shares := make([]string, len(leaves.ExtentShare))
+	for d, s := range leaves.ExtentShare {
+		shares[d] = fmt.Sprintf("%.1f", 100*s)
+	}
+	fmt.Fprintf(w, "leaf extent per dimension (mean, %% of the root's): %s\n", strings.Join(shares, " "))
 
 	if hr.Heap != nil {
 		h := hr.Heap

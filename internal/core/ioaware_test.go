@@ -63,10 +63,13 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 				if !reflect.DeepEqual(gotST, wantST) {
 					t.Fatalf("paged=%v trial=%d %+v: ST pipeline diverged", paged, trial, variant)
 				}
-				if stSt.Candidates+stSt.SkippedLB != stNaiveSt.Candidates {
-					t.Fatalf("paged=%v trial=%d: ST candidates %d + skipped %d != naive %d",
-						paged, trial, stSt.Candidates, stSt.SkippedLB, stNaiveSt.Candidates)
-				}
+				checkEffort(t, "ST", variant, stSt, stNaiveSt, func(o RangeOptions) QueryStats {
+					_, st, err := ix.STIndexRange(nil, q, ts, eps, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st
+				})
 
 				wantMT, mtNaiveSt, err := ix.MTIndexRange(nil, q, ts, eps, naive)
 				if err != nil {
@@ -81,10 +84,13 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 				if !reflect.DeepEqual(gotMT, wantMT) {
 					t.Fatalf("paged=%v trial=%d %+v: MT pipeline diverged", paged, trial, variant)
 				}
-				if mtSt.Candidates+mtSt.SkippedLB != mtNaiveSt.Candidates {
-					t.Fatalf("paged=%v trial=%d: MT candidates %d + skipped %d != naive %d",
-						paged, trial, mtSt.Candidates, mtSt.SkippedLB, mtNaiveSt.Candidates)
-				}
+				checkEffort(t, "MT", variant, mtSt, mtNaiveSt, func(o RangeOptions) QueryStats {
+					_, st, err := ix.MTIndexRange(nil, q, ts, eps, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st
+				})
 				// The per-tier invariant: the cascade attributes every
 				// skip to exactly one tier, so the tier counters
 				// partition SkippedLB (and the flat mode books all of
@@ -110,6 +116,33 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 			t.Fatalf("paged=%v: degenerate workload: skipped=%d abandoned=%d — pipeline never engaged",
 				paged, totalSkipped, totalAbandoned)
 		}
+	}
+}
+
+// checkEffort holds the pipeline's effort accounting to its references.
+// The naive path verifies every entry the traversal admits. The flat
+// bound (FlatLB) splits exactly those into dismissed and fetched. The
+// cascade also bounds index rectangles and does not read a subtree whose
+// bound exceeds the cutoff, so it reads at most the nodes and meets at
+// most the entries of the other two, every entry it never met being one
+// the flat bound dismisses: what it fetches, compares and abandons is
+// what FlatLB does, to the count.
+func checkEffort(t *testing.T, path string, variant RangeOptions, got, naive QueryStats, run func(RangeOptions) QueryStats) {
+	t.Helper()
+	flat := variant
+	flat.FlatLB = true
+	flatSt := run(flat)
+	if flatSt.Candidates+flatSt.SkippedLB != naive.Candidates || flatSt.DAAll != naive.DAAll || flatSt.DALeaf != naive.DALeaf {
+		t.Fatalf("%s %+v: FlatLB candidates %d + skipped %d over %d nodes (%d leaves) != naive %d over %d (%d)", path, variant,
+			flatSt.Candidates, flatSt.SkippedLB, flatSt.DAAll, flatSt.DALeaf, naive.Candidates, naive.DAAll, naive.DALeaf)
+	}
+	if got.Candidates != flatSt.Candidates || got.Comparisons != flatSt.Comparisons || got.Abandoned != flatSt.Abandoned {
+		t.Fatalf("%s %+v: fetched %d, compared %d, abandoned %d; under FlatLB %d, %d, %d", path, variant,
+			got.Candidates, got.Comparisons, got.Abandoned, flatSt.Candidates, flatSt.Comparisons, flatSt.Abandoned)
+	}
+	if got.SkippedLB > flatSt.SkippedLB || got.DAAll > flatSt.DAAll || got.DALeaf > flatSt.DALeaf {
+		t.Fatalf("%s %+v: dismissed %d over %d nodes (%d leaves), more than FlatLB's %d over %d (%d)", path, variant,
+			got.SkippedLB, got.DAAll, got.DALeaf, flatSt.SkippedLB, flatSt.DAAll, flatSt.DALeaf)
 	}
 }
 

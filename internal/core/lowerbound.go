@@ -96,8 +96,10 @@ type lbCascade struct {
 	// tier-0 bound — and shared by the whole group through the factored
 	// phase constants, so a candidate costs at most K Sincos calls no
 	// matter how many transformations the group holds.
-	sinPhi  []float64
-	cosPhi  []float64
+	// rectLB keeps the pairs of both ends of the rectangle's phase
+	// intervals the same way. One slab, k floats each: sin φ, cos φ (the
+	// low end's for a rectangle), then the high end's sin and cos.
+	trig    []float64
 	havePhi []bool
 }
 
@@ -110,8 +112,7 @@ func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64,
 		cut:     transform.AbandonCutoff(eps),
 		sym:     1,
 		term:    make([]lbTerm, len(sub)*k),
-		sinPhi:  make([]float64, k),
-		cosPhi:  make([]float64, k),
+		trig:    make([]float64, 4*k),
 		havePhi: make([]bool, k),
 	}
 	if ix.opts.UseSymmetry {
@@ -212,10 +213,10 @@ func (c *lbCascade) skip(feat geom.Point) int {
 			tm := &c.term[base+j]
 			phi := feat[2*(j+1)+1]
 			if !c.havePhi[j] {
-				c.sinPhi[j], c.cosPhi[j] = math.Sincos(phi)
+				c.trig[j], c.trig[c.k+j] = math.Sincos(phi)
 				c.havePhi[j] = true
 			}
-			cosd := tm.cos(phi, c.sinPhi[j], c.cosPhi[j])
+			cosd := tm.cos(phi, c.trig[j], c.trig[c.k+j])
 			mu := tm.aMag*feat[2*(j+1)] + tm.bMag
 			gap := math.Abs(mu) - tm.absMv
 			s += -(gap * gap) + (mu*mu + tm.mv*tm.mv - 2*mu*tm.mv*cosd)
@@ -236,6 +237,105 @@ func (c *lbCascade) skip(feat geom.Point) int {
 		}
 	}
 	return maxTier
+}
+
+// rectLB is the bound on an index rectangle: a lower bound, squared and
+// symmetry-doubled like the sums skip compares, on the prefix bound of
+// every feature point inside [lo, hi], hence on the distance of every
+// record below the entry. Compare it with c.cut as skip does.
+//
+// Per coefficient a polar rectangle is an annular sector: magnitudes in
+// an interval, phases in an interval. The point term
+// mu² + mv² - 2·mu·mv·cos(dp) is the squared distance between complex
+// numbers of moduli |mu|, |mv| an angle dp apart (dp + π when mu and mv
+// differ in sign, as under a negative scale compared one-sided), so its
+// minimum over the sector takes the largest cosine the transformed phase
+// interval allows — 1 when the interval holds a multiple of 2π, else the
+// larger of its endpoint cosines, cosine having no other interior maximum
+// — and the modulus nearest |mv|·cos, the vertex of the parabola in |mu|,
+// clamped into the magnitude interval. Both intervals are images of the
+// entry's under the affine maps a·m + b and aPh·φ + c, so every point
+// term is at least the sector term, whatever the signs of a and aPh and
+// for a general (direct) phase multiplier alike. A magnitude interval
+// that straddles zero has no single sign to fold into the angle; its
+// term falls back to the tier-0 gap. The sum over the indexed
+// coefficients, doubled under symmetry, minimised over the group, is
+// never above the point bound of any point of the rectangle.
+//
+// Transformations are first held to the cosine-free gap sum, as in skip:
+// one already above the cutoff contributes that weaker sum and costs no
+// trigonometry, which changes neither the comparison with the cutoff nor
+// a value at or below it. A transformation whose bound is at or below
+// stop ends the evaluation: a range probe, which only asks whether the
+// bound exceeds the cutoff, passes the cutoff; the NN search, which
+// orders its queue by the value, passes a negative number.
+func (c *lbCascade) rectLB(lo, hi geom.Point, stop float64) float64 {
+	for j := 0; j < c.k; j++ {
+		c.havePhi[j] = false
+	}
+	best := math.Inf(1)
+	for ti := 0; ti < c.nt; ti++ {
+		base := ti * c.k
+		var s float64
+		for j := 0; j < c.k; j++ {
+			tm := &c.term[base+j]
+			aLo, aHi, _ := tm.absMu(lo[2*(j+1)], hi[2*(j+1)])
+			gap := max(0, aLo-tm.absMv, tm.absMv-aHi)
+			s += gap * gap
+		}
+		if c.sym*s <= c.cut {
+			s = 0
+			for j := 0; j < c.k; j++ {
+				tm := &c.term[base+j]
+				aLo, aHi, sign := tm.absMu(lo[2*(j+1)], hi[2*(j+1)])
+				if sign == 0 {
+					gap := max(0, tm.absMv-aHi)
+					s += gap * gap
+					continue
+				}
+				pLo, pHi := lo[2*(j+1)+1], hi[2*(j+1)+1]
+				if !c.havePhi[j] {
+					c.trig[j], c.trig[c.k+j] = math.Sincos(pLo)
+					c.trig[2*c.k+j], c.trig[3*c.k+j] = math.Sincos(pHi)
+					c.havePhi[j] = true
+				}
+				d1, d2 := tm.aPh*pLo+tm.cPh, tm.aPh*pHi+tm.cPh
+				cos1, cos2 := tm.cos(pLo, c.trig[j], c.trig[c.k+j]), tm.cos(pHi, c.trig[2*c.k+j], c.trig[3*c.k+j])
+				if (sign < 0) != (tm.mv < 0) {
+					d1, d2, cos1, cos2 = d1+math.Pi, d2+math.Pi, -cos1, -cos2
+				}
+				cosd := max(cos1, cos2)
+				if math.Ceil(min(d1, d2)/(2*math.Pi))*(2*math.Pi) <= max(d1, d2) {
+					cosd = 1
+				}
+				mu := min(max(tm.absMv*cosd, aLo), aHi)
+				s += mu*mu + tm.absMv*tm.absMv - 2*mu*tm.absMv*cosd
+			}
+		}
+		v := c.sym * s
+		if v <= stop {
+			return v
+		}
+		best = min(best, v)
+	}
+	return best
+}
+
+// absMu returns the interval of |a·m + b| over m in [mLo, mHi] and the
+// sign a·m + b has on it: 0 when the interval straddles zero, in which
+// case aLo is 0.
+func (tm *lbTerm) absMu(mLo, mHi float64) (aLo, aHi float64, sign int) {
+	m1, m2 := tm.aMag*mLo+tm.bMag, tm.aMag*mHi+tm.bMag
+	if m1 > m2 {
+		m1, m2 = m2, m1
+	}
+	switch {
+	case m1 >= 0:
+		return m1, m2, 1
+	case m2 <= 0:
+		return -m2, -m1, -1
+	}
+	return 0, max(-m1, m2), 0
 }
 
 // skipByPrefixLB reports whether the candidate at feature point feat is

@@ -134,29 +134,27 @@ func bestWithin(pair *transform.Pair, nts int, worst float64, st *QueryStats) (b
 	return best, ti, ok
 }
 
-// nnCand is a leaf entry the NN search has not pruned yet: its lower
-// bound from the transformed magnitude intervals, and tombstoned once the
-// batched fetch finds the record deleted on disk.
+// nnCand is a leaf entry the NN search has not dismissed yet: its
+// position in the leaf, and tombstoned once the batched fetch finds the
+// record deleted on disk.
 type nnCand struct {
-	lb         float64
+	entry      int
 	rec        int64
 	tombstoned bool
 }
 
 // MTIndexNN answers the transformed nearest-neighbor query (Sec. 4.1's
-// sketch) with a best-first traversal. Index rectangles are transformed
-// by the MBR of ts on the fly and subtrees are pruned by a provable lower
-// bound on the transformed distance: the gap between the transformed
-// magnitude intervals of the rectangle and of the query (a MINDIST
-// analogue restricted to the magnitude dimensions; phase intervals do not
-// lower-bound the distance and are left out). A leaf entry is a point, so
-// there the bound is the DFT-prefix lower bound of the range pipeline,
-// per transformation and phases included (lbCascade), against the k-th
-// best distance so far; what it lets through is resolved exactly by the
-// pair kernel, every evaluation abandoning at that same distance. Both
-// dismiss only on d > k-th best, strictly, so ties at the k boundary are
-// computed and ranked. Results are exact and in rank order (lessNN). Of
-// opts only OneSided and the shard tag apply.
+// sketch) with a best-first traversal. Subtrees are ordered and pruned by
+// the DFT-prefix lower bound of the range pipeline in its rectangle form
+// (lbCascade.rectLB: per transformation, the squared distances from the
+// transformed query coefficients to the entry's annular sectors, summed),
+// leaf entries, which are points, by its point form, both against the
+// k-th best distance so far; what they let through is resolved exactly by
+// the pair kernel, every evaluation abandoning at that same distance. All
+// three dismiss only on d > k-th best, strictly and with the cutoff's
+// slack, so ties at the k boundary are computed and ranked. Results are
+// exact and in rank order (lessNN). Of opts only OneSided and the shard
+// tag apply.
 //
 // The statistics follow the range pipeline's: SkippedLB (and its tiers)
 // counts leaf entries the prefix bound dismissed, Candidates the records
@@ -165,7 +163,7 @@ type nnCand struct {
 // read per entry would cost more than the bound.
 //
 // When ctx holds a parent span the traversal is recorded as one KindProbe
-// span (node visits, MINDIST-pruned subtrees, prefix-bound dismissals,
+// span (node visits, subtrees pruned by the bound, prefix-bound dismissals,
 // candidates resolved, evaluations abandoned, page I/O), tagged with
 // AShard when opts.ShardTotal > 1 so scatter-gather traces roll up per
 // shard. A nil ctx takes the untraced path.
@@ -177,7 +175,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	}
 	parent := obs.SpanFromContext(ctx)
 	var sp *obs.Span
-	var pruned int64
+	var prunedLB int64
 	var nMatches int
 	if parent != nil {
 		sp = parent.Child(obs.KindProbe, fmt.Sprintf("nn best-first (k=%d)", k))
@@ -190,7 +188,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 		defer func() {
 			sp.Set(obs.ANodes, int64(st.DAAll))
 			sp.Set(obs.ALeaves, int64(st.DALeaf))
-			sp.Set(obs.APruned, pruned)
+			sp.Set(obs.APrunedLB, prunedLB)
 			sp.Set(obs.ACandidates, int64(st.Candidates))
 			sp.Set(obs.AComparisons, int64(st.Comparisons))
 			sp.Set(obs.AMatches, int64(nMatches))
@@ -205,39 +203,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			sp.EndErr(retErr)
 		}()
 	}
-	mult, add := ix.fullMBRs(ts)
 	st.IndexSearches++
-	// Transformed query magnitude intervals per coefficient.
-	qMagLo := make([]float64, ix.opts.K+1)
-	qMagHi := make([]float64, ix.opts.K+1)
-	for j := 1; j <= ix.opts.K; j++ {
-		if oneSided {
-			// The query is compared untransformed.
-			qMagLo[j], qMagHi[j] = q.Mags[j], q.Mags[j]
-			continue
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, t := range ts {
-			v := t.A[2*j]*q.Mags[j] + t.B[2*j]
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-		qMagLo[j], qMagHi[j] = lo, hi
-	}
-	symFactor := 1.0
-	if ix.opts.UseSymmetry {
-		symFactor = math.Sqrt2
-	}
-	// lower bound for a transformed rectangle: sqrt(sum of squared gaps
-	// between its magnitude intervals and the query magnitude intervals),
-	// scaled by the symmetry factor.
-	lowerBound := func(y geom.Rect) float64 {
-		var ss float64
-		for j := 1; j <= ix.opts.K; j++ {
-			gap := intervalGap(y.Lo[2*j], y.Hi[2*j], qMagLo[j], qMagHi[j])
-			ss += gap * gap
-		}
-		return symFactor * math.Sqrt(ss)
-	}
 
 	// results holds the k best so far in rank order and worst the k-th
 	// best distance, +Inf until there are k. Nothing is dismissed before
@@ -246,11 +212,19 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	var results []NNMatch
 	worst := math.Inf(1)
 	casc := ix.newLBCascade(ts, q, worst, oneSided)
-	// Scratch rectangle reused for every entry the traversal inspects
-	// (the bound only reads the transformed rectangle before the next
-	// entry overwrites it).
-	scratchLo := make(geom.Point, ix.dim)
-	scratchHi := make(geom.Point, ix.dim)
+	// dismissed holds a leaf entry, a point whose Rect.Lo is the record's
+	// feature vector, to the prefix bound at the cutoff in force.
+	dismissed := func(feat geom.Point, rec int64) bool {
+		tier := casc.skip(feat)
+		if tier < 0 {
+			return false
+		}
+		st.skippedAt(tier)
+		if ix.nnDismissed != nil {
+			ix.nnDismissed(rec, worst)
+		}
+		return true
+	}
 	// Best-first: each node is consumed (children pushed, leaf entries
 	// resolved) before the next is loaded, so one decode slot serves the
 	// whole search.
@@ -269,7 +243,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	h.Push(0, ix.tree.Root())
 	for h.Len() > 0 {
 		bound, page := h.Pop()
-		if bound > worst {
+		if bound > casc.cut {
 			break
 		}
 		n, err := ix.tree.LoadInto(ctx, page, slots.At(0))
@@ -279,10 +253,9 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 		st.DAAll++
 		if !n.Leaf {
 			for _, ent := range n.Entries {
-				y := transform.ApplyMBRsInto(scratchLo, scratchHi, mult, add, ent.Rect)
-				lb := lowerBound(y)
-				if lb > worst {
-					pruned++
+				lb := casc.rectLB(ent.Rect.Lo, ent.Rect.Hi, -1)
+				if lb > casc.cut {
+					prunedLB++
 					continue
 				}
 				h.Push(lb, ent.Child)
@@ -292,36 +265,26 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 		st.DALeaf++
 		// Collect the leaf's surviving entries, fetch their records in
 		// one page-ordered batch, then verify in entry order. The prefix
-		// bound runs once per entry, here, before anything is fetched; the
-		// magnitude bound is re-checked per entry as worst tightens, so
-		// the candidates verified — and every statistic derived from them
-		// — are the same with and without a heap file, and batching can
-		// only prefetch a page for an entry the tightening bound later
-		// rejects. That is also why, unlike a range probe, the records
-		// cannot be verified as their pages stream by: which of them are
-		// verified at all depends on the order. The fetch copies each
-		// spectrum out of the decode slot into the leaf's slab instead.
+		// bound meets every entry here, before anything is fetched, and
+		// again before the entry is verified if worst has tightened in
+		// between, so the candidates verified — and every statistic
+		// derived from them — are the same with and without a heap file,
+		// and batching can only prefetch a page for an entry the
+		// tightening bound later rejects. That is also why, unlike a range
+		// probe, the records cannot be verified as their pages stream by:
+		// which of them are verified at all depends on the order. The
+		// fetch copies each spectrum out of the decode slot into the
+		// leaf's slab instead.
 		leafCands := sc.leaf[:0]
-		for _, ent := range n.Entries {
-			y := transform.ApplyMBRsInto(scratchLo, scratchHi, mult, add, ent.Rect)
-			lb := lowerBound(y)
-			if lb > worst {
-				continue
-			}
+		for i, ent := range n.Entries {
 			if ix.ds.Record(ent.Rec) == nil {
 				continue // deleted since the entry was written: no page read
 			}
-			// A leaf entry is a point: Rect.Lo is the record's feature
-			// vector, what the prefix bound is computed from.
-			if tier := casc.skip(ent.Rect.Lo); tier >= 0 {
-				st.skippedAt(tier)
-				if ix.nnDismissed != nil {
-					ix.nnDismissed(ent.Rec, worst)
-				}
-				continue
+			if !dismissed(ent.Rect.Lo, ent.Rec) {
+				leafCands = append(leafCands, nnCand{entry: i, rec: ent.Rec})
 			}
-			leafCands = append(leafCands, nnCand{lb: lb, rec: ent.Rec})
 		}
+		armed := casc.cut
 		sc.leaf = leafCands
 		if ix.heap != nil {
 			sc.ids = sc.ids[:0]
@@ -346,11 +309,11 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			}
 		}
 		for ci, c := range leafCands {
-			if c.lb > worst {
-				continue // bound tightened since the batch was formed
-			}
 			if c.tombstoned || c.rec == q.ID {
 				continue
+			}
+			if casc.cut < armed && dismissed(n.Entries[c.entry].Rect.Lo, c.rec) {
+				continue // the bound tightened since the batch was formed
 			}
 			r := ix.ds.Record(c.rec)
 			if ix.heap != nil {

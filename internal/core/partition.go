@@ -154,7 +154,7 @@ func (ix *Index) OptimalPartition(q *Record, ts []transform.Transform, eps float
 			mult, add := ix.fullMBRs(sub)
 			qrect := ix.queryRect(q, sub, eps, mode)
 			var probe QueryStats
-			if _, err := ix.filter(nil, sc, mult, add, qrect, nil, nil, &probe, nil); err != nil {
+			if _, err := ix.filter(nil, sc, mult, add, qrect, nil, nil, nil, &probe, nil); err != nil {
 				return nil, 0, err
 			}
 			segCost[i][j] = params.Cost(probe.DAAll, probe.DALeaf, len(sub), caLeaf)

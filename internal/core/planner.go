@@ -15,8 +15,8 @@ import (
 // model: given a query and a transformation set, it estimates the cost of
 // the sequential scan, the ST-index plan, and MT-index plans with a few
 // candidate packings (one rectangle, fixed-size rectangles, cluster-aware
-// rectangles), using filter-only index probes for the disk-access terms,
-// and picks the cheapest.
+// rectangles), running each plan's filter stage for the disk-access and
+// candidate terms, and picks the cheapest.
 
 // PlanKind identifies a plan family.
 type PlanKind int
@@ -60,6 +60,14 @@ type Plan struct {
 type PlanCost struct {
 	Description string
 	Cost        float64
+	Kind        PlanKind
+	// Groups is the packing of a PlanMTIndex alternative. DAAll and
+	// Candidates are what its probes measured, summed over the
+	// rectangles: the node reads and record fetches an execution of it
+	// under the same options reports in QueryStats.
+	Groups     [][]int
+	DAAll      int
+	Candidates int
 }
 
 // String renders the plan and its alternatives.
@@ -76,13 +84,16 @@ func (p *Plan) String() string {
 }
 
 // PlanRange estimates the alternatives for a range query and returns the
-// cheapest. Probing costs a handful of filter-only index traversals; a
+// cheapest. Probing costs a handful of filter stages, each exactly the one
+// the executor would run under opts (same rectangles, same lower bound on
+// nodes and leaf entries, none under NaiveVerify), so a plan is priced
+// with the node reads and the record fetches it would really make; a
 // plan is worth it when the same transformation set is queried repeatedly
 // or the relation is large. When ctx carries a span, the probing
 // traversals are recorded as one KindPlan span (node visits and page I/O
 // attributed), so an EXPLAIN ANALYZE of an Auto query accounts for the
 // planner's own disk accesses too.
-func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) (_ *Plan, retErr error) {
+func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, params CostParams) (_ *Plan, retErr error) {
 	nT := len(ts)
 	nS := len(ix.ds.Records)
 	if nT == 0 {
@@ -114,16 +125,17 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 		cmpPerRecord = log2ceil(nT)
 	}
 	seqCost := params.CDA*float64(nS) + params.Ccmp*float64(nS)*cmpPerRecord
-	alts = append(alts, PlanCost{Description: "seqscan", Cost: seqCost})
+	alts = append(alts, PlanCost{Description: "seqscan", Cost: seqCost, Kind: PlanSeqScan})
 
-	// probe measures one rectangle's filter-only traversal.
+	// probe runs one rectangle's filter stage: the nodes it reads and the
+	// survivors verification would fetch.
 	probe := func(sub []transform.Transform) (daAll int, candidates int, err error) {
-		mult, add := ix.fullMBRs(sub)
-		qrect := ix.queryRect(q, sub, eps, mode)
+		mult, add, qrect, phaseDims := ix.stageRects(q, sub, eps, opts)
+		bound, node := ix.stageBound(sub, q, eps, opts)
 		var st QueryStats
 		sc := ix.acquireScratch()
 		defer ix.releaseScratch(sc)
-		cands, err := ix.filter(ctx, sc, mult, add, qrect, nil, nil, &st, nil)
+		cands, err := ix.filter(ctx, sc, mult, add, qrect, phaseDims, bound, node, &st, nil)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -152,7 +164,7 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 	stDA /= float64(count)
 	stCand /= float64(count)
 	stCost := float64(nT) * (params.CDA*(stDA+stCand) + params.Ccmp*stCand)
-	alts = append(alts, PlanCost{Description: fmt.Sprintf("st-index (%d probes)", nT), Cost: stCost})
+	alts = append(alts, PlanCost{Description: fmt.Sprintf("st-index (%d probes)", nT), Cost: stCost, Kind: PlanSTIndex})
 
 	// MT-index packings: one rectangle, 8 per rectangle, cluster-aware.
 	type packing struct {
@@ -166,10 +178,8 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 	if clustered := ix.ClusterThenEqualPartition(ts, 8, 0); len(clustered) > 1 && nT > 8 {
 		packings = append(packings, packing{desc: fmt.Sprintf("mt-index clustered (%d rects)", len(clustered)), groups: clustered})
 	}
-	bestMT := -1
-	bestMTCost := 0.0
-	for pi, p := range packings {
-		total := 0.0
+	for _, p := range packings {
+		alt := PlanCost{Description: p.desc, Kind: PlanMTIndex, Groups: p.groups}
 		for _, g := range p.groups {
 			sub := make([]transform.Transform, len(g))
 			for i, idx := range g {
@@ -179,26 +189,15 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 			if err != nil {
 				return nil, err
 			}
-			total += params.CDA*float64(da+cand) + params.Ccmp*float64(cand)*float64(len(g))
+			alt.DAAll += da
+			alt.Candidates += cand
+			alt.Cost += params.CDA*float64(da+cand) + params.Ccmp*float64(cand)*float64(len(g))
 		}
-		alts = append(alts, PlanCost{Description: p.desc, Cost: total})
-		if bestMT == -1 || total < bestMTCost {
-			bestMT, bestMTCost = pi, total
-		}
+		alts = append(alts, alt)
 	}
 
-	sort.Slice(alts, func(i, j int) bool { return alts[i].Cost < alts[j].Cost })
-	plan := &Plan{Considered: alts, Cost: alts[0].Cost}
-	switch {
-	case alts[0].Description == "seqscan":
-		plan.Kind = PlanSeqScan
-	case strings.HasPrefix(alts[0].Description, "st-index"):
-		plan.Kind = PlanSTIndex
-	default:
-		plan.Kind = PlanMTIndex
-		plan.Groups = packings[bestMT].groups
-	}
-	return plan, nil
+	sort.SliceStable(alts, func(i, j int) bool { return alts[i].Cost < alts[j].Cost })
+	return &Plan{Kind: alts[0].Kind, Groups: alts[0].Groups, Cost: alts[0].Cost, Considered: alts}, nil
 }
 
 func log2ceil(n int) float64 {

@@ -371,40 +371,20 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 		sub = append(sub, ts[idx])
 	}
 	sc.sub = sub
-	mult, add := ix.fullMBRs(sub)
-	var qrect geom.Rect
-	var phaseDims []bool
-	if opts.OneSided {
-		qrect, phaseDims = ix.oneSidedQueryRect(q, eps, opts.Mode)
-	} else {
-		qrect = ix.queryRect(q, sub, eps, opts.Mode)
-	}
+	mult, add, qrect, phaseDims := ix.stageRects(q, sub, eps, opts)
 	st.IndexSearches++
 
 	var fsp *obs.Span
 	if probe != nil {
 		fsp = probe.Child(obs.KindFilter, "filter")
 	}
-	// The filter stage's lower bound: the tiered cascade, its flat
-	// reference under FlatLB (whose every dismissal is the full prefix
-	// bound's, tier 2), none under NaiveVerify. Building it counts as
-	// lower-bound time.
-	var bound func(feat geom.Point) int
-	if !opts.NaiveVerify {
-		lbStart := time.Now()
-		if opts.FlatLB {
-			bound = func(feat geom.Point) int {
-				if ix.skipByPrefixLB(feat, sub, q, eps, opts.OneSided) {
-					return 2
-				}
-				return -1
-			}
-		} else {
-			bound = ix.newLBCascade(sub, q, eps, opts.OneSided).skip
-		}
+	// Building the stage's lower bound counts as lower-bound time.
+	lbStart := time.Now()
+	bound, node := ix.stageBound(sub, q, eps, opts)
+	if bound != nil {
 		st.LBTimeNs = time.Since(lbStart).Nanoseconds()
 	}
-	survivors, err := ix.filter(ctx, sc, mult, add, qrect, phaseDims, bound, &st, fsp)
+	survivors, err := ix.filter(ctx, sc, mult, add, qrect, phaseDims, bound, node, &st, fsp)
 	if fsp != nil {
 		fsp.Set(obs.ASkippedLB, int64(st.SkippedLB))
 		fsp.Set(obs.ASkippedLB0, int64(st.SkippedLB0))
@@ -443,6 +423,40 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	return matches, st, nil
 }
 
+// stageRects is the rectangle arithmetic of one transformation rectangle's
+// filter stage: the group's lifted MBR and the query rectangle, with the
+// phase dimensions to compare modulo 2*pi in one-sided mode.
+func (ix *Index) stageRects(q *Record, sub []transform.Transform, eps float64, opts RangeOptions) (mult, add, qrect geom.Rect, phaseDims []bool) {
+	mult, add = ix.fullMBRs(sub)
+	if opts.OneSided {
+		qrect, phaseDims = ix.oneSidedQueryRect(q, eps, opts.Mode)
+	} else {
+		qrect = ix.queryRect(q, sub, eps, opts.Mode)
+	}
+	return mult, add, qrect, phaseDims
+}
+
+// stageBound builds the lower bound of one rectangle's filter stage: the
+// tiered cascade, which also bounds index rectangles (node), its flat
+// reference under FlatLB (whose every dismissal is the full prefix
+// bound's, tier 2, and which prunes no subtree), none under NaiveVerify.
+// The planner prices a probe with the same pair the executor will run.
+func (ix *Index) stageBound(sub []transform.Transform, q *Record, eps float64, opts RangeOptions) (bound func(feat geom.Point) int, node *lbCascade) {
+	switch {
+	case opts.NaiveVerify:
+		return nil, nil
+	case opts.FlatLB:
+		return func(feat geom.Point) int {
+			if ix.skipByPrefixLB(feat, sub, q, eps, opts.OneSided) {
+				return 2
+			}
+			return -1
+		}, nil
+	}
+	node = ix.newLBCascade(sub, q, eps, opts.OneSided)
+	return node.skip, node
+}
+
 // filter is the filter stage of one transformation rectangle: the
 // Algorithm 1 traversal and, on every leaf entry it admits, the
 // DFT-prefix lower bound, read straight off the decode slot's feature
@@ -452,20 +466,24 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 // feature point, or -1 to keep it; a caller that only wants the
 // traversal's counts passes nil, and every admitted entry survives.
 // phaseDims, when non-nil, selects modulo-2*pi comparison for the marked
-// dimensions (one-sided mode).
+// dimensions (one-sided mode). node, when non-nil, is the cascade whose
+// rectangle form (rectLB) meets every internal entry the per-dimension
+// intersection lets through: a subtree whose bound exceeds the cutoff
+// holds only entries the point bound would dismiss one by one, and is
+// not read.
 //
 // The dismissals go to st.SkippedLB* and the time bound took to
 // st.LBTimeNs: a leaf's admitted entries meet it in one timed pass, and a
 // leaf that admits nothing reads no clock. Node loads carry ctx so a
 // storage.QueryIO in it sees them, and when sp is non-nil the traversal
-// counters (nodes, leaves, pruned subtrees, admitted entries) are
-// recorded on it. The caller closes sp. The walk is depth-first, one
-// decode slot per tree level: the parent's entries are still being
-// iterated while a child is read. The returned ids live in sc and are
-// valid until sc is released.
-func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.Rect, phaseDims []bool, bound func(feat geom.Point) int, st *QueryStats, sp *obs.Span) ([]int64, error) {
+// counters (nodes, leaves, subtrees pruned by the rectangle and by the
+// bound, admitted entries) are recorded on it. The caller closes sp. The
+// walk is depth-first, one decode slot per tree level: the parent's
+// entries are still being iterated while a child is read. The returned
+// ids live in sc and are valid until sc is released.
+func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.Rect, phaseDims []bool, bound func(feat geom.Point) int, node *lbCascade, st *QueryStats, sp *obs.Span) ([]int64, error) {
 	da0, dl0 := st.DAAll, st.DALeaf
-	var pruned, admittedTotal int64
+	var pruned, prunedLB, admittedTotal int64
 	out := sc.cands[:0]
 	slots := ix.tree.AcquireSlots()
 	defer slots.Release()
@@ -540,6 +558,10 @@ func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.
 				pruned++
 				continue
 			}
+			if node != nil && node.rectLB(e.Rect.Lo, e.Rect.Hi, node.cut) > node.cut {
+				prunedLB++
+				continue
+			}
 			if err := walk(e.Child, depth+1); err != nil {
 				return err
 			}
@@ -555,6 +577,7 @@ func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.
 		sp.Set(obs.ANodes, int64(st.DAAll-da0))
 		sp.Set(obs.ALeaves, int64(st.DALeaf-dl0))
 		sp.Set(obs.APruned, pruned)
+		sp.Set(obs.APrunedLB, prunedLB)
 		sp.Set(obs.ACandidates, admittedTotal)
 	}
 	return out, nil

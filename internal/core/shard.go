@@ -437,8 +437,8 @@ func (s *Sharded) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, erro
 // sampled probes stand in for all. (At N>1 the absolute cost figures
 // describe one shard, i.e. ~1/N of the data; the *relative* ranking of
 // the candidate plans, which is all the planner uses, is unaffected.)
-func (s *Sharded) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) (*Plan, error) {
-	return s.shards[0].PlanRange(ctx, q, ts, eps, mode, params)
+func (s *Sharded) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, params CostParams) (*Plan, error) {
+	return s.shards[0].PlanRange(ctx, q, ts, eps, opts, params)
 }
 
 // Insert routes a new series to its shard. New ids are assigned

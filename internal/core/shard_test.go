@@ -227,8 +227,15 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 	if !reflect.DeepEqual(gc, wantC) {
 		t.Errorf("closest-pairs answers differ from the parent commit's:\n got %+v\nwant %+v", gc, wantC)
 	}
-	if want := (QueryStats{DAAll: 12, DALeaf: 11, Candidates: 11184, Comparisons: 33552, IndexSearches: 1, Abandoned: 33456}); gcst != want {
-		t.Errorf("closest-pairs stats differ from the parent commit's:\n got %+v\nwant %+v", gcst, want)
+	// Abandoned was 33456 until the R*-tree's split and reinsert
+	// heuristics became scale-free (margins and centre distances in units
+	// of the overflowing node's extent): the leaves hold other records,
+	// closest pairs meets its candidate pairs in another order, and two
+	// more evaluations find the k-th best already below them. The
+	// answers, the node and pair counts, and the join rows above, which
+	// have no running cutoff, did not move.
+	if want := (QueryStats{DAAll: 12, DALeaf: 11, Candidates: 11184, Comparisons: 33552, IndexSearches: 1, Abandoned: 33458}); gcst != want {
+		t.Errorf("closest-pairs stats differ from the pinned ones:\n got %+v\nwant %+v", gcst, want)
 	}
 }
 

@@ -40,7 +40,7 @@ func TestFilterAllocsDoNotGrowWithNodesVisited(t *testing.T) {
 		qrect := ix.queryRect(q, ts, series.DistanceForCorrelation(64, rho), QRectSafe)
 		allocs = testing.AllocsPerRun(10, func() {
 			var st QueryStats
-			out, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, &st, nil)
+			out, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, nil, &st, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestFilterBoundSeesLeafFeatures(t *testing.T) {
 	mult, add := ix.fullMBRs(ts)
 	qrect := ix.queryRect(ds.Records[5], ts, series.DistanceForCorrelation(64, 0.5), QRectSafe)
 	var admitted, st QueryStats
-	all, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, &admitted, nil)
+	all, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, nil, &admitted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestFilterBoundSeesLeafFeatures(t *testing.T) {
 			return n % 3 // tiers 1 and 2
 		}
 		return -1
-	}, &st, nil)
+	}, nil, &st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

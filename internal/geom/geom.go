@@ -116,8 +116,23 @@ func (r Rect) Intersects(s Rect) bool {
 func (r Rect) OverlapArea(s Rect) float64 {
 	a := 1.0
 	for i := range r.Lo {
-		lo := math.Max(r.Lo[i], s.Lo[i])
-		hi := math.Min(r.Hi[i], s.Hi[i])
+		lo := max(r.Lo[i], s.Lo[i])
+		hi := min(r.Hi[i], s.Hi[i])
+		if hi <= lo {
+			return 0
+		}
+		a *= hi - lo
+	}
+	return a
+}
+
+// UnionOverlapArea returns r.Union(t).OverlapArea(s), the volume s shares
+// with the bounding rectangle of r and t, without building the union.
+func (r Rect) UnionOverlapArea(t, s Rect) float64 {
+	a := 1.0
+	for i := range r.Lo {
+		lo := max(min(r.Lo[i], t.Lo[i]), s.Lo[i])
+		hi := min(max(r.Hi[i], t.Hi[i]), s.Hi[i])
 		if hi <= lo {
 			return 0
 		}
@@ -137,9 +152,14 @@ func (r Rect) Union(s Rect) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// Enlargement returns the increase in area needed for r to cover s.
+// Enlargement returns the increase in area needed for r to cover s:
+// r.Union(s).Area() - r.Area(), without building the union.
 func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
+	u := 1.0
+	for i := range r.Lo {
+		u *= max(r.Hi[i], s.Hi[i]) - min(r.Lo[i], s.Lo[i])
+	}
+	return u - r.Area()
 }
 
 // Expand returns r grown by eps on both sides of every dimension.

@@ -91,6 +91,21 @@ func TestUnionProperties(t *testing.T) {
 	}
 }
 
+// TestUnionFreeFormsAreTheUnionForms: the two measures ChooseSubtree takes
+// of a rectangle grown to cover another, computed without building the
+// union, are the same float64 as through Union.
+func TestUnionFreeFormsAreTheUnionForms(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r, s, o := randRect(rng, 5), randRect(rng, 5), randRect(rng, 5)
+		return r.Enlargement(s) == r.Union(s).Area()-r.Area() &&
+			r.UnionOverlapArea(s, o) == r.Union(s).OverlapArea(o)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestMinDist(t *testing.T) {
 	r := NewRect(Point{0, 0}, Point{2, 2})
 	if got := r.MinDist(Point{1, 1}); got != 0 {

@@ -83,9 +83,15 @@ const (
 	ANodes Attr = iota
 	// ALeaves counts leaf nodes visited (DA_leaf).
 	ALeaves
-	// APruned counts entries rejected without descending (failed MBR
-	// intersection or MINDIST bound).
+	// APruned counts internal entries a range probe did not descend into
+	// because the transformed rectangle missed the query rectangle.
 	APruned
+	// APrunedLB counts internal entries not descended into because the
+	// lower bound on the rectangle (the summed sector bound) exceeded the
+	// cutoff: eps for a range probe, after the rectangle test let the
+	// entry through; the k-th best distance so far for an NN probe, which
+	// has no other subtree test.
+	APrunedLB
 	// APagesRead counts backend page reads attributed to the span.
 	APagesRead
 	// ABufferHits counts buffer-pool hits attributed to the span.
@@ -162,6 +168,8 @@ func (a Attr) String() string {
 		return "leaves"
 	case APruned:
 		return "pruned"
+	case APrunedLB:
+		return "pruned_lb"
 	case APagesRead:
 		return "pages_read"
 	case ABufferHits:

@@ -92,8 +92,7 @@ func (t *Tree) Delete(r geom.Rect, rec int64) error {
 				}
 				continue
 			}
-			overflowed := make(map[int]bool)
-			if err := t.insertAtLevel(e, level, overflowed); err != nil {
+			if err := t.insertAtLevel(e, level, new(levelSet)); err != nil {
 				return err
 			}
 		}
@@ -108,8 +107,7 @@ func (t *Tree) Delete(r geom.Rect, rec int64) error {
 // shrinkage removed the level an orphan belonged to.
 func (t *Tree) reinsertSubtree(e Entry, level int) error {
 	if level == 1 {
-		overflowed := make(map[int]bool)
-		return t.insertAtLevel(e, 1, overflowed)
+		return t.insertAtLevel(e, 1, new(levelSet))
 	}
 	n, err := t.Load(e.Child)
 	if err != nil {

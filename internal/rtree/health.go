@@ -38,6 +38,13 @@ type LevelHealth struct {
 	CoveredArea float64 `json:"covered_area"`
 	EntryArea   float64 `json:"entry_area"`
 	DeadSpace   float64 `json:"dead_space"`
+	// ExtentShare is, per dimension, the mean side length of this level's
+	// node MBRs as a share of the root MBR's (0 where the root has no
+	// extent). A dimension a level's nodes span almost whole is one the
+	// tree does not partition by: a query constrained only there reads
+	// the entire level. Shares that differ widely between dimensions on
+	// the leaf level mean the splits favoured some coordinates.
+	ExtentShare []float64 `json:"extent_share"`
 }
 
 // TreeHealth is the read-only health report of a whole tree.
@@ -66,7 +73,9 @@ func (t *Tree) Health() (*TreeHealth, error) {
 	}
 	for i := range h.Levels {
 		h.Levels[i].Level = i
+		h.Levels[i].ExtentShare = make([]float64, t.dim)
 	}
+	rootExtent := make([]float64, t.dim) // the walk starts at the root
 	err := t.Visit(func(n *Node, level int) error {
 		// Visit levels count 1 = leaf upward; reports read root-down.
 		lh := &h.Levels[t.height-level]
@@ -82,6 +91,15 @@ func (t *Tree) Health() (*TreeHealth, error) {
 			return nil // empty root
 		}
 		mbr := n.mbr()
+		for d := range rootExtent {
+			ext := mbr.Hi[d] - mbr.Lo[d]
+			if n.ID == t.root {
+				rootExtent[d] = ext
+			}
+			if rootExtent[d] > 0 {
+				lh.ExtentShare[d] += ext / rootExtent[d]
+			}
+		}
 		lh.MarginSum += mbr.Margin()
 		lh.CoveredArea += mbr.Area()
 		for i, e := range n.Entries {
@@ -102,6 +120,9 @@ func (t *Tree) Health() (*TreeHealth, error) {
 		if lh.Nodes > 0 {
 			lh.AvgFill = float64(lh.Entries) / float64(lh.Nodes*t.maxE)
 			lh.AvgMargin = lh.MarginSum / float64(lh.Nodes)
+			for d := range lh.ExtentShare {
+				lh.ExtentShare[d] /= float64(lh.Nodes)
+			}
 		}
 		if lh.DeadSpace = lh.CoveredArea - lh.EntryArea; lh.DeadSpace < 0 {
 			// Overlapping entries can sum past the node MBR; dead space

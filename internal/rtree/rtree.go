@@ -30,7 +30,8 @@ type Tree struct {
 	root   storage.PageID
 	height int // 1 = root is a leaf
 	size   int64
-	buf    []byte // scratch page buffer for writes
+	buf    []byte       // scratch page buffer for writes
+	ovf    splitScratch // buffers of the split and reinsert decisions
 
 	// idleSlots holds the decode slots of finished traversals for the
 	// next ones. The pool belongs to the tree because a slot is sized
@@ -233,17 +234,19 @@ func (t *Tree) Insert(r geom.Rect, rec int64) error {
 	if r.Dim() != t.dim {
 		return fmt.Errorf("rtree: inserting %d-dimensional rect into %d-dimensional tree", r.Dim(), t.dim)
 	}
-	// overflowed tracks, per level, whether forced reinsertion already ran
-	// during this insertion (the R* rule: reinsert only once per level). A
-	// map because a root split during reinsertion can grow the height
-	// mid-insert.
-	overflowed := make(map[int]bool)
-	if err := t.insertAtLevel(Entry{Rect: r.Clone(), Rec: rec}, 1, overflowed); err != nil {
+	if err := t.insertAtLevel(Entry{Rect: r.Clone(), Rec: rec}, 1, new(levelSet)); err != nil {
 		return err
 	}
 	t.size++
 	return t.writeMeta()
 }
+
+// levelSet tracks, per level, whether forced reinsertion already ran
+// during one insertion (the R* rule: reinsert only once per level). It is
+// indexed by level, not sized by the height, because a root split during
+// reinsertion can grow the height mid-insert; with at least two entries
+// per node a tree of int64 records is never 64 levels high.
+type levelSet [64]bool
 
 // InsertPoint adds a point with the given record id.
 func (t *Tree) InsertPoint(p geom.Point, rec int64) error {
@@ -252,7 +255,7 @@ func (t *Tree) InsertPoint(p geom.Point, rec int64) error {
 
 // insertAtLevel inserts entry e at the given level (1 = leaf). The entry's
 // Child must be set when level > 1.
-func (t *Tree) insertAtLevel(e Entry, level int, overflowed map[int]bool) error {
+func (t *Tree) insertAtLevel(e Entry, level int, overflowed *levelSet) error {
 	path, err := t.choosePath(e.Rect, level)
 	if err != nil {
 		return err
@@ -304,13 +307,12 @@ func chooseLeastOverlap(entries []Entry, r geom.Rect) int {
 	best := -1
 	bestOverlap, bestEnlarge, bestArea := 0.0, 0.0, 0.0
 	for i, e := range entries {
-		grown := e.Rect.Union(r)
 		var overlapDelta float64
 		for j, other := range entries {
 			if j == i {
 				continue
 			}
-			overlapDelta += grown.OverlapArea(other.Rect) - e.Rect.OverlapArea(other.Rect)
+			overlapDelta += e.Rect.UnionOverlapArea(r, other.Rect) - e.Rect.OverlapArea(other.Rect)
 		}
 		enlarge := e.Rect.Enlargement(r)
 		area := e.Rect.Area()
@@ -341,7 +343,7 @@ func chooseLeastEnlargement(entries []Entry, r geom.Rect) int {
 // handleOverflowAndAdjust stores the modified tail node of path, resolving
 // overflow by forced reinsertion or split, and adjusts bounding rectangles
 // up to the root.
-func (t *Tree) handleOverflowAndAdjust(path []pathElem, level int, overflowed map[int]bool) error {
+func (t *Tree) handleOverflowAndAdjust(path []pathElem, level int, overflowed *levelSet) error {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i].node
 		curLevel := t.height - i // level of this node before any root split
@@ -372,20 +374,26 @@ func (t *Tree) handleOverflowAndAdjust(path []pathElem, level int, overflowed ma
 
 // reinsert implements R* forced reinsertion at path[i]: remove the
 // reinsertFraction of entries whose centers are farthest from the node's
-// center, tighten the node, then re-insert them at the same level.
-func (t *Tree) reinsert(path []pathElem, i, level int, overflowed map[int]bool) error {
+// center, tighten the node, then re-insert them at the same level. The
+// distance is taken in units of the node's extent per dimension (see
+// splitScratch.inv), squared: only its rank matters.
+func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) error {
 	n := path[i].node
+	dim, sc := t.dim, &t.ovf
+	sc.normalise(n.Entries, dim)
 	center := n.mbr().Center()
-	type distEntry struct {
-		d float64
-		e Entry
-	}
-	des := make([]distEntry, len(n.Entries))
+	sc.dist = sc.dist[:0]
 	for j, e := range n.Entries {
-		des[j] = distEntry{d: geom.Dist(e.Rect.Center(), center), e: e}
+		var ss float64
+		for d := 0; d < dim; d++ {
+			c := ((e.Rect.Lo[d]+e.Rect.Hi[d])/2 - center[d]) * sc.inv[d]
+			ss += c * c
+		}
+		sc.dist = append(sc.dist, distEntry{d: ss, i: j})
 	}
 	// Sort by distance descending (simple insertion sort keeps this
 	// dependency-free; nodes hold at most a few dozen entries).
+	des := sc.dist
 	for a := 1; a < len(des); a++ {
 		for b := a; b > 0 && des[b].d > des[b-1].d; b-- {
 			des[b], des[b-1] = des[b-1], des[b]
@@ -397,12 +405,13 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed map[int]bool) 
 	}
 	removed := make([]Entry, p)
 	for j := 0; j < p; j++ {
-		removed[j] = des[j].e
+		removed[j] = n.Entries[des[j].i]
 	}
-	n.Entries = n.Entries[:0]
-	for j := p; j < len(des); j++ {
-		n.Entries = append(n.Entries, des[j].e)
+	sc.work = sc.work[:0]
+	for _, de := range des[p:] {
+		sc.work = append(sc.work, n.Entries[de.i])
 	}
+	n.Entries = append(n.Entries[:0], sc.work...)
 	if err := t.store(n); err != nil {
 		return err
 	}
@@ -427,9 +436,9 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed map[int]bool) 
 
 // split implements the R* split of the overfull node path[i] at the given
 // level, propagating the new entry upward (splitting ancestors as needed).
-func (t *Tree) split(path []pathElem, i, level int, overflowed map[int]bool) error {
+func (t *Tree) split(path []pathElem, i, level int, overflowed *levelSet) error {
 	n := path[i].node
-	left, right := splitEntries(n.Entries, t.minE, t.dim)
+	left, right := t.ovf.splitEntries(n.Entries, t.minE, t.dim)
 	n.Entries = left
 	if err := t.store(n); err != nil {
 		return err

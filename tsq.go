@@ -653,7 +653,7 @@ func (db *DB) rangeDispatch(ctx context.Context, qr *core.Record, ts []Transform
 	}
 	ro := db.rangeOpts(ts, opts)
 	if opts.Algorithm == Auto {
-		plan, err := db.ix.PlanRange(ctx, qr, ts, eps, ro.Mode, core.DefaultCostParams())
+		plan, err := db.ix.PlanRange(ctx, qr, ts, eps, ro, core.DefaultCostParams())
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -876,7 +876,7 @@ func (db *DB) Explain(q Series, ts []Transform, thr Threshold) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, err := db.ix.PlanRange(nil, qr, ts, thr.Epsilon(db.ds.N), core.QRectSafe, core.DefaultCostParams())
+	plan, err := db.ix.PlanRange(nil, qr, ts, thr.Epsilon(db.ds.N), core.RangeOptions{Mode: core.QRectSafe}, core.DefaultCostParams())
 	if err != nil {
 		return "", err
 	}
