@@ -541,8 +541,9 @@ func explainAnalyze(db *tsq.DB, id int64, ts []tsq.Transform, thr tsq.Threshold,
 // exceeded the threshold) and the leaves it read, what it admitted, what
 // the lower bound in the leaf scan dismissed (by cascade tier) and what
 // it passed on, then what verification fetched, compared, abandoned and
-// matched — and checks every figure Stats also carries against the Stats
-// the query returned. A scan has no filter span and prints nothing.
+// matched and how many coefficient terms a comparison summed — and checks
+// every figure Stats also carries against the Stats the query returned. A
+// scan has no filter span and prints nothing.
 func printStages(tr *tsq.Trace, st tsq.Stats, matches int) {
 	if tr.Sum(obs.KindFilter, obs.ANodes) == 0 { // a traversal reads its root at least
 		return
@@ -553,17 +554,19 @@ func printStages(tr *tsq.Trace, st tsq.Stats, matches int) {
 	lb := time.Duration(tr.Sum(obs.KindFilter, obs.ALBNanos))
 	fetched, compared := tr.Sum(obs.KindVerify, obs.ACandidates), tr.Sum(obs.KindVerify, obs.AComparisons)
 	abandoned, matched := tr.Sum(obs.KindVerify, obs.AAbandoned), tr.Sum(obs.KindVerify, obs.AMatches)
+	terms := tr.Sum(obs.KindVerify, obs.ATerms)
 	nodes, leaves := tr.Sum(obs.KindFilter, obs.ANodes), tr.Sum(obs.KindFilter, obs.ALeaves)
 	fmt.Printf("pruned: %d by rectangle, %d by bound; leaves read %d\n",
 		tr.Sum(obs.KindFilter, obs.APruned), tr.Sum(obs.KindFilter, obs.APrunedLB), leaves)
 	fmt.Printf("filter: %d admitted -> %d skipped (tier 0/1/2: %d/%d/%d) -> %d survivors, lower bound %s\n",
 		admitted, skipped, sk0, sk1, sk2, admitted-skipped, lb.Round(100*time.Nanosecond))
-	fmt.Printf("verify: %d fetched, %d compared, %d abandoned, %d matched\n", fetched, compared, abandoned, matched)
+	fmt.Printf("verify: %d fetched, %d compared, %d abandoned, %d matched, %.1f terms/comparison\n",
+		fetched, compared, abandoned, matched, float64(terms)/float64(max(compared, 1)))
 	verdict := "OK"
 	if nodes != int64(st.DAAll) || leaves != int64(st.DALeaf) ||
 		skipped != int64(st.SkippedLB) || sk0 != int64(st.SkippedLB0) || sk1 != int64(st.SkippedLB1) || sk2 != int64(st.SkippedLB2) ||
 		int64(lb) != st.LBTimeNs || fetched != int64(st.Candidates) || compared != int64(st.Comparisons) ||
-		abandoned != int64(st.Abandoned) || matched != int64(matches) {
+		abandoned != int64(st.Abandoned) || terms != int64(st.Terms) || matched != int64(matches) {
 		verdict = "MISMATCH"
 	}
 	fmt.Printf("cross-check: stage counters against Stats — %s\n", verdict)

@@ -46,8 +46,7 @@ func SeqScanClosestPairs(ds *Dataset, ts []transform.Transform, k int) ([]JoinMa
 			st.Candidates++
 			best := JoinMatch{IDA: a.ID, IDB: b.ID, Distance: math.Inf(1)}
 			for ti, t := range ts {
-				st.Comparisons++
-				if d := t.DistancePolar(a.Mags, a.Phases, b.Mags, b.Phases); d < best.Distance {
+				if d, _ := st.evaluate(t, a, b, math.Inf(1), false); d < best.Distance {
 					best.Distance, best.TransformIdx = d, ti
 				}
 			}

@@ -30,6 +30,14 @@ func buildFixture(t testing.TB, seed int64, count, n int, opts IndexOptions) (*D
 // noTime returns st with the wall-time field zeroed, for tests that
 // assert deterministic stats equality: every counter must match
 // exactly, but LBTimeNs is a clock reading.
+// distancePred is the predicate distance of r and q under t in either
+// semantics, completed: what the tests hold answers and bounds against.
+func distancePred(t transform.Transform, r, q *Record, oneSided bool) float64 {
+	var st QueryStats
+	d, _ := st.evaluate(t, r, q, math.Inf(1), oneSided)
+	return d
+}
+
 func noTime(st QueryStats) QueryStats {
 	st.LBTimeNs = 0
 	return st

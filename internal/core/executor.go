@@ -152,24 +152,24 @@ func (e *Executor) runOne(ctx context.Context, req *ExecRequest) ExecResult {
 			return ExecResult{Err: err}
 		}
 	}
-	opts := req.Opts
+	opts, ts := req.Opts, req.Transforms
 	if req.QueryTransform != nil {
-		qr = qr.ApplyTransform(*req.QueryTransform)
+		qr, ts = TransformQuery(qr, *req.QueryTransform, ts)
 		opts.OneSided = true
 	}
 	if req.K > 0 {
 		if req.SeqScan {
-			nn, st := SeqScanNN(ctx, e.ix.Dataset(), qr, req.Transforms, req.K, opts.OneSided)
+			nn, st := SeqScanNN(ctx, e.ix.Dataset(), qr, ts, req.K, opts.OneSided)
 			return ExecResult{NN: nn, Stats: st}
 		}
-		nn, st, err := e.ix.MTIndexNN(ctx, qr, req.Transforms, req.K, opts)
+		nn, st, err := e.ix.MTIndexNN(ctx, qr, ts, req.K, opts)
 		return ExecResult{NN: nn, Stats: st, Err: err}
 	}
 	if req.SeqScan {
-		m, st := SeqScanRange(ctx, e.ix.Dataset(), qr, req.Transforms, req.Eps, opts)
+		m, st := SeqScanRange(ctx, e.ix.Dataset(), qr, ts, req.Eps, opts)
 		return ExecResult{Matches: m, Stats: st}
 	}
-	m, st, err := e.ix.MTIndexRange(ctx, qr, req.Transforms, req.Eps, opts)
+	m, st, err := e.ix.MTIndexRange(ctx, qr, ts, req.Eps, opts)
 	return ExecResult{Matches: m, Stats: st, Err: err}
 }
 

@@ -33,8 +33,7 @@ func SeqScanJoin(ds *Dataset, ts []transform.Transform, eps float64) ([]JoinMatc
 			}
 			st.Candidates++
 			for ti, t := range ts {
-				st.Comparisons++
-				if d := t.DistancePolar(a.Mags, a.Phases, b.Mags, b.Phases); d <= eps {
+				if d, _ := st.evaluate(t, a, b, math.Inf(1), false); d <= eps {
 					out = append(out, JoinMatch{IDA: a.ID, IDB: b.ID, TransformIdx: ti, Distance: d})
 				}
 			}
@@ -136,13 +135,7 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 			st.Candidates++
 			pair.Set(a.Mags, a.Phases, b.Mags, b.Phases)
 			for i := range sub {
-				st.Comparisons++
-				d, abandoned := pair.DistanceAbandon(i, eps)
-				if abandoned {
-					st.Abandoned++
-					continue
-				}
-				if d <= eps {
+				if d, _ := st.evaluatePair(pair, i, eps); d <= eps {
 					out = append(out, JoinMatch{IDA: k[0], IDB: k[1], TransformIdx: g[i], Distance: d})
 				}
 			}

@@ -60,15 +60,9 @@ func SeqScanNN(ctx context.Context, ds *Dataset, q *Record, ts []transform.Trans
 		st.Candidates++
 		m := NNMatch{RecordID: r.ID, Distance: math.Inf(1)}
 		for i, t := range ts {
-			st.Comparisons++
 			// Abandon against the running minimum: an abandoned
 			// evaluation proves d > m.Distance, which cannot update it.
-			d, abandoned := distancePredAbandon(t, r, q, m.Distance, oneSided)
-			if abandoned {
-				st.Abandoned++
-				continue
-			}
-			if d < m.Distance {
+			if d, _ := st.evaluate(t, r, q, m.Distance, oneSided); d < m.Distance {
 				m.Distance, m.TransformIdx = d, i
 			}
 		}
@@ -81,6 +75,7 @@ func SeqScanNN(ctx context.Context, ds *Dataset, q *Record, ts []transform.Trans
 	if sp != nil {
 		sp.Set(obs.ACandidates, int64(st.Candidates))
 		sp.Set(obs.AComparisons, int64(st.Comparisons))
+		sp.Set(obs.ATerms, int64(st.Terms))
 		sp.Set(obs.AMatches, int64(len(best)))
 		sp.Set(obs.ATransforms, int64(len(ts)))
 		sp.End()
@@ -120,10 +115,8 @@ func insertTopK[T any](top []T, m T, k int, less func(a, b T) bool) []T {
 func bestWithin(pair *transform.Pair, nts int, worst float64, st *QueryStats) (best float64, ti int, ok bool) {
 	best = math.Inf(1)
 	for i := 0; i < nts; i++ {
-		st.Comparisons++
-		d, abandoned := pair.DistanceAbandon(i, math.Min(best, worst))
+		d, abandoned := st.evaluatePair(pair, i, math.Min(best, worst))
 		if abandoned {
-			st.Abandoned++
 			continue
 		}
 		ok = true
@@ -200,6 +193,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			sp.Set(obs.ASkippedLB1, int64(st.SkippedLB1))
 			sp.Set(obs.ASkippedLB2, int64(st.SkippedLB2))
 			sp.Set(obs.AAbandoned, int64(st.Abandoned))
+			sp.Set(obs.ATerms, int64(st.Terms))
 			sp.EndErr(retErr)
 		}()
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -49,9 +50,7 @@ func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int
 				out = appendOrderedMatches(out, ordered, r, q, eps, &st, g, true, nil)
 			} else {
 				for i, t := range sub {
-					st.Comparisons++
-					d := distancePred(t, r, q, opts.OneSided)
-					if d <= eps {
+					if d, _ := st.evaluate(t, r, q, math.Inf(1), opts.OneSided); d <= eps {
 						out = append(out, Match{RecordID: r.ID, TransformIdx: g[i], Distance: d})
 					}
 				}
@@ -80,13 +79,7 @@ func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int
 			sc.matches = appendOrderedMatches(sc.matches, ordered, r, q, eps, &st, g, false, pair)
 		} else {
 			for ti := range sub {
-				st.Comparisons++
-				d, abandoned := pair.DistanceAbandon(ti, eps)
-				if abandoned {
-					st.Abandoned++
-					continue
-				}
-				if d <= eps {
+				if d, _ := st.evaluatePair(pair, ti, eps); d <= eps {
 					sc.matches = append(sc.matches, Match{RecordID: r.ID, TransformIdx: g[ti], Distance: d})
 				}
 			}

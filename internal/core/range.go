@@ -38,8 +38,16 @@ type QueryStats struct {
 	// search verified. Candidates+SkippedLB is what the traversal
 	// admitted.
 	Candidates int
-	// Comparisons counts full-record distance evaluations.
+	// Comparisons counts distance evaluations: one per (record or pair,
+	// transformation) the verification put to a kernel, whether the sum
+	// completed or was abandoned.
 	Comparisons int
+	// Terms counts the coefficient terms those evaluations summed: per
+	// completed comparison n under a transformation that keeps the full
+	// sum and n/2+1 (⌈n/2⌉ for odd n) under a symmetric one, fewer when
+	// it abandoned. Terms/Comparisons is how much of a spectrum a
+	// comparison reads, the machine-independent cost of verification.
+	Terms int
 	// IndexSearches counts index traversals (|T| for ST-index, the number
 	// of transformation rectangles for MT-index).
 	IndexSearches int
@@ -67,7 +75,7 @@ type QueryStats struct {
 	// smaller of the record's (pair's) running minimum and the k-th best
 	// distance so far for NN and closest pairs. Each is still counted in
 	// Comparisons (it is one predicate evaluation); this reports how many
-	// of them stopped before the full n coefficients.
+	// of them stopped before the end of their sum (Terms says how early).
 	Abandoned int
 	// LBTimeNs is the wall time, in nanoseconds, a range probe spends
 	// deciding skip or fetch for the leaf entries its traversal admits:
@@ -97,6 +105,7 @@ func (s *QueryStats) Add(other QueryStats) {
 	s.DALeaf += other.DALeaf
 	s.Candidates += other.Candidates
 	s.Comparisons += other.Comparisons
+	s.Terms += other.Terms
 	s.IndexSearches += other.IndexSearches
 	s.SkippedLB += other.SkippedLB
 	s.SkippedLB0 += other.SkippedLB0
@@ -188,6 +197,10 @@ func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 	if ordered != nil {
 		all = identityIndexes(len(ts))
 	}
+	cut := eps
+	if opts.NaiveVerify {
+		cut = math.Inf(1)
+	}
 	n := len(ds.Records)
 	workers := max(1, min(opts.Workers, n))
 	chunk := (n + workers - 1) / workers
@@ -209,18 +222,7 @@ func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 				continue
 			}
 			for i, t := range ts {
-				p.st.Comparisons++
-				var d float64
-				if opts.NaiveVerify {
-					d = distancePred(t, r, q, opts.OneSided)
-				} else {
-					var abandoned bool
-					if d, abandoned = distancePredAbandon(t, r, q, eps, opts.OneSided); abandoned {
-						p.st.Abandoned++
-						continue
-					}
-				}
-				if d <= eps {
+				if d, _ := p.st.evaluate(t, r, q, cut, opts.OneSided); d <= eps {
 					p.matches = append(p.matches, Match{RecordID: r.ID, TransformIdx: i, Distance: d})
 				}
 			}
@@ -235,6 +237,7 @@ func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 	if sp != nil {
 		sp.Set(obs.ACandidates, int64(st.Candidates))
 		sp.Set(obs.AComparisons, int64(st.Comparisons))
+		sp.Set(obs.ATerms, int64(st.Terms))
 		sp.Set(obs.AMatches, int64(len(out)))
 		sp.Set(obs.ATransforms, int64(len(ts)))
 		sp.End()
@@ -242,25 +245,33 @@ func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 	return out, st
 }
 
-// distancePred evaluates the query predicate distance for one record and
-// transformation under either semantics.
-func distancePred(t transform.Transform, r, q *Record, oneSided bool) float64 {
-	if oneSided {
-		return t.DistancePolarLeft(r.Mags, r.Phases, q.Mags, q.Phases)
-	}
-	return t.DistancePolar(r.Mags, r.Phases, q.Mags, q.Phases)
+// evaluate is one comparison through the plain kernel, counted: the
+// predicate distance of r and q under t in either semantics, abandoning
+// at eps (+Inf never abandons: the NaiveVerify accounting). An abandoned
+// evaluation returns a lower bound of the distance that is itself above
+// eps, so a caller that only asks d <= eps need not look at abandoned.
+func (s *QueryStats) evaluate(t transform.Transform, r, q *Record, eps float64, oneSided bool) (d float64, abandoned bool) {
+	d, abandoned, terms := t.Verify(r.Mags, r.Phases, q.Mags, q.Phases, oneSided, eps)
+	s.counted(abandoned, terms)
+	return d, abandoned
 }
 
-// distancePredAbandon is distancePred through the early-abandoning
-// kernels: when the partial sum proves the distance exceeds eps, it
-// stops and reports abandoned=true (the candidate is a non-match for
-// this transformation). Non-abandoned evaluations return the
-// bit-identical distancePred value.
-func distancePredAbandon(t transform.Transform, r, q *Record, eps float64, oneSided bool) (float64, bool) {
-	if oneSided {
-		return t.DistancePolarLeftAbandon(r.Mags, r.Phases, q.Mags, q.Phases, eps)
+// evaluatePair is evaluate through the pair kernel, for transformation i
+// of the set and the pair it is bound to: the same sums, hence the same
+// results and counts.
+func (s *QueryStats) evaluatePair(pair *transform.Pair, i int, eps float64) (d float64, abandoned bool) {
+	d, abandoned, terms := pair.DistanceAbandon(i, eps)
+	s.counted(abandoned, terms)
+	return d, abandoned
+}
+
+// counted books one evaluation a kernel returned.
+func (s *QueryStats) counted(abandoned bool, terms int) {
+	s.Comparisons++
+	s.Terms += terms
+	if abandoned {
+		s.Abandoned++
 	}
-	return t.DistancePolarAbandon(r.Mags, r.Phases, q.Mags, q.Phases, eps)
 }
 
 // SingletonGroups is the ST-index packing: one transformation rectangle
@@ -408,6 +419,7 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 		vsp.Set(obs.AMatches, int64(len(matches)))
 		vsp.Set(obs.AFalsePositives, int64(falsePos))
 		vsp.Set(obs.AAbandoned, int64(vst.Abandoned))
+		vsp.Set(obs.ATerms, int64(vst.Terms))
 		vsp.EndErr(err)
 		// Rolled up on the probe so per-group health folds read one span.
 		probe.Set(obs.ACandidates, int64(vst.Candidates))
@@ -658,22 +670,16 @@ func orderedPrefix(ts []transform.Transform, useOrdering bool) *orderedSet {
 // nil (the scan). The qualify/fail decisions (and hence the binary search
 // path) are identical all three ways.
 func appendOrderedMatches(out []Match, o *orderedSet, r, q *Record, eps float64, st *QueryStats, groupIdx []int, naive bool, pair *transform.Pair) []Match {
+	cut := eps
+	if naive {
+		cut = math.Inf(1)
+	}
 	k := o.set.LargestQualifying(func(i int) bool {
-		st.Comparisons++
-		t := o.set.Transforms[i]
-		if naive {
-			return t.DistancePolar(r.Mags, r.Phases, q.Mags, q.Phases) <= eps
-		}
 		var d float64
-		var abandoned bool
 		if pair != nil {
-			d, abandoned = pair.DistanceAbandon(i, eps)
+			d, _ = st.evaluatePair(pair, i, cut)
 		} else {
-			d, abandoned = t.DistancePolarAbandon(r.Mags, r.Phases, q.Mags, q.Phases, eps)
-		}
-		if abandoned {
-			st.Abandoned++
-			return false
+			d, _ = st.evaluate(o.set.Transforms[i], r, q, cut, false)
 		}
 		return d <= eps
 	})

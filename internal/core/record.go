@@ -89,6 +89,24 @@ func (r *Record) ApplyTransform(t transform.Transform) *Record {
 	}
 }
 
+// TransformQuery prepares a one-sided query whose query point is itself
+// transformed: q under qt, and the set to compare it under. The half
+// sums of transform.Verify need q to stay the spectrum of a real series,
+// which it does when qt is symmetric in the one-sided sense (every
+// built-in but TimeShiftApprox); under any other qt the set is returned
+// in full order.
+func TransformQuery(q *Record, qt transform.Transform, ts []transform.Transform) (*Record, []transform.Transform) {
+	q = q.ApplyTransform(qt)
+	if qt.Symmetric(true) {
+		return q, ts
+	}
+	full := make([]transform.Transform, len(ts))
+	for i, t := range ts {
+		full[i] = t.FullOrder()
+	}
+	return q, full
+}
+
 // Feature returns the record's feature point for an index with k DFT
 // coefficients: [mean, std, |F_1|, angle(F_1), ..., |F_k|, angle(F_k)],
 // the Sec. 5 layout (coefficient 0 of a normal form is zero and skipped).

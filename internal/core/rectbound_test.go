@@ -39,11 +39,10 @@ type rectBoundGroup struct {
 func rectBoundGroups(n int) []rectBoundGroup {
 	raw := func(name string, edit func(t *transform.Transform, f int)) transform.Transform {
 		t := transform.MovingAverage(n, 5)
-		t.Name = name
 		for f := 0; f < n; f++ {
 			edit(&t, f)
 		}
-		return t
+		return transform.New(name, t.A, t.B) // edited vectors are classified anew
 	}
 	negScale := raw("scale-1.5", func(t *transform.Transform, f int) { t.A[2*f] *= -1.5 })
 	// A magnitude map that crosses zero inside ordinary rectangles.

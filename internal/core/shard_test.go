@@ -191,51 +191,79 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 		}
 	}
 
-	gj, gjst, err := sh.MTIndexJoin(ts[:4], eps, ro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gj) != 5783 || joinHash(gj) != 0x276abd706ab053c1 {
-		t.Errorf("join answer: %d pairs, hash %#x; the parent commit returned 5783, 0x276abd706ab053c1", len(gj), joinHash(gj))
-	}
-	if want := (QueryStats{DAAll: 122, DALeaf: 121, Candidates: 32730, Comparisons: 130920, IndexSearches: 1, Abandoned: 125137}); gjst != want {
-		t.Errorf("join stats differ from the parent commit's:\n got %+v\nwant %+v", gjst, want)
-	}
+	// Join and closest pairs, twice: under the set as built, whose
+	// distances are half sums, and under its FullOrder copy, which sums
+	// as every kernel did before. The full-order rows are the literals
+	// the parent commit's single-tree functions returned, untouched; the
+	// half-sum rows differ from them in the last bits of the distances
+	// (hence in the hashes) and in Terms, and in nothing else: the same
+	// pairs under the same transformations in the same order, the same
+	// nodes, candidates, comparisons and abandons.
+	full := fullOrderSet(ts)
+	var answers [2][3][]JoinMatch
+	for ci, c := range []struct {
+		name                   string
+		ts                     []transform.Transform
+		joinHash, stJoinHash   uint64
+		terms, stTerms, cTerms int
+		closest                []float64
+	}{
+		{"half sum", ts, 0x4abcb5c8af6ea20d, 0x9ff638e750c3d279, 697555, 671107, 137058,
+			[]float64{0.7649495416054469, 0.7821719427855761, 0.9444261386483561, 1.030905636984939, 1.0348586359985197}},
+		{"full order", full, 0x276abd706ab053c1, 0xcf759499dbc74b51, 1604696, 1577536, 150580,
+			[]float64{0.7649495416054465, 0.7821719427855761, 0.9444261386483597, 1.0309056369849383, 1.0348586359985184}},
+	} {
+		gj, gjst, err := sh.MTIndexJoin(c.ts[:4], eps, ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gj) != 5783 || joinHash(gj) != c.joinHash {
+			t.Errorf("%s: join answer: %d pairs, hash %#x; pinned 5783, %#x", c.name, len(gj), joinHash(gj), c.joinHash)
+		}
+		if want := (QueryStats{DAAll: 122, DALeaf: 121, Candidates: 32730, Comparisons: 130920, Terms: c.terms, IndexSearches: 1, Abandoned: 125137}); gjst != want {
+			t.Errorf("%s: join stats differ from the pinned ones:\n got %+v\nwant %+v", c.name, gjst, want)
+		}
 
-	gsj, gsjst, err := sh.STIndexJoin(ts[:4], eps, ro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gsj) != 5783 || joinHash(gsj) != 0xcf759499dbc74b51 {
-		t.Errorf("ST join answer: %d pairs, hash %#x; the parent commit returned 5783, 0xcf759499dbc74b51", len(gsj), joinHash(gsj))
-	}
-	if want := (QueryStats{DAAll: 488, DALeaf: 484, Candidates: 124308, Comparisons: 124308, IndexSearches: 4, Abandoned: 118525}); gsjst != want {
-		t.Errorf("ST join stats differ from the parent commit's:\n got %+v\nwant %+v", gsjst, want)
-	}
+		gsj, gsjst, err := sh.STIndexJoin(c.ts[:4], eps, ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gsj) != 5783 || joinHash(gsj) != c.stJoinHash {
+			t.Errorf("%s: ST join answer: %d pairs, hash %#x; pinned 5783, %#x", c.name, len(gsj), joinHash(gsj), c.stJoinHash)
+		}
+		if want := (QueryStats{DAAll: 488, DALeaf: 484, Candidates: 124308, Comparisons: 124308, Terms: c.stTerms, IndexSearches: 4, Abandoned: 118525}); gsjst != want {
+			t.Errorf("%s: ST join stats differ from the pinned ones:\n got %+v\nwant %+v", c.name, gsjst, want)
+		}
 
-	gc, gcst, err := sh.MTIndexClosestPairs(ts[:3], 5)
-	if err != nil {
-		t.Fatal(err)
+		gc, gcst, err := sh.MTIndexClosestPairs(c.ts[:3], 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantC := []JoinMatch{{221, 298, 2, c.closest[0]}, {259, 298, 2, c.closest[1]}, {18, 102, 2, c.closest[2]},
+			{16, 32, 2, c.closest[3]}, {72, 174, 2, c.closest[4]}}
+		if !reflect.DeepEqual(gc, wantC) {
+			t.Errorf("%s: closest-pairs answers differ from the pinned ones:\n got %+v\nwant %+v", c.name, gc, wantC)
+		}
+		// Abandoned was 33456 until the R*-tree's split and reinsert
+		// heuristics became scale-free (margins and centre distances in
+		// units of the overflowing node's extent): the leaves hold other
+		// records, closest pairs meets its candidate pairs in another
+		// order, and two more evaluations find the k-th best already below
+		// them. The answers, the node and pair counts, and the join rows
+		// above, which have no running cutoff, did not move.
+		if want := (QueryStats{DAAll: 12, DALeaf: 11, Candidates: 11184, Comparisons: 33552, Terms: c.cTerms, IndexSearches: 1, Abandoned: 33458}); gcst != want {
+			t.Errorf("%s: closest-pairs stats differ from the pinned ones:\n got %+v\nwant %+v", c.name, gcst, want)
+		}
+		answers[ci] = [3][]JoinMatch{gj, gsj, gc}
 	}
-	wantC := []JoinMatch{
-		{221, 298, 2, 0.7649495416054465},
-		{259, 298, 2, 0.7821719427855761},
-		{18, 102, 2, 0.9444261386483597},
-		{16, 32, 2, 1.0309056369849383},
-		{72, 174, 2, 1.0348586359985184},
-	}
-	if !reflect.DeepEqual(gc, wantC) {
-		t.Errorf("closest-pairs answers differ from the parent commit's:\n got %+v\nwant %+v", gc, wantC)
-	}
-	// Abandoned was 33456 until the R*-tree's split and reinsert
-	// heuristics became scale-free (margins and centre distances in units
-	// of the overflowing node's extent): the leaves hold other records,
-	// closest pairs meets its candidate pairs in another order, and two
-	// more evaluations find the k-th best already below them. The
-	// answers, the node and pair counts, and the join rows above, which
-	// have no running cutoff, did not move.
-	if want := (QueryStats{DAAll: 12, DALeaf: 11, Candidates: 11184, Comparisons: 33552, IndexSearches: 1, Abandoned: 33458}); gcst != want {
-		t.Errorf("closest-pairs stats differ from the pinned ones:\n got %+v\nwant %+v", gcst, want)
+	for shape := range answers[0] {
+		half, fullOrder := answers[0][shape], answers[1][shape]
+		for i := range half {
+			h, f := half[i], fullOrder[i]
+			if h.IDA != f.IDA || h.IDB != f.IDB || h.TransformIdx != f.TransformIdx || math.Abs(h.Distance-f.Distance) > 1e-12*f.Distance {
+				t.Fatalf("answer %d, row %d: half sum %+v, full order %+v", shape, i, h, f)
+			}
+		}
 	}
 }
 

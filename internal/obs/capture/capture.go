@@ -6,9 +6,9 @@
 // production actually ran" into the regression workload every A/B is
 // measured on.
 //
-// # File format (schema 1)
+// # File format (schema 2)
 //
-// A capture file is an 8-byte magic header ("TSQCAP01", the trailing
+// A capture file is an 8-byte magic header ("TSQCAP02", the trailing
 // two bytes the schema version) followed by a sequence of frames:
 //
 //	kind   u8     frameTransformSet (1) or frameQuery (2)
@@ -29,6 +29,21 @@
 // writer emits one frameTransformSet per distinct set per segment and
 // queries reference it by content hash. Rotation clears the
 // written-set memory, so every segment is self-contained.
+//
+// # Schema 1
+//
+// Schema 1 ("TSQCAP01") has the same frames. What changed is what an
+// answer digest certifies: it hashes the float64 bits of every distance,
+// and a schema-1 journal was written when every distance was the sum
+// over f = 0..n-1 in index order, while a schema-2 writer sums half the
+// spectrum under a symmetric transformation (transform.Verify), which
+// differs in the last bits. A journal stores only the hash, so the two
+// cannot be compared within a tolerance; instead the version says which
+// sum to replay with. A Reader accepts both, reports which it found
+// (Version), and hands out the transformations of a schema-1 journal
+// unclassified, as transform.FullOrder leaves them: replayed under
+// those, every kernel takes the full sum and reproduces the old bits.
+// A Writer appends to schema-2 files only.
 package capture
 
 import (
@@ -39,11 +54,19 @@ import (
 
 // SchemaVersion identifies the capture file format. It is baked into
 // the file magic, so a reader never guesses.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
-// fileMagic opens every capture file; the last two bytes spell the
-// schema version.
-var fileMagic = [8]byte{'T', 'S', 'Q', 'C', 'A', 'P', '0', '1'}
+// fileMagic opens every capture file a Writer starts; the last two bytes
+// spell the schema version.
+var fileMagic = [8]byte{'T', 'S', 'Q', 'C', 'A', 'P', '0', '0' + SchemaVersion}
+
+// magicVersion returns the schema version a file's magic spells, and
+// whether it is one this package reads (1 or 2).
+func magicVersion(magic [8]byte) (int, bool) {
+	v := int(magic[7] - '0')
+	magic[7] = fileMagic[7]
+	return v, magic == fileMagic && (v == 1 || v == SchemaVersion)
+}
 
 // Kind is the captured query shape.
 type Kind uint8

@@ -80,7 +80,7 @@ func TestQueryPayloadRoundTrip(t *testing.T) {
 	for name, rec := range cases {
 		t.Run(name, func(t *testing.T) {
 			b := appendQueryPayload(nil, rec)
-			got, err := decodeQueryPayload(b)
+			got, err := decodeQueryPayload(b, SchemaVersion)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -93,15 +93,15 @@ func TestQueryPayloadRoundTrip(t *testing.T) {
 
 func TestQueryPayloadRejectsMutations(t *testing.T) {
 	b := appendQueryPayload(nil, fullRecord())
-	if _, err := decodeQueryPayload(append(b[:len(b):len(b)], 0)); err == nil {
+	if _, err := decodeQueryPayload(append(b[:len(b):len(b)], 0), SchemaVersion); err == nil {
 		t.Error("trailing byte accepted")
 	}
-	if _, err := decodeQueryPayload(b[:len(b)-1]); err == nil {
+	if _, err := decodeQueryPayload(b[:len(b)-1], SchemaVersion); err == nil {
 		t.Error("truncated payload accepted")
 	}
 	bad := fullRecord()
 	bad.Kind = 9
-	if _, err := decodeQueryPayload(appendQueryPayload(nil, bad)); err == nil {
+	if _, err := decodeQueryPayload(appendQueryPayload(nil, bad), SchemaVersion); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
@@ -110,7 +110,7 @@ func TestSetPayloadRoundTrip(t *testing.T) {
 	ts := testSet(32, 4, 0)
 	hash := HashTransformSet(ts)
 	b := appendSetPayload(nil, hash, ts)
-	gotHash, gotTS, err := decodeSetPayload(b)
+	gotHash, gotTS, err := decodeSetPayload(b, SchemaVersion)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestSetPayloadRoundTrip(t *testing.T) {
 	}
 	// A definition whose embedded hash disagrees with its content must
 	// be rejected, not silently trusted.
-	if _, _, err := decodeSetPayload(appendSetPayload(nil, hash^1, ts)); err == nil {
+	if _, _, err := decodeSetPayload(appendSetPayload(nil, hash^1, ts), SchemaVersion); err == nil {
 		t.Error("hash-mismatched set accepted")
 	}
 }
@@ -555,7 +555,11 @@ func FuzzReader(f *testing.F) {
 	mutated := append([]byte(nil), whole...)
 	mutated[len(mutated)/2] ^= 1
 	f.Add(mutated)
+	old := append([]byte(nil), whole...)
+	old[7] = '1' // the same frames as a schema-1 file: the unclassified decode path
+	f.Add(old)
 	f.Add([]byte("TSQCAP01"))
+	f.Add([]byte("TSQCAP02"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -593,11 +597,11 @@ func FuzzDecodeQueryPayload(f *testing.F) {
 	f.Add(appendQueryPayload(nil, &Record{QueryID: 1, Kind: KindNN, SeriesID: -1, K: 3}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeQueryPayload(data)
+		rec, err := decodeQueryPayload(data, SchemaVersion)
 		if err != nil {
 			return
 		}
-		again, err := decodeQueryPayload(appendQueryPayload(nil, rec))
+		again, err := decodeQueryPayload(appendQueryPayload(nil, rec), SchemaVersion)
 		if err != nil {
 			t.Fatalf("re-decode of accepted record failed: %v", err)
 		}
@@ -605,4 +609,65 @@ func FuzzDecodeQueryPayload(f *testing.F) {
 			t.Errorf("decode/encode/decode not idempotent:\n %+v\n %+v", rec, again)
 		}
 	})
+}
+
+// TestSchemaVersions: a reader takes both schema versions and says which
+// it found; the transformations of a schema-2 file come back classified
+// as the writer's were, those of a schema-1 file unclassified (full-order
+// sums, as its digests were taken); a writer appends to neither a
+// schema-1 file nor a file of an unknown version.
+func TestSchemaVersions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v.tscap")
+	ts := testSet(32, 4, 0)
+	writeTestCapture(t, path, Options{}, 3, ts)
+	first := func() (int, []transform.Transform) {
+		t.Helper()
+		r, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		_, got, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Version(), got
+	}
+	if v, got := first(); v != SchemaVersion || !reflect.DeepEqual(got, ts) || !got[0].Symmetric(false) {
+		t.Fatalf("fresh file: schema %d, set classified as written: %v", v, reflect.DeepEqual(got, ts))
+	}
+	setVersion := func(c byte) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{c}, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setVersion('1')
+	v, got := first()
+	if v != 1 || len(got) != len(ts) {
+		t.Fatalf("schema-1 file: version %d, %d transformations", v, len(got))
+	}
+	for i := range got {
+		if got[i].Symmetric(false) || got[i].Symmetric(true) || !reflect.DeepEqual(got[i].A, ts[i].A) || !reflect.DeepEqual(got[i].B, ts[i].B) {
+			t.Fatalf("schema-1 file: %s came back classified, or with other vectors", got[i].Name)
+		}
+	}
+	if w, err := NewWriter(path, Options{}); err == nil {
+		_ = w.Close()
+		t.Fatal("a writer opened a schema-1 file for append")
+	}
+	setVersion('3')
+	if r, err := OpenFile(path); err == nil {
+		_ = r.Close()
+		t.Fatal("a reader opened a schema-3 file")
+	}
+	if w, err := NewWriter(path, Options{}); err == nil {
+		_ = w.Close()
+		t.Fatal("a writer opened a schema-3 file")
+	}
 }

@@ -215,7 +215,7 @@ func appendQueryPayload(b []byte, rec *Record) []byte {
 }
 
 // decodeQueryPayload parses a query frame payload.
-func decodeQueryPayload(b []byte) (*Record, error) {
+func decodeQueryPayload(b []byte, version int) (*Record, error) {
 	d := dec{b: b}
 	rec := &Record{}
 	rec.QueryID = d.u64("query_id")
@@ -240,7 +240,7 @@ func decodeQueryPayload(b []byte) (*Record, error) {
 	rec.Opts.NaiveVerify = flags&flagNaiveVerify != 0
 	rec.Opts.FlatLB = flags&flagFlatLB != 0
 	if flags&flagQueryTransform != 0 {
-		t := decodeTransform(&d)
+		t := decodeTransform(&d, version)
 		rec.Opts.QueryTransform = &t
 	}
 	if flags&flagErr != 0 {
@@ -277,15 +277,24 @@ func appendTransform(e *enc, t *transform.Transform) {
 	e.floats(t.B)
 }
 
-func decodeTransform(d *dec) transform.Transform {
-	var t transform.Transform
-	t.Name = d.str("transform_name")
-	t.A = d.floats("transform_a")
-	t.B = d.floats("transform_b")
+// decodeTransform reads one transformation of a journal of the given
+// schema version. A schema-2 journal's are classified from their vectors
+// (transform.New), like the ones the query ran under; a schema-1
+// journal's stay unclassified, so that a replay sums them in the full
+// order its digests were taken in.
+func decodeTransform(d *dec, version int) transform.Transform {
+	t := transform.Transform{
+		Name: d.str("transform_name"),
+		A:    d.floats("transform_a"),
+		B:    d.floats("transform_b"),
+	}
 	if d.err == nil && (len(t.A) != len(t.B) || len(t.A) == 0 || len(t.A)%2 != 0) {
 		d.fail("transform_shape")
 	}
-	return t
+	if d.err != nil || version < 2 {
+		return t
+	}
+	return transform.New(t.Name, t.A, t.B)
 }
 
 // appendSetPayload encodes a transformation-set definition frame.
@@ -302,7 +311,7 @@ func appendSetPayload(b []byte, hash uint64, ts []transform.Transform) []byte {
 // decodeSetPayload parses a set definition and verifies the embedded
 // hash against the decoded content, so a set can never silently
 // diverge from the queries referencing it.
-func decodeSetPayload(b []byte) (uint64, []transform.Transform, error) {
+func decodeSetPayload(b []byte, version int) (uint64, []transform.Transform, error) {
 	d := dec{b: b}
 	hash := d.u64("set_hash")
 	n := d.u32("set_len")
@@ -311,7 +320,7 @@ func decodeSetPayload(b []byte) (uint64, []transform.Transform, error) {
 	}
 	ts := make([]transform.Transform, 0, n)
 	for i := uint32(0); i < n && d.err == nil; i++ {
-		ts = append(ts, decodeTransform(&d))
+		ts = append(ts, decodeTransform(&d, version))
 	}
 	if err := d.finish("transform_set"); err != nil {
 		return 0, nil, err

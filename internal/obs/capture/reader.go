@@ -25,6 +25,7 @@ var ErrCorrupt = errors.New("capture: corrupt frame")
 type Reader struct {
 	f         *os.File
 	r         *bufio.Reader
+	version   int
 	sets      map[uint64][]transform.Transform
 	setOrder  []uint64
 	truncated bool
@@ -34,7 +35,8 @@ type Reader struct {
 	payload   []byte
 }
 
-// OpenFile opens a capture file for reading and validates its magic.
+// OpenFile opens a capture file of either schema version for reading
+// and validates its magic.
 func OpenFile(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -45,16 +47,23 @@ func OpenFile(path string) (*Reader, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("capture: %s: missing file header: %w", path, err)
 	}
-	if magic != fileMagic {
+	version, ok := magicVersion(magic)
+	if !ok {
 		_ = f.Close()
 		return nil, fmt.Errorf("capture: %s is not a capture file (magic %q)", path, magic[:])
 	}
 	return &Reader{
-		f:    f,
-		r:    bufio.NewReaderSize(f, 256<<10),
-		sets: make(map[uint64][]transform.Transform),
+		f:       f,
+		r:       bufio.NewReaderSize(f, 256<<10),
+		version: version,
+		sets:    make(map[uint64][]transform.Transform),
 	}, nil
 }
+
+// Version returns the schema version the file was written with. The
+// transformations of a version-1 file are returned unclassified: see the
+// package comment.
+func (r *Reader) Version() int { return r.version }
 
 // Next returns the next query record and its resolved transformation
 // set (nil for subsequence records). io.EOF signals a clean end —
@@ -71,7 +80,7 @@ func (r *Reader) Next() (*Record, []transform.Transform, error) {
 		}
 		switch kind {
 		case frameTransformSet:
-			hash, ts, err := decodeSetPayload(payload)
+			hash, ts, err := decodeSetPayload(payload, r.version)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
@@ -80,7 +89,7 @@ func (r *Reader) Next() (*Record, []transform.Transform, error) {
 			}
 			r.sets[hash] = ts
 		case frameQuery:
-			rec, err := decodeQueryPayload(payload)
+			rec, err := decodeQueryPayload(payload, r.version)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}

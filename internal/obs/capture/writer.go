@@ -153,9 +153,15 @@ func (w *Writer) open() error {
 			_ = f.Close()
 			return err
 		}
-		if magic != fileMagic {
+		if v, ok := magicVersion(magic); !ok {
 			_ = f.Close()
 			return fmt.Errorf("capture: %s is not a capture file (magic %q)", w.path, magic[:])
+		} else if v != SchemaVersion {
+			// Its digests are of another epoch than the ones this
+			// writer would append; a reader tells them apart by file.
+			_ = f.Close()
+			return fmt.Errorf("capture: %s is a schema-%d journal and this writer appends schema %d: move it aside (it stays replayable)",
+				w.path, v, SchemaVersion)
 		}
 		end, sets, err := scanFrames(f, st.Size())
 		if err != nil {
@@ -218,7 +224,7 @@ func scanFrames(f *os.File, size int64) (end int64, sets map[uint64]bool, err er
 			return end, sets, nil // checksum failure: truncate
 		}
 		if header[0] == frameTransformSet {
-			if hash, _, err := decodeSetPayload(body[:n]); err == nil {
+			if hash, _, err := decodeSetPayload(body[:n], SchemaVersion); err == nil {
 				sets[hash] = true
 			}
 		}

@@ -101,7 +101,7 @@ const (
 	// go on to verification), on every other span the records kept for
 	// verification.
 	ACandidates
-	// AComparisons counts full-record distance evaluations.
+	// AComparisons counts distance evaluations, completed or abandoned.
 	AComparisons
 	// AMatches counts matches produced.
 	AMatches
@@ -155,8 +155,12 @@ const (
 	// set when the DB has more than one shard, so single-shard traces
 	// are unchanged.
 	AShard
+	// ATerms counts the coefficient terms the span's AComparisons summed
+	// (verify, NN probe and scan spans): n per completed full-order sum, n/2+1
+	// under a symmetric transformation, fewer after an abandon.
+	ATerms
 
-	numAttrs = int(AShard) + 1
+	numAttrs = int(ATerms) + 1
 )
 
 // String names the attribute as rendered in the span tree.
@@ -210,6 +214,8 @@ func (a Attr) String() string {
 		return "gc_pause_ns"
 	case AShard:
 		return "shard"
+	case ATerms:
+		return "terms"
 	default:
 		return "attr"
 	}

@@ -32,16 +32,19 @@ func pairFixtureSets(n int) (sets [][]Transform, want [][]bool) {
 	comp := WithInverted(ComposeSets(MovingAverageSet(n, 2, 8), TimeShiftSet(n, -1, 1)))
 	sets, want = append(sets, comp), append(want, all(len(comp), true))
 
-	half := Identity(n)
-	half.Name = "halfphase"
+	// Hand-made vectors go through New: a constructor's result is not
+	// to be written to.
+	half := identity("halfphase", n)
 	for f := 0; f < n; f++ {
 		half.A[2*f] = 1.5
 		half.A[2*f+1] = 0.5
 	}
-	late := Scale(n, 2) // every multiplier 1 but the last coefficient's
-	late.Name = "late"
+	late := identity("late", n) // every multiplier 1 but the last coefficient's
+	for f := 0; f < n; f++ {
+		late.A[2*f] = 2
+	}
 	late.A[2*n-1] = 0.5
-	hand := []Transform{Scale(n, 0.7), half, MovingAverage(n, 5), late}
+	hand := []Transform{Scale(n, 0.7), half.classified(), MovingAverage(n, 5), late.classified()}
 	sets, want = append(sets, hand), append(want, []bool{true, false, true, false})
 	return sets, want
 }
@@ -99,7 +102,7 @@ func TestPairEqualsPlainKernels(t *testing.T) {
 		// cache short for the ones that complete.
 		eps := exact[rng.Intn(len(ts))] * (0.5 + rng.Float64())
 		for _, i := range rng.Perm(len(ts)) {
-			d, abandoned := p.DistanceAbandon(i, eps)
+			d, abandoned, terms := p.DistanceAbandon(i, eps)
 			var wd float64
 			var wab bool
 			if oneSided {
@@ -109,6 +112,9 @@ func TestPairEqualsPlainKernels(t *testing.T) {
 			}
 			if d != wd || abandoned != wab {
 				t.Fatalf("trial %d %s: pair kernel (%v, %v), plain abandoning kernel (%v, %v)", trial, ts[i].Name, d, abandoned, wd, wab)
+			}
+			if _, _, wterms := ts[i].Verify(xm, xp, ym, yp, oneSided, eps); terms != wterms {
+				t.Fatalf("trial %d %s: pair kernel evaluated %d terms, Verify %d", trial, ts[i].Name, terms, wterms)
 			}
 			if abandoned {
 				abandons++
@@ -145,7 +151,7 @@ func TestPairNeverAbandonsAtTheDistance(t *testing.T) {
 		p.Set(xm, xp, ym, yp)
 		for i, tr := range ts {
 			exact := tr.DistancePolar(xm, xp, ym, yp)
-			if d, abandoned := p.DistanceAbandon(i, exact); abandoned || d != exact {
+			if d, abandoned, _ := p.DistanceAbandon(i, exact); abandoned || d != exact {
 				t.Fatalf("trial %d %s: eps = exact distance %v: abandoned=%v d=%v", trial, tr.Name, exact, abandoned, d)
 			}
 		}
@@ -153,25 +159,34 @@ func TestPairNeverAbandonsAtTheDistance(t *testing.T) {
 }
 
 // TestPairSharesCosines counts what the kernel is for: a set of 16
-// moving averages over one pair fills each cosine once, and an
-// evaluation that abandons early fills only the blocks it reached.
+// moving averages over one pair fills each cosine once, at most
+// ⌈n/2⌉+1 of them since the set is symmetric, an evaluation that
+// abandons early fills only the blocks it reached, and only a
+// transformation that keeps the full sum fills the mirror half.
 func TestPairSharesCosines(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(18))
-	ts := MovingAverageSet(n, 3, 18)
+	ts := append(MovingAverageSet(n, 3, 18), MovingAverage(n, 4).FullOrder())
 	xm, xp := randPolar(rng, n)
 	ym, yp := randPolar(rng, n)
 	var p Pair
 	p.Init(ts, false)
 	p.Set(xm, xp, ym, yp)
-	if _, abandoned := p.DistanceAbandon(0, 1e-3); !abandoned || p.filled != 4 {
-		t.Fatalf("early abandon: abandoned=%v with %d cosines filled, want 4", abandoned, p.filled)
+	// The block 1..4; the cache fills from coefficient 0.
+	if _, abandoned, terms := p.DistanceAbandon(0, 1e-3); !abandoned || p.filled != 5 || p.mid || terms != 4 {
+		t.Fatalf("early abandon: abandoned=%v after %d terms with cosines below %d filled (n/2: %v), want 4 terms, 5, false",
+			abandoned, terms, p.filled, p.mid)
 	}
-	for i := range ts {
-		p.DistanceAbandon(i, math.Inf(1))
+	for i := range ts[:16] {
+		if _, _, terms := p.DistanceAbandon(i, math.Inf(1)); terms != n/2+1 {
+			t.Fatalf("%s: a completed symmetric sum took %d terms, want %d", ts[i].Name, terms, n/2+1)
+		}
 	}
-	if p.filled != n {
-		t.Fatalf("%d cosines filled after the whole set completed, want %d", p.filled, n)
+	if p.filled != n/2 || !p.mid {
+		t.Fatalf("cosines below %d filled (n/2: %v) after the symmetric set completed, want %d and n/2", p.filled, p.mid, n/2)
+	}
+	if _, _, terms := p.DistanceAbandon(16, math.Inf(1)); terms != n || p.filled != n {
+		t.Fatalf("full-order sum: %d terms, cosines below %d filled, want %d and %d", terms, p.filled, n, n)
 	}
 	for f := 0; f < n; f++ {
 		if want := math.Cos(xp[f] - yp[f]); p.cos[f] != want {
@@ -179,8 +194,8 @@ func TestPairSharesCosines(t *testing.T) {
 		}
 	}
 	p.Set(ym, yp, xm, xp)
-	if p.filled != 0 {
-		t.Fatalf("a new pair starts with %d cosines of the old one", p.filled)
+	if p.filled != 0 || p.mid {
+		t.Fatalf("a new pair starts with %d cosines of the old one (n/2: %v)", p.filled, p.mid)
 	}
 }
 
@@ -201,11 +216,11 @@ func TestPairReuseDoesNotAllocate(t *testing.T) {
 			p.Init(ts, false)
 			p.Set(xm, xp, ym, yp)
 			for i := range ts {
-				d, _ := p.DistanceAbandon(i, 5)
+				d, _, _ := p.DistanceAbandon(i, 5)
 				sink += d
 			}
 			p.Set(ym, yp, xm, xp)
-			d, _ := p.DistanceAbandon(0, math.Inf(1))
+			d, _, _ := p.DistanceAbandon(0, math.Inf(1))
 			sink += d
 		}
 	})

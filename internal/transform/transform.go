@@ -32,11 +32,105 @@ import (
 // representation of a length-n series. A and B have length 2n; component
 // 2f acts on the magnitude of coefficient f and component 2f+1 on its
 // phase.
+//
+// Build one with a constructor of this package, or with New from
+// hand-made vectors: the constructors classify A and B (see class) and
+// the distance kernels pick their summation from that classification. A
+// struct literal is unclassified and always takes the full sum. Writing
+// to A or B after construction is unsupported: the classification is not
+// recomputed, and the kernels would act on what the vectors used to be.
 type Transform struct {
 	// Name identifies the transformation in query plans and test output,
 	// e.g. "mv12" or "shift3".
 	Name string
 	A, B []float64
+
+	class class
+}
+
+// class is what New established about a transformation's vectors, once,
+// so that no query has to look at them again.
+type class uint8
+
+const (
+	// unitPhase: every phase multiplier is exactly 1, so the two-sided
+	// cosine cos(a_phase·(xp-yp)) is the same for every such
+	// transformation and Pair may share it.
+	unitPhase class = 1 << iota
+	// symTwoSided: on spectra of real series, term n-f of the two-sided
+	// sum equals term f. Magnitude multipliers and offsets are
+	// mirror-equal within symTol, and the phase multipliers of a mirror
+	// pair are integers of equal absolute value (the phases of a mirror
+	// pair are negatives of each other modulo 2π, and only an integer
+	// multiple of a phase is defined modulo 2π).
+	symTwoSided
+	// symOneSided: the same for the one-sided sum, whose phase difference
+	// a_phase·xp + b_phase - yp keeps the offset. It needs, in addition,
+	// equal phase multipliers and phase offsets that are negatives of
+	// each other modulo 2π within symTol, except where both magnitude
+	// entries vanish within the tolerance and the phase of the
+	// transformed coefficient carries no weight (the nulls of a moving
+	// average, whose phase is rounding noise).
+	symOneSided
+)
+
+// symTol is the tolerance of the classification: mirror magnitude
+// entries may differ by symTol times the largest magnitude entry of the
+// transformation, mirror phase offsets by symTol radians. The built-ins
+// are symmetric analytically and miss it by a few ulps of FFT rounding;
+// anything further off keeps the full sum.
+const symTol = 1e-10
+
+// New returns the transformation with the given vectors, classified. It
+// is how a hand-made or decoded (A, B) pair becomes a Transform; a and b
+// are kept, not copied.
+func New(name string, a, b []float64) Transform {
+	t := Transform{Name: name, A: a, B: b}
+	t.validate()
+	n := t.N()
+	t.class = unitPhase | symTwoSided | symOneSided
+	var scale float64
+	for f := 0; f < n; f++ {
+		if a[2*f+1] != 1 {
+			t.class &^= unitPhase
+		}
+		scale = max(scale, math.Abs(a[2*f]), math.Abs(b[2*f]))
+	}
+	tol := symTol * scale
+	for f := 1; 2*f < n; f++ {
+		g := n - f
+		if math.Abs(a[2*f]-a[2*g]) > tol || math.Abs(b[2*f]-b[2*g]) > tol ||
+			a[2*f+1] != math.Trunc(a[2*f+1]) || math.Abs(a[2*f+1]) != math.Abs(a[2*g+1]) {
+			t.class &^= symTwoSided | symOneSided
+			break
+		}
+		null := max(math.Abs(a[2*f]), math.Abs(b[2*f]), math.Abs(a[2*g]), math.Abs(b[2*g])) <= tol
+		if a[2*f+1] != a[2*g+1] ||
+			(!null && math.Abs(math.Remainder(b[2*f+1]+b[2*g+1], 2*math.Pi)) > symTol) {
+			t.class &^= symOneSided
+		}
+	}
+	return t
+}
+
+// Symmetric reports whether the two-sided (or one-sided) distance under
+// t is summed over half the spectrum: whether t was classified as
+// acting alike on the mirror coefficients of a real series' spectrum.
+func (t Transform) Symmetric(oneSided bool) bool {
+	if oneSided {
+		return t.class&symOneSided != 0
+	}
+	return t.class&symTwoSided != 0
+}
+
+// FullOrder returns t with the symmetry classification dropped: the same
+// vectors, summed over f = 0..n-1 in index order by every kernel. It is
+// the distance as it was defined before the half sum, kept for replaying
+// journals written then and for query points that are not spectra of
+// real series.
+func (t Transform) FullOrder() Transform {
+	t.class &^= symTwoSided | symOneSided
+	return t
 }
 
 // N returns the series length the transformation was built for.
@@ -50,17 +144,20 @@ func (t Transform) validate() {
 }
 
 // Identity returns the identity transformation for length-n series.
-func Identity(n int) Transform {
-	t := Transform{Name: "id", A: make([]float64, 2*n), B: make([]float64, 2*n)}
+func Identity(n int) Transform { return identity("id", n).classified() }
+
+// identity returns the vectors of the identity under the given name, for
+// a constructor to fill in and classify.
+func identity(name string, n int) Transform {
+	t := Transform{Name: name, A: make([]float64, 2*n), B: make([]float64, 2*n)}
 	for i := range t.A {
-		if i%2 == 0 {
-			t.A[i] = 1 // magnitude multiplier
-		} else {
-			t.A[i] = 1 // phase multiplier
-		}
+		t.A[i] = 1 // magnitude and phase multipliers alike
 	}
 	return t
 }
+
+// classified is New on the vectors a constructor has finished writing.
+func (t Transform) classified() Transform { return New(t.Name, t.A, t.B) }
 
 // FromKernel returns the transformation corresponding to circular
 // convolution with the given time-domain kernel (Sec. 3.1: momentum and
@@ -76,7 +173,7 @@ func FromKernel(name string, kernel series.Series) Transform {
 		t.A[2*f+1] = 1
 		t.B[2*f+1] = cmplx.Phase(M[f])
 	}
-	return t
+	return t.classified()
 }
 
 // MovingAverage returns the circular m-day moving-average transformation
@@ -125,12 +222,11 @@ func MomentumLag(n, k int) Transform {
 // Sec. 3.1.2 trick) the circular shift coincides with the linear shift.
 // Negative s shifts left.
 func TimeShift(n, s int) Transform {
-	t := Identity(n)
-	t.Name = fmt.Sprintf("shift%d", s)
+	t := identity(fmt.Sprintf("shift%d", s), n)
 	for f := 0; f < n; f++ {
 		t.B[2*f+1] = normalizeAngle(-2 * math.Pi * float64(f) * float64(s) / float64(n))
 	}
-	return t
+	return t.classified()
 }
 
 // normalizeAngle reduces an angle to (-pi, pi]. Phase offsets are
@@ -151,12 +247,11 @@ func normalizeAngle(x float64) float64 {
 // ramp: coefficient f is multiplied by exp(-j*2*pi*f*s/(n+s)). It converges
 // to the exact shift for long series.
 func TimeShiftApprox(n, s int) Transform {
-	t := Identity(n)
-	t.Name = fmt.Sprintf("shift~%d", s)
+	t := identity(fmt.Sprintf("shift~%d", s), n)
 	for f := 0; f < n; f++ {
 		t.B[2*f+1] = normalizeAngle(-2 * math.Pi * float64(f) * float64(s) / float64(n+s))
 	}
-	return t
+	return t.classified()
 }
 
 // WeightedMovingAverage returns the circular weighted moving average with
@@ -209,12 +304,11 @@ func EMA(n int, alpha float64) Transform {
 // multiplier is -1 — the one built-in transformation whose phase action
 // is not a pure offset, exercising the general (a, b) machinery.
 func Reverse(n int) Transform {
-	t := Identity(n)
-	t.Name = "reverse"
+	t := identity("reverse", n)
 	for f := 0; f < n; f++ {
 		t.A[2*f+1] = -1
 	}
-	return t
+	return t.classified()
 }
 
 // Scale returns the transformation multiplying a series by the scalar
@@ -225,24 +319,22 @@ func Scale(n int, c float64) Transform {
 	if c <= 0 {
 		panic(fmt.Sprintf("transform: Scale factor %v must be positive (compose with Invert for sign flips)", c))
 	}
-	t := Identity(n)
-	t.Name = fmt.Sprintf("scale%g", c)
+	t := identity(fmt.Sprintf("scale%g", c), n)
 	for f := 0; f < n; f++ {
 		t.A[2*f] = c
 	}
-	return t
+	return t.classified()
 }
 
 // Invert returns the transformation multiplying a series by -1, expressed
 // in polar form as adding pi to every phase (Sec. 5.2 uses inverted
 // moving averages to create a second cluster).
 func Invert(n int) Transform {
-	t := Identity(n)
-	t.Name = "invert"
+	t := identity("invert", n)
 	for f := 0; f < n; f++ {
 		t.B[2*f+1] = math.Pi
 	}
-	return t
+	return t.classified()
 }
 
 // Inverted returns t composed with a sign flip (equivalent to multiplying
@@ -271,7 +363,7 @@ func Compose(t2, t1 Transform) Transform {
 		out.A[i] = t2.A[i] * t1.A[i]
 		out.B[i] = t2.A[i]*t1.B[i] + t2.B[i]
 	}
-	return out
+	return out.classified()
 }
 
 // ComposeSets returns T2(T1) = {t2(t1) : t1 in T1, t2 in T2} (Eq. 11),
@@ -324,105 +416,70 @@ func (t Transform) Distance(X, Y []complex128) float64 {
 	return dft.Distance(t.ApplySpectrum(X), t.ApplySpectrum(Y))
 }
 
-// polarTerm is the per-coefficient squared-difference term of the
-// two-sided polar kernels: a and b act on the magnitudes, ap on the
-// phases (the phase offsets cancel in the two-sided difference).
-// Factoring the term into one function keeps the plain and
-// early-abandoning kernels bit-identical by construction.
-func polarTerm(a, b, ap, xm, xp, ym, yp float64) float64 {
-	return polarTermCos(a, b, xm, ym, math.Cos(ap*(xp-yp)))
-}
-
-// polarTermCos is polarTerm with the cosine of the transformed phase
-// difference supplied. It is the only place the term's arithmetic is
-// written down, so a kernel that takes the cosine from a cache (Pair)
-// and one that computes it in place sum the same expression.
-func polarTermCos(a, b, xm, ym, cosd float64) float64 {
-	mu := a*xm + b
-	mv := a*ym + b
+// sqDiff is |u - v|² for complex u and v of moduli mu and mv whose
+// arguments differ by an angle of cosine cosd: a coefficient's term. It
+// is the only place the term's arithmetic is written down, so a kernel
+// that takes the cosine from a cache (Pair) and one that computes it in
+// place sum the same expression.
+func sqDiff(mu, mv, cosd float64) float64 {
 	return mu*mu + mv*mv - 2*mu*mv*cosd
 }
 
-// polarTermLeft is the one-sided counterpart of polarTerm: the
-// transformation applies to the left spectrum only, so the phase offset
-// bp survives into the difference.
-func polarTermLeft(a, b, ap, bp, xm, xp, ym, yp float64) float64 {
-	mu := a*xm + b
-	mv := ym
-	dp := ap*xp + bp - yp
-	return mu*mu + mv*mv - 2*mu*mv*math.Cos(dp)
+// polarTermCos is the term of the two-sided sum with the cosine of the
+// transformed phase difference supplied: a and b act on both magnitudes,
+// and the phase offsets cancel in the two-sided difference.
+func polarTermCos(a, b, xm, ym, cosd float64) float64 {
+	return sqDiff(a*xm+b, a*ym+b, cosd)
 }
 
-// DistancePolar returns the same value as Distance but takes the two
-// spectra in precomputed polar form (magnitude and phase arrays of length
-// n). It is the hot path of query verification: per coefficient it costs
-// one cosine instead of several trigonometric round trips. The phase
-// multipliers cancel in the difference, so
-//
-//	|t(x)_f - t(y)_f|^2 = mu^2 + mv^2 - 2*mu*mv*cos(a_phase*(px - py))
-//
-// with mu, mv the transformed magnitudes.
-//
-// The loop is blocked four coefficients wide over four independent
-// accumulators, which breaks the loop-carried dependency on the running
-// sum; the blocked shape and the final combine order
-// ((s0+s1)+(s2+s3)) are shared exactly with DistancePolarAbandon so the
-// two stay bit-identical on completed sums.
-func (t Transform) DistancePolar(xm, xp, ym, yp []float64) float64 {
-	n := t.N()
-	if len(xm) != n || len(xp) != n || len(ym) != n || len(yp) != n {
-		panic(fmt.Sprintf("transform: DistancePolar on %q (n=%d) with lengths %d/%d/%d/%d",
-			t.Name, n, len(xm), len(xp), len(ym), len(yp)))
-	}
-	A, B := t.A, t.B
-	var s0, s1, s2, s3 float64
-	f := 0
-	for ; f+4 <= n; f += 4 {
-		s0 += polarTerm(A[2*f], B[2*f], A[2*f+1], xm[f], xp[f], ym[f], yp[f])
-		s1 += polarTerm(A[2*f+2], B[2*f+2], A[2*f+3], xm[f+1], xp[f+1], ym[f+1], yp[f+1])
-		s2 += polarTerm(A[2*f+4], B[2*f+4], A[2*f+5], xm[f+2], xp[f+2], ym[f+2], yp[f+2])
-		s3 += polarTerm(A[2*f+6], B[2*f+6], A[2*f+7], xm[f+3], xp[f+3], ym[f+3], yp[f+3])
-	}
-	for ; f < n; f++ {
-		s0 += polarTerm(A[2*f], B[2*f], A[2*f+1], xm[f], xp[f], ym[f], yp[f])
-	}
-	s := (s0 + s1) + (s2 + s3)
-	if s < 0 {
-		s = 0 // rounding noise on identical inputs
-	}
-	return math.Sqrt(s)
+// polarTerm is a coefficient's term given what polar returns for it.
+func polarTerm(mu, mv, dp float64) float64 {
+	return sqDiff(mu, mv, math.Cos(dp))
 }
 
-// DistancePolarLeft returns D(t(x), y) — the transformation applied to
-// the left spectrum only — for polar spectra. This is the verification
-// kernel of the one-sided query semantics (the literal form of the
-// paper's Algorithm 1: "sequences that become within distance eps of q
-// after being transformed"), which is the useful form for alignment
-// transformations like time shifts: applied to both sides a shift is
-// unitary and cancels.
-func (t Transform) DistancePolarLeft(xm, xp, ym, yp []float64) float64 {
-	n := t.N()
-	if len(xm) != n || len(xp) != n || len(ym) != n || len(yp) != n {
-		panic(fmt.Sprintf("transform: DistancePolarLeft on %q (n=%d) with lengths %d/%d/%d/%d",
-			t.Name, n, len(xm), len(xp), len(ym), len(yp)))
+// polar returns what coefficient f's term is made of: the transformed
+// magnitudes and the phase difference whose cosine the term takes.
+// Two-sided, the phase offsets cancel and the term is polarTermCos's;
+// one-sided, the transformation applies to the left spectrum only, so
+// mv = ym and the offset survives into a_phase·xp + b_phase - yp. It is
+// small enough to inline, so a term costs the call to polarTerm and the
+// cosine in it.
+func polar(A, B, xm, xp, ym, yp []float64, f int, oneSided bool) (mu, mv, dp float64) {
+	a, b, ap := A[2*f], B[2*f], A[2*f+1]
+	mu = a*xm[f] + b
+	if oneSided {
+		return mu, ym[f], ap*xp[f] + B[2*f+1] - yp[f]
 	}
-	A, B := t.A, t.B
-	var s0, s1, s2, s3 float64
-	f := 0
-	for ; f+4 <= n; f += 4 {
-		s0 += polarTermLeft(A[2*f], B[2*f], A[2*f+1], B[2*f+1], xm[f], xp[f], ym[f], yp[f])
-		s1 += polarTermLeft(A[2*f+2], B[2*f+2], A[2*f+3], B[2*f+3], xm[f+1], xp[f+1], ym[f+1], yp[f+1])
-		s2 += polarTermLeft(A[2*f+4], B[2*f+4], A[2*f+5], B[2*f+5], xm[f+2], xp[f+2], ym[f+2], yp[f+2])
-		s3 += polarTermLeft(A[2*f+6], B[2*f+6], A[2*f+7], B[2*f+7], xm[f+3], xp[f+3], ym[f+3], yp[f+3])
+	return mu, a*ym[f] + b, ap * (xp[f] - yp[f])
+}
+
+// span is the part of the spectrum a kernel sums, given whether the
+// transformation is symmetric for the predicate form at hand. The sum is
+// weight·Σ_{lo<=f<hi} term(f) + edge:
+//
+//	full:      lo 0, hi n,     weight 1, edge 0 — f = 0..n-1 in index order
+//	symmetric: lo 1, hi ⌈n/2⌉, weight 2, edge = term(0), plus term(mid)
+//	           for even n, where mid = n/2 (mid is 0 otherwise)
+//
+// The symmetric form is the full one with every mirror pair (f, n-f)
+// taken as twice its first member, which is what the pair sums to when x
+// and y are spectra of real series; coefficient 0, and n/2 when n is
+// even, are their own mirrors. It halves a completed sum and, because a
+// real series keeps its energy in the low frequencies, whose mirrors the
+// index order meets last, it is also the order in which a partial sum
+// passes a cutoff soonest. The edge is added when the loop has finished,
+// not before it starts: coefficient 0 of a normal form is zero and n/2
+// is the highest frequency, so they are the two terms least likely to
+// decide an abandon, and a comparison that abandons in its first block
+// pays for four terms, as in the full order, rather than six.
+func span(n int, symmetric bool) (lo, hi int, weight float64, mid int) {
+	if !symmetric {
+		return 0, n, 1, 0
 	}
-	for ; f < n; f++ {
-		s0 += polarTermLeft(A[2*f], B[2*f], A[2*f+1], B[2*f+1], xm[f], xp[f], ym[f], yp[f])
+	if n%2 == 0 {
+		mid = n / 2
 	}
-	s := (s0 + s1) + (s2 + s3)
-	if s < 0 {
-		s = 0
-	}
-	return math.Sqrt(s)
+	return 1, (n + 1) / 2, 2, mid
 }
 
 // AbandonCutoff returns the squared-distance threshold an
@@ -436,80 +493,112 @@ func (t Transform) DistancePolarLeft(xm, xp, ym, yp []float64) float64 {
 // computation about a match.
 func AbandonCutoff(eps float64) float64 { return eps*eps*(1+1e-9) + 1e-9 }
 
-// DistancePolarAbandon is DistancePolar with an early-abandoning
-// cutoff: the per-coefficient terms are non-negative, so the partial
-// sums are non-decreasing and the loop can stop as soon as they prove
-// the distance exceeds eps. When it abandons it returns (lb, true)
-// with lb a lower bound on the true distance; otherwise it returns the
-// bit-identical DistancePolar value and false. The loop is blocked
-// exactly like DistancePolar (same accumulators, same combine order),
-// with the cutoff checked once per four-coefficient block, so the
-// abandon decision is equivalent to "the full blocked sum exceeds the
-// cutoff" and completed sums match DistancePolar bit for bit.
-func (t Transform) DistancePolarAbandon(xm, xp, ym, yp []float64, eps float64) (float64, bool) {
+// Verify is the verification kernel, the one loop behind DistancePolar,
+// DistancePolarLeft and their abandoning forms: the distance
+// D(t(x), t(y)), or D(t(x), y) when oneSided, of two polar spectra
+// (magnitude and phase arrays of length n), with an early-abandoning
+// cutoff. Per coefficient it costs one cosine,
+//
+//	|t(x)_f - t(y)_f|² = mu² + mv² - 2·mu·mv·cos(a_phase·(xp - yp))
+//
+// with mu, mv the transformed magnitudes (one-sided: mv = ym and the
+// phase difference a_phase·xp + b_phase - yp).
+//
+// Precondition: x and y are spectra of real series, coefficient n-f the
+// conjugate of coefficient f. Under a transformation classified
+// symmetric for the predicate form the sum is taken over half the
+// spectrum (see span), and that half sum is the definition of the
+// distance: every caller — index verification, NaiveVerify, the
+// sequential scans, join, closest pairs — goes through this loop or
+// through Pair, which sums in the same order, so they agree bit for bit.
+// On spectra that break the precondition the half sum is not the
+// Euclidean distance; FullOrder gives a transformation that never takes
+// it. An unclassified or asymmetric transformation sums f = 0..n-1.
+//
+// The terms are non-negative, so the partial sums are non-decreasing and
+// the loop stops as soon as weight·s proves the distance exceeds eps: it
+// returns (lb, true, …) with lb a lower bound of the distance. Otherwise
+// it returns the distance and false; eps = +Inf never abandons. The loop
+// is blocked four coefficients wide over four independent accumulators,
+// combined as (s0+s1)+(s2+s3), with the cutoff tested once per block,
+// once per scalar-tail term and once on the whole sum with its edge, so
+// abandoned is exactly "the whole sum exceeds the cutoff". terms is the
+// number of coefficient terms evaluated.
+func (t Transform) Verify(xm, xp, ym, yp []float64, oneSided bool, eps float64) (d float64, abandoned bool, terms int) {
 	n := t.N()
 	if len(xm) != n || len(xp) != n || len(ym) != n || len(yp) != n {
-		panic(fmt.Sprintf("transform: DistancePolarAbandon on %q (n=%d) with lengths %d/%d/%d/%d",
+		panic(fmt.Sprintf("transform: distance under %q (n=%d) of spectra with lengths %d/%d/%d/%d",
 			t.Name, n, len(xm), len(xp), len(ym), len(yp)))
 	}
 	cut := AbandonCutoff(eps)
 	A, B := t.A, t.B
+	symmetric := t.Symmetric(oneSided)
+	lo, hi, weight, mid := span(n, symmetric)
 	var s0, s1, s2, s3 float64
-	f := 0
-	for ; f+4 <= n; f += 4 {
-		s0 += polarTerm(A[2*f], B[2*f], A[2*f+1], xm[f], xp[f], ym[f], yp[f])
-		s1 += polarTerm(A[2*f+2], B[2*f+2], A[2*f+3], xm[f+1], xp[f+1], ym[f+1], yp[f+1])
-		s2 += polarTerm(A[2*f+4], B[2*f+4], A[2*f+5], xm[f+2], xp[f+2], ym[f+2], yp[f+2])
-		s3 += polarTerm(A[2*f+6], B[2*f+6], A[2*f+7], xm[f+3], xp[f+3], ym[f+3], yp[f+3])
-		if s := (s0 + s1) + (s2 + s3); s > cut {
-			return math.Sqrt(s), true
+	f := lo
+	for ; f+4 <= hi; f += 4 {
+		s0 += polarTerm(polar(A, B, xm, xp, ym, yp, f, oneSided))
+		s1 += polarTerm(polar(A, B, xm, xp, ym, yp, f+1, oneSided))
+		s2 += polarTerm(polar(A, B, xm, xp, ym, yp, f+2, oneSided))
+		s3 += polarTerm(polar(A, B, xm, xp, ym, yp, f+3, oneSided))
+		if s := weight * ((s0 + s1) + (s2 + s3)); s > cut {
+			return math.Sqrt(s), true, f + 4 - lo
 		}
 	}
-	for ; f < n; f++ {
-		s0 += polarTerm(A[2*f], B[2*f], A[2*f+1], xm[f], xp[f], ym[f], yp[f])
-		if s := (s0 + s1) + (s2 + s3); s > cut {
-			return math.Sqrt(s), true
+	for ; f < hi; f++ {
+		s0 += polarTerm(polar(A, B, xm, xp, ym, yp, f, oneSided))
+		if s := weight * ((s0 + s1) + (s2 + s3)); s > cut {
+			return math.Sqrt(s), true, f + 1 - lo
 		}
 	}
-	s := (s0 + s1) + (s2 + s3)
+	s := weight * ((s0 + s1) + (s2 + s3))
+	if symmetric {
+		s, terms = s+polarTerm(polar(A, B, xm, xp, ym, yp, 0, oneSided)), 1
+		if mid > 0 {
+			s, terms = s+polarTerm(polar(A, B, xm, xp, ym, yp, mid, oneSided)), 2
+		}
+	}
 	if s < 0 {
 		s = 0 // rounding noise on identical inputs
 	}
-	return math.Sqrt(s), false
+	// The loop has tested everything but the edge.
+	return math.Sqrt(s), s > cut, terms + hi - lo
+}
+
+// DistancePolar returns D(t(x), t(y)) for polar spectra of real series:
+// the value of Distance without its trigonometric round trips. It is
+// Verify, two-sided, with no cutoff.
+func (t Transform) DistancePolar(xm, xp, ym, yp []float64) float64 {
+	d, _, _ := t.Verify(xm, xp, ym, yp, false, math.Inf(1))
+	return d
+}
+
+// DistancePolarLeft returns D(t(x), y) — the transformation applied to
+// the left spectrum only — for polar spectra of real series. This is the
+// predicate of the one-sided query semantics (the literal form of the
+// paper's Algorithm 1: "sequences that become within distance eps of q
+// after being transformed"), which is the useful form for alignment
+// transformations like time shifts: applied to both sides a shift is
+// unitary and cancels. It is Verify, one-sided, with no cutoff.
+func (t Transform) DistancePolarLeft(xm, xp, ym, yp []float64) float64 {
+	d, _, _ := t.Verify(xm, xp, ym, yp, true, math.Inf(1))
+	return d
+}
+
+// DistancePolarAbandon is DistancePolar with an early-abandoning cutoff
+// (see Verify): (lb, true) when the partial sums prove the distance
+// exceeds eps, otherwise the bit-identical DistancePolar value and
+// false.
+func (t Transform) DistancePolarAbandon(xm, xp, ym, yp []float64, eps float64) (float64, bool) {
+	d, abandoned, _ := t.Verify(xm, xp, ym, yp, false, eps)
+	return d, abandoned
 }
 
 // DistancePolarLeftAbandon is DistancePolarLeft with the same
 // early-abandoning contract as DistancePolarAbandon.
 func (t Transform) DistancePolarLeftAbandon(xm, xp, ym, yp []float64, eps float64) (float64, bool) {
-	n := t.N()
-	if len(xm) != n || len(xp) != n || len(ym) != n || len(yp) != n {
-		panic(fmt.Sprintf("transform: DistancePolarLeftAbandon on %q (n=%d) with lengths %d/%d/%d/%d",
-			t.Name, n, len(xm), len(xp), len(ym), len(yp)))
-	}
-	cut := AbandonCutoff(eps)
-	A, B := t.A, t.B
-	var s0, s1, s2, s3 float64
-	f := 0
-	for ; f+4 <= n; f += 4 {
-		s0 += polarTermLeft(A[2*f], B[2*f], A[2*f+1], B[2*f+1], xm[f], xp[f], ym[f], yp[f])
-		s1 += polarTermLeft(A[2*f+2], B[2*f+2], A[2*f+3], B[2*f+3], xm[f+1], xp[f+1], ym[f+1], yp[f+1])
-		s2 += polarTermLeft(A[2*f+4], B[2*f+4], A[2*f+5], B[2*f+5], xm[f+2], xp[f+2], ym[f+2], yp[f+2])
-		s3 += polarTermLeft(A[2*f+6], B[2*f+6], A[2*f+7], B[2*f+7], xm[f+3], xp[f+3], ym[f+3], yp[f+3])
-		if s := (s0 + s1) + (s2 + s3); s > cut {
-			return math.Sqrt(s), true
-		}
-	}
-	for ; f < n; f++ {
-		s0 += polarTermLeft(A[2*f], B[2*f], A[2*f+1], B[2*f+1], xm[f], xp[f], ym[f], yp[f])
-		if s := (s0 + s1) + (s2 + s3); s > cut {
-			return math.Sqrt(s), true
-		}
-	}
-	s := (s0 + s1) + (s2 + s3)
-	if s < 0 {
-		s = 0
-	}
-	return math.Sqrt(s), false
+	d, abandoned, _ := t.Verify(xm, xp, ym, yp, true, eps)
+	return d, abandoned
 }
 
 // ApplyPolarSpectrum applies t to a polar spectrum, returning new

@@ -6,6 +6,12 @@
 // effort counters (pages, tier skips, abandons) move — which is what
 // makes the report a regression diff: answers prove correctness,
 // counter deltas localize the performance change.
+//
+// A journal of capture schema 1 was written when every distance was the
+// full-order sum; its reader hands out the transformations unclassified,
+// so the replay sums the same way and reproduces those digests bit for
+// bit (its effort counters are then those of the full sum too). See the
+// capture package comment.
 
 package tsq
 
@@ -86,6 +92,8 @@ type ReplayRow struct {
 // rows plus aggregate effort totals for both runs.
 type ReplayReport struct {
 	CapturePath string `json:"capture_path"`
+	// SchemaVersion is the capture schema the journal was written with.
+	SchemaVersion int `json:"schema_version"`
 	// Records counts query records read; Replayed + Skipped = Records.
 	Records  int64 `json:"records"`
 	Replayed int64 `json:"replayed"`
@@ -126,7 +134,7 @@ func ReplayFile(ctx context.Context, db *DB, path string, opts ReplayOptions) (*
 	}
 	defer func() { _ = r.Close() }()
 
-	rep := &ReplayReport{CapturePath: path}
+	rep := &ReplayReport{CapturePath: path, SchemaVersion: r.Version()}
 	subIdx := make(map[int32]*SubsequenceIndex)
 	for opts.Limit <= 0 || rep.Records < opts.Limit {
 		if err := ctx.Err(); err != nil {
@@ -289,8 +297,11 @@ func replayLabel(rec *capture.Record) string {
 // WriteText renders the report for humans: the verdict, aggregate
 // effort deltas, and one line per mismatched, errored or skipped query.
 func (r *ReplayReport) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "replay of %s: %d records, %d replayed, %d skipped, %d errors, %d digest mismatches\n",
-		r.CapturePath, r.Records, r.Replayed, r.Skipped, r.Errors, r.Mismatches)
+	fmt.Fprintf(w, "replay of %s (schema %d): %d records, %d replayed, %d skipped, %d errors, %d digest mismatches\n",
+		r.CapturePath, r.SchemaVersion, r.Records, r.Replayed, r.Skipped, r.Errors, r.Mismatches)
+	if r.SchemaVersion < capture.SchemaVersion {
+		fmt.Fprintf(w, "note: a schema-%d journal: replayed with every distance summed in full order, as it was written\n", r.SchemaVersion)
+	}
 	if r.Truncated {
 		fmt.Fprintf(w, "note: capture ended in a torn tail (incomplete final frame ignored)\n")
 	}

@@ -51,7 +51,11 @@ import (
 type Series = series.Series
 
 // Transform is a linear transformation over the polar Fourier
-// representation of a series.
+// representation of a series. Build one with the constructors of this
+// package (MovingAverage, TimeShift, Compose, ...): they classify its
+// vectors once, which is what lets a query sum half the spectrum under
+// it, and nothing re-reads A or B afterwards, so treat them as
+// read-only. A struct literal works, and is always summed in full.
 type Transform = transform.Transform
 
 // Match is a range-query answer: a record and a transformation index
@@ -649,7 +653,7 @@ func (a Algorithm) resolve() (Algorithm, error) {
 
 func (db *DB) rangeDispatch(ctx context.Context, qr *core.Record, ts []Transform, eps float64, opts QueryOptions) ([]Match, Stats, error) {
 	if opts.QueryTransform != nil {
-		qr = qr.ApplyTransform(*opts.QueryTransform)
+		qr, ts = core.TransformQuery(qr, *opts.QueryTransform, ts)
 	}
 	ro := db.rangeOpts(ts, opts)
 	if opts.Algorithm == Auto {
@@ -857,7 +861,7 @@ func (db *DB) nnDispatch(ctx context.Context, qr *core.Record, ts []Transform, k
 		return nil, Stats{}, err
 	}
 	if opts.QueryTransform != nil {
-		qr = qr.ApplyTransform(*opts.QueryTransform)
+		qr, ts = core.TransformQuery(qr, *opts.QueryTransform, ts)
 	}
 	ro := core.RangeOptions{OneSided: opts.OneSided || opts.QueryTransform != nil}
 	if alg == SeqScan {
