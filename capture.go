@@ -70,7 +70,6 @@ func captureQueryOpts(opts QueryOptions) capture.OptionsRecord {
 		PaperQueryRect:   opts.PaperQueryRect,
 		OneSided:         opts.OneSided,
 		NaiveVerify:      opts.NaiveVerify,
-		FlatLB:           opts.FlatLB,
 	}
 	if opts.QueryTransform != nil {
 		t := *opts.QueryTransform

@@ -107,54 +107,6 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayFlatLBOverride pins the PR 6 A/B contract end to end: a
-// capture replayed under -set flatlb=true must reproduce every answer
-// digest while the lower-bound work moves from the cascade tiers into
-// tier 2 (the flat path books every dismissal there).
-func TestReplayFlatLBOverride(t *testing.T) {
-	db := openTestDB(t, 11, 60, 64)
-	ts := MovingAverages(64, 5, 20)
-	thr := Correlation(0.96)
-	path := filepath.Join(t.TempDir(), "ab.tscap")
-	if _, err := EnableCapture(path, CaptureOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for id := int64(0); id < 10; id++ {
-		if _, _, err := db.RangeByID(id, ts, thr, QueryOptions{Algorithm: MTIndex, TransformsPerMBR: 8}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := DisableCapture(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := ReplayFile(context.Background(), db, path, ReplayOptions{
-		Override: func(q *QueryOptions) { q.FlatLB = true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mismatches != 0 || rep.Errors != 0 || rep.Skipped != 0 {
-		rep.WriteText(os.Stderr)
-		t.Fatalf("flatlb replay: %d mismatches, %d errors, %d skipped",
-			rep.Mismatches, rep.Errors, rep.Skipped)
-	}
-	cap, got := rep.CapturedTotals, rep.ReplayedTotals
-	if cap.SkippedLB() == 0 {
-		t.Fatal("workload produced no lower-bound skips; the A/B is vacuous")
-	}
-	if cap.SkippedLB0+cap.SkippedLB1 == 0 {
-		t.Fatal("captured run never skipped in tiers 0/1; pick a workload that exercises the cascade")
-	}
-	if got.SkippedLB0 != 0 || got.SkippedLB1 != 0 {
-		t.Errorf("flat replay still books tier 0/1 skips: %d/%d", got.SkippedLB0, got.SkippedLB1)
-	}
-	if got.SkippedLB() != cap.SkippedLB() {
-		t.Errorf("total lb skips moved: captured %d, flat replay %d — the flat bound must dismiss the same set",
-			cap.SkippedLB(), got.SkippedLB())
-	}
-}
-
 func TestReplayLimit(t *testing.T) {
 	db := openTestDB(t, 13, 30, 64)
 	ts := MovingAverages(64, 5, 12)

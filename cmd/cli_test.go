@@ -32,7 +32,7 @@ func buildTools(t *testing.T) string {
 			return
 		}
 		binDir = dir
-		for _, tool := range []string{"tsgen", "tsquery", "tsbench", "tsinspect"} {
+		for _, tool := range []string{"tsgen", "tsquery", "tsbench"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./"+tool)
 			cmd.Dir = "." // cmd/ directory
 			if out, err := cmd.CombinedOutput(); err != nil {
@@ -164,7 +164,7 @@ func TestCLIBenchWithCharts(t *testing.T) {
 
 // TestCLIBenchJSONEnvelope checks the machine-readable output format:
 // an envelope carrying the writer's current schema version and the
-// metadata that makes BENCH_*.json files comparable across machines,
+// metadata that makes result files comparable across machines,
 // including the run's resource footprint.
 func TestCLIBenchJSONEnvelope(t *testing.T) {
 	// The version is whatever tsbench declares: a schema bump is made in
@@ -304,7 +304,8 @@ func TestCLIBundle(t *testing.T) {
 
 func TestCLIInspect(t *testing.T) {
 	// Build a database through the library, then inspect it as a user
-	// would.
+	// would: tsquery -db F -info for its shape, -check for its integrity
+	// (-inspect, the health report, has TestCLIInspectReport).
 	dir := t.TempDir()
 	data := filepath.Join(dir, "stocks.csv")
 	runTool(t, "tsgen", "-kind", "stocks", "-count", "80", "-length", "64", "-out", data)
@@ -365,11 +366,15 @@ func main() {
 		t.Fatalf("mkdb: %v\n%s", err, out)
 	}
 
-	out := runTool(t, "tsinspect", dbPath)
-	for _, needle := range []string{"80 series of length 64", "paged storage: true", "tree levels", "integrity check... ok"} {
+	out := runTool(t, "tsquery", "-db", dbPath, "-info")
+	for _, needle := range []string{"80 series of length 64", "paged=true", "tree levels (1 = leaves):", "level 1:"} {
 		if !strings.Contains(out, needle) {
-			t.Errorf("tsinspect output missing %q:\n%s", needle, out)
+			t.Errorf("tsquery -info output missing %q:\n%s", needle, out)
 		}
+	}
+	out = runTool(t, "tsquery", "-db", dbPath, "-check")
+	if !strings.Contains(out, "result: OK") {
+		t.Errorf("tsquery -check on a library-built file:\n%s", out)
 	}
 }
 
@@ -384,9 +389,9 @@ func TestCLIErrors(t *testing.T) {
 	if err := cmd.Run(); err == nil {
 		t.Error("tsgen accepted an unknown kind")
 	}
-	cmd = exec.Command(filepath.Join(bin, "tsinspect"), "/nonexistent.tsq")
+	cmd = exec.Command(filepath.Join(bin, "tsquery"), "-db", "/nonexistent.tsq", "-info")
 	if err := cmd.Run(); err == nil {
-		t.Error("tsinspect accepted a missing file")
+		t.Error("tsquery -info accepted a missing database file")
 	}
 }
 

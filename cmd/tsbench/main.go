@@ -11,21 +11,14 @@
 //	tsbench -fig 9            # same with inverted transformations added
 //	tsbench -fig 3 | -fig 4   # MBR decomposition illustrations
 //	tsbench -fig all -queries 100
-//	tsbench -fig none -throughput           # concurrent queries/sec sweep
-//	tsbench -fig none -verify-sweep -backend=disk  # naive vs pipeline I/O A/B
-//	tsbench -fig 5 -json results.json       # machine-readable results
+//	tsbench -fig 5 -json results.json       # machine-readable figure rows
 //
-// -throughput runs the batch executor over the Fig. 5 workload at worker
-// counts 1, 4 and GOMAXPROCS (or -workers a,b,c) and reports queries per
-// second. -verify-sweep runs the same MT-index workload through the
-// naive record-at-a-time verifier and the I/O-aware pipeline
-// (lower-bound skip, page-ordered batched fetch, early abandoning) on
-// the chosen -backend (mem, or disk for a temp page file) and reports
-// page reads, readahead, and verification effort per query. -json
-// writes every measured point, wrapped in an envelope of run metadata
-// (schema version, GOMAXPROCS, NumCPU, page size, git revision), to a
-// file ("-" for stdout) — the format the repo's BENCH_*.json trajectory
-// files record.
+// -json writes every measured figure point, wrapped in an envelope of run
+// metadata (schema version, GOMAXPROCS, NumCPU, page size, git revision),
+// to a file ("-" for stdout). Performance is not measured here: the
+// throughput, verification, capture and shard sweeps this command used to
+// carry were replaced by the repository benchmark (benchmark/README.md,
+// BENCHMARK.json), whose rows EXPERIMENTS.md names claim by claim.
 package main
 
 import (
@@ -37,7 +30,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 
 	"tsq/internal/bench"
@@ -48,23 +40,15 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 3, 4, 5, 6, 7, 8, 9, all or none")
-		queries    = flag.Int("queries", 20, "random query repetitions per point (paper: 100)")
-		seed       = flag.Int64("seed", 1999, "random seed")
-		stocks     = flag.Int("stocks", 1068, "size of the synthetic stock data set")
-		length     = flag.Int("length", 128, "series length")
-		paperRect  = flag.Bool("paper-rect", false, "use the paper's plain eps-box query rectangle")
-		outDir     = flag.String("out", "", "directory to also write figN.svg and figN.csv files into")
-		throughput = flag.Bool("throughput", false, "run the concurrent-throughput sweep")
-		tpCount    = flag.Int("tpcount", 8000, "throughput sweep: dataset size")
-		tpQueries  = flag.Int("tpqueries", 256, "throughput sweep: queries per batch")
-		workers    = flag.String("workers", "", "throughput sweep: comma-separated worker counts (default 1,4,GOMAXPROCS)")
-		jsonOut    = flag.String("json", "", "write machine-readable results to this file (- for stdout)")
-		verify     = flag.Bool("verify-sweep", false, "run the naive-vs-pipeline verification A/B sweep")
-		capSweep   = flag.Bool("capture-sweep", false, "run the workload-capture overhead and replay-determinism sweep")
-		shardSweep = flag.String("shards", "", "run the shard sweep at these comma-separated shard counts, e.g. -shards 1,2,4")
-		backend    = flag.String("backend", "mem", "verify/capture/shard sweep backends, comma-separated: mem, or disk for a temp page file")
-		version    = flag.Bool("version", false, "print build information and exit")
+		fig       = flag.String("fig", "all", "figure to regenerate: 3, 4, 5, 6, 7, 8, 9 or all")
+		queries   = flag.Int("queries", 20, "random query repetitions per point (paper: 100)")
+		seed      = flag.Int64("seed", 1999, "random seed")
+		stocks    = flag.Int("stocks", 1068, "size of the synthetic stock data set")
+		length    = flag.Int("length", 128, "series length")
+		paperRect = flag.Bool("paper-rect", false, "use the paper's plain eps-box query rectangle")
+		outDir    = flag.String("out", "", "directory to also write figN.svg and figN.csv files into")
+		jsonOut   = flag.String("json", "", "write machine-readable figure rows to this file (- for stdout)")
+		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -89,54 +73,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
 		os.Exit(1)
 	}
-	if *throughput {
-		wc, err := parseWorkers(*workers)
-		if err == nil {
-			err = runThroughput(cfg, *tpCount, *tpQueries, wc, &results)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *verify {
-		for _, be := range strings.Split(*backend, ",") {
-			if be = strings.TrimSpace(be); be == "" {
-				continue
-			}
-			if err := runVerifySweep(cfg, be, &results); err != nil {
-				fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if *capSweep {
-		for _, be := range strings.Split(*backend, ",") {
-			if be = strings.TrimSpace(be); be == "" {
-				continue
-			}
-			if err := runCaptureSweep(cfg, be, &results); err != nil {
-				fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if *shardSweep != "" {
-		counts, err := parseWorkers(*shardSweep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsbench: bad -shards: %v\n", err)
-			os.Exit(1)
-		}
-		for _, be := range strings.Split(*backend, ",") {
-			if be = strings.TrimSpace(be); be == "" {
-				continue
-			}
-			if err := runShardSweep(cfg, be, counts, &results); err != nil {
-				fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, results); err != nil {
 			fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
@@ -145,46 +81,15 @@ func main() {
 	}
 }
 
-// benchResult is one measured point in the machine-readable output.
+// benchResult is one measured figure point in the machine-readable output.
 type benchResult struct {
-	Name          string  `json:"name"`
-	NsPerOp       float64 `json:"ns_per_op,omitempty"`
-	DiskReads     float64 `json:"disk_reads,omitempty"`
-	QueriesPerSec float64 `json:"queries_per_sec,omitempty"`
-	// SingleCPU marks the workers=1 throughput row: it is the serial
-	// parity baseline, not a scaling claim.
-	SingleCPU bool `json:"single_cpu,omitempty"`
-	// Verify-sweep rows: per-query lower-bound skips, split by the
-	// cascade tier that decided them (tier 0 magnitude-gap, tier 1
-	// exact first coefficient, tier 2 full DFT prefix; the flat A/B
-	// mode books everything as tier 2), and the per-candidate costs —
-	// ns_per_candidate over the whole verification phase,
-	// lb_ns_per_candidate over the skip-or-fetch decision alone.
-	SkippedLB        float64 `json:"skipped_lb,omitempty"`
-	SkippedLB0       float64 `json:"skipped_lb_t0,omitempty"`
-	SkippedLB1       float64 `json:"skipped_lb_t1,omitempty"`
-	SkippedLB2       float64 `json:"skipped_lb_t2,omitempty"`
-	NsPerCandidate   float64 `json:"ns_per_candidate,omitempty"`
-	LBNsPerCandidate float64 `json:"lb_ns_per_candidate,omitempty"`
-	// Resource attribution (schema 3): process heap-allocation deltas
-	// per query, for the sweeps that measure them (throughput, verify).
-	AllocBytesPerOp float64 `json:"alloc_bytes_per_op,omitempty"`
-	MallocsPerOp    float64 `json:"mallocs_per_op,omitempty"`
-	// Capture/replay rows (schema 4): how many captured queries the
-	// replay re-executed and how many answer digests diverged (a
-	// regression if nonzero — the engine's answer sets are deterministic
-	// and option-independent).
-	Replayed   int64 `json:"replayed,omitempty"`
-	Mismatches int64 `json:"mismatches,omitempty"`
-	// Shard-sweep rows (schema 5): the shard count and the wall time of
-	// partitioning + building all shard trees (and, on disk, committing
-	// shard files + the manifest).
-	Shards  int     `json:"shards,omitempty"`
-	BuildNs float64 `json:"build_ns,omitempty"`
+	Name      string  `json:"name"`
+	NsPerOp   float64 `json:"ns_per_op,omitempty"`
+	DiskReads float64 `json:"disk_reads,omitempty"`
 }
 
-// benchMeta records the run environment so BENCH_*.json files are
-// comparable across machines and toolchains.
+// benchMeta records the run environment so result files are comparable
+// across machines and toolchains.
 type benchMeta struct {
 	GoVersion   string `json:"go_version"`
 	GOOS        string `json:"goos"`
@@ -200,14 +105,11 @@ type benchMeta struct {
 	Resources obs.Resources `json:"resources"`
 }
 
-// benchFile is the machine-readable output envelope; the BENCH_*.json
-// trajectory files record one of these. Schema 1 was a bare result
-// array with no run metadata; schema 2 added the meta envelope; schema
-// 3 added resource attribution — per-query allocation fields on the
-// throughput and verify-sweep rows and the run's resource footprint in
-// meta; schema 4 added the capture-sweep rows (journal overhead on/off,
-// replay determinism with replayed/mismatch counts); schema 5 adds the
-// shard-sweep rows (shards, build_ns).
+// benchFile is the machine-readable output envelope. Schema 1 was a bare
+// result array; 2 added the meta envelope; 3 the run's resource footprint
+// in meta; 4 and 5 added rows for the capture and shard sweeps; 6 removes
+// every sweep row and field with the sweeps (the repository benchmark
+// measures what they did), leaving figure rows only.
 type benchFile struct {
 	SchemaVersion int           `json:"schema_version"`
 	Meta          benchMeta     `json:"meta"`
@@ -215,7 +117,7 @@ type benchFile struct {
 }
 
 // benchSchemaVersion is the current benchFile schema.
-const benchSchemaVersion = 5
+const benchSchemaVersion = 6
 
 // collectMeta captures the run environment. The git revision comes from
 // the build info's VCS stamp, falling back to `git rev-parse HEAD`;
@@ -251,149 +153,6 @@ func gitRevision() string {
 		return rev
 	}
 	return "unknown"
-}
-
-// parseWorkers parses "-workers 1,4,16"; empty means the default sweep.
-func parseWorkers(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -workers element %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// runThroughput runs the concurrent-throughput sweep and prints (and
-// records) queries/sec per worker count.
-func runThroughput(cfg bench.Config, count, queries int, workerCounts []int, results *[]benchResult) error {
-	fmt.Printf("=== Concurrent throughput: %d MT-index queries, %d sequences (Fig. 5 workload) ===\n", queries, count)
-	rows, err := bench.Throughput(cfg, count, queries, workerCounts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%10s %14s %14s %14s %14s\n", "workers", "queries/sec", "sec/query", "disk/query", "KiB/query")
-	for _, r := range rows {
-		note := ""
-		if r.Workers == 1 {
-			note = "  (single-CPU parity baseline)"
-		}
-		fmt.Printf("%10d %14.1f %14.6f %14.1f %14.1f%s\n",
-			r.Workers, r.QueriesPerSec, r.SecPerQuery, r.DiskPerQuery, r.AllocPerQuery/1024, note)
-		*results = append(*results, benchResult{
-			Name:            fmt.Sprintf("throughput/workers=%d", r.Workers),
-			NsPerOp:         r.SecPerQuery * 1e9,
-			DiskReads:       r.DiskPerQuery,
-			QueriesPerSec:   r.QueriesPerSec,
-			SingleCPU:       r.Workers == 1,
-			AllocBytesPerOp: r.AllocPerQuery,
-			MallocsPerOp:    r.MallocsPerQuery,
-		})
-	}
-	fmt.Println()
-	return nil
-}
-
-// runVerifySweep runs the naive / flat / pipeline verification A/B on
-// the chosen backend and prints (and records) I/O and effort per query,
-// including the per-tier skip counters of the lower-bound cascade and
-// the per-candidate cost of the verification phase and of the
-// lower-bound decision alone.
-func runVerifySweep(cfg bench.Config, backend string, results *[]benchResult) error {
-	fmt.Printf("=== Verification A/B: MT-index, MV(6..29), 8 per MBR, backend=%s ===\n", backend)
-	rows, err := bench.VerifySweep(cfg, backend)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%10s %12s %11s %10s %8s %8s %8s %10s %10s %11s %11s\n",
-		"mode", "sec/query", "candidates", "skipped lb", "t0", "t1", "t2", "ns/cand", "lb ns/cand", "abandoned", "pages read")
-	for _, r := range rows {
-		fmt.Printf("%10s %12.6f %11.1f %10.1f %8.1f %8.1f %8.1f %10.1f %10.1f %11.1f %11.1f\n",
-			r.Mode, r.SecPerQuery, r.Candidates, r.SkippedLB, r.SkippedLB0, r.SkippedLB1, r.SkippedLB2,
-			r.NsPerCandidate, r.LBNsPerCandidate, r.Abandoned, r.PagesRead)
-		*results = append(*results, benchResult{
-			Name:             fmt.Sprintf("verify/%s/%s", r.Backend, r.Mode),
-			NsPerOp:          r.SecPerQuery * 1e9,
-			DiskReads:        r.PagesRead,
-			SkippedLB:        r.SkippedLB,
-			SkippedLB0:       r.SkippedLB0,
-			SkippedLB1:       r.SkippedLB1,
-			SkippedLB2:       r.SkippedLB2,
-			NsPerCandidate:   r.NsPerCandidate,
-			LBNsPerCandidate: r.LBNsPerCandidate,
-			AllocBytesPerOp:  r.AllocPerQuery,
-			MallocsPerOp:     r.MallocsPerQuery,
-		})
-	}
-	fmt.Println()
-	return nil
-}
-
-// runCaptureSweep measures the workload journal's per-query overhead
-// (capture off vs on) and replays the captured workload verbatim and
-// under the FlatLB override, recording replayed/mismatch counts and the
-// tier-skip shift.
-func runCaptureSweep(cfg bench.Config, backend string, results *[]benchResult) error {
-	fmt.Printf("=== Workload capture: MT-index, MV(6..29), 8 per MBR, backend=%s ===\n", backend)
-	rows, err := bench.CaptureSweep(cfg, backend)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%18s %12s %12s %10s %10s %10s %8s %8s\n",
-		"arm", "sec/query", "B/query", "mallocs/q", "replayed", "mismatch", "lb t0/q", "lb t2/q")
-	for _, r := range rows {
-		fmt.Printf("%18s %12.6f %12.1f %10.1f %10d %10d %8.1f %8.1f\n",
-			r.Name, r.SecPerQuery, r.AllocPerQuery, r.MallocsPerQuery,
-			r.Replayed, r.Mismatches, r.SkippedLB0, r.SkippedLB2)
-		*results = append(*results, benchResult{
-			Name:            fmt.Sprintf("%s/%s", r.Name, r.Backend),
-			NsPerOp:         r.SecPerQuery * 1e9,
-			AllocBytesPerOp: r.AllocPerQuery,
-			MallocsPerOp:    r.MallocsPerQuery,
-			Replayed:        r.Replayed,
-			Mismatches:      r.Mismatches,
-			SkippedLB0:      r.SkippedLB0,
-			SkippedLB2:      r.SkippedLB2,
-		})
-	}
-	fmt.Println()
-	return nil
-}
-
-// runShardSweep builds the dataset at each shard count and prints (and
-// records) build time and per-query effort of the scatter-gather path.
-// The shards=1 row is the serial parity baseline (the passthrough
-// engine), marked single_cpu like the workers=1 throughput row.
-func runShardSweep(cfg bench.Config, backend string, counts []int, results *[]benchResult) error {
-	fmt.Printf("=== Shard sweep: MT-index, MV(6..29), 8 per MBR, backend=%s ===\n", backend)
-	rows, err := bench.ShardSweep(cfg, backend, counts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%10s %12s %12s %14s %10s\n", "shards", "build(s)", "sec/query", "pages/query", "avg out")
-	for _, r := range rows {
-		note := ""
-		if r.Shards == 1 {
-			note = "  (single-tree parity baseline)"
-		}
-		fmt.Printf("%10d %12.4f %12.6f %14.1f %10.1f%s\n",
-			r.Shards, r.BuildSec, r.SecPerQuery, r.PagesPerQuery, r.AvgOutput, note)
-		*results = append(*results, benchResult{
-			Name:      fmt.Sprintf("shards/%s/n=%d", r.Backend, r.Shards),
-			NsPerOp:   r.SecPerQuery * 1e9,
-			DiskReads: r.PagesPerQuery,
-			SingleCPU: r.Shards == 1,
-			Shards:    r.Shards,
-			BuildNs:   r.BuildSec * 1e9,
-		})
-	}
-	fmt.Println()
-	return nil
 }
 
 // writeJSON writes the collected results wrapped in the schema-2
@@ -527,7 +286,7 @@ func run(fig string, cfg bench.Config, outDir string, results *[]benchResult) er
 		}
 	}
 	switch fig {
-	case "3", "4", "5", "6", "7", "8", "9", "all", "none":
+	case "3", "4", "5", "6", "7", "8", "9", "all":
 		return nil
 	default:
 		return fmt.Errorf("unknown figure %q", fig)

@@ -240,6 +240,14 @@ func run() error {
 		}
 		fmt.Printf("index: k=%d, tree height %d, %d pages of %d bytes, avg leaf capacity %.1f, paged=%v, shards=%d\n",
 			meta.IndexedK, meta.TreeHeight, meta.Pages, meta.PageSize, meta.LeafCapacity, meta.Paged, meta.Shards)
+		levels, err := db.TreeLevels()
+		if err != nil {
+			return err
+		}
+		fmt.Println("tree levels (1 = leaves):")
+		for _, l := range levels {
+			fmt.Printf("  level %d: %5d nodes, avg extents %.3g\n", l.Level, l.Nodes, l.AvgSide)
+		}
 		return nil
 	}
 

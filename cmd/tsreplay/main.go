@@ -7,7 +7,7 @@
 // Usage:
 //
 //	tsreplay -capture queries.tscap -db stocks.tsq
-//	tsreplay -capture queries.tscap -data stocks.csv -set flatlb=true
+//	tsreplay -capture queries.tscap -data stocks.csv -set naiveverify=true
 //	tsreplay -capture queries.tscap -db stocks.tsq -workers 4 -json
 //
 // Exit status: 0 when every query replayed with a matching digest, 1 on
@@ -50,18 +50,15 @@ func (o *overrides) Set(s string) error {
 		return fmt.Errorf("want key=value, got %q", s)
 	}
 	switch key {
-	case "flatlb", "naiveverify", "ordering":
+	case "naiveverify", "ordering":
 		b, err := strconv.ParseBool(val)
 		if err != nil {
 			return fmt.Errorf("%s wants a boolean, got %q", key, val)
 		}
 		o.apply = append(o.apply, func(q *tsq.QueryOptions) {
-			switch key {
-			case "flatlb":
-				q.FlatLB = b
-			case "naiveverify":
+			if key == "naiveverify" {
 				q.NaiveVerify = b
-			case "ordering":
+			} else {
 				q.UseOrdering = b
 			}
 		})
@@ -81,7 +78,7 @@ func (o *overrides) Set(s string) error {
 		}
 		o.apply = append(o.apply, func(q *tsq.QueryOptions) { q.Algorithm = alg })
 	default:
-		return fmt.Errorf("unknown option %q (have flatlb, naiveverify, ordering, algo)", key)
+		return fmt.Errorf("unknown option %q (have naiveverify, ordering, algo)", key)
 	}
 	o.specs = append(o.specs, s)
 	return nil
@@ -99,7 +96,7 @@ func run() int {
 		jsonOut     = flag.Bool("json", false, "emit the report as JSON instead of text")
 		version     = flag.Bool("version", false, "print build information and exit")
 	)
-	flag.Var(&ovr, "set", "override a query option on every replayed query, e.g. -set flatlb=true (repeatable)")
+	flag.Var(&ovr, "set", "override a query option on every replayed query, e.g. -set naiveverify=true (repeatable)")
 	flag.Parse()
 	if *version {
 		fmt.Println("tsreplay", obs.ReadBuildSection())

@@ -14,20 +14,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"time"
 
 	"tsq"
 	"tsq/internal/datagen"
-	"tsq/internal/obs"
 	"tsq/internal/series"
-	"tsq/internal/storage"
 )
 
 // Config controls the harness.
@@ -394,307 +387,4 @@ func Fig4(length int) string {
 		aLo, aHi, bLo, bHi,
 		outMagLo, outMagHi, outPhLo, outPhHi,
 		aLo, magLo, aHi, magHi)
-}
-
-// ThroughputRow is one point of the concurrent-throughput sweep: the
-// Fig. 5 workload (synthetic walks, 16 moving averages, correlation
-// 0.96) driven through the batch executor at a fixed worker-pool size.
-type ThroughputRow struct {
-	Workers       int
-	Queries       int
-	QueriesPerSec float64
-	SecPerQuery   float64
-	// DiskPerQuery is the Eq. 18 accounting (index node fetches plus
-	// candidate retrievals) per query; identical at every worker count.
-	DiskPerQuery float64
-	// AllocPerQuery/MallocsPerQuery are the process heap-allocation
-	// deltas over the batch divided by its query count — bytes and
-	// objects the execution layer costs per query at this worker count.
-	AllocPerQuery   float64
-	MallocsPerQuery float64
-}
-
-// Throughput measures batch query throughput over the Fig. 5 workload at
-// each of the given worker counts (default 1, 4, GOMAXPROCS). count is
-// the dataset size (default 8000) and queries the batch size (default
-// 256). Every query runs the MT-index algorithm; answers and per-query
-// disk-access counts are identical across worker counts, so the sweep
-// isolates the scaling of the execution layer.
-func Throughput(cfg Config, count, queries int, workerCounts []int) ([]ThroughputRow, error) {
-	cfg = cfg.WithDefaults()
-	if count == 0 {
-		count = 8000
-	}
-	if queries == 0 {
-		queries = 256
-	}
-	if workerCounts == nil {
-		workerCounts = DefaultWorkerCounts()
-	}
-	ss := datagen.RandomWalks(cfg.Seed, count, cfg.Length)
-	db, err := openDB(ss)
-	if err != nil {
-		return nil, err
-	}
-	ts := tsq.MovingAverages(cfg.Length, 10, 25)
-	thr := tsq.Correlation(0.96)
-	opts := tsq.QueryOptions{NaiveVerify: true} // Eq. 18 accounting, see rangePoint
-	if cfg.PaperQueryRect {
-		opts.PaperQueryRect = true
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	reqs := make([]tsq.BatchRequest, queries)
-	for i := range reqs {
-		reqs[i] = tsq.BatchRequest{
-			ID: int64(rng.Intn(db.Len())), ByID: true,
-			Transforms: ts, Threshold: thr, Opts: opts,
-		}
-	}
-	// One warm-up batch so plan caches and the page map are hot for
-	// every worker count alike.
-	for _, res := range db.Batch(context.Background(), reqs[:min(16, len(reqs))], 1) {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-	}
-	rows := make([]ThroughputRow, 0, len(workerCounts))
-	for _, workers := range workerCounts {
-		pre := obs.ReadResources()
-		start := time.Now()
-		results := db.Batch(context.Background(), reqs, workers)
-		elapsed := time.Since(start).Seconds()
-		res := obs.ReadResources().Sub(pre)
-		var stats tsq.Stats
-		for _, r := range results {
-			if r.Err != nil {
-				return nil, r.Err
-			}
-			stats.Add(r.Stats)
-		}
-		rows = append(rows, ThroughputRow{
-			Workers:         workers,
-			Queries:         queries,
-			QueriesPerSec:   float64(queries) / elapsed,
-			SecPerQuery:     elapsed / float64(queries),
-			DiskPerQuery:    float64(stats.DAAll+stats.Candidates) / float64(queries),
-			AllocPerQuery:   float64(res.AllocBytes) / float64(queries),
-			MallocsPerQuery: float64(res.Mallocs) / float64(queries),
-		})
-	}
-	return rows, nil
-}
-
-// VerifyRow is one arm of the I/O-aware verification A/B: the same
-// MT-index range workload evaluated with the naive record-at-a-time
-// verifier (the paper's cost-model baseline), the flat single-tier
-// lower bound (the pre-cascade pipeline, kept behind QueryOptions.FlatLB),
-// or the full pipeline (tiered lower-bound cascade, page-ordered batched
-// fetch, early abandoning).
-type VerifyRow struct {
-	Mode        string // "naive", "flat" or "pipeline"
-	Backend     string // "mem" or "disk"
-	Queries     int
-	SecPerQuery float64
-	AvgOutput   float64
-	// Per-query verification effort.
-	Candidates  float64 // records actually retrieved and verified
-	SkippedLB   float64 // candidates rejected by the lower bound, never fetched
-	SkippedLB0  float64 // ... decided by the cos-free magnitude-gap tier
-	SkippedLB1  float64 // ... decided by the first-coefficient tier
-	SkippedLB2  float64 // ... decided by the full DFT-prefix tier
-	Abandoned   float64 // distance evaluations cut short by the eps cutoff
-	Comparisons float64
-	// NsPerCandidate is the wall time spent on the admitted candidates,
-	// divided by their number (skipped + verified): the lower-bound time
-	// of the traced KindFilter spans plus the KindVerify span durations,
-	// over candidates + skipped. It isolates the per-candidate CPU cost
-	// of the verification hot path from the R-tree traversal, which is
-	// identical across modes. The phase includes
-	// the exact-distance evaluation of the survivors, which the answer
-	// contract fixes bit-identically across modes, so mode-to-mode
-	// deltas here understate the pruning-stage win; LBNsPerCandidate is
-	// the isolated metric.
-	NsPerCandidate float64
-	// LBNsPerCandidate is the lower-bound stage's time (Stats.LBTimeNs:
-	// the skip-or-fetch decision loop, including cascade construction)
-	// per inspected candidate — the cost the tiered cascade attacks.
-	// Zero in naive mode, which runs no lower bound.
-	LBNsPerCandidate float64
-	// Per-query page traffic of the index's storage manager.
-	PagesRead  float64 // backend reads (one per ordered run with readahead)
-	Prefetched float64 // pages delivered by the tail of a batched run read
-	BufferHits float64
-	// AllocPerQuery/MallocsPerQuery are the process heap-allocation
-	// deltas over the first (cold) repetition divided by the query
-	// count — the memory cost each verification mode charges per query.
-	AllocPerQuery   float64
-	MallocsPerQuery float64
-}
-
-// runRangeVerify is runRange with a trace attached to every query: it
-// additionally returns the summed duration of the KindVerify spans —
-// the verification phase alone — for the NsPerCandidate accounting.
-func runRangeVerify(db *tsq.DB, cfg Config, ts []tsq.Transform, thr tsq.Threshold, opts tsq.QueryOptions) (secs, avgOut float64, stats tsq.Stats, verifyNs float64, err error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
-	var totalOut int
-	start := time.Now()
-	for i := 0; i < cfg.Queries; i++ {
-		id := int64(rng.Intn(db.Len()))
-		tr := tsq.NewTrace()
-		ctx := tsq.WithTrace(context.Background(), tr)
-		matches, st, qerr := db.RangeByIDCtx(ctx, id, ts, thr, opts)
-		if qerr != nil {
-			return 0, 0, stats, 0, qerr
-		}
-		for _, sp := range tr.Spans() {
-			switch sp.Kind() {
-			case obs.KindVerify:
-				verifyNs += float64(sp.Duration().Nanoseconds())
-			case obs.KindFilter:
-				verifyNs += float64(sp.Get(obs.ALBNanos))
-			}
-		}
-		totalOut += len(matches)
-		stats.Add(st)
-	}
-	elapsed := time.Since(start).Seconds()
-	return elapsed / float64(cfg.Queries), float64(totalOut) / float64(cfg.Queries), stats, verifyNs, nil
-}
-
-// VerifySweep measures both verification modes over the stock data set
-// on the given backend ("mem", or "disk" for a temp page file that
-// exercises the heap-file fetch path). Matches are identical across
-// modes; the sweep isolates I/O and comparison savings.
-func VerifySweep(cfg Config, backend string) ([]VerifyRow, error) {
-	cfg = cfg.WithDefaults()
-	if backend == "" {
-		backend = "mem"
-	}
-	ss := datagen.StockMarket(cfg.Seed, cfg.StockCount, cfg.Length, datagen.DefaultMarketOptions())
-	var db *tsq.DB
-	var err error
-	var cleanup func()
-	switch backend {
-	case "mem":
-		db, err = openDB(ss)
-	case "disk":
-		// 4 KiB pages so a full record fits in one heap page, and a small
-		// buffer pool so candidate fetches actually reach the backend.
-		dir, derr := os.MkdirTemp("", "tsq-bench-")
-		if derr != nil {
-			return nil, derr
-		}
-		path := filepath.Join(dir, "bench.tsq")
-		db, err = tsq.CreateFile(path, ss, nil, tsq.Options{PageSize: 4096, BufferPages: 32})
-		cleanup = func() {
-			_ = db.Close()
-			_ = os.RemoveAll(dir)
-		}
-	default:
-		return nil, fmt.Errorf("bench: unknown backend %q", backend)
-	}
-	if err != nil {
-		if cleanup != nil {
-			cleanup()
-		}
-		return nil, err
-	}
-	if cleanup != nil {
-		defer cleanup()
-	}
-	ts := tsq.MovingAverages(cfg.Length, 6, 29)
-	thr := tsq.Correlation(0.96)
-	var rows []VerifyRow
-	for _, mode := range []string{"naive", "flat", "pipeline"} {
-		opts := tsq.QueryOptions{
-			Algorithm:        tsq.MTIndex,
-			TransformsPerMBR: 8,
-			PaperQueryRect:   cfg.PaperQueryRect,
-			NaiveVerify:      mode == "naive",
-			FlatLB:           mode == "flat",
-		}
-		// Timing metrics are the minimum over a few repetitions: the
-		// query sequence is seeded, so every rep inspects the identical
-		// candidate population (the counters cannot differ) and the
-		// minimum discards reps a GC pause or scheduler hiccup landed
-		// in. Disk statistics come from the first rep only — later reps
-		// hit a warm buffer pool.
-		const reps = 3
-		var sec, avgOut, verifyNs float64
-		var stats tsq.Stats
-		var disk storage.Stats
-		var res obs.Resources
-		for rep := 0; rep < reps; rep++ {
-			runtime.GC()
-			db.ResetDiskStats()
-			pre := obs.ReadResources()
-			s, a, st, vns, err := runRangeVerify(db, cfg, ts, thr, opts)
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 {
-				disk = db.DiskStats()
-				res = obs.ReadResources().Sub(pre)
-				sec, avgOut, stats, verifyNs = s, a, st, vns
-				continue
-			}
-			avgOut = a
-			if s < sec {
-				sec = s
-			}
-			if vns < verifyNs {
-				verifyNs = vns
-			}
-			if st.LBTimeNs < stats.LBTimeNs {
-				stats.LBTimeNs = st.LBTimeNs
-			}
-		}
-		nq := float64(cfg.Queries)
-		// The naive verifier fetches and verifies every candidate; the
-		// pipelines inspect the same population but skip most of it at
-		// the lower bound. Either way the per-candidate denominator is
-		// the inspected population.
-		inspected := float64(stats.Candidates + stats.SkippedLB)
-		var nsPerCand, lbNsPerCand float64
-		if inspected > 0 {
-			nsPerCand = verifyNs / inspected
-			lbNsPerCand = float64(stats.LBTimeNs) / inspected
-		}
-		rows = append(rows, VerifyRow{
-			Mode:             mode,
-			Backend:          backend,
-			Queries:          cfg.Queries,
-			SecPerQuery:      sec,
-			AvgOutput:        avgOut,
-			Candidates:       float64(stats.Candidates) / nq,
-			SkippedLB:        float64(stats.SkippedLB) / nq,
-			SkippedLB0:       float64(stats.SkippedLB0) / nq,
-			SkippedLB1:       float64(stats.SkippedLB1) / nq,
-			SkippedLB2:       float64(stats.SkippedLB2) / nq,
-			Abandoned:        float64(stats.Abandoned) / nq,
-			Comparisons:      float64(stats.Comparisons) / nq,
-			NsPerCandidate:   nsPerCand,
-			LBNsPerCandidate: lbNsPerCand,
-			PagesRead:        float64(disk.Reads) / nq,
-			Prefetched:       float64(disk.Prefetched) / nq,
-			BufferHits:       float64(disk.Hits) / nq,
-			AllocPerQuery:    float64(res.AllocBytes) / nq,
-			MallocsPerQuery:  float64(res.Mallocs) / nq,
-		})
-	}
-	return rows, nil
-}
-
-// DefaultWorkerCounts returns the sweep 1, 4, GOMAXPROCS (deduplicated,
-// ascending).
-func DefaultWorkerCounts() []int {
-	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	sort.Ints(counts)
-	out := counts[:1]
-	for _, c := range counts[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
 }

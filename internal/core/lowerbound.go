@@ -347,9 +347,10 @@ func (tm *lbTerm) absMu(mLo, mHi float64) (aLo, aHi float64, sign int) {
 //
 // This is the flat, single-tier form, recomputing the cutoff and the
 // coefficient loads per call — the bound of the original I/O-aware
-// pipeline, kept verbatim as the RangeOptions.FlatLB mode so
-// benchmarks can A/B the cascade against it, and as the reference the
-// cascade's dismissals are tested against.
+// pipeline, kept verbatim behind RangeOptions.FlatLB as the reference
+// the cascade's dismissals are tested against (fused_test.go,
+// ioaware_test.go, TestCascadeMatchesFlatDecisions); no query a user can
+// write takes it.
 func (ix *Index) skipByPrefixLB(feat geom.Point, sub []transform.Transform, q *Record, eps float64, oneSided bool) bool {
 	cut := transform.AbandonCutoff(eps)
 	sym := 1.0

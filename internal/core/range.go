@@ -168,8 +168,10 @@ type RangeOptions struct {
 	// lower bound in its original flat, single-tier form (per-candidate
 	// cutoff and coefficient loads, one cosine per transformation and
 	// coefficient) instead of the tiered cascade. Both forms dismiss
-	// provably-out-of-range candidates only, so answers are identical;
-	// the flag exists to A/B the cascade's per-candidate cost.
+	// provably-out-of-range candidates only, so answers are identical.
+	// No user-facing option sets it (tsq.QueryOptions.FlatLB is gone): it
+	// is the reference fused_test.go and ioaware_test.go hold the
+	// cascade's decisions and the filter stage's counts to.
 	FlatLB bool
 	// ShardID and ShardTotal identify the shard a scatter-gather probe
 	// runs in. When ShardTotal > 1 every probe span carries an AShard

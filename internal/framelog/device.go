@@ -1,15 +1,49 @@
-package wal
+package framelog
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"sync"
 
 	"tsq/internal/storage"
 )
 
-// FaultDevice wraps a Device and injects deterministic failures into
-// the WAL's own I/O, mirroring storage.FaultBackend for page I/O (same
+// Device is the byte store under a log. The indirection exists for the
+// fault-injection sweeps; production logs sit on an *os.File via
+// OpenDevice.
+type Device interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+	Size() (int64, error)
+}
+
+// fileDevice adapts *os.File to Device.
+type fileDevice struct{ *os.File }
+
+func (d fileDevice) Size() (int64, error) {
+	st, err := d.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
+}
+
+// OpenDevice opens (creating if needed) the log file at path as a Device.
+func OpenDevice(path string) (Device, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return fileDevice{f}, nil
+}
+
+// FaultDevice wraps a Device and injects deterministic failures into a
+// log's own I/O, mirroring storage.FaultBackend for page I/O (same
 // kinds, same sentinel errors, same counting discipline) so one sweep
 // harness covers both halves of the write path. Write-path operations —
 // WriteAt, Sync, Truncate — are counted from 1 in arrival order; ReadAt
@@ -52,13 +86,6 @@ func (d *FaultDevice) Ops() int64 {
 	return d.ops
 }
 
-// Crashed reports whether a FaultCrash point has fired.
-func (d *FaultDevice) Crashed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.crashed
-}
-
 // step advances the op counter; caller holds d.mu.
 func (d *FaultDevice) step() (storage.FaultKind, error) {
 	if d.crashed {
@@ -82,7 +109,7 @@ func (d *FaultDevice) WriteAt(p []byte, off int64) (int, error) {
 	defer d.mu.Unlock()
 	kind, err := d.step()
 	if err != nil {
-		return 0, fmt.Errorf("wal: fault: write at %d: %w", off, err)
+		return 0, fmt.Errorf("framelog: fault: write at %d: %w", off, err)
 	}
 	switch kind {
 	case storage.FaultNone:
@@ -91,43 +118,37 @@ func (d *FaultDevice) WriteAt(p []byte, off int64) (int, error) {
 		cut := d.rng.Intn(len(p) + 1)
 		if cut > 0 {
 			if _, werr := d.inner.WriteAt(p[:cut], off); werr != nil {
-				return 0, fmt.Errorf("wal: fault: torn write at %d: %w", off, werr)
+				return 0, fmt.Errorf("framelog: fault: torn write at %d: %w", off, werr)
 			}
 		}
-		return 0, fmt.Errorf("wal: fault: torn write at %d (%d of %d bytes applied): %w",
+		return 0, fmt.Errorf("framelog: fault: torn write at %d (%d of %d bytes applied): %w",
 			off, cut, len(p), storage.ErrInjected)
 	default:
-		return 0, fmt.Errorf("wal: fault: write at %d: %w", off, storage.ErrInjected)
+		return 0, fmt.Errorf("framelog: fault: write at %d: %w", off, storage.ErrInjected)
 	}
+}
+
+// counted runs do as one write-path op unless the op is the armed one.
+func (d *FaultDevice) counted(what string, do func() error) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	kind, err := d.step()
+	if err == nil && kind != storage.FaultNone {
+		err = storage.ErrInjected
+	}
+	if err != nil {
+		return fmt.Errorf("framelog: fault: %s: %w", what, err)
+	}
+	return do()
 }
 
 // Sync implements Device (counted: a lost fsync is the canonical
 // crash-consistency bug).
-func (d *FaultDevice) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	kind, err := d.step()
-	if err != nil {
-		return fmt.Errorf("wal: fault: sync: %w", err)
-	}
-	if kind != storage.FaultNone {
-		return fmt.Errorf("wal: fault: sync: %w", storage.ErrInjected)
-	}
-	return d.inner.Sync()
-}
+func (d *FaultDevice) Sync() error { return d.counted("sync", d.inner.Sync) }
 
-// Truncate implements Device (counted: checkpoints truncate).
+// Truncate implements Device (counted: checkpoints and recovery truncate).
 func (d *FaultDevice) Truncate(size int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	kind, err := d.step()
-	if err != nil {
-		return fmt.Errorf("wal: fault: truncate to %d: %w", size, err)
-	}
-	if kind != storage.FaultNone {
-		return fmt.Errorf("wal: fault: truncate to %d: %w", size, storage.ErrInjected)
-	}
-	return d.inner.Truncate(size)
+	return d.counted(fmt.Sprintf("truncate to %d", size), func() error { return d.inner.Truncate(size) })
 }
 
 // ReadAt implements Device (uncounted; frozen after a crash).
@@ -135,7 +156,7 @@ func (d *FaultDevice) ReadAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.crashed {
-		return 0, fmt.Errorf("wal: fault: read at %d: %w", off, storage.ErrCrashed)
+		return 0, fmt.Errorf("framelog: fault: read at %d: %w", off, storage.ErrCrashed)
 	}
 	return d.inner.ReadAt(p, off)
 }
@@ -145,7 +166,7 @@ func (d *FaultDevice) Size() (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.crashed {
-		return 0, fmt.Errorf("wal: fault: size: %w", storage.ErrCrashed)
+		return 0, fmt.Errorf("framelog: fault: size: %w", storage.ErrCrashed)
 	}
 	return d.inner.Size()
 }

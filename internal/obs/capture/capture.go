@@ -8,21 +8,17 @@
 //
 // # File format (schema 2)
 //
-// A capture file is an 8-byte magic header ("TSQCAP02", the trailing
-// two bytes the schema version) followed by a sequence of frames:
-//
-//	kind   u8     frameTransformSet (1) or frameQuery (2)
-//	length u32le  payload length in bytes
-//	payload
-//	crc    u32le  CRC32C over kind, length and payload
-//
-// The CRC covers the header bytes too, so a frame whose length field
-// was torn mid-write can never misparse as a shorter valid frame. A
-// writer reopening a file for append scans it and truncates at the
-// first incomplete or checksum-failing frame (the torn tail of a
-// crash); a reader treats an incomplete tail as a clean, flagged end
-// but a complete frame with a bad checksum as corruption — the
-// distinction tsreplay's exit status reports.
+// The package is a record codec over internal/framelog, which owns the
+// frame layout, the CRC, the scanner and the device. A capture file is
+// the magic "TSQCAP02" (the trailing two bytes the schema version)
+// followed by frames of two kinds, frameTransformSet (1) and frameQuery
+// (2), whose payloads encoding.go writes and reads. Its stop policy has
+// two halves: a writer reopening a file for append truncates whatever
+// follows the last intact frame (the torn tail of a crash); a reader
+// treats an input that ends inside a frame as a clean, flagged end but
+// a complete frame with a bad checksum, or a length beyond
+// maxFramePayload, as corruption — the distinction tsreplay's exit
+// status reports.
 //
 // Query records do not embed their transformation set inline (a set of
 // 24 transformations over length-128 series is ~100 KiB); instead the
@@ -105,7 +101,6 @@ type OptionsRecord struct {
 	PaperQueryRect   bool
 	OneSided         bool
 	NaiveVerify      bool
-	FlatLB           bool
 	// QueryTransform is recorded inline when set (it is one
 	// transformation, not a set).
 	QueryTransform *transform.Transform

@@ -141,10 +141,20 @@ const (
 	flagPaperQueryRect
 	flagOneSided
 	flagNaiveVerify
-	flagFlatLB
+	// Reserved, read and ignored, never written: journals up to PR 22 set it
+	// for QueryOptions.FlatLB, which chose how the lower bound was evaluated
+	// and never changed an answer, so they replay with the same digests.
+	_
 	flagQueryTransform
 	flagErr
 )
+
+func bit(on bool, flag uint16) uint16 {
+	if on {
+		return flag
+	}
+	return 0
+}
 
 // appendQueryPayload encodes rec into b.
 func appendQueryPayload(b []byte, rec *Record) []byte {
@@ -160,31 +170,13 @@ func appendQueryPayload(b []byte, rec *Record) []byte {
 	e.u32(uint32(rec.K))
 	e.u32(uint32(rec.Window))
 
-	var flags uint16
-	if rec.Opts.ClusterPartition {
-		flags |= flagClusterPartition
-	}
-	if rec.Opts.UseOrdering {
-		flags |= flagUseOrdering
-	}
-	if rec.Opts.PaperQueryRect {
-		flags |= flagPaperQueryRect
-	}
-	if rec.Opts.OneSided {
-		flags |= flagOneSided
-	}
-	if rec.Opts.NaiveVerify {
-		flags |= flagNaiveVerify
-	}
-	if rec.Opts.FlatLB {
-		flags |= flagFlatLB
-	}
-	if rec.Opts.QueryTransform != nil {
-		flags |= flagQueryTransform
-	}
-	if rec.Err != "" {
-		flags |= flagErr
-	}
+	flags := bit(rec.Opts.ClusterPartition, flagClusterPartition) |
+		bit(rec.Opts.UseOrdering, flagUseOrdering) |
+		bit(rec.Opts.PaperQueryRect, flagPaperQueryRect) |
+		bit(rec.Opts.OneSided, flagOneSided) |
+		bit(rec.Opts.NaiveVerify, flagNaiveVerify) |
+		bit(rec.Opts.QueryTransform != nil, flagQueryTransform) |
+		bit(rec.Err != "", flagErr)
 	e.u32(uint32(flags))
 	e.u8(rec.Opts.Algorithm)
 	e.u32(uint32(rec.Opts.TransformsPerMBR))
@@ -238,7 +230,6 @@ func decodeQueryPayload(b []byte, version int) (*Record, error) {
 	rec.Opts.PaperQueryRect = flags&flagPaperQueryRect != 0
 	rec.Opts.OneSided = flags&flagOneSided != 0
 	rec.Opts.NaiveVerify = flags&flagNaiveVerify != 0
-	rec.Opts.FlatLB = flags&flagFlatLB != 0
 	if flags&flagQueryTransform != 0 {
 		t := decodeTransform(&d, version)
 		rec.Opts.QueryTransform = &t

@@ -1,14 +1,12 @@
 package capture
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
+	"tsq/internal/framelog"
 	"tsq/internal/transform"
 )
 
@@ -23,16 +21,10 @@ var ErrCorrupt = errors.New("capture: corrupt frame")
 // each record's transformation-set reference against the definitions
 // read so far.
 type Reader struct {
-	f         *os.File
-	r         *bufio.Reader
-	version   int
-	sets      map[uint64][]transform.Transform
-	setOrder  []uint64
-	truncated bool
-	done      bool
-	records   int64
-	header    [frameHeaderSize]byte
-	payload   []byte
+	f       *os.File
+	sc      *framelog.Scanner
+	version int
+	sets    map[uint64][]transform.Transform
 }
 
 // OpenFile opens a capture file of either schema version for reading
@@ -54,7 +46,7 @@ func OpenFile(path string) (*Reader, error) {
 	}
 	return &Reader{
 		f:       f,
-		r:       bufio.NewReaderSize(f, 256<<10),
+		sc:      framelog.NewScanner(f, maxFramePayload),
 		version: version,
 		sets:    make(map[uint64][]transform.Transform),
 	}, nil
@@ -71,9 +63,6 @@ func (r *Reader) Version() int { return r.version }
 // Any other error means corruption; iteration cannot continue.
 func (r *Reader) Next() (*Record, []transform.Transform, error) {
 	for {
-		if r.done {
-			return nil, nil, io.EOF
-		}
 		kind, payload, err := r.nextFrame()
 		if err != nil {
 			return nil, nil, err
@@ -83,9 +72,6 @@ func (r *Reader) Next() (*Record, []transform.Transform, error) {
 			hash, ts, err := decodeSetPayload(payload, r.version)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			if _, seen := r.sets[hash]; !seen {
-				r.setOrder = append(r.setOrder, hash)
 			}
 			r.sets[hash] = ts
 		case frameQuery:
@@ -101,7 +87,6 @@ func (r *Reader) Next() (*Record, []transform.Transform, error) {
 						ErrCorrupt, rec.QueryID, rec.SetHash)
 				}
 			}
-			r.records++
 			return rec, ts, nil
 		default:
 			return nil, nil, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
@@ -109,52 +94,37 @@ func (r *Reader) Next() (*Record, []transform.Transform, error) {
 	}
 }
 
-// nextFrame reads and checksums one frame. An incomplete frame at the
-// end of the file marks the reader truncated and returns io.EOF.
+// nextFrame returns the next intact frame, or the reader's reading of why
+// there is none: the input ending inside a frame is a torn tail, flagged
+// and otherwise a clean end; a complete frame with a bad checksum is
+// corruption, and so is a length beyond the bound, because telling a torn
+// length field from mid-file damage would mean trusting the garbage (the
+// writer's reopen truncates either away).
 func (r *Reader) nextFrame() (uint8, []byte, error) {
-	if _, err := io.ReadFull(r.r, r.header[:]); err != nil {
-		r.done = true
-		if err == io.EOF {
-			return 0, nil, io.EOF // clean end
-		}
-		r.truncated = true // torn header
+	kind, payload, ok := r.sc.Next()
+	if ok {
+		return kind, payload, nil
+	}
+	if err := r.sc.Err(); err != nil {
+		return 0, nil, err
+	}
+	switch stop := r.sc.Stop(); stop {
+	case framelog.CleanEnd, framelog.TornHeader, framelog.TornPayload:
 		return 0, nil, io.EOF
+	default:
+		return 0, nil, fmt.Errorf("%w: %v at offset %d", ErrCorrupt, stop, r.sc.End())
 	}
-	n := binary.LittleEndian.Uint32(r.header[1:])
-	if n > maxFramePayload {
-		// A garbage length field: if nothing (or only a partial frame)
-		// follows it is a torn tail, but distinguishing that from
-		// mid-file corruption would require trusting the garbage. Treat
-		// it as corruption; the writer's reopen path truncates it away.
-		r.done = true
-		return 0, nil, fmt.Errorf("%w: frame claims %d-byte payload", ErrCorrupt, n)
-	}
-	if cap(r.payload) < int(n)+4 {
-		r.payload = make([]byte, int(n)+4)
-	}
-	body := r.payload[:int(n)+4]
-	if _, err := io.ReadFull(r.r, body); err != nil {
-		r.done = true
-		r.truncated = true // torn payload
-		return 0, nil, io.EOF
-	}
-	crc := crc32.Update(crc32.Checksum(r.header[:], castagnoli), castagnoli, body[:n])
-	if crc != binary.LittleEndian.Uint32(body[n:]) {
-		r.done = true
-		return 0, nil, fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
-	}
-	return r.header[0], body[:n], nil
 }
 
 // Truncated reports whether the file ended in a torn tail (only
 // meaningful once Next has returned io.EOF).
-func (r *Reader) Truncated() bool { return r.truncated }
+func (r *Reader) Truncated() bool {
+	stop := r.sc.Stop()
+	return stop == framelog.TornHeader || stop == framelog.TornPayload
+}
 
-// Records returns how many query records Next has yielded.
-func (r *Reader) Records() int64 { return r.records }
-
-// Sets returns the transformation sets defined so far, in definition
-// order — for tools that inspect a capture without replaying it.
+// Sets returns the transformation sets defined so far, for tools that
+// inspect a capture without replaying it.
 func (r *Reader) Sets() map[uint64][]transform.Transform { return r.sets }
 
 // Close closes the underlying file.

@@ -1,30 +1,20 @@
 package capture
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 
+	"tsq/internal/framelog"
 	"tsq/internal/transform"
 )
-
-// castagnoli is the CRC32C table — the same polynomial as the storage
-// layer's page trailers, hardware-accelerated on amd64/arm64.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame kinds.
 const (
 	frameTransformSet = 1
 	frameQuery        = 2
 )
-
-// frameHeaderSize is kind (1) + payload length (4).
-const frameHeaderSize = 5
 
 // Options configures a Writer. Zero values pick defaults.
 type Options struct {
@@ -38,9 +28,9 @@ type Options struct {
 	// through path.N (default 2).
 	MaxFiles int
 	// BufferBytes sizes the write buffer (default 64 KiB). Records are
-	// flushed on rotation and Close, not per append: the journal is an
-	// observability artifact, and a crash loses at most a buffer (the
-	// torn tail truncates cleanly on the next open).
+	// flushed when it fills, on rotation, Sync and Close, not per append:
+	// the journal is an observability artifact, and a crash loses at most
+	// a buffer (the torn tail truncates cleanly on the next open).
 	BufferBytes int
 }
 
@@ -94,10 +84,13 @@ type Writer struct {
 	seen       atomic.Int64
 	sampledOut atomic.Int64
 
+	// openDev opens a segment's device; the fault sweep substitutes it.
+	openDev func(path string) (framelog.Device, error)
+
 	mu        sync.Mutex
-	f         *os.File
-	w         *bufio.Writer
-	size      int64
+	dev       framelog.Device // nil once closed, or when a rotation could not reopen
+	buf       []byte          // frames not yet written, appended at flushed
+	flushed   int64           // device offset of buf[0]
 	written   int64
 	dropped   int64
 	sets      int64
@@ -106,8 +99,6 @@ type Writer struct {
 	lastErr   string
 	knownSets map[uint64]bool
 	setCache  [4]setCacheEntry
-	scratch   []byte
-	closed    bool
 }
 
 // NewWriter opens (or creates) a capture file for append. An existing
@@ -116,120 +107,54 @@ type Writer struct {
 // tail — an incomplete or checksum-failing final write — is truncated
 // away. A file with a foreign header is refused, never overwritten.
 func NewWriter(path string, opts Options) (*Writer, error) {
-	w := &Writer{path: path, opts: opts.withDefaults(), knownSets: make(map[uint64]bool)}
+	return newWriter(path, opts, framelog.OpenDevice)
+}
+
+func newWriter(path string, opts Options, openDev func(string) (framelog.Device, error)) (*Writer, error) {
+	w := &Writer{path: path, opts: opts.withDefaults(), knownSets: make(map[uint64]bool), openDev: openDev}
 	if err := w.open(); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// open opens w.path for append, handling the fresh, existing and torn
-// cases. Caller holds mu (or is the constructor).
+// open opens w.path for append. The journal's stop policy is the WAL's:
+// whatever follows the last intact frame is the tail of a crashed append
+// and is truncated away. Caller holds mu (or is the constructor).
 func (w *Writer) open() error {
-	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_CREATE, 0o644)
+	dev, err := w.openDev(w.path)
 	if err != nil {
 		return err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return err
-	}
-	switch {
-	case st.Size() < int64(len(fileMagic)):
-		// Fresh (or a header torn mid-create): start over.
-		if err := f.Truncate(0); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if _, err := f.WriteAt(fileMagic[:], 0); err != nil {
-			_ = f.Close()
-			return err
-		}
-		w.size = int64(len(fileMagic))
-	default:
-		var magic [8]byte
-		if _, err := f.ReadAt(magic[:], 0); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if v, ok := magicVersion(magic); !ok {
-			_ = f.Close()
-			return fmt.Errorf("capture: %s is not a capture file (magic %q)", w.path, magic[:])
+	accept := func(found [framelog.MagicSize]byte) error {
+		if v, ok := magicVersion(found); !ok {
+			return fmt.Errorf("%s is not a capture file (magic %q)", w.path, found[:])
 		} else if v != SchemaVersion {
 			// Its digests are of another epoch than the ones this
 			// writer would append; a reader tells them apart by file.
-			_ = f.Close()
-			return fmt.Errorf("capture: %s is a schema-%d journal and this writer appends schema %d: move it aside (it stays replayable)",
+			return fmt.Errorf("%s is a schema-%d journal and this writer appends schema %d: move it aside (it stays replayable)",
 				w.path, v, SchemaVersion)
 		}
-		end, sets, err := scanFrames(f, st.Size())
-		if err != nil {
-			_ = f.Close()
-			return err
-		}
-		if end < st.Size() {
-			if err := f.Truncate(end); err != nil {
-				_ = f.Close()
-				return err
+		return nil
+	}
+	// Re-learn the sets the segment already defines. A definition that does
+	// not decode teaches nothing; the reader is the one to call it corrupt.
+	learn := func(kind uint8, payload []byte) error {
+		if kind == frameTransformSet {
+			if hash, _, err := decodeSetPayload(payload, SchemaVersion); err == nil {
+				w.knownSets[hash] = true
 			}
-			w.truncated += st.Size() - end
 		}
-		w.size = end
-		for h := range sets {
-			w.knownSets[h] = true
-		}
+		return nil
 	}
-	if _, err := f.Seek(w.size, io.SeekStart); err != nil {
-		_ = f.Close()
-		return err
+	end, torn, err := framelog.OpenAppend(dev, fileMagic, accept, maxFramePayload, learn)
+	if err != nil {
+		_ = dev.Close()
+		return fmt.Errorf("capture: %w", err)
 	}
-	w.f = f
-	if w.w == nil {
-		w.w = bufio.NewWriterSize(f, w.opts.BufferBytes)
-	} else {
-		w.w.Reset(f)
-	}
+	w.dev, w.flushed, w.buf = dev, end, w.buf[:0]
+	w.truncated += torn
 	return nil
-}
-
-// scanFrames walks the frames of f (which starts with a valid magic)
-// and returns the offset of the first incomplete or checksum-failing
-// frame — the truncation point — plus the set hashes defined before
-// it. Scanning never misparses: a frame is only accepted when its
-// whole extent and CRC check out.
-func scanFrames(f *os.File, size int64) (end int64, sets map[uint64]bool, err error) {
-	sets = make(map[uint64]bool)
-	r := bufio.NewReaderSize(io.NewSectionReader(f, int64(len(fileMagic)), size-int64(len(fileMagic))), 256<<10)
-	end = int64(len(fileMagic))
-	var header [frameHeaderSize]byte
-	payload := make([]byte, 0, 4096)
-	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			return end, sets, nil // clean EOF or torn header: truncate here
-		}
-		n := binary.LittleEndian.Uint32(header[1:])
-		if n > maxFramePayload {
-			return end, sets, nil // garbage length: torn tail
-		}
-		if cap(payload) < int(n)+4 {
-			payload = make([]byte, 0, int(n)+4)
-		}
-		body := payload[:int(n)+4]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return end, sets, nil // torn payload
-		}
-		crc := crc32.Update(crc32.Checksum(header[:], castagnoli), castagnoli, body[:n])
-		if crc != binary.LittleEndian.Uint32(body[n:]) {
-			return end, sets, nil // checksum failure: truncate
-		}
-		if header[0] == frameTransformSet {
-			if hash, _, err := decodeSetPayload(body[:n], SchemaVersion); err == nil {
-				sets[hash] = true
-			}
-		}
-		end += int64(frameHeaderSize) + int64(n) + 4
-	}
 }
 
 // Admit reports whether this query should be journaled, consuming one
@@ -251,29 +176,37 @@ func (w *Writer) Admit() bool {
 func (w *Writer) Append(rec *Record, ts []transform.Transform) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.dev == nil {
 		w.dropped++
 		return
 	}
+	mark := len(w.buf)
 	rec.SetHash = 0
+	newSet := false
 	if len(ts) > 0 {
-		hash := w.setHashLocked(ts)
-		if !w.knownSets[hash] {
-			if err := w.writeFrameLocked(frameTransformSet, appendSetPayload(w.scratch[:0], hash, ts)); err != nil {
-				w.fail(err)
-				return
-			}
-			w.knownSets[hash] = true
-			w.sets++
+		rec.SetHash = w.setHashLocked(ts)
+		if newSet = !w.knownSets[rec.SetHash]; newSet {
+			w.buf = appendSetPayload(framelog.Begin(w.buf, frameTransformSet), rec.SetHash, ts)
+			w.buf = framelog.Finish(w.buf, mark)
 		}
-		rec.SetHash = hash
 	}
-	if err := w.writeFrameLocked(frameQuery, appendQueryPayload(w.scratch[:0], rec)); err != nil {
-		w.fail(err)
-		return
+	start := len(w.buf)
+	w.buf = framelog.Finish(appendQueryPayload(framelog.Begin(w.buf, frameQuery), rec), start)
+	if len(w.buf) >= w.opts.BufferBytes {
+		if err := w.flushLocked(); err != nil {
+			// The record is dropped; what was buffered before it stays
+			// for the next flush, which rewrites from the same offset.
+			w.buf = w.buf[:mark]
+			w.dropped++
+			return
+		}
+	}
+	if newSet {
+		w.knownSets[rec.SetHash] = true
+		w.sets++
 	}
 	w.written++
-	if w.opts.MaxBytes > 0 && w.size > w.opts.MaxBytes {
+	if w.opts.MaxBytes > 0 && w.sizeLocked() > w.opts.MaxBytes {
 		if err := w.rotateLocked(); err != nil {
 			// The segment failed to rotate but the record was written;
 			// record the error and keep appending to the old segment.
@@ -282,10 +215,23 @@ func (w *Writer) Append(rec *Record, ts []transform.Transform) {
 	}
 }
 
-// fail books a dropped record.
-func (w *Writer) fail(err error) {
-	w.dropped++
-	w.lastErr = err.Error()
+// sizeLocked is the segment's size, buffered frames included.
+func (w *Writer) sizeLocked() int64 { return w.flushed + int64(len(w.buf)) }
+
+// flushLocked writes the buffered frames behind what the device holds. A
+// failed write leaves the buffer as it was: writing the same bytes at the
+// same offset again is what repairs a torn one.
+func (w *Writer) flushLocked() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	if _, err := w.dev.WriteAt(w.buf, w.flushed); err != nil {
+		w.lastErr = err.Error()
+		return err
+	}
+	w.flushed += int64(len(w.buf))
+	w.buf = w.buf[:0]
+	return nil
 }
 
 // setHashLocked resolves the content hash of ts through the identity
@@ -303,44 +249,18 @@ func (w *Writer) setHashLocked(ts []transform.Transform) uint64 {
 	return hash
 }
 
-// writeFrameLocked frames and writes one payload. w.scratch is the
-// payload's backing array; it is retained for reuse.
-func (w *Writer) writeFrameLocked(kind uint8, payload []byte) error {
-	w.scratch = payload[:0]
-	var header [frameHeaderSize]byte
-	header[0] = kind
-	binary.LittleEndian.PutUint32(header[1:], uint32(len(payload)))
-	crc := crc32.Update(crc32.Checksum(header[:], castagnoli), castagnoli, payload)
-	if _, err := w.w.Write(header[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err := w.w.Write(tail[:]); err != nil {
-		return err
-	}
-	w.size += int64(frameHeaderSize) + int64(len(payload)) + 4
-	return nil
-}
-
 // rotateLocked closes the current segment, shifts path.i → path.i+1
 // (dropping the oldest), renames the segment to path.1 and starts a
 // fresh one. The set memory clears with the segment so every segment
 // is self-contained.
 func (w *Writer) rotateLocked() error {
-	if err := w.w.Flush(); err != nil {
+	if err := w.syncLocked(); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.dev.Close(); err != nil {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	w.f = nil
+	w.dev = nil
 	_ = os.Remove(fmt.Sprintf("%s.%d", w.path, w.opts.MaxFiles))
 	for i := w.opts.MaxFiles - 1; i >= 1; i-- {
 		from := fmt.Sprintf("%s.%d", w.path, i)
@@ -356,23 +276,26 @@ func (w *Writer) rotateLocked() error {
 	return w.open()
 }
 
+// syncLocked flushes the buffer and syncs the device.
+func (w *Writer) syncLocked() error {
+	err := w.flushLocked()
+	if err == nil {
+		if err = w.dev.Sync(); err != nil {
+			w.lastErr = err.Error()
+		}
+	}
+	return err
+}
+
 // Sync flushes buffered records to the file and syncs it — for tests
 // and operators who want the journal durable at a point in time.
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed || w.f == nil {
+	if w.dev == nil {
 		return nil
 	}
-	if err := w.w.Flush(); err != nil {
-		w.lastErr = err.Error()
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.lastErr = err.Error()
-		return err
-	}
-	return nil
+	return w.syncLocked()
 }
 
 // Close flushes, syncs and closes the capture file. Nil-receiver safe.
@@ -382,33 +305,15 @@ func (w *Writer) Close() error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.dev == nil {
 		return nil
 	}
-	w.closed = true
-	if w.f == nil {
-		return nil
+	err := w.syncLocked()
+	if cerr := w.dev.Close(); err == nil {
+		err = cerr
 	}
-	var firstErr error
-	if err := w.w.Flush(); err != nil {
-		firstErr = err
-	}
-	if err := w.f.Sync(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := w.f.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	w.f = nil
-	return firstErr
-}
-
-// Path returns the capture file path.
-func (w *Writer) Path() string {
-	if w == nil {
-		return ""
-	}
-	return w.path
+	w.dev = nil
+	return err
 }
 
 // Stats snapshots the writer's counters. Nil-receiver safe (the zero
@@ -425,7 +330,7 @@ func (w *Writer) Stats() Stats {
 		SampledOut:    w.sampledOut.Load(),
 		Dropped:       w.dropped,
 		TransformSets: w.sets,
-		Bytes:         w.size,
+		Bytes:         w.sizeLocked(),
 		Rotations:     w.rotations,
 		TruncatedTail: w.truncated,
 		LastError:     w.lastErr,

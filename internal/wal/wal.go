@@ -9,15 +9,16 @@
 // a tree split or heap-directory rewrite overwrites live pages, and a
 // torn directory page destroys state no operation record can rebuild).
 //
-// The file format mirrors the capture journal's framing discipline:
-// an 8-byte magic ("TSQWAL01") followed by frames of
-//
-//	kind (1 byte) | payload length (4 bytes LE) | payload | CRC32C (4 bytes)
-//
-// where the CRC covers header and payload. A torn tail — an incomplete
-// or checksum-failing final frame — is truncated away on open; replay
-// is idempotent (rewriting a page image it already holds is a no-op in
-// effect), so recovery can itself crash and re-run.
+// The package is a record codec over internal/framelog, which owns the
+// frame layout, the scanner and the device: a WAL file is the magic
+// "TSQWAL01" followed by frames of kind frameRecord whose payload
+// appendRecord writes and decodeRecord reads. Its stop policy: whatever
+// follows the last intact frame, for any reason, is the tail of a crashed
+// append, truncated away on open and reported (not touched) by
+// ReadPending; a frame that checks out but does not decode is corruption
+// of a durable record and an error. Replay is idempotent (rewriting a
+// page image it already holds is a no-op in effect), so recovery can
+// itself crash and re-run.
 //
 // Checkpointing folds the log into the main file: the caller syncs the
 // page file first, then Checkpoint truncates the WAL back to its magic.
@@ -30,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -38,18 +38,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tsq/internal/framelog"
 	"tsq/internal/storage"
 )
 
 // Magic identifies a WAL segment file.
 var Magic = [8]byte{'T', 'S', 'Q', 'W', 'A', 'L', '0', '1'}
-
-// castagnoli is the CRC32C table, the same polynomial as the storage
-// layer's page trailers and the capture journal.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// frameHeaderSize is kind (1) + payload length (4).
-const frameHeaderSize = 5
 
 // frameRecord is the only frame kind so far; the byte exists so the
 // format can grow (e.g. checkpoint markers) without a magic bump.
@@ -98,44 +92,6 @@ type Record struct {
 	Name   string    // OpInsert only
 	Series []float64 // OpInsert only
 	Pages  []PageImage
-}
-
-// Device is the byte store under a Log. The indirection exists for the
-// fault-injection tests; production logs sit on an *os.File via
-// OpenDevice.
-type Device interface {
-	io.ReaderAt
-	io.WriterAt
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-	Size() (int64, error)
-}
-
-// fileDevice adapts *os.File to Device.
-type fileDevice struct{ f *os.File }
-
-func (d fileDevice) ReadAt(p []byte, off int64) (int, error)  { return d.f.ReadAt(p, off) }
-func (d fileDevice) WriteAt(p []byte, off int64) (int, error) { return d.f.WriteAt(p, off) }
-func (d fileDevice) Truncate(size int64) error                { return d.f.Truncate(size) }
-func (d fileDevice) Sync() error                              { return d.f.Sync() }
-func (d fileDevice) Close() error                             { return d.f.Close() }
-func (d fileDevice) Size() (int64, error) {
-	st, err := d.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
-// OpenDevice opens (creating if needed) the WAL file at path as a
-// Device.
-func OpenDevice(path string) (Device, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	return fileDevice{f: f}, nil
 }
 
 // Stats snapshots what a Log has done this session plus what its file
@@ -189,7 +145,7 @@ func NoteReplayed(n int64) { globalCounters.replayed.Add(n) }
 // Checkpoint and Close serialize against appenders.
 type Log struct {
 	mu      sync.Mutex // ordering state: end offset, LSN, scratch
-	dev     Device
+	dev     framelog.Device
 	end     int64
 	lastLSN uint64
 	pending int64
@@ -217,64 +173,24 @@ var errClosed = errors.New("wal: log is closed")
 // truncated away, and every intact record returned for replay. The
 // caller folds the returned records into the main file and then calls
 // Checkpoint.
-func Open(dev Device) (*Log, []Record, error) {
-	size, err := dev.Size()
+func Open(dev framelog.Device) (*Log, []Record, error) {
+	var recs []Record
+	end, torn, err := framelog.OpenAppend(dev, Magic, checkMagic, maxFramePayload, collect(&recs))
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: sizing log: %w", err)
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dev: dev}
-	if size < int64(len(Magic)) {
-		// Fresh, or a header torn mid-create: nothing acknowledged can be
-		// in here, start over.
-		if err := dev.Truncate(0); err != nil {
-			return nil, nil, fmt.Errorf("wal: initializing log: %w", err)
-		}
-		if _, err := dev.WriteAt(Magic[:], 0); err != nil {
-			return nil, nil, fmt.Errorf("wal: writing log magic: %w", err)
-		}
-		if err := dev.Sync(); err != nil {
-			return nil, nil, fmt.Errorf("wal: syncing log magic: %w", err)
-		}
-		l.end = int64(len(Magic))
-		l.synced = l.end
-		return l, nil, nil
-	}
-	var magic [8]byte
-	if _, err := dev.ReadAt(magic[:], 0); err != nil {
-		return nil, nil, fmt.Errorf("wal: reading log magic: %w", err)
-	}
-	if magic != Magic {
-		return nil, nil, fmt.Errorf("wal: not a WAL segment (magic %q)", magic[:])
-	}
-	recs, end, err := scan(dev, size)
-	if err != nil {
-		return nil, nil, err
-	}
-	if end < size {
-		if err := dev.Truncate(end); err != nil {
-			return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-		}
-		if err := dev.Sync(); err != nil {
-			return nil, nil, fmt.Errorf("wal: syncing after tail truncation: %w", err)
-		}
-		l.tornBytes = size - end
-	}
-	l.end = end
-	l.synced = end
-	l.pending = int64(len(recs))
+	l := &Log{dev: dev, end: end, synced: end, tornBytes: torn, pending: int64(len(recs))}
 	for i := range recs {
-		if recs[i].LSN > l.lastLSN {
-			l.lastLSN = recs[i].LSN
-		}
+		l.lastLSN = max(l.lastLSN, recs[i].LSN)
 	}
 	return l, recs, nil
 }
 
 // OpenFile is Open over the file at path.
 func OpenFile(path string) (*Log, []Record, error) {
-	dev, err := OpenDevice(path)
+	dev, err := framelog.OpenDevice(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	l, recs, err := Open(dev)
 	if err != nil {
@@ -284,44 +200,27 @@ func OpenFile(path string) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
-// scan walks the frames after the magic, returning every intact record
-// and the offset of the first incomplete or checksum-failing frame —
-// the truncation point. A frame is only accepted when its whole extent
-// and CRC check out, so the scan never misparses a torn write.
-func scan(dev io.ReaderAt, size int64) ([]Record, int64, error) {
-	var recs []Record
-	end := int64(len(Magic))
-	var header [frameHeaderSize]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(io.NewSectionReader(dev, end, size-end), header[:]); err != nil {
-			return recs, end, nil // clean EOF or torn header
+func checkMagic(found [framelog.MagicSize]byte) error {
+	if found != Magic {
+		return fmt.Errorf("not a WAL segment (magic %q)", found[:])
+	}
+	return nil
+}
+
+// collect returns the frame visitor of both scans: it decodes record
+// frames onto recs. The CRC of a frame it sees has passed, so a payload
+// that does not decode is corruption of a durable record, not a torn tail.
+func collect(recs *[]Record) func(kind uint8, payload []byte) error {
+	return func(kind uint8, payload []byte) error {
+		if kind != frameRecord {
+			return nil
 		}
-		n := binary.LittleEndian.Uint32(header[1:])
-		if n > maxFramePayload {
-			return recs, end, nil // garbage length: torn tail
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return fmt.Errorf("corrupt record: %w", err)
 		}
-		if cap(payload) < int(n)+4 {
-			payload = make([]byte, int(n)+4)
-		}
-		body := payload[:int(n)+4]
-		if _, err := io.ReadFull(io.NewSectionReader(dev, end+frameHeaderSize, size-end-frameHeaderSize), body); err != nil {
-			return recs, end, nil // torn payload
-		}
-		crc := crc32.Update(crc32.Checksum(header[:], castagnoli), castagnoli, body[:n])
-		if crc != binary.LittleEndian.Uint32(body[n:]) {
-			return recs, end, nil // checksum failure: truncate here
-		}
-		if header[0] == frameRecord {
-			rec, err := decodeRecord(body[:n])
-			if err != nil {
-				// The CRC passed but the payload does not decode: that is
-				// corruption of a durable record, not a torn tail.
-				return recs, end, fmt.Errorf("wal: corrupt record at offset %d: %w", end, err)
-			}
-			recs = append(recs, rec)
-		}
-		end += int64(frameHeaderSize) + int64(n) + 4
+		*recs = append(*recs, rec)
+		return nil
 	}
 }
 
@@ -401,13 +300,13 @@ func (l *Log) Checkpoint() error {
 	if l.closed {
 		return errClosed
 	}
-	if err := l.dev.Truncate(int64(len(Magic))); err != nil {
+	if err := l.dev.Truncate(framelog.MagicSize); err != nil {
 		return fmt.Errorf("wal: checkpoint truncate: %w", err)
 	}
 	if err := l.dev.Sync(); err != nil {
 		return fmt.Errorf("wal: checkpoint sync: %w", err)
 	}
-	l.end = int64(len(Magic))
+	l.end = framelog.MagicSize
 	l.synced = l.end
 	l.pending = 0
 	l.checkpoints++
@@ -420,14 +319,6 @@ func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.end
-}
-
-// Pending returns how many records the segment holds awaiting a
-// checkpoint.
-func (l *Log) Pending() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pending
 }
 
 // Stats snapshots the log's counters. Nil-receiver safe (the zero
@@ -479,12 +370,10 @@ func (l *Log) Close() error {
 // ScanInfo is what a read-only scan of a WAL file found — the
 // scrubber's view.
 type ScanInfo struct {
-	Present   bool   // the file exists
-	Records   int    // intact records awaiting fold
-	Bytes     int64  // file size
-	TornBytes int64  // torn tail a recovery would discard (expected after a crash)
-	FirstLSN  uint64 // of the pending records; 0 when none
-	LastLSN   uint64
+	Present   bool  // the file exists
+	Records   int   // intact records awaiting fold
+	Bytes     int64 // file size
+	TornBytes int64 // torn tail a recovery would discard (expected after a crash)
 }
 
 // ReadPending scans the WAL at path without modifying it, returning the
@@ -508,28 +397,26 @@ func ReadPending(path string) ([]Record, ScanInfo, error) {
 		return nil, info, fmt.Errorf("wal: stat %s: %w", path, err)
 	}
 	info.Bytes = st.Size()
-	if st.Size() < int64(len(Magic)) {
+	if st.Size() < framelog.MagicSize {
 		// Torn mid-create: nothing acknowledged can be inside.
 		info.TornBytes = st.Size()
 		return nil, info, nil
 	}
-	var magic [8]byte
+	var magic [framelog.MagicSize]byte
 	if _, err := f.ReadAt(magic[:], 0); err != nil {
 		return nil, info, fmt.Errorf("wal: reading magic of %s: %w", path, err)
 	}
-	if magic != Magic {
-		return nil, info, fmt.Errorf("wal: %s is not a WAL segment (magic %q)", path, magic[:])
+	if err := checkMagic(magic); err != nil {
+		return nil, info, fmt.Errorf("wal: %s: %w", path, err)
 	}
-	recs, end, err := scan(f, st.Size())
-	if err != nil {
-		return nil, info, err
+	var recs []Record
+	sc := framelog.NewScanner(io.NewSectionReader(f, framelog.MagicSize, st.Size()-framelog.MagicSize), maxFramePayload)
+	if err := sc.Each(collect(&recs)); err != nil {
+		return nil, info, fmt.Errorf("wal: %s: %w", path, err)
 	}
+	end := sc.End()
 	info.Records = len(recs)
 	info.TornBytes = st.Size() - end
-	if len(recs) > 0 {
-		info.FirstLSN = recs[0].LSN
-		info.LastLSN = recs[len(recs)-1].LSN
-	}
 	return recs, info, nil
 }
 
@@ -544,8 +431,7 @@ func ReadPending(path string) ([]Record, ScanInfo, error) {
 //	      (uint32), data bytes
 func appendFrame(buf []byte, rec *Record) []byte {
 	start := len(buf)
-	buf = append(buf, frameRecord, 0, 0, 0, 0) // header; length patched below
-	payloadStart := len(buf)
+	buf = framelog.Begin(buf, frameRecord)
 	buf = binary.LittleEndian.AppendUint64(buf, rec.LSN)
 	buf = append(buf, byte(rec.Op))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.ID))
@@ -561,10 +447,7 @@ func appendFrame(buf []byte, rec *Record) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Data)))
 		buf = append(buf, p.Data...)
 	}
-	n := len(buf) - payloadStart
-	binary.LittleEndian.PutUint32(buf[start+1:], uint32(n))
-	crc := crc32.Update(crc32.Checksum(buf[start:start+frameHeaderSize], castagnoli), castagnoli, buf[payloadStart:])
-	return binary.LittleEndian.AppendUint32(buf, crc)
+	return framelog.Finish(buf, start)
 }
 
 // decodeRecord parses one frame payload. Every length is validated
@@ -614,6 +497,11 @@ func decodeRecord(p []byte) (Record, error) {
 	}
 	npages := int(binary.LittleEndian.Uint32(p))
 	p = p[4:]
+	// Every page image is at least its 8-byte header, so a count the
+	// remaining bytes cannot hold is corrupt: say so before allocating.
+	if npages > len(p)/8 {
+		return rec, fmt.Errorf("wal: record claims %d page images in %d bytes", npages, len(p))
+	}
 	rec.Pages = make([]PageImage, 0, npages)
 	for i := 0; i < npages; i++ {
 		if err := need(8); err != nil {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"tsq/internal/framelog"
+	"tsq/internal/framelog/framelogtest"
 	"tsq/internal/storage"
 )
 
@@ -52,7 +54,7 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		}
 		want = append(want, *rec)
 	}
-	if got := l.Pending(); got != 5 {
+	if got := l.Stats().Pending; got != 5 {
 		t.Fatalf("Pending = %d, want 5", got)
 	}
 	if err := l.Close(); err != nil {
@@ -240,78 +242,40 @@ func TestConcurrentAppendGroupCommit(t *testing.T) {
 	}
 }
 
-// TestFaultSweepAppend injects a crash or torn write at every WAL op of
-// a fixed append workload, then reopens: every acknowledged append must
-// be recovered, and the recovered set must be a prefix of the workload
-// (the op in flight at the fault may or may not have become durable).
+// sweptLog adapts a Log to the shared sweep: Append is its own
+// acknowledgement (it returns after the group-commit fsync).
+type sweptLog struct{ *Log }
+
+func (l sweptLog) Append(i int) error { return l.Log.Append(testRecord(i)) }
+func (l sweptLog) Sync() error        { return nil }
+
+// TestFaultSweepAppend is the WAL's instantiation of the framelog crash
+// sweep: a crash or torn write at every device op of opening a log and
+// appending six records, then ReadPending and a reopen. Every acknowledged
+// append must be recovered, and what is recovered must be a prefix of the
+// workload, record for record.
 func TestFaultSweepAppend(t *testing.T) {
-	const appends = 6
-	// Baseline: count the ops of a clean run.
-	base := filepath.Join(t.TempDir(), "base.wal")
-	dev, err := OpenDevice(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd := NewFaultDevice(dev, 1)
-	l, _, err := Open(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < appends; i++ {
-		if err := l.Append(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	totalOps := fd.Ops()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if totalOps < appends {
-		t.Fatalf("baseline ran only %d ops", totalOps)
-	}
-
-	for _, kind := range []storage.FaultKind{storage.FaultCrash, storage.FaultTornWrite} {
-		for op := int64(1); op <= totalOps; op++ {
-			name := fmt.Sprintf("%v-op%d", kind, op)
-			path := filepath.Join(t.TempDir(), name+".wal")
-			dev, err := OpenDevice(path)
+	framelogtest.Sweep(t, framelogtest.Codec{
+		Appends: 6,
+		Open: func(dev framelog.Device) (framelogtest.Log, error) {
+			l, _, err := Open(dev)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			fd := NewFaultDevice(dev, op)
-			l, _, err := Open(fd)
-			if err != nil {
-				t.Fatalf("%s: open: %v", name, err)
-			}
-			fd.FailAt(op, kind)
-			acked := 0
-			for i := 0; i < appends; i++ {
-				if err := l.Append(testRecord(i)); err != nil {
-					break
-				}
-				acked++
-			}
-			_ = l.Close()
-
+			return sweptLog{l}, nil
+		},
+		Recovered: func(path string) (int, error) {
 			recs, _, err := ReadPending(path)
-			if err != nil {
-				t.Fatalf("%s: ReadPending after fault: %v", name, err)
-			}
-			if len(recs) < acked {
-				t.Fatalf("%s: %d acknowledged appends but only %d recovered", name, acked, len(recs))
-			}
-			if len(recs) > acked+1 {
-				t.Fatalf("%s: recovered %d records for %d acked (+1 in flight max)", name, len(recs), acked)
-			}
 			for i, rec := range recs {
 				want := testRecord(i)
 				want.LSN = rec.LSN
 				if !reflect.DeepEqual(rec, *want) {
-					t.Fatalf("%s: recovered record %d diverges", name, i)
+					return 0, fmt.Errorf("recovered record %d diverges from the workload", i)
 				}
 			}
-		}
-	}
+			return len(recs), err
+		},
+	})
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {

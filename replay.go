@@ -1,7 +1,7 @@
 // Deterministic workload replay: ReplayFile re-runs every query in a
 // capture journal against a database and verifies each answer digest.
 // Because the engine's answer sets are bit-identical across verification
-// modes (NaiveVerify, FlatLB, Workers — the PR 4/6 contracts), a replay
+// modes (NaiveVerify, Workers — the PR 4/6 contracts), a replay
 // under overridden options must reproduce every digest exactly while the
 // effort counters (pages, tier skips, abandons) move — which is what
 // makes the report a regression diff: answers prove correctness,
@@ -29,7 +29,7 @@ import (
 // ReplayOptions configures ReplayFile.
 type ReplayOptions struct {
 	// Override, when non-nil, mutates each replayed query's decoded
-	// options before re-execution — the "-set flatlb=true" mechanism.
+	// options before re-execution — the "-set naiveverify=true" mechanism.
 	// Answer digests must still match: option overrides change effort,
 	// never answers.
 	Override func(*QueryOptions)
@@ -180,7 +180,6 @@ func replayQueryOptions(o capture.OptionsRecord) QueryOptions {
 		PaperQueryRect:   o.PaperQueryRect,
 		OneSided:         o.OneSided,
 		NaiveVerify:      o.NaiveVerify,
-		FlatLB:           o.FlatLB,
 		QueryTransform:   o.QueryTransform,
 	}
 }

@@ -248,12 +248,6 @@ type QueryOptions struct {
 	// I/O and comparison effort differs. The paper-figure harness sets
 	// this so the Eq. 18/20 disk-access curves replicate exactly.
 	NaiveVerify bool
-	// FlatLB keeps the candidate pipeline but evaluates the DFT-prefix
-	// lower bound in its original flat, single-tier form instead of the
-	// tiered cascade (see Stats.SkippedLB0/1/2). Answers are identical;
-	// the flag exists to A/B the cascade's per-candidate cost in
-	// benchmarks such as tsbench -verify-sweep.
-	FlatLB bool
 }
 
 // DB is an indexed collection of equal-length time series. Queries may
@@ -407,7 +401,6 @@ func (db *DB) rangeOpts(ts []Transform, opts QueryOptions) core.RangeOptions {
 		OneSided:    opts.OneSided || opts.QueryTransform != nil,
 		Workers:     opts.Workers,
 		NaiveVerify: opts.NaiveVerify,
-		FlatLB:      opts.FlatLB,
 	}
 	if opts.PaperQueryRect {
 		ro.Mode = core.QRectPaper
