@@ -35,9 +35,10 @@ bench:
 # Distance-kernel and lower-bound micro-benchmarks: the blocked
 # Euclidean/polar kernels, the shared-cosine pair kernel, the
 # flat-vs-cascade lower-bound pair, the bound on index rectangles (ns per
-# internal entry), the NN search that runs on all of them, and one
-# file-backed range probe (ns, B and allocs per probe).
-KERNEL_BENCH = -bench 'BenchmarkKernel|BenchmarkLB|BenchmarkNNResolve|BenchmarkRangeProbeDisk' -run xxx -benchtime 200ms -count 6
+# internal entry), the NN search that runs on all of them, one
+# file-backed range probe (ns, B and allocs per probe) and one
+# file-backed, logged insert (the same plus WAL bytes and page writes).
+KERNEL_BENCH = -bench 'BenchmarkKernel|BenchmarkLB|BenchmarkNNResolve|BenchmarkRangeProbeDisk|BenchmarkInsertDisk' -run xxx -benchtime 200ms -count 6
 KERNEL_PKGS  = ./internal/series/ ./internal/transform/ ./internal/core/
 
 # benchbase refreshes the checked-in kernel benchmark baseline that

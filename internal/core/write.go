@@ -69,25 +69,27 @@ func (ix *Index) checkWritable() error {
 	return nil
 }
 
-// pageImages converts the staged after-images to WAL form (aliasing the
-// overlay buffers; the WAL serialises them before the overlay is
-// released).
-func pageImages(staged []storage.StagedPage) []wal.PageImage {
-	out := make([]wal.PageImage, len(staged))
-	for i, p := range staged {
-		out[i] = wal.PageImage{ID: p.ID, Data: p.Data}
+// beginStaged opens a staged transaction, under which freed pages are
+// set aside, and returns the heap bookkeeping abortStaged restores.
+func (ix *Index) beginStaged() (mem heapfile.MemState) {
+	if ix.heap != nil {
+		mem = ix.heap.MemState()
 	}
-	return out
+	ix.stage.Begin()
+	ix.mgr.HoldFrees()
+	return mem
 }
 
 // abortStaged rolls back an open staged transaction: the overlay is
-// discarded, stale buffer-pool copies of staged pages are evicted,
-// every page grown during the transaction goes back to the allocator,
-// and the heap bookkeeping and tree header are restored from their
-// pre-transaction state. An abort that cannot restore the tree header
-// fail-stops the index.
+// discarded, stale buffer-pool copies of staged pages are evicted, the
+// pages it freed stay allocated (the state rolled back to points at
+// them), every page grown during the transaction goes back to the
+// allocator, and the heap bookkeeping and tree header are restored from
+// their pre-transaction state. An abort that cannot restore the tree
+// header fail-stops the index.
 func (ix *Index) abortStaged(mem heapfile.MemState) {
 	staged, grown := ix.stage.Abort()
+	ix.mgr.ReleaseFrees(false)
 	for _, id := range staged {
 		ix.mgr.Evict(id)
 	}
@@ -102,69 +104,58 @@ func (ix *Index) abortStaged(mem heapfile.MemState) {
 	}
 }
 
-// insertStaged is the WAL-protected insert: stage, log, flush.
-func (ix *Index) insertStaged(r *Record, name string, s series.Series) error {
-	var mem heapfile.MemState
-	if ix.heap != nil {
-		mem = ix.heap.MemState()
-	}
-	ix.stage.Begin()
-	if err := ix.insertDirect(r); err != nil {
-		ix.abortStaged(mem)
-		return err
-	}
-	rec := &wal.Record{Op: wal.OpInsert, ID: r.ID, Name: name, Series: s, Pages: pageImages(ix.stage.Staged())}
+// commitStaged is the second half of a WAL-protected write: rec is
+// logged with the after-images of the pages the transaction changed, and
+// once it is durable the overlay is flushed to the file.
+func (ix *Index) commitStaged(rec *wal.Record, mem heapfile.MemState) error {
+	rec.Pages = ix.stage.Staged()
 	if err := ix.wal.Append(rec); err != nil {
 		ix.abortStaged(mem)
-		return fmt.Errorf("core: logging insert of record %d: %w", r.ID, err)
+		return fmt.Errorf("core: logging %s of record %d: %w", rec.Op, rec.ID, err)
 	}
 	// The record is durable: this is the acknowledgement point. A flush
 	// failure past it leaves the file torn but the operation logged, so
 	// the index fail-stops and recovery re-applies the images on the
 	// next open.
-	if err := ix.stage.Commit(); err != nil {
-		ix.failStop(fmt.Errorf("flushing insert of record %d: %w", r.ID, err))
-		return fmt.Errorf("core: flushing insert of record %d (operation is logged and will replay on reopen): %w", r.ID, err)
+	err := ix.stage.Commit()
+	ix.mgr.ReleaseFrees(err == nil)
+	if err != nil {
+		ix.failStop(fmt.Errorf("flushing %s of record %d: %w", rec.Op, rec.ID, err))
+		return fmt.Errorf("core: flushing %s of record %d (operation is logged and will replay on reopen): %w", rec.Op, rec.ID, err)
 	}
 	ix.maybeCheckpoint()
 	return nil
+}
+
+// insertStaged is the WAL-protected insert: stage, log, flush.
+func (ix *Index) insertStaged(r *Record, name string, s series.Series) error {
+	mem := ix.beginStaged()
+	if err := ix.insertDirect(r); err != nil {
+		ix.abortStaged(mem)
+		return err
+	}
+	return ix.commitStaged(&wal.Record{Op: wal.OpInsert, ID: r.ID, Name: name, Series: s}, mem)
 }
 
 // deleteStaged is the WAL-protected delete: stage, log, flush.
 func (ix *Index) deleteStaged(r *Record) error {
-	var mem heapfile.MemState
-	if ix.heap != nil {
-		mem = ix.heap.MemState()
+	mem := ix.beginStaged()
+	err := ix.tree.Delete(geom.PointRect(r.Feature(ix.opts.K)), r.ID)
+	if err == nil && ix.heap != nil {
+		err = ix.heap.Delete(r.ID)
 	}
-	ix.stage.Begin()
-	if err := ix.tree.Delete(geom.PointRect(r.Feature(ix.opts.K)), r.ID); err != nil {
+	if err != nil {
 		ix.abortStaged(mem)
 		return err
 	}
-	if ix.heap != nil {
-		if err := ix.heap.Delete(r.ID); err != nil {
-			ix.abortStaged(mem)
-			return err
-		}
-	}
-	rec := &wal.Record{Op: wal.OpDelete, ID: r.ID, Pages: pageImages(ix.stage.Staged())}
-	if err := ix.wal.Append(rec); err != nil {
-		ix.abortStaged(mem)
-		return fmt.Errorf("core: logging delete of record %d: %w", r.ID, err)
-	}
-	if err := ix.stage.Commit(); err != nil {
-		ix.failStop(fmt.Errorf("flushing delete of record %d: %w", r.ID, err))
-		return fmt.Errorf("core: flushing delete of record %d (operation is logged and will replay on reopen): %w", r.ID, err)
-	}
-	ix.maybeCheckpoint()
-	return nil
+	return ix.commitStaged(&wal.Record{Op: wal.OpDelete, ID: r.ID}, mem)
 }
 
 // maybeCheckpoint folds the WAL into the main file when it has grown
-// past the threshold. Best effort: a failed checkpoint leaves the WAL
-// in place (recovery still works, the log just stays long) and poisons
-// nothing unless the main-file sync itself failed, in which case the
-// next write path will surface it.
+// past the threshold. The write that triggered it is acknowledged either
+// way, but any checkpoint error (the file's fsync or the log's
+// truncation) fail-stops the index: the log still holds every
+// acknowledged write and replays on the next open.
 func (ix *Index) maybeCheckpoint() {
 	if ix.walThreshold <= 0 || ix.wal.Size() < ix.walThreshold {
 		return

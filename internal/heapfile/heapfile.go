@@ -36,8 +36,14 @@ type File struct {
 	n        int              // series length
 	dirPages []storage.PageID // directory chain, head first
 	pages    []storage.PageID // record pages, record i on pages[i]
-	dirDirty bool
+	// dirFrom is the first directory entry changed since the last Sync,
+	// dirClean when there is none: Sync rewrites the chain from there.
+	dirFrom int
+	// buf is the page every write is encoded in (writes are exclusive).
+	buf []byte
 }
+
+const dirClean = math.MaxInt
 
 // Record page layout (little endian):
 //
@@ -70,6 +76,9 @@ var dirMagic = [4]byte{'H', 'D', 'I', 'R'}
 
 const dirHeaderSize = 12
 
+// dirEntries returns the number of entries a directory page holds.
+func (f *File) dirEntries() int { return (f.mgr.PageSize() - dirHeaderSize) / 4 }
+
 // Create allocates an empty heap on mgr for series of length n.
 // Records must fit in one page: recHeaderSize bytes of header, 24 bytes
 // per sample and the name.
@@ -81,8 +90,8 @@ func Create(mgr *storage.Manager, n int) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{mgr: mgr, n: n, dirPages: []storage.PageID{head}}
-	if err := f.writeDirectory(); err != nil {
+	f := &File{mgr: mgr, n: n, dirPages: []storage.PageID{head}, dirFrom: dirClean, buf: make([]byte, mgr.PageSize())}
+	if err := f.writeDirectory(0); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -90,10 +99,10 @@ func Create(mgr *storage.Manager, n int) (*File, error) {
 
 // Open loads an existing heap whose directory starts at dirHead.
 func Open(mgr *storage.Manager, dirHead storage.PageID, n int) (*File, error) {
-	f := &File{mgr: mgr, n: n}
-	buf := make([]byte, mgr.PageSize())
+	f := &File{mgr: mgr, n: n, dirFrom: dirClean, buf: make([]byte, mgr.PageSize())}
+	buf := f.buf
 	id := dirHead
-	perPage := (mgr.PageSize() - dirHeaderSize) / 4
+	perPage := f.dirEntries()
 	seen := make(map[storage.PageID]bool)
 	for id != storage.NilPage {
 		if seen[id] {
@@ -145,14 +154,15 @@ func (f *File) Append(r *Rec) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, f.mgr.PageSize())
+	buf := f.buf
+	clear(buf)
 	buf[0] = 'R'
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(r.Name)))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(f.n))
 	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(r.Mean))
 	binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(r.Std))
 	off := recHeaderSize
-	for _, arr := range [][]float64{r.Raw, r.Mags, r.Phases} {
+	for _, arr := range [3][]float64{r.Raw, r.Mags, r.Phases} {
 		for _, v := range arr {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
 			off += 8
@@ -164,7 +174,7 @@ func (f *File) Append(r *Rec) (int64, error) {
 		return 0, err
 	}
 	f.pages = append(f.pages, id)
-	f.dirDirty = true
+	f.dirFrom = min(f.dirFrom, len(f.pages)-1)
 	return int64(len(f.pages) - 1), nil
 }
 
@@ -396,7 +406,7 @@ func (f *File) Delete(rec int64) error {
 	if rec < 0 || rec >= int64(len(f.pages)) {
 		return fmt.Errorf("heapfile: record %d out of range [0, %d)", rec, len(f.pages))
 	}
-	buf := make([]byte, f.mgr.PageSize())
+	buf := f.buf
 	if err := f.mgr.Read(f.pages[rec], buf); err != nil {
 		return err
 	}
@@ -410,12 +420,12 @@ func (f *File) Delete(rec int64) error {
 type MemState struct {
 	pages    int
 	dirPages int
-	dirDirty bool
+	dirFrom  int
 }
 
 // MemState snapshots the current bookkeeping.
 func (f *File) MemState() MemState {
-	return MemState{pages: len(f.pages), dirPages: len(f.dirPages), dirDirty: f.dirDirty}
+	return MemState{pages: len(f.pages), dirPages: len(f.dirPages), dirFrom: f.dirFrom}
 }
 
 // RestoreMemState rolls the in-memory bookkeeping back to a snapshot
@@ -426,7 +436,7 @@ func (f *File) MemState() MemState {
 func (f *File) RestoreMemState(s MemState) {
 	f.pages = f.pages[:s.pages]
 	f.dirPages = f.dirPages[:s.dirPages]
-	f.dirDirty = s.dirDirty
+	f.dirFrom = s.dirFrom
 }
 
 // Unappend removes record rec, which must be the most recent append,
@@ -440,36 +450,36 @@ func (f *File) Unappend(rec int64) error {
 	}
 	id := f.pages[rec]
 	f.pages = f.pages[:rec]
-	f.dirDirty = true
+	f.dirFrom = min(f.dirFrom, int(rec))
 	f.mgr.Free(id)
 	return nil
 }
 
 // Sync writes the page directory; call after appends when the heap must
-// be reopenable.
+// be reopenable. A directory page is rewritten only when an entry on it,
+// its count or its link changed since the last Sync: the pages from the
+// one holding the first changed entry on, and the page before it when
+// that entry opens a page, because its link is what a grown chain sets.
 func (f *File) Sync() error {
-	if !f.dirDirty {
+	if f.dirFrom == dirClean {
 		return nil
 	}
-	if err := f.writeDirectory(); err != nil {
+	if err := f.writeDirectory(max(f.dirFrom-1, 0) / f.dirEntries()); err != nil {
 		return err
 	}
-	f.dirDirty = false
+	f.dirFrom = dirClean
 	return nil
 }
 
-// writeDirectory rewrites the directory chain from f.pages, extending the
-// chain with fresh pages as it grows (the heap is append-only, so the
-// chain never shrinks).
-func (f *File) writeDirectory() error {
-	perPage := (f.mgr.PageSize() - dirHeaderSize) / 4
-	buf := make([]byte, f.mgr.PageSize())
-	remaining := f.pages
-	for slot := 0; ; slot++ {
-		count := len(remaining)
-		if count > perPage {
-			count = perPage
-		}
+// writeDirectory rewrites the directory chain from f.pages, starting at
+// its page first, extending the chain with fresh pages as it grows (the
+// heap is append-only, so the chain never shrinks).
+func (f *File) writeDirectory(first int) error {
+	perPage := f.dirEntries()
+	buf := f.buf
+	remaining := f.pages[first*perPage:]
+	for slot := first; ; slot++ {
+		count := min(len(remaining), perPage)
 		var next storage.PageID
 		if count < len(remaining) {
 			if slot+1 < len(f.dirPages) {
@@ -483,9 +493,7 @@ func (f *File) writeDirectory() error {
 				f.dirPages = append(f.dirPages, next)
 			}
 		}
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		copy(buf, dirMagic[:])
 		binary.LittleEndian.PutUint32(buf[4:], uint32(count))
 		binary.LittleEndian.PutUint32(buf[8:], uint32(next))

@@ -66,24 +66,53 @@ type Scratch struct {
 	node    Node
 }
 
+// newScratch sizes a slot for one entry more than a page holds, the one
+// an insertion pushes onto a full node before it splits it.
 func newScratch(pageSize, dim int) *Scratch {
-	maxE := MaxEntries(pageSize, dim)
+	room := MaxEntries(pageSize, dim) + 1
 	return &Scratch{
 		dim:     dim,
 		page:    make([]byte, pageSize),
-		lo:      make([]float64, maxE*dim),
-		hi:      make([]float64, maxE*dim),
-		entries: make([]Entry, maxE),
+		lo:      make([]float64, room*dim),
+		hi:      make([]float64, room*dim),
+		entries: make([]Entry, room),
 	}
+}
+
+// push appends e to the slot's node, copying its rectangle into the slabs
+// behind the decoded ones. The node must still be laid out as decoded
+// (entry i in place i): a slot takes one push per load.
+func (s *Scratch) push(e Entry) {
+	n, dim := &s.node, s.dim
+	j := len(n.Entries)
+	lo := geom.Point(s.lo[j*dim : (j+1)*dim : (j+1)*dim])
+	hi := geom.Point(s.hi[j*dim : (j+1)*dim : (j+1)*dim])
+	copy(lo, e.Rect.Lo)
+	copy(hi, e.Rect.Hi)
+	e.Rect = geom.Rect{Lo: lo, Hi: hi}
+	n.Entries = append(n.Entries, e)
+	n.flatLo = s.lo[:(j+1)*dim]
 }
 
 // mbr returns the minimum bounding rectangle of all entries of the node.
 func (n *Node) mbr() geom.Rect {
-	rects := make([]geom.Rect, len(n.Entries))
-	for i, e := range n.Entries {
-		rects[i] = e.Rect
+	dim := n.Entries[0].Rect.Dim()
+	r := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+	n.mbrInto(r)
+	return r
+}
+
+// mbrInto writes the node's minimum bounding rectangle into dst, which
+// must not be one of its entries' rectangles.
+func (n *Node) mbrInto(dst geom.Rect) {
+	copy(dst.Lo, n.Entries[0].Rect.Lo)
+	copy(dst.Hi, n.Entries[0].Rect.Hi)
+	for _, e := range n.Entries[1:] {
+		for d := range dst.Lo {
+			dst.Lo[d] = min(dst.Lo[d], e.Rect.Lo[d])
+			dst.Hi[d] = max(dst.Hi[d], e.Rect.Hi[d])
+		}
 	}
-	return geom.MBRRects(rects)
 }
 
 // Page layout (little endian):

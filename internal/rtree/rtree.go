@@ -3,6 +3,7 @@ package rtree
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"tsq/internal/geom"
@@ -32,6 +33,13 @@ type Tree struct {
 	size   int64
 	buf    []byte       // scratch page buffer for writes
 	ovf    splitScratch // buffers of the split and reinsert decisions
+	// write holds the decode slots of the insert path, one per level, and
+	// path the root-to-target path an insertion is working on. Both are
+	// valid until the next choosePath: writes are exclusive, and an
+	// insertion that starts another (forced reinsertion) is done with its
+	// own path by then.
+	write []*Scratch
+	path  []pathElem
 
 	// idleSlots holds the decode slots of finished traversals for the
 	// next ones. The pool belongs to the tree because a slot is sized
@@ -128,8 +136,9 @@ func (t *Tree) Capacity() (int, int) { return t.minE, t.maxE }
 
 // Load reads and decodes one node. Each call costs one page access, which
 // is how the experiments count disk accesses. The node is the caller's to
-// keep and modify: write paths, which hold a root-to-leaf path of nodes
-// while restructuring it, go through Load. Read traversals use LoadInto.
+// keep and modify: Delete, which holds a root-to-leaf path of nodes while
+// condensing it, and the checks go through Load. Read traversals and
+// insertions use LoadInto.
 func (t *Tree) Load(id storage.PageID) (*Node, error) {
 	return t.LoadInto(nil, id, newScratch(t.mgr.PageSize(), t.dim))
 }
@@ -229,12 +238,12 @@ func (t *Tree) Reload() error {
 	return nil
 }
 
-// Insert adds a rectangle with the given record id.
+// Insert adds a rectangle with the given record id. The tree copies r.
 func (t *Tree) Insert(r geom.Rect, rec int64) error {
 	if r.Dim() != t.dim {
 		return fmt.Errorf("rtree: inserting %d-dimensional rect into %d-dimensional tree", r.Dim(), t.dim)
 	}
-	if err := t.insertAtLevel(Entry{Rect: r.Clone(), Rec: rec}, 1, new(levelSet)); err != nil {
+	if err := t.insertAtLevel(Entry{Rect: r, Rec: rec}, 1, new(levelSet)); err != nil {
 		return err
 	}
 	t.size++
@@ -250,41 +259,49 @@ type levelSet [64]bool
 
 // InsertPoint adds a point with the given record id.
 func (t *Tree) InsertPoint(p geom.Point, rec int64) error {
-	return t.Insert(geom.PointRect(p), rec)
+	return t.Insert(geom.Rect{Lo: p, Hi: p}, rec)
 }
 
 // insertAtLevel inserts entry e at the given level (1 = leaf). The entry's
-// Child must be set when level > 1.
+// Child must be set when level > 1. e's rectangle is copied, and must not
+// live in a write slot: choosePath reloads them.
 func (t *Tree) insertAtLevel(e Entry, level int, overflowed *levelSet) error {
 	path, err := t.choosePath(e.Rect, level)
 	if err != nil {
 		return err
 	}
-	n := path[len(path)-1].node
-	n.Entries = append(n.Entries, e)
+	path[len(path)-1].slot.push(e)
 	return t.handleOverflowAndAdjust(path, level, overflowed)
 }
 
-// pathElem is one step of a root-to-target path.
+// pathElem is one step of a root-to-target path. slot is the write slot
+// node lives in; Delete's path holds owned nodes and has none.
 type pathElem struct {
 	node     *Node
+	slot     *Scratch
 	entryIdx int // index within the parent's entries (undefined for root)
 }
 
 // choosePath descends from the root to a node at the target level (1 =
-// leaf) using the R* ChooseSubtree criteria, returning the full path.
+// leaf) using the R* ChooseSubtree criteria, returning the full path. The
+// path and its nodes are the tree's (see Tree.write).
 func (t *Tree) choosePath(r geom.Rect, targetLevel int) ([]pathElem, error) {
 	id := t.root
 	level := t.height
-	path := []pathElem{}
+	path := t.path[:0]
 	entryIdx := -1
 	for {
-		n, err := t.Load(id)
+		if len(path) == len(t.write) {
+			t.write = append(t.write, newScratch(t.mgr.PageSize(), t.dim))
+		}
+		slot := t.write[len(path)]
+		n, err := t.LoadInto(nil, id, slot)
 		if err != nil {
 			return nil, err
 		}
-		path = append(path, pathElem{node: n, entryIdx: entryIdx})
+		path = append(path, pathElem{node: n, slot: slot, entryIdx: entryIdx})
 		if level == targetLevel {
+			t.path = path
 			return path, nil
 		}
 		if n.Leaf {
@@ -302,10 +319,15 @@ func (t *Tree) choosePath(r geom.Rect, targetLevel int) ([]pathElem, error) {
 
 // chooseLeastOverlap implements the R* leaf-level choice: the child whose
 // overlap with its siblings grows least; ties broken by least area
-// enlargement, then least area.
+// enlargement, then least area. A candidate is abandoned once its partial
+// sum exceeds the best complete one: every term is >= 0 in floating point
+// too (a union is no narrower than its part in any dimension, and a
+// product of non-negative widths is monotone), so the sum only grows and a
+// strict > drops neither a winner nor a tie.
 func chooseLeastOverlap(entries []Entry, r geom.Rect) int {
 	best := -1
-	bestOverlap, bestEnlarge, bestArea := 0.0, 0.0, 0.0
+	bestOverlap, bestEnlarge, bestArea := math.Inf(1), 0.0, 0.0
+candidates:
 	for i, e := range entries {
 		var overlapDelta float64
 		for j, other := range entries {
@@ -313,6 +335,9 @@ func chooseLeastOverlap(entries []Entry, r geom.Rect) int {
 				continue
 			}
 			overlapDelta += e.Rect.UnionOverlapArea(r, other.Rect) - e.Rect.OverlapArea(other.Rect)
+			if overlapDelta > bestOverlap {
+				continue candidates
+			}
 		}
 		enlarge := e.Rect.Enlargement(r)
 		area := e.Rect.Area()
@@ -365,8 +390,7 @@ func (t *Tree) handleOverflowAndAdjust(path []pathElem, level int, overflowed *l
 			return err
 		}
 		if i > 0 {
-			parent := path[i-1].node
-			parent.Entries[path[i].entryIdx].Rect = n.mbr()
+			n.mbrInto(path[i-1].node.Entries[path[i].entryIdx].Rect)
 		}
 	}
 	return nil
@@ -381,12 +405,12 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) err
 	n := path[i].node
 	dim, sc := t.dim, &t.ovf
 	sc.normalise(n.Entries, dim)
-	center := n.mbr().Center()
+	box := sc.bounds(n, dim)
 	sc.dist = sc.dist[:0]
 	for j, e := range n.Entries {
 		var ss float64
 		for d := 0; d < dim; d++ {
-			c := ((e.Rect.Lo[d]+e.Rect.Hi[d])/2 - center[d]) * sc.inv[d]
+			c := ((e.Rect.Lo[d]+e.Rect.Hi[d])/2 - (box.Lo[d]+box.Hi[d])/2) * sc.inv[d]
 			ss += c * c
 		}
 		sc.dist = append(sc.dist, distEntry{d: ss, i: j})
@@ -403,10 +427,13 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) err
 	if p < 1 {
 		p = 1
 	}
-	removed := make([]Entry, p)
-	for j := 0; j < p; j++ {
-		removed[j] = n.Entries[des[j].i]
+	// The removed entries live in the slot the first reinsertion reloads:
+	// they move to the scratch, one set per level, since a reinsertion can
+	// overflow the level above and start that level's.
+	for len(sc.removed) <= level {
+		sc.removed = append(sc.removed, held{})
 	}
+	removed := sc.removed[level].keep(n.Entries, des[:p], dim)
 	sc.work = sc.work[:0]
 	for _, de := range des[p:] {
 		sc.work = append(sc.work, n.Entries[de.i])
@@ -418,7 +445,7 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) err
 	// Tighten ancestors before reinserting.
 	for j := i; j > 0; j-- {
 		parent := path[j-1].node
-		parent.Entries[path[j].entryIdx].Rect = path[j].node.mbr()
+		path[j].node.mbrInto(parent.Entries[path[j].entryIdx].Rect)
 		if err := t.store(parent); err != nil {
 			return err
 		}
@@ -451,7 +478,7 @@ func (t *Tree) split(path []pathElem, i, level int, overflowed *levelSet) error 
 	if err := t.store(sibling); err != nil {
 		return err
 	}
-	newEntry := Entry{Rect: sibling.mbr(), Child: newID}
+	newEntry := Entry{Rect: t.ovf.bounds(sibling, t.dim), Child: newID}
 
 	if i == 0 {
 		// Root split: grow the tree.
@@ -472,8 +499,7 @@ func (t *Tree) split(path []pathElem, i, level int, overflowed *levelSet) error 
 	}
 
 	// Update the parent: tighten the split node's rect and add the sibling.
-	parent := path[i-1].node
-	parent.Entries[path[i].entryIdx].Rect = n.mbr()
-	parent.Entries = append(parent.Entries, newEntry)
+	n.mbrInto(path[i-1].node.Entries[path[i].entryIdx].Rect)
+	path[i-1].slot.push(newEntry)
 	return t.handleOverflowAndAdjust(path[:i], level+1, overflowed)
 }

@@ -3,6 +3,8 @@ package rtree
 import (
 	"math"
 	"slices"
+
+	"tsq/internal/geom"
 )
 
 // splitScratch holds the buffers of one overflow decision (a split or a
@@ -24,6 +26,43 @@ type splitScratch struct {
 	inv []float64
 	// dist is the reinsertion ranking: centre distance and entry index.
 	dist []distEntry
+	// box is the bounding rectangle bounds computes.
+	box geom.Rect
+	// removed holds, per level, the entries a forced reinsertion took out
+	// of its node while they are inserted again.
+	removed []held
+}
+
+// held is a set of entries copied out of a decode slot, rectangles
+// included, so that it outlives the slot's next load.
+type held struct {
+	entries []Entry
+	corners []float64
+}
+
+// keep copies the picked entries of src into h and returns the copy.
+func (h *held) keep(src []Entry, picks []distEntry, dim int) []Entry {
+	h.entries = resized(h.entries, len(picks))
+	h.corners = resized(h.corners, 2*dim*len(picks))
+	for i, pick := range picks {
+		e := src[pick.i]
+		c := h.corners[2*dim*i : 2*dim*(i+1) : 2*dim*(i+1)]
+		copy(c[:dim], e.Rect.Lo)
+		copy(c[dim:], e.Rect.Hi)
+		e.Rect = geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
+		h.entries[i] = e
+	}
+	return h.entries
+}
+
+// bounds returns n's minimum bounding rectangle in the scratch's box,
+// valid until the next call.
+func (s *splitScratch) bounds(n *Node, dim int) geom.Rect {
+	if len(s.box.Lo) != dim {
+		s.box = geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+	}
+	n.mbrInto(s.box)
+	return s.box
 }
 
 type distEntry struct {
@@ -58,7 +97,8 @@ func (s *splitScratch) normalise(entries []Entry, dim int) {
 // total margin over all distributions; ChooseSplitIndex picks the
 // distribution on that axis with minimum overlap, ties broken by minimum
 // combined area. Each group receives at least minE entries. left reuses
-// the backing array of entries; right is the caller's to keep.
+// the backing array of entries; right is the tail of work, valid until the
+// scratch's next decision. Both share the rectangles of entries.
 func (s *splitScratch) splitEntries(entries []Entry, minE, dim int) (left, right []Entry) {
 	s.normalise(entries, dim)
 	s.work = resized(s.work, len(entries))
@@ -79,9 +119,7 @@ func (s *splitScratch) splitEntries(entries []Entry, minE, dim int) (left, right
 
 	s.sortWork(entries, axis, byLo, dim)
 	splitAt := s.chooseSplitIndex(minE, dim)
-	right = slices.Clone(s.work[splitAt:])
-	left = append(entries[:0], s.work[:splitAt]...)
-	return left, right
+	return append(entries[:0], s.work[:splitAt]...), s.work[splitAt:]
 }
 
 // sortWork copies entries into work sorted along the axis by lower (byLo)

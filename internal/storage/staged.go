@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -36,13 +37,25 @@ type StagedBackend struct {
 	mu      sync.RWMutex
 	inner   Backend
 	overlay map[PageID][]byte
-	grown   []PageID
-	active  bool
+	// view is the overlay in ascending page order, what Staged returns and
+	// Commit flushes; it is emptied when a page joins the overlay and
+	// rebuilt on demand.
+	view []StagedPage
+	// idle holds the frames of finished transactions for the next ones,
+	// at most maxIdleFrames of them.
+	idle   [][]byte
+	grown  []PageID
+	active bool
 }
+
+// maxIdleFrames bounds the page buffers a StagedBackend keeps between
+// transactions (256 KiB at 4 KiB pages). An insert stages about seven
+// pages; a transaction that staged more hands the rest to the collector.
+const maxIdleFrames = 64
 
 // NewStagedBackend wraps inner.
 func NewStagedBackend(inner Backend) *StagedBackend {
-	return &StagedBackend{inner: inner}
+	return &StagedBackend{inner: inner, overlay: make(map[PageID][]byte)}
 }
 
 // Begin opens a transaction: subsequent writes are buffered until
@@ -55,8 +68,31 @@ func (b *StagedBackend) Begin() {
 		panic("storage: StagedBackend.Begin with a transaction already open")
 	}
 	b.active = true
-	b.overlay = make(map[PageID][]byte)
+}
+
+// end closes the transaction: the overlay's frames go idle and the map
+// and the lists are emptied in place.
+func (b *StagedBackend) end() {
+	for _, data := range b.overlay {
+		if len(b.idle) < maxIdleFrames {
+			b.idle = append(b.idle, data)
+		}
+	}
+	clear(b.overlay)
+	b.view = b.view[:0]
 	b.grown = b.grown[:0]
+	b.active = false
+}
+
+// sorted returns the overlay in ascending page order. Callers hold mu.
+func (b *StagedBackend) sorted() []StagedPage {
+	if len(b.view) == 0 {
+		for id, data := range b.overlay {
+			b.view = append(b.view, StagedPage{ID: id, Data: data})
+		}
+		slices.SortFunc(b.view, func(x, y StagedPage) int { return cmp.Compare(x.ID, y.ID) })
+	}
+	return b.view
 }
 
 // Active reports whether a transaction is open.
@@ -67,17 +103,12 @@ func (b *StagedBackend) Active() bool {
 }
 
 // Staged returns the transaction's page after-images in ascending page
-// order. The data slices alias the overlay buffers and are valid until
-// Commit or Abort.
+// order. The slice and the data alias the backend's own buffers and are
+// valid until the next write, Commit or Abort.
 func (b *StagedBackend) Staged() []StagedPage {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	pages := make([]StagedPage, 0, len(b.overlay))
-	for id, data := range b.overlay {
-		pages = append(pages, StagedPage{ID: id, Data: data})
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i].ID < pages[j].ID })
-	return pages
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sorted()
 }
 
 // Commit flushes the overlay to the inner backend in ascending page
@@ -91,21 +122,14 @@ func (b *StagedBackend) Commit() error {
 	if !b.active {
 		return fmt.Errorf("storage: StagedBackend.Commit without a transaction")
 	}
-	pages := make([]PageID, 0, len(b.overlay))
-	for id := range b.overlay {
-		pages = append(pages, id)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	var firstErr error
-	for _, id := range pages {
-		if err := b.inner.WritePage(id, b.overlay[id]); err != nil {
+	for _, p := range b.sorted() {
+		if err := b.inner.WritePage(p.ID, p.Data); err != nil {
 			firstErr = err
 			break
 		}
 	}
-	b.active = false
-	b.overlay = nil
-	b.grown = b.grown[:0]
+	b.end()
 	return firstErr
 }
 
@@ -119,15 +143,11 @@ func (b *StagedBackend) Abort() (staged, grown []PageID) {
 	if !b.active {
 		return nil, nil
 	}
-	staged = make([]PageID, 0, len(b.overlay))
-	for id := range b.overlay {
-		staged = append(staged, id)
+	for _, p := range b.sorted() {
+		staged = append(staged, p.ID)
 	}
-	sort.Slice(staged, func(i, j int) bool { return staged[i] < staged[j] })
-	grown = append([]PageID(nil), b.grown...)
-	b.active = false
-	b.overlay = nil
-	b.grown = b.grown[:0]
+	grown = slices.Clone(b.grown)
+	b.end()
 	return staged, grown
 }
 
@@ -158,8 +178,13 @@ func (b *StagedBackend) WritePage(id PageID, buf []byte) error {
 	}
 	data, ok := b.overlay[id]
 	if !ok || len(data) != len(buf) {
-		data = make([]byte, len(buf))
+		if n := len(b.idle); n > 0 && len(b.idle[n-1]) == len(buf) {
+			data, b.idle = b.idle[n-1], b.idle[:n-1]
+		} else {
+			data = make([]byte, len(buf))
+		}
 		b.overlay[id] = data
+		b.view = b.view[:0]
 	}
 	copy(data, buf)
 	return nil
@@ -228,9 +253,7 @@ func (b *StagedBackend) Sync() error {
 // record is durable, in which case recovery re-applies it).
 func (b *StagedBackend) Close() error {
 	b.mu.Lock()
-	b.active = false
-	b.overlay = nil
-	b.grown = nil
+	b.end()
 	b.mu.Unlock()
 	return b.inner.Close()
 }

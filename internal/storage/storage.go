@@ -250,8 +250,12 @@ type Manager struct {
 	pageSize int
 	next     PageID
 	freeList []PageID
-	pool     *shardedPool
-	stats    managerStats
+	// held are the pages freed since HoldFrees, holding whether Free sets
+	// pages aside at all.
+	held    []PageID
+	holding bool
+	pool    *shardedPool
+	stats   managerStats
 }
 
 // managerStats is the Manager's live counter block; Stats() snapshots it.
@@ -365,9 +369,37 @@ func (m *Manager) Free(id PageID) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.holding {
+		m.held = append(m.held, id)
+		return
+	}
 	m.freeList = append(m.freeList, id)
 	m.stats.frees.Add(1)
 	global.frees.Add(1)
+}
+
+// HoldFrees starts setting freed pages aside instead of handing them to
+// the allocator. A mutation that can still be rolled back (an open staged
+// transaction) runs under it: what it frees is live in the state a
+// rollback returns to, so no Alloc may reuse it before the mutation is
+// durable.
+func (m *Manager) HoldFrees() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.holding = true
+}
+
+// ReleaseFrees ends HoldFrees: the pages set aside become allocatable
+// when the mutation committed and stay allocated when it did not.
+func (m *Manager) ReleaseFrees(commit bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if commit {
+		m.freeList = append(m.freeList, m.held...)
+		m.stats.frees.Add(int64(len(m.held)))
+		global.frees.Add(int64(len(m.held)))
+	}
+	m.held, m.holding = m.held[:0], false
 }
 
 // Evict drops page id from the buffer pool, if one is configured,

@@ -75,12 +75,12 @@ func (o Op) String() string {
 }
 
 // PageImage is the full logical after-image of one page an operation
-// modified. Replay rewrites these through the normal write path (so
-// checksum trailers are recomputed), healing any torn in-place write.
-type PageImage struct {
-	ID   storage.PageID
-	Data []byte
-}
+// modified: a record lists the pages the operation changed and no others.
+// Replay rewrites these through the normal write path (so checksum
+// trailers are recomputed), healing any torn in-place write. It is the
+// staging overlay's page type, so a staged transaction is logged as it
+// stands.
+type PageImage = storage.StagedPage
 
 // Record is one logged operation: what happened logically (for
 // diagnostics and scrubbing) and which pages it produced physically

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"tsq/internal/core"
 	"tsq/internal/datagen"
 	"tsq/internal/storage"
 	"tsq/internal/wal"
@@ -95,13 +96,34 @@ func walWorkload(initial int64, extra []Series) []func(db *DB) error {
 	}
 }
 
-// sweepWALWrites is the matrix body, shared by the single-file and
-// sharded layouts.
+// sweepWALWrites is the sweep on the small fixture: 30 records on 2 KiB
+// pages, far from filling the heap's first directory page.
 func sweepWALWrites(t *testing.T, shardCount int, keep func(op, total int64) bool) {
+	sweepWALFixture(t, shardCount, 30, 2048, false, keep)
+}
+
+// directoryPages sums the heap directory chains of db's shards.
+func directoryPages(t *testing.T, db *DB) int {
+	t.Helper()
+	total := 0
+	for i := 0; i < db.ix.ShardCount(); i++ {
+		h, err := db.ix.Shard(i).Heap().ComputeHealth(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += h.DirectoryPages
+	}
+	return total
+}
+
+// sweepWALFixture is the matrix body, shared by the single-file and
+// sharded layouts: count records on pages of pageSize bytes. With spill
+// the workload's inserts must link a new heap directory page.
+func sweepWALFixture(t *testing.T, shardCount, count, pageSize int, spill bool, keep func(op, total int64) bool) {
 	dir := t.TempDir()
-	ss := datagen.RandomWalks(31, 30, 32)
+	ss := datagen.RandomWalks(31, count, 32)
 	extra := datagen.RandomWalks(37, 4, 32)
-	opts := Options{PageSize: 2048, Shards: shardCount}
+	opts := Options{PageSize: pageSize, Shards: shardCount}
 	ts := MovingAverages(32, 3, 8)
 	thr := Correlation(0.9)
 	query := ss[0]
@@ -133,6 +155,7 @@ func sweepWALWrites(t *testing.T, shardCount int, keep func(op, total int64) boo
 		t.Fatal(err)
 	}
 	answers := [][]Match{ans}
+	dirPagesBefore := directoryPages(t, base)
 	for i, op := range ops {
 		if err := op(base); err != nil {
 			t.Fatalf("baseline op %d: %v", i, err)
@@ -142,6 +165,9 @@ func sweepWALWrites(t *testing.T, shardCount int, keep func(op, total int64) boo
 			t.Fatalf("baseline answer after op %d: %v", i, err)
 		}
 		answers = append(answers, ans)
+	}
+	if after := directoryPages(t, base); spill && after != dirPagesBefore+1 {
+		t.Fatalf("the workload was to link one heap directory page: %d before, %d after", dirPagesBefore, after)
 	}
 	if err := base.Close(); err != nil {
 		t.Fatal(err)
@@ -272,6 +298,52 @@ func TestWALSweepSingleFile(t *testing.T) {
 func TestWALSweepSharded(t *testing.T) {
 	sweepWALWrites(t, 2, func(op, total int64) bool {
 		return op <= 5 || op%19 == 0 || op == total
+	})
+}
+
+// spillPageSize is the page size of the spill fixtures: the smallest
+// power of two holding a 32-sample record, so a heap directory page (251
+// entries behind the checksum trailer) fills quickly.
+const spillPageSize = 1024
+
+// spillEntries is the number of entries on a heap directory page of a
+// checksummed file with spillPageSize pages: 12 bytes of header, 4 a page id.
+const spillEntries = (spillPageSize - storage.ChecksumTrailerSize - 12) / 4
+
+// TestWALSweepDirectorySpill sweeps inserts that fill the heap's first
+// directory page and link a second one, which writes two directory pages
+// in one transaction where every other insert writes one. The database
+// starts one record short of a full page: the first insert fills it, the
+// second links the new page.
+func TestWALSweepDirectorySpill(t *testing.T) {
+	sweepWALFixture(t, 0, spillEntries-1, spillPageSize, true, func(op, total int64) bool { return true })
+}
+
+// TestWALSweepDirectorySpillSharded is the same on two shards: the
+// initial count leaves one shard a record short of a full directory page
+// with two of the workload's four inserts hashing to it.
+func TestWALSweepDirectorySpillSharded(t *testing.T) {
+	const shards = 2
+	var counts [shards]int // records per shard among ids below count
+	count := 0
+search:
+	for ; ; count++ {
+		var into [shards]int // of the four ids the workload inserts
+		for g := count; g < count+4; g++ {
+			into[core.ShardOf(int64(g), shards)]++
+		}
+		for s := range counts {
+			if counts[s] == spillEntries-1 && into[s] >= 2 {
+				break search
+			}
+		}
+		if count > shards*spillEntries {
+			t.Fatal("no initial count leaves a shard one short of a directory page")
+		}
+		counts[core.ShardOf(int64(count), shards)]++
+	}
+	sweepWALFixture(t, shards, count, spillPageSize, true, func(op, total int64) bool {
+		return op <= 5 || op%11 == 0 || op == total
 	})
 }
 

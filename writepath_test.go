@@ -1,0 +1,113 @@
+package tsq
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"tsq/internal/datagen"
+)
+
+// TestFileBackedInsertAllocBudget pins what an acknowledged insert on a
+// reopened file (checksums, staging overlay, WAL, fsync) allocates: the
+// record core.NewRecord builds and keeps (seven allocations), its feature
+// point and the FileInfo of the file backend's Grow, nine in all, and
+// fourteen under -race, where sync.Pool drops a quarter of the checksum
+// layer's scratch pages. Pages are staged in recycled frames, the tree
+// works in its own slots and the heap encodes into its own buffer; before
+// that the same insert allocated 288 times.
+func TestFileBackedInsertAllocBudget(t *testing.T) {
+	const warm, runs, perRun = 100, 8, 100
+	path := filepath.Join(t.TempDir(), "budget.tsq")
+	db, err := CreateFile(path, datagen.RandomWalks(31, 2000, 128), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = OpenFile(path); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := db.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	extra := datagen.RandomWalks(32, warm+(runs+1)*perRun, 128)
+	next := 0
+	insert := func(count int) {
+		for i := 0; i < count; i++ {
+			if _, err := db.Insert("", extra[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	insert(warm)
+	allocs := testing.AllocsPerRun(runs, func() { insert(perRun) }) / perRun
+	t.Logf("%.2f allocations per insert", allocs)
+	if allocs > 16 {
+		t.Errorf("an insert allocates %.2f times, budget 16: the write path allocates per page, per node or per entry again", allocs)
+	}
+}
+
+// TestInsertBuiltFilesBitIdentical builds a database by R*-tree insertion
+// (600 series on 1 KiB pages, so the tree is four levels of splits and
+// forced reinsertions), reopens it, inserts 300 more and deletes 100, and
+// hashes every file it leaves. The literals are the parent commit's: the
+// abandoning ChooseSubtree, the in-place bounding rectangles, the write
+// slots and the directory pages Sync skips change what an insert costs,
+// not one byte of what it writes.
+func TestInsertBuiltFilesBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		want   string
+	}{
+		{0, "d33ec4d7b9ced3a2b5b8e259202ca289557374636c90e45c9bdb78b56d0cdd81"},
+		{2, "94768c791fa79818d09a0db02292e3545aace5b51b3734f04af0c94ed283dd31"},
+	} {
+		path := filepath.Join(t.TempDir(), "pin.tsq")
+		db, err := CreateFile(path, datagen.RandomWalks(71, 600, 32), nil, Options{PageSize: 1024, Shards: tc.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = OpenFile(path); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range datagen.RandomWalks(73, 300, 32) {
+			if _, err := db.Insert(fmt.Sprintf("pin-%d", i), s); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 0 {
+				if err := db.Delete(int64(2 * i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(path + "*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s %d\n", filepath.Base(f), len(data))
+			h.Write(data)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
+			t.Errorf("%d shards: the %d files hash to %s, the parent commit's to %s", tc.shards, len(files), got, tc.want)
+		}
+	}
+}
