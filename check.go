@@ -7,6 +7,7 @@ package tsq
 // is an exact list of what is damaged.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -67,12 +68,13 @@ type CheckReport struct {
 	IntegrityErr string
 
 	// Sharded databases: ShardCount is the manifest's shard count and
-	// Shards holds one full sub-report per shard file (every physical
-	// pass — header, tail, checksums, standalone open — runs per shard,
-	// so corruption is always pinned to a shard). ManifestErr records a
-	// bad manifest: wrong magic, torn CRC, implausible parameters. The
-	// top-level OpenErr/IntegrityErr then cover the combined
-	// scatter-gather open. All zero/empty for single-file databases.
+	// Shards holds one sub-report per shard file, with that file's
+	// physical passes (header, tail, WAL, checksums) and the open or
+	// integrity error of its part of the combined open, so corruption is
+	// always pinned to a shard. ManifestErr records a bad manifest:
+	// wrong magic, torn CRC, implausible parameters. The top-level
+	// OpenErr/IntegrityErr cover the combined open. All zero/empty for a
+	// database of one page file, whose passes fill the report itself.
 	ShardCount  int
 	ManifestErr string
 	Shards      []*CheckReport
@@ -80,15 +82,12 @@ type CheckReport struct {
 
 // OK reports whether the scrub found the file fully intact.
 func (r *CheckReport) OK() bool {
-	if r.ManifestErr != "" {
-		return false
-	}
 	for _, s := range r.Shards {
 		if !s.OK() {
 			return false
 		}
 	}
-	return r.TailBytes == 0 && r.BadPageCount == r.HealedPages && r.WALErr == "" &&
+	return r.TailBytes == 0 && r.BadPageCount == r.HealedPages && r.WALErr == "" && r.ManifestErr == "" &&
 		r.HeaderErr == "" && r.OpenErr == "" && r.IntegrityErr == ""
 }
 
@@ -96,25 +95,27 @@ func (r *CheckReport) OK() bool {
 func (r *CheckReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "check %s\n", r.Path)
-	if r.ManifestErr != "" {
+	switch {
+	case r.ManifestErr != "":
 		fmt.Fprintf(&b, "  manifest:  BAD (%s)\n", r.ManifestErr)
-		fmt.Fprintf(&b, "result: CORRUPT\n")
-		return b.String()
-	}
-	if r.ShardCount > 0 {
+	case r.HeaderErr != "":
+		fmt.Fprintf(&b, "  header:    BAD (%s)\n", r.HeaderErr)
+	case r.ShardCount > 0:
 		fmt.Fprintf(&b, "  manifest:  %d shards\n", r.ShardCount)
 		for i, s := range r.Shards {
-			status := "ok"
-			if !s.OK() {
-				status = "CORRUPT"
+			if s.OK() {
+				fmt.Fprintf(&b, "  shard %d:   ok (%s)\n", i, s.Path)
+				continue
 			}
-			fmt.Fprintf(&b, "  shard %d:   %s (%s)\n", i, status, s.Path)
-			if !s.OK() {
-				for _, line := range strings.Split(strings.TrimRight(s.String(), "\n"), "\n") {
-					fmt.Fprintf(&b, "    %s\n", line)
-				}
+			fmt.Fprintf(&b, "  shard %d:   CORRUPT (%s)\n", i, s.Path)
+			for _, line := range strings.Split(strings.TrimRight(s.String(), "\n"), "\n") {
+				fmt.Fprintf(&b, "    %s\n", line)
 			}
 		}
+	default:
+		r.writeFile(&b)
+	}
+	if r.ManifestErr == "" && r.HeaderErr == "" {
 		if r.OpenErr != "" {
 			fmt.Fprintf(&b, "  open:      BAD (%s)\n", r.OpenErr)
 		} else if r.IntegrityErr != "" {
@@ -122,144 +123,140 @@ func (r *CheckReport) String() string {
 		} else {
 			fmt.Fprintf(&b, "  structure: ok\n")
 		}
-		if r.OK() {
-			fmt.Fprintf(&b, "result: OK\n")
-		} else {
-			fmt.Fprintf(&b, "result: CORRUPT\n")
-		}
-		return b.String()
 	}
-	if r.HeaderErr != "" {
-		fmt.Fprintf(&b, "  header:    BAD (%s)\n", r.HeaderErr)
-		fmt.Fprintf(&b, "result: CORRUPT\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "  format:    %d-byte pages, checksums %s\n", r.PageSize, map[bool]string{true: "on", false: "off (pre-checksum file)"}[r.Checksummed])
-	fmt.Fprintf(&b, "  size:      %d pages", r.Pages)
+	fmt.Fprintf(&b, "result: %s\n", map[bool]string{true: "OK", false: "CORRUPT"}[r.OK()])
+	return b.String()
+}
+
+// writeFile renders the physical passes over one page file.
+func (r *CheckReport) writeFile(b *strings.Builder) {
+	fmt.Fprintf(b, "  format:    %d-byte pages, checksums %s\n", r.PageSize, map[bool]string{true: "on", false: "off (pre-checksum file)"}[r.Checksummed])
+	fmt.Fprintf(b, "  size:      %d pages", r.Pages)
 	if r.TailBytes != 0 {
-		fmt.Fprintf(&b, " + %d-byte torn tail", r.TailBytes)
+		fmt.Fprintf(b, " + %d-byte torn tail", r.TailBytes)
 	}
 	b.WriteString("\n")
 	if r.Checksummed {
-		fmt.Fprintf(&b, "  checksums: %d pages scanned, %d bad", r.Scanned, r.BadPageCount)
+		fmt.Fprintf(b, "  checksums: %d pages scanned, %d bad", r.Scanned, r.BadPageCount)
 		if r.FreePages > 0 {
-			fmt.Fprintf(&b, ", %d free (never written)", r.FreePages)
+			fmt.Fprintf(b, ", %d free (never written)", r.FreePages)
 		}
 		if r.BadPageCount > 0 {
 			if r.HealedPages > 0 {
-				fmt.Fprintf(&b, " (%d healable from wal)", r.HealedPages)
+				fmt.Fprintf(b, " (%d healable from wal)", r.HealedPages)
 			}
-			fmt.Fprintf(&b, " (pages %v", r.BadPages)
+			fmt.Fprintf(b, " (pages %v", r.BadPages)
 			if r.BadPageCount > len(r.BadPages) {
-				fmt.Fprintf(&b, " and %d more", r.BadPageCount-len(r.BadPages))
+				fmt.Fprintf(b, " and %d more", r.BadPageCount-len(r.BadPages))
 			}
 			b.WriteString(")")
 		}
 		b.WriteString("\n")
 	}
 	if r.WALErr != "" {
-		fmt.Fprintf(&b, "  wal:       BAD (%s)\n", r.WALErr)
+		fmt.Fprintf(b, "  wal:       BAD (%s)\n", r.WALErr)
 	} else if r.WALPresent {
 		if r.WALRecords == 0 && r.WALTornBytes == 0 {
-			fmt.Fprintf(&b, "  wal:       empty\n")
+			fmt.Fprintf(b, "  wal:       empty\n")
 		} else {
-			fmt.Fprintf(&b, "  wal:       %d pending records, %d bytes", r.WALRecords, r.WALBytes)
+			fmt.Fprintf(b, "  wal:       %d pending records, %d bytes", r.WALRecords, r.WALBytes)
 			if r.WALTornBytes > 0 {
-				fmt.Fprintf(&b, " + %d-byte torn tail (crashed append; truncated on next open)", r.WALTornBytes)
+				fmt.Fprintf(b, " + %d-byte torn tail (crashed append; truncated on next open)", r.WALTornBytes)
 			}
 			b.WriteString("\n")
 		}
 	}
-	if r.OpenErr != "" {
-		fmt.Fprintf(&b, "  open:      BAD (%s)\n", r.OpenErr)
-	} else if r.IntegrityErr != "" {
-		fmt.Fprintf(&b, "  integrity: BAD (%s)\n", r.IntegrityErr)
-	} else {
-		fmt.Fprintf(&b, "  structure: ok\n")
-	}
-	if r.OK() {
-		fmt.Fprintf(&b, "result: OK\n")
-	} else {
-		fmt.Fprintf(&b, "result: CORRUPT\n")
-	}
-	return b.String()
 }
 
-// CheckFile scrubs the database file at path: it validates the raw
-// header, detects a torn tail, checksum-verifies every page (for
-// checksummed files), and runs the full structural integrity pass
-// (OpenFile + Verify). A shard manifest is validated and every shard
-// file scrubbed individually (each is a complete page file), then the
-// combined scatter-gather open runs; any damage is reported against the
-// shard that carries it. The files are only read. The returned error is
-// non-nil only when the file cannot be examined at all (e.g. it does not
-// exist); corruption is reported in the CheckReport, not as an error.
+// CheckFile scrubs the database at path: for each of its page files it
+// validates the raw header, detects a torn tail, reads the write-ahead
+// log and checksum-verifies every page (for checksummed files); then it
+// runs the full structural integrity pass (a read-only open + Verify)
+// over the whole database. At one page file the results fill the report
+// itself; behind a manifest each shard file gets its own sub-report in
+// Shards, so damage is always pinned to the shard that carries it. The
+// files are only read. The returned error is non-nil only when path
+// cannot be examined at all (e.g. it does not exist); corruption,
+// including a torn or empty manifest, is reported in the CheckReport,
+// not as an error.
 func CheckFile(path string) (*CheckReport, error) {
 	if _, err := os.Stat(path); err != nil {
 		return nil, fmt.Errorf("tsq: check: %w", err)
 	}
-	magic, err := sniffMagic(path)
+	files, err := resolveFiles(path)
 	if err != nil {
-		return nil, fmt.Errorf("tsq: check: %w", err)
+		return &CheckReport{Path: path, ManifestErr: err.Error()}, nil
 	}
-	if magic == manifestMagic {
-		return checkShardedFile(path)
-	}
-	return checkSingleFile(path)
-}
-
-// checkShardedFile scrubs a manifest and its shard files.
-func checkShardedFile(path string) (*CheckReport, error) {
-	r := &CheckReport{Path: path}
-	mi, err := readManifest(path)
-	if err != nil {
-		r.ManifestErr = err.Error()
-		return r, nil
-	}
-	r.ShardCount = mi.shards
-	for i := 0; i < mi.shards; i++ {
-		sp := shardPath(path, i)
-		sub, err := checkSingleFile(sp)
-		if err != nil {
-			// A missing or unreadable shard file is corruption of the
-			// sharded database, not an examination failure.
-			sub = &CheckReport{Path: sp, HeaderErr: err.Error()}
+	r, reports := files.newReport()
+	for i, p := range files.paths {
+		if err := reports[i].scrubFile(p); err != nil {
+			return nil, err
 		}
-		r.Shards = append(r.Shards, sub)
 	}
-	// Combined structural pass: the scatter-gather open cross-checks the
-	// shard files against each other (matching n/k, counts matching the
-	// partition function) — corruption no single-shard scrub can see.
-	// Scrub mode keeps every shard file and WAL untouched.
+	if r.HeaderErr != "" {
+		return r, nil // no trusted page size: nothing sound to open
+	}
+	// Structural pass: a full open plus index/heap verification. This
+	// is what catches corruption checksums cannot see (a logically
+	// inconsistent but correctly-written file, shard files that
+	// contradict the manifest or each other) and everything in
+	// pre-checksum files. The scrub-mode open replays pending WAL
+	// records into a memory overlay, so the pass judges the state the
+	// next real open would recover to — while the files and the logs
+	// stay untouched.
 	db, err := openFileAny(path, nil, openScrub)
 	if err != nil {
 		r.OpenErr = err.Error()
+		var se *shardError
+		if errors.As(err, &se) {
+			reports[se.shard].OpenErr = se.err.Error()
+		}
 		return r, nil
 	}
 	defer func() { _ = db.Close() }() // read-only scrub
 	if err := db.Verify(); err != nil {
 		r.IntegrityErr = err.Error()
+		for i, sub := range reports {
+			if err := db.ix.Shard(i).Verify(); err != nil {
+				sub.IntegrityErr = err.Error()
+			}
+		}
 	}
 	return r, nil
 }
 
-// checkSingleFile scrubs one page file (a whole single-file database or
-// one shard, which is itself a complete database over shard-local ids).
-func checkSingleFile(path string) (*CheckReport, error) {
-	r := &CheckReport{Path: path}
+// newReport returns the empty scrub report of the database and the
+// report each page file's results go into: the report itself for one
+// page file, one sub-report in Shards per shard file behind a manifest.
+func (files dbFiles) newReport() (*CheckReport, []*CheckReport) {
+	r := &CheckReport{Path: files.path}
+	if files.mi == nil {
+		return r, []*CheckReport{r}
+	}
+	r.ShardCount = files.mi.shards
+	for _, p := range files.paths {
+		r.Shards = append(r.Shards, &CheckReport{Path: p})
+	}
+	return r, r.Shards
+}
+
+// scrubFile runs the physical passes over one page file: raw header,
+// torn tail, write-ahead log, page checksums. The returned error means
+// the file could not be examined at all.
+func (r *CheckReport) scrubFile(path string) error {
 	st, err := os.Stat(path)
 	if err != nil {
-		return nil, fmt.Errorf("tsq: check: %w", err)
+		// A missing shard file is corruption of the database, not an
+		// examination failure.
+		r.HeaderErr = fmt.Errorf("tsq: check: %w", err).Error()
+		return nil
 	}
-	physPageSize, flags, err := readRawHeader(path)
-	if err != nil {
+	if r.PageSize, r.Checksummed, err = readRawHeader(path); err != nil {
 		r.HeaderErr = err.Error()
-		return r, nil
+		return nil
 	}
-	r.PageSize = physPageSize
-	r.Checksummed = flags&rawFlagChecksums != 0
-	r.Pages = int(st.Size() / int64(physPageSize))
-	r.TailBytes = int(st.Size() % int64(physPageSize))
+	r.Pages = int(st.Size() / int64(r.PageSize))
+	r.TailBytes = int(st.Size() % int64(r.PageSize))
 
 	// Write-ahead log scrub: scan the log without repairing it, and
 	// collect the pages whose after-images it still holds — a checksum
@@ -280,30 +277,10 @@ func checkSingleFile(path string) (*CheckReport, error) {
 			}
 		}
 	}
-
 	if r.Checksummed {
-		if err := r.scanChecksums(path, covered); err != nil {
-			return nil, err
-		}
+		return r.scanChecksums(path, covered)
 	}
-
-	// Structural pass: a full open plus index/heap verification. This
-	// is what catches corruption checksums cannot see (a logically
-	// inconsistent but correctly-written file) and everything in
-	// pre-checksum files. The scrub-mode open replays pending WAL
-	// records into a memory overlay, so the pass judges the state the
-	// next real open would recover to — while the file and the log stay
-	// untouched.
-	db, err := openFile(path, nil, openScrub)
-	if err != nil {
-		r.OpenErr = err.Error()
-		return r, nil
-	}
-	defer func() { _ = db.Close() }() // read-only scrub
-	if err := db.Verify(); err != nil {
-		r.IntegrityErr = err.Error()
-	}
-	return r, nil
+	return nil
 }
 
 // scanChecksums verifies the trailer of every full page after the

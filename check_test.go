@@ -184,3 +184,50 @@ func TestUncheckedFormatAnswersIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFileReportsTornManifest: the manifest is written with
+// O_TRUNC, so a crash can leave it empty or short. That is corruption
+// to report, not a failure to examine the file.
+func TestCheckFileReportsTornManifest(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "m.tsq")
+	db, err := CreateFile(src, datagen.RandomWalks(5, 30, 16), nil, Options{PageSize: 1024, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		size       int
+		wantHeader bool // too short to carry a magic: the header pass reports it
+	}{
+		{size: 0, wantHeader: true},
+		{size: 2, wantHeader: true},
+		{size: 35},
+	} {
+		path := filepath.Join(t.TempDir(), "m.tsq")
+		if err := os.WriteFile(path, manifest[:tc.size], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := CheckFile(path)
+		if err != nil {
+			t.Fatalf("%d-byte manifest: CheckFile returned an error instead of a report: %v", tc.size, err)
+		}
+		if r.OK() || !strings.Contains(r.String(), "result: CORRUPT") {
+			t.Fatalf("%d-byte manifest passed the scrub:\n%s", tc.size, r)
+		}
+		if got := r.HeaderErr != ""; got != tc.wantHeader {
+			t.Errorf("%d-byte manifest: HeaderErr %q, ManifestErr %q", tc.size, r.HeaderErr, r.ManifestErr)
+		}
+		if !tc.wantHeader && r.ManifestErr == "" {
+			t.Errorf("%d-byte manifest: no ManifestErr:\n%s", tc.size, r)
+		}
+		if _, err := OpenFile(path); err == nil {
+			t.Errorf("%d-byte manifest opened", tc.size)
+		}
+	}
+}

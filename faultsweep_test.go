@@ -138,7 +138,7 @@ func TestFaultSweepDiskQueries(t *testing.T) {
 	// Reopen with a FaultBackend at the "disk" position: beneath the
 	// checksum layer, where real media faults happen.
 	var fb *storage.FaultBackend
-	re, err := openFile(path, func(b storage.Backend) storage.Backend {
+	re, err := openFileAny(path, func(b storage.Backend) storage.Backend {
 		fb = storage.NewFaultBackend(b, 13)
 		return fb
 	}, openRW)

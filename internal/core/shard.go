@@ -63,8 +63,12 @@ func shardLayout(total int64, n int) (local []int64, global [][]int64) {
 // ShardOf. Each local record is a shallow copy of the global one with
 // its ID rewritten to the local ordinal (the series, spectra and name
 // are shared, not duplicated). The dataset must be tombstone-free —
-// partitioning happens at build time, before any delete.
+// partitioning happens at build time, before any delete. One shard (n
+// <= 1) is ds itself, not a copy.
 func PartitionDataset(ds *Dataset, n int) ([]*Dataset, error) {
+	if n <= 1 {
+		return []*Dataset{ds}, nil
+	}
 	local, _ := shardLayout(int64(len(ds.Records)), n)
 	out := make([]*Dataset, n)
 	for s := 0; s < n; s++ {

@@ -1,13 +1,24 @@
 package tsq
 
-// Persistence: a DB can live in a single page file on disk — the record
-// heap, the R*-tree, and a superblock tying them together — and be
-// reopened without rebuilding the index. File-backed databases are always
-// "paged": candidate verification retrieves record pages through the
-// storage manager, so the disk-access statistics cover the full Eq. 18
-// retrieval path.
+// Persistence: a DB lives on disk as N >= 1 page files — each one the
+// record heap, the R*-tree and a superblock tying them together for one
+// shard — and reopens without rebuilding the index. File-backed
+// databases are always "paged": candidate verification retrieves record
+// pages through the storage manager, so the disk-access statistics cover
+// the full Eq. 18 retrieval path.
 //
-// File layout: a 16-byte raw header in the reserved page-0 region
+// Which files make up the database at path is decided in one place
+// (dbFiles): path itself when N = 1, or path.shard0..N-1 behind a small
+// CRC-protected manifest (magic "TSQM") at path when N > 1, naming the
+// shard count and the index parameters. CreateFile, OpenFile (recovery
+// included) and CheckFile are each one loop over those files, followed
+// by core.AssembleShards. N = 1 writes no manifest. The global<->local
+// id mapping is a pure function of the total record count and the
+// partition function, so it is re-derived on open and cross-checked
+// against the shard files; every manifest field is checked against each
+// shard's superblock.
+//
+// Page file layout: a 16-byte raw header in the reserved page-0 region
 // (magic + page size + format flags, so OpenFile can size the backend),
 // the superblock on page 1, and heap/tree pages after it.
 //
@@ -19,31 +30,27 @@ package tsq
 // logical pages 8 bytes smaller. Files written without the flag (PR 4
 // and earlier) reopen transparently with no checksum layer.
 //
-// Durability: CreateFile syncs the page image before writing the raw
-// header, and syncs the header before returning — the header acts as a
+// Durability: creating a page file truncates whatever file was at its
+// path (and removes its WAL) before the first page write, syncs the page
+// image, then writes and syncs the raw header — the header acts as a
 // commit record, so a crash mid-create leaves a file OpenFile rejects
-// (no magic) rather than a plausible-looking torn database.
-//
-// Sharded layout (Options.Shards > 1): each shard is a complete
-// single-shard page file at <path>.shard<i> — same format, same commit
-// protocol, records carrying shard-local ids — and <path> itself holds
-// a small CRC-protected manifest (magic "TSQM") naming the shard count
-// and the index parameters. The global<->local id mapping is a pure
-// function of the total record count and the partition function, so it
-// is re-derived on open and cross-checked against the shard files.
-// Commit order: every shard file is fully committed first, the manifest
-// is written and synced last — a crash anywhere mid-create leaves
-// either no manifest (OpenFile: not a tsq database), a torn manifest
-// (CRC reject), or a manifest whose named shard file fails its own
+// (no magic) rather than a plausible-looking torn database, and no page
+// of an older database survives past the new one's end. The manifest is
+// written and synced last, after every shard file has committed: a
+// crash anywhere mid-create leaves no manifest (OpenFile: not a tsq
+// database), a torn one (CRC reject; CheckFile reports an empty or
+// short one as corruption), or one whose named shard file fails its own
 // header/checksum validation with a shard-identifying error. A
-// partially-visible DB is never constructible. Single-shard files are
-// written and opened in the classic TSQF format, unchanged.
+// partially-visible database is never constructible.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
+	"sync"
 
 	"tsq/internal/core"
 	"tsq/internal/obs"
@@ -70,13 +77,48 @@ const (
 	superFlagChecksums = 1 << 1 // mirrors rawFlagChecksums; cross-checked on open
 )
 
-// superInfo is the decoded superblock.
-type superInfo struct {
+// indexParams are the index parameters the superblock and the manifest
+// both carry, encoded alike in each: n, k and the flags word, 12 bytes.
+type indexParams struct {
 	n, k        int
 	symmetry    bool
 	checksummed bool
-	treeMeta    storage.PageID
-	heapDir     storage.PageID
+}
+
+func (p indexParams) put(buf []byte) {
+	var flags uint32
+	if p.symmetry {
+		flags |= superFlagSymmetry
+	}
+	if p.checksummed {
+		flags |= superFlagChecksums
+	}
+	binary.LittleEndian.PutUint32(buf, uint32(p.n))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(p.k))
+	binary.LittleEndian.PutUint32(buf[8:], flags)
+}
+
+func getParams(buf []byte) indexParams {
+	flags := binary.LittleEndian.Uint32(buf[8:])
+	return indexParams{
+		n:           int(binary.LittleEndian.Uint32(buf)),
+		k:           int(binary.LittleEndian.Uint32(buf[4:])),
+		symmetry:    flags&superFlagSymmetry != 0,
+		checksummed: flags&superFlagChecksums != 0,
+	}
+}
+
+// params are the index parameters a database of series length n
+// created with opts records on disk.
+func (opts Options) params(n int) indexParams {
+	return indexParams{n: n, k: opts.K, symmetry: !opts.DisableSymmetry, checksummed: !opts.DisableChecksums}
+}
+
+// superInfo is the decoded superblock.
+type superInfo struct {
+	indexParams
+	treeMeta storage.PageID
+	heapDir  storage.PageID
 }
 
 // Superblock layout (page 1, little endian):
@@ -89,16 +131,7 @@ type superInfo struct {
 //	offset 20: heap directory page (uint32)
 func encodeSuper(buf []byte, si superInfo) {
 	copy(buf, superMagic[:])
-	binary.LittleEndian.PutUint32(buf[4:], uint32(si.n))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(si.k))
-	var flags uint32
-	if si.symmetry {
-		flags |= superFlagSymmetry
-	}
-	if si.checksummed {
-		flags |= superFlagChecksums
-	}
-	binary.LittleEndian.PutUint32(buf[12:], flags)
+	si.put(buf[4:])
 	binary.LittleEndian.PutUint32(buf[16:], uint32(si.treeMeta))
 	binary.LittleEndian.PutUint32(buf[20:], uint32(si.heapDir))
 }
@@ -111,11 +144,7 @@ func decodeSuper(buf []byte) (superInfo, error) {
 	if [4]byte(buf[:4]) != superMagic {
 		return si, fmt.Errorf("tsq: bad superblock magic %q", buf[:4])
 	}
-	si.n = int(binary.LittleEndian.Uint32(buf[4:]))
-	si.k = int(binary.LittleEndian.Uint32(buf[8:]))
-	flags := binary.LittleEndian.Uint32(buf[12:])
-	si.symmetry = flags&superFlagSymmetry != 0
-	si.checksummed = flags&superFlagChecksums != 0
+	si.indexParams = getParams(buf[4:])
 	si.treeMeta = storage.PageID(binary.LittleEndian.Uint32(buf[16:]))
 	si.heapDir = storage.PageID(binary.LittleEndian.Uint32(buf[20:]))
 	if si.n <= 0 {
@@ -133,10 +162,9 @@ func decodeSuper(buf []byte) (superInfo, error) {
 	return si, nil
 }
 
-// CreateFile builds a database in a page file at path (or, with
-// Options.Shards > 1, per-shard page files behind a manifest at path).
-// The files hold the records and the index; reopen with OpenFile. The
-// returned DB must be closed.
+// CreateFile builds a database in Options.Shards page files (one when
+// Shards is 0 or 1) holding the records and the index; reopen with
+// OpenFile. The returned DB must be closed.
 func CreateFile(path string, ss []Series, names []string, opts Options) (*DB, error) {
 	return createFile(path, ss, names, opts, nil)
 }
@@ -156,18 +184,68 @@ func createFile(path string, ss []Series, names []string, opts Options, wrap fun
 	if err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 {
-		return createShardedFiles(path, ds, opts, wrap)
-	}
-	ix, err := createShardFile(path, ds, opts, wrap)
+	files := newFiles(path, manifestInfo{shards: opts.Shards, indexParams: opts.params(ds.N)})
+	locals, err := core.PartitionDataset(ds, len(files.paths))
 	if err != nil {
 		return nil, err
 	}
-	return &DB{ds: ds, ix: core.WrapIndex(ix)}, nil
+	// Shard files share nothing, so they are built in parallel — one at
+	// a time under a fault hook, which must see a deterministic write
+	// sequence. On error the managers are closed but partial files stay:
+	// without the manifest the set is unopenable, and it is exactly the
+	// image a crash would leave, which the fault sweeps examine.
+	shards := make([]*core.Index, len(files.paths))
+	errs := make([]error, len(files.paths))
+	var wg sync.WaitGroup
+	for i, p := range files.paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shards[i], errs[i] = createShardFile(p, locals[i], opts, wrap)
+		}()
+		if wrap != nil {
+			wg.Wait()
+			if errs[i] != nil {
+				break // an injected fault ends the run, as a crash would
+			}
+		}
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			closeIndexes(shards)
+			return nil, files.shardErr(i, err)
+		}
+	}
+	if err := files.writeManifest(); err != nil {
+		closeIndexes(shards)
+		return nil, err
+	}
+	return assemble(shards)
+}
+
+// assemble puts opened shard indexes together as a DB, closing them if
+// they do not fit.
+func assemble(shards []*core.Index) (*DB, error) {
+	sh, err := core.AssembleShards(shards)
+	if err != nil {
+		closeIndexes(shards)
+		return nil, fmt.Errorf("tsq: %w", err)
+	}
+	return &DB{ds: sh.Dataset(), ix: sh}, nil
+}
+
+// closeIndexes closes every non-nil index.
+func closeIndexes(shards []*core.Index) {
+	for _, ix := range shards {
+		if ix != nil {
+			_ = ix.Close()
+		}
+	}
 }
 
 // walPath names the write-ahead log that protects the page file at
-// path (one per shard file in the sharded layout).
+// path (one per shard file).
 func walPath(path string) string { return path + ".wal" }
 
 // mWALFsync is the group-commit fsync latency histogram; the hook is
@@ -186,45 +264,40 @@ func openWAL(path string) (*wal.Log, []wal.Record, error) {
 	return wlog, pending, nil
 }
 
-// createShardFile writes one complete single-shard page file at path
-// from a ready dataset, returning its opened index with a fresh WAL
-// attached. On error the storage manager is closed.
-func createShardFile(path string, ds *core.Dataset, opts Options, wrap func(storage.Backend) storage.Backend) (*core.Index, error) {
+// createShardFile writes one complete page file at path from a ready
+// dataset, returning its opened index with a fresh WAL attached. On
+// error the storage manager is closed.
+func createShardFile(path string, ds *core.Dataset, opts Options, wrap func(storage.Backend) storage.Backend) (ix *core.Index, err error) {
 	// A WAL left over from a previous database at this path would replay
 	// foreign pages into the new file on reopen: remove it before the
 	// first page write, and create the fresh log only after the header
-	// commits.
+	// commits. The previous file's pages go too, or a smaller database
+	// would keep them past its end.
 	if err := os.Remove(walPath(path)); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("tsq: removing stale write-ahead log: %w", err)
 	}
-	physPageSize := opts.PageSize
-	fileBackend, err := storage.NewFileBackend(path, physPageSize)
+	if err := os.Truncate(path, 0); err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("tsq: truncating page file: %w", err)
+	}
+	staged, pageSize, err := pageStack(path, opts.PageSize, !opts.DisableChecksums, wrap)
 	if err != nil {
 		return nil, err
 	}
-	var backend storage.Backend = fileBackend
-	if wrap != nil {
-		backend = wrap(backend)
-	}
-	pageSize := physPageSize
-	if !opts.DisableChecksums {
-		cb := storage.NewChecksumBackend(backend, physPageSize)
-		backend = cb
-		pageSize = cb.LogicalPageSize()
-	}
-	staged := storage.NewStagedBackend(backend)
-	backend = staged
 	mgr := storage.NewManager(storage.Options{
 		PageSize:    pageSize,
 		BufferPages: opts.BufferPages,
-		Backend:     backend,
+		Backend:     staged,
 	})
+	defer func() {
+		if err != nil {
+			_ = mgr.Close()
+		}
+	}()
 	superID, err := mgr.Alloc()
 	if err != nil {
-		_ = mgr.Close()
 		return nil, err
 	}
-	ix, err := core.BuildIndex(ds, core.IndexOptions{
+	ix, err = core.BuildIndex(ds, core.IndexOptions{
 		K:           opts.K,
 		PageSize:    pageSize,
 		UseSymmetry: !opts.DisableSymmetry,
@@ -233,20 +306,15 @@ func createShardFile(path string, ds *core.Dataset, opts Options, wrap func(stor
 		BulkLoad:    opts.BulkLoad && len(ds.Records) > 0,
 	})
 	if err != nil {
-		_ = mgr.Close()
 		return nil, err
 	}
 	buf := make([]byte, pageSize)
 	encodeSuper(buf, superInfo{
-		n:           ds.N,
-		k:           opts.K,
-		symmetry:    !opts.DisableSymmetry,
-		checksummed: !opts.DisableChecksums,
+		indexParams: opts.params(ds.N),
 		treeMeta:    ix.Tree().MetaID(),
 		heapDir:     ix.Heap().DirHead(),
 	})
 	if err := mgr.Write(superID, buf); err != nil {
-		_ = mgr.Close()
 		return nil, err
 	}
 	// Commit protocol: sync the page image, then write and sync the raw
@@ -254,25 +322,38 @@ func createShardFile(path string, ds *core.Dataset, opts Options, wrap func(stor
 	// any point before the final sync leaves a file that is rejected
 	// (or scrubbed) rather than silently half-built.
 	if err := mgr.Sync(); err != nil {
-		_ = mgr.Close()
 		return nil, err
 	}
-	var flags uint32
-	if !opts.DisableChecksums {
-		flags |= rawFlagChecksums
-	}
-	if err := writeRawHeader(path, physPageSize, flags); err != nil {
-		_ = mgr.Close()
+	if err := writeRawHeader(path, opts.PageSize, !opts.DisableChecksums); err != nil {
 		return nil, err
 	}
 	// The file is committed; arm the online write path.
 	wlog, _, err := openWAL(path)
 	if err != nil {
-		_ = mgr.Close()
 		return nil, err
 	}
 	ix.AttachWAL(wlog, staged)
 	return ix, nil
+}
+
+// pageStack opens the backend stack over one page file: the file, the
+// fault hook when set, the checksum layer when the format has one, and
+// the staging overlay the WAL commits through. It returns the logical
+// page size the layers above it see.
+func pageStack(path string, physPageSize int, checksummed bool, wrap func(storage.Backend) storage.Backend) (*storage.StagedBackend, int, error) {
+	fileBackend, err := storage.NewFileBackend(path, physPageSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	var backend storage.Backend = fileBackend
+	if wrap != nil {
+		backend = wrap(backend)
+	}
+	if !checksummed {
+		return storage.NewStagedBackend(backend), physPageSize, nil
+	}
+	cb := storage.NewChecksumBackend(backend, physPageSize)
+	return storage.NewStagedBackend(cb), cb.LogicalPageSize(), nil
 }
 
 // shardPath names shard i's page file of the sharded database at path.
@@ -280,82 +361,93 @@ func shardPath(path string, i int) string {
 	return fmt.Sprintf("%s.shard%d", path, i)
 }
 
-// createShardedFiles writes an Options.Shards-way sharded database:
-// every shard a complete single-shard page file, committed before the
-// manifest at path is written last.
-func createShardedFiles(path string, ds *core.Dataset, opts Options, wrap func(storage.Backend) storage.Backend) (*DB, error) {
-	locals, err := core.PartitionDataset(ds, opts.Shards)
+// dbFiles is the one decision about which page files make up the
+// database at path: path itself when it holds a page file, or
+// path.shard0..N-1 when it holds a manifest. Only this type, its
+// constructors and the manifest writer know which; create, open and
+// scrub each loop over paths.
+type dbFiles struct {
+	path  string
+	paths []string
+	mi    *manifestInfo // nil for one page file, which has no manifest
+}
+
+// newFiles lays out a database of mi.shards page files at path; 0 or 1
+// shards is the lone page file at path itself.
+func newFiles(path string, mi manifestInfo) dbFiles {
+	if mi.shards <= 1 {
+		return dbFiles{path: path, paths: []string{path}}
+	}
+	files := dbFiles{path: path, mi: &mi}
+	for i := range mi.shards {
+		files.paths = append(files.paths, shardPath(path, i))
+	}
+	return files
+}
+
+// resolveFiles reads the layout of the database at path: a manifest
+// names its shard files, and anything else is taken for a page file,
+// whose own header validation reports a non-database.
+func resolveFiles(path string) (dbFiles, error) {
+	head, err := readHead(path, manifestSize)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return dbFiles{}, err
+	}
+	if len(head) < len(manifestMagic) || [4]byte(head[:4]) != manifestMagic {
+		return newFiles(path, manifestInfo{}), nil
+	}
+	mi, err := decodeManifest(head)
 	if err != nil {
-		return nil, err
+		return dbFiles{}, err
 	}
-	shards := make([]*core.Index, opts.Shards)
-	// On error, close the managers but leave any partial shard files on
-	// disk (matching the single-file path): the manifest is only written
-	// after every shard commits, so the partial set is unopenable — and
-	// it is exactly the image a crash would leave, which the fault sweep
-	// examines.
-	cleanup := func() {
-		for _, ix := range shards {
-			if ix != nil {
-				_ = ix.Close()
-			}
-		}
+	return newFiles(path, mi), nil
+}
+
+// shardErr names shard i's file in err; the lone page file's errors are
+// the database's own.
+func (files dbFiles) shardErr(i int, err error) error {
+	if files.mi == nil {
+		return err
 	}
-	if wrap == nil {
-		// Parallel shard build: each file has its own backend, manager
-		// and tree, so the builds share nothing.
-		errs := make([]error, opts.Shards)
-		done := make(chan int, opts.Shards)
-		for i := 0; i < opts.Shards; i++ {
-			go func(i int) {
-				shards[i], errs[i] = createShardFile(shardPath(path, i), locals[i], opts, nil)
-				done <- i
-			}(i)
-		}
-		for i := 0; i < opts.Shards; i++ {
-			<-done
-		}
-		for i, err := range errs {
-			if err != nil {
-				cleanup()
-				return nil, fmt.Errorf("tsq: creating shard %d: %w", i, err)
-			}
-		}
-	} else {
-		// Fault-injection builds run serially so the hook observes a
-		// deterministic write sequence.
-		for i := 0; i < opts.Shards; i++ {
-			shards[i], err = createShardFile(shardPath(path, i), locals[i], opts, wrap)
-			if err != nil {
-				cleanup()
-				return nil, fmt.Errorf("tsq: creating shard %d: %w", i, err)
-			}
-		}
+	return &shardError{shard: i, path: files.paths[i], err: err}
+}
+
+// shardError is an error from one shard file of a sharded database.
+type shardError struct {
+	shard int
+	path  string
+	err   error
+}
+
+func (e *shardError) Error() string {
+	return fmt.Sprintf("tsq: shard %d (%s): %v", e.shard, e.path, e.err)
+}
+
+func (e *shardError) Unwrap() error { return e.err }
+
+// check compares a shard's superblock with every field the manifest
+// carries.
+func (files dbFiles) check(si superInfo) error {
+	mi := files.mi
+	switch {
+	case mi == nil:
+		return nil
+	case si.n != mi.n:
+		return fmt.Errorf("series length %d, manifest says %d", si.n, mi.n)
+	case si.k != mi.k:
+		return fmt.Errorf("k=%d, manifest says %d", si.k, mi.k)
+	case si.symmetry != mi.symmetry:
+		return fmt.Errorf("symmetry=%v, manifest says %v", si.symmetry, mi.symmetry)
+	case si.checksummed != mi.checksummed:
+		return fmt.Errorf("checksums=%v, manifest says %v", si.checksummed, mi.checksummed)
 	}
-	if err := writeManifest(path, manifestInfo{
-		shards:      opts.Shards,
-		n:           ds.N,
-		k:           opts.K,
-		symmetry:    !opts.DisableSymmetry,
-		checksummed: !opts.DisableChecksums,
-	}); err != nil {
-		cleanup()
-		return nil, err
-	}
-	sh, err := core.AssembleShards(shards)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	return &DB{ds: sh.Dataset(), ix: sh}, nil
+	return nil
 }
 
 // manifestInfo is the decoded shard manifest.
 type manifestInfo struct {
-	shards      int
-	n, k        int
-	symmetry    bool
-	checksummed bool
+	shards int
+	indexParams
 }
 
 // Manifest layout (little endian, 36 bytes):
@@ -379,16 +471,7 @@ func encodeManifest(mi manifestInfo) []byte {
 	copy(buf, manifestMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:], 1)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(mi.shards))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(mi.n))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(mi.k))
-	var flags uint32
-	if mi.symmetry {
-		flags |= superFlagSymmetry
-	}
-	if mi.checksummed {
-		flags |= superFlagChecksums
-	}
-	binary.LittleEndian.PutUint32(buf[20:], flags)
+	mi.put(buf[12:])
 	binary.LittleEndian.PutUint32(buf[32:], crc32.Checksum(buf[:32], crc32.MakeTable(crc32.Castagnoli)))
 	return buf
 }
@@ -408,11 +491,7 @@ func decodeManifest(buf []byte) (manifestInfo, error) {
 		return mi, fmt.Errorf("tsq: unsupported shard manifest version %d", v)
 	}
 	mi.shards = int(binary.LittleEndian.Uint32(buf[8:]))
-	mi.n = int(binary.LittleEndian.Uint32(buf[12:]))
-	mi.k = int(binary.LittleEndian.Uint32(buf[16:]))
-	flags := binary.LittleEndian.Uint32(buf[20:])
-	mi.symmetry = flags&superFlagSymmetry != 0
-	mi.checksummed = flags&superFlagChecksums != 0
+	mi.indexParams = getParams(buf[12:])
 	if mi.shards < 2 || mi.shards > 1<<16 {
 		return mi, fmt.Errorf("tsq: corrupt shard manifest: implausible shard count %d", mi.shards)
 	}
@@ -422,46 +501,47 @@ func decodeManifest(buf []byte) (manifestInfo, error) {
 	return mi, nil
 }
 
-// writeManifest commits the shard manifest: written in one call and
-// synced, after every shard file is already durable.
-func writeManifest(path string, mi manifestInfo) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeManifest commits the manifest of a sharded database: written in
+// one call and synced, after every shard file is already durable. One
+// page file has no manifest.
+func (files dbFiles) writeManifest() error {
+	if files.mi == nil {
+		return nil
+	}
+	return writeSynced(files.path, os.O_CREATE|os.O_TRUNC, encodeManifest(*files.mi), "shard manifest")
+}
+
+// writeSynced writes data at the start of path in one call and syncs it.
+func writeSynced(path string, flag int, data []byte, what string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|flag, 0o644)
 	if err != nil {
 		return fmt.Errorf("tsq: %w", err)
 	}
-	if _, err := f.WriteAt(encodeManifest(mi), 0); err != nil {
+	if _, err := f.WriteAt(data, 0); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("tsq: writing shard manifest: %w", err)
+		return fmt.Errorf("tsq: writing %s: %w", what, err)
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("tsq: syncing shard manifest: %w", err)
+		return fmt.Errorf("tsq: syncing %s: %w", what, err)
 	}
 	return f.Close()
 }
 
-// readManifest loads and validates the shard manifest at path.
-func readManifest(path string) (manifestInfo, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return manifestInfo{}, fmt.Errorf("tsq: %w", err)
-	}
-	return decodeManifest(buf)
-}
-
-// sniffMagic reads the first four bytes of a file, distinguishing the
-// single-file format (TSQF) from a shard manifest (TSQM).
-func sniffMagic(path string) ([4]byte, error) {
-	var magic [4]byte
+// readHead reads up to n bytes from the start of path; a file shorter
+// than n returns what it holds and an error wrapping io.EOF.
+func readHead(path string, n int) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return magic, fmt.Errorf("tsq: %w", err)
+		return nil, fmt.Errorf("tsq: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		return magic, fmt.Errorf("tsq: reading file header: %w", err)
+	buf := make([]byte, n)
+	m, err := f.ReadAt(buf, 0)
+	if err != nil {
+		err = fmt.Errorf("tsq: reading file header: %w", err)
 	}
-	return magic, nil
+	return buf[:m], err
 }
 
 // openMode selects how openShardFile treats the write-ahead log.
@@ -478,86 +558,43 @@ const (
 	openScrub
 )
 
-// OpenFile reopens a database created by CreateFile: a classic
-// single-file database or a shard manifest with its per-shard files.
-// Files written with and without page checksums are both recognized
-// (the raw header flags field says which). Recovery runs here: any
-// Insert/Delete that was acknowledged before a crash is replayed from
-// the write-ahead log before the first query sees the index.
+// OpenFile reopens a database created by CreateFile, from one page file
+// or from the shard files its manifest names. Files written with and
+// without page checksums are both recognized (the raw header flags field
+// says which). Recovery runs here: any Insert/Delete that was
+// acknowledged before a crash is replayed from the write-ahead log
+// before the first query sees the index.
 func OpenFile(path string) (*DB, error) {
 	return openFileAny(path, nil, openRW)
 }
 
-// openFileAny dispatches on the leading magic: TSQM opens the sharded
-// layout, anything else takes the single-file path (whose own header
-// validation reports non-databases).
+// openFileAny is OpenFile with the fault-injection hook of createFile
+// and a choice of mode. It opens every page file of the database in
+// order and puts them together. A shard that fails validation or
+// disagrees with the manifest is reported by ordinal and path: a
+// half-written shard set never opens.
 func openFileAny(path string, wrap func(storage.Backend) storage.Backend, mode openMode) (*DB, error) {
-	magic, err := sniffMagic(path)
+	files, err := resolveFiles(path)
 	if err != nil {
 		return nil, err
 	}
-	if magic == manifestMagic {
-		return openShardedFiles(path, wrap, mode)
-	}
-	return openFile(path, wrap, mode)
-}
-
-// openShardedFiles opens every shard file named by the manifest and
-// reassembles the global id space. Any shard that fails validation is
-// reported by ordinal and path — a half-written shard set never opens.
-func openShardedFiles(path string, wrap func(storage.Backend) storage.Backend, mode openMode) (*DB, error) {
-	mi, err := readManifest(path)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]*core.Index, mi.shards)
-	cleanup := func() {
-		for _, ix := range shards {
-			if ix != nil {
-				_ = ix.Close()
-			}
+	shards := make([]*core.Index, 0, len(files.paths))
+	for i, p := range files.paths {
+		ix, si, err := openShardFile(p, wrap, mode)
+		if err == nil {
+			shards = append(shards, ix)
+			err = files.check(si)
 		}
-	}
-	for i := 0; i < mi.shards; i++ {
-		sp := shardPath(path, i)
-		ix, err := openShardFile(sp, wrap, mode)
 		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("tsq: shard %d (%s): %w", i, sp, err)
+			closeIndexes(shards)
+			return nil, files.shardErr(i, err)
 		}
-		if got := ix.Dataset().N; got != mi.n {
-			cleanup()
-			_ = ix.Close()
-			return nil, fmt.Errorf("tsq: shard %d (%s): series length %d, manifest says %d", i, sp, got, mi.n)
-		}
-		if got := ix.Options().K; got != mi.k {
-			cleanup()
-			_ = ix.Close()
-			return nil, fmt.Errorf("tsq: shard %d (%s): k=%d, manifest says %d", i, sp, got, mi.k)
-		}
-		shards[i] = ix
 	}
-	sh, err := core.AssembleShards(shards)
-	if err != nil {
-		cleanup()
-		return nil, fmt.Errorf("tsq: %w", err)
-	}
-	return &DB{ds: sh.Dataset(), ix: sh}, nil
+	return assemble(shards)
 }
 
-// openFile is the single-file open path, with the same fault-injection
-// hook as createFile.
-func openFile(path string, wrap func(storage.Backend) storage.Backend, mode openMode) (*DB, error) {
-	ix, err := openShardFile(path, wrap, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{ds: ix.Dataset(), ix: core.WrapIndex(ix)}, nil
-}
-
-// openShardFile opens one page file (a whole single-file database, or
-// one shard of a sharded one) and returns its index, replaying the
-// write-ahead log first.
+// openShardFile opens one page file and returns its index and its
+// superblock, replaying the write-ahead log first.
 //
 // Recovery is physical redo: each pending record carries the full
 // after-image of every page its operation wrote, so replay rewrites
@@ -565,14 +602,14 @@ func openFile(path string, wrap func(storage.Backend) storage.Backend, mode open
 // and is idempotent — a crash during recovery just replays again. In
 // openScrub mode the images land in the staging overlay instead, so
 // the scrubber sees the healed state without modifying anything.
-func openShardFile(path string, wrap func(storage.Backend) storage.Backend, mode openMode) (*core.Index, error) {
-	physPageSize, flags, err := readRawHeader(path)
+func openShardFile(path string, wrap func(storage.Backend) storage.Backend, mode openMode) (ix *core.Index, si superInfo, err error) {
+	physPageSize, checksummed, err := readRawHeader(path)
 	if err != nil {
-		return nil, err
+		return nil, si, err
 	}
 	st, err := os.Stat(path)
 	if err != nil {
-		return nil, fmt.Errorf("tsq: %w", err)
+		return nil, si, fmt.Errorf("tsq: %w", err)
 	}
 	// Read the log before building the manager: replayed images can lie
 	// past the file's current end (the crash happened before the grown
@@ -580,44 +617,27 @@ func openShardFile(path string, wrap func(storage.Backend) storage.Backend, mode
 	var (
 		wlog    *wal.Log
 		pending []wal.Record
+		mgr     *storage.Manager
 	)
-	if mode == openRW {
-		wlog, pending, err = openWAL(path)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		pending, _, err = wal.ReadPending(walPath(path))
-		if err != nil {
-			return nil, fmt.Errorf("tsq: reading write-ahead log: %w", err)
-		}
-	}
-	closeAll := func(mgr *storage.Manager) {
-		if mgr != nil {
+	defer func() {
+		if err != nil && mgr != nil {
 			_ = mgr.Close()
 		}
-		if wlog != nil {
+		if err != nil && wlog != nil {
 			_ = wlog.Close()
 		}
+	}()
+	if mode == openRW {
+		if wlog, pending, err = openWAL(path); err != nil {
+			return nil, si, err
+		}
+	} else if pending, _, err = wal.ReadPending(walPath(path)); err != nil {
+		return nil, si, fmt.Errorf("tsq: reading write-ahead log: %w", err)
 	}
-	fileBackend, err := storage.NewFileBackend(path, physPageSize)
+	staged, pageSize, err := pageStack(path, physPageSize, checksummed, wrap)
 	if err != nil {
-		closeAll(nil)
-		return nil, err
+		return nil, si, err
 	}
-	var backend storage.Backend = fileBackend
-	if wrap != nil {
-		backend = wrap(backend)
-	}
-	checksummed := flags&rawFlagChecksums != 0
-	pageSize := physPageSize
-	if checksummed {
-		cb := storage.NewChecksumBackend(backend, physPageSize)
-		backend = cb
-		pageSize = cb.LogicalPageSize()
-	}
-	staged := storage.NewStagedBackend(backend)
-	backend = staged
 	// Resume allocation after the last page the file covers — or after
 	// the last page the WAL is about to replay, whichever is further —
 	// so post-reopen inserts cannot overwrite live pages.
@@ -629,9 +649,9 @@ func openShardFile(path string, wrap func(storage.Backend) storage.Backend, mode
 			}
 		}
 	}
-	mgr := storage.NewManager(storage.Options{
+	mgr = storage.NewManager(storage.Options{
 		PageSize:         pageSize,
-		Backend:          backend,
+		Backend:          staged,
 		FirstUnallocated: firstUnallocated,
 	})
 	if mode == openScrub && len(pending) > 0 {
@@ -642,36 +662,30 @@ func openShardFile(path string, wrap func(storage.Backend) storage.Backend, mode
 	for _, rec := range pending {
 		for _, img := range rec.Pages {
 			if err := mgr.Write(img.ID, img.Data); err != nil {
-				closeAll(mgr)
-				return nil, fmt.Errorf("tsq: replaying WAL record %d (page %d): %w", rec.LSN, img.ID, err)
+				return nil, si, fmt.Errorf("tsq: replaying WAL record %d (page %d): %w", rec.LSN, img.ID, err)
 			}
 		}
 	}
 	if mode == openRW && len(pending) > 0 {
 		// Fold the replayed images in and start from an empty log.
 		if err := mgr.Sync(); err != nil {
-			closeAll(mgr)
-			return nil, fmt.Errorf("tsq: syncing replayed WAL records: %w", err)
+			return nil, si, fmt.Errorf("tsq: syncing replayed WAL records: %w", err)
 		}
 		if err := wlog.Checkpoint(); err != nil {
-			closeAll(mgr)
-			return nil, fmt.Errorf("tsq: checkpointing after replay: %w", err)
+			return nil, si, fmt.Errorf("tsq: checkpointing after replay: %w", err)
 		}
 		wal.NoteReplayed(int64(len(pending)))
 	}
 	buf := make([]byte, pageSize)
 	if err := mgr.Read(storage.PageID(1), buf); err != nil {
-		closeAll(mgr)
-		return nil, fmt.Errorf("tsq: reading superblock: %w", err)
+		return nil, si, fmt.Errorf("tsq: reading superblock: %w", err)
 	}
-	si, err := decodeSuper(buf)
+	si, err = decodeSuper(buf)
 	if err != nil {
-		closeAll(mgr)
-		return nil, err
+		return nil, si, err
 	}
 	if si.checksummed != checksummed {
-		closeAll(mgr)
-		return nil, fmt.Errorf("tsq: corrupt file: header says checksums=%v but superblock says checksums=%v",
+		return nil, si, fmt.Errorf("tsq: corrupt file: header says checksums=%v but superblock says checksums=%v",
 			checksummed, si.checksummed)
 	}
 	// The structural roots must lie inside the file, or every later page
@@ -681,75 +695,54 @@ func openShardFile(path string, wrap func(storage.Backend) storage.Backend, mode
 		id   storage.PageID
 	}{{"tree meta", si.treeMeta}, {"heap directory", si.heapDir}} {
 		if ref.id >= firstUnallocated {
-			closeAll(mgr)
-			return nil, fmt.Errorf("tsq: corrupt superblock: %s page %d outside file (%d pages)",
+			return nil, si, fmt.Errorf("tsq: corrupt superblock: %s page %d outside file (%d pages)",
 				ref.name, ref.id, firstUnallocated)
 		}
 	}
-	ix, err := core.OpenIndex(mgr, si.treeMeta, si.heapDir, si.n, core.IndexOptions{
+	ix, err = core.OpenIndex(mgr, si.treeMeta, si.heapDir, si.n, core.IndexOptions{
 		K:           si.k,
 		PageSize:    pageSize,
 		UseSymmetry: si.symmetry,
 	})
 	if err != nil {
-		closeAll(mgr)
-		return nil, err
+		return nil, si, err
 	}
 	if mode == openRW {
 		ix.AttachWAL(wlog, staged)
 	} else {
 		ix.SetReadOnly()
 	}
-	return ix, nil
+	return ix, si, nil
 }
 
 // readRawHeader reads and validates the page-0 raw header, returning
-// the physical page size and the format flags.
-func readRawHeader(path string) (int, uint32, error) {
-	f, err := os.Open(path)
+// the physical page size and whether the pages carry checksums.
+func readRawHeader(path string) (int, bool, error) {
+	header, err := readHead(path, rawHeaderSize)
 	if err != nil {
-		return 0, 0, fmt.Errorf("tsq: %w", err)
-	}
-	header := make([]byte, rawHeaderSize)
-	if _, err := f.ReadAt(header, 0); err != nil {
-		_ = f.Close()
-		return 0, 0, fmt.Errorf("tsq: reading file header: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, 0, fmt.Errorf("tsq: %w", err)
+		return 0, false, err
 	}
 	if [4]byte(header[:4]) != fileMagic {
-		return 0, 0, fmt.Errorf("tsq: %s is not a tsq database (magic %q)", path, header[:4])
+		return 0, false, fmt.Errorf("tsq: %s is not a tsq database (magic %q)", path, header[:4])
 	}
 	pageSize := int(binary.LittleEndian.Uint32(header[4:]))
 	if pageSize < 512 || pageSize > 1<<20 {
-		return 0, 0, fmt.Errorf("tsq: implausible page size %d in %s", pageSize, path)
+		return 0, false, fmt.Errorf("tsq: implausible page size %d in %s", pageSize, path)
 	}
-	flags := binary.LittleEndian.Uint32(header[8:])
-	return pageSize, flags, nil
+	return pageSize, binary.LittleEndian.Uint32(header[8:])&rawFlagChecksums != 0, nil
 }
 
 // writeRawHeader stores the file magic, page size, and format flags in
 // the reserved page-0 region, syncing the file before returning: the
 // header is the create-time commit record.
-func writeRawHeader(path string, pageSize int, flags uint32) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return fmt.Errorf("tsq: %w", err)
-	}
+func writeRawHeader(path string, pageSize int, checksummed bool) error {
 	header := make([]byte, rawHeaderSize)
 	copy(header, fileMagic[:])
 	binary.LittleEndian.PutUint32(header[4:], uint32(pageSize))
-	binary.LittleEndian.PutUint32(header[8:], flags)
-	if _, err := f.WriteAt(header, 0); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("tsq: writing file header: %w", err)
+	if checksummed {
+		binary.LittleEndian.PutUint32(header[8:], rawFlagChecksums)
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("tsq: syncing file header: %w", err)
-	}
-	return f.Close()
+	return writeSynced(path, 0, header, "file header")
 }
 
 // Close releases the storage behind the database. Queries must not be

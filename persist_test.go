@@ -416,3 +416,56 @@ func TestDeleteNeverShrinksTheFile(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateOverLargerDatabase: creating a database where a larger one
+// lies must not keep the old file's pages. With a different page size
+// the stale pages fail their checksums; with the same one they would
+// survive past the new end and allocation would resume after them.
+func TestCreateOverLargerDatabase(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "re.tsq")
+		fresh := filepath.Join(dir, "fresh.tsq")
+		big, err := CreateFile(path, datagen.RandomWalks(3, 600, 64), nil, Options{PageSize: 4096, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := big.Close(); err != nil {
+			t.Fatal(err)
+		}
+		small := datagen.RandomWalks(4, 50, 64)
+		for _, p := range []string{path, fresh} {
+			db, err := CreateFile(p, small, nil, Options{PageSize: 2048, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := CheckFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.OK() {
+			t.Fatalf("shards=%d: database created over a larger one is corrupt:\n%s", shards, r)
+		}
+		files := []string{"re.tsq", "fresh.tsq"}
+		if shards > 1 {
+			files = []string{shardPath("re.tsq", 0), shardPath("fresh.tsq", 0), shardPath("re.tsq", 1), shardPath("fresh.tsq", 1)}
+		}
+		for i := 0; i < len(files); i += 2 {
+			got, err := os.Stat(filepath.Join(dir, files[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.Stat(filepath.Join(dir, files[i+1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Size() != want.Size() {
+				t.Errorf("shards=%d: %s is %d bytes, a fresh create is %d", shards, files[i], got.Size(), want.Size())
+			}
+		}
+	}
+}

@@ -119,52 +119,96 @@ func TestFileBackedAnswersEqualSeqScanWithWorkers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestOpensFileWrittenBeforeChecksumFold opens testdata/pr13.tsq, written
-// by the commit before the page checksum stopped going through
-// crc32.Update and before records were decoded into slots (40 random
-// walks of length 8, 512-byte checksummed pages, K=1, records 7 and 23
-// deleted). Every page must still verify and every record read back.
+// TestOpensFileWrittenBeforeChecksumFold opens database files checked in
+// under testdata, written by older commits, and pins what they hold:
+//
+//   - pr13.tsq, written by the commit before the page checksum stopped
+//     going through crc32.Update and before records were decoded into
+//     slots: 40 random walks of length 8, 512-byte checksummed pages,
+//     K=1, records 7 and 23 deleted.
+//   - sharded2.tsq with sharded2.tsq.shard0 and .shard1, written by the
+//     commit before create, open and scrub became one loop over a
+//     database's page files: a 2-shard manifest over 200 random walks
+//     of length 8, 1 KiB checksummed pages, K=2, records 7 and 150
+//     deleted.
+//
+// Every page must still verify, every record read back, and the index
+// answer as the sequential scan does.
 func TestOpensFileWrittenBeforeChecksumFold(t *testing.T) {
-	image, err := os.ReadFile(filepath.Join("testdata", "pr13.tsq"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "pr13.tsq")
-	if err := os.WriteFile(path, image, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := CheckFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() || !rep.Checksummed || rep.Scanned == 0 {
-		t.Fatalf("scrub of the old file: %+v", rep)
-	}
-	db, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 40 || db.Name(12) != "walk-12" || db.Get(7) != nil || db.Get(23) != nil || len(db.Get(8)) != 8 {
-		t.Fatalf("old file reads back %d ids, name(12)=%q, deleted 7 present=%v", db.Len(), db.Name(12), db.Get(7) != nil)
-	}
-	ts := MovingAverages(8, 1, 3)
-	for _, id := range []int64{0, 12, 39} {
-		want, _, err := db.RangeByID(id, ts, Correlation(0.5), QueryOptions{Algorithm: SeqScan})
+	for _, tc := range []struct {
+		name          string
+		shards        int
+		count, length int
+		deleted       []int64
+		matches       map[int64]int // query id -> range matches
+	}{
+		{name: "pr13.tsq", shards: 1, count: 40, length: 8, deleted: []int64{7, 23},
+			matches: map[int64]int{0: 39, 12: 40, 39: 61}},
+		{name: "sharded2.tsq", shards: 2, count: 200, length: 8, deleted: []int64{7, 150},
+			matches: map[int64]int{5: 238}},
+	} {
+		dir := t.TempDir()
+		files := []string{tc.name}
+		for i := 0; tc.shards > 1 && i < tc.shards; i++ {
+			files = append(files, shardPath(tc.name, i))
+		}
+		for _, f := range files {
+			image, err := os.ReadFile(filepath.Join("testdata", f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, f), image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(dir, tc.name)
+		rep, err := CheckFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := db.RangeByID(id, ts, Correlation(0.5), QueryOptions{})
+		scrubbed := []*CheckReport{rep} // one report per page file
+		if tc.shards > 1 {
+			scrubbed = rep.Shards
+		}
+		if !rep.OK() || len(scrubbed) != tc.shards {
+			t.Fatalf("%s: scrub of the old file:\n%s", tc.name, rep)
+		}
+		for _, r := range scrubbed {
+			if !r.Checksummed || r.Scanned == 0 {
+				t.Fatalf("%s: scrub of the old file: %+v", tc.name, r)
+			}
+		}
+		db, err := OpenFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SortMatches(want)
-		SortMatches(got)
-		if len(want) < 2 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("range by %d on the old file: %s, sequential scan %s", id, fmt.Sprint(got), fmt.Sprint(want))
+		defer db.Close()
+		if err := db.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if db.Shards() != tc.shards || db.Len() != tc.count || db.Name(12) != "walk-12" || len(db.Get(8)) != tc.length {
+			t.Fatalf("%s reads back %d shards, %d ids, name(12)=%q", tc.name, db.Shards(), db.Len(), db.Name(12))
+		}
+		for _, id := range tc.deleted {
+			if db.Get(id) != nil {
+				t.Fatalf("%s: deleted record %d present", tc.name, id)
+			}
+		}
+		ts := MovingAverages(tc.length, 1, 3)
+		for id, n := range tc.matches {
+			want, _, err := db.RangeByID(id, ts, Correlation(0.5), QueryOptions{Algorithm: SeqScan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := db.RangeByID(id, ts, Correlation(0.5), QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			SortMatches(want)
+			SortMatches(got)
+			if len(want) != n || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: range by %d on the old file: %d matches (pinned %d), index %s, sequential scan %s", tc.name, id, len(want), n, fmt.Sprint(got), fmt.Sprint(want))
+			}
 		}
 	}
 }

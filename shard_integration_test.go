@@ -545,3 +545,43 @@ func TestShardedIndexHealth(t *testing.T) {
 		}
 	}
 }
+
+// TestShardManifestFieldsChecked: every parameter the manifest carries
+// must agree with each shard's superblock. A manifest whose symmetry
+// flag disagrees (CRC intact) must not open, and the error must name
+// the shard it was compared with.
+func TestShardManifestFieldsChecked(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sym.tsq")
+	db, err := CreateFile(path, datagen.RandomWalks(9, 30, 16), nil, Options{PageSize: 1024, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi, err := decodeManifest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi.symmetry = !mi.symmetry
+	if err := os.WriteFile(path, encodeManifest(mi), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := OpenFile(path); err == nil {
+		_ = db.Close()
+		t.Fatal("opened a manifest whose symmetry flag contradicts its shards")
+	} else if !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "symmetry") {
+		t.Errorf("open error does not name shard 0 and the field: %v", err)
+	}
+	r, err := CheckFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.OK() || !strings.Contains(r.OpenErr, "shard 0") {
+		t.Fatalf("scrub missed the contradicting manifest:\n%s", r)
+	}
+}
