@@ -36,9 +36,11 @@ bench:
 # Euclidean/polar kernels, the shared-cosine pair kernel, the
 # flat-vs-cascade lower-bound pair, the bound on index rectangles (ns per
 # internal entry), the NN search that runs on all of them, one
-# file-backed range probe (ns, B and allocs per probe) and one
-# file-backed, logged insert (the same plus WAL bytes and page writes).
-KERNEL_BENCH = -bench 'BenchmarkKernel|BenchmarkLB|BenchmarkNNResolve|BenchmarkRangeProbeDisk|BenchmarkInsertDisk' -run xxx -benchtime 200ms -count 6
+# file-backed range probe (ns, B and allocs per probe), one file-backed,
+# logged insert (the same plus WAL bytes and page writes) and the reopen
+# of a file-backed index (the same plus the pages it reads and the bytes
+# it keeps).
+KERNEL_BENCH = -bench 'BenchmarkKernel|BenchmarkLB|BenchmarkNNResolve|BenchmarkRangeProbeDisk|BenchmarkInsertDisk|BenchmarkOpenIndex' -run xxx -benchtime 200ms -count 6
 KERNEL_PKGS  = ./internal/series/ ./internal/transform/ ./internal/core/
 
 # benchbase refreshes the checked-in kernel benchmark baseline that

@@ -43,7 +43,7 @@ func buildFaultedMemDB(t *testing.T, seed int64) (*DB, *storage.FaultBackend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &DB{ds: ds, ix: core.WrapIndex(ix)}, fb
+	return &DB{ix: core.WrapIndex(ix)}, fb
 }
 
 // assertFaultOutcome checks the sweep invariant for one armed run: an

@@ -33,16 +33,16 @@ func lessPair(a, b JoinMatch) bool {
 
 // SeqScanClosestPairs returns the k pairs with the smallest best
 // transformed distance min_t D(t(a), t(b)), in rank order, by exhaustive
-// scan.
-func SeqScanClosestPairs(ds *Dataset, ts []transform.Transform, k int) ([]JoinMatch, QueryStats) {
+// scan. It holds every live record's spectrum for the length of the call.
+func SeqScanClosestPairs(src RecordSource, ts []transform.Transform, k int) ([]JoinMatch, QueryStats, error) {
 	var st QueryStats
 	var all []JoinMatch
-	for i := 0; i < len(ds.Records); i++ {
-		for j := i + 1; j < len(ds.Records); j++ {
-			a, b := ds.Records[i], ds.Records[j]
-			if a == nil || b == nil {
-				continue
-			}
+	recs, err := liveSpectra(src)
+	if err != nil {
+		return nil, st, err
+	}
+	for i, a := range recs {
+		for _, b := range recs[i+1:] {
 			st.Candidates++
 			best := JoinMatch{IDA: a.ID, IDB: b.ID, Distance: math.Inf(1)}
 			for ti, t := range ts {
@@ -57,7 +57,7 @@ func SeqScanClosestPairs(ds *Dataset, ts []transform.Transform, k int) ([]JoinMa
 	if k < len(all) {
 		all = all[:k]
 	}
-	return all, st
+	return all, st, nil
 }
 
 // shardPairItem is a priority-queue element: a pair of subtrees, each
@@ -168,11 +168,11 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 				continue
 			}
 			seen[key] = true
-			a, err := s.fetchGlobal(it.ra)
+			a, err := s.Record(it.ra)
 			if err != nil {
 				return nil, st, err
 			}
-			b, err := s.fetchGlobal(it.rb)
+			b, err := s.Record(it.rb)
 			if err != nil {
 				return nil, st, err
 			}

@@ -73,7 +73,7 @@ func TestMTEqualsSeqScanRange(t *testing.T) {
 	eps := series.DistanceForCorrelation(64, 0.90)
 	for trial := 0; trial < 10; trial++ {
 		q := ds.Records[trial*17%len(ds.Records)]
-		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSTEqualsSeqScanRange(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 8, 15)
 	eps := series.DistanceForCorrelation(64, 0.90)
 	q := ds.Records[42]
-	want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+	want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 	got, st, err := ix.STIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestMTRangePropertyAcrossSeeds(t *testing.T) {
 		}
 		eps := 1 + rng.Float64()*6
 		q := ds.Records[rng.Intn(len(ds.Records))]
-		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +145,7 @@ func TestGroupedMTRangeSameAnswer(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 6, 29)
 	eps := series.DistanceForCorrelation(64, 0.92)
 	q := ds.Records[7]
-	want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+	want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 	for _, per := range []int{1, 2, 5, 7, 24} {
 		got, st, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{
 			Mode:   QRectSafe,
@@ -186,7 +186,7 @@ func TestPaperModeIsSubsetAndUsuallyExact(t *testing.T) {
 	}
 }
 
-func first(ms []Match, _ QueryStats) []Match { return ms }
+func first(ms []Match, _ QueryStats, _ error) []Match { return ms }
 
 func TestMTFiltersBetterThanST(t *testing.T) {
 	// The headline effect: one traversal with an MBR costs far fewer disk
@@ -229,8 +229,8 @@ func TestOrderedScaleRangeBinarySearch(t *testing.T) {
 	q := ds.Records[3]
 	// Pick eps so a mid prefix of scales qualifies for close records.
 	eps := 20.0
-	wantMatches, stLinear := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
-	gotMatches, stOrdered := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{UseOrdering: true})
+	wantMatches, stLinear, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+	gotMatches, stOrdered, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{UseOrdering: true})
 	if !sameKeys(matchKeySet(gotMatches), matchKeySet(wantMatches)) {
 		t.Fatal("ordered seqscan changed the answer")
 	}
@@ -251,7 +251,7 @@ func TestJoinMTEqualsSeqScan(t *testing.T) {
 	ds, ix := buildFixture(t, 7, 120, 64, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(64, 5, 12)
 	eps := series.DistanceForCorrelation(64, 0.85)
-	want, _ := SeqScanJoin(ds, ts, eps)
+	want, _, _ := SeqScanJoin(ds, ts, eps)
 	got, st, err := WrapIndex(ix).MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestNNMTEqualsSeqScan(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 5, 20)
 	q := ds.Records[17]
 	for _, k := range []int{1, 5, 10} {
-		want, _ := SeqScanNN(nil, ds, q, ts, k, false)
+		want, _, _ := SeqScanNN(nil, ds, q, ts, k, false)
 		got, st, err := ix.MTIndexNN(nil, q, ts, k, RangeOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -428,7 +428,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 		t.Errorf("optimal cost %v worse than singletons %v", cost, singletons)
 	}
 	// The answer with the optimal partition is still exact.
-	want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+	want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 	got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, Groups: groups})
 	if err != nil {
 		t.Fatal(err)
@@ -472,10 +472,10 @@ func TestDatasetValidation(t *testing.T) {
 	if ds.Record(99) != nil || ds.Record(-1) != nil {
 		t.Error("out-of-range Record lookup returned a record")
 	}
-	if _, err := ds.QueryRecord(series.Series{1, 2}); err == nil {
+	if _, err := NewQueryRecord(ds.N, series.Series{1, 2}); err == nil {
 		t.Error("short query accepted")
 	}
-	q, err := ds.QueryRecord(series.Series{4, 3, 2, 1})
+	q, err := NewQueryRecord(ds.N, series.Series{4, 3, 2, 1})
 	if err != nil || q.ID != -1 {
 		t.Errorf("QueryRecord: %v %v", q, err)
 	}
@@ -563,7 +563,7 @@ func TestJoinWrapStressEqualsSeqScan(t *testing.T) {
 		}
 		ts := transform.WithInverted(transform.MovingAverageSet(n, 2, 3+rng.Intn(4)))
 		eps := 2 + rng.Float64()*5
-		want, _ := SeqScanJoin(ds, ts, eps)
+		want, _, _ := SeqScanJoin(ds, ts, eps)
 		got, _, err := WrapIndex(ix).MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
@@ -596,7 +596,7 @@ func TestRangeWrapStressEqualsSeqScan(t *testing.T) {
 		ts := transform.WithInverted(transform.MovingAverageSet(n, 1, 2+rng.Intn(6)))
 		eps := 1 + rng.Float64()*6
 		q := ds.Records[rng.Intn(len(ds.Records))]
-		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
@@ -620,7 +620,7 @@ func TestMTExactWithGeneralTransforms(t *testing.T) {
 	for _, eps := range []float64{2, 5, 9} {
 		for _, qid := range []int{3, 77, 150} {
 			q := ds.Records[qid]
-			want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+			want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 			got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 			if err != nil {
 				t.Fatal(err)
@@ -663,7 +663,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := SeqScanRange(nil, ds, q, many, eps, RangeOptions{})
+	want, _, _ := SeqScanRange(nil, ds, q, many, eps, RangeOptions{})
 	if !sameKeys(matchKeySet(got), matchKeySet(want)) {
 		t.Error("planned MT query changed the answer")
 	}
@@ -809,7 +809,7 @@ func TestRawRangeEqualsSeqScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := ds.Records[rng.Intn(len(ds.Records))]
 		eps := 1 + rng.Float64()*40
-		want, _ := SeqScanRawRange(ds, q, eps)
+		want, _, _ := SeqScanRawRange(ds, q, eps)
 		got, st, err := ix.RawRange(q, eps)
 		if err != nil {
 			t.Fatal(err)
@@ -878,7 +878,7 @@ func TestQueryWithTinyCoefficientsStaysExact(t *testing.T) {
 			t.Fatalf("test setup: query %d has |F1| = %v, want tiny", qid, q.Mags[1])
 		}
 		for _, eps := range []float64{1, 4, 8} {
-			want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+			want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 			got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 			if err != nil {
 				t.Fatal(err)
@@ -926,10 +926,10 @@ func TestParallelSeqScanEqualsSerial(t *testing.T) {
 	eps := series.DistanceForCorrelation(64, 0.9)
 	q := ds.Records[7]
 	for _, opts := range []RangeOptions{{}, {OneSided: true}} {
-		want, wantSt := SeqScanRange(nil, ds, q, ts, eps, opts)
+		want, wantSt, _ := SeqScanRange(nil, ds, q, ts, eps, opts)
 		for _, workers := range []int{0, 1, 2, 7, 64, 1000} {
 			opts.Workers = workers
-			got, gotSt := SeqScanRange(nil, ds, q, ts, eps, opts)
+			got, gotSt, _ := SeqScanRange(nil, ds, q, ts, eps, opts)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers=%d opts=%+v: parallel scan diverged", workers, opts)
 			}
@@ -940,8 +940,8 @@ func TestParallelSeqScanEqualsSerial(t *testing.T) {
 	}
 	// Ordered (scale) sets too.
 	scales := transform.ScaleSet(64, []float64{1, 2, 4, 8, 16})
-	want, _ := SeqScanRange(nil, ds, q, scales, 30, RangeOptions{UseOrdering: true})
-	got, _ := SeqScanRange(nil, ds, q, scales, 30, RangeOptions{UseOrdering: true, Workers: 4})
+	want, _, _ := SeqScanRange(nil, ds, q, scales, 30, RangeOptions{UseOrdering: true})
+	got, _, _ := SeqScanRange(nil, ds, q, scales, 30, RangeOptions{UseOrdering: true, Workers: 4})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel ordered scan diverged")
 	}
@@ -952,7 +952,7 @@ func TestClosestPairsMTEqualsSeqScan(t *testing.T) {
 	ds, ix := buildFixture(t, 95, 250, 64, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(64, 5, 14)
 	for _, k := range []int{1, 5, 12} {
-		want, _ := SeqScanClosestPairs(ds, ts, k)
+		want, _, _ := SeqScanClosestPairs(ds, ts, k)
 		got, st, err := WrapIndex(ix).MTIndexClosestPairs(ts, k)
 		if err != nil {
 			t.Fatal(err)
@@ -991,7 +991,7 @@ func TestClosestPairsStockWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := transform.MovingAverageSet(128, 5, 20)
-	want, _ := SeqScanClosestPairs(ds, ts, 5)
+	want, _, _ := SeqScanClosestPairs(ds, ts, 5)
 	got, _, err := WrapIndex(ix).MTIndexClosestPairs(ts, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -53,9 +53,10 @@ type ExecResult struct {
 
 // QueryEngine is the query surface the executor dispatches on. Both the
 // single-tree Index and the sharded engine implement it, so a batch
-// runs unchanged over either.
+// runs unchanged over either; a sequential scan reads the engine's
+// records.
 type QueryEngine interface {
-	Dataset() *Dataset
+	RecordSource
 	MTIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error)
 	MTIndexNN(ctx context.Context, q *Record, ts []transform.Transform, k int, opts RangeOptions) ([]NNMatch, QueryStats, error)
 }
@@ -159,15 +160,15 @@ func (e *Executor) runOne(ctx context.Context, req *ExecRequest) ExecResult {
 	}
 	if req.K > 0 {
 		if req.SeqScan {
-			nn, st := SeqScanNN(ctx, e.ix.Dataset(), qr, ts, req.K, opts.OneSided)
-			return ExecResult{NN: nn, Stats: st}
+			nn, st, err := SeqScanNN(ctx, e.ix, qr, ts, req.K, opts.OneSided)
+			return ExecResult{NN: nn, Stats: st, Err: err}
 		}
 		nn, st, err := e.ix.MTIndexNN(ctx, qr, ts, req.K, opts)
 		return ExecResult{NN: nn, Stats: st, Err: err}
 	}
 	if req.SeqScan {
-		m, st := SeqScanRange(ctx, e.ix.Dataset(), qr, ts, req.Eps, opts)
-		return ExecResult{Matches: m, Stats: st}
+		m, st, err := SeqScanRange(ctx, e.ix, qr, ts, req.Eps, opts)
+		return ExecResult{Matches: m, Stats: st, Err: err}
 	}
 	m, st, err := e.ix.MTIndexRange(ctx, qr, ts, req.Eps, opts)
 	return ExecResult{Matches: m, Stats: st, Err: err}
@@ -178,8 +179,9 @@ func (e *Executor) runOne(ctx context.Context, req *ExecRequest) ExecResult {
 // computed once per batch. Entries are compared by value after the hash,
 // so colliding series still resolve correctly.
 func (e *Executor) queryRecord(s series.Series) (*Record, error) {
-	if len(s) != e.ix.Dataset().N {
-		return e.ix.Dataset().QueryRecord(s) // let the dataset report the error
+	n := e.ix.SeriesLength()
+	if len(s) != n {
+		return NewQueryRecord(n, s) // let it report the error
 	}
 	h := hashSeries(s)
 	e.memoMu.Lock()
@@ -192,7 +194,7 @@ func (e *Executor) queryRecord(s series.Series) (*Record, error) {
 	e.memoMu.Unlock()
 	// Featurize outside the lock: the DFT is the expensive part and
 	// independent queries should not serialize on it.
-	r, err := e.ix.Dataset().QueryRecord(s)
+	r, err := NewQueryRecord(n, s)
 	if err != nil {
 		return nil, err
 	}

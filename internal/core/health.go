@@ -73,8 +73,8 @@ type HealthReport struct {
 // page read per tree node and, when paged, one per heap record.
 func (ix *Index) Health(ctx context.Context, ts []transform.Transform, groups [][]int) (*HealthReport, error) {
 	hr := &HealthReport{
-		Series:       len(ix.ds.Records),
-		SeriesLength: ix.ds.N,
+		Series:       ix.Len(),
+		SeriesLength: ix.n,
 		K:            ix.opts.K,
 		Dim:          ix.dim,
 		PageSize:     ix.mgr.PageSize(),

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"tsq/internal/geom"
@@ -75,7 +75,10 @@ func DefaultIndexOptions() IndexOptions {
 // Index is the multidimensional feature index of Sec. 5: an R*-tree over
 // [mean, std, |F_1|, angle(F_1), ..., |F_k|, angle(F_k)].
 type Index struct {
+	// ds holds an in-memory index's records, their only copy. A paged
+	// index has none: its records live on their heap pages (source.go).
 	ds    *Dataset
+	n     int // series length
 	opts  IndexOptions
 	mgr   *storage.Manager
 	tree  *rtree.Tree
@@ -103,7 +106,9 @@ type Index struct {
 	failErr      error
 }
 
-// BuildIndex constructs the feature index over the dataset.
+// BuildIndex constructs the feature index over the dataset. An in-memory
+// index keeps ds as its records (and Insert and Delete change it); a
+// paged one writes the records to its heap and keeps no reference to ds.
 func BuildIndex(ds *Dataset, opts IndexOptions) (*Index, error) {
 	if opts.K == 0 {
 		opts.K = 2
@@ -118,11 +123,10 @@ func BuildIndex(ds *Dataset, opts IndexOptions) (*Index, error) {
 	if mgr == nil {
 		mgr = storage.NewManager(storage.Options{PageSize: opts.PageSize, BufferPages: opts.BufferPages})
 	}
-	ix := &Index{ds: ds, opts: opts, mgr: mgr, dim: 2 + 2*opts.K}
-	for f := 1; f <= opts.K; f++ {
-		ix.comps = append(ix.comps, 2*f, 2*f+1)
-	}
-	if opts.Paged {
+	ix := newIndex(opts, mgr, ds.N)
+	if !opts.Paged {
+		ix.ds = ds
+	} else {
 		heap, err := heapfile.Create(mgr, ds.N)
 		if err != nil {
 			return nil, err
@@ -166,9 +170,18 @@ func BuildIndex(ds *Dataset, opts IndexOptions) (*Index, error) {
 	return ix, nil
 }
 
+// newIndex returns an index with no tree, heap or records yet.
+func newIndex(opts IndexOptions, mgr *storage.Manager, n int) *Index {
+	ix := &Index{n: n, opts: opts, mgr: mgr, dim: 2 + 2*opts.K}
+	for f := 1; f <= opts.K; f++ {
+		ix.comps = append(ix.comps, 2*f, 2*f+1)
+	}
+	return ix
+}
+
 // OpenIndex attaches to an existing paged index: the R*-tree rooted at
-// treeMeta and the record heap at heapDir, both on mgr. The dataset is
-// reconstructed from the heap.
+// treeMeta and the record heap at heapDir, both on mgr. It reads the heap
+// directory and the tree's meta page, and no record.
 func OpenIndex(mgr *storage.Manager, treeMeta, heapDir storage.PageID, n int, opts IndexOptions) (*Index, error) {
 	if opts.K == 0 {
 		opts.K = 2
@@ -186,30 +199,8 @@ func OpenIndex(mgr *storage.Manager, treeMeta, heapDir storage.PageID, n int, op
 	if tree.Dim() != 2+2*opts.K {
 		return nil, fmt.Errorf("core: tree dimension %d does not match k=%d", tree.Dim(), opts.K)
 	}
-	// Load the records through the run-batched fetch, a chunk of
-	// consecutive ids (so one page run) at a time with one run buffer.
-	ds := &Dataset{N: n, Records: make([]*Record, heap.Len())}
-	var fetch heapfile.Scratch
-	ids := make([]int64, 0, openChunk)
-	for lo := 0; lo < heap.Len(); lo += openChunk {
-		ids = ids[:0]
-		for i := lo; i < min(lo+openChunk, heap.Len()); i++ {
-			ids = append(ids, int64(i))
-		}
-		err := heap.Visit(nil, ids, &fetch, func(i int, v *heapfile.View) error {
-			if v != nil { // a tombstoned record stays nil; ids stay aligned
-				ds.Records[ids[i]] = viewToRecord(ids[i], v)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	ix := &Index{ds: ds, opts: opts, mgr: mgr, tree: tree, heap: heap, dim: 2 + 2*opts.K}
-	for f := 1; f <= opts.K; f++ {
-		ix.comps = append(ix.comps, 2*f, 2*f+1)
-	}
+	ix := newIndex(opts, mgr, n)
+	ix.tree, ix.heap = tree, heap
 	return ix, nil
 }
 
@@ -223,68 +214,89 @@ func recordToHeap(r *Record) *heapfile.Rec {
 	}
 }
 
-// openChunk is the number of records OpenIndex fetches per batch.
-const openChunk = 64
-
 // heapToRecord rebuilds a Record from an owned heap record, taking over
-// its arrays (the normal form is recomputed from the raw series and
-// statistics).
+// its arrays. The normal form is recomputed from the raw series and
+// statistics with series.NormalForm's formula, so it is bit-identical to
+// the one the record was built with.
 func heapToRecord(id int64, hr *heapfile.Rec) *Record {
+	norm := make(series.Series, len(hr.Raw))
+	if hr.Std != 0 {
+		for i, v := range hr.Raw {
+			norm[i] = (v - hr.Mean) / hr.Std
+		}
+	}
 	return &Record{
 		ID:   id,
 		Name: hr.Name,
 		Raw:  series.Series(hr.Raw),
-		Norm: normalForm(hr.Raw, hr.Mean, hr.Std),
+		Norm: norm,
 		Mean: hr.Mean,
 		Std:  hr.Std,
 		Mags: hr.Mags, Phases: hr.Phases,
 	}
 }
 
-// viewToRecord is heapToRecord for a record decoded in place: everything
-// is copied, since the view dies with the visit.
-func viewToRecord(id int64, v *heapfile.View) *Record {
-	return &Record{
-		ID:     id,
-		Name:   string(v.Name),
-		Raw:    slices.Clone(series.Series(v.Raw)),
-		Norm:   normalForm(v.Raw, v.Mean, v.Std),
-		Mean:   v.Mean,
-		Std:    v.Std,
-		Mags:   slices.Clone(v.Mags),
-		Phases: slices.Clone(v.Phases),
+// errNoRecord is the error of a write naming an id that holds no record.
+var errNoRecord = errors.New("core: no record")
+
+// Len returns the number of ids the index has handed out, deleted
+// records included.
+func (ix *Index) Len() int {
+	if ix.heap != nil {
+		return ix.heap.Len()
 	}
+	return len(ix.ds.Records)
 }
 
-func normalForm(raw []float64, mean, std float64) series.Series {
-	norm := make(series.Series, len(raw))
-	if std != 0 {
-		for i, v := range raw {
-			norm[i] = (v - mean) / std
-		}
+// SeriesLength returns the common series length.
+func (ix *Index) SeriesLength() int { return ix.n }
+
+// Record returns record id, or nil when it is deleted or was never
+// stored. In memory that is the stored record, which the caller must not
+// modify; a paged index decodes a copy from the record's page, one page
+// access.
+func (ix *Index) Record(id int64) (*Record, error) {
+	if id < 0 || id >= int64(ix.Len()) {
+		return nil, nil
 	}
-	return norm
+	return ix.fetch(nil, id)
 }
 
-// fetch retrieves the full record for verification. In paged mode this
-// reads (and counts) one record page, the Eq. 18 retrieval, crediting a
-// storage.QueryIO in ctx (nil is fine); otherwise it returns the
-// in-memory record. A nil result with nil error marks a deleted record.
+// fetch retrieves the full record of id, which must be below Len. In
+// paged mode this reads (and counts) one record page, the Eq. 18
+// retrieval, crediting a storage.QueryIO in ctx (nil is fine); otherwise
+// it returns the in-memory record. A nil result with nil error marks a
+// deleted record.
 func (ix *Index) fetch(ctx context.Context, id int64) (*Record, error) {
 	if ix.heap == nil {
 		return ix.ds.Record(id), nil
 	}
-	if r := ix.ds.Record(id); r == nil {
-		return nil, nil // deleted
-	}
 	hr, err := ix.heap.ReadCtx(ctx, id)
-	if err != nil {
+	if err != nil || hr == nil {
 		return nil, err
 	}
-	if hr == nil {
-		return nil, nil
-	}
 	return heapToRecord(id, hr), nil
+}
+
+// point decodes record id into sc.point, the query point of a query by
+// id (Sharded.QueryPoint): one page access, and no allocation once sc
+// has held a record before. It returns nil for a tombstone.
+func (ix *Index) point(sc *scratch, id int64) (*Record, error) {
+	var r *Record
+	sc.ids = append(sc.ids[:0], id)
+	err := ix.heap.Visit(nil, sc.ids, &sc.fetch, func(_ int, v *heapfile.View) error {
+		if v == nil {
+			return nil
+		}
+		p := &sc.point
+		p.Raw = append(p.Raw[:0], v.Raw...)
+		p.Mags = append(p.Mags[:0], v.Mags...)
+		p.Phases = append(p.Phases[:0], v.Phases...)
+		p.ID, p.Mean, p.Std = id, v.Mean, v.Std
+		r = p
+		return nil
+	})
+	return r, err
 }
 
 // Insert adds a new series to the dataset, the heap (when paged) and the
@@ -296,10 +308,10 @@ func (ix *Index) Insert(name string, s series.Series) (int64, error) {
 	if err := ix.checkWritable(); err != nil {
 		return 0, err
 	}
-	if len(s) != ix.ds.N {
-		return 0, fmt.Errorf("core: inserting series of length %d into dataset of length %d", len(s), ix.ds.N)
+	if len(s) != ix.n {
+		return 0, fmt.Errorf("core: inserting series of length %d into dataset of length %d", len(s), ix.n)
 	}
-	id := int64(len(ix.ds.Records))
+	id := int64(ix.Len())
 	if err := checkFinite(s); err != nil { // before the WAL sees the record
 		return 0, fmt.Errorf("core: series %d: %w", id, err)
 	}
@@ -311,7 +323,9 @@ func (ix *Index) Insert(name string, s series.Series) (int64, error) {
 	} else if err := ix.insertDirect(r); err != nil {
 		return 0, err
 	}
-	ix.ds.Records = append(ix.ds.Records, r)
+	if ix.ds != nil {
+		ix.ds.Records = append(ix.ds.Records, r)
+	}
 	return id, nil
 }
 
@@ -349,17 +363,21 @@ func (ix *Index) insertDirect(r *Record) error {
 }
 
 // Delete removes series id from the index and marks its record deleted
-// (the heap page, if any, is left in place). With a WAL attached the
-// mutation is staged and logged first (write.go); without one, a heap
-// tombstone failure restores the just-removed tree entry so the record
-// never becomes unreachable-but-live.
+// (the heap page, if any, is left in place). A paged index reads the
+// record's page for the feature it removes from the tree. With a WAL
+// attached the mutation is staged and logged first (write.go); without
+// one, a heap tombstone failure restores the just-removed tree entry so
+// the record never becomes unreachable-but-live.
 func (ix *Index) Delete(id int64) error {
 	if err := ix.checkWritable(); err != nil {
 		return err
 	}
-	r := ix.ds.Record(id)
+	r, err := ix.Record(id)
+	if err != nil {
+		return err
+	}
 	if r == nil {
-		return fmt.Errorf("core: no record %d", id)
+		return fmt.Errorf("%w %d", errNoRecord, id)
 	}
 	if ix.wal != nil && ix.stage != nil {
 		if err := ix.deleteStaged(r); err != nil {
@@ -368,7 +386,9 @@ func (ix *Index) Delete(id int64) error {
 	} else if err := ix.deleteDirect(r); err != nil {
 		return err
 	}
-	ix.ds.Records[id] = nil
+	if ix.ds != nil {
+		ix.ds.Records[id] = nil
+	}
 	return nil
 }
 
@@ -396,7 +416,8 @@ func (ix *Index) Manager() *storage.Manager { return ix.mgr }
 // Heap returns the record heap (nil unless paged).
 func (ix *Index) Heap() *heapfile.File { return ix.heap }
 
-// Dataset returns the indexed dataset.
+// Dataset returns the records of an in-memory index, nil for a paged one,
+// whose records are on their heap pages only.
 func (ix *Index) Dataset() *Dataset { return ix.ds }
 
 // Options returns the build options.
@@ -550,11 +571,12 @@ func phaseBound(epsC, magLo float64) float64 {
 }
 
 // Verify performs a full integrity check of the index and record store:
-// R*-tree structural invariants, agreement between the tree's leaf
-// entries and the records (every live record indexed exactly once, at
-// exactly its feature point, and no entry referencing a missing record),
-// and — in paged mode — that every live heap record decodes and matches
-// the in-memory dataset. It returns the first problem found.
+// R*-tree structural invariants and agreement between the tree's leaf
+// entries and the records — every live record indexed exactly once, at
+// exactly the feature point its record computes, and no entry naming a
+// deleted or missing record. A paged index checks its heap file against
+// its tree directly, reading and checksumming every record page. It
+// returns the first problem found.
 func (ix *Index) Verify() error {
 	if err := ix.tree.CheckInvariants(); err != nil {
 		return err
@@ -580,17 +602,21 @@ func (ix *Index) Verify() error {
 	if err != nil {
 		return err
 	}
-	live := 0
-	for _, r := range ix.ds.Records {
-		if r == nil {
-			continue
-		}
-		live++
+	// Every live record — read page by page from a heap file, every page
+	// decoded and checksummed — is indexed exactly once, at the feature
+	// it computes.
+	live, nlive := make([]bool, ix.Len()), 0
+	err = ix.visit(nil, 0, len(live), new(scanBuf), func(r *Record) error {
+		live[r.ID] = true
+		nlive++
 		info, ok := indexed[r.ID]
-		if !ok {
-			return fmt.Errorf("core: record %d missing from the index", r.ID)
-		}
-		if info.count != 1 {
+		switch {
+		case !ok:
+			// An insert that appended the record and failed before the
+			// tree, or a delete that removed the entry and never
+			// tombstoned the page.
+			return fmt.Errorf("core: record %d missing from the index — orphaned append or delete", r.ID)
+		case info.count != 1:
 			return fmt.Errorf("core: record %d indexed %d times", r.ID, info.count)
 		}
 		feat := r.Feature(ix.opts.K)
@@ -599,51 +625,22 @@ func (ix *Index) Verify() error {
 				return fmt.Errorf("core: record %d feature dim %d: index has %v, record computes %v", r.ID, d, info.pt[d], feat[d])
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if len(indexed) != live {
-		return fmt.Errorf("core: index holds %d entries for %d live records", len(indexed), live)
+	// Every entry names a live record: the lowest one that does not is
+	// reported.
+	bad, found := int64(0), false
+	for rec := range indexed {
+		if (rec < 0 || rec >= int64(len(live)) || !live[rec]) && (!found || rec < bad) {
+			bad, found = rec, true
+		}
 	}
-	if ix.heap != nil {
-		// Orphan detection: a heap record past the end of the dataset is
-		// the signature of an insert that appended to the heap and then
-		// failed before reaching the index; a live (untombstoned) heap
-		// record the dataset marks deleted is a delete that removed the
-		// tree entry but never tombstoned the page.
-		if ix.heap.Len() != len(ix.ds.Records) {
-			return fmt.Errorf("core: heap holds %d records but the dataset %d — orphaned append", ix.heap.Len(), len(ix.ds.Records))
-		}
-		for id, r := range ix.ds.Records {
-			if r != nil {
-				continue
-			}
-			hr, err := ix.heap.Read(int64(id))
-			if err != nil {
-				return fmt.Errorf("core: heap record %d: %w", id, err)
-			}
-			if hr != nil {
-				return fmt.Errorf("core: record %d deleted from the index but live in the heap — orphaned delete", id)
-			}
-		}
-		for _, r := range ix.ds.Records {
-			if r == nil {
-				continue
-			}
-			hr, err := ix.heap.Read(r.ID)
-			if err != nil {
-				return fmt.Errorf("core: heap record %d: %w", r.ID, err)
-			}
-			if hr == nil {
-				return fmt.Errorf("core: live record %d tombstoned in the heap", r.ID)
-			}
-			if hr.Name != r.Name || hr.Mean != r.Mean || hr.Std != r.Std || len(hr.Raw) != len(r.Raw) {
-				return fmt.Errorf("core: heap record %d diverges from the dataset", r.ID)
-			}
-			for i := range hr.Raw {
-				if hr.Raw[i] != r.Raw[i] || hr.Mags[i] != r.Mags[i] || hr.Phases[i] != r.Phases[i] {
-					return fmt.Errorf("core: heap record %d corrupted at sample %d", r.ID, i)
-				}
-			}
-		}
+	if found {
+		return fmt.Errorf("core: index holds %d entries for %d live records: record %d is deleted or was never stored — orphaned append or delete",
+			len(indexed), nlive, bad)
 	}
 	return nil
 }

@@ -41,8 +41,8 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 				naive := variant
 				naive.NaiveVerify = true
 
-				wantSeq, seqNaiveSt := SeqScanRange(nil, ds, q, ts, eps, naive)
-				gotSeq, seqSt := SeqScanRange(nil, ds, q, ts, eps, variant)
+				wantSeq, seqNaiveSt, _ := SeqScanRange(nil, ds, q, ts, eps, naive)
+				gotSeq, seqSt, _ := SeqScanRange(nil, ds, q, ts, eps, variant)
 				if !reflect.DeepEqual(gotSeq, wantSeq) {
 					t.Fatalf("paged=%v trial=%d %+v: seqscan pipeline diverged", paged, trial, variant)
 				}
@@ -159,8 +159,8 @@ func TestPipelineMatchesNaiveOrdered(t *testing.T) {
 		eps := 10.0 + 15.0*float64(trial)
 		naive := RangeOptions{UseOrdering: true, NaiveVerify: true}
 		pipe := RangeOptions{UseOrdering: true}
-		want, _ := SeqScanRange(nil, ds, q, ts, eps, naive)
-		got, _ := SeqScanRange(nil, ds, q, ts, eps, pipe)
+		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, naive)
+		got, _, _ := SeqScanRange(nil, ds, q, ts, eps, pipe)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: ordered seqscan pipeline diverged", trial)
 		}

@@ -21,16 +21,17 @@ type JoinMatch struct {
 }
 
 // SeqScanJoin answers Query 2 by evaluating the predicate on every pair of
-// records and every transformation.
-func SeqScanJoin(ds *Dataset, ts []transform.Transform, eps float64) ([]JoinMatch, QueryStats) {
+// records and every transformation. It holds every live record's spectrum
+// for the length of the call.
+func SeqScanJoin(src RecordSource, ts []transform.Transform, eps float64) ([]JoinMatch, QueryStats, error) {
 	var st QueryStats
 	var out []JoinMatch
-	for i := 0; i < len(ds.Records); i++ {
-		for j := i + 1; j < len(ds.Records); j++ {
-			a, b := ds.Records[i], ds.Records[j]
-			if a == nil || b == nil { // deleted
-				continue
-			}
+	recs, err := liveSpectra(src)
+	if err != nil {
+		return nil, st, err
+	}
+	for i, a := range recs {
+		for _, b := range recs[i+1:] {
 			st.Candidates++
 			for ti, t := range ts {
 				if d, _ := st.evaluate(t, a, b, math.Inf(1), false); d <= eps {
@@ -39,7 +40,7 @@ func SeqScanJoin(ds *Dataset, ts []transform.Transform, eps float64) ([]JoinMatc
 			}
 		}
 	}
-	return out, st
+	return out, st, nil
 }
 
 // STIndexJoin runs the index join once per transformation (singleton
@@ -121,11 +122,11 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 			return keys[i][1] < keys[j][1]
 		})
 		for _, k := range keys {
-			a, err := s.fetchGlobal(k[0])
+			a, err := s.Record(k[0])
 			if err != nil {
 				return nil, st, err
 			}
-			b, err := s.fetchGlobal(k[1])
+			b, err := s.Record(k[1])
 			if err != nil {
 				return nil, st, err
 			}

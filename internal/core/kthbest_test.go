@@ -30,7 +30,7 @@ func TestNNTiesAtKthEqualScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	near, _ := SeqScanNN(nil, base, base.Records[query], ts, 5, false)
+	near, _, _ := SeqScanNN(nil, base, base.Records[query], ts, 5, false)
 	src := near[4].RecordID // the 5th nearest: its copies tie for ranks 4..10
 	for id := 300; id < 306; id++ {
 		ss[id] = ss[src].Clone()
@@ -48,14 +48,14 @@ func TestNNTiesAtKthEqualScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := ds.Records[query]
-			full, _ := SeqScanNN(nil, ds, q, ts, 12, false)
+			full, _, _ := SeqScanNN(nil, ds, q, ts, 12, false)
 			for rank := 4; rank <= 10; rank++ {
 				if full[rank].Distance != full[4].Distance || full[rank].Distance == 0 {
 					t.Fatalf("fixture: rank %d at %v, rank 4 at %v: the copies do not tie", rank, full[rank].Distance, full[4].Distance)
 				}
 			}
 			for _, k := range []int{4, 5, 7, 10, 11, 12} {
-				want, _ := SeqScanNN(nil, ds, q, ts, k, false)
+				want, _, _ := SeqScanNN(nil, ds, q, ts, k, false)
 				got, st, err := sh.MTIndexNN(nil, q, ts, k, RangeOptions{})
 				if err != nil {
 					t.Fatal(err)
@@ -111,7 +111,7 @@ func TestNNCascadeDismissalsSound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, _ := SeqScanNN(nil, ds, q, c.ts, k, c.oneSided); !reflect.DeepEqual(got, want) {
+			if want, _, _ := SeqScanNN(nil, ds, q, c.ts, k, c.oneSided); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s trial %d: %d-NN differs from the scan:\nindex %+v\n scan %+v", c.name, trial, k, got, want)
 			}
 			if len(seen) != st.SkippedLB {
@@ -150,7 +150,7 @@ func TestJoinClosestTiesEqualScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closest, _ := SeqScanClosestPairs(base, ts, 1)
+	closest, _, _ := SeqScanClosestPairs(base, ts, 1)
 	a, b, eps := closest[0].IDA, closest[0].IDB, closest[0].Distance
 	for id := 140; id < 143; id++ {
 		ss[id] = ss[b].Clone()
@@ -165,7 +165,7 @@ func TestJoinClosestTiesEqualScan(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		wantJ, _ := SeqScanJoin(ds, ts, eps)
+		wantJ, _, _ := SeqScanJoin(ds, ts, eps)
 		gotJ, st, err := sh.MTIndexJoin(ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +191,7 @@ func TestJoinClosestTiesEqualScan(t *testing.T) {
 		// Six pairs at distance 0 among b and its copies, then the four
 		// at d: k = 8 cuts the second group in half.
 		for _, k := range []int{3, 6, 8, 10, 14} {
-			wantP, _ := SeqScanClosestPairs(ds, ts, k)
+			wantP, _, _ := SeqScanClosestPairs(ds, ts, k)
 			gotP, st, err := sh.MTIndexClosestPairs(ts, k)
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +203,7 @@ func TestJoinClosestTiesEqualScan(t *testing.T) {
 				t.Errorf("shards=%d %d closest pairs: no evaluation abandoned", shards, k)
 			}
 		}
-		if p, _ := SeqScanClosestPairs(ds, ts, 8); p[5].Distance != 0 || p[6].Distance != eps || p[7].Distance != eps {
+		if p, _, _ := SeqScanClosestPairs(ds, ts, 8); p[5].Distance != 0 || p[6].Distance != eps || p[7].Distance != eps {
 			t.Fatalf("fixture: ranks 5..7 at %v, %v, %v; want 0, then %v twice", p[5].Distance, p[6].Distance, p[7].Distance, eps)
 		}
 	}

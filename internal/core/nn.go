@@ -46,16 +46,16 @@ func sortNN(ms []NNMatch) {
 // min_{t in ts} D(t(r), t(q)) (or D(t(r), q) when oneSided) is smallest,
 // in rank order, by exhaustive scan. When ctx carries a span, a KindScan
 // child records the records scanned and comparisons made.
-func SeqScanNN(ctx context.Context, ds *Dataset, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats) {
+func SeqScanNN(ctx context.Context, src RecordSource, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats, error) {
 	var sp *obs.Span
 	if parent := obs.SpanFromContext(ctx); parent != nil {
-		sp = parent.Child(obs.KindScan, fmt.Sprintf("nn seq scan (k=%d, %d records)", k, len(ds.Records)))
+		sp = parent.Child(obs.KindScan, fmt.Sprintf("nn seq scan (k=%d, %d records)", k, src.Len()))
 	}
 	var st QueryStats
-	best := make([]NNMatch, 0, len(ds.Records))
-	for _, r := range ds.Records {
-		if r == nil || r.ID == q.ID {
-			continue
+	best := make([]NNMatch, 0, src.Len())
+	err := src.visit(ctx, 0, src.Len(), new(scanBuf), func(r *Record) error {
+		if r.ID == q.ID {
+			return nil
 		}
 		st.Candidates++
 		m := NNMatch{RecordID: r.ID, Distance: math.Inf(1)}
@@ -67,7 +67,8 @@ func SeqScanNN(ctx context.Context, ds *Dataset, q *Record, ts []transform.Trans
 			}
 		}
 		best = append(best, m)
-	}
+		return nil
+	})
 	sortNN(best)
 	if k < len(best) {
 		best = best[:k]
@@ -78,9 +79,12 @@ func SeqScanNN(ctx context.Context, ds *Dataset, q *Record, ts []transform.Trans
 		sp.Set(obs.ATerms, int64(st.Terms))
 		sp.Set(obs.AMatches, int64(len(best)))
 		sp.Set(obs.ATransforms, int64(len(ts)))
-		sp.End()
+		sp.EndErr(err)
 	}
-	return best, st
+	if err != nil {
+		return nil, st, err
+	}
+	return best, st, nil
 }
 
 // insertTopK inserts m into top, the at most k best results so far in
@@ -230,7 +234,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	pair.Init(ts, oneSided)
 	// spectrum is where the slab keeps the i-th leaf candidate's record.
 	spectrum := func(i int) (mags, phases []float64) {
-		n := ix.ds.N
+		n := ix.n
 		return sc.slab[2*i*n : (2*i+1)*n], sc.slab[(2*i+1)*n : (2*i+2)*n]
 	}
 	var h minheap.Heap[storage.PageID]
@@ -271,9 +275,6 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 		// leaf's slab instead.
 		leafCands := sc.leaf[:0]
 		for i, ent := range n.Entries {
-			if ix.ds.Record(ent.Rec) == nil {
-				continue // deleted since the entry was written: no page read
-			}
 			if !dismissed(ent.Rect.Lo, ent.Rec) {
 				leafCands = append(leafCands, nnCand{entry: i, rec: ent.Rec})
 			}
@@ -285,7 +286,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			for _, c := range leafCands {
 				sc.ids = append(sc.ids, c.rec)
 			}
-			if need := 2 * len(leafCands) * ix.ds.N; cap(sc.slab) < need {
+			if need := 2 * len(leafCands) * ix.n; cap(sc.slab) < need {
 				sc.slab = make([]float64, need)
 			}
 			err := ix.heap.Visit(ctx, sc.ids, &sc.fetch, func(i int, v *heapfile.View) error {
@@ -309,10 +310,12 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			if casc.cut < armed && dismissed(n.Entries[c.entry].Rect.Lo, c.rec) {
 				continue // the bound tightened since the batch was formed
 			}
-			r := ix.ds.Record(c.rec)
+			var r *Record
 			if ix.heap != nil {
 				mags, phases := spectrum(ci)
 				r = &Record{ID: c.rec, Mags: mags, Phases: phases}
+			} else if r = ix.ds.Record(c.rec); r == nil {
+				continue // deleted: a leaf entry never names one
 			}
 			st.Candidates++
 			pair.Set(r.Mags, r.Phases, q.Mags, q.Phases)

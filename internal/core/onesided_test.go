@@ -23,7 +23,7 @@ func TestOneSidedMTEqualsSeqScan(t *testing.T) {
 	total := 0
 	for trial := 0; trial < 5; trial++ {
 		q := ds.Records[trial*31%len(ds.Records)]
-		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{OneSided: true})
+		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{OneSided: true})
 		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestOneSidedShiftSetsWithWrap(t *testing.T) {
 		ts := transform.TimeShiftSet(n, 0, 5+rng.Intn(20))
 		eps := 2 + rng.Float64()*4
 		q := ds.Records[rng.Intn(len(ds.Records))]
-		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{OneSided: true})
+		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{OneSided: true})
 		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestOneSidedNNEqualsSeqScan(t *testing.T) {
 	ds, ix := buildFixture(t, 23, 300, 64, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(64, 3, 12)
 	q := ds.Records[9]
-	want, _ := SeqScanNN(nil, ds, q, ts, 5, true)
+	want, _, _ := SeqScanNN(nil, ds, q, ts, 5, true)
 	got, _, err := ix.MTIndexNN(nil, q, ts, 5, RangeOptions{OneSided: true})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestOneSidedExample12EndToEnd(t *testing.T) {
 	}
 	mom := transform.Momentum(n)
 	ts := transform.ComposeSets(transform.TimeShiftSet(n, 0, 5), []transform.Transform{mom})
-	q, err := ds.QueryRecord(pcl)
+	q, err := NewQueryRecord(ds.N, pcl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,20 +96,15 @@ func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int
 		}
 		return append(out, sc.matches...), st, falsePos, nil
 	}
-	ids := sc.ids[:0]
-	for _, id := range candidates {
-		if ix.ds.Record(id) != nil { // known deleted: no page read
-			ids = append(ids, id)
-		}
-	}
-	sc.ids = ids
-	sc.spans = append(sc.spans[:0], make([]matchSpan, len(ids))...)
-	err := ix.heap.Visit(ctx, ids, &sc.fetch, func(i int, v *heapfile.View) error {
+	// A candidate is a tree entry, and a deleted record has none (writes
+	// are exclusive), so every candidate's page is read.
+	sc.spans = append(sc.spans[:0], make([]matchSpan, len(candidates))...)
+	err := ix.heap.Visit(ctx, candidates, &sc.fetch, func(i int, v *heapfile.View) error {
 		if v == nil { // tombstoned on disk: the span stays empty
 			return nil
 		}
 		lo := len(sc.matches)
-		verify(&Record{ID: ids[i], Mags: v.Mags, Phases: v.Phases})
+		verify(&Record{ID: candidates[i], Mags: v.Mags, Phases: v.Phases})
 		sc.spans[i] = matchSpan{lo, len(sc.matches)}
 		return nil
 	})

@@ -67,7 +67,7 @@ func (ix *Index) AvgLeafCapacity() (float64, error) {
 	if leaves == 0 {
 		return 0, nil
 	}
-	return float64(len(ix.ds.Records)) / float64(leaves), nil
+	return float64(ix.Len()) / float64(leaves), nil
 }
 
 // EqualPartition splits indices 0..n-1 into contiguous groups of size

@@ -95,7 +95,7 @@ func (p *Plan) String() string {
 // planner's own disk accesses too.
 func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, params CostParams) (_ *Plan, retErr error) {
 	nT := len(ts)
-	nS := len(ix.ds.Records)
+	nS := ix.Len()
 	if nT == 0 {
 		return &Plan{Kind: PlanSeqScan}, nil
 	}

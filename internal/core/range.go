@@ -187,12 +187,14 @@ type RangeOptions struct {
 // and Workers options apply: above one worker the relation is scanned in
 // that many contiguous chunks (each record's verification is
 // independent), concatenated in record order, so the answer and the
-// statistics equal the serial scan. When ctx carries a span, a KindScan
-// child records the records scanned, comparisons made and matches found.
-func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats) {
+// statistics equal the serial scan. A heap file is read in runs of
+// consecutive record pages, each page once, with one run buffer per
+// worker. When ctx carries a span, a KindScan child records the records
+// scanned, comparisons made and matches found.
+func SeqScanRange(ctx context.Context, src RecordSource, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
 	var sp *obs.Span
 	if parent := obs.SpanFromContext(ctx); parent != nil {
-		sp = parent.Child(obs.KindScan, fmt.Sprintf("seq scan (%d records, %d transforms)", len(ds.Records), len(ts)))
+		sp = parent.Child(obs.KindScan, fmt.Sprintf("seq scan (%d records, %d transforms)", src.Len(), len(ts)))
 	}
 	ordered := orderedPrefix(ts, opts.UseOrdering && !opts.OneSided)
 	var all []int
@@ -203,7 +205,7 @@ func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 	if opts.NaiveVerify {
 		cut = math.Inf(1)
 	}
-	n := len(ds.Records)
+	n := src.Len()
 	workers := max(1, min(opts.Workers, n))
 	chunk := (n + workers - 1) / workers
 	type part struct {
@@ -211,25 +213,22 @@ func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 		st      QueryStats
 	}
 	parts := make([]part, workers)
-	_ = parallelFor(workers, workers, func(w int) error {
+	err := parallelFor(workers, workers, func(w int) error {
 		p := &parts[w]
 		lo := min(w*chunk, n)
-		for _, r := range ds.Records[lo:min(lo+chunk, n)] {
-			if r == nil { // deleted
-				continue
-			}
+		return src.visit(ctx, lo, min(lo+chunk, n), new(scanBuf), func(r *Record) error {
 			p.st.Candidates++
 			if ordered != nil {
 				p.matches = appendOrderedMatches(p.matches, ordered, r, q, eps, &p.st, all, opts.NaiveVerify, nil)
-				continue
+				return nil
 			}
 			for i, t := range ts {
 				if d, _ := p.st.evaluate(t, r, q, cut, opts.OneSided); d <= eps {
 					p.matches = append(p.matches, Match{RecordID: r.ID, TransformIdx: i, Distance: d})
 				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 	out, st := parts[0].matches, parts[0].st
 	for _, p := range parts[1:] {
@@ -242,9 +241,12 @@ func SeqScanRange(ctx context.Context, ds *Dataset, q *Record, ts []transform.Tr
 		sp.Set(obs.ATerms, int64(st.Terms))
 		sp.Set(obs.AMatches, int64(len(out)))
 		sp.Set(obs.ATransforms, int64(len(ts)))
-		sp.End()
+		sp.EndErr(err)
 	}
-	return out, st
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
 }
 
 // evaluate is one comparison through the plain kernel, counted: the

@@ -29,20 +29,21 @@ type RawMatch struct {
 
 // SeqScanRawRange finds every record whose original series is within eps
 // of q's original series, by exhaustive scan.
-func SeqScanRawRange(ds *Dataset, q *Record, eps float64) ([]RawMatch, QueryStats) {
+func SeqScanRawRange(src RecordSource, q *Record, eps float64) ([]RawMatch, QueryStats, error) {
 	var st QueryStats
 	var out []RawMatch
-	for _, r := range ds.Records {
-		if r == nil {
-			continue
-		}
+	err := src.visit(nil, 0, src.Len(), new(scanBuf), func(r *Record) error {
 		st.Candidates++
 		st.Comparisons++
 		if d := rawDistance(r, q); d <= eps {
 			out = append(out, RawMatch{RecordID: r.ID, Distance: d})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, st, err
 	}
-	return out, st
+	return out, st, nil
 }
 
 func rawDistance(r, q *Record) float64 {
@@ -60,7 +61,7 @@ func rawDistance(r, q *Record) float64 {
 func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error) {
 	var st QueryStats
 	st.IndexSearches++
-	n := float64(ix.ds.N)
+	n := float64(ix.n)
 	epsMean := eps / math.Sqrt(n)
 	epsStd := eps / math.Sqrt(n-1)
 	epsC := epsScale(eps, ix.opts.UseSymmetry)

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -185,11 +186,30 @@ func (d *Dataset) Record(id int64) *Record {
 	return d.Records[id]
 }
 
-// QueryRecord wraps an ad-hoc query series (not stored in the dataset) as
-// a record with id -1.
-func (d *Dataset) QueryRecord(s series.Series) (*Record, error) {
-	if len(s) != d.N {
-		return nil, fmt.Errorf("core: query length %d, dataset length %d", len(s), d.N)
+// Len returns the number of ids in the dataset, deleted records included.
+func (d *Dataset) Len() int { return len(d.Records) }
+
+// SeriesLength returns the common series length.
+func (d *Dataset) SeriesLength() int { return d.N }
+
+// visit makes the dataset a RecordSource: its own records, in place.
+func (d *Dataset) visit(_ context.Context, lo, hi int, _ *scanBuf, fn func(*Record) error) error {
+	for _, r := range d.Records[lo:hi] {
+		if r == nil { // deleted
+			continue
+		}
+		if err := fn(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// NewQueryRecord wraps an ad-hoc query series against series of length
+// n as a record with id -1.
+func NewQueryRecord(n int, s series.Series) (*Record, error) {
+	if len(s) != n {
+		return nil, fmt.Errorf("core: query length %d, dataset length %d", len(s), n)
 	}
 	if err := checkFinite(s); err != nil {
 		return nil, fmt.Errorf("core: query: %w", err)

@@ -295,7 +295,7 @@ func TestFilterNodeBoundSound(t *testing.T) {
 				if !found {
 					t.Fatalf("%s oneSided=%v: record %d at true distance %v is missing from the answer at eps = %v (stats %+v)", g.name, g.oneSided, r.ID, d, eps, st)
 				}
-				want, _ := SeqScanRange(nil, ds, q, g.ts, eps, ro)
+				want, _, _ := SeqScanRange(nil, ds, q, g.ts, eps, ro)
 				SortMatches(got)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s oneSided=%v eps=%v: %d matches, the scan finds %d", g.name, g.oneSided, eps, len(got), len(want))
@@ -358,7 +358,7 @@ func TestNNBoundaryThroughNodePrune(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qr, err := ds.QueryRecord(fx.shapes[distinct])
+		qr, err := NewQueryRecord(ds.N, fx.shapes[distinct])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func TestNNBoundaryThroughNodePrune(t *testing.T) {
 			} {
 				for _, q := range []*Record{qr, ds.Records[7]} {
 					for _, k := range []int{1, 5, 12, 13, 18, 24, 30, 37} {
-						want, _ := SeqScanNN(nil, ds, q, g.ts, k, g.oneSided)
+						want, _, _ := SeqScanNN(nil, ds, q, g.ts, k, g.oneSided)
 						got, _, err := ix.MTIndexNN(ctx, q, g.ts, k, RangeOptions{OneSided: g.oneSided})
 						if err != nil {
 							t.Fatal(err)
@@ -443,7 +443,7 @@ func TestTreePrunesOnWalkCorpus(t *testing.T) {
 		read += st.DALeaf
 		matches += len(got)
 		if i%5 == 0 {
-			want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+			want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 			SortMatches(got)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("query %d: %d matches, the scan finds %d", q.ID, len(got), len(want))

@@ -11,10 +11,10 @@ import (
 // kept between queries so a steady workload stops allocating them. A
 // range probe takes one (rangeGroup) for both of its stages, and one
 // more per extra worker when verification is parallel, so workers never
-// share one; an NN search, a join, a closest-pairs search and a
-// planner's counting traversals take one each. Nothing in a scratch
-// outlives the call that acquired it: what a query returns is copied out
-// first.
+// share one; an NN search, a join, a closest-pairs search, a
+// planner's counting traversals and a stored query point take one each.
+// Nothing in a scratch outlives the call that acquired it: what a query
+// returns is copied out first.
 type scratch struct {
 	// Filter stage: the rectangle's transformations, the rectangle every
 	// internal entry is transformed into (low corner, then high), the
@@ -25,9 +25,10 @@ type scratch struct {
 	admitted []int32
 	cands    []int64
 
-	// Verify stage: the ids of the candidates to fetch, the record
-	// decode slot and run buffer, the matches in the order their pages
-	// streamed by, and each fetched id's span of them.
+	// Verify stage: the ids to fetch when they are not the filter's
+	// candidates (an NN leaf's, a query point), the record decode slot
+	// and run buffer, the matches in the order their pages streamed by,
+	// and each fetched id's span of them.
 	ids     []int64
 	fetch   heapfile.Scratch
 	matches []Match
@@ -44,6 +45,11 @@ type scratch struct {
 	// the decode slot because the leaf is verified in entry order.
 	leaf []nnCand
 	slab []float64
+
+	// A query by id on a paged index: the stored query point, decoded
+	// from its page (Index.point). Its arrays are one series length each
+	// and are left out of bytes().
+	point Record
 }
 
 // matchSpan is the half-open range of scratch.matches one verified

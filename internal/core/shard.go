@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -89,19 +90,19 @@ func PartitionDataset(ds *Dataset, n int) ([]*Dataset, error) {
 // scatter-gather, each Index the per-shard stage of every query shape.
 // The tsq facade always talks to a Sharded.
 type Sharded struct {
-	ds     *Dataset // global dataset; at one shard, identical to shards[0].Dataset()
 	shards []*Index
 	// local[g] is global id g's id within shard ShardOf(g, n); nil at
-	// one shard, where local and global ids coincide.
+	// one shard, where local and global ids coincide. Its length is the
+	// number of global ids. The records themselves are the shards'.
 	local []int64
 	// global[s][l] is the global id of shard s's record l.
 	global [][]int64
 }
 
 // WrapIndex presents a single Index as the one-shard engine, sharing its
-// dataset.
+// records.
 func WrapIndex(ix *Index) *Sharded {
-	return &Sharded{ds: ix.Dataset(), shards: []*Index{ix}}
+	return &Sharded{shards: []*Index{ix}}
 }
 
 // BuildSharded partitions the dataset into nshards shards and builds
@@ -141,52 +142,39 @@ func BuildSharded(ds *Dataset, nshards int, opts IndexOptions) (*Sharded, error)
 		return nil, err
 	}
 	local, global := shardLayout(int64(len(ds.Records)), nshards)
-	return &Sharded{ds: ds, shards: shards, local: local, global: global}, nil
+	return &Sharded{shards: shards, local: local, global: global}, nil
 }
 
 // AssembleShards reassembles a Sharded from independently opened
-// per-shard indexes (the persistence layer's open path). The global
-// dataset and id mapping are re-derived from the shard record counts;
-// a count that contradicts the partition function is a corruption and
-// names the offending shard.
+// per-shard indexes (the persistence layer's open path). The id mapping
+// is re-derived from the shard record counts; a count that contradicts
+// the partition function is a corruption and names the offending shard.
 func AssembleShards(shards []*Index) (*Sharded, error) {
 	if len(shards) == 1 {
-		// One shard's dataset is the global one: shared, not copied.
 		return WrapIndex(shards[0]), nil
 	}
 	var total int64
 	for _, ix := range shards {
-		total += int64(len(ix.Dataset().Records))
+		total += int64(ix.Len())
 	}
-	n := len(shards)
-	local, global := shardLayout(total, n)
-	ds := &Dataset{N: shards[0].Dataset().N, Records: make([]*Record, total)}
+	local, global := shardLayout(total, len(shards))
 	for s, ix := range shards {
-		sd := ix.Dataset()
-		if sd.N != ds.N {
-			return nil, fmt.Errorf("core: shard %d: series length %d, shard 0 has %d", s, sd.N, ds.N)
+		if n, n0 := ix.SeriesLength(), shards[0].SeriesLength(); n != n0 {
+			return nil, fmt.Errorf("core: shard %d: series length %d, shard 0 has %d", s, n, n0)
 		}
 		if ix.Options().K != shards[0].Options().K {
 			return nil, fmt.Errorf("core: shard %d: k=%d, shard 0 has k=%d", s, ix.Options().K, shards[0].Options().K)
 		}
-		if len(sd.Records) != len(global[s]) {
+		if ix.Len() != len(global[s]) {
 			return nil, fmt.Errorf("core: shard %d: %d records, partition of %d ids expects %d",
-				s, len(sd.Records), total, len(global[s]))
-		}
-		for l, r := range sd.Records {
-			if r == nil { // tombstone
-				continue
-			}
-			r2 := *r
-			r2.ID = global[s][l]
-			ds.Records[r2.ID] = &r2
+				s, ix.Len(), total, len(global[s]))
 		}
 	}
-	return &Sharded{ds: ds, shards: shards, local: local, global: global}, nil
+	return &Sharded{shards: shards, local: local, global: global}, nil
 }
 
 // single reports the one-shard layout, which keeps no id mapping (local
-// and global ids coincide) and shares the shard's dataset.
+// and global ids coincide).
 func (s *Sharded) single() bool { return len(s.shards) == 1 }
 
 // shardErr names the failing shard in err; with one shard there is
@@ -204,8 +192,96 @@ func (s *Sharded) ShardCount() int { return len(s.shards) }
 // Shard returns shard i's index.
 func (s *Sharded) Shard(i int) *Index { return s.shards[i] }
 
-// Dataset returns the global dataset (ids are global).
-func (s *Sharded) Dataset() *Dataset { return s.ds }
+// Dataset returns the records of a one-shard in-memory engine, which are
+// its shard's own. It is nil for a paged engine, which keeps no record in
+// memory, and for more than one shard, where each shard numbers its
+// records locally: Record reads any record by global id, and the engine
+// is the RecordSource of a sequential scan.
+func (s *Sharded) Dataset() *Dataset {
+	if !s.single() {
+		return nil
+	}
+	return s.shards[0].Dataset()
+}
+
+// Len returns the number of global ids handed out, deleted records
+// included.
+func (s *Sharded) Len() int {
+	if s.single() {
+		return s.shards[0].Len()
+	}
+	return len(s.local)
+}
+
+// SeriesLength returns the common series length.
+func (s *Sharded) SeriesLength() int { return s.shards[0].SeriesLength() }
+
+// Record returns the record with global id g, named by g, or nil when it
+// is deleted or was never stored. It is a copy decoded from its page on
+// a paged engine (one page access); in memory it shares the stored
+// record's arrays, which the caller must not modify.
+func (s *Sharded) Record(g int64) (*Record, error) {
+	if g < 0 || g >= int64(s.Len()) {
+		return nil, nil
+	}
+	sh, l := s.locate(g)
+	r, err := s.shards[sh].fetch(nil, l)
+	if err != nil || r == nil || s.single() {
+		return r, s.shardErr(sh, err)
+	}
+	c := *r
+	c.ID = g
+	return &c, nil
+}
+
+// QueryPoint is a stored record serving as the query point of one query
+// by id. In memory it is the stored record itself (a copy named by its
+// global id at more than one shard). On a paged engine it is decoded
+// from its page into a scratch of its shard's pool, which Release gives
+// back when the query is done: a query by id costs one page access more
+// than an ad-hoc one and, once the pool is warm, no allocation.
+type QueryPoint struct {
+	// Record is the query point, nil when the id is deleted or was
+	// never stored.
+	Record *Record
+	ix     *Index
+	sc     *scratch
+}
+
+// QueryPoint returns record g as a query point. The caller must Release
+// it, and must not modify it.
+func (s *Sharded) QueryPoint(g int64) (QueryPoint, error) {
+	if g < 0 || g >= int64(s.Len()) {
+		return QueryPoint{}, nil
+	}
+	sh, l := s.locate(g)
+	ix := s.shards[sh]
+	if ix.heap == nil {
+		r := ix.ds.Record(l)
+		if r != nil && !s.single() {
+			c := *r
+			c.ID = g
+			r = &c
+		}
+		return QueryPoint{Record: r}, nil
+	}
+	sc := ix.acquireScratch()
+	r, err := ix.point(sc, l)
+	if err != nil || r == nil {
+		ix.releaseScratch(sc)
+		return QueryPoint{}, s.shardErr(sh, err)
+	}
+	r.ID = g
+	return QueryPoint{Record: r, ix: ix, sc: sc}, nil
+}
+
+// Release gives a paged query point's buffer back; the record must not be
+// used afterwards.
+func (p QueryPoint) Release() {
+	if p.sc != nil {
+		p.ix.releaseScratch(p.sc)
+	}
+}
 
 // Options returns the index options (identical across shards).
 func (s *Sharded) Options() IndexOptions { return s.shards[0].Options() }
@@ -309,15 +385,6 @@ func (s *Sharded) globalID(sh int, l int64) int64 {
 		return l
 	}
 	return s.global[sh][l]
-}
-
-// fetchGlobal retrieves the record with global id g through its owning
-// shard (counting that shard's page I/O). nil, nil marks a deleted
-// record. The record carries its shard-local id; callers name it by g.
-func (s *Sharded) fetchGlobal(g int64) (*Record, error) {
-	sh, l := s.locate(g)
-	r, err := s.shards[sh].fetch(nil, l)
-	return r, s.shardErr(sh, err)
 }
 
 // shardQuery returns the query record as shard sh should see it: the
@@ -450,10 +517,10 @@ func (s *Sharded) PlanRange(ctx context.Context, q *Record, ts []transform.Trans
 // invariant of the per-shard layouts is preserved: the new global id is
 // the maximum, hence also the last local id of its shard.
 func (s *Sharded) Insert(name string, ser series.Series) (int64, error) {
-	if s.single() { // shared dataset: the shard's append is the global one
+	if s.single() { // the shard's ids are the global ones
 		return s.shards[0].Insert(name, ser)
 	}
-	g := int64(len(s.ds.Records))
+	g := int64(len(s.local))
 	sh := ShardOf(g, len(s.shards))
 	l, err := s.shards[sh].Insert(name, ser)
 	if err != nil {
@@ -464,51 +531,40 @@ func (s *Sharded) Insert(name string, ser series.Series) (int64, error) {
 	}
 	s.local = append(s.local, l)
 	s.global[sh] = append(s.global[sh], g)
-	r := *s.shards[sh].Dataset().Records[l]
-	r.ID = g
-	s.ds.Records = append(s.ds.Records, &r)
 	return g, nil
 }
 
-// Delete removes global id g from its shard and tombstones the global
-// record (ids are never reused, so the layout stays intact).
+// Delete removes global id g from its shard, which tombstones its record
+// (ids are never reused, so the layout stays intact). An id that holds no
+// record is named by its global id, as at one shard.
 func (s *Sharded) Delete(g int64) error {
-	if s.single() { // shared dataset: the shard's tombstone is the global one
+	if s.single() { // the shard's ids are the global ones
 		return s.shards[0].Delete(g)
 	}
-	if g < 0 || g >= int64(len(s.ds.Records)) || s.ds.Records[g] == nil {
-		return fmt.Errorf("core: no record %d", g)
+	if g < 0 || g >= int64(len(s.local)) {
+		return fmt.Errorf("%w %d", errNoRecord, g)
 	}
 	sh, l := s.locate(g)
 	if err := s.shards[sh].Delete(l); err != nil {
+		if errors.Is(err, errNoRecord) {
+			return fmt.Errorf("%w %d", errNoRecord, g)
+		}
 		return s.shardErr(sh, err)
 	}
-	s.ds.Records[g] = nil
 	return nil
 }
 
 // Verify checks every shard's structural invariants plus the shard
 // layout itself: per-shard record counts must match the partition
-// function's assignment and the global dataset must agree with the
-// shard-local records.
+// function's assignment.
 func (s *Sharded) Verify() error {
-	_, global := shardLayout(int64(len(s.ds.Records)), len(s.shards))
+	_, global := shardLayout(int64(s.Len()), len(s.shards))
 	for sh, ix := range s.shards {
 		if err := ix.Verify(); err != nil {
 			return s.shardErr(sh, err)
 		}
-		if got, want := len(ix.Dataset().Records), len(global[sh]); got != want {
+		if got, want := ix.Len(), len(global[sh]); got != want {
 			return fmt.Errorf("core: shard %d holds %d records, partition expects %d", sh, got, want)
-		}
-		for l, g := range global[sh] {
-			lr := ix.Dataset().Records[l]
-			gr := s.ds.Records[g]
-			if (lr == nil) != (gr == nil) {
-				return fmt.Errorf("core: shard %d record %d and global record %d disagree on deletion", sh, l, g)
-			}
-			if gr != nil && gr.ID != g {
-				return fmt.Errorf("core: global record %d carries id %d", g, gr.ID)
-			}
 		}
 	}
 	return nil
@@ -527,7 +583,7 @@ func (s *Sharded) AvgLeafCapacity() (float64, error) {
 		if err != nil {
 			return 0, s.shardErr(sh, err)
 		}
-		records += len(ix.Dataset().Records)
+		records += ix.Len()
 	}
 	if leaves == 0 {
 		return 0, nil
@@ -622,8 +678,8 @@ func (s *Sharded) Health(ctx context.Context, ts []transform.Transform, groups [
 	}
 	opts := s.Options()
 	hr := &HealthReport{
-		Series:       len(s.ds.Records),
-		SeriesLength: s.ds.N,
+		Series:       s.Len(),
+		SeriesLength: s.SeriesLength(),
 		K:            opts.K,
 		Dim:          2 + 2*opts.K,
 		PageSize:     s.PageSize(),

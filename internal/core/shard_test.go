@@ -443,7 +443,7 @@ func TestShardedEmptyShards(t *testing.T) {
 	}
 	ts := transform.MovingAverageSet(32, 3, 6)
 	q := ds.Records[0]
-	want, _ := SeqScanRange(nil, ds, q, ts, 50, RangeOptions{})
+	want, _, _ := SeqScanRange(nil, ds, q, ts, 50, RangeOptions{})
 	got, _, err := sh.MTIndexRange(nil, q, ts, 50, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +451,7 @@ func TestShardedEmptyShards(t *testing.T) {
 	if !sameKeys(matchKeySet(got), matchKeySet(want)) {
 		t.Fatalf("empty-shard range mismatch: %d vs %d", len(got), len(want))
 	}
-	wantJ, _ := SeqScanJoin(ds, ts, 50)
+	wantJ, _, _ := SeqScanJoin(ds, ts, 50)
 	gotJ, _, err := sh.MTIndexJoin(ts, 50, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
@@ -513,7 +513,10 @@ func TestShardedInsertDelete(t *testing.T) {
 
 	ts := transform.MovingAverageSet(32, 3, 6)
 	eps := series.DistanceForCorrelation(32, 0.85)
-	q := sh.Dataset().Records[81]
+	q, err := sh.Record(81)
+	if err != nil || q == nil || q.ID != 81 {
+		t.Fatalf("Record(81) = %v, %v", q, err)
+	}
 	want, _, err := ix2.MTIndexRange(nil, ds2.Records[81], ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
@@ -525,6 +528,12 @@ func TestShardedInsertDelete(t *testing.T) {
 	SortMatches(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-insert/delete range mismatch: %d vs %d", len(got), len(want))
+	}
+	// The engine, scanned by global id, is the single tree's relation.
+	wantScan, wantSt, _ := SeqScanRange(nil, ds2, q, ts, eps, RangeOptions{})
+	gotScan, gotSt, err := SeqScanRange(nil, sh, q, ts, eps, RangeOptions{Workers: 2})
+	if err != nil || !reflect.DeepEqual(gotScan, wantScan) || gotSt != wantSt {
+		t.Fatalf("sharded scan: %d matches %+v (%v), single tree %d %+v", len(gotScan), gotSt, err, len(wantScan), wantSt)
 	}
 	for _, m := range got {
 		if m.RecordID == 40 {

@@ -86,7 +86,7 @@ func TestTermsPerComparison(t *testing.T) {
 		return st, err
 	}))
 	run("range scan", 0.5, queries(func(q *Record, ts []transform.Transform) (QueryStats, error) {
-		_, st := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+		_, st, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 		return st, nil
 	}))
 	run("nn", 0.5, queries(func(q *Record, ts []transform.Transform) (QueryStats, error) {

@@ -40,15 +40,18 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A record deleted since its leaf entry was written: the filter stage
-	// still lets it through, verification knows better than to fetch it.
-	ix.ds.Records[intact[len(intact)-1].RecordID] = nil
+	// A record tombstoned on its page while its leaf entry stays: the
+	// filter stage still lets it through, verification reads its page and
+	// finds nothing to verify.
+	if err := ix.heap.Delete(intact[len(intact)-1].RecordID); err != nil {
+		t.Fatal(err)
+	}
 	want, wantSt, err := ix.MTIndexRange(nil, q, ts, eps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	knownDeleted := int64(intactSt.Candidates - wantSt.Candidates)
-	if knownDeleted == 0 || wantSt.SkippedLB == 0 || wantSt.SkippedLB != intactSt.SkippedLB {
+	tombstoned := int64(intactSt.Candidates - wantSt.Candidates)
+	if tombstoned == 0 || wantSt.SkippedLB == 0 || wantSt.SkippedLB != intactSt.SkippedLB {
 		t.Fatalf("degenerate fixture: stats %+v, %+v before the deletion", wantSt, intactSt)
 	}
 
@@ -117,11 +120,11 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 			t.Errorf("workers=%d: probe roll-up candidates = %d, stats = %d", workers, got, want)
 		}
 		// The filter span's candidates are the admitted entries; what it
-		// hands on is those less the dismissed, and verification fetches
-		// all of them but the known-deleted.
+		// hands on is those less the dismissed, and verification verifies
+		// all of them but the tombstoned.
 		survivors := tr.Sum(obs.KindFilter, obs.ACandidates) - tr.Sum(obs.KindFilter, obs.ASkippedLB)
-		if fetched := tr.Sum(obs.KindVerify, obs.ACandidates); survivors != fetched+knownDeleted {
-			t.Errorf("workers=%d: filter spans pass on %d survivors, verify spans fetched %d with %d known deleted", workers, survivors, fetched, knownDeleted)
+		if fetched := tr.Sum(obs.KindVerify, obs.ACandidates); survivors != fetched+tombstoned {
+			t.Errorf("workers=%d: filter spans pass on %d survivors, verify spans verified %d with %d tombstoned", workers, survivors, fetched, tombstoned)
 		}
 		// One probe span per non-empty group, each with filter+verify child.
 		if probes := tr.Sum(obs.KindProbe, obs.ATransforms); probes != int64(len(ts)) {

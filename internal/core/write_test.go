@@ -48,7 +48,10 @@ func TestAbortedDeleteKeepsFreedPages(t *testing.T) {
 			t.Fatalf("%s %d: %v", what, id, err)
 		}
 		q := ds.Records[count-1]
-		want, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
+		want, _, err := SeqScanRange(nil, ix, q, ts, eps, RangeOptions{})
+		if err != nil {
+			t.Fatalf("%s %d: scan: %v", what, id, err)
+		}
 		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatalf("%s %d: %v", what, id, err)

@@ -232,7 +232,7 @@ func assemble(shards []*core.Index) (*DB, error) {
 		closeIndexes(shards)
 		return nil, fmt.Errorf("tsq: %w", err)
 	}
-	return &DB{ds: sh.Dataset(), ix: sh}, nil
+	return &DB{ix: sh}, nil
 }
 
 // closeIndexes closes every non-nil index.

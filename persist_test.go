@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"tsq/internal/datagen"
@@ -171,27 +173,178 @@ func TestInsertDeleteLifecycle(t *testing.T) {
 	}
 }
 
+// TestInMemoryInsertDelete: inserts and deletes on an in-memory database,
+// and, row by row, a file-backed database of the same content, which
+// keeps no record in memory and reads each one from its page: every
+// accessor and query answer, live, deleted, out-of-range and negative
+// ids alike, must be the in-memory database's, before and after a
+// reopen, at one and two shards.
 func TestInMemoryInsertDelete(t *testing.T) {
-	db := openTestDB(t, 30, 40, 32)
-	id, err := db.Insert("new", datagen.RandomWalks(31, 1, 32)[0])
-	if err != nil || id != 40 {
-		t.Fatalf("insert: %v %v", id, err)
+	const n = 32
+	flat := make(Series, n) // std 0: its normal form is all zeros
+	for i := range flat {
+		flat[i] = 7
 	}
-	if err := db.Delete(3); err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name   string
+		shards int
+		ss     []Series
+		insert bool
+		del    int64 // deleted twice; -1 for none
+	}{
+		{"one shard", 1, append(datagen.RandomWalks(30, 40, n), flat), true, 3},
+		{"two shards", 2, append(datagen.RandomWalks(30, 40, n), flat), true, 3},
+		// One series over two shards leaves one shard empty.
+		{"two shards, one empty", 2, datagen.RandomWalks(30, 1, n), false, -1},
 	}
-	ms, _, err := db.Range(db.Get(0), MovingAverages(32, 2, 4), Distance(1e9), QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
+	extra := datagen.RandomWalks(31, 1, n)[0]
+	ts := MovingAverages(n, 2, 4)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			mem, err := Open(row.ss, nil, Options{Shards: row.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "db.tsq")
+			file, err := CreateFile(path, row.ss, nil, Options{Shards: row.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var delErr [2]string
+			for i, db := range []*DB{mem, file} {
+				if row.insert {
+					if id, err := db.Insert("new", extra); err != nil || id != int64(len(row.ss)) {
+						t.Fatalf("insert: %v %v", id, err)
+					}
+				}
+				if _, err := db.Insert("short", make(Series, 5)); err == nil {
+					t.Error("wrong-length insert accepted")
+				}
+				if row.del < 0 {
+					continue
+				}
+				if err := db.Delete(row.del); err != nil {
+					t.Fatal(err)
+				}
+				err := db.Delete(row.del)
+				if err == nil {
+					t.Fatal("double delete succeeded")
+				}
+				delErr[i] = err.Error()
+				ms, _, err := db.Range(db.Get(0), ts, Distance(1e9), QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range ms {
+					if m.RecordID == row.del {
+						t.Error("deleted record matched")
+					}
+				}
+			}
+			if delErr[1] != delErr[0] {
+				t.Errorf("double delete: file %q, in memory %q", delErr[1], delErr[0])
+			}
+			if len(row.ss) > 1 {
+				if norm := file.NormalForm(int64(len(row.ss) - 1)); len(norm) != n || !allZeros(norm) {
+					t.Errorf("constant series read back with normal form %v", norm)
+				}
+			}
+			sameAsInMemory(t, "created", mem, file, ts)
+			if err := file.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			sameAsInMemory(t, "reopened", mem, re, ts)
+			if err := re.Verify(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
-	for _, m := range ms {
-		if m.RecordID == 3 {
-			t.Error("deleted record matched")
+}
+
+// sameAsInMemory holds a file-backed database to the in-memory one it
+// was built alike with: Len, Info().Series, Name, Get and NormalForm of
+// every id from -1 to Len (bit for bit), RangeByID at a threshold and at
+// eps = 0, by index and by scan, and NearestNeighbors at k = 0, 5 and
+// beyond Len. A sequential scan's statistics are equal too; an index's
+// are not compared, since a page file's pages are smaller than memory
+// pages by their checksum trailer and the trees differ in shape.
+func sameAsInMemory(t *testing.T, label string, mem, file *DB, ts []Transform) {
+	t.Helper()
+	if file.Len() != mem.Len() {
+		t.Fatalf("%s: Len %d, in memory %d", label, file.Len(), mem.Len())
+	}
+	fi, ferr := file.Info()
+	mi, merr := mem.Info()
+	if ferr != nil || merr != nil || fi.Series != mi.Series {
+		t.Errorf("%s: Info().Series %d (%v), in memory %d (%v)", label, fi.Series, ferr, mi.Series, merr)
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for id := int64(-1); id <= int64(mem.Len()); id++ {
+		if f, m := file.Name(id), mem.Name(id); f != m {
+			t.Errorf("%s: Name(%d) = %q, in memory %q", label, id, f, m)
+		}
+		if f, m := file.Get(id), mem.Get(id); !sameBits(f, m) {
+			t.Errorf("%s: Get(%d) = %v, in memory %v", label, id, f, m)
+		}
+		if f, m := file.NormalForm(id), mem.NormalForm(id); !sameBits(f, m) {
+			t.Errorf("%s: NormalForm(%d) = %v, in memory %v", label, id, f, m)
+		}
+		for _, thr := range []Threshold{Correlation(0.9), Distance(0)} {
+			for _, alg := range []Algorithm{MTIndex, SeqScan} {
+				opts := QueryOptions{Algorithm: alg}
+				fm, fst, ferr := file.RangeByID(id, ts, thr, opts)
+				mm, mst, merr := mem.RangeByID(id, ts, thr, opts)
+				SortMatches(fm)
+				SortMatches(mm)
+				if errText(ferr) != errText(merr) || !reflect.DeepEqual(fm, mm) || (alg == SeqScan && fst != mst) {
+					t.Errorf("%s: RangeByID(%d, %v, %v) = %v %+v %v, in memory %v %+v %v", label, id, thr, alg, fm, fst, ferr, mm, mst, merr)
+				}
+			}
 		}
 	}
-	if _, err := db.Insert("short", make(Series, 5)); err == nil {
-		t.Error("wrong-length insert accepted")
+	q := datagen.RandomWalks(32, 1, mem.SeriesLength())[0]
+	for _, k := range []int{0, 5, mem.Len() + 5} {
+		for _, alg := range []Algorithm{MTIndex, SeqScan} {
+			opts := QueryOptions{Algorithm: alg}
+			fn, fst, ferr := file.NearestNeighbors(q, ts, k, opts)
+			mn, mst, merr := mem.NearestNeighbors(q, ts, k, opts)
+			if ferr != nil || merr != nil || !reflect.DeepEqual(fn, mn) || (alg == SeqScan && fst != mst) {
+				t.Errorf("%s: NearestNeighbors(k=%d, %v) = %v %+v %v, in memory %v %+v %v", label, k, alg, fn, fst, ferr, mn, mst, merr)
+			}
+		}
 	}
+}
+
+// sameBits reports whether two series hold the same float64 bits.
+func sameBits(a, b Series) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func allZeros(s Series) bool {
+	for _, v := range s {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestOpenFileErrors(t *testing.T) {
@@ -468,4 +621,166 @@ func TestCreateOverLargerDatabase(t *testing.T) {
 			}
 		}
 	}
+}
+
+// liveHeap returns the smallest of three readings of the live heap, each
+// taken right after a collection.
+func liveHeap() int64 {
+	least := int64(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		least = min(least, int64(m.HeapAlloc))
+	}
+	return least
+}
+
+// TestFileBackedDBHoldsNoRecords: a file-backed database keeps each
+// record once, on its page. What it holds in memory after CreateFile,
+// and again after Close and OpenFile, is its heap directory, its tree
+// and its query scratch, not its records: under 512 B per series against
+// the about 4 KB an in-memory database keeps on purpose, where the
+// record (raw series, normal form, magnitudes, phases) is the only copy.
+func TestFileBackedDBHoldsNoRecords(t *testing.T) {
+	const count, n, perSeries = 4000, 128, 512
+	ss := datagen.RandomWalks(41, count, n)
+	for _, shards := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "db.tsq")
+		base := liveHeap()
+		db, err := CreateFile(path, ss, nil, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := (liveHeap() - base) / count
+		t.Logf("shards=%d: CreateFile keeps %d B per series", shards, got)
+		if got >= perSeries {
+			t.Errorf("shards=%d: CreateFile keeps %d B per series", shards, got)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = OpenFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got = (liveHeap() - base) / count
+		t.Logf("shards=%d: OpenFile keeps %d B per series", shards, got)
+		if got >= perSeries {
+			t.Errorf("shards=%d: OpenFile keeps %d B per series", shards, got)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		base = liveHeap()
+		mem, err := Open(ss, nil, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = (liveHeap() - base) / count
+		t.Logf("shards=%d: Open keeps %d B per series", shards, got)
+		if got < 3*n*8 {
+			t.Errorf("shards=%d: an in-memory database keeps %d B per series, less than its records", shards, got)
+		}
+		runtime.KeepAlive(mem)
+	}
+}
+
+// TestOpenFileReadsNoRecordPage: opening a file-backed database reads its
+// superblock, its heap directory and its tree's meta page, and no record:
+// the page accesses of the open do not grow with the series count beyond
+// the directory's pages.
+func TestOpenFileReadsNoRecordPage(t *testing.T) {
+	const n = 64
+	// A directory page of a checksummed 4 KiB page file lists
+	// (4096-8-12)/4 record pages.
+	const perDirPage = (4096 - 8 - 12) / 4
+	for _, count := range []int{2000, 4000} {
+		path := filepath.Join(t.TempDir(), "db.tsq")
+		db, err := CreateFile(path, datagen.RandomWalks(43, count, n), nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io := re.DiskStats()
+		dirPages := int64((count + perDirPage - 1) / perDirPage)
+		if got := io.Reads + io.Prefetched + io.Hits; got > dirPages+3 {
+			t.Errorf("%d series: open made %d page accesses (%+v), want at most %d directory pages + 3", count, got, io, dirPages)
+		}
+		if re.Len() != count {
+			t.Errorf("reopened Len %d, want %d", re.Len(), count)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFileSeqScanStreamsHeap: a sequential scan of a file-backed database
+// reads the file. Range (at one and four workers), nearest-neighbor, raw
+// range, join and closest-pairs scans return the in-memory scans' answers
+// and statistics; the range scan reads every record page exactly once and
+// leaves the live heap within one run buffer of where it found it.
+func TestFileSeqScanStreamsHeap(t *testing.T) {
+	const count, n = 300, 64
+	ss := datagen.RandomWalks(45, count, n)
+	mem, err := Open(ss, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := CreateFile(filepath.Join(t.TempDir(), "db.tsq"), ss, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for _, db := range []*DB{mem, file} {
+		if err := db.Delete(7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := MovingAverages(n, 4, 8)
+	thr := Correlation(0.9)
+	q := datagen.RandomWalks(46, 1, n)[0]
+	seq := QueryOptions{Algorithm: SeqScan}
+	check := func(what string, f, m any, fst, mst Stats, ferr, merr error) {
+		t.Helper()
+		if ferr != nil || merr != nil || !reflect.DeepEqual(f, m) || fst != mst {
+			t.Errorf("%s: file %v %+v %v, in memory %v %+v %v", what, f, fst, ferr, m, mst, merr)
+		}
+	}
+	// A run buffer holds scanChunk record pages.
+	const runBuffer = 64 * 4096
+	for _, workers := range []int{1, 4} {
+		opts := QueryOptions{Algorithm: SeqScan, Workers: workers}
+		file.ResetDiskStats()
+		before := liveHeap()
+		fm, fst, ferr := file.Range(q, ts, thr, opts)
+		if grown := liveHeap() - before; grown > runBuffer {
+			t.Errorf("workers=%d: the scan left %d bytes on the heap", workers, grown)
+		}
+		io := file.DiskStats()
+		if got := io.Reads + io.Prefetched + io.Hits; got != count || io.Reads >= count/8 {
+			t.Errorf("workers=%d: the scan made %d page accesses (%+v) for %d record pages, not in runs", workers, got, io, count)
+		}
+		mm, mst, merr := mem.Range(q, ts, thr, opts)
+		check(fmt.Sprintf("range, %d workers", workers), fm, mm, fst, mst, ferr, merr)
+	}
+	fn, fst, ferr := file.NearestNeighbors(q, ts, 5, seq)
+	mn, mst, merr := mem.NearestNeighbors(q, ts, 5, seq)
+	check("nearest neighbors", fn, mn, fst, mst, ferr, merr)
+	fr, fst, ferr := file.RawRange(q, 30, false)
+	mr, mst, merr := mem.RawRange(q, 30, false)
+	check("raw range", fr, mr, fst, mst, ferr, merr)
+	fj, fst, ferr := file.Join(ts, thr, seq)
+	mj, mst, merr := mem.Join(ts, thr, seq)
+	check("join", fj, mj, fst, mst, ferr, merr)
+	fp, fst, ferr := file.ClosestPairs(ts, 5, SeqScan)
+	mp, mst, merr := mem.ClosestPairs(ts, 5, SeqScan)
+	check("closest pairs", fp, mp, fst, mst, ferr, merr)
 }

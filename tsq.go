@@ -255,7 +255,6 @@ type QueryOptions struct {
 // exclusive.
 type DB struct {
 	mu sync.RWMutex
-	ds *core.Dataset
 	ix *core.Sharded
 }
 
@@ -275,7 +274,7 @@ func Open(ss []Series, names []string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{ds: ds, ix: ix}, nil
+	return &DB{ix: ix}, nil
 }
 
 // Shards returns the shard count of the database (1 when unsharded).
@@ -285,37 +284,52 @@ func (db *DB) Shards() int { return db.ix.ShardCount() }
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.ds.Records)
+	return db.ix.Len()
 }
 
 // SeriesLength returns the common series length.
-func (db *DB) SeriesLength() int { return db.ds.N }
+func (db *DB) SeriesLength() int { return db.ix.SeriesLength() }
 
-// Name returns the name of series id, or "" if unknown.
+// record returns stored series id, nil when it is deleted, was never
+// stored or cannot be read. A file-backed database reads its page.
+func (db *DB) record(id int64) *core.Record {
+	r, err := db.ix.Record(id)
+	if err != nil {
+		return nil
+	}
+	return r
+}
+
+// Name returns the name of series id, or "" if unknown. On a file-backed
+// database it reads the series' page.
 func (db *DB) Name(id int64) string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if r := db.ds.Record(id); r != nil {
+	if r := db.record(id); r != nil {
 		return r.Name
 	}
 	return ""
 }
 
 // Get returns a copy of the original series with the given id, or nil.
+// On a file-backed database it reads the series' page.
 func (db *DB) Get(id int64) Series {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if r := db.ds.Record(id); r != nil {
+	if r := db.record(id); r != nil {
 		return r.Raw.Clone()
 	}
 	return nil
 }
 
-// NormalForm returns a copy of the normal form of series id, or nil.
+// NormalForm returns a copy of the normal form of series id, or nil. On a
+// file-backed database it is computed from the raw series, mean and
+// standard deviation on the series' page, bit for bit the normal form
+// the series was stored with.
 func (db *DB) NormalForm(id int64) Series {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if r := db.ds.Record(id); r != nil {
+	if r := db.record(id); r != nil {
 		return r.Norm.Clone()
 	}
 	return nil
@@ -344,8 +358,8 @@ func (db *DB) Info() (Info, error) {
 		return Info{}, err
 	}
 	return Info{
-		Series:       len(db.ds.Records),
-		SeriesLength: db.ds.N,
+		Series:       db.ix.Len(),
+		SeriesLength: db.ix.SeriesLength(),
 		IndexedK:     db.ix.Options().K,
 		TreeHeight:   db.ix.Height(),
 		Pages:        db.ix.NumPages(),
@@ -431,7 +445,7 @@ func (db *DB) Range(q Series, ts []Transform, thr Threshold, opts QueryOptions) 
 func (db *DB) RangeCtx(ctx context.Context, q Series, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	qr, err := db.ds.QueryRecord(q)
+	qr, err := core.NewQueryRecord(db.ix.SeriesLength(), q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -443,15 +457,20 @@ func (db *DB) RangeByID(id int64, ts []Transform, thr Threshold, opts QueryOptio
 	return db.RangeByIDCtx(nil, id, ts, thr, opts)
 }
 
-// RangeByIDCtx is RangeByID under a context; see RangeCtx.
+// RangeByIDCtx is RangeByID under a context; see RangeCtx. On a
+// file-backed database the query series is read from its page.
 func (db *DB) RangeByIDCtx(ctx context.Context, id int64, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	r := db.ds.Record(id)
-	if r == nil {
+	qp, err := db.ix.QueryPoint(id)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	defer qp.Release()
+	if qp.Record == nil {
 		return nil, Stats{}, fmt.Errorf("tsq: no series with id %d", id)
 	}
-	return db.rangeRecord(ctx, r, ts, thr, opts)
+	return db.rangeRecord(ctx, qp.Record, ts, thr, opts)
 }
 
 // queryEvent is one facade query as its diagnostics see it: what was
@@ -601,7 +620,7 @@ func attributed[T any](ctx context.Context, ev *queryEvent, run func(context.Con
 // rangeRecord answers a range query for an already-featurized query
 // point under the facade's instrumentation.
 func (db *DB) rangeRecord(ctx context.Context, qr *core.Record, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
-	eps := thr.Epsilon(db.ds.N)
+	eps := thr.Epsilon(db.ix.SeriesLength())
 	if empty, err := vetEps(eps); empty || err != nil {
 		return nil, Stats{}, err
 	}
@@ -669,8 +688,7 @@ func (db *DB) rangeDispatch(ctx context.Context, qr *core.Record, ts []Transform
 	}
 	switch alg {
 	case SeqScan:
-		m, st := core.SeqScanRange(ctx, db.ds, qr, ts, eps, ro)
-		return m, st, nil
+		return core.SeqScanRange(ctx, db.ix, qr, ts, eps, ro)
 	case STIndex:
 		return db.ix.STIndexRange(ctx, qr, ts, eps, ro)
 	default:
@@ -734,9 +752,12 @@ func (db *DB) Batch(ctx context.Context, reqs []BatchRequest, workers int) []Bat
 			SeqScan:        alg == SeqScan,
 		}
 		if r.ByID {
-			rec := db.ds.Record(r.ID)
-			if rec == nil {
-				results[i].Err = fmt.Errorf("tsq: no series with id %d", r.ID)
+			rec, err := db.ix.Record(r.ID)
+			if err == nil && rec == nil {
+				err = fmt.Errorf("tsq: no series with id %d", r.ID)
+			}
+			if err != nil {
+				results[i].Err = err
 				continue
 			}
 			er.Record = rec
@@ -744,7 +765,7 @@ func (db *DB) Batch(ctx context.Context, reqs []BatchRequest, workers int) []Bat
 			er.Query = r.Query
 		}
 		if r.K <= 0 {
-			er.Eps = r.Threshold.Epsilon(db.ds.N)
+			er.Eps = r.Threshold.Epsilon(db.ix.SeriesLength())
 			if empty, err := vetEps(er.Eps); empty || err != nil {
 				results[i].Err = err
 				continue
@@ -771,7 +792,7 @@ func (db *DB) Join(ts []Transform, thr Threshold, opts QueryOptions) ([]JoinMatc
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	mJoinQueries.Inc()
-	eps := thr.Epsilon(db.ds.N)
+	eps := thr.Epsilon(db.ix.SeriesLength())
 	if empty, err := vetEps(eps); empty || err != nil {
 		return nil, Stats{}, err
 	}
@@ -781,8 +802,7 @@ func (db *DB) Join(ts []Transform, thr Threshold, opts QueryOptions) ([]JoinMatc
 	}
 	switch alg {
 	case SeqScan:
-		m, st := core.SeqScanJoin(db.ds, ts, eps)
-		return m, st, nil
+		return core.SeqScanJoin(db.ix, ts, eps)
 	case STIndex:
 		return db.ix.STIndexJoin(ts, eps, db.rangeOpts(ts, opts))
 	default:
@@ -805,8 +825,7 @@ func (db *DB) ClosestPairs(ts []Transform, k int, alg Algorithm) ([]JoinMatch, S
 		return nil, Stats{}, err
 	}
 	if alg == SeqScan {
-		m, st := core.SeqScanClosestPairs(db.ds, ts, k)
-		return m, st, nil
+		return core.SeqScanClosestPairs(db.ix, ts, k)
 	}
 	return db.ix.MTIndexClosestPairs(ts, k)
 }
@@ -827,7 +846,7 @@ func (db *DB) NearestNeighbors(q Series, ts []Transform, k int, opts QueryOption
 func (db *DB) NearestNeighborsCtx(ctx context.Context, q Series, ts []Transform, k int, opts QueryOptions) ([]NNMatch, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	qr, err := db.ds.QueryRecord(q)
+	qr, err := core.NewQueryRecord(db.ix.SeriesLength(), q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -858,8 +877,7 @@ func (db *DB) nnDispatch(ctx context.Context, qr *core.Record, ts []Transform, k
 	}
 	ro := core.RangeOptions{OneSided: opts.OneSided || opts.QueryTransform != nil}
 	if alg == SeqScan {
-		m, st := core.SeqScanNN(ctx, db.ds, qr, ts, k, ro.OneSided)
-		return m, st, nil
+		return core.SeqScanNN(ctx, db.ix, qr, ts, k, ro.OneSided)
 	}
 	return db.ix.MTIndexNN(ctx, qr, ts, k, ro)
 }
@@ -869,11 +887,11 @@ func (db *DB) nnDispatch(ctx context.Context, qr *core.Record, ts []Transform, k
 func (db *DB) Explain(q Series, ts []Transform, thr Threshold) (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	qr, err := db.ds.QueryRecord(q)
+	qr, err := core.NewQueryRecord(db.ix.SeriesLength(), q)
 	if err != nil {
 		return "", err
 	}
-	plan, err := db.ix.PlanRange(nil, qr, ts, thr.Epsilon(db.ds.N), core.RangeOptions{Mode: core.QRectSafe}, core.DefaultCostParams())
+	plan, err := db.ix.PlanRange(nil, qr, ts, thr.Epsilon(db.ix.SeriesLength()), core.RangeOptions{Mode: core.QRectSafe}, core.DefaultCostParams())
 	if err != nil {
 		return "", err
 	}
@@ -888,7 +906,7 @@ func (db *DB) Explain(q Series, ts []Transform, thr Threshold) (string, error) {
 func (db *DB) RawRange(q Series, maxDistance float64, useIndex bool) ([]RawMatch, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	qr, err := db.ds.QueryRecord(q)
+	qr, err := core.NewQueryRecord(db.ix.SeriesLength(), q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -896,8 +914,7 @@ func (db *DB) RawRange(q Series, maxDistance float64, useIndex bool) ([]RawMatch
 		return nil, Stats{}, err
 	}
 	if !useIndex {
-		m, st := core.SeqScanRawRange(db.ds, qr, maxDistance)
-		return m, st, nil
+		return core.SeqScanRawRange(db.ix, qr, maxDistance)
 	}
 	return db.ix.RawRange(qr, maxDistance)
 }
@@ -909,11 +926,11 @@ func (db *DB) RawRange(q Series, maxDistance float64, useIndex bool) ([]RawMatch
 func (db *DB) OptimalPartition(q Series, ts []Transform, thr Threshold) (groups [][]int, cost float64, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	qr, err := db.ds.QueryRecord(q)
+	qr, err := core.NewQueryRecord(db.ix.SeriesLength(), q)
 	if err != nil {
 		return nil, 0, err
 	}
-	return db.ix.OptimalPartition(qr, ts, thr.Epsilon(db.ds.N), core.QRectSafe, core.DefaultCostParams())
+	return db.ix.OptimalPartition(qr, ts, thr.Epsilon(db.ix.SeriesLength()), core.QRectSafe, core.DefaultCostParams())
 }
 
 // Transformation constructors, re-exported for API completeness.
