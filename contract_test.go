@@ -227,6 +227,15 @@ func TestBadThresholds(t *testing.T) {
 				t.Errorf("shards=%d RawRange(index=%v) with -1: %d matches, stats %+v, err %v", shards, useIndex, len(m), st, err)
 			}
 		}
+		// Nor does a planner price a NaN threshold.
+		for _, thr := range []Threshold{Distance(math.NaN()), Correlation(math.NaN())} {
+			if plan, err := db.Explain(q, ts, thr); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("shards=%d Explain with %v: %q, err %v, want ErrNonFinite", shards, thr, plan, err)
+			}
+			if groups, _, err := db.OptimalPartition(q, ts, thr); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("shards=%d OptimalPartition with %v: %v, err %v, want ErrNonFinite", shards, thr, groups, err)
+			}
+		}
 		// The smallest thresholds that do ask something still answer.
 		if m, _, err := db.Range(q, ts, Distance(0), QueryOptions{}); err != nil || len(m) == 0 {
 			t.Errorf("shards=%d: eps = 0 finds %d matches of a stored query, err %v", shards, len(m), err)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tsq/internal/geom"
 	"tsq/internal/series"
 	"tsq/internal/transform"
 )
@@ -17,6 +18,14 @@ func cascadeFixtureTransforms(n int) []transform.Transform {
 	ts = append(ts, transform.Reverse(n))
 	ts = append(ts, transform.Compose(transform.MovingAverage(n, 6), transform.Reverse(n)))
 	return ts
+}
+
+// flatSkips is the flat bound's decision, the reference the cascade's
+// dismissals are held to: prefixLB under the group's symmetry factor,
+// against the cutoff of eps, both recomputed per call.
+func flatSkips(ix *Index, feat geom.Point, ts []transform.Transform, q *Record, eps float64, oneSided bool) bool {
+	cut := transform.AbandonCutoff(eps)
+	return ix.prefixLB(feat, ts, q, oneSided, ix.symmetry(ts, oneSided), cut) > cut
 }
 
 // TestCascadeMatchesFlatDecisions: the cascade's skip/keep decision must
@@ -34,14 +43,14 @@ func TestCascadeMatchesFlatDecisions(t *testing.T) {
 			q := ds.Records[trial*29%len(ds.Records)]
 			eps := series.DistanceForCorrelation(64, 0.85+0.04*float64(trial))
 			for _, oneSided := range []bool{false, true} {
-				casc := ix.newLBCascade(ts, q, eps, oneSided)
+				casc := ix.newLBCascade(ts, q, eps, oneSided, ix.symmetry(ts, oneSided))
 				for _, r := range ds.Records {
 					feat := r.Feature(ix.opts.K)
-					flat := ix.skipByPrefixLB(feat, ts, q, eps, oneSided)
+					flat := flatSkips(ix, feat, ts, q, eps, oneSided)
 					tier := casc.skip(feat)
 					if (tier >= 0) != flat {
 						t.Fatalf("sym=%v oneSided=%v trial=%d rec=%d: cascade tier %d, flat skip %v (prefixLB=%v eps=%v)",
-							sym, oneSided, trial, r.ID, tier, flat, ix.prefixLB(feat, ts, q, oneSided), eps)
+							sym, oneSided, trial, r.ID, tier, flat, math.Sqrt(sqPrefixLB(ix, feat, ts, q, oneSided)), eps)
 					}
 				}
 			}
@@ -61,7 +70,7 @@ func TestCascadeSkipIsSound(t *testing.T) {
 		q := ds.Records[trial*31%len(ds.Records)]
 		eps := series.DistanceForCorrelation(64, 0.8+0.05*float64(trial))
 		for _, oneSided := range []bool{false, true} {
-			casc := ix.newLBCascade(ts, q, eps, oneSided)
+			casc := ix.newLBCascade(ts, q, eps, oneSided, ix.symmetry(ts, oneSided))
 			for _, r := range ds.Records {
 				if casc.skip(r.Feature(ix.opts.K)) < 0 {
 					continue
@@ -106,12 +115,12 @@ func TestCascadeBoundaryNeverSkips(t *testing.T) {
 				}
 				feat := r.Feature(ix.opts.K)
 				for _, eps := range []float64{d, d + 1e-12, d * (1 + 1e-12)} {
-					casc := ix.newLBCascade(ts, q, eps, oneSided)
+					casc := ix.newLBCascade(ts, q, eps, oneSided, ix.symmetry(ts, oneSided))
 					if tier := casc.skip(feat); tier >= 0 {
 						t.Fatalf("sym=%v oneSided=%v rec=%d: tier %d skipped a candidate with true distance %v at eps=%v",
 							sym, oneSided, r.ID, tier, d, eps)
 					}
-					if ix.skipByPrefixLB(feat, ts, q, eps, oneSided) {
+					if flatSkips(ix, feat, ts, q, eps, oneSided) {
 						t.Fatalf("sym=%v oneSided=%v rec=%d: flat bound skipped a candidate with true distance %v at eps=%v",
 							sym, oneSided, r.ID, d, eps)
 					}
@@ -169,10 +178,10 @@ func benchmarkLB(b *testing.B, flat bool) {
 	for i := 0; i < b.N; i++ {
 		if flat {
 			for _, f := range feats {
-				ix.skipByPrefixLB(f, ts, q, eps, false)
+				flatSkips(ix, f, ts, q, eps, false)
 			}
 		} else {
-			casc := ix.newLBCascade(ts, q, eps, false)
+			casc := ix.newLBCascade(ts, q, eps, false, ix.symmetry(ts, false))
 			for _, f := range feats {
 				casc.skip(f)
 			}

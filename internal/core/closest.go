@@ -55,7 +55,7 @@ func SeqScanClosestPairs(src RecordSource, ts []transform.Transform, k int) ([]J
 	}
 	sort.Slice(all, func(i, j int) bool { return lessPair(all[i], all[j]) })
 	if k < len(all) {
-		all = all[:k]
+		all = all[:max(k, 0)]
 	}
 	return all, st, nil
 }
@@ -90,10 +90,7 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 	ix0 := s.shards[0]
 	opts := ix0.Options()
 	mult, add := ix0.fullMBRs(ts)
-	symFactor := 1.0
-	if opts.UseSymmetry {
-		symFactor = math.Sqrt2
-	}
+	symFactor := math.Sqrt(ix0.symmetry(ts, false))
 	lowerBound := func(ya, yb geom.Rect) float64 {
 		var ss float64
 		for j := 1; j <= opts.K; j++ {

@@ -411,10 +411,9 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 			for i, idx := range g {
 				sub[i] = ts[idx]
 			}
-			mult, add := ix.fullMBRs(sub)
-			qrect := ix.queryRect(q, sub, eps, QRectPaper)
+			stg := ix.newStage(q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
 			var probe QueryStats
-			if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, nil, &probe, nil); err != nil {
+			if _, err := ix.filter(nil, new(scratch), &stg, &probe, nil); err != nil {
 				t.Fatal(err)
 			}
 			total += DefaultCostParams().Cost(probe.DAAll, probe.DALeaf, len(sub), caLeaf)
@@ -1027,19 +1026,20 @@ func TestAnalyticalEstimatorIsPositionBlind(t *testing.T) {
 	sub := transform.MovingAverageSet(64, 10, 10)
 	eps := 1.2
 
+	stageOf := func(q *Record) stage {
+		return ix.newStage(q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
+	}
 	estimate := func(q *Record) float64 {
-		qrect := ix.queryRect(q, sub, eps, QRectPaper)
-		est, err := ix.AnalyticalAccessEstimate(qrect)
+		est, err := ix.AnalyticalAccessEstimate(stageOf(q).qrect)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return est
 	}
 	measure := func(q *Record) int {
-		mult, add := ix.fullMBRs(sub)
-		qrect := ix.queryRect(q, sub, eps, QRectPaper)
+		stg := stageOf(q)
 		var st QueryStats
-		if _, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, nil, &st, nil); err != nil {
+		if _, err := ix.filter(nil, new(scratch), &stg, &st, nil); err != nil {
 			t.Fatal(err)
 		}
 		return st.DAAll
@@ -1060,8 +1060,9 @@ func TestAnalyticalEstimatorIsPositionBlind(t *testing.T) {
 func TestAnalyticalEstimatorSanity(t *testing.T) {
 	ds, ix := buildFixture(t, 98, 600, 64, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: true})
 	q := ds.Records[0]
-	small := ix.queryRect(q, transform.MovingAverageSet(64, 10, 10), 0.5, QRectSafe)
-	large := ix.queryRect(q, transform.MovingAverageSet(64, 10, 10), 8, QRectSafe)
+	ts := transform.MovingAverageSet(64, 10, 10)
+	small := ix.newStage(q, ts, 0.5, RangeOptions{Mode: QRectSafe}).qrect
+	large := ix.newStage(q, ts, 8, RangeOptions{Mode: QRectSafe}).qrect
 	eSmall, err := ix.AnalyticalAccessEstimate(small)
 	if err != nil {
 		t.Fatal(err)

@@ -99,31 +99,32 @@ type stageDecisions struct {
 	DALeaf    int
 }
 
-// stageBound is the lower bound opts asks for, as Index.stageBound builds
-// it: none under NaiveVerify, the flat bound and no node bound under
+// mutatedStage is the stage opts asks for, as Index.newStage builds it:
+// no bound under NaiveVerify, the flat bound and no node bound under
 // FlatLB, else the cascade for leaf entries and index rectangles alike.
-// A caller who wants a broken one gets two instances, so that it can
-// break either (mutate, mutateNode) and leave the other sound.
-func stageBound(ix *Index, sub []transform.Transform, q *Record, eps float64, opts RangeOptions, mutate, mutateNode func(*lbCascade)) (func(geom.Point) int, *lbCascade) {
-	bound, node := ix.stageBound(sub, q, eps, opts)
-	if node == nil || (mutate == nil && mutateNode == nil) {
-		return bound, node
+// A caller who wants a broken one gets two cascades, so that it can break
+// either (mutate, mutateNode) and leave the other sound.
+func mutatedStage(ix *Index, sub []transform.Transform, q *Record, eps float64, opts RangeOptions, mutate, mutateNode func(*lbCascade)) stage {
+	s := ix.newStage(q, sub, eps, opts)
+	if s.node == nil || (mutate == nil && mutateNode == nil) {
+		return s
 	}
-	entry := ix.newLBCascade(sub, q, eps, opts.OneSided)
+	entry := ix.newLBCascade(sub, q, eps, opts.OneSided, s.node.sym)
 	if mutate != nil {
 		mutate(entry)
 	}
 	if mutateNode != nil {
-		mutateNode(node)
+		mutateNode(s.node)
 	}
-	return entry.skip, node
+	s.bound = entry.skip
+	return s
 }
 
-// twoPassStage is the reference: the traversal on owned nodes with the
-// unfused rectangle test (ApplyMBRs, then Intersects) and no bound on
+// twoPassStage is the reference: stage s's traversal on owned nodes with
+// the unfused rectangle test (ApplyMBRs, then Intersects) and no bound on
 // index rectangles, collecting (id, feature point) for every admitted
-// leaf entry, and only then the bound, candidate by candidate.
-func twoPassStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims []bool, bound func(geom.Point) int) stageDecisions {
+// leaf entry, and only then its bound, candidate by candidate.
+func twoPassStage(t testing.TB, ix *Index, s *stage) stageDecisions {
 	t.Helper()
 	type candidate struct {
 		rec  int64
@@ -142,12 +143,12 @@ func twoPassStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims
 			res.DALeaf++
 		}
 		for _, e := range n.Entries {
-			y := transform.ApplyMBRs(mult, add, e.Rect)
-			if phaseDims != nil {
-				if !intersectsModular(y, qrect, phaseDims) {
+			y := transform.ApplyMBRs(s.mult, s.add, e.Rect)
+			if s.phaseDims != nil {
+				if !intersectsModular(y, s.qrect, s.phaseDims) {
 					continue
 				}
-			} else if !y.Intersects(qrect) {
+			} else if !y.Intersects(s.qrect) {
 				continue
 			}
 			if n.Leaf {
@@ -160,8 +161,8 @@ func twoPassStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims
 	walk(ix.tree.Root())
 	for _, c := range cands {
 		tier := -1
-		if bound != nil {
-			tier = bound(c.feat)
+		if s.bound != nil {
+			tier = s.bound(c.feat)
 		}
 		res.Admitted = append(res.Admitted, c.rec)
 		res.Met = append(res.Met, c.feat)
@@ -173,25 +174,28 @@ func twoPassStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims
 	return res
 }
 
-// fusedStage reads the same decisions off Index.filter: the admitted
-// entries from a run with no bound at all, the tiers from a bound that
-// notes what it answers for the entries the node bound let it see. The
-// counters filter books must be those answers.
-func fusedStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims []bool, bound func(geom.Point) int, node *lbCascade) stageDecisions {
+// fusedStage reads the same decisions off Index.filter running stage s:
+// the admitted entries from a run with no bound at all, the tiers from a
+// bound that notes what s's bound answers for the entries the node bound
+// let it see. The counters filter books must be those answers.
+func fusedStage(t testing.TB, ix *Index, s *stage) stageDecisions {
 	t.Helper()
 	var res stageDecisions
 	var plain, st QueryStats
 	sc := new(scratch)
-	admitted, err := ix.filter(nil, sc, mult, add, qrect, phaseDims, nil, nil, &plain, nil)
+	unbounded := *s
+	unbounded.bound, unbounded.node = nil, nil
+	admitted, err := ix.filter(nil, sc, &unbounded, &plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Admitted = append(res.Admitted, admitted...)
 	var perTier [3]int
-	survivors, err := ix.filter(nil, sc, mult, add, qrect, phaseDims, func(feat geom.Point) int {
+	noted := *s
+	noted.bound = func(feat geom.Point) int {
 		tier := -1
-		if bound != nil {
-			tier = bound(feat)
+		if s.bound != nil {
+			tier = s.bound(feat)
 		}
 		res.Met = append(res.Met, feat.Clone())
 		res.Tiers = append(res.Tiers, tier)
@@ -199,7 +203,8 @@ func fusedStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims [
 			perTier[tier]++
 		}
 		return tier
-	}, node, &st, nil)
+	}
+	survivors, err := ix.filter(nil, sc, &noted, &st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +215,7 @@ func fusedStage(t testing.TB, ix *Index, mult, add, qrect geom.Rect, phaseDims [
 	if noTime(st) != want || plain.LBTimeNs != 0 || (len(res.Met) == 0 && st.LBTimeNs != 0) {
 		t.Fatalf("filter booked %+v (%+v without a bound) for %d entries dismissed %v by tier", st, plain, len(res.Met), perTier)
 	}
-	if node == nil && (st.DAAll != plain.DAAll || st.DALeaf != plain.DALeaf) {
+	if s.node == nil && (st.DAAll != plain.DAAll || st.DALeaf != plain.DALeaf) {
 		t.Fatalf("without a node bound filter read %d nodes (%d leaves), %d (%d) without any bound", st.DAAll, st.DALeaf, plain.DAAll, plain.DALeaf)
 	}
 	return res
@@ -276,11 +281,10 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 			for i, idx := range g {
 				sub[i] = ts[idx]
 			}
-			mult, add, qrect, phaseDims := ix.stageRects(sq, sub, eps, opts)
-			refBound, _ := stageBound(ix, sub, sq, eps, opts, nil, nil)
-			ref := twoPassStage(t, ix, mult, add, qrect, phaseDims, refBound)
-			bound, node := stageBound(ix, sub, sq, eps, opts, mutate, mutateNode)
-			got := fusedStage(t, ix, mult, add, qrect, phaseDims, bound, node)
+			refStage := ix.newStage(sq, sub, eps, opts)
+			ref := twoPassStage(t, ix, &refStage)
+			stg := mutatedStage(ix, sub, sq, eps, opts, mutate, mutateNode)
+			got := fusedStage(t, ix, &stg)
 			if diff := stageDiff(got, ref); diff != "" {
 				return fmt.Sprintf("shard %d rectangle %d: %s", sh, gi, diff)
 			}
@@ -431,7 +435,7 @@ func TestFusedStageDecisionParity(t *testing.T) {
 func lbBoundaryEps(ix *Index, ds *Dataset, q *Record, ts []transform.Transform, oneSided bool, rank int) float64 {
 	var bounds []float64
 	for _, r := range ds.Records {
-		if lb := ix.prefixLB(r.Feature(ix.opts.K), ts, q, oneSided); lb >= 1 {
+		if lb := math.Sqrt(sqPrefixLB(ix, r.Feature(ix.opts.K), ts, q, oneSided)); lb >= 1 {
 			bounds = append(bounds, lb)
 		}
 	}

@@ -46,12 +46,13 @@ type IndexOptions struct {
 	// (default) counts every node fetch as a disk access, the paper's
 	// convention.
 	BufferPages int
-	// UseSymmetry applies the DFT symmetry property (Eq. 6): the mirror
-	// coefficient n-f duplicates the energy of coefficient f, shrinking
-	// the per-coefficient search bound by sqrt(2). Default true (set by
-	// BuildIndex when the zero value is passed through DefaultIndexOptions).
-	// Sound for the built-in transformations, which act symmetrically on
-	// mirror coefficients.
+	// UseSymmetry applies the DFT symmetry property (Eq. 6) where it is
+	// proven: the mirror coefficient n-f duplicates the distance of
+	// coefficient f, shrinking the per-coefficient search bound by sqrt(2)
+	// and doubling the prefix bounds, for every transformation group whose
+	// members are all classified symmetric (Index.symmetry); any other
+	// group is filtered without it. False never doubles. Default true
+	// (DefaultIndexOptions).
 	UseSymmetry bool
 	// Paged stores full records in a heap file on the same storage
 	// manager, so candidate verification retrieves pages — the Eq. 18
@@ -452,15 +453,37 @@ func (ix *Index) fullMBRs(ts []transform.Transform) (mult, add geom.Rect) {
 	return mult, add
 }
 
+// symmetry decides the symmetry factor of a transformation group: 2 when
+// the index was built with UseSymmetry and every member of sub is
+// classified as acting alike on mirror coefficients under the predicate's
+// sidedness (transform.Transform.Symmetric), so that on spectra of real
+// series term n-f of the distance equals term f and a squared sum over
+// the indexed coefficients 1..K may be doubled (and eps shrunk by sqrt(2)
+// per coefficient, epsScale); 1 otherwise. It is the only reader of
+// UseSymmetry. A struct literal, a hand-made asymmetric vector or a set
+// TransformQuery returned in full order (its query point is no real
+// spectrum) gets 1, and so does a group mixing one with built-ins. The
+// raw, untransformed spectra of RawRange ask with no transformation.
+func (ix *Index) symmetry(sub []transform.Transform, oneSided bool) float64 {
+	if !ix.opts.UseSymmetry {
+		return 1
+	}
+	for _, t := range sub {
+		if !t.Symmetric(oneSided) {
+			return 1
+		}
+	}
+	return 2
+}
+
 // queryRect builds the search region for one transformation group: the
 // bounding box of the transformed query features {t(q)}, expanded per
-// dimension by the per-coefficient distance bound — eps/sqrt(2) on
-// magnitudes (symmetry), and either the same (QRectPaper) or the provable
-// angular bound (QRectSafe) on phases. The mean and std dimensions are
-// unconstrained: the predicate is on normal forms (Sec. 3.2), so the
-// originals' statistics must not filter.
-func (ix *Index) queryRect(q *Record, ts []transform.Transform, eps float64, mode QRectMode) geom.Rect {
-	epsC := epsScale(eps, ix.opts.UseSymmetry)
+// dimension by the per-coefficient distance bound epsC (epsScale under
+// the group's symmetry factor) on magnitudes, and either the same
+// (QRectPaper) or the provable angular bound (QRectSafe) on phases. The
+// mean and std dimensions are unconstrained: the predicate is on normal
+// forms (Sec. 3.2), so the originals' statistics must not filter.
+func (ix *Index) queryRect(q *Record, ts []transform.Transform, epsC float64, mode QRectMode) geom.Rect {
 	lo := make(geom.Point, ix.dim)
 	hi := make(geom.Point, ix.dim)
 	lo[0], hi[0] = math.Inf(-1), math.Inf(1)
@@ -496,15 +519,35 @@ func (ix *Index) queryRect(q *Record, ts []transform.Transform, eps float64, mod
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
+// intervalSafe reports whether the query rectangle may constrain
+// coefficient j for every member of ts. Its test compares signed
+// transformed magnitudes and unwrapped transformed phases, interval with
+// interval, which bounds the distance of two complex numbers only while
+// their magnitudes cannot differ in sign: one-sided, the query's own
+// magnitude is never negative, so no map a·m + b may be negative for an
+// m >= 0; two-sided, none may change sign. Two-sided, a phase multiplier
+// above 1 in absolute value wraps a phase difference more than once,
+// which the branch-cut test does not see. Every built-in passes; a
+// hand-made map that fails leaves the coefficient unconstrained, and the
+// bound on index rectangles, which handles both, still prunes.
+func intervalSafe(ts []transform.Transform, j int, oneSided bool) bool {
+	for _, t := range ts {
+		a, b := t.A[2*j], t.B[2*j]
+		if oneSided && (a < 0 || b < 0) || !oneSided && (a*b < 0 || math.Abs(t.A[2*j+1]) > 1) {
+			return false
+		}
+	}
+	return true
+}
+
 // oneSidedQueryRect builds the search region for the one-sided semantics
 // (the literal Algorithm 1: find s with D(t(s), q) <= eps for some t in
 // the rectangle): a box around the query's own features — the paper's
 // "search rectangle of width eps around q" — with the per-coefficient
-// bounds on magnitudes and phases. It also reports which dimensions are
-// phases, because the transformed data-side phase values are unwrapped
-// and must be compared modulo 2*pi (see intersectsModular).
-func (ix *Index) oneSidedQueryRect(q *Record, eps float64, mode QRectMode) (qrect geom.Rect, phaseDims []bool) {
-	epsC := epsScale(eps, ix.opts.UseSymmetry)
+// bound epsC on magnitudes and phases. It also reports which dimensions
+// are phases, because the transformed data-side phase values are
+// unwrapped and must be compared modulo 2*pi (see intersectsModular).
+func (ix *Index) oneSidedQueryRect(q *Record, epsC float64, mode QRectMode) (qrect geom.Rect, phaseDims []bool) {
 	lo := make(geom.Point, ix.dim)
 	hi := make(geom.Point, ix.dim)
 	phaseDims = make([]bool, ix.dim)

@@ -154,12 +154,13 @@ type joinBounds struct {
 }
 
 // joinBounds computes per-dimension gap limits for the transformed join:
-// mean/std unconstrained; magnitudes within epsC; phases within epsC
+// mean/std unconstrained; magnitudes within epsC, eps scaled by the
+// group's symmetry factor (the join is two-sided); phases within epsC
 // (paper mode) or within the safe angular bound (resolved per node pair
 // with the magnitude information available there, so here only the mode
 // and epsC are recorded via sentinel values).
 func (ix *Index) joinBounds(ts []transform.Transform, eps float64, mode QRectMode) joinBounds {
-	epsC := epsScale(eps, ix.opts.UseSymmetry)
+	epsC := epsScale(eps, ix.symmetry(ts, false))
 	jb := joinBounds{perDim: make([]float64, ix.dim)}
 	jb.perDim[0], jb.perDim[1] = math.Inf(1), math.Inf(1)
 	for j := 1; j <= ix.opts.K; j++ {

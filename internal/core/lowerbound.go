@@ -18,14 +18,16 @@ import (
 // exactly the inputs of terms 1..K (a point entry's Rect.Lo is the
 // record's feature vector [mean, std, |F_1|, ∠F_1, ..., |F_K|, ∠F_K]).
 // The partial sum over coefficients 1..K therefore lower-bounds D²; no
-// qualifying record can be rejected. Under UseSymmetry the partial sum
-// is doubled: for real series the mirror coefficient n-f conjugates
-// coefficient f, and the built-in transformations act symmetrically on
-// mirror pairs, so term n-f equals term f — the same Eq. 6 assumption
-// the index's query rectangles already rely on. The comparison runs
-// against transform.AbandonCutoff(eps), a hair above eps², so
-// floating-point noise in the mirror coefficients can never turn the
-// bound into a false dismissal.
+// qualifying record can be rejected. The partial sum is multiplied by the
+// group's symmetry factor (Index.symmetry), the same one the query
+// rectangles are scaled by: 2 where the symmetry property (Eq. 6) is
+// proven — for real series the mirror coefficient n-f conjugates
+// coefficient f, and a transformation classified symmetric acts alike on
+// mirror pairs, so term n-f equals term f — and 1 for any group holding a
+// transformation that is not proven to. The comparison runs against
+// transform.AbandonCutoff(eps), a hair above eps², so floating-point
+// noise in the mirror coefficients can never turn the bound into a false
+// dismissal.
 //
 // The bound is evaluated as a three-tier cascade (lbCascade below):
 // each tier is a weakening of the next, costs less to evaluate, and
@@ -53,7 +55,7 @@ import (
 //	        shifts are pure offsets, Reverse negates); a general
 //	        multiplier falls back to one direct math.Cos.
 //	tier 2  exact full prefix: coefficients 2..K replaced the same
-//	        way, yielding exactly the sum skipByPrefixLB computes.
+//	        way, yielding exactly the sum prefixLB computes.
 //
 // Each replacement only grows the sum (exact term ≥ gap term), so a
 // transformation dismissed at a tier stays dismissed at every later
@@ -103,20 +105,18 @@ type lbCascade struct {
 	havePhi []bool
 }
 
-// newLBCascade builds the cascade for one transformation group.
-func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64, oneSided bool) *lbCascade {
+// newLBCascade builds the cascade for one transformation group under its
+// symmetry factor sym (Index.symmetry).
+func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64, oneSided bool, sym float64) *lbCascade {
 	k := ix.opts.K
 	c := &lbCascade{
 		k:       k,
 		nt:      len(sub),
 		cut:     transform.AbandonCutoff(eps),
-		sym:     1,
+		sym:     sym,
 		term:    make([]lbTerm, len(sub)*k),
 		trig:    make([]float64, 4*k),
 		havePhi: make([]bool, k),
-	}
-	if ix.opts.UseSymmetry {
-		c.sym = 2
 	}
 	for ti, t := range sub {
 		for j := 1; j <= k; j++ {
@@ -240,9 +240,9 @@ func (c *lbCascade) skip(feat geom.Point) int {
 }
 
 // rectLB is the bound on an index rectangle: a lower bound, squared and
-// symmetry-doubled like the sums skip compares, on the prefix bound of
-// every feature point inside [lo, hi], hence on the distance of every
-// record below the entry. Compare it with c.cut as skip does.
+// times the symmetry factor like the sums skip compares, on the prefix
+// bound of every feature point inside [lo, hi], hence on the distance of
+// every record below the entry. Compare it with c.cut as skip does.
 //
 // Per coefficient a polar rectangle is an annular sector: magnitudes in
 // an interval, phases in an interval. The point term
@@ -259,7 +259,7 @@ func (c *lbCascade) skip(feat geom.Point) int {
 // for a general (direct) phase multiplier alike. A magnitude interval
 // that straddles zero has no single sign to fold into the angle; its
 // term falls back to the tier-0 gap. The sum over the indexed
-// coefficients, doubled under symmetry, minimised over the group, is
+// coefficients, times the symmetry factor, minimised over the group, is
 // never above the point bound of any point of the rectangle.
 //
 // Transformations are first held to the cosine-free gap sum, as in skip:
@@ -338,54 +338,18 @@ func (tm *lbTerm) absMu(mLo, mHi float64) (aLo, aHi float64, sign int) {
 	return 0, max(-m1, m2), 0
 }
 
-// skipByPrefixLB reports whether the candidate at feature point feat is
-// provably outside eps for every transformation of the group, using
-// only the indexed coefficients. feat follows Record.Feature layout;
-// the per-coefficient terms are the exact expressions of the
-// DistancePolar / DistancePolarLeft kernels evaluated on coefficients
-// 1..K.
-//
-// This is the flat, single-tier form, recomputing the cutoff and the
-// coefficient loads per call — the bound of the original I/O-aware
-// pipeline, kept verbatim behind RangeOptions.FlatLB as the reference
-// the cascade's dismissals are tested against (fused_test.go,
-// ioaware_test.go, TestCascadeMatchesFlatDecisions); no query a user can
-// write takes it.
-func (ix *Index) skipByPrefixLB(feat geom.Point, sub []transform.Transform, q *Record, eps float64, oneSided bool) bool {
-	cut := transform.AbandonCutoff(eps)
-	sym := 1.0
-	if ix.opts.UseSymmetry {
-		sym = 2.0
-	}
-	for _, t := range sub {
-		var s float64
-		for j := 1; j <= ix.opts.K; j++ {
-			mu := t.A[2*j]*feat[2*j] + t.B[2*j]
-			var mv, dp float64
-			if oneSided {
-				mv = q.Mags[j]
-				dp = t.A[2*j+1]*feat[2*j+1] + t.B[2*j+1] - q.Phases[j]
-			} else {
-				mv = t.A[2*j]*q.Mags[j] + t.B[2*j]
-				dp = t.A[2*j+1] * (feat[2*j+1] - q.Phases[j])
-			}
-			s += mu*mu + mv*mv - 2*mu*mv*math.Cos(dp)
-		}
-		if sym*s <= cut {
-			return false // this transformation may still qualify
-		}
-	}
-	return true
-}
-
-// prefixLB returns the lower bound itself (min over the group) — the
-// quantity skipByPrefixLB compares against eps. Exposed for tests: the
-// pipeline only needs the boolean.
-func (ix *Index) prefixLB(feat geom.Point, sub []transform.Transform, q *Record, oneSided bool) float64 {
-	sym := 1.0
-	if ix.opts.UseSymmetry {
-		sym = 2.0
-	}
+// prefixLB is the flat, single-tier form of the bound, the one of the
+// original I/O-aware pipeline: for the candidate at feature point feat
+// (Record.Feature layout), the least over the group of sym times the sum
+// of the exact DistancePolar / DistancePolarLeft terms of coefficients
+// 1..K, never negative, in the squared units skip and rectLB compare with
+// the cutoff. Like rectLB it stops at the first transformation at or
+// below stop: a skip decision passes the cutoff, a caller that wants the
+// least value a negative number. It recomputes the coefficient loads per
+// call and is kept as the reference the cascade's dismissals are held to
+// (RangeOptions.FlatLB, fused_test.go, ioaware_test.go,
+// TestCascadeMatchesFlatDecisions); no query a user can write takes it.
+func (ix *Index) prefixLB(feat geom.Point, sub []transform.Transform, q *Record, oneSided bool, sym, stop float64) float64 {
 	best := math.Inf(1)
 	for _, t := range sub {
 		var s float64
@@ -401,12 +365,10 @@ func (ix *Index) prefixLB(feat geom.Point, sub []transform.Transform, q *Record,
 			}
 			s += mu*mu + mv*mv - 2*mu*mv*math.Cos(dp)
 		}
-		if s < 0 {
-			s = 0
+		if s = sym * max(s, 0); s <= stop {
+			return s
 		}
-		if lb := math.Sqrt(sym * s); lb < best {
-			best = lb
-		}
+		best = min(best, s)
 	}
 	return best
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"tsq/internal/series"
@@ -11,7 +12,7 @@ import (
 // DFT-prefix lower bound: for every record and transformation group, the
 // bound computed from the indexed feature point alone never exceeds the
 // group's true minimum polar distance (up to the abandon-cutoff slack),
-// so skipByPrefixLB can never reject a qualifying candidate.
+// so the flat bound can never reject a qualifying candidate.
 func TestPrefixLBUnderestimatesDistance(t *testing.T) {
 	for _, sym := range []bool{true, false} {
 		opts := DefaultIndexOptions()
@@ -23,7 +24,7 @@ func TestPrefixLBUnderestimatesDistance(t *testing.T) {
 			for _, oneSided := range []bool{false, true} {
 				for _, r := range ds.Records {
 					feat := r.Feature(ix.opts.K)
-					lb := ix.prefixLB(feat, ts, q, oneSided)
+					lb := sqPrefixLB(ix, feat, ts, q, oneSided)
 					best := -1.0
 					for _, tr := range ts {
 						var d float64
@@ -38,14 +39,14 @@ func TestPrefixLBUnderestimatesDistance(t *testing.T) {
 					}
 					// The slack mirrors transform.AbandonCutoff: the skip
 					// compares lb² against a cutoff a hair above eps².
-					if lb*lb > best*best*(1+1e-9)+1e-9 {
+					if lb > best*best*(1+1e-9)+1e-9 {
 						t.Fatalf("sym=%v oneSided=%v rec=%d: lower bound %v exceeds true distance %v",
-							sym, oneSided, r.ID, lb, best)
+							sym, oneSided, r.ID, math.Sqrt(lb), best)
 					}
 					// And the skip predicate agrees: if it skips at eps equal
 					// to the true distance, a match would be lost.
-					if ix.skipByPrefixLB(feat, ts, q, best, oneSided) {
-						t.Fatalf("sym=%v oneSided=%v rec=%d: skipByPrefixLB rejects at eps == true distance %v",
+					if flatSkips(ix, feat, ts, q, best, oneSided) {
+						t.Fatalf("sym=%v oneSided=%v rec=%d: the flat bound rejects at eps == true distance %v",
 							sym, oneSided, r.ID, best)
 					}
 				}
@@ -65,7 +66,7 @@ func TestSkipByPrefixLBThinsCandidates(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		q := ds.Records[trial*61%len(ds.Records)]
 		for _, r := range ds.Records {
-			if ix.skipByPrefixLB(r.Feature(ix.opts.K), ts, q, eps, false) {
+			if flatSkips(ix, r.Feature(ix.opts.K), ts, q, eps, false) {
 				skipped++
 			} else {
 				kept++

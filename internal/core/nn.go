@@ -71,7 +71,7 @@ func SeqScanNN(ctx context.Context, src RecordSource, q *Record, ts []transform.
 	})
 	sortNN(best)
 	if k < len(best) {
-		best = best[:k]
+		best = best[:max(k, 0)]
 	}
 	if sp != nil {
 		sp.Set(obs.ACandidates, int64(st.Candidates))
@@ -209,7 +209,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	// worst. The cascade's cutoff follows worst down.
 	var results []NNMatch
 	worst := math.Inf(1)
-	casc := ix.newLBCascade(ts, q, worst, oneSided)
+	casc := ix.newLBCascade(ts, q, worst, oneSided, ix.symmetry(ts, oneSided))
 	// dismissed holds a leaf entry, a point whose Rect.Lo is the record's
 	// feature vector, to the prefix bound at the cutoff in force.
 	dismissed := func(feat geom.Point, rec int64) bool {

@@ -151,10 +151,9 @@ func (ix *Index) OptimalPartition(q *Record, ts []transform.Transform, eps float
 		segCost[i] = make([]float64, n)
 		for j := i; j < n; j++ {
 			sub := ts[i : j+1]
-			mult, add := ix.fullMBRs(sub)
-			qrect := ix.queryRect(q, sub, eps, mode)
+			stg := ix.newStage(q, sub, eps, RangeOptions{Mode: mode, NaiveVerify: true}) // no bound
 			var probe QueryStats
-			if _, err := ix.filter(nil, sc, mult, add, qrect, nil, nil, nil, &probe, nil); err != nil {
+			if _, err := ix.filter(nil, sc, &stg, &probe, nil); err != nil {
 				return nil, 0, err
 			}
 			segCost[i][j] = params.Cost(probe.DAAll, probe.DALeaf, len(sub), caLeaf)

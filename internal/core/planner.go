@@ -130,12 +130,11 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 	// probe runs one rectangle's filter stage: the nodes it reads and the
 	// survivors verification would fetch.
 	probe := func(sub []transform.Transform) (daAll int, candidates int, err error) {
-		mult, add, qrect, phaseDims := ix.stageRects(q, sub, eps, opts)
-		bound, node := ix.stageBound(sub, q, eps, opts)
+		stg := ix.newStage(q, sub, eps, opts)
 		var st QueryStats
 		sc := ix.acquireScratch()
 		defer ix.releaseScratch(sc)
-		cands, err := ix.filter(ctx, sc, mult, add, qrect, phaseDims, bound, node, &st, nil)
+		cands, err := ix.filter(ctx, sc, &stg, &st, nil)
 		if err != nil {
 			return 0, 0, err
 		}

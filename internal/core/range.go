@@ -79,12 +79,13 @@ type QueryStats struct {
 	Abandoned int
 	// LBTimeNs is the wall time, in nanoseconds, a range probe spends
 	// deciding skip or fetch for the leaf entries its traversal admits:
-	// building the lower bound (cascade or flat) and, in every leaf that
-	// admits something, one timed pass of it over that leaf's admitted
-	// entries. It is part of the filter stage, which is serial, so it is
-	// elapsed time of the probe; the probes of a multi-rectangle or
-	// multi-shard query sum. It is zero under NaiveVerify, which runs no
-	// lower bound, and for an NN search, whose bound is not timed.
+	// building the stage with its lower bound (cascade or flat) and, in
+	// every leaf that admits something, one timed pass of the bound over
+	// that leaf's admitted entries. It is part of the filter stage, which
+	// is serial, so it is elapsed time of the probe; the probes of a
+	// multi-rectangle or multi-shard query sum. It is zero under
+	// NaiveVerify, which runs no lower bound, and for an NN search, whose
+	// bound is not timed.
 	// Dividing by Candidates+SkippedLB gives the per-candidate decision
 	// cost the tiered cascade optimizes.
 	LBTimeNs int64
@@ -386,20 +387,19 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 		sub = append(sub, ts[idx])
 	}
 	sc.sub = sub
-	mult, add, qrect, phaseDims := ix.stageRects(q, sub, eps, opts)
 	st.IndexSearches++
 
 	var fsp *obs.Span
 	if probe != nil {
 		fsp = probe.Child(obs.KindFilter, "filter")
 	}
-	// Building the stage's lower bound counts as lower-bound time.
+	// Building the stage with its lower bound counts as lower-bound time.
 	lbStart := time.Now()
-	bound, node := ix.stageBound(sub, q, eps, opts)
-	if bound != nil {
+	stg := ix.newStage(q, sub, eps, opts)
+	if stg.bound != nil {
 		st.LBTimeNs = time.Since(lbStart).Nanoseconds()
 	}
-	survivors, err := ix.filter(ctx, sc, mult, add, qrect, phaseDims, bound, node, &st, fsp)
+	survivors, err := ix.filter(ctx, sc, &stg, &st, fsp)
 	if fsp != nil {
 		fsp.Set(obs.ASkippedLB, int64(st.SkippedLB))
 		fsp.Set(obs.ASkippedLB0, int64(st.SkippedLB0))
@@ -439,54 +439,69 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	return matches, st, nil
 }
 
-// stageRects is the rectangle arithmetic of one transformation rectangle's
-// filter stage: the group's lifted MBR and the query rectangle, with the
-// phase dimensions to compare modulo 2*pi in one-sided mode.
-func (ix *Index) stageRects(q *Record, sub []transform.Transform, eps float64, opts RangeOptions) (mult, add, qrect geom.Rect, phaseDims []bool) {
-	mult, add = ix.fullMBRs(sub)
-	if opts.OneSided {
-		qrect, phaseDims = ix.oneSidedQueryRect(q, eps, opts.Mode)
-	} else {
-		qrect = ix.queryRect(q, sub, eps, opts.Mode)
-	}
-	return mult, add, qrect, phaseDims
+// stage is the filter stage of one transformation rectangle, as filter
+// runs it: the group's lifted MBRs (mult, add), the query rectangle and,
+// in one-sided mode, the phase dimensions it compares modulo 2*pi; bound,
+// which returns the tier (0, 1 or 2) at which it dismissed a leaf entry's
+// feature point, or -1 to keep it (nil keeps every admitted entry); and
+// node, the cascade whose rectangle form (rectLB) meets every internal
+// entry the per-dimension intersection lets through (nil for none).
+type stage struct {
+	mult, add, qrect geom.Rect
+	phaseDims        []bool
+	bound            func(feat geom.Point) int
+	node             *lbCascade
 }
 
-// stageBound builds the lower bound of one rectangle's filter stage: the
-// tiered cascade, which also bounds index rectangles (node), its flat
-// reference under FlatLB (whose every dismissal is the full prefix
-// bound's, tier 2, and which prunes no subtree), none under NaiveVerify.
-// The planner prices a probe with the same pair the executor will run.
-func (ix *Index) stageBound(sub []transform.Transform, q *Record, eps float64, opts RangeOptions) (bound func(feat geom.Point) int, node *lbCascade) {
+// newStage builds the filter stage of group sub for query q at eps, and
+// with it the group's symmetry factor (Index.symmetry), which the query
+// rectangle's per-coefficient bound and the lower bound both take. The
+// bound is the tiered cascade, which also bounds index rectangles; its
+// flat reference prefixLB under FlatLB (whose every dismissal is the full
+// prefix bound's, tier 2, and which prunes no subtree); none under
+// NaiveVerify. The planner prices a probe with the stage the executor
+// runs.
+func (ix *Index) newStage(q *Record, sub []transform.Transform, eps float64, opts RangeOptions) stage {
+	var s stage
+	sym := ix.symmetry(sub, opts.OneSided)
+	s.mult, s.add = ix.fullMBRs(sub)
+	if opts.OneSided {
+		s.qrect, s.phaseDims = ix.oneSidedQueryRect(q, epsScale(eps, sym), opts.Mode)
+	} else {
+		s.qrect = ix.queryRect(q, sub, epsScale(eps, sym), opts.Mode)
+	}
+	for j := 1; j <= ix.opts.K; j++ {
+		if !intervalSafe(sub, j, opts.OneSided) {
+			s.qrect.Lo[2*j], s.qrect.Hi[2*j] = math.Inf(-1), math.Inf(1)
+			s.qrect.Lo[2*j+1], s.qrect.Hi[2*j+1] = math.Inf(-1), math.Inf(1)
+		}
+	}
 	switch {
 	case opts.NaiveVerify:
-		return nil, nil
 	case opts.FlatLB:
-		return func(feat geom.Point) int {
-			if ix.skipByPrefixLB(feat, sub, q, eps, opts.OneSided) {
+		cut := transform.AbandonCutoff(eps)
+		s.bound = func(feat geom.Point) int {
+			if ix.prefixLB(feat, sub, q, opts.OneSided, sym, cut) > cut {
 				return 2
 			}
 			return -1
-		}, nil
+		}
+	default:
+		s.node = ix.newLBCascade(sub, q, eps, opts.OneSided, sym)
+		s.bound = s.node.skip
 	}
-	node = ix.newLBCascade(sub, q, eps, opts.OneSided)
-	return node.skip, node
+	return s
 }
 
-// filter is the filter stage of one transformation rectangle: the
-// Algorithm 1 traversal and, on every leaf entry it admits, the
-// DFT-prefix lower bound, read straight off the decode slot's feature
-// block. It returns the ids of the survivors — the records verification
-// has to fetch — in traversal order; no feature point leaves the
-// traversal. bound returns the tier (0, 1 or 2) at which it dismissed a
-// feature point, or -1 to keep it; a caller that only wants the
-// traversal's counts passes nil, and every admitted entry survives.
-// phaseDims, when non-nil, selects modulo-2*pi comparison for the marked
-// dimensions (one-sided mode). node, when non-nil, is the cascade whose
-// rectangle form (rectLB) meets every internal entry the per-dimension
-// intersection lets through: a subtree whose bound exceeds the cutoff
-// holds only entries the point bound would dismiss one by one, and is
-// not read.
+// filter runs stage s of one transformation rectangle: the Algorithm 1
+// traversal and, on every leaf entry it admits, the DFT-prefix lower
+// bound s.bound, read straight off the decode slot's feature block. It
+// returns the ids of the survivors — the records verification has to
+// fetch — in traversal order; no feature point leaves the traversal. A
+// caller that only wants the traversal's counts leaves s.bound nil, and
+// every admitted entry survives. A subtree whose s.node bound exceeds the
+// cutoff holds only entries the point bound would dismiss one by one, and
+// is not read.
 //
 // The dismissals go to st.SkippedLB* and the time bound took to
 // st.LBTimeNs: a leaf's admitted entries meet it in one timed pass, and a
@@ -497,7 +512,8 @@ func (ix *Index) stageBound(sub []transform.Transform, q *Record, eps float64, o
 // walk is depth-first, one decode slot per tree level: the parent's
 // entries are still being iterated while a child is read. The returned
 // ids live in sc and are valid until sc is released.
-func (ix *Index) filter(ctx context.Context, sc *scratch, mult, add, qrect geom.Rect, phaseDims []bool, bound func(feat geom.Point) int, node *lbCascade, st *QueryStats, sp *obs.Span) ([]int64, error) {
+func (ix *Index) filter(ctx context.Context, sc *scratch, s *stage, st *QueryStats, sp *obs.Span) ([]int64, error) {
+	mult, add, qrect, phaseDims, bound, node := s.mult, s.add, s.qrect, s.phaseDims, s.bound, s.node
 	da0, dl0 := st.DAAll, st.DALeaf
 	var pruned, prunedLB, admittedTotal int64
 	out := sc.cands[:0]

@@ -64,7 +64,7 @@ func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error
 	n := float64(ix.n)
 	epsMean := eps / math.Sqrt(n)
 	epsStd := eps / math.Sqrt(n-1)
-	epsC := epsScale(eps, ix.opts.UseSymmetry)
+	epsC := epsScale(eps, ix.symmetry(nil, false)) // raw spectra are real
 
 	var out []RawMatch
 	slots := ix.tree.AcquireSlots() // depth-first: one slot per level

@@ -218,12 +218,8 @@ func NewQueryRecord(n int, s series.Series) (*Record, error) {
 }
 
 // epsScale returns the per-coefficient distance bound implied by a total
-// distance bound eps: with the DFT symmetry property (Eq. 6) coefficient f
-// and its mirror n-f contribute equally to the energy, so
-// |X_f - Y_f| <= eps/sqrt(2); without it the plain eps is the bound.
-func epsScale(eps float64, useSymmetry bool) float64 {
-	if useSymmetry {
-		return eps / math.Sqrt2
-	}
-	return eps
-}
+// distance bound eps under symmetry factor sym (Index.symmetry): where the
+// DFT symmetry property (Eq. 6) holds, coefficient f and its mirror n-f
+// contribute equally to the distance, so |X_f - Y_f| <= eps/sqrt(2);
+// elsewhere (sym 1) the plain eps is the bound.
+func epsScale(eps, sym float64) float64 { return eps / math.Sqrt(sym) }

@@ -27,13 +27,11 @@ import (
 // rectBoundGroup is one transformation group of the soundness suite and
 // the sidedness it is checked under. The hand-made ones (a negative or
 // affine magnitude map, a phase multiplier other than ±1) exercise paths
-// of the bound no built-in reaches; the query rectangles promise nothing
-// for them, so only the built-in groups run through whole queries.
+// of the bound no built-in reaches.
 type rectBoundGroup struct {
 	name     string
 	ts       []transform.Transform
 	oneSided bool
-	builtin  bool
 }
 
 func rectBoundGroups(n int) []rectBoundGroup {
@@ -56,17 +54,17 @@ func rectBoundGroups(n int) []rectBoundGroup {
 	var out []rectBoundGroup
 	for _, oneSided := range []bool{false, true} {
 		out = append(out,
-			rectBoundGroup{"mv", mv, oneSided, true},
-			rectBoundGroup{"mv singleton", mv[3:4], oneSided, true},
-			rectBoundGroup{"mv and inverted", transform.WithInverted(mv[:6]), oneSided, true},
-			rectBoundGroup{"reverse", cascadeFixtureTransforms(n), oneSided, true},
-			rectBoundGroup{"negative scale", []transform.Transform{negScale, transform.Inverted(negScale)}, oneSided, false},
-			rectBoundGroup{"affine magnitude", []transform.Transform{affine, mv[0]}, oneSided, false},
-			rectBoundGroup{"direct multiplier", direct, oneSided, false},
-			rectBoundGroup{"composed", transform.ComposeSets(transform.TimeShiftSet(n, 0, 2), mv[:4]), oneSided, true},
+			rectBoundGroup{"mv", mv, oneSided},
+			rectBoundGroup{"mv singleton", mv[3:4], oneSided},
+			rectBoundGroup{"mv and inverted", transform.WithInverted(mv[:6]), oneSided},
+			rectBoundGroup{"reverse", cascadeFixtureTransforms(n), oneSided},
+			rectBoundGroup{"negative scale", []transform.Transform{negScale, transform.Inverted(negScale)}, oneSided},
+			rectBoundGroup{"affine magnitude", []transform.Transform{affine, mv[0]}, oneSided},
+			rectBoundGroup{"direct multiplier", direct, oneSided},
+			rectBoundGroup{"composed", transform.ComposeSets(transform.TimeShiftSet(n, 0, 2), mv[:4]), oneSided},
 		)
 	}
-	return append(out, rectBoundGroup{"time shifts", transform.TimeShiftSet(n, -4, 4), true, true})
+	return append(out, rectBoundGroup{"time shifts", transform.TimeShiftSet(n, -4, 4), true})
 }
 
 // randomSector draws a feature rectangle: magnitude intervals anywhere in
@@ -99,10 +97,10 @@ func randomSector(rng *rand.Rand, dim int) (lo, hi geom.Point) {
 }
 
 // sqPrefixLB is the point bound in the units rectLB returns: squared and
-// symmetry-doubled, the quantity both compare with the cutoff.
+// times the group's symmetry factor, the quantity both compare with the
+// cutoff.
 func sqPrefixLB(ix *Index, feat geom.Point, ts []transform.Transform, q *Record, oneSided bool) float64 {
-	lb := ix.prefixLB(feat, ts, q, oneSided)
-	return lb * lb
+	return ix.prefixLB(feat, ts, q, oneSided, ix.symmetry(ts, oneSided), -1)
 }
 
 // TestRectBoundNeverAbovePointBound: for seeded random rectangles, every
@@ -125,7 +123,7 @@ func TestRectBoundNeverAbovePointBound(t *testing.T) {
 			tight := 0
 			for trial := 0; trial < 300; trial++ {
 				q := ds.Records[rng.Intn(len(ds.Records))]
-				casc := ix.newLBCascade(g.ts, q, math.Inf(1), g.oneSided)
+				casc := ix.newLBCascade(g.ts, q, math.Inf(1), g.oneSided, ix.symmetry(g.ts, g.oneSided))
 				lo, hi := randomSector(rng, ix.dim)
 				full := casc.rectLB(lo, hi, -1)
 				least := math.Inf(1)
@@ -228,7 +226,7 @@ func TestRectBoundNeverPrunesAMatch(t *testing.T) {
 				}
 				dist[r.ID] = d
 			}
-			casc := ix.newLBCascade(g.ts, q, 0, g.oneSided)
+			casc := ix.newLBCascade(g.ts, q, 0, g.oneSided, ix.symmetry(g.ts, g.oneSided))
 			entries, close := 0, 0
 			err := ix.tree.Visit(func(node *rtree.Node, level int) error {
 				if node.Leaf {
@@ -273,9 +271,6 @@ func TestFilterNodeBoundSound(t *testing.T) {
 	ds, ix := buildFixture(t, 97, 1200, n, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: true})
 	tr, ctx := tracedContext()
 	for gi, g := range rectBoundGroups(n) {
-		if !g.builtin {
-			continue
-		}
 		ro := RangeOptions{Mode: QRectSafe, OneSided: g.oneSided}
 		for trial := 0; trial < 6; trial++ {
 			r, q := ds.Records[(trial*211+gi*7)%len(ds.Records)], ds.Records[(trial*97+gi*13+5)%len(ds.Records)]
@@ -475,7 +470,7 @@ func BenchmarkLBRect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	casc := ix.newLBCascade(ts, ds.Records[7], series.DistanceForCorrelation(128, 0.96), false)
+	casc := ix.newLBCascade(ts, ds.Records[7], series.DistanceForCorrelation(128, 0.96), false, ix.symmetry(ts, false))
 	pruned := 0
 	b.ReportAllocs()
 	b.ResetTimer()

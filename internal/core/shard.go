@@ -479,7 +479,8 @@ func (s *Sharded) STIndexRange(ctx context.Context, q *Record, ts []transform.Tr
 
 // MTIndexNN answers a k-NN query scatter-gather: every shard runs the
 // best-first search for its own top k, and the candidate lists merge in
-// rank order (lessNN) and are cut to k. Of opts only OneSided applies.
+// rank order (lessNN) and are cut to k (none for k <= 0). Of opts only
+// OneSided applies.
 func (s *Sharded) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transform, k int, opts RangeOptions) ([]NNMatch, QueryStats, error) {
 	out, st, err := gather(s, probe{ctx: ctx, q: q, ts: ts, k: k, opts: opts},
 		func(ix *Index, p probe) ([]NNMatch, QueryStats, error) {
@@ -487,7 +488,7 @@ func (s *Sharded) MTIndexNN(ctx context.Context, q *Record, ts []transform.Trans
 		},
 		func(m *NNMatch) *int64 { return &m.RecordID }, sortNN)
 	if len(out) > k {
-		out = out[:k]
+		out = out[:max(k, 0)]
 	}
 	return out, st, err
 }

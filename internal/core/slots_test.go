@@ -34,13 +34,12 @@ func deepFixture(t testing.TB) (*Dataset, *Index) {
 func TestFilterAllocsDoNotGrowWithNodesVisited(t *testing.T) {
 	ds, ix := deepFixture(t)
 	ts := transform.MovingAverageSet(64, 3, 10)
-	mult, add := ix.fullMBRs(ts)
 	q := ds.Records[0]
 	measure := func(rho float64) (allocs float64, nodes, cands int) {
-		qrect := ix.queryRect(q, ts, series.DistanceForCorrelation(64, rho), QRectSafe)
+		stg := ix.newStage(q, ts, series.DistanceForCorrelation(64, rho), RangeOptions{Mode: QRectSafe, NaiveVerify: true})
 		allocs = testing.AllocsPerRun(10, func() {
 			var st QueryStats
-			out, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, nil, &st, nil)
+			out, err := ix.filter(nil, new(scratch), &stg, &st, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,10 +72,9 @@ func TestFilterAllocsDoNotGrowWithNodesVisited(t *testing.T) {
 func TestFilterBoundSeesLeafFeatures(t *testing.T) {
 	ds, ix := deepFixture(t)
 	ts := transform.MovingAverageSet(64, 3, 10)
-	mult, add := ix.fullMBRs(ts)
-	qrect := ix.queryRect(ds.Records[5], ts, series.DistanceForCorrelation(64, 0.5), QRectSafe)
+	stg := ix.newStage(ds.Records[5], ts, series.DistanceForCorrelation(64, 0.5), RangeOptions{Mode: QRectSafe, NaiveVerify: true})
 	var admitted, st QueryStats
-	all, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, nil, nil, &admitted, nil)
+	all, err := ix.filter(nil, new(scratch), &stg, &admitted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +83,14 @@ func TestFilterBoundSeesLeafFeatures(t *testing.T) {
 		t.Fatalf("%d candidates from %d leaves; the test is vacuous", len(all), admitted.DALeaf)
 	}
 	var shown [][]float64
-	kept, err := ix.filter(nil, new(scratch), mult, add, qrect, nil, func(feat geom.Point) int {
+	stg.bound = func(feat geom.Point) int {
 		shown = append(shown, append([]float64(nil), feat...))
 		if n := len(shown) - 1; n%3 != 0 {
 			return n % 3 // tiers 1 and 2
 		}
 		return -1
-	}, nil, &st, nil)
+	}
+	kept, err := ix.filter(nil, new(scratch), &stg, &st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

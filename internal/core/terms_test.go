@@ -20,25 +20,31 @@ func fullOrderSet(ts []transform.Transform) []transform.Transform {
 // TestTermsPerComparison makes the half sum's gain a count, on random
 // walks of 128 points under the benchmark's 16 moving averages: the
 // coefficient terms a comparison evaluates, against the same query under
-// the FullOrder copy of the set. Candidates, comparisons and abandons
+// the FullOrder copy of the set. The indexes are built without the
+// symmetry property, which the filter applies to classified sets only,
+// so both copies are filtered alike: candidates, comparisons and abandons
 // are the same both ways (an abandon is "the whole sum exceeds the
 // cutoff", whatever the order); terms per comparison are at most half
-// for range, nearest neighbours and join. Closest pairs is held to "no
-// more" only: its cutoff is the k-th best pair so far, nearly every
-// evaluation stops in its first block of four terms in either order, and
-// a block is the least an evaluation can cost. A completed sum, which
-// is all NaiveVerify and the scans' reference accounting run, costs
-// n/2+1 terms instead of n.
+// for range, nearest neighbours and join. The join runs at correlation
+// 0.9: at the others' threshold, without the doubled bound, most of its
+// candidate pairs are far ones that stop in their first block of four
+// terms in either order. Closest pairs is held to "no more" only: its
+// cutoff is the k-th best pair so far, nearly every evaluation stops in
+// its first block of four terms in either order, and a block is the least
+// an evaluation can cost. A completed sum, which is all NaiveVerify and
+// the scans' reference accounting run, costs n/2+1 terms instead of n.
 func TestTermsPerComparison(t *testing.T) {
 	t.Parallel()
 	const n = 128
-	ds, ix := buildFixture(t, 5, 4000, n, DefaultIndexOptions())
-	sh, err := BuildSharded(ds, 1, DefaultIndexOptions())
+	opts := DefaultIndexOptions()
+	opts.UseSymmetry = false
+	ds, ix := buildFixture(t, 5, 4000, n, opts)
+	sh, err := BuildSharded(ds, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, _ := buildFixture(t, 6, 300, n, DefaultIndexOptions())
-	shSmall, err := BuildSharded(small, 2, DefaultIndexOptions())
+	small, _ := buildFixture(t, 6, 300, n, opts)
+	shSmall, err := BuildSharded(small, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +100,7 @@ func TestTermsPerComparison(t *testing.T) {
 		return st, err
 	}))
 	run("join", 0.5, func(ts []transform.Transform) (QueryStats, error) {
-		_, st, err := shSmall.MTIndexJoin(ts[:4], eps, RangeOptions{Mode: QRectSafe})
+		_, st, err := shSmall.MTIndexJoin(ts[:4], series.DistanceForCorrelation(n, 0.9), RangeOptions{Mode: QRectSafe})
 		return st, err
 	})
 	run("closest pairs", 1, func(ts []transform.Transform) (QueryStats, error) {

@@ -108,6 +108,17 @@ func getParams(buf []byte) indexParams {
 	}
 }
 
+// check holds decoded parameters to what BuildIndex can have written: a
+// positive series length and 0 < 2k < n. With 2k >= n the doubled prefix
+// bound would count coefficient n/2, its own mirror, twice, and with
+// k >= n a feature point would index past the spectrum.
+func (p indexParams) check() error {
+	if p.n <= 0 || p.k <= 0 || 2*p.k >= p.n {
+		return fmt.Errorf("series length %d with %d indexed coefficients (need 0 < 2k < n)", p.n, p.k)
+	}
+	return nil
+}
+
 // params are the index parameters a database of series length n
 // created with opts records on disk.
 func (opts Options) params(n int) indexParams {
@@ -147,11 +158,8 @@ func decodeSuper(buf []byte) (superInfo, error) {
 	si.indexParams = getParams(buf[4:])
 	si.treeMeta = storage.PageID(binary.LittleEndian.Uint32(buf[16:]))
 	si.heapDir = storage.PageID(binary.LittleEndian.Uint32(buf[20:]))
-	if si.n <= 0 {
-		return si, fmt.Errorf("tsq: corrupt superblock: series length %d (must be > 0)", si.n)
-	}
-	if si.k <= 0 || si.k > si.n {
-		return si, fmt.Errorf("tsq: corrupt superblock: %d indexed coefficients for series length %d (need 0 < k <= n)", si.k, si.n)
+	if err := si.check(); err != nil {
+		return si, fmt.Errorf("tsq: corrupt superblock: %w", err)
 	}
 	if si.treeMeta == storage.NilPage {
 		return si, fmt.Errorf("tsq: corrupt superblock: nil tree meta page")
@@ -495,8 +503,8 @@ func decodeManifest(buf []byte) (manifestInfo, error) {
 	if mi.shards < 2 || mi.shards > 1<<16 {
 		return mi, fmt.Errorf("tsq: corrupt shard manifest: implausible shard count %d", mi.shards)
 	}
-	if mi.n <= 0 || mi.k <= 0 || mi.k > mi.n {
-		return mi, fmt.Errorf("tsq: corrupt shard manifest: n=%d k=%d", mi.n, mi.k)
+	if err := mi.check(); err != nil {
+		return mi, fmt.Errorf("tsq: corrupt shard manifest: %w", err)
 	}
 	return mi, nil
 }

@@ -269,10 +269,11 @@ func TestInMemoryInsertDelete(t *testing.T) {
 // sameAsInMemory holds a file-backed database to the in-memory one it
 // was built alike with: Len, Info().Series, Name, Get and NormalForm of
 // every id from -1 to Len (bit for bit), RangeByID at a threshold and at
-// eps = 0, by index and by scan, and NearestNeighbors at k = 0, 5 and
-// beyond Len. A sequential scan's statistics are equal too; an index's
-// are not compared, since a page file's pages are smaller than memory
-// pages by their checksum trailer and the trees differ in shape.
+// eps = 0, by index and by scan, and NearestNeighbors at k = -1, 0, 5
+// and beyond Len, empty for k <= 0 as ClosestPairs is. A sequential
+// scan's statistics are equal too; an index's are not compared, since a
+// page file's pages are smaller than memory pages by their checksum
+// trailer and the trees differ in shape.
 func sameAsInMemory(t *testing.T, label string, mem, file *DB, ts []Transform) {
 	t.Helper()
 	if file.Len() != mem.Len() {
@@ -313,13 +314,18 @@ func sameAsInMemory(t *testing.T, label string, mem, file *DB, ts []Transform) {
 		}
 	}
 	q := datagen.RandomWalks(32, 1, mem.SeriesLength())[0]
-	for _, k := range []int{0, 5, mem.Len() + 5} {
+	for _, k := range []int{-1, 0, 5, mem.Len() + 5} {
 		for _, alg := range []Algorithm{MTIndex, SeqScan} {
 			opts := QueryOptions{Algorithm: alg}
 			fn, fst, ferr := file.NearestNeighbors(q, ts, k, opts)
 			mn, mst, merr := mem.NearestNeighbors(q, ts, k, opts)
-			if ferr != nil || merr != nil || !reflect.DeepEqual(fn, mn) || (alg == SeqScan && fst != mst) {
+			if ferr != nil || merr != nil || !reflect.DeepEqual(fn, mn) || (alg == SeqScan && fst != mst) || (k <= 0 && len(fn) != 0) {
 				t.Errorf("%s: NearestNeighbors(k=%d, %v) = %v %+v %v, in memory %v %+v %v", label, k, alg, fn, fst, ferr, mn, mst, merr)
+			}
+			if k <= 0 {
+				if p, _, err := file.ClosestPairs(ts, k, alg); err != nil || len(p) != 0 {
+					t.Errorf("%s: ClosestPairs(k=%d, %v) = %v %v", label, k, alg, p, err)
+				}
 			}
 		}
 	}

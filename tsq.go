@@ -119,7 +119,8 @@ var (
 // every entry point that takes a series — Open, CreateFile, Insert, and
 // the query series of Range, NearestNeighbors, RawRange and Batch — when
 // the series holds a NaN or an infinity. Nothing is stored or logged. A
-// NaN threshold of Range, Batch, Join or RawRange is the same error.
+// NaN threshold of Range, Batch, Join, RawRange, Explain or
+// OptimalPartition is the same error.
 var ErrNonFinite = core.ErrNonFinite
 
 // Pipeline is a sequence of transformation-set steps applied in order;
@@ -186,9 +187,11 @@ type Options struct {
 	// every node fetch counts as one disk access (the paper's convention).
 	BufferPages int
 	// DisableSymmetry turns off the DFT symmetry property (Eq. 6), which
-	// normally shrinks per-coefficient search bounds by sqrt(2). Only
-	// sound to rely on with the built-in transformations (they act
-	// symmetrically on mirror coefficients); exposed for ablation.
+	// otherwise shrinks per-coefficient search bounds by sqrt(2) and
+	// doubles the prefix bounds for every transformation set whose
+	// members are all classified as acting alike on mirror coefficients
+	// (every built-in); other sets, such as a Transform struct literal,
+	// are filtered without it either way. Exposed for ablation.
 	DisableSymmetry bool
 	// DisableChecksums writes file-backed databases without per-page
 	// CRC32C trailers, producing the pre-checksum file format. New files
@@ -891,7 +894,11 @@ func (db *DB) Explain(q Series, ts []Transform, thr Threshold) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, err := db.ix.PlanRange(nil, qr, ts, thr.Epsilon(db.ix.SeriesLength()), core.RangeOptions{Mode: core.QRectSafe}, core.DefaultCostParams())
+	eps := thr.Epsilon(db.ix.SeriesLength())
+	if _, err := vetEps(eps); err != nil {
+		return "", err
+	}
+	plan, err := db.ix.PlanRange(nil, qr, ts, eps, core.RangeOptions{Mode: core.QRectSafe}, core.DefaultCostParams())
 	if err != nil {
 		return "", err
 	}
@@ -930,7 +937,11 @@ func (db *DB) OptimalPartition(q Series, ts []Transform, thr Threshold) (groups 
 	if err != nil {
 		return nil, 0, err
 	}
-	return db.ix.OptimalPartition(qr, ts, thr.Epsilon(db.ix.SeriesLength()), core.QRectSafe, core.DefaultCostParams())
+	eps := thr.Epsilon(db.ix.SeriesLength())
+	if _, err := vetEps(eps); err != nil {
+		return nil, 0, err
+	}
+	return db.ix.OptimalPartition(qr, ts, eps, core.QRectSafe, core.DefaultCostParams())
 }
 
 // Transformation constructors, re-exported for API completeness.
