@@ -13,9 +13,12 @@ import (
 // TestDiskBackedPipeline is the disk-backed smoke test of the I/O-aware
 // candidate pipeline (run with -tags=integration): a database in a real
 // page file, MT-index range queries in both verification modes, and the
-// acceptance criteria of the pipeline checked end to end — identical
-// answers, strictly fewer backend page reads, readahead observed, and
-// the lower-bound / abandoning counters engaged.
+// acceptance criteria of the pipeline checked end to end — answers equal
+// to the sequential scan's, strictly fewer backend page reads, readahead
+// observed, and the lower-bound / abandoning counters engaged. The bound
+// on index nodes prunes whole subtrees before any of their entries is
+// counted, so the pipeline's admitted plus dismissed candidates are at
+// most, not exactly, the naive count.
 func TestDiskBackedPipeline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "disk.tsq")
 	ss := datagen.StockMarket(1999, 400, 128, datagen.DefaultMarketOptions())
@@ -51,13 +54,18 @@ func TestDiskBackedPipeline(t *testing.T) {
 		skipped += pipeSt.SkippedLB
 		abandoned += pipeSt.Abandoned
 
+		scan, _, err := db.RangeByID(qid, ts, thr, QueryOptions{Algorithm: SeqScan})
+		if err != nil {
+			t.Fatal(err)
+		}
 		SortMatches(want)
 		SortMatches(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: pipeline answer diverged from naive verification", qid)
+		SortMatches(scan)
+		if !reflect.DeepEqual(got, scan) || !reflect.DeepEqual(want, scan) {
+			t.Fatalf("query %d: index answers (pipeline %d, naive %d matches) differ from the scan's %d", qid, len(got), len(want), len(scan))
 		}
-		if pipeSt.Candidates+pipeSt.SkippedLB != naiveSt.Candidates {
-			t.Fatalf("query %d: candidates %d + skipped %d != naive candidates %d",
+		if pipeSt.Candidates+pipeSt.SkippedLB > naiveSt.Candidates {
+			t.Fatalf("query %d: candidates %d + skipped %d > naive candidates %d",
 				qid, pipeSt.Candidates, pipeSt.SkippedLB, naiveSt.Candidates)
 		}
 	}

@@ -204,8 +204,9 @@ func (hr *HealthReport) writeStructure(w io.Writer) {
 	if t == nil {
 		return
 	}
-	fmt.Fprintf(w, "\nR*-tree: height=%d entries=%d nodes=%d fill=[%d..%d]\n",
-		t.Height, t.Entries, t.Nodes, t.MinFill, t.MaxFill)
+	root, leaves := t.Levels[0], t.Levels[t.Height-1]
+	fmt.Fprintf(w, "\nR*-tree: height=%d entries=%d nodes=%d fill=[%d..%d] leaf fill=[%d..%d] point leaves=%v\n",
+		t.Height, t.Entries, t.Nodes, root.MinFill, root.MaxFill, leaves.MinFill, leaves.MaxFill, t.PointLeaves)
 	fmt.Fprintf(w, "%-6s %7s %9s %9s %11s %11s %13s %13s\n",
 		"level", "nodes", "entries", "avg_fill", "avg_margin", "overlap", "covered", "dead")
 	for _, l := range t.Levels {
@@ -218,7 +219,6 @@ func (hr *HealthReport) writeStructure(w io.Writer) {
 		fmt.Fprintf(w, "%-6s %7d %9d %9.2f %11.3g %11.3g %13.3g %13.3g\n",
 			name, l.Nodes, l.Entries, l.AvgFill, l.AvgMargin, l.Overlap, l.CoveredArea, l.DeadSpace)
 	}
-	leaves := t.Levels[t.Height-1]
 	fmt.Fprintf(w, "leaf occupancy (fill deciles 0-100%%): %s\n", occupancyBar(leaves.Occupancy))
 	shares := make([]string, len(leaves.ExtentShare))
 	for d, s := range leaves.ExtentShare {

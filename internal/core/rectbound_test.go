@@ -321,8 +321,8 @@ func twoTones(seed int64, count, n int) []series.Series {
 	return out
 }
 
-// TestNNBoundaryThroughNodePrune: every series is stored twelve times, so
-// with nine entries to a node whole leaves hold copies of one point, their
+// TestNNBoundaryThroughNodePrune: every series is stored twenty times, so
+// with eighteen entries to a leaf whole leaves hold copies of one point, their
 // entry in the parent is that point, and the bound on it is as tight as a
 // bound gets: the prefix bound of the records below. With k cutting
 // through a block of copies the k-th best distance is exactly the
@@ -335,7 +335,7 @@ func twoTones(seed int64, count, n int) []series.Series {
 // answer differs from the scan's.
 func TestNNBoundaryThroughNodePrune(t *testing.T) {
 	t.Parallel()
-	const n, distinct, copies = 32, 30, 12 // three arrays of n floats to a 1 KiB heap page
+	const n, distinct, copies = 32, 30, 20 // three arrays of n floats to a 1 KiB heap page
 	for _, fx := range []struct {
 		name   string
 		shapes []series.Series
@@ -362,7 +362,7 @@ func TestNNBoundaryThroughNodePrune(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, maxE := ix.tree.Capacity()
+			_, maxE := ix.tree.Capacity(true)
 			if maxE >= copies || ix.tree.Height() < 3 {
 				t.Fatalf("capacity %d, height %d: no leaf is all copies of one point", maxE, ix.tree.Height())
 			}
@@ -376,7 +376,7 @@ func TestNNBoundaryThroughNodePrune(t *testing.T) {
 				{transform.TimeShiftSet(n, -2, 2), true},
 			} {
 				for _, q := range []*Record{qr, ds.Records[7]} {
-					for _, k := range []int{1, 5, 12, 13, 18, 24, 30, 37} {
+					for _, k := range []int{1, 5, 12, 19, 20, 21, 30, 40, 41, 57} {
 						want, _, _ := SeqScanNN(nil, ds, q, g.ts, k, g.oneSided)
 						got, _, err := ix.MTIndexNN(ctx, q, g.ts, k, RangeOptions{OneSided: g.oneSided})
 						if err != nil {

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -15,48 +14,30 @@ type BulkItem struct {
 	Rec  int64
 }
 
-// BulkLoad builds a tree from all items at once with Sort-Tile-Recursive
-// packing (Leutenegger et al.): items are recursively sliced along each
-// dimension by the center of their rectangles so every leaf holds ~M
-// entries, then upper levels are packed the same way. The resulting tree
+// BulkLoad builds a tree of points from all items at once with
+// Sort-Tile-Recursive packing (Leutenegger et al.): items are recursively
+// sliced along each dimension by the center of their rectangles so every
+// leaf holds ~M entries, then upper levels are packed the same way. The
+// items must be points (ErrNotPoint otherwise). The resulting tree
 // has near-full nodes — fewer pages and fewer disk accesses per query
 // than one grown by repeated insertion — and supports the same searches,
 // inserts and deletes afterwards.
 func BulkLoad(mgr *storage.Manager, dim int, items []BulkItem) (*Tree, error) {
-	maxE := MaxEntries(mgr.PageSize(), dim)
-	if maxE < 4 {
-		return nil, fmt.Errorf("rtree: page size %d too small for dimension %d (capacity %d)", mgr.PageSize(), dim, maxE)
+	m := meta{leafKind: kindPointLeaf, dim: dim}
+	if len(items) == 0 {
+		return create(mgr, m)
 	}
-	t := &Tree{
-		mgr:  mgr,
-		dim:  dim,
-		maxE: maxE,
-		minE: max(2, int(minFillFraction*float64(maxE))),
-		buf:  make([]byte, mgr.PageSize()),
-	}
-	metaID, err := mgr.Alloc()
+	t, err := newTree(mgr, m)
 	if err != nil {
 		return nil, err
 	}
-	t.metaID = metaID
-
-	if len(items) == 0 {
-		rootID, err := mgr.Alloc()
-		if err != nil {
-			return nil, err
-		}
-		t.root = rootID
-		t.height = 1
-		if err := t.store(&Node{ID: rootID, Leaf: true}); err != nil {
-			return nil, err
-		}
-		return t, t.writeMeta()
-	}
-
 	for _, it := range items {
-		if it.Rect.Dim() != dim {
-			return nil, fmt.Errorf("rtree: bulk item of dimension %d in %d-dimensional tree", it.Rect.Dim(), dim)
+		if err := t.fits(it.Rect); err != nil {
+			return nil, err
 		}
+	}
+	if t.metaID, err = mgr.Alloc(); err != nil {
+		return nil, err
 	}
 
 	// Pack the leaf level.
@@ -85,7 +66,8 @@ func BulkLoad(mgr *storage.Manager, dim int, items []BulkItem) (*Tree, error) {
 // packLevel groups entries into nodes with STR tiling and returns the
 // parent entries (MBR + child page) for the next level.
 func (t *Tree) packLevel(entries []Entry, leaf bool) ([]Entry, error) {
-	groups := strTile(entries, t.maxE, t.dim, 0)
+	_, maxE := t.Capacity(leaf)
+	groups := strTile(entries, maxE, t.dim, 0)
 	parents := make([]Entry, 0, len(groups))
 	for _, g := range groups {
 		id, err := t.mgr.Alloc()

@@ -19,6 +19,10 @@ func errCapacity(id storage.PageID, n, lo, hi int) error {
 	return fmt.Errorf("rtree: node %d has %d entries, want [%d, %d]", id, n, lo, hi)
 }
 
+func errKind(id storage.PageID, got, want byte) error {
+	return fmt.Errorf("rtree: leaf %d is of kind %d, the tree's leaves are of kind %d", id, got, want)
+}
+
 func errMBR(parent, child storage.PageID) error {
 	return fmt.Errorf("rtree: entry for child %d in node %d is not the child's MBR", child, parent)
 }
@@ -48,7 +52,7 @@ func (t *Tree) Delete(r geom.Rect, rec int64) error {
 		n := path[i].node
 		level := t.height - i
 		parent := path[i-1].node
-		if len(n.Entries) < t.minE {
+		if minE, _ := t.Capacity(n.Leaf); len(n.Entries) < minE {
 			orphans = append(orphans, orphan{entries: n.Entries, level: level})
 			parent.Entries = append(parent.Entries[:path[i].entryIdx], parent.Entries[path[i].entryIdx+1:]...)
 			// Re-index siblings' stored positions in the remaining path is

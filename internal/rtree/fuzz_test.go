@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func decodePage(s *Scratch, page []byte) (*Node, error) {
 // sameNode compares two decoded nodes bit for bit (NaN coordinates
 // included, which reflect.DeepEqual would call unequal).
 func sameNode(a, b *Node, dim int) bool {
-	if a.ID != b.ID || a.Leaf != b.Leaf || len(a.Entries) != len(b.Entries) || len(a.flatLo) != len(b.flatLo) {
+	if a.ID != b.ID || a.Leaf != b.Leaf || a.kind != b.kind || len(a.Entries) != len(b.Entries) || len(a.flatLo) != len(b.flatLo) {
 		return false
 	}
 	for i := range a.Entries {
@@ -38,28 +39,43 @@ func sameNode(a, b *Node, dim int) bool {
 	return true
 }
 
-// FuzzDecodeNode checks the node codec never panics on corrupt pages,
-// that every node produced by encodeNode decodes back identically, and
-// the reuse rule of a decode slot: whatever the slot held before (a
-// valid node of prev entries, fewer or more than the page under test
-// holds), decoding the page gives exactly what a fresh slot gives, and a
-// rejected page leaves none of the previous node visible.
+// FuzzDecodeNode checks the node codec never panics on corrupt pages
+// (every rejection is a corrupt-node or a checksum error), that every
+// node produced by encodeNode decodes back identically as the kind its
+// page names, and the reuse rule of a decode slot: whatever the slot held
+// before (a valid node of prev entries, fewer or more than the page under
+// test holds), decoding the page gives exactly what a fresh slot gives,
+// and a rejected page leaves none of the previous node visible.
 func FuzzDecodeNode(f *testing.F) {
-	// Seed with a valid encoded node.
+	// Seed with valid encoded nodes of both leaf kinds.
 	dim := 3
 	n := &Node{ID: 7, Leaf: true, Entries: []Entry{
 		{Rect: geom.NewRect(geom.Point{1, 2, 3}, geom.Point{4, 5, 6}), Rec: 42},
 		{Rect: geom.NewRect(geom.Point{-1, -2, -3}, geom.Point{0, 0, 0}), Rec: -9},
 	}}
 	buf := make([]byte, 512)
-	encodeNode(n, dim, buf)
+	encodeNode(n, kindRectLeaf, dim, buf)
 	f.Add(buf, dim, 1) // the page holds more entries than the slot did
 	f.Add(buf, dim, 5) // and fewer
 	torn := append([]byte(nil), buf...)
 	torn[nodeHeaderSize+3] ^= 0x40
 	f.Add(torn, dim, 4) // checksum failure after a valid node
+	points := &Node{ID: 7, Leaf: true}
+	for i := 0; i < MaxPointEntries(512, dim); i++ {
+		p := geom.Point{float64(i), -float64(i), 0.5}
+		points.Entries = append(points.Entries, Entry{Rect: geom.PointRect(p), Rec: int64(i)})
+	}
+	full := make([]byte, 512)
+	encodeNode(points, kindPointLeaf, dim, full)
+	f.Add(full, dim, 2) // a full point leaf: more entries than a rectangle node holds
+	for _, kind := range []byte{0, 1, 3, 255} {
+		relabelled := append([]byte(nil), full...)
+		relabelled[0] = kind // too many rectangles for the page, or no kind at all
+		f.Add(relabelled, dim, 0)
+	}
 	f.Add(make([]byte, 512), 2, 0)
 	f.Add([]byte{1, 0, 255, 255, 0, 0, 0, 0}, 6, 0)
+	f.Add([]byte{2, 0, 3, 0, 0, 0, 0, 0}, 1, 0)
 	f.Fuzz(func(t *testing.T, page []byte, d, prev int) {
 		if d < 1 || d > 16 || len(page) < nodeHeaderSize {
 			return
@@ -77,7 +93,7 @@ func FuzzDecodeNode(f *testing.F) {
 			before.Entries = append(before.Entries, Entry{Rect: geom.PointRect(p), Child: storage.PageID(i + 2)})
 		}
 		first := make([]byte, len(page))
-		encodeNode(before, d, first)
+		encodeNode(before, kindInternal, d, first)
 		held, err := decodePage(slot, first)
 		if err != nil || len(held.Entries) != prev {
 			t.Fatalf("valid %d-entry node did not decode: %v", prev, err)
@@ -86,9 +102,11 @@ func FuzzDecodeNode(f *testing.F) {
 		if (err == nil) != (freshErr == nil) || (err != nil && err.Error() != freshErr.Error()) {
 			t.Fatalf("reused slot: error %v, fresh slot: %v", err, freshErr)
 		}
+		if page[0] > kindPointLeaf && !errors.Is(err, ErrCorruptNode) {
+			t.Fatalf("page of kind %d: error %v, want a corrupt-node error", page[0], err)
+		}
 		if err != nil {
-			msg := err.Error()
-			if !strings.Contains(msg, "fails its checksum") && !strings.Contains(msg, "exceeds page") {
+			if !errors.Is(err, ErrCorruptNode) && !strings.Contains(err.Error(), "fails its checksum") {
 				t.Fatalf("unexpected decode error: %v", err)
 			}
 			if node != nil || len(held.Entries) != 0 || held.FlatLo() != nil {
@@ -102,10 +120,13 @@ func FuzzDecodeNode(f *testing.F) {
 		// Whatever decoded must re-encode into a page of the same size
 		// without panicking, and round-trip.
 		out := make([]byte, len(page))
-		if nodeHeaderSize+len(node.Entries)*entrySize(d) > len(out) {
+		if nodeHeaderSize+len(node.Entries)*entrySize(node.kind, d) > len(out) {
 			t.Fatalf("decoder accepted %d entries that cannot fit the page", len(node.Entries))
 		}
-		encodeNode(node, d, out)
+		if node.kind != page[0] || node.Leaf != (page[0] != kindInternal) {
+			t.Fatalf("page of kind %d decoded as kind %d, leaf %v", page[0], node.kind, node.Leaf)
+		}
+		encodeNode(node, node.kind, d, out)
 		back, err := decodePage(newScratch(len(out), d), out)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -116,25 +137,40 @@ func FuzzDecodeNode(f *testing.F) {
 	})
 }
 
-// FuzzMetaCodec checks the metadata page codec.
+// FuzzMetaCodec checks the metadata page codec: a page decodes or fails
+// with a named error, and what decodes round-trips, leaf kind included.
 func FuzzMetaCodec(f *testing.F) {
-	valid := make([]byte, 64)
-	encodeMeta(valid, 6, 3, 2, 1068)
-	f.Add(valid)
+	for _, kind := range []byte{kindRectLeaf, kindPointLeaf} {
+		valid := make([]byte, 64)
+		encodeMeta(valid, meta{leafKind: kind, dim: 6, root: 3, height: 2, size: 1068})
+		f.Add(valid)
+	}
 	f.Add(make([]byte, 64))
+	for _, magic := range []string{"RST0", "RST3", "RSTA", "RST\x02"} {
+		bad := make([]byte, 64)
+		encodeMeta(bad, meta{leafKind: kindPointLeaf, dim: 6, root: 3, height: 2})
+		copy(bad, magic)
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, page []byte) {
 		if len(page) < 24 {
 			return
 		}
-		dim, root, height, size, err := decodeMeta(page)
+		m, err := decodeMeta(page)
 		if err != nil {
+			if !strings.HasPrefix(err.Error(), "rtree: ") {
+				t.Fatalf("unnamed meta error: %v", err)
+			}
 			return
 		}
+		if want := "RST" + string('0'+m.leafKind); string(page[:4]) != want || (m.leafKind != kindRectLeaf && m.leafKind != kindPointLeaf) {
+			t.Fatalf("magic %q decoded as leaf kind %d", page[:4], m.leafKind)
+		}
 		out := make([]byte, len(page))
-		encodeMeta(out, dim, root, height, size)
-		d2, r2, h2, s2, err := decodeMeta(out)
-		if err != nil || d2 != dim || r2 != root || h2 != height || s2 != size {
-			t.Fatalf("meta round trip: %v %v %v %v %v", d2, r2, h2, s2, err)
+		encodeMeta(out, m)
+		back, err := decodeMeta(out)
+		if err != nil || back != m {
+			t.Fatalf("meta round trip: %+v, %v; want %+v", back, err, m)
 		}
 	})
 }

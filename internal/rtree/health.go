@@ -18,11 +18,15 @@ type LevelHealth struct {
 	// Nodes and Entries are the node and entry totals on this level.
 	Nodes   int `json:"nodes"`
 	Entries int `json:"entries"`
+	// MinFill and MaxFill are (m, M) of this level's nodes: a leaf of
+	// points holds more entries than a node of rectangles.
+	MinFill int `json:"min_fill"`
+	MaxFill int `json:"max_fill"`
 	// Occupancy is a histogram of node fill fraction (entries / M) in
 	// OccupancyBuckets equal buckets; underfilled nodes (legal only for
 	// the root) land in the low buckets.
 	Occupancy [OccupancyBuckets]int `json:"occupancy"`
-	// AvgFill is Entries / (Nodes * M): the level's mean fill fraction.
+	// AvgFill is Entries / (Nodes * MaxFill): the level's mean fill.
 	AvgFill float64 `json:"avg_fill"`
 	// MarginSum and AvgMargin total/average the node MBR margins
 	// (perimeter sums) — the split-axis selection criterion.
@@ -49,14 +53,15 @@ type LevelHealth struct {
 
 // TreeHealth is the read-only health report of a whole tree.
 type TreeHealth struct {
-	Dim     int           `json:"dim"`
-	Height  int           `json:"height"`
-	Size    int64         `json:"size"` // record count (leaf entries)
-	MinFill int           `json:"min_fill"`
-	MaxFill int           `json:"max_fill"`
-	Nodes   int           `json:"nodes"`
-	Entries int           `json:"entries"`
-	Levels  []LevelHealth `json:"levels"` // root first
+	Dim    int   `json:"dim"`
+	Height int   `json:"height"`
+	Size   int64 `json:"size"` // record count (leaf entries)
+	// PointLeaves reports leaves of points (meta "RST2") rather than of
+	// rectangles ("RST1": older files and sub-trail trees).
+	PointLeaves bool          `json:"point_leaves"`
+	Nodes       int           `json:"nodes"`
+	Entries     int           `json:"entries"`
+	Levels      []LevelHealth `json:"levels"` // root first
 }
 
 // Health walks the tree read-only and computes per-level statistics.
@@ -64,15 +69,15 @@ type TreeHealth struct {
 // a warm pool it is cheap enough to run on demand.
 func (t *Tree) Health() (*TreeHealth, error) {
 	h := &TreeHealth{
-		Dim:     t.dim,
-		Height:  t.height,
-		Size:    t.size,
-		MinFill: t.minE,
-		MaxFill: t.maxE,
-		Levels:  make([]LevelHealth, t.height),
+		Dim:         t.dim,
+		Height:      t.height,
+		Size:        t.size,
+		PointLeaves: t.leafKind == kindPointLeaf,
+		Levels:      make([]LevelHealth, t.height),
 	}
 	for i := range h.Levels {
 		h.Levels[i].Level = i
+		h.Levels[i].MinFill, h.Levels[i].MaxFill = t.Capacity(i == t.height-1)
 		h.Levels[i].ExtentShare = make([]float64, t.dim)
 	}
 	rootExtent := make([]float64, t.dim) // the walk starts at the root
@@ -81,7 +86,7 @@ func (t *Tree) Health() (*TreeHealth, error) {
 		lh := &h.Levels[t.height-level]
 		lh.Nodes++
 		lh.Entries += len(n.Entries)
-		fill := float64(len(n.Entries)) / float64(t.maxE)
+		fill := float64(len(n.Entries)) / float64(lh.MaxFill)
 		b := int(fill * OccupancyBuckets)
 		if b >= OccupancyBuckets {
 			b = OccupancyBuckets - 1
@@ -118,7 +123,7 @@ func (t *Tree) Health() (*TreeHealth, error) {
 		h.Nodes += lh.Nodes
 		h.Entries += lh.Entries
 		if lh.Nodes > 0 {
-			lh.AvgFill = float64(lh.Entries) / float64(lh.Nodes*t.maxE)
+			lh.AvgFill = float64(lh.Entries) / float64(lh.Nodes*lh.MaxFill)
 			lh.AvgMargin = lh.MarginSum / float64(lh.Nodes)
 			for d := range lh.ExtentShare {
 				lh.ExtentShare[d] /= float64(lh.Nodes)

@@ -83,7 +83,7 @@ func TestTreeHealthGroundTruth(t *testing.T) {
 		}
 		// Non-root nodes respect the minimum fill, so average fill must
 		// be at least m/M on levels with more than one node.
-		if lh.Nodes > 1 && lh.AvgFill < float64(h.MinFill)/float64(h.MaxFill) {
+		if lh.Nodes > 1 && lh.AvgFill < float64(lh.MinFill)/float64(lh.MaxFill) {
 			t.Errorf("level %d avg fill %v below m/M", i, lh.AvgFill)
 		}
 		if lh.MarginSum <= 0 || lh.CoveredArea <= 0 {

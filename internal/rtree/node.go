@@ -5,15 +5,16 @@
 // Every node occupies exactly one storage page, so storage-level read
 // counts are the paper's "number of disk accesses".
 //
-// The tree stores axis-aligned rectangles (points are degenerate
-// rectangles) with an int64 record id per leaf entry. It is the substrate
-// of the ST-index and MT-index algorithms, which drive their own
-// traversals via Root, AcquireSlots, LoadInto, and Node; plain range,
-// nearest-neighbor, and spatial self-join searches are provided here.
+// Internal nodes store axis-aligned rectangles; leaves store points (New,
+// BulkLoad) or rectangles (NewRectLeaves) with an int64 record id each. It
+// is the substrate of the ST-index and MT-index algorithms, which drive
+// their own traversals via Root, AcquireSlots, LoadInto, and Node; plain
+// range, nearest-neighbor, and spatial self-join searches are provided here.
 package rtree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -21,6 +22,10 @@ import (
 	"tsq/internal/geom"
 	"tsq/internal/storage"
 )
+
+// ErrCorruptNode is wrapped by the errors of a node page that cannot be
+// decoded: an unknown kind, or more entries than the page holds.
+var ErrCorruptNode = errors.New("rtree: corrupt node")
 
 // Entry is one slot of a node: a bounding rectangle plus either a child
 // page (internal nodes) or a record id (leaves).
@@ -44,6 +49,8 @@ type Node struct {
 	// instead of chasing per-entry slice headers. Nil for nodes built in
 	// memory (insert/split paths), non-nil after a decode.
 	flatLo []float64
+	// kind is the page's kind byte, set by decode.
+	kind byte
 }
 
 // FlatLo returns the node's contiguous low-corner block (leaf-major
@@ -61,20 +68,21 @@ func (n *Node) FlatLo() []float64 { return n.flatLo }
 type Scratch struct {
 	dim     int
 	page    []byte
-	lo, hi  []float64 // leaf-major corner slabs, maxE*dim each
-	entries []Entry   // maxE headers
+	lo, hi  []float64 // leaf-major corner slabs
+	entries []Entry
 	node    Node
 }
 
 // newScratch sizes a slot for one entry more than a page holds, the one
-// an insertion pushes onto a full node before it splits it.
+// an insertion pushes onto a full node before it splits it; only the
+// entries of rectangle nodes, the smaller ones, need high corners.
 func newScratch(pageSize, dim int) *Scratch {
-	room := MaxEntries(pageSize, dim) + 1
+	room := MaxPointEntries(pageSize, dim) + 1
 	return &Scratch{
 		dim:     dim,
 		page:    make([]byte, pageSize),
 		lo:      make([]float64, room*dim),
-		hi:      make([]float64, room*dim),
+		hi:      make([]float64, (MaxEntries(pageSize, dim)+1)*dim),
 		entries: make([]Entry, room),
 	}
 }
@@ -86,9 +94,12 @@ func (s *Scratch) push(e Entry) {
 	n, dim := &s.node, s.dim
 	j := len(n.Entries)
 	lo := geom.Point(s.lo[j*dim : (j+1)*dim : (j+1)*dim])
-	hi := geom.Point(s.hi[j*dim : (j+1)*dim : (j+1)*dim])
 	copy(lo, e.Rect.Lo)
-	copy(hi, e.Rect.Hi)
+	hi := lo
+	if n.kind != kindPointLeaf {
+		hi = geom.Point(s.hi[j*dim : (j+1)*dim : (j+1)*dim])
+		copy(hi, e.Rect.Hi)
+	}
 	e.Rect = geom.Rect{Lo: lo, Hi: hi}
 	n.Entries = append(n.Entries, e)
 	n.flatLo = s.lo[:(j+1)*dim]
@@ -117,56 +128,80 @@ func (n *Node) mbrInto(dst geom.Rect) {
 
 // Page layout (little endian):
 //
-//	offset 0: leaf flag (1 byte)
+//	offset 0: kind (1 byte, see kindInternal)
 //	offset 1: reserved (1 byte)
 //	offset 2: entry count (uint16)
 //	offset 4: CRC32 (IEEE) of the used page region with this field zeroed
-//	offset 8: entries, each 16*dim + 8 bytes:
-//	    dim float64 lows, dim float64 highs, uint64 ref
-//	    (ref is the child page id for internal nodes, the record id for
-//	    leaves)
+//	offset 8: entries, each entrySize(kind, dim) bytes:
+//	    dim float64 lows, dim float64 highs (not in a point leaf),
+//	    uint64 ref (the child page id for internal nodes, the record id
+//	    for leaves)
 const nodeHeaderSize = 8
 
-// entrySize returns the encoded size of one entry for the given
-// dimensionality.
-func entrySize(dim int) int { return 16*dim + 8 }
+// The node kinds. Internal nodes always store rectangles; a leaf's kind is
+// the tree's, recorded in its meta page.
+const (
+	kindInternal  byte = 0 // rectangles and child page ids
+	kindRectLeaf  byte = 1 // rectangles and record ids
+	kindPointLeaf byte = 2 // points (the low corners) and record ids
+)
 
-// MaxEntries returns the node capacity for the given page size and
-// dimensionality.
-func MaxEntries(pageSize, dim int) int {
-	return (pageSize - nodeHeaderSize) / entrySize(dim)
+// entrySize returns the encoded size of one entry of a node of the given
+// kind and dimensionality.
+func entrySize(kind byte, dim int) int {
+	if kind == kindPointLeaf {
+		return 8*dim + 8
+	}
+	return 16*dim + 8
 }
 
-// encodeNode serializes n into buf (one page).
-func encodeNode(n *Node, dim int, buf []byte) {
-	if n.Leaf {
-		buf[0] = 1
-	} else {
-		buf[0] = 0
-	}
-	buf[1] = 0
+// MaxEntries returns the capacity of a node of rectangles (every internal
+// node, and the leaves of NewRectLeaves) for a page size and dimension.
+func MaxEntries(pageSize, dim int) int {
+	return (pageSize - nodeHeaderSize) / entrySize(kindInternal, dim)
+}
+
+// MaxPointEntries returns the capacity of a point leaf for the given page
+// size and dimensionality.
+func MaxPointEntries(pageSize, dim int) int {
+	return (pageSize - nodeHeaderSize) / entrySize(kindPointLeaf, dim)
+}
+
+// encodeNode serializes n into buf (one page) as a node of the given kind.
+func encodeNode(n *Node, kind byte, dim int, buf []byte) {
+	buf[0], buf[1] = kind, 0
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.Entries)))
 	binary.LittleEndian.PutUint32(buf[4:], 0)
 	off := nodeHeaderSize
 	for _, e := range n.Entries {
-		for i := 0; i < dim; i++ {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.Rect.Lo[i]))
-			off += 8
+		off = putFloats(buf, off, e.Rect.Lo)
+		if kind != kindPointLeaf {
+			off = putFloats(buf, off, e.Rect.Hi)
 		}
-		for i := 0; i < dim; i++ {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.Rect.Hi[i]))
-			off += 8
-		}
-		var ref uint64
+		ref := uint64(e.Child)
 		if n.Leaf {
 			ref = uint64(e.Rec)
-		} else {
-			ref = uint64(e.Child)
 		}
 		binary.LittleEndian.PutUint64(buf[off:], ref)
 		off += 8
 	}
 	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[:off]))
+}
+
+func putFloats(buf []byte, off int, p geom.Point) int {
+	for _, v := range p {
+		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
+		off += 8
+	}
+	return off
+}
+
+func getFloats(p geom.Point, buf []byte, off int) int {
+	for i := range p {
+		p[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+		off += 8
+	}
+	return off
 }
 
 // decode deserializes the slot's page buffer into the slot's node,
@@ -175,10 +210,14 @@ func encodeNode(n *Node, dim int, buf []byte) {
 func (s *Scratch) decode(id storage.PageID) (*Node, error) {
 	buf, dim := s.page, s.dim
 	s.node = Node{}
+	kind := buf[0]
+	if kind > kindPointLeaf {
+		return nil, fmt.Errorf("%w %d: unknown kind %d", ErrCorruptNode, id, kind)
+	}
 	count := int(binary.LittleEndian.Uint16(buf[2:]))
-	used := nodeHeaderSize + count*entrySize(dim)
+	used := nodeHeaderSize + count*entrySize(kind, dim)
 	if used > len(buf) {
-		return nil, fmt.Errorf("rtree: corrupt node %d: count %d exceeds page", id, count)
+		return nil, fmt.Errorf("%w %d: count %d exceeds page", ErrCorruptNode, id, count)
 	}
 	stored := binary.LittleEndian.Uint32(buf[4:])
 	binary.LittleEndian.PutUint32(buf[4:], 0)
@@ -188,23 +227,21 @@ func (s *Scratch) decode(id storage.PageID) (*Node, error) {
 		return nil, fmt.Errorf("rtree: node %d fails its checksum", id)
 	}
 	n := &s.node
-	n.ID, n.Leaf = id, buf[0] == 1
+	n.ID, n.Leaf, n.kind = id, kind != kindInternal, kind
 	n.Entries = s.entries[:count]
 	// Leaf-major layout: all low corners share one contiguous slab
 	// (likewise the highs), so a scan over the entries' feature vectors
-	// is a linear walk of one block.
+	// is a linear walk of one block. A point's high corner is its low
+	// one: nothing writes a leaf entry's Hi, so it aliases the low slab.
 	n.flatLo = s.lo[:count*dim]
 	off := nodeHeaderSize
 	for j := 0; j < count; j++ {
 		lo := geom.Point(s.lo[j*dim : (j+1)*dim : (j+1)*dim])
-		hi := geom.Point(s.hi[j*dim : (j+1)*dim : (j+1)*dim])
-		for i := 0; i < dim; i++ {
-			lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		for i := 0; i < dim; i++ {
-			hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
+		off = getFloats(lo, buf, off)
+		hi := lo
+		if kind != kindPointLeaf {
+			hi = geom.Point(s.hi[j*dim : (j+1)*dim : (j+1)*dim])
+			off = getFloats(hi, buf, off)
 		}
 		ref := binary.LittleEndian.Uint64(buf[off:])
 		off += 8
@@ -221,43 +258,53 @@ func (s *Scratch) decode(id storage.PageID) (*Node, error) {
 
 // Meta page layout (page allocated first, id recorded by the caller):
 //
-//	offset 0: magic (4 bytes "RST1")
+//	offset 0: magic (4 bytes): "RST" and the tree's leaf kind as a digit,
+//	          "RST2" for point leaves, "RST1" for rectangle leaves
 //	offset 4: dim (uint32)
 //	offset 8: root page (uint32)
 //	offset 12: height (uint32)
 //	offset 16: size (uint64)
-var metaMagic = [4]byte{'R', 'S', 'T', '1'}
-
-func encodeMeta(buf []byte, dim int, root storage.PageID, height int, size int64) {
-	copy(buf, metaMagic[:])
-	binary.LittleEndian.PutUint32(buf[4:], uint32(dim))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(root))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(height))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(size))
+type meta struct {
+	leafKind    byte
+	dim, height int
+	root        storage.PageID
+	size        int64
 }
 
-func decodeMeta(buf []byte) (dim int, root storage.PageID, height int, size int64, err error) {
-	if [4]byte(buf[:4]) != metaMagic {
-		return 0, 0, 0, 0, fmt.Errorf("rtree: bad meta page magic %q", buf[:4])
+func encodeMeta(buf []byte, m meta) {
+	copy(buf, "RST")
+	buf[3] = '0' + m.leafKind
+	binary.LittleEndian.PutUint32(buf[4:], uint32(m.dim))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(m.root))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(m.height))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(m.size))
+}
+
+func decodeMeta(buf []byte) (meta, error) {
+	if string(buf[:3]) != "RST" || (buf[3] != '0'+kindRectLeaf && buf[3] != '0'+kindPointLeaf) {
+		return meta{}, fmt.Errorf("rtree: bad meta page magic %q", buf[:4])
 	}
-	dim = int(binary.LittleEndian.Uint32(buf[4:]))
-	root = storage.PageID(binary.LittleEndian.Uint32(buf[8:]))
-	height = int(binary.LittleEndian.Uint32(buf[12:]))
-	size = int64(binary.LittleEndian.Uint64(buf[16:]))
+	m := meta{
+		leafKind: buf[3] - '0',
+		dim:      int(binary.LittleEndian.Uint32(buf[4:])),
+		root:     storage.PageID(binary.LittleEndian.Uint32(buf[8:])),
+		height:   int(binary.LittleEndian.Uint32(buf[12:])),
+		size:     int64(binary.LittleEndian.Uint64(buf[16:])),
+	}
 	// A corrupt meta page must be rejected here with a descriptive
 	// error, not surface as a panic (or an absurd allocation) in the
 	// first traversal that trusts the fields.
-	if dim < 1 || dim > 1024 {
-		return 0, 0, 0, 0, fmt.Errorf("rtree: corrupt meta page: implausible dimension %d", dim)
+	if m.dim < 1 || m.dim > 1024 {
+		return meta{}, fmt.Errorf("rtree: corrupt meta page: implausible dimension %d", m.dim)
 	}
-	if root == storage.NilPage {
-		return 0, 0, 0, 0, fmt.Errorf("rtree: corrupt meta page: nil root page")
+	if m.root == storage.NilPage {
+		return meta{}, fmt.Errorf("rtree: corrupt meta page: nil root page")
 	}
-	if height < 1 || height > 64 {
-		return 0, 0, 0, 0, fmt.Errorf("rtree: corrupt meta page: implausible height %d", height)
+	if m.height < 1 || m.height > 64 {
+		return meta{}, fmt.Errorf("rtree: corrupt meta page: implausible height %d", m.height)
 	}
-	if size < 0 {
-		return 0, 0, 0, 0, fmt.Errorf("rtree: corrupt meta page: negative size %d", size)
+	if m.size < 0 {
+		return meta{}, fmt.Errorf("rtree: corrupt meta page: negative size %d", m.size)
 	}
-	return dim, root, height, size, nil
+	return m, nil
 }

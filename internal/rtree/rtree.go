@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -23,16 +24,13 @@ const minFillFraction = 0.4
 // number of read traversals may run concurrently with each other, each
 // decoding into its own Slots.
 type Tree struct {
-	mgr    *storage.Manager
-	dim    int
-	maxE   int // M: node capacity
-	minE   int // m: minimum fill
-	metaID storage.PageID
-	root   storage.PageID
-	height int // 1 = root is a leaf
-	size   int64
-	buf    []byte       // scratch page buffer for writes
-	ovf    splitScratch // buffers of the split and reinsert decisions
+	mgr *storage.Manager
+	meta
+	maxE, minE         int // M and m of an internal node
+	leafMaxE, leafMinE int // M and m of a leaf: more entries when they are points
+	metaID             storage.PageID
+	buf                []byte       // scratch page buffer for writes
+	ovf                splitScratch // buffers of the split and reinsert decisions
 	// write holds the decode slots of the insert path, one per level, and
 	// path the root-to-target path an insertion is working on. Both are
 	// valid until the next choosePath: writes are exclusive, and an
@@ -54,31 +52,36 @@ type Tree struct {
 // height 3); traversals beyond it allocate their slots and drop them.
 const maxIdleSlots = 32
 
-// New creates an empty tree of the given dimensionality on mgr.
+// ErrNotPoint is returned when a rectangle with extent is inserted into a
+// tree whose leaves store points.
+var ErrNotPoint = errors.New("rtree: rectangle with extent inserted into a tree of points")
+
+// New creates an empty tree of the given dimensionality on mgr whose
+// leaves store points.
 func New(mgr *storage.Manager, dim int) (*Tree, error) {
-	maxE := MaxEntries(mgr.PageSize(), dim)
-	if maxE < 4 {
-		return nil, fmt.Errorf("rtree: page size %d too small for dimension %d (capacity %d)", mgr.PageSize(), dim, maxE)
-	}
-	t := &Tree{
-		mgr:  mgr,
-		dim:  dim,
-		maxE: maxE,
-		minE: max(2, int(minFillFraction*float64(maxE))),
-		buf:  make([]byte, mgr.PageSize()),
-	}
-	metaID, err := mgr.Alloc()
+	return create(mgr, meta{leafKind: kindPointLeaf, dim: dim})
+}
+
+// NewRectLeaves creates an empty tree whose leaves store rectangles with
+// extent, such as the bounding boxes of sub-trails.
+func NewRectLeaves(mgr *storage.Manager, dim int) (*Tree, error) {
+	return create(mgr, meta{leafKind: kindRectLeaf, dim: dim})
+}
+
+// create allocates the meta page and an empty root leaf of a new tree.
+func create(mgr *storage.Manager, m meta) (*Tree, error) {
+	t, err := newTree(mgr, m)
 	if err != nil {
 		return nil, err
 	}
-	t.metaID = metaID
-	rootID, err := mgr.Alloc()
-	if err != nil {
+	if t.metaID, err = mgr.Alloc(); err != nil {
 		return nil, err
 	}
-	t.root = rootID
+	if t.root, err = mgr.Alloc(); err != nil {
+		return nil, err
+	}
 	t.height = 1
-	if err := t.store(&Node{ID: rootID, Leaf: true}); err != nil {
+	if err := t.store(&Node{ID: t.root, Leaf: true}); err != nil {
 		return nil, err
 	}
 	if err := t.writeMeta(); err != nil {
@@ -87,32 +90,44 @@ func New(mgr *storage.Manager, dim int) (*Tree, error) {
 	return t, nil
 }
 
-// Open loads an existing tree whose meta page is metaID.
+// newTree returns the in-memory tree described by m, with the capacities
+// of its two kinds of node.
+func newTree(mgr *storage.Manager, m meta) (*Tree, error) {
+	maxE := MaxEntries(mgr.PageSize(), m.dim)
+	if maxE < 4 {
+		return nil, fmt.Errorf("rtree: page size %d too small for dimension %d (capacity %d)", mgr.PageSize(), m.dim, maxE)
+	}
+	leafMaxE := maxE
+	if m.leafKind == kindPointLeaf {
+		leafMaxE = MaxPointEntries(mgr.PageSize(), m.dim)
+	}
+	return &Tree{
+		mgr:  mgr,
+		meta: m,
+		maxE: maxE, minE: minFill(maxE),
+		leafMaxE: leafMaxE, leafMinE: minFill(leafMaxE),
+		buf: make([]byte, mgr.PageSize()),
+	}, nil
+}
+
+func minFill(maxE int) int { return max(2, int(minFillFraction*float64(maxE))) }
+
+// Open loads an existing tree whose meta page is metaID. Its leaves store
+// points or rectangles as the meta page says.
 func Open(mgr *storage.Manager, metaID storage.PageID) (*Tree, error) {
 	buf := make([]byte, mgr.PageSize())
 	if err := mgr.Read(metaID, buf); err != nil {
 		return nil, fmt.Errorf("rtree: reading meta page %d: %w", metaID, err)
 	}
-	dim, root, height, size, err := decodeMeta(buf)
+	m, err := decodeMeta(buf)
 	if err != nil {
 		return nil, fmt.Errorf("rtree: meta page %d: %w", metaID, err)
 	}
-	maxE := MaxEntries(mgr.PageSize(), dim)
-	if maxE < 4 {
-		return nil, fmt.Errorf("rtree: meta page %d: dimension %d leaves capacity %d in a %d-byte page",
-			metaID, dim, maxE, mgr.PageSize())
+	t, err := newTree(mgr, m)
+	if err != nil {
+		return nil, fmt.Errorf("rtree: meta page %d: %w", metaID, err)
 	}
-	t := &Tree{
-		mgr:    mgr,
-		dim:    dim,
-		maxE:   maxE,
-		metaID: metaID,
-		root:   root,
-		height: height,
-		size:   size,
-		buf:    make([]byte, mgr.PageSize()),
-	}
-	t.minE = max(2, int(minFillFraction*float64(t.maxE)))
+	t.metaID = metaID
 	return t, nil
 }
 
@@ -131,8 +146,15 @@ func (t *Tree) Height() int { return t.height }
 // Len returns the number of stored records.
 func (t *Tree) Len() int64 { return t.size }
 
-// Capacity returns (m, M): the minimum and maximum entries per node.
-func (t *Tree) Capacity() (int, int) { return t.minE, t.maxE }
+// Capacity returns (m, M), the minimum and maximum entries, of a leaf or
+// of an internal node. It is the only reader of the capacities: every
+// overflow, split, condense and check asks it for the node at hand.
+func (t *Tree) Capacity(leaf bool) (int, int) {
+	if leaf {
+		return t.leafMinE, t.leafMaxE
+	}
+	return t.minE, t.maxE
+}
 
 // Load reads and decodes one node. Each call costs one page access, which
 // is how the experiments count disk accesses. The node is the caller's to
@@ -202,10 +224,14 @@ func (s *Slots) Release() {
 }
 
 func (t *Tree) store(n *Node) error {
-	if len(n.Entries) > t.maxE {
-		return fmt.Errorf("rtree: storing overfull node %d (%d > %d)", n.ID, len(n.Entries), t.maxE)
+	if _, maxE := t.Capacity(n.Leaf); len(n.Entries) > maxE {
+		return fmt.Errorf("rtree: storing overfull node %d (%d > %d)", n.ID, len(n.Entries), maxE)
 	}
-	encodeNode(n, t.dim, t.buf)
+	kind := kindInternal
+	if n.Leaf {
+		kind = t.leafKind
+	}
+	encodeNode(n, kind, t.dim, t.buf)
 	return t.mgr.Write(n.ID, t.buf)
 }
 
@@ -213,7 +239,7 @@ func (t *Tree) writeMeta() error {
 	for i := range t.buf {
 		t.buf[i] = 0
 	}
-	encodeMeta(t.buf, t.dim, t.root, t.height, t.size)
+	encodeMeta(t.buf, t.meta)
 	return t.mgr.Write(t.metaID, t.buf)
 }
 
@@ -227,27 +253,41 @@ func (t *Tree) Reload() error {
 	if err := t.mgr.Read(t.metaID, buf); err != nil {
 		return fmt.Errorf("rtree: reloading meta page %d: %w", t.metaID, err)
 	}
-	dim, root, height, size, err := decodeMeta(buf)
+	m, err := decodeMeta(buf)
 	if err != nil {
 		return fmt.Errorf("rtree: reloading meta page %d: %w", t.metaID, err)
 	}
-	if dim != t.dim {
-		return fmt.Errorf("rtree: reloading meta page %d: dimension changed from %d to %d", t.metaID, t.dim, dim)
+	if m.dim != t.dim || m.leafKind != t.leafKind {
+		return fmt.Errorf("rtree: reloading meta page %d: dimension or leaf kind changed", t.metaID)
 	}
-	t.root, t.height, t.size = root, height, size
+	t.meta = m
 	return nil
 }
 
-// Insert adds a rectangle with the given record id. The tree copies r.
+// Insert adds a rectangle with the given record id. The tree copies r. A
+// tree of points takes only rectangles without extent (ErrNotPoint).
 func (t *Tree) Insert(r geom.Rect, rec int64) error {
-	if r.Dim() != t.dim {
-		return fmt.Errorf("rtree: inserting %d-dimensional rect into %d-dimensional tree", r.Dim(), t.dim)
+	if err := t.fits(r); err != nil {
+		return err
 	}
 	if err := t.insertAtLevel(Entry{Rect: r, Rec: rec}, 1, new(levelSet)); err != nil {
 		return err
 	}
 	t.size++
 	return t.writeMeta()
+}
+
+// fits checks that r can be a leaf entry of the tree.
+func (t *Tree) fits(r geom.Rect) error {
+	if r.Dim() != t.dim {
+		return fmt.Errorf("rtree: inserting %d-dimensional rect into %d-dimensional tree", r.Dim(), t.dim)
+	}
+	for d := 0; t.leafKind == kindPointLeaf && d < t.dim; d++ {
+		if math.Float64bits(r.Lo[d]) != math.Float64bits(r.Hi[d]) {
+			return fmt.Errorf("%w: %v", ErrNotPoint, r)
+		}
+	}
+	return nil
 }
 
 // levelSet tracks, per level, whether forced reinsertion already ran
@@ -372,7 +412,7 @@ func (t *Tree) handleOverflowAndAdjust(path []pathElem, level int, overflowed *l
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i].node
 		curLevel := t.height - i // level of this node before any root split
-		if len(n.Entries) > t.maxE {
+		if _, maxE := t.Capacity(n.Leaf); len(n.Entries) > maxE {
 			isRoot := i == 0
 			if !isRoot && !overflowed[curLevel] {
 				overflowed[curLevel] = true
@@ -465,7 +505,8 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) err
 // level, propagating the new entry upward (splitting ancestors as needed).
 func (t *Tree) split(path []pathElem, i, level int, overflowed *levelSet) error {
 	n := path[i].node
-	left, right := t.ovf.splitEntries(n.Entries, t.minE, t.dim)
+	minE, _ := t.Capacity(n.Leaf)
+	left, right := t.ovf.splitEntries(n.Entries, minE, t.dim)
 	n.Entries = left
 	if err := t.store(n); err != nil {
 		return err

@@ -124,8 +124,15 @@ func TestInvariantsAfterBulkInsert(t *testing.T) {
 }
 
 func TestRectangleEntries(t *testing.T) {
-	// The tree stores true rectangles, not just points.
-	tr := newTestTree(t, 2, 512)
+	// A tree of rectangle leaves stores true rectangles, not just points;
+	// a tree of point leaves refuses them.
+	tr, err := NewRectLeaves(storage.NewManager(storage.Options{PageSize: 512}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newTestTree(t, 2, 512).Insert(geom.NewRect(geom.Point{0, 0}, geom.Point{0, 1}), 0); !errors.Is(err, ErrNotPoint) {
+		t.Fatalf("rectangle into a point tree: err = %v, want ErrNotPoint", err)
+	}
 	rects := []geom.Rect{
 		geom.NewRect(geom.Point{0, 0}, geom.Point{2, 2}),
 		geom.NewRect(geom.Point{5, 5}, geom.Point{7, 9}),

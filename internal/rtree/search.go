@@ -180,9 +180,10 @@ func (t *Tree) visit(slots *Slots, id storage.PageID, level int, fn func(n *Node
 
 // CheckInvariants verifies structural invariants of the tree: every
 // internal entry's rectangle equals the MBR of its child, nodes respect
-// capacity bounds (root exempt from the minimum), all leaves are at the
-// same level, and the record count matches Len. It returns a descriptive
-// error on the first violation.
+// their kind's capacity bounds (root exempt from the minimum), all leaves
+// are at the same level and of the kind the meta page names, and the
+// record count matches Len. It returns a descriptive error on the first
+// violation.
 func (t *Tree) CheckInvariants() error {
 	var records int64
 	var problem error
@@ -198,13 +199,16 @@ func (t *Tree) CheckInvariants() error {
 			problem = errLeafLevel(n.ID, level)
 			return problem
 		}
-		if n.ID != t.root {
-			if len(n.Entries) < t.minE || len(n.Entries) > t.maxE {
-				problem = errCapacity(n.ID, len(n.Entries), t.minE, t.maxE)
-				return problem
-			}
-		} else if len(n.Entries) > t.maxE {
-			problem = errCapacity(n.ID, len(n.Entries), 0, t.maxE)
+		if n.Leaf && n.kind != t.leafKind {
+			problem = errKind(n.ID, n.kind, t.leafKind)
+			return problem
+		}
+		minE, maxE := t.Capacity(n.Leaf)
+		if n.ID == t.root {
+			minE = 0
+		}
+		if len(n.Entries) < minE || len(n.Entries) > maxE {
+			problem = errCapacity(n.ID, len(n.Entries), minE, maxE)
 			return problem
 		}
 		if n.Leaf {

@@ -149,7 +149,7 @@ func TestTwoTreesQueriedConcurrently(t *testing.T) {
 		}
 		return f
 	}
-	fixtures := []*fixture{build(5, 700, 2, 1024), build(6, 900, 6, 2048)}
+	fixtures := []*fixture{build(5, 1500, 2, 1024), build(6, 900, 6, 2048)}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

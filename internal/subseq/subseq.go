@@ -108,7 +108,7 @@ func Build(seqs []series.Series, opts Options) (*Index, error) {
 		return nil, err
 	}
 	mgr := storage.NewManager(storage.Options{PageSize: opts.PageSize, Backend: opts.Backend})
-	tree, err := rtree.New(mgr, 2*opts.K)
+	tree, err := rtree.NewRectLeaves(mgr, 2*opts.K)
 	if err != nil {
 		return nil, err
 	}

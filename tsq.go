@@ -437,7 +437,9 @@ func (db *DB) rangeOpts(ts []Transform, opts QueryOptions) core.RangeOptions {
 
 // Range answers Query 1: every stored series s and transformation t in ts
 // with D(t(s), t(q)) within the threshold, distances measured on normal
-// forms.
+// forms. The order of the matches is unspecified: it follows the index,
+// whose shape depends on the page size and format; SortMatches gives a
+// canonical one.
 func (db *DB) Range(q Series, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
 	return db.RangeCtx(nil, q, ts, thr, opts)
 }
@@ -455,7 +457,8 @@ func (db *DB) RangeCtx(ctx context.Context, q Series, ts []Transform, thr Thresh
 	return db.rangeRecord(ctx, qr, ts, thr, opts)
 }
 
-// RangeByID runs Range with a stored series as the query point.
+// RangeByID runs Range with a stored series as the query point. As with
+// Range, the order of the matches is unspecified.
 func (db *DB) RangeByID(id int64, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
 	return db.RangeByIDCtx(nil, id, ts, thr, opts)
 }
