@@ -11,7 +11,7 @@ test: build
 	$(GO) test ./...
 
 # Race-enabled run of the full suite. The concurrent paths (sharded buffer
-# pool, parallel MT-index probes, batch executor) carry dedicated
+# pool, parallel MT-index probes, batch worker pool) carry dedicated
 # multi-goroutine tests that only bite under -race; keep this green.
 race: build
 	$(GO) test -race ./...

@@ -329,8 +329,8 @@ func BenchmarkRangeAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchThroughput runs the Fig. 5 workload through the batch
-// executor at 1, 4 and GOMAXPROCS workers and reports queries/sec.
+// BenchmarkBatchThroughput runs the Fig. 5 workload through Batch at 1,
+// 4 and GOMAXPROCS workers and reports queries/sec.
 // Speedup beyond 1 worker needs real cores: on a single-CPU machine the
 // numbers show scheduling overhead only.
 func BenchmarkBatchThroughput(b *testing.B) {

@@ -1,11 +1,11 @@
 // Workload capture: the always-on query journal. EnableCapture installs
-// a process-wide capture writer; every completed Range, NearestNeighbors
-// and SubsequenceIndex query then appends one self-contained record —
-// the full query specification, its key effort counters, and an answer
-// digest — to a rotating, CRC-framed binary log that cmd/tsreplay can
-// re-run deterministically against a database. Like every diagnostics
-// feature, the disabled path costs one atomic pointer load and zero
-// allocations (pinned by test).
+// a process-wide capture writer; every completed Range, NearestNeighbors,
+// Batch request and SubsequenceIndex query then appends one
+// self-contained record — the full query specification, its key effort
+// counters, and an answer digest — to a rotating, CRC-framed binary log
+// that cmd/tsreplay can re-run deterministically against a database.
+// Like every diagnostics feature, the disabled path costs one atomic
+// pointer load and zero allocations (pinned by test).
 
 package tsq
 
@@ -101,9 +101,9 @@ func captureQueryStats(st Stats, dur time.Duration, matches int, ioPre, ioPost s
 
 // captureQuery journals one completed range or nearest-neighbor query.
 // Lives behind the cw != nil check in queryEvent.finish, so a disabled
-// journal costs nothing here. A stored query point (RangeByID) is
-// journaled by reference plus content hash; an ad-hoc query carries its
-// raw vector inline.
+// journal costs nothing here. A stored query point (RangeByID, a Batch
+// request by id) is journaled by reference plus content hash; an ad-hoc
+// query carries its raw vector inline.
 func captureQuery(ev *queryEvent, dur time.Duration, ioPost storage.Stats) {
 	if !ev.cw.Admit() {
 		return

@@ -91,9 +91,17 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 	opts := ix0.Options()
 	mult, add := ix0.fullMBRs(ts)
 	symFactor := math.Sqrt(ix0.symmetry(ts, false))
+	// A magnitude gap bounds a distance only where no map changes a
+	// magnitude's sign (intervalSafe, as for the join's gap test).
+	var bounded []int
+	for j := 1; j <= opts.K; j++ {
+		if intervalSafe(ts, j, false) {
+			bounded = append(bounded, j)
+		}
+	}
 	lowerBound := func(ya, yb geom.Rect) float64 {
 		var ss float64
-		for j := 1; j <= opts.K; j++ {
+		for _, j := range bounded {
 			gap := intervalGap(ya.Lo[2*j], ya.Hi[2*j], yb.Lo[2*j], yb.Hi[2*j])
 			ss += gap * gap
 		}

@@ -158,18 +158,24 @@ type joinBounds struct {
 // group's symmetry factor (the join is two-sided); phases within epsC
 // (paper mode) or within the safe angular bound (resolved per node pair
 // with the magnitude information available there, so here only the mode
-// and epsC are recorded via sentinel values).
+// and epsC are recorded via sentinel values). The gap test compares
+// signed magnitudes and unwrapped phases as the query box does, so a
+// coefficient the box may not constrain (intervalSafe, two-sided) is left
+// unbounded here too.
 func (ix *Index) joinBounds(ts []transform.Transform, eps float64, mode QRectMode) joinBounds {
 	epsC := epsScale(eps, ix.symmetry(ts, false))
 	jb := joinBounds{perDim: make([]float64, ix.dim)}
 	jb.perDim[0], jb.perDim[1] = math.Inf(1), math.Inf(1)
 	for j := 1; j <= ix.opts.K; j++ {
 		jb.perDim[2*j] = epsC
-		if mode == QRectSafe {
+		switch {
+		case !intervalSafe(ts, j, false):
+			jb.perDim[2*j], jb.perDim[2*j+1] = math.Inf(1), math.Inf(1)
+		case mode == QRectSafe:
 			// Resolved per pair of rectangles in joinGapOK; the sentinel
 			// NaN requests the magnitude-aware, wrap-aware bound.
 			jb.perDim[2*j+1] = math.NaN()
-		} else {
+		default:
 			jb.perDim[2*j+1] = epsC
 		}
 	}

@@ -140,7 +140,7 @@ func (ix *Index) verifyParallel(ctx context.Context, sc *scratch, candidates []i
 	}
 	parts := make([]part, workers)
 	chunk := (len(candidates) + workers - 1) / workers
-	err := parallelFor(workers, workers, func(w int) (err error) {
+	err := ParallelFor(workers, workers, func(w int) (err error) {
 		lo := min(w*chunk, len(candidates))
 		hi := min(lo+chunk, len(candidates))
 		wsc := sc
@@ -166,15 +166,16 @@ func (ix *Index) verifyParallel(ctx context.Context, sc *scratch, candidates []i
 	return out, st, falsePos, nil
 }
 
-// parallelFor is the engine's one fork-join: it calls fn(i) for every i
-// in [0, n) on at most workers goroutines and returns once all calls
-// have, with the error of the lowest failing index. With one worker (or
+// ParallelFor is the engine's one fork-join, and the worker pool of the
+// facade's batch: it calls fn(i) for every i in [0, n) on at most
+// workers goroutines and returns once all calls have, with the error of
+// the lowest failing index. With one worker (or
 // none, or at most one index) it runs on the calling goroutine, in index
 // order, and stops at the first error: a serial run is the one-worker
 // case of the same loop. In parallel, indexes are handed out in
 // ascending order and no new one is handed out after a failure, so every
 // index below a failing one has run.
-func parallelFor(n, workers int, fn func(i int) error) error {
+func ParallelFor(n, workers int, fn func(i int) error) error {
 	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {

@@ -112,7 +112,7 @@ func TestParallelFor(t *testing.T) {
 			var live, peak atomic.Int32
 			var order []int // appended unguarded: only read when the run must be inline
 			inline := tc.workers <= 1 || tc.n <= 1
-			err := parallelFor(tc.n, tc.workers, func(i int) error {
+			err := ParallelFor(tc.n, tc.workers, func(i int) error {
 				now := live.Add(1)
 				for {
 					p := peak.Load()
@@ -148,7 +148,7 @@ func TestParallelFor(t *testing.T) {
 	// failing index is the one reported.
 	boom := func(i int) error { return fmt.Errorf("index %d", i) }
 	var ran []int
-	err := parallelFor(10, 1, func(i int) error {
+	err := ParallelFor(10, 1, func(i int) error {
 		ran = append(ran, i)
 		if i == 3 {
 			return boom(i)
@@ -159,7 +159,7 @@ func TestParallelFor(t *testing.T) {
 		t.Errorf("serial failure: err %v after running %v; want index 3 after [0 1 2 3]", err, ran)
 	}
 	sentinel := errors.New("lowest")
-	err = parallelFor(64, 8, func(i int) error {
+	err = ParallelFor(64, 8, func(i int) error {
 		switch {
 		case i == 5:
 			return sentinel

@@ -214,7 +214,7 @@ func SeqScanRange(ctx context.Context, src RecordSource, q *Record, ts []transfo
 		st      QueryStats
 	}
 	parts := make([]part, workers)
-	err := parallelFor(workers, workers, func(w int) error {
+	err := ParallelFor(workers, workers, func(w int) error {
 		p := &parts[w]
 		lo := min(w*chunk, n)
 		return src.visit(ctx, lo, min(lo+chunk, n), new(scanBuf), func(r *Record) error {
@@ -327,7 +327,7 @@ func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Tra
 		st      QueryStats
 	}
 	parts := make([]part, len(groups))
-	err := parallelFor(len(groups), opts.Workers, func(gi int) (err error) {
+	err := ParallelFor(len(groups), opts.Workers, func(gi int) (err error) {
 		p := &parts[gi]
 		p.matches, p.st, err = ix.rangeGroup(ctx, q, ts, groups[gi], gi, len(groups), eps, opts)
 		return err

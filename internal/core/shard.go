@@ -126,7 +126,7 @@ func BuildSharded(ds *Dataset, nshards int, opts IndexOptions) (*Sharded, error)
 		return nil, err
 	}
 	shards := make([]*Index, nshards)
-	err = parallelFor(nshards, nshards, func(s int) (err error) {
+	err = ParallelFor(nshards, nshards, func(s int) (err error) {
 		o := opts
 		if len(locals[s].Records) == 0 {
 			// STR bulk loading needs at least one item; an empty
@@ -434,7 +434,7 @@ func gather[T any](s *Sharded, p probe, stage func(*Index, probe) ([]T, QuerySta
 	parts := make([][]T, n)
 	stats := make([]QueryStats, n)
 	shared := p // what the goroutines capture; p stays on the one-shard caller's stack
-	err := parallelFor(n, n, func(sh int) (err error) {
+	err := ParallelFor(n, n, func(sh int) (err error) {
 		p := shared
 		p.q = s.shardQuery(p.q, sh)
 		p.opts.ShardID, p.opts.ShardTotal = sh, n

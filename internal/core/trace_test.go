@@ -2,11 +2,7 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"tsq/internal/obs"
 	"tsq/internal/series"
@@ -208,92 +204,6 @@ func TestUntracedRangeAddsNoAllocs(t *testing.T) {
 	if withCtx > plain {
 		t.Errorf("an untraced context allocates %.0f/op, a nil one %.0f/op: instrumentation added %v allocs",
 			withCtx, plain, withCtx-plain)
-	}
-}
-
-// cancelAfter is a context whose Err() starts returning Canceled after a
-// budget of successful polls — a deterministic way to cancel a batch
-// mid-flight: the executor polls Err() exactly once per request, so
-// exactly `budget` requests run regardless of scheduling.
-type cancelAfter struct {
-	context.Context
-	mu     sync.Mutex
-	budget int
-}
-
-func (c *cancelAfter) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.budget <= 0 {
-		return context.Canceled
-	}
-	c.budget--
-	return nil
-}
-
-// TestExecutorCancellationSpans cancels a batch mid-flight and checks the
-// trace accounts for every request: run queries close their spans clean,
-// abandoned queries close theirs with the cancellation error — and the
-// worker pool leaves no goroutines behind.
-func TestExecutorCancellationSpans(t *testing.T) {
-	ds, ix := buildFixture(t, 23, 100, 32, DefaultIndexOptions())
-	ts := transform.MovingAverageSet(32, 3, 8)
-	eps := series.DistanceForCorrelation(32, 0.9)
-	reqs := make([]ExecRequest, 40)
-	for i := range reqs {
-		reqs[i] = ExecRequest{Record: ds.Records[i%len(ds.Records)], Transforms: ts, Eps: eps}
-	}
-	const budget = 10
-	tr := obs.New()
-	ctx := &cancelAfter{Context: obs.WithTrace(context.Background(), tr), budget: budget}
-
-	goroutinesBefore := runtime.NumGoroutine()
-	results := NewExecutor(ix, 4).Run(ctx, reqs)
-
-	var ran, abandoned int
-	for i, res := range results {
-		if res.Err == nil {
-			ran++
-		} else if res.Err == context.Canceled {
-			abandoned++
-		} else {
-			t.Fatalf("req %d: unexpected error %v", i, res.Err)
-		}
-	}
-	if ran != budget || abandoned != len(reqs)-budget {
-		t.Errorf("ran %d / abandoned %d, want %d / %d", ran, abandoned, budget, len(reqs)-budget)
-	}
-
-	spans := tr.Spans()
-	var rootOK, rootErr int
-	for _, sp := range spans {
-		if sp.Kind() != obs.KindQuery {
-			continue
-		}
-		if !sp.Done() {
-			t.Errorf("span %q left open", sp.Label())
-		}
-		if sp.Err() == "" {
-			rootOK++
-		} else if strings.Contains(sp.Err(), "context canceled") {
-			rootErr++
-		} else {
-			t.Errorf("span %q closed with unexpected error %q", sp.Label(), sp.Err())
-		}
-	}
-	if rootOK != budget || rootErr != len(reqs)-budget {
-		t.Errorf("trace shows %d clean / %d cancelled query spans, want %d / %d",
-			rootOK, rootErr, budget, len(reqs)-budget)
-	}
-
-	// The worker pool must drain: poll until the goroutine count returns
-	// to (at most) its pre-Run level.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > goroutinesBefore {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d running, %d before Run", runtime.NumGoroutine(), goroutinesBefore)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -128,7 +128,7 @@ var (
 
 // EnableFlightRecorder installs a process-wide slow-query flight
 // recorder and returns it. Completed Range and NearestNeighbors queries
-// above opts.Threshold are retained in a fixed ring; queries below it
+// (Batch requests included) above opts.Threshold are retained in a fixed ring; queries below it
 // are reservoir-sampled. A recorder already installed is replaced (its
 // contents are dropped).
 func EnableFlightRecorder(opts RecorderOptions) *obs.Recorder {
@@ -198,7 +198,7 @@ func RatesHandler() http.Handler {
 // EnableQueryLog installs a process-wide structured query log writing
 // to the given slog handler and returns the logger (its Stats method
 // reports what was emitted). Every completed Range and NearestNeighbors
-// query becomes one record, subject to the options' sampling and rate
+// query (a Batch request is one) becomes one record, subject to the options' sampling and rate
 // limit; queries at or above the slow threshold are promoted to Warn
 // level with the rendered trace attached (when the query ran under
 // one). A logger already installed is replaced. With no logger the
@@ -217,7 +217,7 @@ func DisableQueryLog() { queryLogger.Store(nil) }
 func QueryLogSnapshot() QueryLogStats { return queryLogger.Load().Stats() }
 
 // EnableResourceAttribution turns on per-query resource attribution:
-// each Range and NearestNeighbors query samples process resource totals
+// each Range and NearestNeighbors query (a Batch request is one) samples process resource totals
 // (heap allocation, GC cycles, stop-the-world pause) around its
 // dispatch and books the delta into its Stats, its root trace span and
 // its query-log record, and the query runs under runtime/pprof labels

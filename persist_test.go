@@ -331,19 +331,6 @@ func sameAsInMemory(t *testing.T, label string, mem, file *DB, ts []Transform) {
 	}
 }
 
-// sameBits reports whether two series hold the same float64 bits.
-func sameBits(a, b Series) bool {
-	if len(a) != len(b) || (a == nil) != (b == nil) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func allZeros(s Series) bool {
 	for _, v := range s {
 		if v != 0 {

@@ -228,20 +228,25 @@ func (db *DB) replayOne(ctx context.Context, rec *capture.Record, ts []Transform
 	var err error
 	ioPre := storage.GlobalStats()
 	start := time.Now()
+	// A stored query point (a query by id) is journaled by reference: it
+	// replays only against the same content.
+	byID := rec.Kind != capture.KindSubseq && rec.SeriesID >= 0
+	if byID {
+		s := db.Get(rec.SeriesID)
+		if s == nil {
+			row.Skipped = fmt.Sprintf("series %d not in this database", rec.SeriesID)
+			return row
+		}
+		if h := capture.HashFloats(s); h != rec.QueryHash {
+			row.Skipped = fmt.Sprintf("series %d content differs from capture (hash %#x vs %#x)",
+				rec.SeriesID, h, rec.QueryHash)
+			return row
+		}
+	}
 	switch rec.Kind {
 	case capture.KindRange:
 		var m []Match
-		if rec.SeriesID >= 0 {
-			s := db.Get(rec.SeriesID)
-			if s == nil {
-				row.Skipped = fmt.Sprintf("series %d not in this database", rec.SeriesID)
-				return row
-			}
-			if h := capture.HashFloats(s); h != rec.QueryHash {
-				row.Skipped = fmt.Sprintf("series %d content differs from capture (hash %#x vs %#x)",
-					rec.SeriesID, h, rec.QueryHash)
-				return row
-			}
+		if byID {
 			m, st, err = db.RangeByIDCtx(ctx, rec.SeriesID, ts, Distance(rec.Eps), qo)
 		} else {
 			m, st, err = db.RangeCtx(ctx, rec.Query, ts, Distance(rec.Eps), qo)
@@ -250,7 +255,12 @@ func (db *DB) replayOne(ctx context.Context, rec *capture.Record, ts []Transform
 		digest = core.AnswerDigestRange(m)
 	case capture.KindNN:
 		var m []NNMatch
-		m, st, err = db.NearestNeighborsCtx(ctx, rec.Query, ts, int(rec.K), qo)
+		if byID { // only a batch asks for neighbors of a stored series
+			res := db.Batch(ctx, []BatchRequest{{ID: rec.SeriesID, ByID: true, Transforms: ts, K: int(rec.K), Opts: qo}}, 1)[0]
+			m, st, err = res.NN, res.Stats, res.Err
+		} else {
+			m, st, err = db.NearestNeighborsCtx(ctx, rec.Query, ts, int(rec.K), qo)
+		}
 		matches = len(m)
 		digest = core.AnswerDigestNN(m)
 	case capture.KindSubseq:

@@ -156,7 +156,7 @@ func TestShardedDBAnswerParity(t *testing.T) {
 			t.Errorf("%d shards: verify: %v", shards, err)
 		}
 
-		// Batch runs through the executor over the sharded engine.
+		// Batch runs each request through the facade over the sharded engine.
 		reqs := []BatchRequest{
 			{ByID: true, ID: 9, Transforms: ts, Threshold: thr},
 			{Query: q, Transforms: ts, K: 5},

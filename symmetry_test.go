@@ -2,6 +2,7 @@ package tsq
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -12,13 +13,14 @@ import (
 )
 
 // symmetrySet is one transformation set of TestAsymmetricSetsEqualScan,
-// with the options its range and NN queries run under and the distances
-// its range queries ask for.
+// with the options its range and NN queries run under, the distances its
+// range queries ask for and the distance of its join.
 type symmetrySet struct {
 	name  string
 	ts    []Transform
 	opts  QueryOptions
 	dists []float64
+	join  float64
 }
 
 // symmetrySets are transformation sets the DFT symmetry property does not
@@ -28,8 +30,11 @@ type symmetrySet struct {
 // groups of the rectangle-bound suite (internal/core/rectbound_test.go),
 // whose magnitude maps are negative or cross zero and whose phase
 // multipliers are 2 and -0.5 (the last not an integer, so not
-// symmetric); the literal beside built-ins; and built-ins compared with a
-// query point moved by TimeShiftApprox, which is not a real spectrum.
+// symmetric); the literal beside built-ins; built-ins compared with a
+// query point moved by TimeShiftApprox, which is not a real spectrum; and
+// a magnitude offset that moves coefficient 1 of zeroCrossingPair's two
+// series to +0.595 at phase 0 and -0.595 at phase π, one point, while
+// their signed magnitudes lie 1.19 apart.
 func symmetrySets(n int) []symmetrySet {
 	half := Transform{Name: "half", A: make([]float64, 2*n), B: make([]float64, 2*n)}
 	for f := 0; f < n; f++ {
@@ -48,26 +53,57 @@ func symmetrySets(n int) []symmetrySet {
 	negScale := edited("scale-1.5", func(a, _ []float64, f int) { a[2*f] *= -1.5 })
 	mvs := MovingAverages(n, 2, 6)
 	shift := transform.TimeShiftApprox(n, 5)
+	crossA, crossB := make([]float64, 2*n), make([]float64, 2*n)
+	for i := range crossA {
+		crossA[i] = 1
+	}
+	crossB[2], crossB[2*(n-1)] = -0.992, -0.992
 	near := []float64{3, 4}
 	return []symmetrySet{
-		{"half-spectrum literal", []Transform{half}, QueryOptions{}, near},
-		{"negative scale", []Transform{negScale, Inverted(negScale)}, QueryOptions{}, near},
-		{"affine magnitude", []Transform{edited("mag-3", func(a, b []float64, f int) { a[2*f], b[2*f] = 1, -3 }), mvs[0]}, QueryOptions{}, near},
+		{"half-spectrum literal", []Transform{half}, QueryOptions{}, near, 2.5},
+		{"negative scale", []Transform{negScale, Inverted(negScale)}, QueryOptions{}, near, 2.5},
+		{"affine magnitude", []Transform{edited("mag-3", func(a, b []float64, f int) { a[2*f], b[2*f] = 1, -3 }), mvs[0]}, QueryOptions{}, near, 2.5},
 		{"phase multipliers", []Transform{
 			edited("phase*2", func(a, _ []float64, f int) { a[2*f+1] = 2 }),
 			edited("phase*-0.5", func(a, _ []float64, f int) { a[2*f+1] = -0.5 }),
-		}, QueryOptions{}, near},
-		{"literal and moving averages", append([]Transform{half}, mvs...), QueryOptions{}, near},
+		}, QueryOptions{}, near, 2.5},
+		{"literal and moving averages", append([]Transform{half}, mvs...), QueryOptions{}, near, 2.5},
 		// A shifted query is far from everything smoothed: nothing is
 		// within 4 of it.
-		{"shifted query", mvs, QueryOptions{QueryTransform: &shift}, []float64{6, 8}},
+		{"shifted query", mvs, QueryOptions{QueryTransform: &shift}, []float64{6, 8}, 2.5},
+		// The join's gap test saw 1.19 where the pair is 0.3042 apart.
+		{"zero-crossing magnitude", []Transform{transform.New("cross", crossA, crossB)}, QueryOptions{}, near, 0.5},
 	}
+}
+
+// zeroCrossingPair returns the two series the "zero-crossing magnitude"
+// set maps onto one another, and ten copies of the first ten walks with a
+// little noise, so the ten closest pairs are all closer than the gap the
+// signed magnitudes of the two show.
+func zeroCrossingPair(n int, walks []Series) []Series {
+	x, y := make(Series, n), make(Series, n)
+	for t := range x {
+		w := 2 * math.Pi * float64(t) / float64(n)
+		x[t] = 0.4*math.Cos(w) + 1.3565*math.Cos(5*w)
+		y[t] = -0.1*math.Cos(w) + 1.4107*math.Cos(5*w)
+	}
+	noise := datagen.RandomWalks(35, 10, n)
+	var out []Series
+	for i, w := range walks[:10] {
+		c := w.Clone()
+		for t := range c {
+			c[t] += 0.05 * noise[i][t]
+		}
+		out = append(out, c)
+	}
+	return append(out, x, y)
 }
 
 // symmetryAnswers is what TestAsymmetricSetsEqualScan compares: range
 // answers around every query id at the set's distances, by one rectangle
 // (MTIndex) and by one rectangle per transformation (STIndex), its 5
-// nearest neighbours, the join at distance 2.5 and the 10 closest pairs.
+// nearest neighbours, the join at the set's distance and the 10 closest
+// pairs.
 type symmetryAnswers struct {
 	Range, RangeST []Match
 	NN             []NNMatch
@@ -117,7 +153,7 @@ func answerAll(t *testing.T, db *DB, set symmetrySet, queries []int64, alg Algor
 		return a
 	}
 	var err error
-	if a.Join, _, err = db.Join(set.ts, Distance(2.5), QueryOptions{Algorithm: alg}); err != nil {
+	if a.Join, _, err = db.Join(set.ts, Distance(set.join), QueryOptions{Algorithm: alg}); err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(a.Join, func(i, j int) bool {
@@ -145,11 +181,13 @@ func answerAll(t *testing.T, db *DB, set symmetrySet, queries []int64, alg Algor
 // file, with the symmetry property on and off. The scan's answers do not
 // depend on where the records are, so they are taken once. From a file
 // the join and closest pairs read two record pages per candidate pair,
-// so there they run over the first set only.
+// so there they run over the first set and the zero-crossing one (the
+// last, a join at 0.5) only.
 func TestAsymmetricSetsEqualScan(t *testing.T) {
 	t.Parallel()
 	const n, count = 64, 300
 	ss := datagen.RandomWalks(34, count, n)
+	ss = append(ss, zeroCrossingPair(n, ss)...)
 	var queries []int64
 	for id := int64(3); id < count; id += 20 {
 		queries = append(queries, id)
@@ -181,7 +219,7 @@ func TestAsymmetricSetsEqualScan(t *testing.T) {
 					}
 					defer db.Close()
 					for i, set := range sets {
-						pairs := !onFile || i == 0
+						pairs := !onFile || i == 0 || i == len(sets)-1
 						got := answerAll(t, db, set, queries, MTIndex, pairs)
 						for _, c := range []struct {
 							shape     string

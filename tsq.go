@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -154,8 +155,9 @@ const (
 	// the index with a few filter-only traversals, estimates each plan
 	// with the paper's Eq. 18/20 model, and runs the cheapest (including
 	// the choice of transformation packing for MT-index). Use Explain to
-	// see the decision. Only Range has a planner: NearestNeighbors, Join,
-	// ClosestPairs and Batch run the index under Auto.
+	// see the decision. Only Range (and a range request of Batch) has a
+	// planner: NearestNeighbors, Join and ClosestPairs run the index under
+	// Auto.
 	Auto
 )
 
@@ -468,15 +470,23 @@ func (db *DB) RangeByID(id int64, ts []Transform, thr Threshold, opts QueryOptio
 func (db *DB) RangeByIDCtx(ctx context.Context, id int64, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	qp, err := db.ix.QueryPoint(id)
+	qp, err := db.queryPoint(id)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	defer qp.Release()
-	if qp.Record == nil {
-		return nil, Stats{}, fmt.Errorf("tsq: no series with id %d", id)
-	}
 	return db.rangeRecord(ctx, qp.Record, ts, thr, opts)
+}
+
+// queryPoint returns stored series id as the query point of a query by
+// id; the caller must Release it. A deleted or never stored id is an
+// error.
+func (db *DB) queryPoint(id int64) (core.QueryPoint, error) {
+	qp, err := db.ix.QueryPoint(id)
+	if err == nil && qp.Record == nil {
+		err = fmt.Errorf("tsq: no series with id %d", id)
+	}
+	return qp, err
 }
 
 // queryEvent is one facade query as its diagnostics see it: what was
@@ -714,11 +724,10 @@ type BatchRequest struct {
 	// Threshold bounds range queries; ignored when K > 0.
 	Threshold Threshold
 	// K, when positive, asks for the K nearest neighbors instead of a
-	// range answer.
+	// range answer; a stored query point (ByID) is not its own neighbor.
 	K int
-	// Opts tunes the query. Algorithm Auto is evaluated as MTIndex (the
-	// per-query planner probes the index serially and would negate the
-	// batching); the other algorithms behave as in Range.
+	// Opts tunes the query exactly as in Range (Auto plans it) or
+	// NearestNeighbors.
 	Opts QueryOptions
 }
 
@@ -732,64 +741,118 @@ type BatchResult struct {
 }
 
 // Batch evaluates many queries concurrently over the shared index with a
-// pool of the given number of worker goroutines (0 means GOMAXPROCS) and
-// returns one result per request, in order. Each result is identical to
-// running the query alone; the spectral features of equal ad-hoc query
-// series are computed once per batch. Cancelling ctx fails queries not
-// yet started with ctx.Err(). Batch holds the database's read lock for
-// the duration, so it may run concurrently with other queries but
-// excludes Insert and Delete.
+// pool of the given number of worker goroutines (0 or less means
+// GOMAXPROCS) and returns one result per request, in order. Each request
+// runs as the single call would (RangeByIDCtx, RangeCtx or
+// NearestNeighborsCtx under ctx), so its result is identical to that
+// call's and it is observed like one: root span, metrics, flight
+// recorder, query log and capture journal. The spectral features of
+// equal ad-hoc query series are computed once per batch. Cancelling ctx
+// fails the requests not yet started with ctx.Err(); those run no query
+// and are not observed. Batch holds the database's read lock for the
+// duration, so it may run concurrently with other queries but excludes
+// Insert and Delete.
 func (db *DB) Batch(ctx context.Context, reqs []BatchRequest, workers int) []BatchResult {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	results := make([]BatchResult, len(reqs))
-	execReqs := make([]core.ExecRequest, 0, len(reqs))
-	idx := make([]int, 0, len(reqs))
-	for i, r := range reqs {
-		alg, err := r.Opts.Algorithm.resolve()
-		if err != nil {
+	memo := seriesMemo{n: db.ix.SeriesLength(), m: make(map[uint64][]*core.Record)}
+	_ = core.ParallelFor(len(reqs), workers, func(i int) error {
+		if err := ctx.Err(); err != nil {
 			results[i].Err = err
-			continue
+			return nil
 		}
-		er := core.ExecRequest{
-			Transforms:     r.Transforms,
-			K:              r.K,
-			QueryTransform: r.Opts.QueryTransform,
-			SeqScan:        alg == SeqScan,
-		}
-		if r.ByID {
-			rec, err := db.ix.Record(r.ID)
-			if err == nil && rec == nil {
-				err = fmt.Errorf("tsq: no series with id %d", r.ID)
-			}
-			if err != nil {
-				results[i].Err = err
-				continue
-			}
-			er.Record = rec
-		} else {
-			er.Query = r.Query
-		}
-		if r.K <= 0 {
-			er.Eps = r.Threshold.Epsilon(db.ix.SeriesLength())
-			if empty, err := vetEps(er.Eps); empty || err != nil {
-				results[i].Err = err
-				continue
-			}
-		}
-		er.Opts = db.rangeOpts(r.Transforms, r.Opts)
-		if alg == STIndex {
-			er.Opts.Groups = core.SingletonGroups(len(r.Transforms))
-		}
-		execReqs = append(execReqs, er)
-		idx = append(idx, i)
-	}
-	exec := core.NewExecutor(db.ix, workers)
-	mBatchQueries.Add(int64(len(execReqs)))
-	for j, res := range exec.Run(ctx, execReqs) {
-		results[idx[j]] = BatchResult{Matches: res.Matches, NN: res.NN, Stats: res.Stats, Err: res.Err}
-	}
+		mBatchQueries.Inc()
+		results[i] = db.batchOne(ctx, &reqs[i], &memo)
+		return nil // a failed query is its own result, not the batch's
+	})
 	return results
+}
+
+// batchOne resolves one batch request's query point the way the single
+// calls do and runs it through rangeRecord or nnRecord.
+func (db *DB) batchOne(ctx context.Context, r *BatchRequest, memo *seriesMemo) (res BatchResult) {
+	var qr *core.Record
+	if r.ByID {
+		qp, err := db.queryPoint(r.ID)
+		if err != nil {
+			return BatchResult{Err: err}
+		}
+		defer qp.Release()
+		qr = qp.Record
+	} else {
+		var err error
+		if qr, err = memo.record(r.Query); err != nil {
+			return BatchResult{Err: err}
+		}
+	}
+	if r.K > 0 {
+		res.NN, res.Stats, res.Err = db.nnRecord(ctx, qr, r.Transforms, r.K, r.Opts)
+	} else {
+		res.Matches, res.Stats, res.Err = db.rangeRecord(ctx, qr, r.Transforms, r.Threshold, r.Opts)
+	}
+	return res
+}
+
+// seriesMemo featurizes the ad-hoc query series of one batch once per
+// distinct series. Records are found by content hash and then compared
+// bit for bit, so series whose hashes collide still get records of their
+// own.
+type seriesMemo struct {
+	n  int
+	mu sync.Mutex
+	m  map[uint64][]*core.Record
+}
+
+// record returns the query record of s, featurizing it (outside the
+// lock: independent series should not serialize on their DFTs) the first
+// time the batch sees it.
+func (m *seriesMemo) record(s Series) (*core.Record, error) {
+	h := capture.HashFloats(s)
+	m.mu.Lock()
+	r := m.find(h, s)
+	m.mu.Unlock()
+	if r != nil {
+		return r, nil
+	}
+	r, err := core.NewQueryRecord(m.n, s)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev := m.find(h, s); prev != nil {
+		return prev, nil // another worker featurized it first
+	}
+	m.m[h] = append(m.m[h], r)
+	return r, nil
+}
+
+// find returns the record of s under hash h, nil if there is none yet.
+// The caller holds mu.
+func (m *seriesMemo) find(h uint64, s Series) *core.Record {
+	for _, r := range m.m[h] {
+		if sameBits(r.Raw, s) {
+			return r
+		}
+	}
+	return nil
+}
+
+// sameBits reports whether two series hold the same float64 bits.
+func sameBits(a, b Series) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Join answers Query 2: every pair of stored series and transformation
@@ -856,6 +919,12 @@ func (db *DB) NearestNeighborsCtx(ctx context.Context, q Series, ts []Transform,
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	return db.nnRecord(ctx, qr, ts, k, opts)
+}
+
+// nnRecord answers a nearest-neighbor query for an already-featurized
+// query point under the facade's instrumentation.
+func (db *DB) nnRecord(ctx context.Context, qr *core.Record, ts []Transform, k int, opts QueryOptions) ([]NNMatch, Stats, error) {
 	ev := queryEvent{kind: capture.KindNN, opts: opts, qr: qr, ts: ts, k: k}
 	ctx = ev.begin(ctx)
 	if obs.AttributionEnabled() {
