@@ -34,13 +34,14 @@ bench:
 
 # Distance-kernel and lower-bound micro-benchmarks: the blocked
 # Euclidean/polar kernels, the shared-cosine pair kernel, the
-# flat-vs-cascade lower-bound pair, the bound on index rectangles (ns per
+# flat-vs-cascade lower-bound pair and the cascade over the 16 moving
+# averages of the range workloads, the bound on index rectangles (ns per
 # internal entry), the NN search that runs on all of them, one
-# file-backed range probe (ns, B and allocs per probe), one file-backed,
-# logged insert (the same plus WAL bytes and page writes) and the reopen
-# of a file-backed index (the same plus the pages it reads and the bytes
-# it keeps).
-KERNEL_BENCH = -bench 'BenchmarkKernel|BenchmarkLB|BenchmarkNNResolve|BenchmarkRangeProbeDisk|BenchmarkInsertDisk|BenchmarkOpenIndex' -run xxx -benchtime 200ms -count 6
+# file-backed and one in-memory range probe (ns, B and allocs per
+# probe), one file-backed, logged insert (the same plus WAL bytes and
+# page writes) and the reopen of a file-backed index (the same plus the
+# pages it reads and the bytes it keeps).
+KERNEL_BENCH = -bench 'BenchmarkKernel|BenchmarkLB|BenchmarkNNResolve|BenchmarkRangeProbeDisk|BenchmarkRangeProbeMem|BenchmarkInsertDisk|BenchmarkOpenIndex' -run xxx -benchtime 200ms -count 6
 KERNEL_PKGS  = ./internal/series/ ./internal/transform/ ./internal/core/
 
 # benchbase refreshes the checked-in kernel benchmark baseline that

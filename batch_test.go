@@ -346,3 +346,63 @@ func TestBatchObservedLikeSingleQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedBatchRecordsEachQuery: a traced batch puts every request's
+// root span in one trace, and the flight recorder keeps each request's
+// own subtree: one query span per record, rollups that are that query's
+// alone (a range record's matches are its own request's answer), and a
+// support bundle that passes every check.
+func TestTracedBatchRecordsEachQuery(t *testing.T) {
+	db, err := Open(datagen.RandomWalks(27, 150, 32), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := MovingAverages(32, 2, 6)
+	reqs := []BatchRequest{
+		{ID: 5, ByID: true, Transforms: ts, Threshold: Correlation(0.97)},
+		{ID: 40, ByID: true, Transforms: ts, Threshold: Correlation(0.5)},
+		{ID: 7, ByID: true, Transforms: ts, K: 5},
+	}
+	EnableFlightRecorder(RecorderOptions{Threshold: time.Nanosecond})
+	defer DisableFlightRecorder()
+	var want []int64
+	for i, res := range db.Batch(WithTrace(context.Background(), NewTrace()), reqs, len(reqs)) {
+		if res.Err != nil {
+			t.Fatalf("req %d: %v", i, res.Err)
+		}
+		if reqs[i].K == 0 {
+			want = append(want, int64(len(res.Matches)))
+		}
+	}
+	snap := FlightRecorderSnapshot()
+	if len(snap.Slow) != len(reqs) {
+		t.Fatalf("%d records, want %d", len(snap.Slow), len(reqs))
+	}
+	var got []int64
+	for _, rec := range snap.Slow {
+		var roots int
+		for _, sp := range rec.Trace.Spans() {
+			if sp.Kind() == obs.KindQuery {
+				roots++
+			}
+		}
+		if roots != 1 {
+			t.Errorf("%s record's trace holds %d query spans, want its own", rec.Kind, roots)
+		}
+		if rec.Kind == "range" {
+			got = append(got, rec.Matches)
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) || want[0] == want[1] {
+		t.Errorf("range records count %v matches, the requests returned %v", got, want)
+	}
+	b, err := CollectBundle(context.Background(), db, BundleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.OK() {
+		t.Fatalf("bundle failed reconciliation: %+v", b.FailedChecks())
+	}
+}

@@ -20,6 +20,15 @@ func cascadeFixtureTransforms(n int) []transform.Transform {
 	return ts
 }
 
+// newLBCascade builds a cascade of its own for one transformation group
+// under its symmetry factor sym (Index.symmetry), as a probe arms the one
+// in its scratch.
+func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64, oneSided bool, sym float64) *lbCascade {
+	c := new(lbCascade)
+	c.init(ix.opts.K, sub, q, eps, oneSided, sym)
+	return c
+}
+
 // flatSkips is the flat bound's decision, the reference the cascade's
 // dismissals are held to: prefixLB under the group's symmetry factor,
 // against the cutoff of eps, both recomputed per call.
@@ -157,16 +166,158 @@ func TestCascadeTiersEngage(t *testing.T) {
 	}
 }
 
+// scaledGroups are transformation groups that only scale each indexed
+// coefficient, two-sided: the cascade's factorized form. They cover moving
+// averages, scalings, time shifts, Reverse, Inverted and compositions,
+// a group with a negative magnitude multiplier, and struct-literal copies
+// of moving averages, which are not classified symmetric and so are
+// filtered undoubled.
+func scaledGroups(n int) []rectBoundGroup {
+	mv := transform.MovingAverageSet(n, 10, 25)
+	var literals []transform.Transform
+	for _, t := range mv[:6] {
+		literals = append(literals, transform.Transform{Name: t.Name, A: t.A, B: t.B})
+	}
+	neg := transform.Scale(n, 1.5)
+	for f := 0; f < n; f++ {
+		neg.A[2*f] = -neg.A[2*f]
+	}
+	neg = transform.New("scale-1.5", neg.A, neg.B)
+	return []rectBoundGroup{
+		{name: "mv(10..25)", ts: mv},
+		{name: "mv(10..11)", ts: mv[:2]},
+		{name: "scales", ts: transform.ScaleSet(n, []float64{0.5, 0.8, 1, 1.25, 2})},
+		{name: "shifts", ts: transform.TimeShiftSet(n, -3, 3)},
+		{name: "mv and inverted", ts: transform.WithInverted(mv[:5])},
+		{name: "reverse", ts: cascadeFixtureTransforms(n)},
+		{name: "negative scale", ts: []transform.Transform{neg, transform.Inverted(neg), mv[2]}},
+		{name: "shifted, scaled, reversed", ts: transform.ComposeSets(transform.TimeShiftSet(n, 0, 2),
+			transform.ComposeSets(transform.ScaleSet(n, []float64{0.7, 1.3}), []transform.Transform{transform.Reverse(n), transform.Identity(n)}))},
+		{name: "unclassified mv", ts: literals},
+	}
+}
+
+// TestCascadeFactorizedMatchesLoop: on a scaled group the factorized form
+// and the per-transformation loop decide alike on every stored feature
+// point and report the same tier — with and without the symmetry
+// doubling, at K = 2 and 3, at ordinary thresholds, with eps on a stored
+// record's prefix bound, and the way the NN search runs it, armed at +Inf
+// and rearmed as the k-th best distance falls.
+func TestCascadeFactorizedMatchesLoop(t *testing.T) {
+	const n = 64
+	for _, fx := range []struct {
+		k   int
+		sym bool
+	}{{2, true}, {2, false}, {3, true}} {
+		ds, ix := buildFixture(t, 29, 300, n, IndexOptions{K: fx.k, PageSize: 4096, UseSymmetry: fx.sym})
+		var tiers [4]int // dismissed at tier 0, 1, 2; kept
+		compare := func(name string, c *lbCascade, eps float64) {
+			t.Helper()
+			if !c.scaled {
+				t.Fatalf("%s: the cascade did not take the factorized form", name)
+			}
+			for _, r := range ds.Records {
+				feat := r.Feature(ix.opts.K)
+				got, want := c.skipScaled(feat), c.skipEach(feat)
+				if got != want {
+					t.Fatalf("K=%d sym=%v %s, eps %v, record %d: factorized tier %d, loop tier %d", fx.k, fx.sym, name, eps, r.ID, got, want)
+				}
+				tiers[(got+4)%4]++
+			}
+		}
+		for _, g := range scaledGroups(n) {
+			for trial := 0; trial < 3; trial++ {
+				q := ds.Records[(trial*53+7)%len(ds.Records)]
+				sym := ix.symmetry(g.ts, false)
+				for _, eps := range []float64{
+					series.DistanceForCorrelation(n, 0.8+0.07*float64(trial)),
+					lbBoundaryEps(ix, ds, q, g.ts, false, 5+10*trial),
+				} {
+					compare(g.name, ix.newLBCascade(g.ts, q, eps, false, sym), eps)
+				}
+				nn := ix.newLBCascade(g.ts, q, math.Inf(1), false, sym)
+				for _, rank := range []int{60, 20, 3} {
+					eps := lbBoundaryEps(ix, ds, q, g.ts, false, rank)
+					nn.rearm(eps)
+					compare(g.name+" rearmed", nn, eps)
+				}
+			}
+		}
+		if tiers[0] == 0 || tiers[1] == 0 || tiers[2] == 0 || tiers[3] == 0 {
+			t.Fatalf("K=%d sym=%v: degenerate workload, tiers 0/1/2/kept %v", fx.k, fx.sym, tiers)
+		}
+	}
+}
+
+// TestCascadeFactorizedGroups pins which groups take the factorized form
+// and which members it keeps. One-sided groups, a magnitude offset
+// (B[2j] != 0) and a phase multiplier of 2 stay on the loop. Of members
+// with equal weights one is kept; of two whose weights cross, both; a
+// moving-average set keeps its widest window. On every scaled group the
+// two forms still decide alike.
+func TestCascadeFactorizedGroups(t *testing.T) {
+	const n = 64
+	ds, ix := buildFixture(t, 31, 200, n, DefaultIndexOptions())
+	q := ds.Records[3]
+	mv := transform.MovingAverageSet(n, 10, 25)
+	edited := func(name string, edit func(a, b []float64)) transform.Transform {
+		id := transform.Identity(n)
+		a, b := append([]float64(nil), id.A...), append([]float64(nil), id.B...)
+		edit(a, b)
+		return transform.New(name, a, b)
+	}
+	scaling := func(name string, a1, a2 float64) transform.Transform {
+		return edited(name, func(a, _ []float64) { a[2], a[4] = a1, a2 })
+	}
+	for _, tc := range []struct {
+		name     string
+		ts       []transform.Transform
+		oneSided bool
+		kept     int // members of the factorized form; 0 for the loop
+	}{
+		{"mv(10..25)", mv, false, 1},
+		{"mv(10..11)", mv[:2], false, 1},
+		{"one-sided mv", mv, true, 0},
+		{"magnitude offset", []transform.Transform{mv[0], edited("mag+0.1", func(_, b []float64) { b[4] = 0.1 })}, false, 0},
+		{"phase multiplier 2", []transform.Transform{mv[0], edited("phase*2", func(a, _ []float64) { a[3] = 2 })}, false, 0},
+		{"equal weights: shifts", transform.TimeShiftSet(n, 0, 4), false, 1},
+		{"equal weights: mv and inverted", []transform.Transform{mv[3], transform.Inverted(mv[3])}, false, 1},
+		{"crossing weights", []transform.Transform{scaling("1,2", 1, 2), scaling("2,1", 2, 1)}, false, 2},
+		{"one of three dominated", []transform.Transform{scaling("2,2", 2, 2), scaling("1,2", 1, 2), scaling("2,1", 2, 1)}, false, 2},
+	} {
+		eps := series.DistanceForCorrelation(n, 0.9)
+		c := ix.newLBCascade(tc.ts, q, eps, tc.oneSided, ix.symmetry(tc.ts, tc.oneSided))
+		if c.scaled != (tc.kept > 0) || c.scaled && c.nw != tc.kept {
+			t.Fatalf("%s: factorized %v with %d members, want %d members (0: the loop)", tc.name, c.scaled, c.nw, tc.kept)
+		}
+		if !c.scaled {
+			continue
+		}
+		for _, r := range ds.Records {
+			feat := r.Feature(ix.opts.K)
+			if got, want := c.skipScaled(feat), c.skipEach(feat); got != want {
+				t.Fatalf("%s, record %d: factorized tier %d, loop tier %d", tc.name, r.ID, got, want)
+			}
+		}
+	}
+	c := ix.newLBCascade(mv, q, 1, false, 2)
+	widest := mv[len(mv)-1]
+	if c.w[0] != widest.A[2]*widest.A[2] || c.w[1] != widest.A[4]*widest.A[4] {
+		t.Fatalf("mv(10..25) keeps weights %v, want mv25's", c.w[:2])
+	}
+}
+
 // benchmarkLB measures the lower-bound phase alone over every stored
-// feature point. flat is the original per-candidate form (cutoff and
-// coefficient loads recomputed per entry, one cosine per
-// transformation and coefficient); the cascade hoists those per
-// verification call and answers most candidates from the cosine-free
-// tier 0. The pair is the micro-benchmark for both the hoisting and
-// the tiering deltas.
-func benchmarkLB(b *testing.B, flat bool) {
+// feature point, for the moving averages of windows lo..hi. flat is the
+// original per-candidate form (cutoff and coefficient loads recomputed
+// per entry, one cosine per transformation and coefficient); the cascade
+// hoists those per verification call and answers most candidates from
+// the cosine-free tier 0, and on these scaled groups runs the factorized
+// form over the one member dominance leaves. The pair is the
+// micro-benchmark for both the hoisting and the tiering deltas.
+func benchmarkLB(b *testing.B, flat bool, lo, hi int) {
 	ds, ix := buildFixture(b, 23, 400, 64, DefaultIndexOptions())
-	ts := transform.MovingAverageSet(64, 4, 11) // one 8-transform group
+	ts := transform.MovingAverageSet(64, lo, hi)
 	q := ds.Records[7]
 	eps := series.DistanceForCorrelation(64, 0.96)
 	feats := make([][]float64, len(ds.Records))
@@ -190,9 +341,14 @@ func benchmarkLB(b *testing.B, flat bool) {
 }
 
 // BenchmarkLBFlatPerEntry is the pre-cascade lower bound: per-entry
-// cutoff and coefficient loads, full prefix for every candidate.
-func BenchmarkLBFlatPerEntry(b *testing.B) { benchmarkLB(b, true) }
+// cutoff and coefficient loads, full prefix for every candidate, over
+// one 8-transformation group.
+func BenchmarkLBFlatPerEntry(b *testing.B) { benchmarkLB(b, true, 4, 11) }
 
 // BenchmarkLBCascadeHoisted is the tiered cascade with hoisted
-// candidate-independent state.
-func BenchmarkLBCascadeHoisted(b *testing.B) { benchmarkLB(b, false) }
+// candidate-independent state, over the same group.
+func BenchmarkLBCascadeHoisted(b *testing.B) { benchmarkLB(b, false, 4, 11) }
+
+// BenchmarkLBCascadeMV16 is the cascade over the 16 moving averages of
+// the range workloads, MV(10..25).
+func BenchmarkLBCascadeMV16(b *testing.B) { benchmarkLB(b, false, 10, 25) }

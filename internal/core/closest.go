@@ -89,7 +89,7 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 	}
 	ix0 := s.shards[0]
 	opts := ix0.Options()
-	mult, add := ix0.fullMBRs(ts)
+	mult, add := ix0.fullMBRs(ts, nil)
 	symFactor := math.Sqrt(ix0.symmetry(ts, false))
 	// A magnitude gap bounds a distance only where no map changes a
 	// magnitude's sign (intervalSafe, as for the join's gap test).

@@ -411,7 +411,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 			for i, idx := range g {
 				sub[i] = ts[idx]
 			}
-			stg := ix.newStage(q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
+			stg := ix.newStage(new(scratch), q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
 			var probe QueryStats
 			if _, err := ix.filter(nil, new(scratch), &stg, &probe, nil); err != nil {
 				t.Fatal(err)
@@ -1027,7 +1027,7 @@ func TestAnalyticalEstimatorIsPositionBlind(t *testing.T) {
 	eps := 1.2
 
 	stageOf := func(q *Record) stage {
-		return ix.newStage(q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
+		return ix.newStage(new(scratch), q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
 	}
 	estimate := func(q *Record) float64 {
 		est, err := ix.AnalyticalAccessEstimate(stageOf(q).qrect)
@@ -1061,8 +1061,8 @@ func TestAnalyticalEstimatorSanity(t *testing.T) {
 	ds, ix := buildFixture(t, 98, 600, 64, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: true})
 	q := ds.Records[0]
 	ts := transform.MovingAverageSet(64, 10, 10)
-	small := ix.newStage(q, ts, 0.5, RangeOptions{Mode: QRectSafe}).qrect
-	large := ix.newStage(q, ts, 8, RangeOptions{Mode: QRectSafe}).qrect
+	small := ix.newStage(new(scratch), q, ts, 0.5, RangeOptions{Mode: QRectSafe}).qrect
+	large := ix.newStage(new(scratch), q, ts, 8, RangeOptions{Mode: QRectSafe}).qrect
 	eSmall, err := ix.AnalyticalAccessEstimate(small)
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ type stageDecisions struct {
 // A caller who wants a broken one gets two cascades, so that it can break
 // either (mutate, mutateNode) and leave the other sound.
 func mutatedStage(ix *Index, sub []transform.Transform, q *Record, eps float64, opts RangeOptions, mutate, mutateNode func(*lbCascade)) stage {
-	s := ix.newStage(q, sub, eps, opts)
+	s := ix.newStage(new(scratch), q, sub, eps, opts)
 	if s.node == nil || (mutate == nil && mutateNode == nil) {
 		return s
 	}
@@ -281,7 +281,7 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 			for i, idx := range g {
 				sub[i] = ts[idx]
 			}
-			refStage := ix.newStage(sq, sub, eps, opts)
+			refStage := ix.newStage(new(scratch), sq, sub, eps, opts)
 			ref := twoPassStage(t, ix, &refStage)
 			stg := mutatedStage(ix, sub, sq, eps, opts, mutate, mutateNode)
 			got := fusedStage(t, ix, &stg)
@@ -691,11 +691,11 @@ func TestRangeProbeAllocsIndependentOfAdmitted(t *testing.T) {
 	}
 }
 
-// BenchmarkRangeProbeDisk is one file-backed range probe of the
-// range-disk shape: ns, bytes and allocations per probe.
-func BenchmarkRangeProbeDisk(b *testing.B) {
-	ds, ix, ts := rangeDiskFixture(b, true)
-	eps := series.DistanceForCorrelation(128, 0.96)
+// benchmarkRangeProbe runs range probes of the moving averages ts at
+// correlation rho over ix, querying stored records in turn: ns, bytes and
+// allocations per probe, and the tree's share of it as counts.
+func benchmarkRangeProbe(b *testing.B, ds *Dataset, ix *Index, ts []transform.Transform, rho float64) {
+	eps := series.DistanceForCorrelation(128, rho)
 	var nodes, leaves int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -706,8 +706,30 @@ func BenchmarkRangeProbeDisk(b *testing.B) {
 		}
 		nodes, leaves = nodes+st.DAAll, leaves+st.DALeaf
 	}
-	// The tree's share of a probe as counts: leaves of points hold 72
-	// entries to a checksummed 4 KiB page, rectangles 39.
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(leaves)/float64(b.N), "leaves/op")
+}
+
+// BenchmarkRangeProbeDisk is one file-backed range probe of the
+// range-disk shape. Leaves of points hold 72 entries to a checksummed
+// 4 KiB page, rectangles 39.
+func BenchmarkRangeProbeDisk(b *testing.B) {
+	ds, ix, ts := rangeDiskFixture(b, true)
+	benchmarkRangeProbe(b, ds, ix, ts, 0.96)
+}
+
+// BenchmarkRangeProbeMem is one in-memory range probe of the range-mem
+// shape: the range-disk fixture's walks and moving averages, no page
+// file, the tight threshold. The lower bound over the admitted entries
+// is a large share of it.
+func BenchmarkRangeProbeMem(b *testing.B) {
+	ds, err := NewDataset(datagen.RandomWalks(73, 1500, 128), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := BuildIndex(ds, DefaultIndexOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkRangeProbe(b, ds, ix, transform.MovingAverageSet(128, 10, 25), 0.99)
 }

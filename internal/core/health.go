@@ -119,7 +119,7 @@ func (ix *Index) groupHealth(ts []transform.Transform, groups [][]int) ([]GroupH
 			}
 			sub = append(sub, ts[idx])
 		}
-		mult, add := ix.fullMBRs(sub)
+		mult, add := ix.fullMBRs(sub, nil)
 		gh.MultVolume = dftVolume(mult)
 		gh.AddVolume = dftVolume(add)
 		out = append(out, gh)

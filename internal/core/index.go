@@ -439,18 +439,26 @@ func (ix *Index) DropBuffer() { ix.mgr.DropBuffer() }
 // fullMBRs lifts the transformation MBRs of the given transforms to index
 // dimensionality: the mean and std dimensions are untouched by
 // transformations (identity), the DFT dimensions carry the mult-/add-MBR
-// of Sec. 4.1.
-func (ix *Index) fullMBRs(ts []transform.Transform) (mult, add geom.Rect) {
-	m, a := transform.MBRs(ts, ix.comps)
-	mult = geom.Rect{Lo: make(geom.Point, ix.dim), Hi: make(geom.Point, ix.dim)}
-	add = geom.Rect{Lo: make(geom.Point, ix.dim), Hi: make(geom.Point, ix.dim)}
-	mult.Lo[0], mult.Hi[0] = 1, 1
-	mult.Lo[1], mult.Hi[1] = 1, 1
-	for d := 0; d < 2*ix.opts.K; d++ {
-		mult.Lo[2+d], mult.Hi[2+d] = m.Lo[d], m.Hi[d]
-		add.Lo[2+d], add.Hi[2+d] = a.Lo[d], a.Hi[d]
+// of Sec. 4.1. The corners are buf's 4·dim floats, mult's then add's, or
+// new ones when buf is nil.
+func (ix *Index) fullMBRs(ts []transform.Transform, buf []float64) (mult, add geom.Rect) {
+	if buf == nil {
+		buf = make([]float64, 4*ix.dim)
+	}
+	mult, add = rectIn(buf[:2*ix.dim]), rectIn(buf[2*ix.dim:])
+	transform.MBRs(geom.Rect{Lo: mult.Lo[2:], Hi: mult.Hi[2:]}, geom.Rect{Lo: add.Lo[2:], Hi: add.Hi[2:]}, ts, ix.comps)
+	for d := 0; d < 2; d++ {
+		mult.Lo[d], mult.Hi[d] = 1, 1
+		add.Lo[d], add.Hi[d] = 0, 0
 	}
 	return mult, add
+}
+
+// rectIn returns the rectangle whose low corner is the first half of buf
+// and whose high corner is the second.
+func rectIn(buf []float64) geom.Rect {
+	dim := len(buf) / 2
+	return geom.Rect{Lo: buf[:dim:dim], Hi: buf[dim:]}
 }
 
 // symmetry decides the symmetry factor of a transformation group: 2 when
@@ -482,10 +490,11 @@ func (ix *Index) symmetry(sub []transform.Transform, oneSided bool) float64 {
 // the group's symmetry factor) on magnitudes, and either the same
 // (QRectPaper) or the provable angular bound (QRectSafe) on phases. The
 // mean and std dimensions are unconstrained: the predicate is on normal
-// forms (Sec. 3.2), so the originals' statistics must not filter.
-func (ix *Index) queryRect(q *Record, ts []transform.Transform, epsC float64, mode QRectMode) geom.Rect {
-	lo := make(geom.Point, ix.dim)
-	hi := make(geom.Point, ix.dim)
+// forms (Sec. 3.2), so the originals' statistics must not filter. The
+// corners are buf's 2·dim floats.
+func (ix *Index) queryRect(q *Record, ts []transform.Transform, epsC float64, mode QRectMode, buf []float64) geom.Rect {
+	r := rectIn(buf)
+	lo, hi := r.Lo, r.Hi
 	lo[0], hi[0] = math.Inf(-1), math.Inf(1)
 	lo[1], hi[1] = math.Inf(-1), math.Inf(1)
 	for j := 1; j <= ix.opts.K; j++ {
@@ -516,7 +525,7 @@ func (ix *Index) queryRect(q *Record, ts []transform.Transform, epsC float64, mo
 			lo[phDim], hi[phDim] = pLo-g, pHi+g
 		}
 	}
-	return geom.Rect{Lo: lo, Hi: hi}
+	return r
 }
 
 // intervalSafe reports whether the query rectangle may constrain
@@ -547,10 +556,11 @@ func intervalSafe(ts []transform.Transform, j int, oneSided bool) bool {
 // bound epsC on magnitudes and phases. It also reports which dimensions
 // are phases, because the transformed data-side phase values are
 // unwrapped and must be compared modulo 2*pi (see intersectsModular).
-func (ix *Index) oneSidedQueryRect(q *Record, epsC float64, mode QRectMode) (qrect geom.Rect, phaseDims []bool) {
-	lo := make(geom.Point, ix.dim)
-	hi := make(geom.Point, ix.dim)
-	phaseDims = make([]bool, ix.dim)
+// The corners are buf's 2·dim floats, and phaseDims, dim long, is filled.
+func (ix *Index) oneSidedQueryRect(q *Record, epsC float64, mode QRectMode, buf []float64, phaseDims []bool) geom.Rect {
+	qrect := rectIn(buf)
+	lo, hi := qrect.Lo, qrect.Hi
+	clear(phaseDims)
 	lo[0], hi[0] = math.Inf(-1), math.Inf(1)
 	lo[1], hi[1] = math.Inf(-1), math.Inf(1)
 	for j := 1; j <= ix.opts.K; j++ {
@@ -563,7 +573,7 @@ func (ix *Index) oneSidedQueryRect(q *Record, epsC float64, mode QRectMode) (qre
 		lo[2*j+1], hi[2*j+1] = qp-g, qp+g
 		phaseDims[2*j+1] = true
 	}
-	return geom.Rect{Lo: lo, Hi: hi}, phaseDims
+	return qrect
 }
 
 // intersectsModular reports whether the rectangles intersect when phase

@@ -86,7 +86,7 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 		}
 		// The lifted MBRs and gap bounds depend only on the transform
 		// set and index options, which are identical across shards.
-		mult, add := ix0.fullMBRs(sub)
+		mult, add := ix0.fullMBRs(sub, nil)
 		bounds := ix0.joinBounds(sub, eps, opts.Mode)
 
 		pairs := make(map[[2]int64]bool) // global id pairs, a < b

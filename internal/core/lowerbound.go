@@ -63,6 +63,29 @@ import (
 // candidate is skipped when every transformation of the group is
 // dismissed; the tier at which the last one fell is reported so the
 // per-tier counters (SkippedLB0/1/2) show where pruning pays.
+//
+// A two-sided group whose members only scale each indexed coefficient
+// (scaledGroup: B[2j] = 0 and phase multiplier ±1 for j = 1..K; moving
+// averages, scalings, time shifts, Reverse, Inverted and their
+// compositions) takes a factorized form. With a = A[2j], mu = a·m and
+// mv = a·qm, and the phase difference ±(φ - qφ) whose cosine is the same
+// either way, every term of every tier is a² times a term of the entry
+// and the query alone:
+//
+//	tier 0  (|a·m| - |a·qm|)²             = a²·(|m| - |qm|)²
+//	exact   |a·m·e^{iφ} - a·qm·e^{iqφ}|²  = a²·(m² + qm² - 2·m·qm·cos(φ - qφ))
+//
+// So an entry costs K gaps and, when some member survives tier 0, K
+// exact terms (one Sincos per coefficient against the query's hoisted
+// sine and cosine), and each tier is a K-term dot product of a member's
+// weights a² with them. A member whose weights are coordinate-wise no
+// smaller than another's is never the minimum of any tier: the terms are
+// non-negative (an exact term is held at least at its gap), and rounding
+// is monotone, so in floating point too a larger weight gives a product
+// no smaller and a sum of such products, taken in the same order, no
+// smaller. Such members are dropped when the cascade is built; of a
+// moving-average set only the widest window, whose weights are the
+// smallest at every low coefficient, survives.
 
 // lbTerm is the hoisted per-(transformation, coefficient) state of the
 // cascade: the magnitude coefficients, the transformed query magnitude
@@ -79,13 +102,14 @@ type lbTerm struct {
 }
 
 // lbCascade evaluates the tiered DFT-prefix lower bound for one probe:
-// one transformation group, one query, one eps. The
-// constructor hoists everything candidate-independent — the abandon
-// cutoff, the A/B coefficient loads, the transformed query magnitudes,
-// and the factored phase constants — out of the per-candidate loop;
-// skip then touches only the candidate's feature point. The scratch
-// slices make a cascade single-goroutine; a probe builds its own
-// (rangeGroup, MTIndexNN) and its traversal is serial.
+// one transformation group, one query, one eps. init hoists everything
+// candidate-independent — the abandon cutoff, the A/B coefficient loads,
+// the transformed query magnitudes, the factored phase constants and,
+// for a scaled group, the surviving members' weights — out of the
+// per-candidate loop; skip then touches only the candidate's feature
+// point. The scratch slices make a cascade single-goroutine; a probe
+// arms the one in its scratch (rangeGroup, MTIndexNN) and its traversal
+// is serial. init reuses the slices, so a warm probe allocates nothing.
 type lbCascade struct {
 	k    int
 	nt   int
@@ -99,31 +123,49 @@ type lbCascade struct {
 	// phase constants, so a candidate costs at most K Sincos calls no
 	// matter how many transformations the group holds.
 	// rectLB keeps the pairs of both ends of the rectangle's phase
-	// intervals the same way. One slab, k floats each: sin φ, cos φ (the
-	// low end's for a rectangle), then the high end's sin and cos.
+	// intervals the same way. k floats each: sin φ, cos φ (the low end's
+	// for a rectangle), then the high end's sin and cos.
 	trig    []float64
 	havePhi []bool
+
+	// The factorized form, set for a scaled group (see the file comment):
+	// the weights A[2j]² of the nw members no other member dominates,
+	// member-major (w[m*k + j-1]); the query's magnitudes qm_j and the
+	// sine and cosine of its phases; and per candidate its gap terms
+	// (|m_j| - |qm_j|)² and exact terms. slab backs trig and the k-float
+	// slices.
+	scaled           bool
+	nw               int
+	w                []float64
+	qMag, qSin, qCos []float64
+	gap, exact       []float64
+	keep             []bool // init's dominance marks, one per member
+	slab             []float64
 }
 
-// newLBCascade builds the cascade for one transformation group under its
-// symmetry factor sym (Index.symmetry).
-func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64, oneSided bool, sym float64) *lbCascade {
-	k := ix.opts.K
-	c := &lbCascade{
-		k:       k,
-		nt:      len(sub),
-		cut:     transform.AbandonCutoff(eps),
-		sym:     sym,
-		term:    make([]lbTerm, len(sub)*k),
-		trig:    make([]float64, 4*k),
-		havePhi: make([]bool, k),
+// resized returns s with length n, reusing its array when it holds n.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
+}
+
+// init arms c for group sub, query q and eps under the symmetry factor
+// sym, with k indexed coefficients, reusing c's slices.
+func (c *lbCascade) init(k int, sub []transform.Transform, q *Record, eps float64, oneSided bool, sym float64) {
+	c.k, c.nt, c.sym = k, len(sub), sym
+	c.cut = transform.AbandonCutoff(eps)
+	c.term = resized(c.term, len(sub)*k)
+	c.slab = resized(c.slab, 9*k)
+	c.trig = c.slab[:4*k]
+	c.qMag, c.qSin, c.qCos = c.slab[4*k:5*k], c.slab[5*k:6*k], c.slab[6*k:7*k]
+	c.gap, c.exact = c.slab[7*k:8*k], c.slab[8*k:]
+	c.havePhi = resized(c.havePhi, k)
 	for ti, t := range sub {
 		for j := 1; j <= k; j++ {
-			tm := &c.term[ti*k+j-1]
-			tm.aMag = t.A[2*j]
-			tm.bMag = t.B[2*j]
 			aPh := t.A[2*j+1]
+			tm := lbTerm{aMag: t.A[2*j], bMag: t.B[2*j], aPh: aPh}
 			if oneSided {
 				// dp = aPh·φ + B[2j+1] - qPhase  =  aPh·φ + c
 				tm.mv = q.Mags[j]
@@ -134,7 +176,6 @@ func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64,
 				tm.cPh = -aPh * q.Phases[j]
 			}
 			tm.absMv = math.Abs(tm.mv)
-			tm.aPh = aPh
 			switch aPh {
 			case 1:
 				tm.sinC, tm.cosC = math.Sincos(tm.cPh)
@@ -144,9 +185,82 @@ func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64,
 			default:
 				tm.direct = true
 			}
+			c.term[ti*k+j-1] = tm
 		}
 	}
-	return c
+	c.scaled = scaledGroup(sub, k, oneSided)
+	if !c.scaled {
+		return
+	}
+	for j := 1; j <= k; j++ {
+		c.qMag[j-1] = q.Mags[j]
+		c.qSin[j-1], c.qCos[j-1] = math.Sincos(q.Phases[j])
+	}
+	c.w = resized(c.w, len(sub)*k)
+	for ti := range sub {
+		for j := 0; j < k; j++ {
+			a := c.term[ti*k+j].aMag
+			c.w[ti*k+j] = a * a
+		}
+	}
+	// Mark the dominated members first, then pack the others' rows to the
+	// front: a row moves only over rows already decided.
+	c.keep = resized(c.keep, len(sub))
+	for ti := range sub {
+		c.keep[ti] = true
+		for o := range sub {
+			if o != ti && dominates(c.w[o*k:(o+1)*k], c.w[ti*k:(ti+1)*k], o < ti) {
+				c.keep[ti] = false
+				break
+			}
+		}
+	}
+	c.nw = 0
+	for ti := range sub {
+		if c.keep[ti] {
+			copy(c.w[c.nw*k:(c.nw+1)*k], c.w[ti*k:(ti+1)*k])
+			c.nw++
+		}
+	}
+}
+
+// scaledGroup reports whether every member of a two-sided group only
+// scales each indexed coefficient 1..k: no magnitude offset and a phase
+// multiplier of ±1 (a phase offset cancels two-sided). Such a group
+// takes the cascade's factorized form.
+func scaledGroup(sub []transform.Transform, k int, oneSided bool) bool {
+	if oneSided {
+		return false
+	}
+	for _, t := range sub {
+		for j := 1; j <= k; j++ {
+			if t.B[2*j] != 0 || math.Abs(t.A[2*j+1]) != 1 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// dominates reports whether weights w make every tier of the factorized
+// cascade at most what weights v make it, so that a member with weights v
+// never decides a skip: w <= v coordinate-wise. Of two equal rows one
+// must stay, the one that comes first: first says whether w's does.
+func dominates(w, v []float64, first bool) bool {
+	for j := range w {
+		if !(w[j] <= v[j]) { // a NaN dominates nothing and is dominated by nothing
+			return false
+		}
+	}
+	if first {
+		return true
+	}
+	for j := range w {
+		if w[j] < v[j] {
+			return true
+		}
+	}
+	return false
 }
 
 // rearm moves the cascade's cutoff to a new eps. Everything else it
@@ -183,8 +297,82 @@ func (tm *lbTerm) cos(phi, sinPhi, cosPhi float64) float64 {
 // only for transformations that survive it — and the trigonometry that
 // tier 1/2 work does need is shared: one lazily computed Sincos per
 // coefficient serves every transformation through the factored phase
-// constants.
+// constants. A scaled group takes the factorized form (skipScaled), every
+// other group the per-transformation loop (skipEach); both decide alike
+// and report the same tier.
 func (c *lbCascade) skip(feat geom.Point) int {
+	if c.scaled {
+		return c.skipScaled(feat)
+	}
+	return c.skipEach(feat)
+}
+
+// skipScaled is skip in the factorized form: the entry's K gap terms once,
+// then per surviving member a dot product of its weights with them; the K
+// exact terms only when some member survives tier 0, the first of them
+// alone for tier 1. Each exact term is held at least at its gap, so every
+// tier is a non-negative combination of the weights and replacing a term
+// never lowers a sum.
+func (c *lbCascade) skipScaled(feat geom.Point) int {
+	k := c.k
+	gap, exact := c.gap, c.exact
+	for j := 0; j < k; j++ {
+		d := math.Abs(feat[2*(j+1)]) - math.Abs(c.qMag[j])
+		gap[j] = d * d
+	}
+	maxTier, haveExact := 0, 0
+	for m := 0; m < c.nw; m++ {
+		w := c.w[m*k : (m+1)*k]
+		var s float64
+		for j := 0; j < k; j++ {
+			s += w[j] * gap[j]
+		}
+		if c.sym*s > c.cut {
+			continue // dismissed at tier 0
+		}
+		if haveExact == 0 {
+			c.exactTerm(feat, 0)
+			haveExact = 1
+		}
+		s = w[0] * exact[0]
+		for j := 1; j < k; j++ {
+			s += w[j] * gap[j]
+		}
+		if c.sym*s > c.cut {
+			maxTier = max(maxTier, 1)
+			continue
+		}
+		for ; haveExact < k; haveExact++ {
+			c.exactTerm(feat, haveExact)
+		}
+		s = 0
+		for j := 0; j < k; j++ {
+			s += w[j] * exact[j]
+		}
+		if c.sym*s > c.cut {
+			maxTier = 2
+			continue
+		}
+		return -1 // survives the full prefix bound: verify
+	}
+	return maxTier
+}
+
+// exactTerm computes the factorized exact term of coefficient j+1,
+// m² + qm² - 2·m·qm·cos(φ - qφ) with the cosine through the query's
+// hoisted sine and cosine, held at least at the gap term, which it never
+// falls below but by rounding.
+func (c *lbCascade) exactTerm(feat geom.Point, j int) {
+	m := feat[2*(j+1)]
+	sinPhi, cosPhi := math.Sincos(feat[2*(j+1)+1])
+	qm := c.qMag[j]
+	v := m*m + qm*qm - 2*m*qm*(cosPhi*c.qCos[j]+sinPhi*c.qSin[j])
+	c.exact[j] = max(v, c.gap[j])
+}
+
+// skipEach is skip as a loop over the group's transformations, for a
+// group that is not scaled.
+func (c *lbCascade) skipEach(feat geom.Point) int {
 	for j := 0; j < c.k; j++ {
 		c.havePhi[j] = false
 	}

@@ -209,7 +209,10 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	// worst. The cascade's cutoff follows worst down.
 	var results []NNMatch
 	worst := math.Inf(1)
-	casc := ix.newLBCascade(ts, q, worst, oneSided, ix.symmetry(ts, oneSided))
+	sc := ix.acquireScratch()
+	defer ix.releaseScratch(sc)
+	casc := &sc.casc
+	casc.init(ix.opts.K, ts, q, worst, oneSided, ix.symmetry(ts, oneSided))
 	// dismissed holds a leaf entry, a point whose Rect.Lo is the record's
 	// feature vector, to the prefix bound at the cutoff in force.
 	dismissed := func(feat geom.Point, rec int64) bool {
@@ -228,8 +231,6 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	// whole search.
 	slots := ix.tree.AcquireSlots()
 	defer slots.Release()
-	sc := ix.acquireScratch()
-	defer ix.releaseScratch(sc)
 	pair := &sc.pair
 	pair.Init(ts, oneSided)
 	// spectrum is where the slab keeps the i-th leaf candidate's record.

@@ -151,7 +151,7 @@ func (ix *Index) OptimalPartition(q *Record, ts []transform.Transform, eps float
 		segCost[i] = make([]float64, n)
 		for j := i; j < n; j++ {
 			sub := ts[i : j+1]
-			stg := ix.newStage(q, sub, eps, RangeOptions{Mode: mode, NaiveVerify: true}) // no bound
+			stg := ix.newStage(sc, q, sub, eps, RangeOptions{Mode: mode, NaiveVerify: true}) // no bound
 			var probe QueryStats
 			if _, err := ix.filter(nil, sc, &stg, &probe, nil); err != nil {
 				return nil, 0, err

@@ -130,10 +130,10 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 	// probe runs one rectangle's filter stage: the nodes it reads and the
 	// survivors verification would fetch.
 	probe := func(sub []transform.Transform) (daAll int, candidates int, err error) {
-		stg := ix.newStage(q, sub, eps, opts)
 		var st QueryStats
 		sc := ix.acquireScratch()
 		defer ix.releaseScratch(sc)
+		stg := ix.newStage(sc, q, sub, eps, opts)
 		cands, err := ix.filter(ctx, sc, &stg, &st, nil)
 		if err != nil {
 			return 0, 0, err

@@ -315,11 +315,16 @@ func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Tra
 	}
 	groups := opts.Groups
 	if groups == nil {
-		groups = [][]int{identityIndexes(len(ts))}
+		// One rectangle over the whole set, which rangeGroup takes as a
+		// nil group.
+		return ix.rangeGroup(ctx, q, ts, nil, 0, 1, eps, opts)
 	}
 	if len(groups) == 1 {
 		// One rectangle is one probe: nothing to fork and nothing to
 		// merge, so the probe's matches are returned as they are.
+		if len(groups[0]) == 0 {
+			return nil, QueryStats{}, nil
+		}
 		return ix.rangeGroup(ctx, q, ts, groups[0], 0, 1, eps, opts)
 	}
 	type part struct {
@@ -328,6 +333,9 @@ func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Tra
 	}
 	parts := make([]part, len(groups))
 	err := ParallelFor(len(groups), opts.Workers, func(gi int) (err error) {
+		if len(groups[gi]) == 0 {
+			return nil // an empty group is no probe at all
+		}
 		p := &parts[gi]
 		p.matches, p.st, err = ix.rangeGroup(ctx, q, ts, groups[gi], gi, len(groups), eps, opts)
 		return err
@@ -351,12 +359,14 @@ func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Tra
 // run concurrently. When ctx carries a parent span, the pipeline is
 // recorded as a KindProbe span (one per transformation rectangle, owned
 // by the goroutine running this call) with KindFilter and KindVerify
-// children, and every page this probe touches is attributed to it. An
-// empty group is no probe at all.
+// children, and every page this probe touches is attributed to it. A nil
+// group is every transformation of ts; the caller passes no empty one.
 func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Transform, g []int, gi, ngroups int, eps float64, opts RangeOptions) (_ []Match, _ QueryStats, retErr error) {
 	var st QueryStats
-	if len(g) == 0 {
-		return nil, st, nil
+	sc := ix.acquireScratch()
+	defer ix.releaseScratch(sc)
+	if g == nil {
+		g = sc.identity(len(ts))
 	}
 	parent := obs.SpanFromContext(ctx)
 	var probe *obs.Span
@@ -377,8 +387,6 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 			probe.EndErr(retErr)
 		}()
 	}
-	sc := ix.acquireScratch()
-	defer ix.releaseScratch(sc)
 	sub := sc.sub[:0]
 	for _, idx := range g {
 		if idx < 0 || idx >= len(ts) {
@@ -395,7 +403,7 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	}
 	// Building the stage with its lower bound counts as lower-bound time.
 	lbStart := time.Now()
-	stg := ix.newStage(q, sub, eps, opts)
+	stg := ix.newStage(sc, q, sub, eps, opts)
 	if stg.bound != nil {
 		st.LBTimeNs = time.Since(lbStart).Nanoseconds()
 	}
@@ -453,22 +461,27 @@ type stage struct {
 	node             *lbCascade
 }
 
-// newStage builds the filter stage of group sub for query q at eps, and
-// with it the group's symmetry factor (Index.symmetry), which the query
-// rectangle's per-coefficient bound and the lower bound both take. The
-// bound is the tiered cascade, which also bounds index rectangles; its
-// flat reference prefixLB under FlatLB (whose every dismissal is the full
-// prefix bound's, tier 2, and which prunes no subtree); none under
-// NaiveVerify. The planner prices a probe with the stage the executor
-// runs.
-func (ix *Index) newStage(q *Record, sub []transform.Transform, eps float64, opts RangeOptions) stage {
+// newStage builds the filter stage of group sub for query q at eps in
+// sc's buffers, and with it the group's symmetry factor (Index.symmetry),
+// which the query rectangle's per-coefficient bound and the lower bound
+// both take. The bound is the tiered cascade, which also bounds index
+// rectangles; its flat reference prefixLB under FlatLB (whose every
+// dismissal is the full prefix bound's, tier 2, and which prunes no
+// subtree); none under NaiveVerify. The planner prices a probe with the
+// stage the executor runs. The stage is valid until sc's next stage, and
+// building it into a warm scratch allocates nothing but FlatLB's closure.
+func (ix *Index) newStage(sc *scratch, q *Record, sub []transform.Transform, eps float64, opts RangeOptions) stage {
 	var s stage
+	dim := ix.dim
 	sym := ix.symmetry(sub, opts.OneSided)
-	s.mult, s.add = ix.fullMBRs(sub)
+	sc.stageRects = resized(sc.stageRects, 6*dim)
+	s.mult, s.add = ix.fullMBRs(sub, sc.stageRects[:4*dim])
 	if opts.OneSided {
-		s.qrect, s.phaseDims = ix.oneSidedQueryRect(q, epsScale(eps, sym), opts.Mode)
+		sc.phaseDims = resized(sc.phaseDims, dim)
+		s.qrect = ix.oneSidedQueryRect(q, epsScale(eps, sym), opts.Mode, sc.stageRects[4*dim:], sc.phaseDims)
+		s.phaseDims = sc.phaseDims
 	} else {
-		s.qrect = ix.queryRect(q, sub, epsScale(eps, sym), opts.Mode)
+		s.qrect = ix.queryRect(q, sub, epsScale(eps, sym), opts.Mode, sc.stageRects[4*dim:])
 	}
 	for j := 1; j <= ix.opts.K; j++ {
 		if !intervalSafe(sub, j, opts.OneSided) {
@@ -487,8 +500,11 @@ func (ix *Index) newStage(q *Record, sub []transform.Transform, eps float64, opt
 			return -1
 		}
 	default:
-		s.node = ix.newLBCascade(sub, q, eps, opts.OneSided, sym)
-		s.bound = s.node.skip
+		sc.casc.init(ix.opts.K, sub, q, eps, opts.OneSided, sym)
+		if sc.skip == nil {
+			sc.skip = sc.casc.skip
+		}
+		s.node, s.bound = &sc.casc, sc.skip
 	}
 	return s
 }

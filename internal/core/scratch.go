@@ -3,6 +3,7 @@ package core
 import (
 	"unsafe"
 
+	"tsq/internal/geom"
 	"tsq/internal/heapfile"
 	"tsq/internal/transform"
 )
@@ -24,6 +25,18 @@ type scratch struct {
 	rect     []float64
 	admitted []int32
 	cands    []int64
+
+	// The stage filter runs (newStage): the corners of the lifted MBRs
+	// and of the query rectangle (mult, add, query; low then high), the
+	// phase dimensions of a one-sided one, the group of every
+	// transformation when the query names none, and the lower-bound
+	// cascade with its skip bound once, so that arming a stage allocates
+	// no method value. An NN search arms the same cascade.
+	stageRects []float64
+	phaseDims  []bool
+	all        []int
+	casc       lbCascade
+	skip       func(geom.Point) int
 
 	// Verify stage: the ids to fetch when they are not the filter's
 	// candidates (an NN leaf's, a query point), the record decode slot
@@ -71,10 +84,13 @@ const (
 	maxIdleScratch = 8
 )
 
-// bytes is what sc holds on to, less what cannot grow: rect and admitted
-// are bounded by the dimension and a leaf's fan-out.
+// bytes is what sc holds on to, less what cannot grow: rect, admitted and
+// the stage's rectangles are bounded by the dimension and a leaf's
+// fan-out.
 func (sc *scratch) bytes() int {
 	return cap(sc.sub)*int(unsafe.Sizeof(transform.Transform{})) +
+		8*cap(sc.all) +
+		cap(sc.casc.term)*int(unsafe.Sizeof(lbTerm{})) + 8*cap(sc.casc.w) + cap(sc.casc.keep) +
 		8*cap(sc.cands) +
 		8*cap(sc.ids) +
 		sc.fetch.Bytes() +
@@ -82,6 +98,15 @@ func (sc *scratch) bytes() int {
 		cap(sc.spans)*int(unsafe.Sizeof(matchSpan{})) +
 		cap(sc.leaf)*int(unsafe.Sizeof(nnCand{})) +
 		8*cap(sc.slab)
+}
+
+// identity returns the group of every transformation of an n-set,
+// 0..n-1, out of sc.all, which only ever holds such a prefix.
+func (sc *scratch) identity(n int) []int {
+	for len(sc.all) < n {
+		sc.all = append(sc.all, len(sc.all))
+	}
+	return sc.all[:n]
 }
 
 // acquireScratch returns an idle scratch of ix, or a new one. The free

@@ -11,9 +11,13 @@ import (
 // tracedQuery builds a trace whose rollups (matches, candidates,
 // transforms) are internally consistent, the way the facade produces
 // them: verify spans carry matches, filter spans candidates, probe
-// spans transforms.
-func tracedQuery(matches, candidates, transforms int64) *Trace {
-	tr := New()
+// spans transforms. It returns the query's root span.
+func tracedQuery(matches, candidates, transforms int64) *Span {
+	return tracedQueryIn(New(), matches, candidates, transforms)
+}
+
+// tracedQueryIn is tracedQuery adding the query to tr.
+func tracedQueryIn(tr *Trace, matches, candidates, transforms int64) *Span {
 	root := tr.Start(KindQuery, "range")
 	probe := root.Child(KindProbe, "group")
 	probe.Set(ATransforms, transforms)
@@ -25,7 +29,7 @@ func tracedQuery(matches, candidates, transforms int64) *Trace {
 	verify.End()
 	probe.End()
 	root.End()
-	return tr
+	return root
 }
 
 // bundleFixture wires a registry, sampler, recorder and query logger
@@ -45,10 +49,10 @@ func bundleFixture(t *testing.T, n int) (*Registry, *Sampler, *Recorder, *QueryL
 	for i := 0; i < n; i++ {
 		qid := NextQueryID()
 		dur := time.Duration(i+1) * time.Millisecond
-		tr := tracedQuery(int64(i), int64(2*i), 16)
+		root := tracedQuery(int64(i), int64(2*i), 16)
 		qc.Inc()
 		lat.ObserveDurationExemplar(dur, qid)
-		rec.Record("range", "mt-index", qid, dur, nil, tr)
+		rec.Record("range", "mt-index", qid, dur, nil, root)
 		ql.Log(QueryLogRecord{QueryID: qid, Kind: "range", Duration: dur, Matches: int64(i)})
 	}
 	sampler.Sample()
@@ -168,12 +172,12 @@ func TestBundleDetectsRollupDrift(t *testing.T) {
 	// A record whose trace says 1 match but was recorded against a
 	// doctored trace claiming different rollups: build a trace, then
 	// mutate its verify attribute after Record snapshots the rollups.
-	tr := tracedQuery(1, 2, 16)
+	root := tracedQuery(1, 2, 16)
 	qid := NextQueryID()
 	reg.Counter("q_total").Inc()
 	reg.Histogram("q_latency_ns", nil).ObserveDurationExemplar(time.Millisecond, qid)
-	rec.Record("range", "mt-index", qid, time.Millisecond, nil, tr)
-	for _, s := range tr.Spans() {
+	rec.Record("range", "mt-index", qid, time.Millisecond, nil, root)
+	for _, s := range root.trace.Spans() {
 		if s.Kind() == KindVerify {
 			s.Add(AMatches, 5) // rollup drift
 		}

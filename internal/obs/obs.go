@@ -295,6 +295,27 @@ func (t *Trace) Sum(kind Kind, a Attr) int64 {
 	return total
 }
 
+// subtree returns a trace of root and its descendants, the spans of one
+// query when several share t (a traced batch, two calls on one context).
+// The spans are shared, not copied: ids and parents stay t's, so the
+// subtree renders, sums and encodes like a trace of its own. A child is
+// created after its parent, so one pass from root in creation order finds
+// them all.
+func (t *Trace) subtree(root *Span) *Trace {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	spans := t.spans[root.id:]
+	in := make([]bool, len(spans))
+	sub := &Trace{}
+	for i, s := range spans {
+		if i == 0 || s.parent >= root.id && in[s.parent-root.id] {
+			in[i] = true
+			sub.spans = append(sub.spans, s)
+		}
+	}
+	return sub
+}
+
 // Child opens a sub-span. Nil-safe.
 func (s *Span) Child(kind Kind, label string) *Span {
 	if s == nil {

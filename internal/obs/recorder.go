@@ -95,11 +95,13 @@ func (r *Recorder) nextRand() uint64 {
 
 // Record retains one completed query. kind/label describe the query
 // ("range", "nn", ...), dur its wall time; qid is the process-wide
-// query id (0 when the caller has none); tr may be nil (attribute
-// fields then stay zero). Nil-receiver safe: a nil Recorder drops the
-// record, so call sites can hold an atomic pointer that is nil when
-// recording is disabled.
-func (r *Recorder) Record(kind, label string, qid uint64, dur time.Duration, err error, tr *Trace) {
+// query id (0 when the caller has none); root is the query's root span,
+// nil when it was not traced (attribute fields then stay zero). The
+// record keeps the trace of root's subtree and sums its rollups over it,
+// so queries that share one trace each keep their own spans and counts.
+// Nil-receiver safe: a nil Recorder drops the record, so call sites can
+// hold an atomic pointer that is nil when recording is disabled.
+func (r *Recorder) Record(kind, label string, qid uint64, dur time.Duration, err error, root *Span) {
 	if r == nil {
 		return
 	}
@@ -113,7 +115,8 @@ func (r *Recorder) Record(kind, label string, qid uint64, dur time.Duration, err
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	if tr != nil {
+	if root != nil {
+		tr := root.trace.subtree(root)
 		rec.Matches = tr.Sum(KindVerify, AMatches)
 		rec.Candidates = tr.Sum(KindFilter, ACandidates)
 		rec.Transforms = tr.Sum(KindProbe, ATransforms)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,7 +93,7 @@ func TestRecorderTraceAttrs(t *testing.T) {
 	root.End()
 
 	r := NewRecorder(RecorderOptions{Threshold: time.Nanosecond})
-	r.Record("range", "eps=0.5", 7, time.Millisecond, errors.New("boom"), tr)
+	r.Record("range", "eps=0.5", 7, time.Millisecond, errors.New("boom"), root)
 	snap := r.Snapshot()
 	if len(snap.Slow) != 1 {
 		t.Fatalf("%d slow records, want 1", len(snap.Slow))
@@ -153,5 +154,46 @@ func TestRecorderHandler(t *testing.T) {
 	}
 	if len(snap.Slow) != 1 || snap.Slow[0].Kind != "nn" {
 		t.Errorf("served snapshot = %+v", snap)
+	}
+}
+
+// TestRecorderKeepsEachQuerysSpans: queries that share one trace, their
+// spans interleaved the way a traced batch's workers create them, are
+// each recorded with their own subtree and rollups.
+func TestRecorderKeepsEachQuerysSpans(t *testing.T) {
+	tr := New()
+	roots := []*Span{tr.Start(KindQuery, "a"), tr.Start(KindQuery, "b"), tr.Start(KindQuery, "c")}
+	var probes []*Span
+	for i, root := range roots {
+		p := root.Child(KindProbe, "p")
+		p.Set(ATransforms, int64(i+1))
+		probes = append(probes, p)
+	}
+	for i, p := range probes {
+		f := p.Child(KindFilter, "f")
+		f.Set(ACandidates, int64(10*(i+1)))
+		f.End()
+	}
+	for i, p := range probes {
+		v := p.Child(KindVerify, "v")
+		v.Set(AMatches, int64(100*(i+1)))
+		v.End()
+		p.End()
+		roots[i].End()
+	}
+	r := NewRecorder(RecorderOptions{Threshold: time.Nanosecond})
+	for _, root := range roots {
+		r.Record("range", root.Label(), 0, time.Millisecond, nil, root)
+	}
+	for i, rec := range r.Snapshot().Slow {
+		n := int64(i + 1)
+		spans := rec.Trace.Spans()
+		if rec.Transforms != n || rec.Candidates != 10*n || rec.Matches != 100*n || len(spans) != 4 || spans[0] != roots[i] {
+			t.Errorf("record %s: transforms %d, candidates %d, matches %d over %d spans; want %d, %d, %d over its own 4",
+				rec.Label, rec.Transforms, rec.Candidates, rec.Matches, len(spans), n, 10*n, 100*n)
+		}
+		if rec.Trace.Sum(KindVerify, AMatches) != rec.Matches || !strings.HasPrefix(rec.Trace.String(), rec.Label+" ") {
+			t.Errorf("record %s: its trace renders\n%s", rec.Label, rec.Trace)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package storage implements the paged storage manager underneath the
 // R*-tree: fixed-size pages allocated from a memory- or file-backed page
-// file, a pin-counted LRU buffer pool, and the disk-access counters the
-// paper's evaluation reports. One index node occupies exactly one page, so
+// file, an LRU buffer pool striped over page-id shards (a read copies the
+// page out of its frame, so no frame is pinned and any may be recycled),
+// and the disk-access counters the paper's evaluation reports. One index node occupies exactly one page, so
 // "number of disk accesses" in the experiments is the number of page
 // fetches that miss the buffer (with the default zero-capacity pool, every
 // fetch — the convention the paper's numbers use).

@@ -11,28 +11,40 @@ import (
 // 2n-component polar vector (component 2f = magnitude of coefficient f,
 // component 2f+1 = its phase); the result is the decomposition of the
 // 2·len(comps)-dimensional transformation MBR into a mult-MBR (over the A
-// parts) and an add-MBR (over the B parts), each of dimension len(comps).
-func MBRs(ts []Transform, comps []int) (mult, add geom.Rect) {
+// parts) and an add-MBR (over the B parts), each of dimension len(comps),
+// written into mult and add, whose corners must have that dimension.
+func MBRs(mult, add geom.Rect, ts []Transform, comps []int) {
 	if len(ts) == 0 {
 		panic("transform: MBRs of an empty transformation set")
 	}
-	aPts := make([]geom.Point, len(ts))
-	bPts := make([]geom.Point, len(ts))
+	if mult.Dim() != len(comps) || add.Dim() != len(comps) || len(mult.Hi) != len(comps) || len(add.Hi) != len(comps) {
+		panic(fmt.Sprintf("transform: MBRs into rectangles of dimension %d and %d over %d components", mult.Dim(), add.Dim(), len(comps)))
+	}
 	for i, t := range ts {
 		t.validate()
-		ap := make(geom.Point, len(comps))
-		bp := make(geom.Point, len(comps))
 		for d, c := range comps {
 			if c < 0 || c >= len(t.A) {
 				panic(fmt.Sprintf("transform: component %d out of range for transform %q (2n=%d)", c, t.Name, len(t.A)))
 			}
-			ap[d] = t.A[c]
-			bp[d] = t.B[c]
+			a, b := t.A[c], t.B[c]
+			if i == 0 {
+				mult.Lo[d], mult.Hi[d], add.Lo[d], add.Hi[d] = a, a, b, b
+				continue
+			}
+			widen(mult, d, a)
+			widen(add, d, b)
 		}
-		aPts[i] = ap
-		bPts[i] = bp
 	}
-	return geom.MBR(aPts), geom.MBR(bPts)
+}
+
+// widen stretches dimension d of r to cover v.
+func widen(r geom.Rect, d int, v float64) {
+	if v < r.Lo[d] {
+		r.Lo[d] = v
+	}
+	if v > r.Hi[d] {
+		r.Hi[d] = v
+	}
 }
 
 // ApplyMBRs applies a transformation rectangle (mult, add) to a data

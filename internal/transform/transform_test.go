@@ -232,7 +232,7 @@ func TestMovingAverageSetAndFig3Ranges(t *testing.T) {
 		t.Fatalf("|MV(1..40)| = %d", len(ts))
 	}
 	comps := []int{2, 3} // magnitude and phase of coefficient 1
-	mult, add := MBRs(ts, comps)
+	mult, add := mbrs(ts, comps)
 	// Magnitude multiplier (Dirichlet kernel at f=1).
 	if mult.Lo[0] < 0.8 || mult.Hi[0] > 1+1e-9 || mult.Hi[0] < 1-1e-9 {
 		t.Errorf("mult magnitude range = [%v, %v], want ~[0.84, 1]", mult.Lo[0], mult.Hi[0])
@@ -270,7 +270,7 @@ func TestApplyMBRsContainment(t *testing.T) {
 			}
 		}
 		comps := []int{2, 3, 4, 5}
-		mult, add := MBRs(ts, comps)
+		mult, add := mbrs(ts, comps)
 		// Random data rectangle, including negative coordinates (phases).
 		lo := make([]float64, len(comps))
 		hi := make([]float64, len(comps))
@@ -473,7 +473,15 @@ func TestMBRsPanics(t *testing.T) {
 			t.Error("expected panic for empty set")
 		}
 	}()
-	MBRs(nil, []int{0})
+	mbrs(nil, []int{0})
+}
+
+// mbrs returns the MBRs of ts over comps in new rectangles.
+func mbrs(ts []Transform, comps []int) (mult, add geom.Rect) {
+	mult = geom.Rect{Lo: make(geom.Point, len(comps)), Hi: make(geom.Point, len(comps))}
+	add = geom.Rect{Lo: make(geom.Point, len(comps)), Hi: make(geom.Point, len(comps))}
+	MBRs(mult, add, ts, comps)
+	return mult, add
 }
 
 func applyRect(lo, hi []float64) geom.Rect {
@@ -612,7 +620,7 @@ func TestReverseThroughIndexPath(t *testing.T) {
 	// MBR containment with a mixed set including Reverse.
 	ts := []Transform{rev, MovingAverage(n, 3), Identity(n)}
 	comps := []int{2, 3, 4, 5}
-	mult, add := MBRs(ts, comps)
+	mult, add := mbrs(ts, comps)
 	p := geom.Point{1.5, 0.7, 2.2, -2.9}
 	rect := geom.PointRect(p)
 	out := ApplyMBRs(mult, add, rect)

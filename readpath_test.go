@@ -63,6 +63,31 @@ func TestFileBackedRangeAllocsDoNotGrowWithCandidates(t *testing.T) {
 	}
 }
 
+// TestInMemoryRangeAllocBudget pins what an untraced in-memory range
+// query of the range-mem shape allocates once warm: its answer, and not
+// the probe's stage. The lifted MBRs, the query rectangle, the lower-bound
+// cascade, its skip and the group of the whole set live in the probe's
+// reused scratch; before they did, such a query made 52 allocations.
+func TestInMemoryRangeAllocBudget(t *testing.T) {
+	const budget = 4
+	db, err := Open(datagen.RandomWalks(1, 3000, 128), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := MovingAverages(128, 10, 25)
+	var matches int
+	allocs := testing.AllocsPerRun(20, func() {
+		got, _, err := db.RangeByID(17, ts, Correlation(0.99), QueryOptions{Algorithm: MTIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches = len(got)
+	})
+	if matches == 0 || allocs > budget {
+		t.Fatalf("a range query with %d matches allocates %.1f times, budget %d", matches, allocs, budget)
+	}
+}
+
 // TestFileBackedAnswersEqualSeqScanWithWorkers runs range and NN queries
 // with Workers: 4 from several goroutines at once against one small-pool
 // file — every verification worker streaming records through its own

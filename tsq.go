@@ -560,7 +560,7 @@ func (ev *queryEvent) finish(ctx context.Context) {
 	dur := time.Since(ev.start)
 	latency.ObserveDurationExemplar(dur, ev.qid)
 	if rec := flightRecorder.Load(); rec != nil {
-		rec.Record(ev.kind.String(), ev.opts.Algorithm.String(), ev.qid, dur, ev.err, obs.FromContext(ctx))
+		rec.Record(ev.kind.String(), ev.opts.Algorithm.String(), ev.qid, dur, ev.err, ev.root)
 	}
 	if ev.ql == nil && ev.cw == nil {
 		return
