@@ -580,9 +580,8 @@ func (ix *Index) oneSidedQueryRect(q *Record, epsC float64, mode QRectMode, buf 
 // dimensions are interpreted modulo 2*pi: transformed data phases are
 // unwrapped linear values (raw phase plus the additive span of the
 // transformation rectangle), so a data interval may match the query
-// interval only after a +-2*pi (or +-4*pi) translation.
+// interval only after a translation by a multiple of 2*pi (wrapMeets).
 func intersectsModular(data, query geom.Rect, phaseDims []bool) bool {
-	const twoPi = 2 * math.Pi
 	for d := range data.Lo {
 		if !phaseDims[d] {
 			if data.Lo[d] > query.Hi[d] || query.Lo[d] > data.Hi[d] {
@@ -590,15 +589,7 @@ func intersectsModular(data, query geom.Rect, phaseDims []bool) bool {
 			}
 			continue
 		}
-		ok := false
-		for k := -2.0; k <= 2.0; k++ {
-			shift := k * twoPi
-			if data.Lo[d]+shift <= query.Hi[d] && query.Lo[d] <= data.Hi[d]+shift {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !wrapMeets(data.Lo[d], data.Hi[d], query.Lo[d], query.Hi[d]) {
 			return false
 		}
 	}

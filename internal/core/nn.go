@@ -6,10 +6,10 @@ import (
 	"math"
 	"sort"
 
-	"tsq/internal/geom"
 	"tsq/internal/heapfile"
 	"tsq/internal/minheap"
 	"tsq/internal/obs"
+	"tsq/internal/rtree"
 	"tsq/internal/storage"
 	"tsq/internal/transform"
 )
@@ -213,22 +213,23 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	defer ix.releaseScratch(sc)
 	casc := &sc.casc
 	casc.init(ix.opts.K, ts, q, worst, oneSided, ix.symmetry(ts, oneSided))
-	// dismissed holds a leaf entry, a point whose Rect.Lo is the record's
-	// feature vector, to the prefix bound at the cutoff in force.
-	dismissed := func(feat geom.Point, rec int64) bool {
-		tier := casc.skip(feat)
+	// dismissed holds entry i of leaf, a point, the record's feature
+	// vector, to the prefix bound at the cutoff in force.
+	dismissed := func(leaf *rtree.PointLeaf, i int) bool {
+		tier := casc.skip(leaf.Point(i))
 		if tier < 0 {
 			return false
 		}
 		st.skippedAt(tier)
 		if ix.nnDismissed != nil {
-			ix.nnDismissed(rec, worst)
+			ix.nnDismissed(leaf.Rec(i), worst)
 		}
 		return true
 	}
 	// Best-first: each node is consumed (children pushed, leaf entries
-	// resolved) before the next is loaded, so one decode slot serves the
-	// whole search.
+	// resolved) before the next is loaded, so one slot serves the whole
+	// search: internal nodes are decoded into it, leaves read in place
+	// (rtree.LoadView).
 	slots := ix.tree.AcquireSlots()
 	defer slots.Release()
 	pair := &sc.pair
@@ -245,12 +246,12 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 		if bound > casc.cut {
 			break
 		}
-		n, err := ix.tree.LoadInto(ctx, page, slots.At(0))
+		n, leaf, err := ix.tree.LoadView(ctx, page, slots.At(0))
 		if err != nil {
 			return nil, st, err
 		}
 		st.DAAll++
-		if !n.Leaf {
+		if leaf == nil {
 			for _, ent := range n.Entries {
 				lb := casc.rectLB(ent.Rect.Lo, ent.Rect.Hi, -1)
 				if lb > casc.cut {
@@ -273,11 +274,12 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 		// probe, the records cannot be verified as their pages stream by:
 		// which of them are verified at all depends on the order. The
 		// fetch copies each spectrum out of the decode slot into the
-		// leaf's slab instead.
+		// leaf's slab instead. The leaf itself stays in its slot until the
+		// next load, so the second test reads the entry's point again.
 		leafCands := sc.leaf[:0]
-		for i, ent := range n.Entries {
-			if !dismissed(ent.Rect.Lo, ent.Rec) {
-				leafCands = append(leafCands, nnCand{entry: i, rec: ent.Rec})
+		for i := 0; i < leaf.Len(); i++ {
+			if !dismissed(leaf, i) {
+				leafCands = append(leafCands, nnCand{entry: i, rec: leaf.Rec(i)})
 			}
 		}
 		armed := casc.cut
@@ -308,7 +310,7 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 			if c.tombstoned || c.rec == q.ID {
 				continue
 			}
-			if casc.cut < armed && dismissed(n.Entries[c.entry].Rect.Lo, c.rec) {
+			if casc.cut < armed && dismissed(leaf, c.entry) {
 				continue // the bound tightened since the batch was formed
 			}
 			var r *Record

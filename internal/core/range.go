@@ -9,6 +9,7 @@ import (
 
 	"tsq/internal/geom"
 	"tsq/internal/obs"
+	"tsq/internal/rtree"
 	"tsq/internal/storage"
 	"tsq/internal/transform"
 )
@@ -449,16 +450,30 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 
 // stage is the filter stage of one transformation rectangle, as filter
 // runs it: the group's lifted MBRs (mult, add), the query rectangle and,
-// in one-sided mode, the phase dimensions it compares modulo 2*pi; bound,
-// which returns the tier (0, 1 or 2) at which it dismissed a leaf entry's
-// feature point, or -1 to keep it (nil keeps every admitted entry); and
-// node, the cascade whose rectangle form (rectLB) meets every internal
-// entry the per-dimension intersection lets through (nil for none).
+// in one-sided mode, the phase dimensions it compares modulo 2*pi; dims,
+// the admission test of a leaf entry in each dimension, and tests, those
+// stage.admit runs, in its order, the first byInterval of them
+// intervals; bound, which returns the tier (0, 1 or 2) at which it
+// dismissed a leaf entry's feature point, or -1 to keep it (nil keeps
+// every admitted entry); node, the cascade whose rectangle form (rectLB)
+// meets every internal entry the per-dimension intersection lets through
+// (nil for none).
 type stage struct {
 	mult, add, qrect geom.Rect
 	phaseDims        []bool
+	dims, tests      []dimTest
+	byInterval       int
 	bound            func(feat geom.Point) int
 	node             *lbCascade
+}
+
+// dimTest is the admission test of a leaf entry in dimension d: where
+// exact, the closed interval [lo, hi] of the coordinates stage.meets
+// admits there (stage.pointInterval), else meets itself.
+type dimTest struct {
+	lo, hi float64
+	d      int32
+	exact  bool
 }
 
 // newStage builds the filter stage of group sub for query q at eps in
@@ -489,6 +504,27 @@ func (ix *Index) newStage(sc *scratch, q *Record, sub []transform.Transform, eps
 			s.qrect.Lo[2*j+1], s.qrect.Hi[2*j+1] = math.Inf(-1), math.Inf(1)
 		}
 	}
+	sc.dims = resized(sc.dims, 2*dim)
+	s.dims, s.tests = sc.dims[:dim], sc.dims[dim:dim]
+	for d := range s.dims {
+		t := &s.dims[d]
+		t.d = int32(d)
+		t.lo, t.hi, t.exact = s.pointInterval(d)
+	}
+	// A leaf entry meets the intervals first, two comparisons each, then
+	// the formula. An interval that is the whole line admits every
+	// coordinate, NaN included, and is not tested.
+	for _, t := range s.dims {
+		if t.exact && !(math.IsInf(t.lo, -1) && math.IsInf(t.hi, 1)) {
+			s.tests = append(s.tests, t)
+		}
+	}
+	s.byInterval = len(s.tests)
+	for _, t := range s.dims {
+		if !t.exact {
+			s.tests = append(s.tests, t)
+		}
+	}
 	switch {
 	case opts.NaiveVerify:
 	case opts.FlatLB:
@@ -511,13 +547,14 @@ func (ix *Index) newStage(sc *scratch, q *Record, sub []transform.Transform, eps
 
 // filter runs stage s of one transformation rectangle: the Algorithm 1
 // traversal and, on every leaf entry it admits, the DFT-prefix lower
-// bound s.bound, read straight off the decode slot's feature block. It
-// returns the ids of the survivors — the records verification has to
-// fetch — in traversal order; no feature point leaves the traversal. A
-// caller that only wants the traversal's counts leaves s.bound nil, and
-// every admitted entry survives. A subtree whose s.node bound exceeds the
-// cutoff holds only entries the point bound would dismiss one by one, and
-// is not read.
+// bound s.bound, read off the block of admitted points the leaf scan
+// gathers (stage.admit). It returns the ids of the survivors — the
+// records verification has to fetch — in traversal order; no feature
+// point leaves the traversal, and a record id is read off its leaf only
+// for a survivor. A caller that only wants the traversal's counts leaves
+// s.bound nil, and every admitted entry survives. A subtree whose s.node
+// bound exceeds the cutoff holds only entries the point bound would
+// dismiss one by one, and is not read.
 //
 // The dismissals go to st.SkippedLB* and the time bound took to
 // st.LBTimeNs: a leaf's admitted entries meet it in one timed pass, and a
@@ -525,9 +562,10 @@ func (ix *Index) newStage(sc *scratch, q *Record, sub []transform.Transform, eps
 // storage.QueryIO in it sees them, and when sp is non-nil the traversal
 // counters (nodes, leaves, subtrees pruned by the rectangle and by the
 // bound, admitted entries) are recorded on it. The caller closes sp. The
-// walk is depth-first, one decode slot per tree level: the parent's
-// entries are still being iterated while a child is read. The returned
-// ids live in sc and are valid until sc is released.
+// walk is depth-first, one slot per tree level: the parent's entries are
+// still being iterated while a child is read. Internal nodes are decoded
+// into their slot and leaves are read in place (rtree.LoadView).
+// The returned ids live in sc and are valid until sc is released.
 func (ix *Index) filter(ctx context.Context, sc *scratch, s *stage, st *QueryStats, sp *obs.Span) ([]int64, error) {
 	mult, add, qrect, phaseDims, bound, node := s.mult, s.add, s.qrect, s.phaseDims, s.bound, s.node
 	da0, dl0 := st.DAAll, st.DALeaf
@@ -537,7 +575,7 @@ func (ix *Index) filter(ctx context.Context, sc *scratch, s *stage, st *QuerySta
 	defer slots.Release()
 	// One scratch rectangle serves every internal entry of the walk
 	// (ApplyMBRs would allocate two points per entry inspected); leaf
-	// entries take the fused point path below and need no rectangle.
+	// entries take the fused point path (stage.admit) and need none.
 	dim := ix.dim
 	if len(sc.rect) != 2*dim {
 		sc.rect = make([]float64, 2*dim)
@@ -551,46 +589,32 @@ func (ix *Index) filter(ctx context.Context, sc *scratch, s *stage, st *QuerySta
 	}
 	var walk func(id storage.PageID, depth int) error
 	walk = func(id storage.PageID, depth int) error {
-		n, err := ix.tree.LoadInto(ctx, id, slots.At(depth))
+		n, leaf, err := ix.tree.LoadView(ctx, id, slots.At(depth))
 		if err != nil {
 			return err
 		}
 		st.DAAll++
-		if n.Leaf {
+		if leaf != nil {
 			st.DALeaf++
-			// Leaf-major fast path: every leaf entry of the feature
-			// index is a point (Rect.Lo == Rect.Hi == the record's
-			// feature vector), and decoded nodes store all low corners
-			// in one contiguous block, so the admission test scans flat
-			// float64 data — the transformed-interval intersection test
-			// fused per dimension with early exit, no rectangle built —
-			// and the bound reads the admitted points from the same
-			// block while the leaf is still in cache.
-			flat := n.FlatLo()
-			admitted := sc.admitted[:0]
-			for i := range n.Entries {
-				if leafPointAdmit(flat[i*dim:(i+1)*dim], mult, add, qrect, phaseDims) {
-					admitted = append(admitted, int32(i))
-				}
-			}
-			sc.admitted = admitted
+			admitted := s.admit(sc, leaf)
 			admittedTotal += int64(len(admitted))
 			if len(admitted) == 0 {
 				return nil
 			}
 			if bound == nil {
 				for _, i := range admitted {
-					out = append(out, n.Entries[i].Rec)
+					out = append(out, leaf.Rec(int(i)))
 				}
 				return nil
 			}
+			pts := leaf.Gather(admitted)
 			lbStart := time.Since(clock)
-			for _, i := range admitted {
-				if tier := bound(flat[int(i)*dim : (int(i)+1)*dim]); tier >= 0 {
+			for k, i := range admitted {
+				if tier := bound(pts[k*dim : (k+1)*dim]); tier >= 0 {
 					st.skippedAt(tier)
 					continue
 				}
-				out = append(out, n.Entries[i].Rec)
+				out = append(out, leaf.Rec(int(i)))
 			}
 			st.LBTimeNs += int64(time.Since(clock) - lbStart)
 			return nil
@@ -631,44 +655,155 @@ func (ix *Index) filter(ctx context.Context, sc *scratch, s *stage, st *QuerySta
 	return out, nil
 }
 
-// leafPointAdmit is the leaf-entry admission test of the Algorithm 1
-// traversal, specialized to point entries: it computes, per dimension,
-// the transformed interval of ApplyMBRs on the degenerate rectangle
-// [feat, feat] and tests it against the query rectangle immediately,
-// with early exit on the first separating dimension. For a point the
-// four corner products collapse to two, so the result is identical to
-// ApplyMBRs + Intersects (or intersectsModular for the marked phase
-// dimensions) without building a rectangle.
-func leafPointAdmit(feat geom.Point, mult, add geom.Rect, qrect geom.Rect, phaseDims []bool) bool {
+// admit runs the Algorithm 1 admission test, the stage's tests in their
+// order, on every entry of leaf v where the entry lies in the page. An
+// entry leaves at the first dimension that rejects it. admit returns the
+// positions of the entries it admits, in entry order, valid until the
+// next call on sc.
+func (s *stage) admit(sc *scratch, v *rtree.PointLeaf) []int32 {
+	admitted := sc.admitted[:0]
+	intervals, formulas := s.tests[:s.byInterval], s.tests[s.byInterval:]
+entries:
+	for i := 0; i < v.Len(); i++ {
+		for k := range intervals {
+			t := &intervals[k]
+			if x := v.Coord(i, int(t.d)); x < t.lo || x > t.hi {
+				continue entries
+			}
+		}
+		for k := range formulas {
+			if d := int(formulas[k].d); !s.meets(d, v.Coord(i, d)) {
+				continue entries
+			}
+		}
+		admitted = append(admitted, int32(i))
+	}
+	sc.admitted = admitted
+	return admitted
+}
+
+// meets is the admission test of a point coordinate v in dimension d:
+// whether the interval the stage's multipliers and offsets map v to
+// (pointImage) meets the query's, modulo 2π in a phase dimension of a
+// one-sided query (wrapMeets). A NaN coordinate meets every dimension
+// that is not a phase.
+func (s *stage) meets(d int, v float64) bool {
+	lo, hi := pointImage(v, s.mult.Lo[d], s.mult.Hi[d], s.add.Lo[d], s.add.Hi[d])
+	if s.phaseDims != nil && s.phaseDims[d] {
+		return wrapMeets(lo, hi, s.qrect.Lo[d], s.qrect.Hi[d])
+	}
+	return !(lo > s.qrect.Hi[d]) && !(s.qrect.Lo[d] > hi)
+}
+
+// pointImage is Eq. 12 in one dimension on the degenerate interval
+// [v, v]: of the four corner products two remain. Each product is
+// converted, which rounds it, so that no platform fuses it with the sum
+// into a multiply-add: the intervals newStage derives from this function
+// (stage.pointInterval) are exactly what the per-entry test admits.
+func pointImage(v, mLo, mHi, aLo, aHi float64) (lo, hi float64) {
+	p1, p3 := float64(mLo*v), float64(mHi*v)
+	lo, hi = p1, p3
+	if p3 < p1 {
+		lo, hi = p3, p1
+	}
+	return lo + aLo, hi + aHi
+}
+
+// wrapMeets reports whether the unwrapped phase interval [lo, hi] meets
+// [qLo, qHi] after a translation by some multiple k of 2π. The k that do
+// are a run of integers, since both tests are monotone in k; its first is
+// ⌈(qLo − hi)/2π⌉ up to rounding, so the test tries the four from
+// ⌊(qLo − hi)/2π⌋ − 1 on. A composition of time shifts carries a phase
+// offset of any size, so no fixed window of k will do. An unbounded query
+// interval is met at any k.
+func wrapMeets(lo, hi, qLo, qHi float64) bool {
 	const twoPi = 2 * math.Pi
-	for i, v := range feat {
-		p1 := mult.Lo[i] * v
-		p3 := mult.Hi[i] * v
-		lo, hi := p1, p3
-		if p3 < p1 {
-			lo, hi = p3, p1
-		}
-		lo += add.Lo[i]
-		hi += add.Hi[i]
-		if phaseDims != nil && phaseDims[i] {
-			ok := false
-			for k := -2.0; k <= 2.0; k++ {
-				shift := k * twoPi
-				if lo+shift <= qrect.Hi[i] && qrect.Lo[i] <= hi+shift {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
-			}
-			continue
-		}
-		if lo > qrect.Hi[i] || qrect.Lo[i] > hi {
-			return false
+	k0 := math.Floor((qLo-hi)/twoPi) - 1
+	if math.IsInf(k0, 0) || math.IsNaN(k0) {
+		k0 = 0
+	}
+	for i := 0.0; i < 4; i++ {
+		shift := (k0 + i) * twoPi
+		if lo+shift <= qHi && qLo <= hi+shift {
+			return true
 		}
 	}
-	return true
+	return false
+}
+
+// pointInterval returns, for dimension d, the set of coordinates meets
+// admits as a closed interval [lo, hi] (exact), when it is one the test
+// can be replaced by: in a dimension compared linearly, not modulo 2π,
+// whose multiplier bounds are finite and of one sign and whose offsets
+// are finite. There both ends of pointImage are monotone in v, in the
+// same direction, because a product with a constant of fixed sign and a
+// sum with a constant round monotonically. So the coordinates whose
+// image reaches down to the query's high end form a ray, those whose
+// image reaches up to its low end form the opposite ray, and both hold
+// on an interval. Each end is found by bisection over the float64 order
+// with pointImage itself as the oracle (firstTrue), about 64 evaluations
+// per end. An empty set is [+Inf, -Inf]. NaN, which no comparison with
+// the interval rejects, is admitted by meets too.
+func (s *stage) pointInterval(d int) (lo, hi float64, exact bool) {
+	mLo, mHi, aLo, aHi, qLo, qHi := s.mult.Lo[d], s.mult.Hi[d], s.add.Lo[d], s.add.Hi[d], s.qrect.Lo[d], s.qrect.Hi[d]
+	increasing := 0 < mLo && mHi < math.Inf(1)
+	if s.phaseDims != nil && s.phaseDims[d] || !increasing && !(math.Inf(-1) < mLo && mHi < 0) ||
+		math.IsInf(aLo, 0) || math.IsNaN(aLo) || math.IsInf(aHi, 0) || math.IsNaN(aHi) {
+		return 0, 0, false
+	}
+	// reachesDown(v): v's image reaches down to qHi; reachesUp(v): up to qLo.
+	reachesDown := func(v float64) bool { lo, _ := pointImage(v, mLo, mHi, aLo, aHi); return !(lo > qHi) }
+	reachesUp := func(v float64) bool { _, hi := pointImage(v, mLo, mHi, aLo, aHi); return !(qLo > hi) }
+	upRay, downRay := reachesUp, reachesDown // the predicate that holds on a ray to +Inf, and the one to -Inf
+	if !increasing {
+		upRay, downRay = reachesDown, reachesUp
+	}
+	first := firstTrue(upRay)
+	last := firstTrue(func(v float64) bool { return !downRay(v) }) - 1
+	if first > last {
+		return math.Inf(1), math.Inf(-1), true
+	}
+	return orderValue(first), orderValue(last), true
+}
+
+// infKey is the key of +Inf, and -infKey that of -Inf, in the order of
+// orderValue.
+const infKey = 0x7FF0000000000000
+
+// orderValue is the float64 at key k of the order from -Inf to +Inf in
+// which consecutive floats have consecutive keys: a float that is not
+// negative is keyed by its bits, a negative one by those of its absolute
+// value, negated. -0 and +0 share key 0, which is +0: no comparison tells
+// them apart.
+func orderValue(k int64) float64 {
+	if k < 0 {
+		return math.Float64frombits(uint64(-k) | 1<<63)
+	}
+	return math.Float64frombits(uint64(k))
+}
+
+// firstTrue returns the key (orderValue) of the first float64 from -Inf
+// to +Inf at which up holds, a predicate that stays true once it is; infKey+1
+// when it holds nowhere.
+func firstTrue(up func(v float64) bool) int64 {
+	if up(math.Inf(-1)) {
+		return -infKey
+	}
+	if !up(math.Inf(1)) {
+		return infKey + 1
+	}
+	// up(lo) is false and up(hi) true. Their distance takes up to 64
+	// bits: it is computed unsigned.
+	lo, hi := int64(-infKey), int64(infKey)
+	for uint64(hi-lo) > 1 {
+		mid := lo + int64(uint64(hi-lo)/2)
+		if up(orderValue(mid)) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // orderedPrefix returns an ordered set over ts when ordering is requested

@@ -28,12 +28,15 @@ type scratch struct {
 
 	// The stage filter runs (newStage): the corners of the lifted MBRs
 	// and of the query rectangle (mult, add, query; low then high), the
-	// phase dimensions of a one-sided one, the group of every
-	// transformation when the query names none, and the lower-bound
-	// cascade with its skip bound once, so that arming a stage allocates
-	// no method value. An NN search arms the same cascade.
+	// phase dimensions of a one-sided one, the admission test of each
+	// dimension and the order a leaf entry meets them in, the group of
+	// every transformation when the query names none, and the
+	// lower-bound cascade with its skip bound once, so that arming a
+	// stage allocates no method value. An NN search arms the same
+	// cascade.
 	stageRects []float64
 	phaseDims  []bool
+	dims       []dimTest
 	all        []int
 	casc       lbCascade
 	skip       func(geom.Point) int

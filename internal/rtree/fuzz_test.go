@@ -20,7 +20,7 @@ func decodePage(s *Scratch, page []byte) (*Node, error) {
 // sameNode compares two decoded nodes bit for bit (NaN coordinates
 // included, which reflect.DeepEqual would call unequal).
 func sameNode(a, b *Node, dim int) bool {
-	if a.ID != b.ID || a.Leaf != b.Leaf || a.kind != b.kind || len(a.Entries) != len(b.Entries) || len(a.flatLo) != len(b.flatLo) {
+	if a.ID != b.ID || a.Leaf != b.Leaf || a.kind != b.kind || len(a.Entries) != len(b.Entries) {
 		return false
 	}
 	for i := range a.Entries {
@@ -30,8 +30,53 @@ func sameNode(a, b *Node, dim int) bool {
 		}
 		for d := 0; d < dim; d++ {
 			if math.Float64bits(ea.Rect.Lo[d]) != math.Float64bits(eb.Rect.Lo[d]) ||
-				math.Float64bits(ea.Rect.Hi[d]) != math.Float64bits(eb.Rect.Hi[d]) ||
-				math.Float64bits(a.flatLo[i*dim+d]) != math.Float64bits(b.flatLo[i*dim+d]) {
+				math.Float64bits(ea.Rect.Hi[d]) != math.Float64bits(eb.Rect.Hi[d]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// viewPage reads a copy of page through the slot the way LoadView does
+// after the storage read.
+func viewPage(s *Scratch, page []byte) (*Node, *PointLeaf, error) {
+	copy(s.page, page)
+	return s.view(storage.PageID(1))
+}
+
+// sameView reports whether view v holds exactly leaf n's points (its
+// entries' low corners), bit for bit, and record ids, in order.
+func sameView(v *PointLeaf, n *Node, dim int) bool {
+	if !n.Leaf || v.Len() != len(n.Entries) {
+		return false
+	}
+	all := make([]int32, v.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	for i, e := range n.Entries {
+		p := v.Point(i)
+		if v.Rec(i) != e.Rec || len(p) != dim {
+			return false
+		}
+		for d := 0; d < dim; d++ {
+			if math.Float64bits(v.Coord(i, d)) != math.Float64bits(e.Rect.Lo[d]) || math.Float64bits(p[d]) != math.Float64bits(e.Rect.Lo[d]) {
+				return false
+			}
+		}
+	}
+	// Gathered in reverse, every entry lands where the order puts it.
+	for i, j := 0, len(all)-1; i < j; i, j = i+1, j-1 {
+		all[i], all[j] = all[j], all[i]
+	}
+	pts := v.Gather(all)
+	if len(pts) != len(all)*dim {
+		return false
+	}
+	for k, i := range all {
+		for d := 0; d < dim; d++ {
+			if math.Float64bits(pts[k*dim+d]) != math.Float64bits(n.Entries[i].Rect.Lo[d]) {
 				return false
 			}
 		}
@@ -45,7 +90,13 @@ func sameNode(a, b *Node, dim int) bool {
 // page names, and the reuse rule of a decode slot: whatever the slot held
 // before (a valid node of prev entries, fewer or more than the page under
 // test holds), decoding the page gives exactly what a fresh slot gives,
-// and a rejected page leaves none of the previous node visible.
+// and a rejected page leaves none of the previous node visible. A read
+// through the view (LoadView's path) meets every page too: it fails
+// exactly when the decode fails, with the same error, and otherwise
+// yields a leaf's points (of a rectangle leaf, the low corners) and
+// record ids bit for bit as the decode does, or the decode's own node for
+// an internal one; so a corrupt leaf never reaches a view, and a rejected
+// page leaves no view behind.
 func FuzzDecodeNode(f *testing.F) {
 	// Seed with valid encoded nodes of both leaf kinds.
 	dim := 3
@@ -68,6 +119,12 @@ func FuzzDecodeNode(f *testing.F) {
 	full := make([]byte, 512)
 	encodeNode(points, kindPointLeaf, dim, full)
 	f.Add(full, dim, 2) // a full point leaf: more entries than a rectangle node holds
+	tornPoints := append([]byte(nil), full...)
+	tornPoints[len(tornPoints)/2] ^= 0x08
+	f.Add(tornPoints, dim, 3) // a point leaf failing its checksum: the view must refuse it
+	longPoints := append([]byte(nil), full...)
+	longPoints[2]++
+	f.Add(longPoints, dim, 1) // a point leaf counting one entry more than the page holds
 	for _, kind := range []byte{0, 1, 3, 255} {
 		relabelled := append([]byte(nil), full...)
 		relabelled[0] = kind // too many rectangles for the page, or no kind at all
@@ -98,6 +155,26 @@ func FuzzDecodeNode(f *testing.F) {
 		if err != nil || len(held.Entries) != prev {
 			t.Fatalf("valid %d-entry node did not decode: %v", prev, err)
 		}
+		vnode, view, verr := viewPage(slot, page)
+		if (verr == nil) != (freshErr == nil) || (verr != nil && verr.Error() != freshErr.Error()) {
+			t.Fatalf("view: error %v, decode: %v", verr, freshErr)
+		}
+		switch {
+		case verr != nil:
+			if vnode != nil || view != nil || slot.leaf.Len() != 0 || slot.leaf.page != nil || len(slot.node.Entries) != 0 {
+				t.Fatal("a rejected page left a view or a node in the slot")
+			}
+		case page[0] != kindInternal:
+			if vnode != nil || view == nil || !sameView(view, fresh, d) {
+				t.Fatalf("view of a %d-entry leaf of kind %d differs from its decode", len(fresh.Entries), page[0])
+			}
+		case view != nil || vnode == nil || !sameNode(vnode, fresh, d):
+			t.Fatalf("page of kind %d: the view path did not decode it as decode does", page[0])
+		}
+		held, err = decodePage(slot, first)
+		if err != nil || len(held.Entries) != prev {
+			t.Fatalf("valid %d-entry node did not decode after the view: %v", prev, err)
+		}
 		node, err := decodePage(slot, page)
 		if (err == nil) != (freshErr == nil) || (err != nil && err.Error() != freshErr.Error()) {
 			t.Fatalf("reused slot: error %v, fresh slot: %v", err, freshErr)
@@ -109,7 +186,7 @@ func FuzzDecodeNode(f *testing.F) {
 			if !errors.Is(err, ErrCorruptNode) && !strings.Contains(err.Error(), "fails its checksum") {
 				t.Fatalf("unexpected decode error: %v", err)
 			}
-			if node != nil || len(held.Entries) != 0 || held.FlatLo() != nil {
+			if node != nil || len(held.Entries) != 0 {
 				t.Fatalf("rejected page left %d entries of the previous node visible", len(held.Entries))
 			}
 			return

@@ -10,6 +10,10 @@
 // is the substrate of the ST-index and MT-index algorithms, which drive
 // their own traversals via Root, AcquireSlots, LoadInto, and Node; plain
 // range, nearest-neighbor, and spatial self-join searches are provided here.
+// A read traversal that only scans leaf points loads with LoadView: a leaf
+// comes back as a PointLeaf, a checksummed read-only view of its page that
+// reads a point or a record id where it lies, so a scan decodes only what
+// it keeps.
 package rtree
 
 import (
@@ -41,36 +45,74 @@ type Node struct {
 	Leaf    bool
 	Entries []Entry
 
-	// flatLo is the leaf-major layout of decoded nodes: every entry's
-	// Rect.Lo is a subslice of this one contiguous block
-	// (flatLo[i*dim : (i+1)*dim] is entry i's low corner). For the point
-	// entries of a feature index the low corner IS the feature vector,
-	// so a scan over the node's candidates walks one flat []float64
-	// instead of chasing per-entry slice headers. Nil for nodes built in
-	// memory (insert/split paths), non-nil after a decode.
-	flatLo []float64
 	// kind is the page's kind byte, set by decode.
 	kind byte
 }
 
-// FlatLo returns the node's contiguous low-corner block (leaf-major
-// layout), or nil when the node was not produced by decoding a page.
-// Entry i's low corner is FlatLo()[i*dim : (i+1)*dim].
-func (n *Node) FlatLo() []float64 { return n.flatLo }
-
 // Scratch is a reusable decode slot: the page buffer a node is read
 // into and every piece of memory its decoded form lives in, sized once
 // for a tree's page size and dimensionality. Tree.LoadInto decodes into
-// a slot without allocating; the *Node it returns — its Entries, their
-// rectangles, FlatLo — is valid until the slot's next load, so whatever
-// must outlive that is copied out first. A slot serves one traversal at
-// a time and only the tree it was made for.
+// a slot without allocating; the *Node it returns — its Entries and
+// their rectangles — and the *PointLeaf Tree.LoadView returns are valid
+// until the slot's next load, so whatever must outlive that is copied
+// out first. A slot serves one traversal at a time and only the tree it
+// was made for.
 type Scratch struct {
 	dim     int
 	page    []byte
 	lo, hi  []float64 // leaf-major corner slabs
 	entries []Entry
 	node    Node
+	leaf    PointLeaf
+}
+
+// PointLeaf is a read-only view of a leaf in its slot's page buffer,
+// made after the page passed the header and checksum checks a decode
+// makes (checkPage). It reads every entry as a point: a point leaf's
+// entry is one, and of a rectangle leaf's entry, whose rectangle is a
+// point in a feature index, it reads the low corner, which starts the
+// entry as a point does. Entry i's point and record id are read off the
+// page where they lie, so a scan that keeps few entries of a leaf
+// decodes no more than those. It is valid until the slot's next load.
+type PointLeaf struct {
+	page       []byte // header and entries, the checksummed region
+	dim, count int
+	stride     int       // bytes per entry
+	block      []float64 // the slot's low-corner slab, which a view leaves unused
+}
+
+// Len returns the number of entries.
+func (v *PointLeaf) Len() int { return v.count }
+
+// Coord returns coordinate d of entry i's point.
+func (v *PointLeaf) Coord(i, d int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(v.page[nodeHeaderSize+i*v.stride+8*d:]))
+}
+
+// Point returns entry i's point, decoded into the slot. It is valid until
+// the next Point or Gather on v, or the slot's next load.
+func (v *PointLeaf) Point(i int) []float64 {
+	p := v.block[:v.dim]
+	getFloats(p, v.page, nodeHeaderSize+i*v.stride)
+	return p
+}
+
+// Gather returns the points of the entries at positions idx, distinct,
+// decoded one after another in the order of idx into one block of the
+// slot. It is valid until the next Point or Gather on v, or the slot's
+// next load.
+func (v *PointLeaf) Gather(idx []int32) []float64 {
+	dim := v.dim
+	pts := v.block[:len(idx)*dim]
+	for k, i := range idx {
+		getFloats(pts[k*dim:(k+1)*dim], v.page, nodeHeaderSize+int(i)*v.stride)
+	}
+	return pts
+}
+
+// Rec returns entry i's record id.
+func (v *PointLeaf) Rec(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(v.page[nodeHeaderSize+(i+1)*v.stride-8:]))
 }
 
 // newScratch sizes a slot for one entry more than a page holds, the one
@@ -102,7 +144,6 @@ func (s *Scratch) push(e Entry) {
 	}
 	e.Rect = geom.Rect{Lo: lo, Hi: hi}
 	n.Entries = append(n.Entries, e)
-	n.flatLo = s.lo[:(j+1)*dim]
 }
 
 // mbr returns the minimum bounding rectangle of all entries of the node.
@@ -204,36 +245,67 @@ func getFloats(p geom.Point, buf []byte, off int) int {
 	return off
 }
 
-// decode deserializes the slot's page buffer into the slot's node,
-// verifying the page checksum. On error the slot holds an empty node:
-// nothing of the node decoded before stays visible.
-func (s *Scratch) decode(id storage.PageID) (*Node, error) {
-	buf, dim := s.page, s.dim
-	s.node = Node{}
-	kind := buf[0]
+// checkPage makes the checks every read of a node page passes before
+// anything of it is used, a decode and a view alike: a known kind, an
+// entry count the page holds, and the checksum of the used region. It
+// returns the kind and the count.
+func checkPage(buf []byte, id storage.PageID, dim int) (kind byte, count int, err error) {
+	kind = buf[0]
 	if kind > kindPointLeaf {
-		return nil, fmt.Errorf("%w %d: unknown kind %d", ErrCorruptNode, id, kind)
+		return 0, 0, fmt.Errorf("%w %d: unknown kind %d", ErrCorruptNode, id, kind)
 	}
-	count := int(binary.LittleEndian.Uint16(buf[2:]))
+	count = int(binary.LittleEndian.Uint16(buf[2:]))
 	used := nodeHeaderSize + count*entrySize(kind, dim)
 	if used > len(buf) {
-		return nil, fmt.Errorf("%w %d: count %d exceeds page", ErrCorruptNode, id, count)
+		return 0, 0, fmt.Errorf("%w %d: count %d exceeds page", ErrCorruptNode, id, count)
 	}
 	stored := binary.LittleEndian.Uint32(buf[4:])
 	binary.LittleEndian.PutUint32(buf[4:], 0)
 	sum := crc32.ChecksumIEEE(buf[:used])
 	binary.LittleEndian.PutUint32(buf[4:], stored)
 	if sum != stored {
-		return nil, fmt.Errorf("rtree: node %d fails its checksum", id)
+		return 0, 0, fmt.Errorf("rtree: node %d fails its checksum", id)
+	}
+	return kind, count, nil
+}
+
+// view checks the slot's page buffer (checkPage) and, for a leaf of
+// either kind, returns a view of it instead of decoding it; an internal
+// node is decoded into the slot's node. Exactly one of the two results
+// is non-nil without an error. On error the slot holds an empty node and
+// an empty view.
+func (s *Scratch) view(id storage.PageID) (*Node, *PointLeaf, error) {
+	s.leaf = PointLeaf{}
+	if s.page[0] == kindInternal {
+		n, err := s.decode(id)
+		return n, nil, err
+	}
+	s.node = Node{}
+	kind, count, err := checkPage(s.page, id, s.dim)
+	if err != nil {
+		return nil, nil, err
+	}
+	stride := entrySize(kind, s.dim)
+	s.leaf = PointLeaf{page: s.page[:nodeHeaderSize+count*stride], dim: s.dim, count: count, stride: stride, block: s.lo}
+	return nil, &s.leaf, nil
+}
+
+// decode deserializes the slot's page buffer into the slot's node,
+// verifying the page checksum. On error the slot holds an empty node:
+// nothing of the node decoded before stays visible.
+func (s *Scratch) decode(id storage.PageID) (*Node, error) {
+	buf, dim := s.page, s.dim
+	s.node = Node{}
+	kind, count, err := checkPage(buf, id, dim)
+	if err != nil {
+		return nil, err
 	}
 	n := &s.node
 	n.ID, n.Leaf, n.kind = id, kind != kindInternal, kind
 	n.Entries = s.entries[:count]
-	// Leaf-major layout: all low corners share one contiguous slab
-	// (likewise the highs), so a scan over the entries' feature vectors
-	// is a linear walk of one block. A point's high corner is its low
-	// one: nothing writes a leaf entry's Hi, so it aliases the low slab.
-	n.flatLo = s.lo[:count*dim]
+	// All low corners share one slab (likewise the highs). A point's
+	// high corner is its low one: nothing writes a leaf entry's Hi, so it
+	// aliases the low slab.
 	off := nodeHeaderSize
 	for j := 0; j < count; j++ {
 		lo := geom.Point(s.lo[j*dim : (j+1)*dim : (j+1)*dim])

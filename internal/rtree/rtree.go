@@ -159,8 +159,8 @@ func (t *Tree) Capacity(leaf bool) (int, int) {
 // Load reads and decodes one node. Each call costs one page access, which
 // is how the experiments count disk accesses. The node is the caller's to
 // keep and modify: Delete, which holds a root-to-leaf path of nodes while
-// condensing it, and the checks go through Load. Read traversals and
-// insertions use LoadInto.
+// condensing it, and the checks go through Load. Read traversals use
+// LoadInto or LoadView, insertions LoadInto.
 func (t *Tree) Load(id storage.PageID) (*Node, error) {
 	return t.LoadInto(nil, id, newScratch(t.mgr.PageSize(), t.dim))
 }
@@ -170,15 +170,36 @@ func (t *Tree) Load(id storage.PageID) (*Node, error) {
 // as Load and verifies the same checksum. The returned node is valid
 // until the next LoadInto on s; copy what must outlive it.
 func (t *Tree) LoadInto(ctx context.Context, id storage.PageID, s *Scratch) (*Node, error) {
+	if err := t.read(ctx, id, s); err != nil {
+		return nil, err
+	}
+	return s.decode(id)
+}
+
+// LoadView reads one node into the slot s like LoadInto, with the same
+// page access and the same checks, but a leaf is not decoded: it comes
+// back as a view of the slot's page (node nil). An internal node is
+// decoded (leaf nil). Either is valid until the next load into s. The
+// range filter and the NN search read their leaves this way.
+func (t *Tree) LoadView(ctx context.Context, id storage.PageID, s *Scratch) (node *Node, leaf *PointLeaf, err error) {
+	if err := t.read(ctx, id, s); err != nil {
+		return nil, nil, err
+	}
+	return s.view(id)
+}
+
+// read reads page id into the slot's page buffer, emptying the slot on
+// error.
+func (t *Tree) read(ctx context.Context, id storage.PageID, s *Scratch) error {
 	if s.dim != t.dim || len(s.page) != t.mgr.PageSize() {
 		panic(fmt.Sprintf("rtree: decode slot for %d-byte pages of dimension %d used on a tree with %d-byte pages of dimension %d",
 			len(s.page), s.dim, t.mgr.PageSize(), t.dim))
 	}
 	if err := t.mgr.ReadCtx(ctx, id, s.page); err != nil {
-		s.node = Node{}
-		return nil, err
+		s.node, s.leaf = Node{}, PointLeaf{}
+		return err
 	}
-	return s.decode(id)
+	return nil
 }
 
 // Slots is the set of decode slots of one read traversal, indexed by the

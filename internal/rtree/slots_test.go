@@ -26,7 +26,7 @@ func filledTree(t testing.TB, seed int64, n, dim, pageSize int) (*Tree, []geom.P
 
 // TestLoadIntoWarmSlotAllocatesNothing pins the point of the decode
 // slot: once a slot exists, a node access is a page read, a checksum and
-// a decode, and no allocation.
+// a decode (or, for a leaf through LoadView, a view), and no allocation.
 func TestLoadIntoWarmSlotAllocatesNothing(t *testing.T) {
 	tr, _ := filledTree(t, 1, 600, 6, 1024)
 	var ids []storage.PageID
@@ -55,6 +55,16 @@ func TestLoadIntoWarmSlotAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%d node loads into a warm slot allocated %.0f times, want 0", len(ids), allocs)
 	}
+	allocs = testing.AllocsPerRun(10, func() {
+		for _, id := range ids {
+			if _, _, err := tr.LoadView(nil, id, slot); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d views and loads into a warm slot allocated %.0f times, want 0", len(ids), allocs)
+	}
 	if entries == 0 {
 		t.Error("loads decoded no entries")
 	}
@@ -62,33 +72,57 @@ func TestLoadIntoWarmSlotAllocatesNothing(t *testing.T) {
 
 // TestLoadIntoMatchesLoad checks that a node read into a reused slot is
 // the node Load returns, for every node of a tree, whatever the slot
-// held before.
+// held before, and that LoadView gives the same node for an internal
+// one and a view of the same points and record ids for a leaf, in a
+// slot that held a view or a node before. A tree of rectangle leaves,
+// as files written before point leaves have, is read the same way: its
+// view gives the low corners.
 func TestLoadIntoMatchesLoad(t *testing.T) {
-	tr, _ := filledTree(t, 2, 400, 3, 512)
-	slots := tr.AcquireSlots()
-	defer slots.Release()
-	nodes := 0
-	err := tr.Visit(func(n *Node, _ int) error {
-		nodes++
-		owned, err := tr.Load(n.ID)
+	for _, kind := range []byte{kindPointLeaf, kindRectLeaf} {
+		tr, err := create(storage.NewManager(storage.Options{PageSize: 512}), meta{leafKind: kind, dim: 3})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		// Slot 0 of a second set: the walk's own slots are not disturbed.
-		reused, err := tr.LoadInto(nil, n.ID, slots.At(0))
+		for i, p := range randPoints(rand.New(rand.NewSource(2)), 400, 3) {
+			if err := tr.InsertPoint(p, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slots := tr.AcquireSlots()
+		nodes, views := 0, 0
+		err = tr.Visit(func(n *Node, _ int) error {
+			nodes++
+			owned, err := tr.Load(n.ID)
+			if err != nil {
+				return err
+			}
+			// Slot 0 of a second set: the walk's own slots are not disturbed.
+			reused, err := tr.LoadInto(nil, n.ID, slots.At(0))
+			if err != nil {
+				return err
+			}
+			if !sameNode(owned, reused, tr.Dim()) || !sameNode(owned, n, tr.Dim()) {
+				t.Errorf("kind %d, node %d: Load, LoadInto and Visit disagree", kind, n.ID)
+			}
+			node, view, err := tr.LoadView(nil, n.ID, slots.At(1))
+			if err != nil {
+				return err
+			}
+			if view != nil {
+				views++
+			}
+			if n.Leaf && (node != nil || !sameView(view, owned, tr.Dim())) || !n.Leaf && (view != nil || !sameNode(owned, node, tr.Dim())) {
+				t.Errorf("kind %d, node %d: LoadView and Load disagree", kind, n.ID)
+			}
+			return nil
+		})
+		slots.Release()
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if !sameNode(owned, reused, tr.Dim()) || !sameNode(owned, n, tr.Dim()) {
-			t.Errorf("node %d: Load, LoadInto and Visit disagree", n.ID)
+		if nodes < 20 || views == 0 || views == nodes {
+			t.Fatalf("kind %d: %d nodes of which %d leaves; the test is vacuous", kind, nodes, views)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nodes < 20 {
-		t.Fatalf("only %d nodes; the test is vacuous", nodes)
 	}
 }
 

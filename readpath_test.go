@@ -237,3 +237,100 @@ func TestOpensFileWrittenBeforeChecksumFold(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileInputsOnViewPath pins what the range filter and the NN
+// search answer where they read point leaves in place, for inputs at the
+// edge of the domain: constant series (std 0, whose normal form is all
+// zeros) stored and used as the query, eps = 0, which admits only an
+// exact duplicate's normal form, NN with k = 0 and k above the number of
+// series, and shards left empty (one series over three). At one and two
+// shards, in memory and from a file, the index must answer exactly as
+// the sequential scan.
+func TestHostileInputsOnViewPath(t *testing.T) {
+	const n = 64
+	flat := func(level float64) Series {
+		s := make(Series, n)
+		for i := range s {
+			s[i] = level
+		}
+		return s
+	}
+	walks := datagen.RandomWalks(43, 250, n)
+	ss := append(walks, flat(3), flat(-7), walks[17].Clone())
+	const flatA, flatB, twin = 250, 251, 252
+	cases := []struct {
+		name   string
+		ss     []Series
+		shards []int
+		ids    []int64
+	}{
+		{"walks and constants", ss, []int{1, 2}, []int64{flatA, flatB, 17, twin, 100}},
+		{"empty shards", ss[:1], []int{3}, []int64{0}},
+	}
+	sets := [][]Transform{MovingAverages(n, 5, 12), {Identity(n)}}
+	thresholds := []Threshold{Distance(0), Correlation(0.9), Distance(3)}
+	for _, c := range cases {
+		for _, shards := range c.shards {
+			for _, onFile := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s shards=%d file=%v", c.name, shards, onFile), func(t *testing.T) {
+					t.Parallel()
+					opts := Options{Shards: shards}
+					var db *DB
+					var err error
+					if onFile {
+						db, err = CreateFile(filepath.Join(t.TempDir(), "hostile.tsq"), c.ss, nil, opts)
+					} else {
+						db, err = Open(c.ss, nil, opts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer db.Close()
+					matched, exact := 0, 0
+					for _, id := range c.ids {
+						for si, ts := range sets {
+							for ti, thr := range thresholds {
+								want, _, err := db.RangeByID(id, ts, thr, QueryOptions{Algorithm: SeqScan})
+								if err != nil {
+									t.Fatal(err)
+								}
+								got, _, err := db.RangeByID(id, ts, thr, QueryOptions{})
+								if err != nil {
+									t.Fatal(err)
+								}
+								SortMatches(want)
+								SortMatches(got)
+								if !reflect.DeepEqual(got, want) {
+									t.Errorf("range by %d, set %d, %v: index %d matches, scan %d", id, si, thr, len(got), len(want))
+								}
+								matched += len(got)
+								if ti == 0 {
+									exact += len(got)
+								}
+							}
+							for _, k := range []int{0, 5, len(c.ss) + 10} {
+								want, _, err := db.NearestNeighbors(db.Get(id), ts, k, QueryOptions{Algorithm: SeqScan})
+								if err != nil {
+									t.Fatal(err)
+								}
+								got, _, err := db.NearestNeighbors(db.Get(id), ts, k, QueryOptions{})
+								if err != nil {
+									t.Fatal(err)
+								}
+								if (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+									t.Errorf("%d-NN of %d, set %d: index %v, scan %v", k, id, si, got, want)
+								}
+								if k == 0 && len(got) != 0 || k > len(c.ss) && len(got) != len(c.ss) {
+									t.Errorf("%d-NN of %d over %d series: %d answers", k, id, len(c.ss), len(got))
+								}
+							}
+						}
+					}
+					if matched == 0 || len(c.ss) > 1 && exact == 0 {
+						t.Errorf("%d range matches, %d at eps 0: the test is vacuous", matched, exact)
+					}
+				})
+			}
+		}
+	}
+}

@@ -34,7 +34,9 @@ type symmetrySet struct {
 // query point moved by TimeShiftApprox, which is not a real spectrum; and
 // a magnitude offset that moves coefficient 1 of zeroCrossingPair's two
 // series to +0.595 at phase 0 and -0.595 at phase π, one point, while
-// their signed magnitudes lie 1.19 apart.
+// their signed magnitudes lie 1.19 apart. One set is one-sided: time
+// shifts composed until their phase offsets pass 4π, and an identity
+// that adds 6π to every phase.
 func symmetrySets(n int) []symmetrySet {
 	half := Transform{Name: "half", A: make([]float64, 2*n), B: make([]float64, 2*n)}
 	for f := 0; f < n; f++ {
@@ -58,6 +60,19 @@ func symmetrySets(n int) []symmetrySet {
 		crossA[i] = 1
 	}
 	crossB[2], crossB[2*(n-1)] = -0.992, -0.992
+	// Five and six shifts by n/2-2 composed: Compose adds their phase
+	// offsets unreduced, about -14.7 and -17.7 on coefficient 1, and an
+	// identity whose phase offsets are 6π.
+	step := TimeShift(n, n/2-2)
+	shifts := []Transform{step}
+	for len(shifts) < 6 {
+		shifts = append(shifts, Compose(step, shifts[len(shifts)-1]))
+	}
+	wrapped := Identity(n)
+	for f := 0; f < n; f++ {
+		wrapped.B[2*f+1] = 6 * math.Pi
+	}
+	wrapped = transform.New("identity+6π", wrapped.A, wrapped.B)
 	near := []float64{3, 4}
 	return []symmetrySet{
 		{"half-spectrum literal", []Transform{half}, QueryOptions{}, near, 2.5},
@@ -71,6 +86,10 @@ func symmetrySets(n int) []symmetrySet {
 		// A shifted query is far from everything smoothed: nothing is
 		// within 4 of it.
 		{"shifted query", mvs, QueryOptions{QueryTransform: &shift}, []float64{6, 8}, 2.5},
+		// One-sided, the unwrapped data phases lie several turns away
+		// from the query's: a fixed window of wraps lost every match of
+		// the identity and most of the shifts'.
+		{"composed shifts, one-sided", []Transform{shifts[4], shifts[5], wrapped}, QueryOptions{OneSided: true}, near, 2.5},
 		// The join's gap test saw 1.19 where the pair is 0.3042 apart.
 		{"zero-crossing magnitude", []Transform{transform.New("cross", crossA, crossB)}, QueryOptions{}, near, 0.5},
 	}
