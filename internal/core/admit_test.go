@@ -71,7 +71,7 @@ func TestPointIntervalsAreExact(t *testing.T) {
 	for _, c := range intervalStages(n) {
 		for _, qid := range []int{3, 117, 250} {
 			q := ds.Records[qid]
-			s := ix.newStage(new(scratch), q, c.ts, c.eps, RangeOptions{Mode: QRectSafe, OneSided: c.oneSided})
+			s := stageOf(ix, q, c.ts, c.eps, RangeOptions{Mode: QRectSafe, OneSided: c.oneSided})
 			// A leaf entry meets every dimension once, the intervals
 			// first, but those whose interval is the whole line.
 			met := make([]bool, len(s.dims))

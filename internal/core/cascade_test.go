@@ -21,11 +21,13 @@ func cascadeFixtureTransforms(n int) []transform.Transform {
 }
 
 // newLBCascade builds a cascade of its own for one transformation group
-// under its symmetry factor sym (Index.symmetry), as a probe arms the one
+// under the symmetry factor sym (Index.symmetry), as a probe arms the one
 // in its scratch.
 func (ix *Index) newLBCascade(sub []transform.Transform, q *Record, eps float64, oneSided bool, sym float64) *lbCascade {
+	g := groupOf(ix, sub, nil, RangeOptions{OneSided: oneSided})
+	g.sym = sym
 	c := new(lbCascade)
-	c.init(ix.opts.K, sub, q, eps, oneSided, sym)
+	c.init(ix.opts.K, g, q, eps)
 	return c
 }
 

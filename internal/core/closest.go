@@ -88,22 +88,20 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 		return nil, st, nil
 	}
 	ix0 := s.shards[0]
-	opts := ix0.Options()
-	mult, add := ix0.fullMBRs(ts, nil)
-	symFactor := math.Sqrt(ix0.symmetry(ts, false))
+	sc := ix0.acquireScratch()
+	defer ix0.releaseScratch(sc)
+	grp, _ := newGroup(ix0, ts, nil, false, false, sc) // nil indices: no error
+	symFactor := math.Sqrt(grp.sym)
 	// A magnitude gap bounds a distance only where no map changes a
-	// magnitude's sign (intervalSafe, as for the join's gap test).
-	var bounded []int
-	for j := 1; j <= opts.K; j++ {
-		if intervalSafe(ts, j, false) {
-			bounded = append(bounded, j)
-		}
-	}
+	// magnitude's sign: where the group's box may constrain, as for the
+	// join's gap test.
 	lowerBound := func(ya, yb geom.Rect) float64 {
 		var ss float64
-		for _, j := range bounded {
-			gap := intervalGap(ya.Lo[2*j], ya.Hi[2*j], yb.Lo[2*j], yb.Hi[2*j])
-			ss += gap * gap
+		for j := 1; j <= ix0.opts.K; j++ {
+			if grp.boxes(j) {
+				gap := intervalGap(ya.Lo[2*j], ya.Hi[2*j], yb.Lo[2*j], yb.Hi[2*j])
+				ss += gap * gap
+			}
 		}
 		return symFactor * math.Sqrt(ss)
 	}
@@ -118,8 +116,6 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 			h.Push(0, shardPairItem{sa: sa, sb: sb, a: s.shards[sa].tree.Root(), b: s.shards[sb].tree.Root()})
 		}
 	}
-	sc := ix0.acquireScratch()
-	defer ix0.releaseScratch(sc)
 	pair := &sc.pair
 	pair.Init(ts, false)
 	type cacheKey struct {
@@ -152,7 +148,7 @@ func (s *Sharded) MTIndexClosestPairs(ts []transform.Transform, k int) ([]JoinMa
 		}
 		nc := &nodeCache{leaf: n.Leaf, rects: make([]geom.Rect, len(n.Entries)), children: make([]storage.PageID, len(n.Entries)), recs: make([]int64, len(n.Entries))}
 		for i, e := range n.Entries {
-			nc.rects[i] = transform.ApplyMBRs(mult, add, e.Rect)
+			nc.rects[i] = transform.ApplyMBRs(grp.mult, grp.add, e.Rect)
 			nc.children[i] = e.Child
 			if n.Leaf {
 				nc.recs[i] = s.globalID(sh, e.Rec)

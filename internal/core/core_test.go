@@ -411,7 +411,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 			for i, idx := range g {
 				sub[i] = ts[idx]
 			}
-			stg := ix.newStage(new(scratch), q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
+			stg := stageOf(ix, q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
 			var probe QueryStats
 			if _, err := ix.filter(nil, new(scratch), &stg, &probe, nil); err != nil {
 				t.Fatal(err)
@@ -791,6 +791,68 @@ func TestPlannerPricesWhatTheExecutorRuns(t *testing.T) {
 			t.Errorf("%+v: %d of %d admitted entries fetched; the bound prices nothing here", opts, fetched, admitted)
 		}
 	}
+
+	// A pure scale set is ordered (Lemma 2), but only a two-sided query
+	// with UseOrdering searches it: the scan and every MT packing are
+	// priced with the comparisons the executor makes, |T| per record
+	// unless it orders and ⌈log2 |T|⌉ if it does. The planner used to
+	// price the ordered search whenever the set was orderable.
+	ds, ix = buildFixture(t, 73, 500, 64, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: true})
+	factors := make([]float64, 16)
+	for i := range factors {
+		factors[i] = 0.5 + 9.5*float64(i)/15
+	}
+	scales := transform.ScaleSet(64, factors)
+	nS := float64(ix.Len())
+	for _, opts := range []RangeOptions{
+		{Mode: QRectSafe},
+		{Mode: QRectSafe, UseOrdering: true},
+		{Mode: QRectSafe, OneSided: true},
+		{Mode: QRectSafe, OneSided: true, UseOrdering: true},
+	} {
+		ordered := opts.UseOrdering && !opts.OneSided
+		q := ds.Records[11]
+		plan, err := ix.PlanRange(nil, q, scales, 2, opts, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, scan, err := SeqScanRange(nil, ix, q, scales, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ordered != (scan.Comparisons < scan.Candidates*len(scales)) {
+			t.Fatalf("%+v: the scan made %d comparisons over %d records", opts, scan.Comparisons, scan.Candidates)
+		}
+		for _, alt := range plan.Considered {
+			want := 0.0
+			switch alt.Kind {
+			case PlanSeqScan:
+				want = params.CDA*nS + params.Ccmp*float64(scan.Comparisons)
+				if ordered {
+					want = params.CDA*nS + params.Ccmp*nS*log2ceil(len(scales))
+				}
+			case PlanMTIndex:
+				for _, g := range alt.Groups {
+					run := opts
+					run.Groups = [][]int{g}
+					_, gst, err := ix.MTIndexRange(nil, q, scales, 2, run)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cmps := float64(gst.Comparisons)
+					if ordered {
+						cmps = float64(gst.Candidates) * log2ceil(len(g))
+					}
+					want += params.CDA*float64(gst.DAAll+gst.Candidates) + params.Ccmp*cmps
+				}
+			default:
+				continue
+			}
+			if math.Abs(alt.Cost-want) > 1e-6*want {
+				t.Errorf("%+v, %s: cost %.1f, the executed comparisons give %.1f", opts, alt.Description, alt.Cost, want)
+			}
+		}
+	}
 }
 
 func TestRawRangeEqualsSeqScan(t *testing.T) {
@@ -1027,7 +1089,7 @@ func TestAnalyticalEstimatorIsPositionBlind(t *testing.T) {
 	eps := 1.2
 
 	stageOf := func(q *Record) stage {
-		return ix.newStage(new(scratch), q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
+		return stageOf(ix, q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
 	}
 	estimate := func(q *Record) float64 {
 		est, err := ix.AnalyticalAccessEstimate(stageOf(q).qrect)
@@ -1061,8 +1123,8 @@ func TestAnalyticalEstimatorSanity(t *testing.T) {
 	ds, ix := buildFixture(t, 98, 600, 64, IndexOptions{K: 2, PageSize: 1024, UseSymmetry: true})
 	q := ds.Records[0]
 	ts := transform.MovingAverageSet(64, 10, 10)
-	small := ix.newStage(new(scratch), q, ts, 0.5, RangeOptions{Mode: QRectSafe}).qrect
-	large := ix.newStage(new(scratch), q, ts, 8, RangeOptions{Mode: QRectSafe}).qrect
+	small := stageOf(ix, q, ts, 0.5, RangeOptions{Mode: QRectSafe}).qrect
+	large := stageOf(ix, q, ts, 8, RangeOptions{Mode: QRectSafe}).qrect
 	eSmall, err := ix.AnalyticalAccessEstimate(small)
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ type stageDecisions struct {
 // A caller who wants a broken one gets two cascades, so that it can break
 // either (mutate, mutateNode) and leave the other sound.
 func mutatedStage(ix *Index, sub []transform.Transform, q *Record, eps float64, opts RangeOptions, mutate, mutateNode func(*lbCascade)) stage {
-	s := ix.newStage(new(scratch), q, sub, eps, opts)
+	s := stageOf(ix, q, sub, eps, opts)
 	if s.node == nil || (mutate == nil && mutateNode == nil) {
 		return s
 	}
@@ -281,7 +281,7 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 			for i, idx := range g {
 				sub[i] = ts[idx]
 			}
-			refStage := ix.newStage(new(scratch), sq, sub, eps, opts)
+			refStage := stageOf(ix, sq, sub, eps, opts)
 			ref := twoPassStage(t, ix, &refStage)
 			stg := mutatedStage(ix, sub, sq, eps, opts, mutate, mutateNode)
 			got := fusedStage(t, ix, &stg)
@@ -296,7 +296,7 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 					want.skippedAt(tier)
 				}
 			}
-			matches, vst, _, err := ix.verifySerial(nil, new(scratch), ref.Survivors, sub, g, sq, eps, nil, opts)
+			matches, vst, _, err := ix.verifySerial(nil, new(scratch), ref.Survivors, groupOf(ix, ts, g, opts), sq, eps, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,20 +109,15 @@ func (ix *Index) groupHealth(ts []transform.Transform, groups [][]int) ([]GroupH
 	if len(ts) > 0 && groups == nil {
 		groups = [][]int{identityIndexes(len(ts))}
 	}
+	sc := ix.acquireScratch()
+	defer ix.releaseScratch(sc)
 	var out []GroupHealth
 	for gi, g := range groups {
-		gh := GroupHealth{Group: gi, Size: len(g)}
-		sub := make([]transform.Transform, 0, len(g))
-		for _, idx := range g {
-			if idx < 0 || idx >= len(ts) {
-				return nil, fmt.Errorf("core: group %d index %d out of range", gi, idx)
-			}
-			sub = append(sub, ts[idx])
+		grp, err := newGroup(ix, ts, g, false, false, sc)
+		if err != nil {
+			return nil, fmt.Errorf("group %d: %w", gi, err)
 		}
-		mult, add := ix.fullMBRs(sub, nil)
-		gh.MultVolume = dftVolume(mult)
-		gh.AddVolume = dftVolume(add)
-		out = append(out, gh)
+		out = append(out, GroupHealth{Group: gi, Size: len(g), MultVolume: dftVolume(grp.mult), AddVolume: dftVolume(grp.add)})
 	}
 	return out, nil
 }

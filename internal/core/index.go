@@ -12,7 +12,6 @@ import (
 	"tsq/internal/rtree"
 	"tsq/internal/series"
 	"tsq/internal/storage"
-	"tsq/internal/transform"
 	"tsq/internal/wal"
 )
 
@@ -50,7 +49,7 @@ type IndexOptions struct {
 	// proven: the mirror coefficient n-f duplicates the distance of
 	// coefficient f, shrinking the per-coefficient search bound by sqrt(2)
 	// and doubling the prefix bounds, for every transformation group whose
-	// members are all classified symmetric (Index.symmetry); any other
+	// members are all classified symmetric (group, newGroup); any other
 	// group is filtered without it. False never doubles. Default true
 	// (DefaultIndexOptions).
 	UseSymmetry bool
@@ -436,24 +435,6 @@ func (ix *Index) ResetDiskStats() { ix.mgr.ResetStats() }
 // DropBuffer empties the buffer pool (no-op without one).
 func (ix *Index) DropBuffer() { ix.mgr.DropBuffer() }
 
-// fullMBRs lifts the transformation MBRs of the given transforms to index
-// dimensionality: the mean and std dimensions are untouched by
-// transformations (identity), the DFT dimensions carry the mult-/add-MBR
-// of Sec. 4.1. The corners are buf's 4·dim floats, mult's then add's, or
-// new ones when buf is nil.
-func (ix *Index) fullMBRs(ts []transform.Transform, buf []float64) (mult, add geom.Rect) {
-	if buf == nil {
-		buf = make([]float64, 4*ix.dim)
-	}
-	mult, add = rectIn(buf[:2*ix.dim]), rectIn(buf[2*ix.dim:])
-	transform.MBRs(geom.Rect{Lo: mult.Lo[2:], Hi: mult.Hi[2:]}, geom.Rect{Lo: add.Lo[2:], Hi: add.Hi[2:]}, ts, ix.comps)
-	for d := 0; d < 2; d++ {
-		mult.Lo[d], mult.Hi[d] = 1, 1
-		add.Lo[d], add.Hi[d] = 0, 0
-	}
-	return mult, add
-}
-
 // rectIn returns the rectangle whose low corner is the first half of buf
 // and whose high corner is the second.
 func rectIn(buf []float64) geom.Rect {
@@ -461,50 +442,32 @@ func rectIn(buf []float64) geom.Rect {
 	return geom.Rect{Lo: buf[:dim:dim], Hi: buf[dim:]}
 }
 
-// symmetry decides the symmetry factor of a transformation group: 2 when
-// the index was built with UseSymmetry and every member of sub is
-// classified as acting alike on mirror coefficients under the predicate's
-// sidedness (transform.Transform.Symmetric), so that on spectra of real
-// series term n-f of the distance equals term f and a squared sum over
-// the indexed coefficients 1..K may be doubled (and eps shrunk by sqrt(2)
-// per coefficient, epsScale); 1 otherwise. It is the only reader of
-// UseSymmetry. A struct literal, a hand-made asymmetric vector or a set
-// TransformQuery returned in full order (its query point is no real
-// spectrum) gets 1, and so does a group mixing one with built-ins. The
-// raw, untransformed spectra of RawRange ask with no transformation.
-func (ix *Index) symmetry(sub []transform.Transform, oneSided bool) float64 {
-	if !ix.opts.UseSymmetry {
-		return 1
-	}
-	for _, t := range sub {
-		if !t.Symmetric(oneSided) {
-			return 1
-		}
-	}
-	return 2
-}
-
-// queryRect builds the search region for one transformation group: the
+// queryRect builds the search region for a two-sided group g: the
 // bounding box of the transformed query features {t(q)}, expanded per
 // dimension by the per-coefficient distance bound epsC (epsScale under
 // the group's symmetry factor) on magnitudes, and either the same
 // (QRectPaper) or the provable angular bound (QRectSafe) on phases. The
 // mean and std dimensions are unconstrained: the predicate is on normal
-// forms (Sec. 3.2), so the originals' statistics must not filter. The
+// forms (Sec. 3.2), so the originals' statistics must not filter; so is a
+// coefficient the group's box may not constrain (group.boxes). The
 // corners are buf's 2·dim floats.
-func (ix *Index) queryRect(q *Record, ts []transform.Transform, epsC float64, mode QRectMode, buf []float64) geom.Rect {
+func (ix *Index) queryRect(q *Record, g *group, epsC float64, mode QRectMode, buf []float64) geom.Rect {
 	r := rectIn(buf)
 	lo, hi := r.Lo, r.Hi
-	lo[0], hi[0] = math.Inf(-1), math.Inf(1)
-	lo[1], hi[1] = math.Inf(-1), math.Inf(1)
+	for d := range lo {
+		lo[d], hi[d] = math.Inf(-1), math.Inf(1)
+	}
 	for j := 1; j <= ix.opts.K; j++ {
+		if !g.boxes(j) {
+			continue
+		}
 		magDim, phDim := 2*j, 2*j+1
 		qm, qp := q.Mags[j], q.Phases[j]
 		// Transformed query magnitude and phase spans over the group.
 		mLo, mHi := math.Inf(1), math.Inf(-1)
 		pLo, pHi := math.Inf(1), math.Inf(-1)
 		bLo, bHi := math.Inf(1), math.Inf(-1)
-		for _, t := range ts {
+		for _, t := range g.ts {
 			mv := t.A[2*j]*qm + t.B[2*j]
 			pv := t.A[2*j+1]*qp + t.B[2*j+1]
 			mLo, mHi = math.Min(mLo, mv), math.Max(mHi, mv)
@@ -513,65 +476,49 @@ func (ix *Index) queryRect(q *Record, ts []transform.Transform, epsC float64, mo
 		}
 		lo[magDim], hi[magDim] = mLo-epsC, mHi+epsC
 
-		g := epsC // paper mode: plain box
+		pb := epsC // paper mode: plain box
 		if mode == QRectSafe {
-			g = phaseBound(epsC, mLo)
+			pb = phaseBound(epsC, mLo)
 		}
-		if mode == QRectSafe && (g >= math.Pi || qp+g > math.Pi || qp-g < -math.Pi) {
+		if mode == QRectSafe && (pb >= math.Pi || qp+pb > math.Pi || qp-pb < -math.Pi) {
 			// The acceptance interval wraps across the branch cut; admit
 			// the full phase range shifted by the group's additive span.
 			lo[phDim], hi[phDim] = bLo-math.Pi, bHi+math.Pi
 		} else {
-			lo[phDim], hi[phDim] = pLo-g, pHi+g
+			lo[phDim], hi[phDim] = pLo-pb, pHi+pb
 		}
 	}
 	return r
 }
 
-// intervalSafe reports whether the query rectangle may constrain
-// coefficient j for every member of ts. Its test compares signed
-// transformed magnitudes and unwrapped transformed phases, interval with
-// interval, which bounds the distance of two complex numbers only while
-// their magnitudes cannot differ in sign: one-sided, the query's own
-// magnitude is never negative, so no map a·m + b may be negative for an
-// m >= 0; two-sided, none may change sign. Two-sided, a phase multiplier
-// above 1 in absolute value wraps a phase difference more than once,
-// which the branch-cut test does not see. Every built-in passes; a
-// hand-made map that fails leaves the coefficient unconstrained, and the
-// bound on index rectangles, which handles both, still prunes.
-func intervalSafe(ts []transform.Transform, j int, oneSided bool) bool {
-	for _, t := range ts {
-		a, b := t.A[2*j], t.B[2*j]
-		if oneSided && (a < 0 || b < 0) || !oneSided && (a*b < 0 || math.Abs(t.A[2*j+1]) > 1) {
-			return false
-		}
-	}
-	return true
-}
-
-// oneSidedQueryRect builds the search region for the one-sided semantics
+// oneSidedQueryRect builds the search region for a one-sided group g
 // (the literal Algorithm 1: find s with D(t(s), q) <= eps for some t in
 // the rectangle): a box around the query's own features — the paper's
 // "search rectangle of width eps around q" — with the per-coefficient
-// bound epsC on magnitudes and phases. It also reports which dimensions
-// are phases, because the transformed data-side phase values are
-// unwrapped and must be compared modulo 2*pi (see intersectsModular).
+// bound epsC on magnitudes and phases, and unconstrained where the
+// group's box may not constrain (group.boxes). It also reports which
+// dimensions are phases, because the transformed data-side phase values
+// are unwrapped and must be compared modulo 2*pi (see intersectsModular).
 // The corners are buf's 2·dim floats, and phaseDims, dim long, is filled.
-func (ix *Index) oneSidedQueryRect(q *Record, epsC float64, mode QRectMode, buf []float64, phaseDims []bool) geom.Rect {
+func (ix *Index) oneSidedQueryRect(q *Record, g *group, epsC float64, mode QRectMode, buf []float64, phaseDims []bool) geom.Rect {
 	qrect := rectIn(buf)
 	lo, hi := qrect.Lo, qrect.Hi
 	clear(phaseDims)
-	lo[0], hi[0] = math.Inf(-1), math.Inf(1)
-	lo[1], hi[1] = math.Inf(-1), math.Inf(1)
+	for d := range lo {
+		lo[d], hi[d] = math.Inf(-1), math.Inf(1)
+	}
 	for j := 1; j <= ix.opts.K; j++ {
+		phaseDims[2*j+1] = true
+		if !g.boxes(j) {
+			continue
+		}
 		qm, qp := q.Mags[j], q.Phases[j]
 		lo[2*j], hi[2*j] = qm-epsC, qm+epsC
-		g := epsC
+		pb := epsC
 		if mode == QRectSafe {
-			g = phaseBound(epsC, qm)
+			pb = phaseBound(epsC, qm)
 		}
-		lo[2*j+1], hi[2*j+1] = qp-g, qp+g
-		phaseDims[2*j+1] = true
+		lo[2*j+1], hi[2*j+1] = qp-pb, qp+pb
 	}
 	return qrect
 }

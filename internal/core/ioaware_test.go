@@ -248,7 +248,7 @@ func benchmarkVerifyFetch(b *testing.B, shuffled bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := ix.verifySerial(nil, sc, cands, ts, g, q, eps, nil, RangeOptions{}); err != nil {
+		if _, _, _, err := ix.verifySerial(nil, sc, cands, groupOf(ix, ts, g, RangeOptions{}), q, eps, RangeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,7 +281,7 @@ func TestBatchVerifyAllocsPerCandidate(t *testing.T) {
 	measure := func(n int) float64 {
 		cands := verifyBenchCandidates(n, true)
 		return testing.AllocsPerRun(10, func() {
-			if _, _, _, err := ix.verifySerial(nil, sc, cands, ts, g, q, eps, nil, RangeOptions{}); err != nil {
+			if _, _, _, err := ix.verifySerial(nil, sc, cands, groupOf(ix, ts, g, RangeOptions{}), q, eps, RangeOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -321,11 +321,11 @@ func TestStreamedVerifyKeepsCandidateOrder(t *testing.T) {
 	cands := verifyBenchCandidates(300, true)
 	for _, q := range []*Record{ds.Records[0], ds.Records[150]} {
 		for _, list := range [][]int64{cands, cands[:1], cands[40:41], nil} {
-			want, wantSt, wantFP, err := ix.verifySerial(nil, new(scratch), list, ts, g, q, eps, nil, RangeOptions{NaiveVerify: true})
+			want, wantSt, wantFP, err := ix.verifySerial(nil, new(scratch), list, groupOf(ix, ts, g, RangeOptions{NaiveVerify: true}), q, eps, RangeOptions{NaiveVerify: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSt, gotFP, err := ix.verifySerial(nil, new(scratch), list, ts, g, q, eps, nil, RangeOptions{})
+			got, gotSt, gotFP, err := ix.verifySerial(nil, new(scratch), list, groupOf(ix, ts, g, RangeOptions{}), q, eps, RangeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -77,23 +77,19 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 		if len(g) == 0 {
 			continue
 		}
-		sub := make([]transform.Transform, len(g))
-		for i, idx := range g {
-			if idx < 0 || idx >= len(ts) {
-				return nil, st, fmt.Errorf("core: group index %d out of range", idx)
-			}
-			sub[i] = ts[idx]
+		// The group and the gap bounds depend only on the transform set
+		// and index options, which are identical across shards.
+		grp, err := newGroup(ix0, ts, g, false, false, sc)
+		if err != nil {
+			return nil, st, err
 		}
-		// The lifted MBRs and gap bounds depend only on the transform
-		// set and index options, which are identical across shards.
-		mult, add := ix0.fullMBRs(sub, nil)
-		bounds := ix0.joinBounds(sub, eps, opts.Mode)
+		bounds := ix0.joinBounds(&grp, eps, opts.Mode)
 
 		pairs := make(map[[2]int64]bool) // global id pairs, a < b
 		for a, ixa := range s.shards {
 			for b := a; b < len(s.shards); b++ {
 				st.IndexSearches++
-				err := crossJoinWalk(ixa, s.shards[b], mult, add, bounds, &st, func(ra, rb int64) {
+				err := crossJoinWalk(ixa, s.shards[b], grp.mult, grp.add, bounds, &st, func(ra, rb int64) {
 					ga, gb := s.globalID(a, ra), s.globalID(b, rb)
 					if ga > gb {
 						ga, gb = gb, ga
@@ -110,7 +106,7 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 		}
 
 		// Verify each candidate pair, deterministically ordered.
-		pair.Init(sub, false)
+		pair.Init(grp.ts, false)
 		keys := make([][2]int64, 0, len(pairs))
 		for k := range pairs {
 			keys = append(keys, k)
@@ -135,9 +131,9 @@ func (s *Sharded) MTIndexJoin(ts []transform.Transform, eps float64, opts RangeO
 			}
 			st.Candidates++
 			pair.Set(a.Mags, a.Phases, b.Mags, b.Phases)
-			for i := range sub {
+			for i := range grp.ts {
 				if d, _ := st.evaluatePair(pair, i, eps); d <= eps {
-					out = append(out, JoinMatch{IDA: k[0], IDB: k[1], TransformIdx: g[i], Distance: d})
+					out = append(out, JoinMatch{IDA: k[0], IDB: k[1], TransformIdx: grp.index(i), Distance: d})
 				}
 			}
 		}
@@ -153,23 +149,23 @@ type joinBounds struct {
 	epsC   float64
 }
 
-// joinBounds computes per-dimension gap limits for the transformed join:
-// mean/std unconstrained; magnitudes within epsC, eps scaled by the
-// group's symmetry factor (the join is two-sided); phases within epsC
+// joinBounds computes per-dimension gap limits for the transformed join
+// under two-sided group g: mean/std unconstrained; magnitudes within
+// epsC, eps scaled by the group's symmetry factor; phases within epsC
 // (paper mode) or within the safe angular bound (resolved per node pair
 // with the magnitude information available there, so here only the mode
 // and epsC are recorded via sentinel values). The gap test compares
 // signed magnitudes and unwrapped phases as the query box does, so a
-// coefficient the box may not constrain (intervalSafe, two-sided) is left
+// coefficient the group's box may not constrain (group.boxes) is left
 // unbounded here too.
-func (ix *Index) joinBounds(ts []transform.Transform, eps float64, mode QRectMode) joinBounds {
-	epsC := epsScale(eps, ix.symmetry(ts, false))
+func (ix *Index) joinBounds(g *group, eps float64, mode QRectMode) joinBounds {
+	epsC := epsScale(eps, g.sym)
 	jb := joinBounds{perDim: make([]float64, ix.dim)}
 	jb.perDim[0], jb.perDim[1] = math.Inf(1), math.Inf(1)
 	for j := 1; j <= ix.opts.K; j++ {
 		jb.perDim[2*j] = epsC
 		switch {
-		case !intervalSafe(ts, j, false):
+		case !g.boxes(j):
 			jb.perDim[2*j], jb.perDim[2*j+1] = math.Inf(1), math.Inf(1)
 		case mode == QRectSafe:
 			// Resolved per pair of rectangles in joinGapOK; the sentinel

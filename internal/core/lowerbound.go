@@ -19,7 +19,7 @@ import (
 // record's feature vector [mean, std, |F_1|, ∠F_1, ..., |F_K|, ∠F_K]).
 // The partial sum over coefficients 1..K therefore lower-bounds D²; no
 // qualifying record can be rejected. The partial sum is multiplied by the
-// group's symmetry factor (Index.symmetry), the same one the query
+// group's symmetry factor (group.sym), the same one the query
 // rectangles are scaled by: 2 where the symmetry property (Eq. 6) is
 // proven — for real series the mirror coefficient n-f conjugates
 // coefficient f, and a transformation classified symmetric acts alike on
@@ -65,7 +65,7 @@ import (
 // per-tier counters (SkippedLB0/1/2) show where pruning pays.
 //
 // A two-sided group whose members only scale each indexed coefficient
-// (scaledGroup: B[2j] = 0 and phase multiplier ±1 for j = 1..K; moving
+// (group.scaled: B[2j] = 0 and phase multiplier ±1 for j = 1..K; moving
 // averages, scalings, time shifts, Reverse, Inverted and their
 // compositions) takes a factorized form. With a = A[2j], mu = a·m and
 // mv = a·qm, and the phase difference ±(φ - qφ) whose cosine is the same
@@ -151,10 +151,12 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// init arms c for group sub, query q and eps under the symmetry factor
-// sym, with k indexed coefficients, reusing c's slices.
-func (c *lbCascade) init(k int, sub []transform.Transform, q *Record, eps float64, oneSided bool, sym float64) {
-	c.k, c.nt, c.sym = k, len(sub), sym
+// init arms c for group g, query q and eps, with k indexed coefficients,
+// reusing c's slices: the symmetry factor and the factorized form are the
+// group's.
+func (c *lbCascade) init(k int, g *group, q *Record, eps float64) {
+	sub, oneSided := g.ts, g.oneSided
+	c.k, c.nt, c.sym = k, len(sub), g.sym
 	c.cut = transform.AbandonCutoff(eps)
 	c.term = resized(c.term, len(sub)*k)
 	c.slab = resized(c.slab, 9*k)
@@ -188,7 +190,7 @@ func (c *lbCascade) init(k int, sub []transform.Transform, q *Record, eps float6
 			c.term[ti*k+j-1] = tm
 		}
 	}
-	c.scaled = scaledGroup(sub, k, oneSided)
+	c.scaled = g.scaled
 	if !c.scaled {
 		return
 	}
@@ -222,24 +224,6 @@ func (c *lbCascade) init(k int, sub []transform.Transform, q *Record, eps float6
 			c.nw++
 		}
 	}
-}
-
-// scaledGroup reports whether every member of a two-sided group only
-// scales each indexed coefficient 1..k: no magnitude offset and a phase
-// multiplier of ±1 (a phase offset cancels two-sided). Such a group
-// takes the cascade's factorized form.
-func scaledGroup(sub []transform.Transform, k int, oneSided bool) bool {
-	if oneSided {
-		return false
-	}
-	for _, t := range sub {
-		for j := 1; j <= k; j++ {
-			if t.B[2*j] != 0 || math.Abs(t.A[2*j+1]) != 1 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // dominates reports whether weights w make every tier of the factorized

@@ -212,7 +212,8 @@ func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transf
 	sc := ix.acquireScratch()
 	defer ix.releaseScratch(sc)
 	casc := &sc.casc
-	casc.init(ix.opts.K, ts, q, worst, oneSided, ix.symmetry(ts, oneSided))
+	grp, _ := newGroup(ix, ts, nil, oneSided, false, sc) // nil indices: no error
+	casc.init(ix.opts.K, &grp, q, worst)
 	// dismissed holds entry i of leaf, a point, the record's feature
 	// vector, to the prefix bound at the cutoff in force.
 	dismissed := func(leaf *rtree.PointLeaf, i int) bool {

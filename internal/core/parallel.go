@@ -7,17 +7,16 @@ import (
 	"sync/atomic"
 
 	"tsq/internal/heapfile"
-	"tsq/internal/transform"
 )
 
-// verifySerial verifies one transformation rectangle's candidates — the
-// records the filter stage's lower bound let through — on the calling
-// goroutine: the body every verifyParallel worker runs, and the whole of
-// it at one worker, so serial and parallel verification produce
-// identical matches and statistics. The buffers are sc's, which no
-// other goroutine may hold. The extra falsePos return counts candidates
-// that produced no match — the paper's false positives, the filter
-// quality the trace reports.
+// verifySerial verifies the candidates of group g — the records the
+// filter stage's lower bound let through — on the calling goroutine: the
+// body every verifyParallel worker runs, and the whole of it at one
+// worker, so serial and parallel verification produce identical matches
+// and statistics. The buffers are sc's, which no other goroutine may
+// hold. The extra falsePos return counts candidates that produced no
+// match — the paper's false positives, the filter quality the trace
+// reports.
 //
 // Unless opts.NaiveVerify, this is the I/O-aware pipeline: the
 // candidates' record pages are fetched in one page-ordered batch — a
@@ -31,7 +30,7 @@ import (
 // are then emitted in the caller's candidate order, through the span
 // each candidate wrote into the scratch match buffer, so matches —
 // values and order — are identical to the naive path.
-func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int64, sub []transform.Transform, g []int, q *Record, eps float64, ordered *orderedSet, opts RangeOptions) ([]Match, QueryStats, int, error) {
+func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int64, g *group, q *Record, eps float64, opts RangeOptions) ([]Match, QueryStats, int, error) {
 	var st QueryStats
 	var falsePos int
 	var out []Match
@@ -46,12 +45,12 @@ func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int
 			}
 			st.Candidates++
 			before := len(out)
-			if ordered != nil {
-				out = appendOrderedMatches(out, ordered, r, q, eps, &st, g, true, nil)
+			if g.ordered != nil {
+				out = appendOrderedMatches(out, g.ordered, g.perm, r, q, eps, &st, true, nil)
 			} else {
-				for i, t := range sub {
-					if d, _ := st.evaluate(t, r, q, math.Inf(1), opts.OneSided); d <= eps {
-						out = append(out, Match{RecordID: r.ID, TransformIdx: g[i], Distance: d})
+				for i, t := range g.ts {
+					if d, _ := st.evaluate(t, r, q, math.Inf(1), g.oneSided); d <= eps {
+						out = append(out, Match{RecordID: r.ID, TransformIdx: g.index(i), Distance: d})
 					}
 				}
 			}
@@ -65,22 +64,22 @@ func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int
 	// distances come from the pair kernel: one cosine per coefficient of
 	// (r, q) serves every transformation of the rectangle.
 	pair := &sc.pair
-	if ordered != nil {
-		pair.Init(ordered.set.Transforms, opts.OneSided)
+	if g.ordered != nil {
+		pair.Init(g.ordered, g.oneSided)
 	} else {
-		pair.Init(sub, opts.OneSided)
+		pair.Init(g.ts, g.oneSided)
 	}
 	sc.matches = sc.matches[:0]
 	verify := func(r *Record) {
 		st.Candidates++
 		before := len(sc.matches)
 		pair.Set(r.Mags, r.Phases, q.Mags, q.Phases)
-		if ordered != nil {
-			sc.matches = appendOrderedMatches(sc.matches, ordered, r, q, eps, &st, g, false, pair)
+		if g.ordered != nil {
+			sc.matches = appendOrderedMatches(sc.matches, g.ordered, g.perm, r, q, eps, &st, false, pair)
 		} else {
-			for ti := range sub {
+			for ti := range g.ts {
 				if d, _ := st.evaluatePair(pair, ti, eps); d <= eps {
-					sc.matches = append(sc.matches, Match{RecordID: r.ID, TransformIdx: g[ti], Distance: d})
+					sc.matches = append(sc.matches, Match{RecordID: r.ID, TransformIdx: g.index(ti), Distance: d})
 				}
 			}
 		}
@@ -128,10 +127,10 @@ func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int
 // sc, the probe's scratch, and every other one in a scratch of its own.
 // One worker, or fewer than two candidates, is verifySerial itself: no
 // chunk table, no closure, and no division by a zero worker count.
-func (ix *Index) verifyParallel(ctx context.Context, sc *scratch, candidates []int64, sub []transform.Transform, g []int, q *Record, eps float64, ordered *orderedSet, opts RangeOptions) ([]Match, QueryStats, int, error) {
+func (ix *Index) verifyParallel(ctx context.Context, sc *scratch, candidates []int64, g *group, q *Record, eps float64, opts RangeOptions) ([]Match, QueryStats, int, error) {
 	workers := min(opts.Workers, len(candidates))
 	if workers <= 1 {
-		return ix.verifySerial(ctx, sc, candidates, sub, g, q, eps, ordered, opts)
+		return ix.verifySerial(ctx, sc, candidates, g, q, eps, opts)
 	}
 	type part struct {
 		matches  []Match
@@ -140,6 +139,7 @@ func (ix *Index) verifyParallel(ctx context.Context, sc *scratch, candidates []i
 	}
 	parts := make([]part, workers)
 	chunk := (len(candidates) + workers - 1) / workers
+	shared := *g // the workers' copy, so that g may stay on the caller's stack
 	err := ParallelFor(workers, workers, func(w int) (err error) {
 		lo := min(w*chunk, len(candidates))
 		hi := min(lo+chunk, len(candidates))
@@ -149,7 +149,7 @@ func (ix *Index) verifyParallel(ctx context.Context, sc *scratch, candidates []i
 			defer ix.releaseScratch(wsc)
 		}
 		p := &parts[w]
-		p.matches, p.stats, p.falsePos, err = ix.verifySerial(ctx, wsc, candidates[lo:hi], sub, g, q, eps, ordered, opts)
+		p.matches, p.stats, p.falsePos, err = ix.verifySerial(ctx, wsc, candidates[lo:hi], &shared, q, eps, opts)
 		return err
 	})
 	var out []Match

@@ -32,11 +32,11 @@ func TestVerifyParallelEmptyCandidates(t *testing.T) {
 		{"one-candidate", []int64{0}, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			matches, st, fp, err := ix.verifyParallel(nil, new(scratch), tc.candidates, ts, g, q, 1.0, nil, RangeOptions{Workers: tc.workers})
+			matches, st, fp, err := ix.verifyParallel(nil, new(scratch), tc.candidates, groupOf(ix, ts, g, RangeOptions{Workers: tc.workers}), q, 1.0, RangeOptions{Workers: tc.workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantSt, wantFP, err := ix.verifySerial(nil, new(scratch), tc.candidates, ts, g, q, 1.0, nil, RangeOptions{})
+			want, wantSt, wantFP, err := ix.verifySerial(nil, new(scratch), tc.candidates, groupOf(ix, ts, g, RangeOptions{}), q, 1.0, RangeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -150,13 +150,13 @@ func (ix *Index) OptimalPartition(q *Record, ts []transform.Transform, eps float
 	for i := 0; i < n; i++ {
 		segCost[i] = make([]float64, n)
 		for j := i; j < n; j++ {
-			sub := ts[i : j+1]
-			stg := ix.newStage(sc, q, sub, eps, RangeOptions{Mode: mode, NaiveVerify: true}) // no bound
+			g, _ := newGroup(ix, ts[i:j+1], nil, false, false, sc)                         // nil indices: no error
+			stg := ix.newStage(sc, q, g, eps, RangeOptions{Mode: mode, NaiveVerify: true}) // no bound
 			var probe QueryStats
 			if _, err := ix.filter(nil, sc, &stg, &probe, nil); err != nil {
 				return nil, 0, err
 			}
-			segCost[i][j] = params.Cost(probe.DAAll, probe.DALeaf, len(sub), caLeaf)
+			segCost[i][j] = params.Cost(probe.DAAll, probe.DALeaf, j+1-i, caLeaf)
 		}
 	}
 	// DP over split points: best[j] = min cost covering ts[0..j].

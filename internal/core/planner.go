@@ -118,28 +118,30 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 
 	var alts []PlanCost
 
-	// Sequential scan: one retrieval per record plus |S|*|T| comparisons
-	// (log |T| when the set is orderable).
-	cmpPerRecord := float64(nT)
-	if _, ok := transform.OrderableAsScales(ts); ok {
-		cmpPerRecord = log2ceil(nT)
-	}
-	seqCost := params.CDA*float64(nS) + params.Ccmp*float64(nS)*cmpPerRecord
+	// Sequential scan: one retrieval per record plus the comparisons the
+	// scan's group makes per record (SeqScanRange builds the same one).
+	scan, _ := newGroup(nil, ts, nil, opts.OneSided, opts.UseOrdering, nil) // nil indices: no error
+	seqCost := params.CDA*float64(nS) + params.Ccmp*float64(nS)*scan.comparisons()
 	alts = append(alts, PlanCost{Description: "seqscan", Cost: seqCost, Kind: PlanSeqScan})
 
-	// probe runs one rectangle's filter stage: the nodes it reads and the
-	// survivors verification would fetch.
-	probe := func(sub []transform.Transform) (daAll int, candidates int, err error) {
+	// probe runs the filter stage of the rectangle over ts at positions
+	// idx: the nodes it reads, the survivors verification would fetch,
+	// and the comparisons it would make per survivor.
+	probe := func(idx []int) (daAll, candidates int, perCand float64, err error) {
 		var st QueryStats
 		sc := ix.acquireScratch()
 		defer ix.releaseScratch(sc)
-		stg := ix.newStage(sc, q, sub, eps, opts)
+		g, err := newGroup(ix, ts, idx, opts.OneSided, opts.UseOrdering, sc)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		stg := ix.newStage(sc, q, g, eps, opts)
 		cands, err := ix.filter(ctx, sc, &stg, &st, nil)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		pst.Add(st)
-		return st.DAAll, len(cands), nil
+		return st.DAAll, len(cands), g.comparisons(), nil
 	}
 
 	// ST-index: sample three singleton probes and extrapolate.
@@ -152,7 +154,7 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 			continue
 		}
 		seen[i] = true
-		da, cand, err := probe(ts[i : i+1])
+		da, cand, _, err := probe([]int{i})
 		if err != nil {
 			return nil, err
 		}
@@ -180,17 +182,13 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 	for _, p := range packings {
 		alt := PlanCost{Description: p.desc, Kind: PlanMTIndex, Groups: p.groups}
 		for _, g := range p.groups {
-			sub := make([]transform.Transform, len(g))
-			for i, idx := range g {
-				sub[i] = ts[idx]
-			}
-			da, cand, err := probe(sub)
+			da, cand, perCand, err := probe(g)
 			if err != nil {
 				return nil, err
 			}
 			alt.DAAll += da
 			alt.Candidates += cand
-			alt.Cost += params.CDA*float64(da+cand) + params.Ccmp*float64(cand)*float64(len(g))
+			alt.Cost += params.CDA*float64(da+cand) + params.Ccmp*float64(cand)*perCand
 		}
 		alts = append(alts, alt)
 	}

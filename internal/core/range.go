@@ -198,11 +198,8 @@ func SeqScanRange(ctx context.Context, src RecordSource, q *Record, ts []transfo
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		sp = parent.Child(obs.KindScan, fmt.Sprintf("seq scan (%d records, %d transforms)", src.Len(), len(ts)))
 	}
-	ordered := orderedPrefix(ts, opts.UseOrdering && !opts.OneSided)
-	var all []int
-	if ordered != nil {
-		all = identityIndexes(len(ts))
-	}
+	g, _ := newGroup(nil, ts, nil, opts.OneSided, opts.UseOrdering, nil) // nil indices: no error
+	ordered, perm := g.ordered, g.perm
 	cut := eps
 	if opts.NaiveVerify {
 		cut = math.Inf(1)
@@ -221,7 +218,7 @@ func SeqScanRange(ctx context.Context, src RecordSource, q *Record, ts []transfo
 		return src.visit(ctx, lo, min(lo+chunk, n), new(scanBuf), func(r *Record) error {
 			p.st.Candidates++
 			if ordered != nil {
-				p.matches = appendOrderedMatches(p.matches, ordered, r, q, eps, &p.st, all, opts.NaiveVerify, nil)
+				p.matches = appendOrderedMatches(p.matches, ordered, perm, r, q, eps, &p.st, opts.NaiveVerify, nil)
 				return nil
 			}
 			for i, t := range ts {
@@ -354,7 +351,7 @@ func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Tra
 }
 
 // rangeGroup runs the filter-and-verify pipeline for one transformation
-// rectangle: lift the group's MBR, build the query rectangle, traverse
+// rectangle: build the group (newGroup), then the query rectangle, traverse
 // the index, and verify the candidates (in parallel when opts.Workers >
 // 1). It only reads index state, so any number of rangeGroup calls may
 // run concurrently. When ctx carries a parent span, the pipeline is
@@ -366,15 +363,16 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	var st QueryStats
 	sc := ix.acquireScratch()
 	defer ix.releaseScratch(sc)
-	if g == nil {
-		g = sc.identity(len(ts))
+	grp, err := newGroup(ix, ts, g, opts.OneSided, opts.UseOrdering, sc)
+	if err != nil {
+		return nil, st, err
 	}
 	parent := obs.SpanFromContext(ctx)
 	var probe *obs.Span
 	var qio *storage.QueryIO
 	if parent != nil {
 		probe = parent.Child(obs.KindProbe, fmt.Sprintf("probe %d/%d", gi+1, ngroups))
-		probe.Set(obs.ATransforms, int64(len(g)))
+		probe.Set(obs.ATransforms, int64(len(grp.ts)))
 		probe.Set(obs.AGroupIndex, int64(gi))
 		if opts.ShardTotal > 1 {
 			probe.Set(obs.AShard, int64(opts.ShardID))
@@ -388,14 +386,6 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 			probe.EndErr(retErr)
 		}()
 	}
-	sub := sc.sub[:0]
-	for _, idx := range g {
-		if idx < 0 || idx >= len(ts) {
-			return nil, st, fmt.Errorf("core: group index %d out of range", idx)
-		}
-		sub = append(sub, ts[idx])
-	}
-	sc.sub = sub
 	st.IndexSearches++
 
 	var fsp *obs.Span
@@ -404,7 +394,7 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	}
 	// Building the stage with its lower bound counts as lower-bound time.
 	lbStart := time.Now()
-	stg := ix.newStage(sc, q, sub, eps, opts)
+	stg := ix.newStage(sc, q, grp, eps, opts)
 	if stg.bound != nil {
 		st.LBTimeNs = time.Since(lbStart).Nanoseconds()
 	}
@@ -420,12 +410,11 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 	if err != nil {
 		return nil, st, err
 	}
-	ordered := orderedPrefix(sub, opts.UseOrdering && !opts.OneSided)
 	var vsp *obs.Span
 	if probe != nil {
 		vsp = probe.Child(obs.KindVerify, "verify")
 	}
-	matches, vst, falsePos, err := ix.verifyParallel(ctx, sc, survivors, sub, g, q, eps, ordered, opts)
+	matches, vst, falsePos, err := ix.verifyParallel(ctx, sc, survivors, &stg.group, q, eps, opts)
 	if vsp != nil {
 		vsp.Set(obs.ACandidates, int64(vst.Candidates))
 		vsp.Set(obs.AComparisons, int64(vst.Comparisons))
@@ -449,22 +438,23 @@ func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Trans
 }
 
 // stage is the filter stage of one transformation rectangle, as filter
-// runs it: the group's lifted MBRs (mult, add), the query rectangle and,
-// in one-sided mode, the phase dimensions it compares modulo 2*pi; dims,
-// the admission test of a leaf entry in each dimension, and tests, those
-// stage.admit runs, in its order, the first byInterval of them
-// intervals; bound, which returns the tier (0, 1 or 2) at which it
-// dismissed a leaf entry's feature point, or -1 to keep it (nil keeps
-// every admitted entry); node, the cascade whose rectangle form (rectLB)
-// meets every internal entry the per-dimension intersection lets through
-// (nil for none).
+// runs it: the group, whose lifted MBRs (mult, add) filter reads, the
+// query rectangle and, in one-sided mode, the phase dimensions it
+// compares modulo 2*pi; dims, the admission test of a leaf entry in each
+// dimension, and tests, those stage.admit runs, in its order, the first
+// byInterval of them intervals; bound, which returns the tier (0, 1 or 2)
+// at which it dismissed a leaf entry's feature point, or -1 to keep it
+// (nil keeps every admitted entry); node, the cascade whose rectangle
+// form (rectLB) meets every internal entry the per-dimension intersection
+// lets through (nil for none).
 type stage struct {
-	mult, add, qrect geom.Rect
-	phaseDims        []bool
-	dims, tests      []dimTest
-	byInterval       int
-	bound            func(feat geom.Point) int
-	node             *lbCascade
+	group
+	qrect       geom.Rect
+	phaseDims   []bool
+	dims, tests []dimTest
+	byInterval  int
+	bound       func(feat geom.Point) int
+	node        *lbCascade
 }
 
 // dimTest is the admission test of a leaf entry in dimension d: where
@@ -476,33 +466,27 @@ type dimTest struct {
 	exact  bool
 }
 
-// newStage builds the filter stage of group sub for query q at eps in
-// sc's buffers, and with it the group's symmetry factor (Index.symmetry),
-// which the query rectangle's per-coefficient bound and the lower bound
-// both take. The bound is the tiered cascade, which also bounds index
+// newStage builds the filter stage of group g for query q at eps in the
+// buffers of sc, the scratch newGroup built g in. The query rectangle's
+// per-coefficient bound and the lower bound both take the group's
+// symmetry factor, and the rectangle leaves free what the group's box may
+// not constrain. The bound is the tiered cascade, which also bounds index
 // rectangles; its flat reference prefixLB under FlatLB (whose every
 // dismissal is the full prefix bound's, tier 2, and which prunes no
 // subtree); none under NaiveVerify. The planner prices a probe with the
-// stage the executor runs. The stage is valid until sc's next stage, and
+// stage the executor runs. The stage is valid until sc's next group, and
 // building it into a warm scratch allocates nothing but FlatLB's closure.
-func (ix *Index) newStage(sc *scratch, q *Record, sub []transform.Transform, eps float64, opts RangeOptions) stage {
-	var s stage
+func (ix *Index) newStage(sc *scratch, q *Record, g group, eps float64, opts RangeOptions) stage {
+	s := stage{group: g}
 	dim := ix.dim
-	sym := ix.symmetry(sub, opts.OneSided)
-	sc.stageRects = resized(sc.stageRects, 6*dim)
-	s.mult, s.add = ix.fullMBRs(sub, sc.stageRects[:4*dim])
-	if opts.OneSided {
+	epsC := epsScale(eps, g.sym)
+	qbuf := sc.stageRects[4*dim : 6*dim] // after the group's MBRs
+	if g.oneSided {
 		sc.phaseDims = resized(sc.phaseDims, dim)
-		s.qrect = ix.oneSidedQueryRect(q, epsScale(eps, sym), opts.Mode, sc.stageRects[4*dim:], sc.phaseDims)
+		s.qrect = ix.oneSidedQueryRect(q, &s.group, epsC, opts.Mode, qbuf, sc.phaseDims)
 		s.phaseDims = sc.phaseDims
 	} else {
-		s.qrect = ix.queryRect(q, sub, epsScale(eps, sym), opts.Mode, sc.stageRects[4*dim:])
-	}
-	for j := 1; j <= ix.opts.K; j++ {
-		if !intervalSafe(sub, j, opts.OneSided) {
-			s.qrect.Lo[2*j], s.qrect.Hi[2*j] = math.Inf(-1), math.Inf(1)
-			s.qrect.Lo[2*j+1], s.qrect.Hi[2*j+1] = math.Inf(-1), math.Inf(1)
-		}
+		s.qrect = ix.queryRect(q, &s.group, epsC, opts.Mode, qbuf)
 	}
 	sc.dims = resized(sc.dims, 2*dim)
 	s.dims, s.tests = sc.dims[:dim], sc.dims[dim:dim]
@@ -529,14 +513,15 @@ func (ix *Index) newStage(sc *scratch, q *Record, sub []transform.Transform, eps
 	case opts.NaiveVerify:
 	case opts.FlatLB:
 		cut := transform.AbandonCutoff(eps)
+		sub, oneSided, sym := g.ts, g.oneSided, g.sym
 		s.bound = func(feat geom.Point) int {
-			if ix.prefixLB(feat, sub, q, opts.OneSided, sym, cut) > cut {
+			if ix.prefixLB(feat, sub, q, oneSided, sym, cut) > cut {
 				return 2
 			}
 			return -1
 		}
 	default:
-		sc.casc.init(ix.opts.K, sub, q, eps, opts.OneSided, sym)
+		sc.casc.init(ix.opts.K, &s.group, q, eps)
 		if sc.skip == nil {
 			sc.skip = sc.casc.skip
 		}
@@ -806,56 +791,30 @@ func firstTrue(up func(v float64) bool) int64 {
 	return hi
 }
 
-// orderedPrefix returns an ordered set over ts when ordering is requested
-// and ts is a pure positive scale set (Lemma 2); nil otherwise. The
-// returned set's transforms are ts in ascending-factor order along with
-// the permutation back into ts.
-type orderedSet struct {
-	set  transform.OrderedSet
-	perm []int // perm[i] = index into the original slice
-}
-
-func orderedPrefix(ts []transform.Transform, useOrdering bool) *orderedSet {
-	if !useOrdering {
-		return nil
-	}
-	factors, ok := transform.OrderableAsScales(ts)
-	if !ok {
-		return nil
-	}
-	perm := identityIndexes(len(ts))
-	sort.Slice(perm, func(a, b int) bool { return factors[perm[a]] < factors[perm[b]] })
-	sorted := make([]transform.Transform, len(ts))
-	for i, p := range perm {
-		sorted[i] = ts[p]
-	}
-	return &orderedSet{set: transform.OrderedSet{Transforms: sorted}, perm: perm}
-}
-
-// appendOrderedMatches finds the largest qualifying scale by binary search
-// (Definition 1 guarantees all smaller scales qualify) and appends one
-// match per qualifying transformation. groupIdx maps local positions to
-// the caller's transformation indices. Unless naive, the predicate runs
-// through an early-abandoning kernel: pair, bound to o's transformations
-// and to (r, q), when the index verifies, the plain kernel when pair is
-// nil (the scan). The qualify/fail decisions (and hence the binary search
-// path) are identical all three ways.
-func appendOrderedMatches(out []Match, o *orderedSet, r, q *Record, eps float64, st *QueryStats, groupIdx []int, naive bool, pair *transform.Pair) []Match {
+// appendOrderedMatches finds the largest qualifying scale of an ordered
+// group (group.ordered, whose positions in the query's set perm holds)
+// by binary search (Definition 1 guarantees all smaller scales qualify)
+// and appends one match per qualifying transformation. Unless naive, the
+// predicate runs through an early-abandoning kernel: pair, bound to the
+// ordered transformations and to (r, q), when the index verifies, the
+// plain kernel when pair is nil (the scan). The qualify/fail decisions
+// (and hence the binary search path) are identical all three ways.
+func appendOrderedMatches(out []Match, ordered []transform.Transform, perm []int, r, q *Record, eps float64, st *QueryStats, naive bool, pair *transform.Pair) []Match {
 	cut := eps
 	if naive {
 		cut = math.Inf(1)
 	}
-	k := o.set.LargestQualifying(func(i int) bool {
+	k := transform.OrderedSet{Transforms: ordered}.LargestQualifying(func(i int) bool {
 		var d float64
 		if pair != nil {
 			d, _ = st.evaluatePair(pair, i, cut)
 		} else {
-			d, _ = st.evaluate(o.set.Transforms[i], r, q, cut, false)
+			d, _ = st.evaluate(ordered[i], r, q, cut, false)
 		}
 		return d <= eps
 	})
 	for i := 0; i <= k; i++ {
-		out = append(out, Match{RecordID: r.ID, TransformIdx: groupIdx[o.perm[i]], Distance: -1})
+		out = append(out, Match{RecordID: r.ID, TransformIdx: perm[i], Distance: -1})
 	}
 	return out
 }

@@ -64,7 +64,8 @@ func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error
 	n := float64(ix.n)
 	epsMean := eps / math.Sqrt(n)
 	epsStd := eps / math.Sqrt(n-1)
-	epsC := epsScale(eps, ix.symmetry(nil, false)) // raw spectra are real
+	raw, _ := newGroup(ix, nil, nil, false, false, nil) // raw spectra are real: the empty group
+	epsC := epsScale(eps, raw.sym)
 
 	var out []RawMatch
 	slots := ix.tree.AcquireSlots() // depth-first: one slot per level

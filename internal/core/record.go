@@ -218,7 +218,7 @@ func NewQueryRecord(n int, s series.Series) (*Record, error) {
 }
 
 // epsScale returns the per-coefficient distance bound implied by a total
-// distance bound eps under symmetry factor sym (Index.symmetry): where the
+// distance bound eps under symmetry factor sym (group.sym): where the
 // DFT symmetry property (Eq. 6) holds, coefficient f and its mirror n-f
 // contribute equally to the distance, so |X_f - Y_f| <= eps/sqrt(2);
 // elsewhere (sym 1) the plain eps is the bound.

@@ -17,7 +17,7 @@ import (
 // Nothing in a scratch outlives the call that acquired it: what a query
 // returns is copied out first.
 type scratch struct {
-	// Filter stage: the rectangle's transformations, the rectangle every
+	// Filter stage: the group's members, the rectangle every
 	// internal entry is transformed into (low corner, then high), the
 	// entries of the leaf at hand that passed the admission test, and
 	// the ids of those the lower bound let through — the candidates.
@@ -26,18 +26,18 @@ type scratch struct {
 	admitted []int32
 	cands    []int64
 
-	// The stage filter runs (newStage): the corners of the lifted MBRs
-	// and of the query rectangle (mult, add, query; low then high), the
-	// phase dimensions of a one-sided one, the admission test of each
-	// dimension and the order a leaf entry meets them in, the group of
-	// every transformation when the query names none, and the
+	// The group (newGroup) and the stage filter runs on it (newStage):
+	// the corners of the lifted MBRs and of the query rectangle (mult,
+	// add, query; low then high), the coefficients the box leaves
+	// free, the phase dimensions of a one-sided query, the admission test
+	// of each dimension and the order a leaf entry meets them in, and the
 	// lower-bound cascade with its skip bound once, so that arming a
 	// stage allocates no method value. An NN search arms the same
 	// cascade.
 	stageRects []float64
+	free       []bool
 	phaseDims  []bool
 	dims       []dimTest
-	all        []int
 	casc       lbCascade
 	skip       func(geom.Point) int
 
@@ -87,12 +87,11 @@ const (
 	maxIdleScratch = 8
 )
 
-// bytes is what sc holds on to, less what cannot grow: rect, admitted and
-// the stage's rectangles are bounded by the dimension and a leaf's
-// fan-out.
+// bytes is what sc holds on to, less what cannot grow: rect, admitted,
+// the stage's rectangles and free coefficients are bounded by the
+// dimension and a leaf's fan-out.
 func (sc *scratch) bytes() int {
 	return cap(sc.sub)*int(unsafe.Sizeof(transform.Transform{})) +
-		8*cap(sc.all) +
 		cap(sc.casc.term)*int(unsafe.Sizeof(lbTerm{})) + 8*cap(sc.casc.w) + cap(sc.casc.keep) +
 		8*cap(sc.cands) +
 		8*cap(sc.ids) +
@@ -101,15 +100,6 @@ func (sc *scratch) bytes() int {
 		cap(sc.spans)*int(unsafe.Sizeof(matchSpan{})) +
 		cap(sc.leaf)*int(unsafe.Sizeof(nnCand{})) +
 		8*cap(sc.slab)
-}
-
-// identity returns the group of every transformation of an n-set,
-// 0..n-1, out of sc.all, which only ever holds such a prefix.
-func (sc *scratch) identity(n int) []int {
-	for len(sc.all) < n {
-		sc.all = append(sc.all, len(sc.all))
-	}
-	return sc.all[:n]
 }
 
 // acquireScratch returns an idle scratch of ix, or a new one. The free

@@ -36,7 +36,7 @@ func TestFilterAllocsDoNotGrowWithNodesVisited(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 3, 10)
 	q := ds.Records[0]
 	measure := func(rho float64) (allocs float64, nodes, cands int) {
-		stg := ix.newStage(new(scratch), q, ts, series.DistanceForCorrelation(64, rho), RangeOptions{Mode: QRectSafe, NaiveVerify: true})
+		stg := stageOf(ix, q, ts, series.DistanceForCorrelation(64, rho), RangeOptions{Mode: QRectSafe, NaiveVerify: true})
 		allocs = testing.AllocsPerRun(10, func() {
 			var st QueryStats
 			out, err := ix.filter(nil, new(scratch), &stg, &st, nil)
@@ -72,7 +72,7 @@ func TestFilterAllocsDoNotGrowWithNodesVisited(t *testing.T) {
 func TestFilterBoundSeesLeafFeatures(t *testing.T) {
 	ds, ix := deepFixture(t)
 	ts := transform.MovingAverageSet(64, 3, 10)
-	stg := ix.newStage(new(scratch), ds.Records[5], ts, series.DistanceForCorrelation(64, 0.5), RangeOptions{Mode: QRectSafe, NaiveVerify: true})
+	stg := stageOf(ix, ds.Records[5], ts, series.DistanceForCorrelation(64, 0.5), RangeOptions{Mode: QRectSafe, NaiveVerify: true})
 	var admitted, st QueryStats
 	all, err := ix.filter(nil, new(scratch), &stg, &admitted, nil)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package geom provides the n-dimensional points and rectangles shared by
 // the R*-tree and the similarity engine: hyper-rectangles with the usual
-// area/margin/overlap measures, the MINDIST and MINMAXDIST metrics used by
-// nearest-neighbor search, and minimum bounding rectangle construction.
+// area/margin/overlap measures, the MINDIST metric, and minimum bounding
+// rectangle construction.
 package geom
 
 import (
@@ -199,45 +199,6 @@ func (r Rect) MinDist(p Point) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss)
-}
-
-// MinMaxDist returns the MINMAXDIST metric of Roussopoulos et al.: the
-// minimum over dimensions of the maximum distance from p to the nearer
-// face in that dimension combined with the farther corners elsewhere. It
-// upper-bounds the distance from p to the nearest object inside r.
-func (r Rect) MinMaxDist(p Point) float64 {
-	n := len(p)
-	// Precompute, per dimension, the squared distance to the nearer
-	// boundary (rm) and to the farther boundary (rM).
-	rmSq := make([]float64, n)
-	rMSq := make([]float64, n)
-	var sumMax float64
-	for i := 0; i < n; i++ {
-		mid := (r.Lo[i] + r.Hi[i]) / 2
-		var rm float64
-		if p[i] <= mid {
-			rm = r.Lo[i]
-		} else {
-			rm = r.Hi[i]
-		}
-		var rM float64
-		if p[i] >= mid {
-			rM = r.Lo[i]
-		} else {
-			rM = r.Hi[i]
-		}
-		rmSq[i] = (p[i] - rm) * (p[i] - rm)
-		rMSq[i] = (p[i] - rM) * (p[i] - rM)
-		sumMax += rMSq[i]
-	}
-	best := math.Inf(1)
-	for k := 0; k < n; k++ {
-		v := sumMax - rMSq[k] + rmSq[k]
-		if v < best {
-			best = v
-		}
-	}
-	return math.Sqrt(best)
 }
 
 // RectMinDist returns the minimum Euclidean distance between any point of

@@ -142,42 +142,6 @@ func TestMinDistLowerBoundsPointDistances(t *testing.T) {
 	}
 }
 
-func TestMinMaxDistDominatesMinDist(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randRect(rng, 3)
-		p := randPoint(rng, 3)
-		return r.MinMaxDist(p) >= r.MinDist(p)-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMinMaxDistUpperBoundsSomeFacePoint(t *testing.T) {
-	// MINMAXDIST guarantees an object within that distance if every face
-	// of r touches an object; check it is at least the distance to the
-	// nearest corner is not exceeded, i.e. MINMAXDIST <= max corner dist.
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		r := randRect(rng, 2)
-		p := randPoint(rng, 2)
-		corners := []Point{
-			{r.Lo[0], r.Lo[1]}, {r.Lo[0], r.Hi[1]},
-			{r.Hi[0], r.Lo[1]}, {r.Hi[0], r.Hi[1]},
-		}
-		maxCorner := 0.0
-		for _, c := range corners {
-			if d := Dist(p, c); d > maxCorner {
-				maxCorner = d
-			}
-		}
-		if got := r.MinMaxDist(p); got > maxCorner+1e-9 {
-			t.Fatalf("MinMaxDist %v exceeds farthest corner %v", got, maxCorner)
-		}
-	}
-}
-
 func TestRectMinDist(t *testing.T) {
 	r := NewRect(Point{0, 0}, Point{1, 1})
 	s := NewRect(Point{4, 5}, Point{6, 7})
@@ -297,21 +261,6 @@ func TestMBREmptyPanics(t *testing.T) {
 		}
 	}()
 	MBR(nil)
-}
-
-func TestMinMaxDistOnPointRect(t *testing.T) {
-	// For a degenerate (point) rectangle both metrics equal the plain
-	// distance.
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 100; trial++ {
-		p := randPoint(rng, 4)
-		q := randPoint(rng, 4)
-		r := PointRect(q)
-		d := Dist(p, q)
-		if math.Abs(r.MinDist(p)-d) > 1e-12 || math.Abs(r.MinMaxDist(p)-d) > 1e-12 {
-			t.Fatalf("point rect metrics disagree: %v %v vs %v", r.MinDist(p), r.MinMaxDist(p), d)
-		}
-	}
 }
 
 func TestStringRendering(t *testing.T) {

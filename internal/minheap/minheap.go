@@ -1,6 +1,5 @@
 // Package minheap is the one priority queue of the best-first searches
-// (transformed NN and closest pairs in internal/core, MINDIST NN in
-// internal/rtree): a binary min-heap of values keyed by a float64 lower
+// (transformed NN and closest pairs in internal/core): a binary min-heap of values keyed by a float64 lower
 // bound. container/heap moves every item through an interface value, one
 // allocation per Push and per Pop; a typed heap moves them in its own
 // slice.

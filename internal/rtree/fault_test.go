@@ -83,9 +83,6 @@ func TestOperationsSurfaceIOErrors(t *testing.T) {
 			if _, _, err := tr.Search(geom.NewRect(geom.Point{-1, -1, -1}, geom.Point{1, 1, 1})); err == nil {
 				t.Error("search succeeded on a dead backend")
 			}
-			if _, _, err := tr.NearestNeighbors(geom.Point{0, 0, 0}, 3); err == nil {
-				t.Error("NN succeeded on a dead backend")
-			}
 			if _, _, err := tr.SelfJoin(1); err == nil {
 				t.Error("join succeeded on a dead backend")
 			}

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -239,62 +238,6 @@ func TestDeleteNotFound(t *testing.T) {
 	}
 }
 
-func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := newTestTree(t, 3, 512)
-		pts := randPoints(rng, 400, 3)
-		for i, p := range pts {
-			if err := tr.InsertPoint(p, int64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		q := randPoints(rng, 1, 3)[0]
-		k := 1 + rng.Intn(10)
-		got, _, err := tr.NearestNeighbors(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != k {
-			return false
-		}
-		// Brute force.
-		type nd struct {
-			rec int64
-			d   float64
-		}
-		all := make([]nd, len(pts))
-		for i, p := range pts {
-			all[i] = nd{int64(i), geom.Dist(p, q)}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-		for i := 0; i < k; i++ {
-			if math.Abs(got[i].Dist-all[i].d) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNearestNeighborsEdgeCases(t *testing.T) {
-	tr := newTestTree(t, 2, 512)
-	if nn, _, err := tr.NearestNeighbors(geom.Point{0, 0}, 3); err != nil || len(nn) != 0 {
-		t.Errorf("empty tree NN = %v, %v", nn, err)
-	}
-	tr.InsertPoint(geom.Point{1, 0}, 7)
-	nn, _, err := tr.NearestNeighbors(geom.Point{0, 0}, 5)
-	if err != nil || len(nn) != 1 || nn[0].Rec != 7 || math.Abs(nn[0].Dist-1) > 1e-12 {
-		t.Errorf("NN = %v, %v", nn, err)
-	}
-	if nn, _, _ := tr.NearestNeighbors(geom.Point{0, 0}, 0); len(nn) != 0 {
-		t.Error("k=0 returned results")
-	}
-}
-
 func TestSelfJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	tr := newTestTree(t, 2, 512)
@@ -518,40 +461,6 @@ func BenchmarkSearch6D(b *testing.B) {
 		q := geom.PointRect(queries[i%len(queries)]).Expand(2)
 		if _, _, err := tr.Search(q); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestNN1MinMaxDistPruning(t *testing.T) {
-	// k=1 uses MINMAXDIST upper bounds; answers stay exact and the search
-	// touches no more nodes than a full traversal.
-	rng := rand.New(rand.NewSource(21))
-	tr := newTestTree(t, 3, 512)
-	pts := randPoints(rng, 2000, 3)
-	for i, p := range pts {
-		if err := tr.InsertPoint(p, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := randPoints(rng, 1, 3)[0]
-		got, st, err := tr.NearestNeighbors(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		best, bestD := int64(-1), math.Inf(1)
-		for i, p := range pts {
-			if d := geom.Dist(p, q); d < bestD {
-				best, bestD = int64(i), d
-			}
-		}
-		if len(got) != 1 || math.Abs(got[0].Dist-bestD) > 1e-9 {
-			t.Fatalf("trial %d: NN %v, want rec %d dist %v", trial, got, best, bestD)
-		}
-		_, full, _ := tr.Search(geom.NewRect(
-			geom.Point{-1e9, -1e9, -1e9}, geom.Point{1e9, 1e9, 1e9}))
-		if st.NodeAccesses > full.NodeAccesses/2 {
-			t.Errorf("trial %d: NN visited %d of %d nodes; no pruning", trial, st.NodeAccesses, full.NodeAccesses)
 		}
 	}
 }

@@ -1,11 +1,7 @@
 package rtree
 
 import (
-	"math"
-	"sort"
-
 	"tsq/internal/geom"
-	"tsq/internal/minheap"
 	"tsq/internal/storage"
 )
 
@@ -16,10 +12,9 @@ type SearchStats struct {
 	NodeAccesses int
 	// LeafAccesses counts leaf nodes fetched (the paper's DA_leaf).
 	LeafAccesses int
-	// Pruned counts internal entries not descended into: rejected by the
-	// query-rectangle intersection in Search, or by the MINDIST lower
-	// bound in NearestNeighbors. It measures the filtering power the
-	// paper's disk-access figures come from.
+	// Pruned counts internal entries Search did not descend into because
+	// their rectangles miss the query rectangle. It measures the filtering
+	// power the paper's disk-access figures come from.
 	Pruned int
 }
 
@@ -60,93 +55,6 @@ func (t *Tree) walk(slots *Slots, depth int, id storage.PageID, query geom.Rect,
 		}
 	}
 	return nil
-}
-
-// Neighbor is one nearest-neighbor result.
-type Neighbor struct {
-	Rec  int64
-	Dist float64
-}
-
-// nnItem is a priority-queue element for best-first NN search, keyed by
-// its MINDIST: a record, or the subtree at child.
-type nnItem struct {
-	isRec bool
-	rec   int64
-	child storage.PageID
-}
-
-// NearestNeighbors returns the k entries nearest to p by MINDIST-ordered
-// best-first search (Roussopoulos et al. refined to the standard
-// priority-queue formulation; MINDIST is an exact lower bound, so results
-// are exact). For k = 1, MINMAXDIST supplies an early upper bound on the
-// answer — every non-empty rectangle guarantees an object within that
-// distance — pruning siblings before any leaf is resolved.
-func (t *Tree) NearestNeighbors(p geom.Point, k int) ([]Neighbor, SearchStats, error) {
-	var st SearchStats
-	if k <= 0 {
-		return nil, st, nil
-	}
-	var q minheap.Heap[nnItem]
-	q.Push(0, nnItem{child: t.root})
-	// Best-first: a node's entries are all pushed before the next node
-	// is loaded, so one slot serves the whole search.
-	slots := t.AcquireSlots()
-	defer slots.Release()
-	var out []Neighbor
-	// upper bounds the k-th nearest distance. MINMAXDIST guarantees one
-	// object per rectangle, so it can only tighten the k = 1 search.
-	upper := math.Inf(1)
-	worst := func() float64 {
-		if len(out) == k {
-			return math.Min(out[len(out)-1].Dist, upper)
-		}
-		return upper
-	}
-	for q.Len() > 0 {
-		dist, it := q.Pop()
-		if len(out) == k && dist > worst() {
-			break
-		}
-		if it.isRec {
-			if len(out) < k {
-				out = append(out, Neighbor{Rec: it.rec, Dist: dist})
-				sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
-			}
-			continue
-		}
-		n, err := t.LoadInto(nil, it.child, slots.At(0))
-		if err != nil {
-			return nil, st, err
-		}
-		st.NodeAccesses++
-		if n.Leaf {
-			st.LeafAccesses++
-		}
-		for _, e := range n.Entries {
-			d := e.Rect.MinDist(p)
-			if (len(out) == k && d > worst()) || d > upper {
-				if !n.Leaf {
-					st.Pruned++
-				}
-				continue
-			}
-			if n.Leaf {
-				if k == 1 && d < upper {
-					upper = d // a point entry IS an object at distance d
-				}
-				q.Push(d, nnItem{isRec: true, rec: e.Rec})
-			} else {
-				if k == 1 {
-					if mm := e.Rect.MinMaxDist(p); mm < upper {
-						upper = mm
-					}
-				}
-				q.Push(d, nnItem{child: e.Child})
-			}
-		}
-	}
-	return out, st, nil
 }
 
 // Visit walks the whole tree in depth-first order, calling fn for every

@@ -150,12 +150,10 @@ func TestSlotOfAnotherTreeRejected(t *testing.T) {
 // run under -race this also proves the pool hands each set to one owner.
 func TestTwoTreesQueriedConcurrently(t *testing.T) {
 	type fixture struct {
-		tr     *Tree
-		pts    []geom.Point
-		query  geom.Rect
-		want   []int64
-		wantNN []Neighbor
-		joins  int
+		tr    *Tree
+		query geom.Rect
+		want  []int64
+		joins int
 	}
 	build := func(seed int64, n, dim, pageSize int) *fixture {
 		tr, pts := filledTree(t, seed, n, dim, pageSize)
@@ -163,15 +161,11 @@ func TestTwoTreesQueriedConcurrently(t *testing.T) {
 		for d := range lo {
 			lo[d], hi[d] = -6, 6
 		}
-		f := &fixture{tr: tr, pts: pts, query: geom.NewRect(lo, hi)}
+		f := &fixture{tr: tr, query: geom.NewRect(lo, hi)}
 		for i, p := range pts {
 			if f.query.Contains(p) {
 				f.want = append(f.want, int64(i))
 			}
-		}
-		var err error
-		if f.wantNN, _, err = tr.NearestNeighbors(pts[0], 5); err != nil {
-			t.Fatal(err)
 		}
 		pairs, _, err := tr.SelfJoin(1.5)
 		if err != nil {
@@ -200,17 +194,6 @@ func TestTwoTreesQueriedConcurrently(t *testing.T) {
 				if !equalInt64(sortedInt64(got), f.want) {
 					t.Errorf("dim %d: concurrent Search returned %d records, want %d", f.tr.Dim(), len(got), len(f.want))
 					return
-				}
-				nn, _, err := f.tr.NearestNeighbors(f.pts[0], 5)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for i := range nn {
-					if nn[i] != f.wantNN[i] {
-						t.Errorf("dim %d: concurrent NN answer %d is %+v, want %+v", f.tr.Dim(), i, nn[i], f.wantNN[i])
-						return
-					}
 				}
 				pairs, _, err := f.tr.SelfJoin(1.5)
 				if err != nil {

@@ -1,10 +1,12 @@
 package tsq
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -332,5 +334,194 @@ func TestHostileInputsOnViewPath(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestHostileInputsOnEveryPairShape pins the pair shapes and the raw
+// range at the edge of the domain: eps = 0, 1e-12 and one wide enough to
+// match every pair, over random walks among which two equal constant
+// series sit (their normal forms are the same zeros), and ClosestPairs
+// with k = 0, 1 and above the number of pairs. At shards 0..3, in memory
+// and from a file, Join (MT and ST) equals the scan, ClosestPairs returns
+// the scan's pairs in rank order (distance, then the ids) with the same
+// distances, and the
+// indexed RawRange equals the raw scan.
+func TestHostileInputsOnEveryPairShape(t *testing.T) {
+	const n = 64
+	flat := make(Series, n)
+	for i := range flat {
+		flat[i] = 3
+	}
+	ss := append(datagen.RandomWalks(47, 40, n), flat, flat.Clone())
+	pairs := len(ss) * (len(ss) - 1) / 2
+	ts := MovingAverages(n, 5, 7)
+	epss := []float64{0, 1e-12, 1e3}
+	for shards := 0; shards <= 3; shards++ {
+		for _, onFile := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d file=%v", shards, onFile), func(t *testing.T) {
+				t.Parallel()
+				opts := Options{Shards: shards}
+				var db *DB
+				var err error
+				if onFile {
+					db, err = CreateFile(filepath.Join(t.TempDir(), "pairs.tsq"), ss, nil, opts)
+				} else {
+					db, err = Open(ss, nil, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				for _, eps := range epss {
+					want, _, err := db.Join(ts, Distance(eps), QueryOptions{Algorithm: SeqScan})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sortJoinMatches(want)
+					if eps > 1 && len(want) != pairs*len(ts) || eps == 0 && len(want) == 0 {
+						t.Fatalf("eps %v: the scan joins %d of %d pairs: the test is vacuous", eps, len(want), pairs*len(ts))
+					}
+					for _, alg := range []Algorithm{MTIndex, STIndex} {
+						got, _, err := db.Join(ts, Distance(eps), QueryOptions{Algorithm: alg})
+						if err != nil {
+							t.Fatal(err)
+						}
+						sortJoinMatches(got)
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("join under %v at eps %v: %d matches, scan %d", alg, eps, len(got), len(want))
+						}
+					}
+					for _, q := range []Series{flat, ss[7]} {
+						want, _, err := db.RawRange(q, eps, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, _, err := db.RawRange(q, eps, true)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sort.Slice(got, func(i, j int) bool { return got[i].RecordID < got[j].RecordID })
+						sort.Slice(want, func(i, j int) bool { return want[i].RecordID < want[j].RecordID })
+						if len(want) == 0 || !reflect.DeepEqual(got, want) {
+							t.Errorf("raw range at eps %v: index %v, scan %v", eps, got, want)
+						}
+					}
+				}
+				for _, k := range []int{0, 1, pairs + 5} {
+					want, _, err := db.ClosestPairs(ts, k, SeqScan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, _, err := db.ClosestPairs(ts, k, MTIndex)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(want) != min(k, pairs) || (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+						t.Errorf("%d closest pairs: index %d pairs, scan %d of %d", k, len(got), len(want), pairs)
+					}
+					for i := 1; i < len(got); i++ {
+						a, b := got[i-1], got[i]
+						if a.Distance > b.Distance || a.Distance == b.Distance && (a.IDA > b.IDA || a.IDA == b.IDA && a.IDB >= b.IDB) {
+							t.Errorf("%d closest pairs: pair %d %+v ranks after %+v", k, i, got[i], got[i-1])
+							break
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEmptiedDatabaseAnswersEmpty deletes every series of a database, in
+// memory and on a file it reopens, at shards 0 and 2: every query shape
+// under every algorithm returns no answer and no error, and Explain,
+// OptimalPartition, Info and Verify succeed. A database of no series
+// cannot be opened or created.
+func TestEmptiedDatabaseAnswersEmpty(t *testing.T) {
+	const n = 32
+	ss := datagen.RandomWalks(53, 30, n)
+	q := ss[4]
+	ts := MovingAverages(n, 3, 6)
+	thr := Correlation(0.9)
+	for _, shards := range []int{0, 2} {
+		for _, onFile := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d file=%v", shards, onFile), func(t *testing.T) {
+				opts := Options{Shards: shards}
+				path := filepath.Join(t.TempDir(), "emptied.tsq")
+				var db *DB
+				var err error
+				if onFile {
+					db, err = CreateFile(path, ss, nil, opts)
+				} else {
+					db, err = Open(ss, nil, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := range ss {
+					if err := db.Delete(int64(id)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if onFile {
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if db, err = OpenFile(path); err != nil {
+						t.Fatal(err)
+					}
+				}
+				defer db.Close()
+				for _, alg := range []Algorithm{Auto, MTIndex, STIndex, SeqScan} {
+					if m, _, err := db.Range(q, ts, thr, QueryOptions{Algorithm: alg}); err != nil || len(m) != 0 {
+						t.Errorf("range under %v: %v, %v", alg, m, err)
+					}
+					if m, _, err := db.Range(q, ts, thr, QueryOptions{Algorithm: alg, OneSided: true}); err != nil || len(m) != 0 {
+						t.Errorf("one-sided range under %v: %v, %v", alg, m, err)
+					}
+					if m, _, err := db.NearestNeighbors(q, ts, 3, QueryOptions{Algorithm: alg}); err != nil || len(m) != 0 {
+						t.Errorf("NN under %v: %v, %v", alg, m, err)
+					}
+					if m, _, err := db.Join(ts, thr, QueryOptions{Algorithm: alg}); err != nil || len(m) != 0 {
+						t.Errorf("join under %v: %v, %v", alg, m, err)
+					}
+					if m, _, err := db.ClosestPairs(ts, 3, alg); err != nil || len(m) != 0 {
+						t.Errorf("closest pairs under %v: %v, %v", alg, m, err)
+					}
+					res := db.Batch(context.Background(), []BatchRequest{
+						{Query: q, Transforms: ts, Threshold: thr, Opts: QueryOptions{Algorithm: alg}},
+						{Query: q, Transforms: ts, K: 2, Opts: QueryOptions{Algorithm: alg}},
+					}, 2)
+					for i, r := range res {
+						if r.Err != nil || len(r.Matches) != 0 || len(r.NN) != 0 {
+							t.Errorf("batch request %d under %v: %+v", i, alg, r)
+						}
+					}
+				}
+				for _, useIndex := range []bool{false, true} {
+					if m, _, err := db.RawRange(q, 1e3, useIndex); err != nil || len(m) != 0 {
+						t.Errorf("raw range (index %v): %v, %v", useIndex, m, err)
+					}
+				}
+				if _, err := db.Explain(q, ts, thr); err != nil {
+					t.Errorf("explain: %v", err)
+				}
+				if _, _, err := db.OptimalPartition(q, ts, thr); err != nil {
+					t.Errorf("optimal partition: %v", err)
+				}
+				if _, err := db.Info(); err != nil {
+					t.Errorf("info: %v", err)
+				}
+				if err := db.Verify(); err != nil {
+					t.Errorf("verify: %v", err)
+				}
+			})
+		}
+	}
+	if _, err := Open(nil, nil, Options{}); err == nil {
+		t.Error("Open of no series succeeded")
+	}
+	if _, err := CreateFile(filepath.Join(t.TempDir(), "none.tsq"), nil, nil, Options{}); err == nil {
+		t.Error("CreateFile of no series succeeded")
 	}
 }
