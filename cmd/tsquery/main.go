@@ -581,9 +581,10 @@ func printStages(tr *tsq.Trace, st tsq.Stats, matches int) {
 }
 
 // printShardRollup aggregates the trace's probe spans by shard ordinal
-// and prints one row per shard. Scatter-gather probes carry the shard
-// attribute only on multi-shard databases, so unsharded traces print
-// nothing.
+// and prints one row per shard. Scatter-gather (range) probes carry the
+// shard attribute only on multi-shard databases, so unsharded traces
+// print nothing. Nor does an NN trace: its one probe span is the search
+// over every shard, untagged, so there is nothing to roll up.
 func printShardRollup(tr *tsq.Trace) {
 	type agg struct {
 		probes  int

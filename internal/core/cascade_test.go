@@ -251,6 +251,65 @@ func TestCascadeFactorizedMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestCascadeValueDecidesAsSkip: the value the NN search queues a leaf
+// entry under (kept) dismisses exactly what skip dismisses, value > cut
+// when and only when skip returns a tier, at every cutoff. Both decisions
+// are monotone in the cutoff, so it is enough that skip keeps the entry at
+// a cutoff of its value and dismisses it one ulp below; a spread of other
+// cutoffs is checked too. kept right after skip let an entry through at
+// any of them must return the value bit for bit. The
+// groups are the factorized ones of scaledGroups (moving averages,
+// scalings, shifts, Reverse, Inverted, a negative scale, unclassified
+// literals) and rectBoundGroups' (each two-sided and one-sided, with
+// hand-made affine magnitudes and general phase multipliers), at K = 1..4.
+// valueOf is kept for any entry: skip at an infinite cutoff dismisses
+// nothing and computes every term kept reads.
+func valueOf(c *lbCascade, feat geom.Point) float64 {
+	cut := c.cut
+	c.cut = math.Inf(1)
+	c.skip(feat)
+	v := c.kept(feat)
+	c.cut = cut
+	return v
+}
+
+func TestCascadeValueDecidesAsSkip(t *testing.T) {
+	const n = 64
+	var forms [2]int // entries checked on the loop, on the factorized form
+	for k := 1; k <= 4; k++ {
+		ds, ix := buildFixture(t, int64(40+k), 150, n, IndexOptions{K: k, PageSize: 4096, UseSymmetry: k != 3})
+		for _, g := range append(scaledGroups(n), rectBoundGroups(n)...) {
+			q := ds.Records[(k*31)%len(ds.Records)]
+			c := ix.newLBCascade(g.ts, q, math.Inf(1), g.oneSided, ix.symmetry(g.ts, g.oneSided))
+			for _, r := range ds.Records {
+				feat := r.Feature(k)
+				v := valueOf(c, feat)
+				for _, cut := range []float64{v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)), v / 2, 2 * v, 0, math.Inf(1)} {
+					c.cut = cut
+					tier := c.skip(feat)
+					if (tier >= 0) != (v > cut) {
+						t.Fatalf("K=%d %s (one-sided %v), record %d: value %v, cutoff %v, skip tier %d", k, g.name, g.oneSided, r.ID, v, cut, tier)
+					}
+					if tier >= 0 {
+						continue
+					}
+					if kv := c.kept(feat); kv != v {
+						t.Fatalf("K=%d %s (one-sided %v), record %d: kept %v after skip, value %v", k, g.name, g.oneSided, r.ID, kv, v)
+					}
+				}
+				if c.scaled {
+					forms[1]++
+				} else {
+					forms[0]++
+				}
+			}
+		}
+	}
+	if forms[0] == 0 || forms[1] == 0 {
+		t.Fatalf("entries checked on the loop and the factorized form: %v", forms)
+	}
+}
+
 // TestCascadeFactorizedGroups pins which groups take the factorized form
 // and which members it keeps. One-sided groups, a magnitude offset
 // (B[2j] != 0) and a phase multiplier of 2 stay on the loop. Of members

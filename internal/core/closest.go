@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"tsq/internal/geom"
 	"tsq/internal/minheap"
@@ -33,31 +32,30 @@ func lessPair(a, b JoinMatch) bool {
 
 // SeqScanClosestPairs returns the k pairs with the smallest best
 // transformed distance min_t D(t(a), t(b)), in rank order, by exhaustive
-// scan. It holds every live record's spectrum for the length of the call.
+// scan. It holds every live record's spectrum for the length of the call
+// and the k best pairs so far, each evaluation abandoning at the smaller
+// of the pair's running minimum and the k-th best distance so far
+// (scanBest).
 func SeqScanClosestPairs(src RecordSource, ts []transform.Transform, k int) ([]JoinMatch, QueryStats, error) {
 	var st QueryStats
-	var all []JoinMatch
+	var top []JoinMatch
 	recs, err := liveSpectra(src)
 	if err != nil {
 		return nil, st, err
 	}
+	worst := math.Inf(1)
 	for i, a := range recs {
 		for _, b := range recs[i+1:] {
 			st.Candidates++
-			best := JoinMatch{IDA: a.ID, IDB: b.ID, Distance: math.Inf(1)}
-			for ti, t := range ts {
-				if d, _ := st.evaluate(t, a, b, math.Inf(1), false); d < best.Distance {
-					best.Distance, best.TransformIdx = d, ti
+			if d, ti, ok := st.scanBest(ts, a, b, worst, false); ok && k > 0 {
+				top = insertTopK(top, JoinMatch{IDA: a.ID, IDB: b.ID, TransformIdx: ti, Distance: d}, k, lessPair)
+				if len(top) == k {
+					worst = top[k-1].Distance
 				}
 			}
-			all = append(all, best)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return lessPair(all[i], all[j]) })
-	if k < len(all) {
-		all = all[:max(k, 0)]
-	}
-	return all, st, nil
+	return top, st, nil
 }
 
 // shardPairItem is a priority-queue element: a pair of subtrees, each

@@ -275,15 +275,15 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 	var want QueryStats
 	var wantMatches []Match
 	for sh := 0; sh < s.ShardCount(); sh++ {
-		ix, sq := s.Shard(sh), s.shardQuery(q, sh)
+		ix := s.Shard(sh)
 		for gi, g := range groups {
 			sub := make([]transform.Transform, len(g))
 			for i, idx := range g {
 				sub[i] = ts[idx]
 			}
-			refStage := stageOf(ix, sq, sub, eps, opts)
+			refStage := stageOf(ix, q, sub, eps, opts)
 			ref := twoPassStage(t, ix, &refStage)
-			stg := mutatedStage(ix, sub, sq, eps, opts, mutate, mutateNode)
+			stg := mutatedStage(ix, sub, q, eps, opts, mutate, mutateNode)
 			got := fusedStage(t, ix, &stg)
 			if diff := stageDiff(got, ref); diff != "" {
 				return fmt.Sprintf("shard %d rectangle %d: %s", sh, gi, diff)
@@ -296,7 +296,7 @@ func rangeParity(t testing.TB, s *Sharded, q *Record, ts []transform.Transform, 
 					want.skippedAt(tier)
 				}
 			}
-			matches, vst, _, err := ix.verifySerial(nil, new(scratch), ref.Survivors, groupOf(ix, ts, g, opts), sq, eps, opts)
+			matches, vst, _, err := ix.verifySerial(nil, new(scratch), ref.Survivors, groupOf(ix, ts, g, opts), q, eps, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -177,7 +177,7 @@ func (hr *HealthReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "index health: %d series of length %d, k=%d (%d-dim), page %d B\n",
 		hr.Series, hr.SeriesLength, hr.K, hr.Dim, hr.PageSize)
 	if hr.ShardCount > 1 {
-		fmt.Fprintf(w, "sharded: %d shards, hash-partitioned by series id, queried scatter-gather\n", hr.ShardCount)
+		fmt.Fprintf(w, "sharded: %d shards, hash-partitioned by series id\n", hr.ShardCount)
 		hr.writeStorage(w)
 		hr.writeGroups(w)
 		for i, sh := range hr.Shards {

@@ -91,8 +91,9 @@ type Index struct {
 	scratchMu   sync.Mutex
 	idleScratch []*scratch
 
-	// nnDismissed, when a test sets it, sees every leaf entry MTIndexNN
-	// dismisses by the prefix bound, with the k-th best distance in
+	// nnDismissed, when a test sets it, sees every leaf entry of this
+	// shard MTIndexNN dismisses by the prefix bound, those still queued
+	// when the search stops included, with the k-th best distance in
 	// force.
 	nnDismissed func(rec int64, worst float64)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -136,6 +137,80 @@ func TestNNCascadeDismissalsSound(t *testing.T) {
 	}
 }
 
+// TestNNResolvesInBoundOrder pins what resolving in bound order buys:
+// the search resolves exactly the records whose point bound (the queue
+// key, kept) is at or below the cutoff of the final k-th best distance.
+// Those it must resolve, since the cutoff never falls below that; any
+// other it resolves was popped after the k-th best fell below its key,
+// which the test of each run entry against the cutoff in force is there
+// to catch. It also holds the count of queued entries left at the end to
+// what a dismissal hook sees one by one: the statistics are the same
+// with and without a hook. Two-sided moving averages (the factorized
+// cascade), a set with Reverse (the loop) and one-sided shifts, at one
+// and two shards, in memory and paged.
+func TestNNResolvesInBoundOrder(t *testing.T) {
+	t.Parallel()
+	ds, err := NewDataset(datagen.RandomWalks(47, 700, 64), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []struct {
+		ts       []transform.Transform
+		oneSided bool
+	}{
+		{transform.MovingAverageSet(64, 5, 12), false},
+		{cascadeFixtureTransforms(64), false},
+		{transform.TimeShiftSet(64, -3, 3), true},
+	}
+	for _, shards := range []int{1, 2} {
+		for _, paged := range []bool{false, true} {
+			opts := DefaultIndexOptions()
+			opts.Paged = paged
+			sh, err := BuildSharded(ds, shards, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix := sh.Shard(0)
+			for si, set := range sets {
+				for trial, k := range []int{1, 10, 25} {
+					q := ds.Records[(trial*97+si*31)%len(ds.Records)]
+					ro := RangeOptions{OneSided: set.oneSided}
+					got, st, err := sh.MTIndexNN(nil, q, set.ts, k, ro)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := new(lbCascade)
+					c.init(ix.opts.K, groupOf(ix, set.ts, nil, ro), q, math.Inf(1))
+					cut := transform.AbandonCutoff(got[k-1].Distance)
+					var below int
+					for _, r := range ds.Records {
+						if r.ID != q.ID && valueOf(c, r.Feature(ix.opts.K)) <= cut {
+							below++
+						}
+					}
+					if st.Candidates != below {
+						t.Errorf("shards=%d paged=%v set %d %d-NN: %d candidates resolved, %d records have a bound at or below the final cutoff", shards, paged, si, k, st.Candidates, below)
+					}
+					var hooked int
+					for i := 0; i < shards; i++ {
+						sh.Shard(i).nnDismissed = func(int64, float64) { hooked++ }
+					}
+					_, hst, err := sh.MTIndexNN(nil, q, set.ts, k, ro)
+					for i := 0; i < shards; i++ {
+						sh.Shard(i).nnDismissed = nil
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hst != st || hooked != st.SkippedLB {
+						t.Errorf("shards=%d paged=%v set %d %d-NN: with a dismissal hook %+v and %d dismissals seen, without %+v", shards, paged, si, k, hst, hooked, st)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestJoinClosestTiesEqualScan: the closest distinct pair (a, b) of the
 // data, with b copied three times, gives four pairs at exactly the same
 // distance d. A join at eps = d must keep all four (d <= eps holds with
@@ -210,25 +285,39 @@ func TestJoinClosestTiesEqualScan(t *testing.T) {
 }
 
 // BenchmarkNNResolve is the 10-NN search the repo benchmark's nn-shards2
-// workload runs per shard, where candidate resolution is nearly all of
-// the time: what the k-th best cutoff, the leaf prefix bound and the
-// shared cosines are for. It reports the candidates resolved and the
-// evaluations abandoned per query next to the time.
+// workload runs, where candidate resolution is nearly all of the time:
+// what the k-th best cutoff, the prefix bound in bound order and the
+// shared cosines are for. It runs on one tree and, through BuildSharded,
+// on the same records in two shards, which one search covers both of. It
+// reports the candidates resolved, the evaluations abandoned and the
+// nodes read per query next to the time.
 func BenchmarkNNResolve(b *testing.B) {
 	opts := DefaultIndexOptions()
 	opts.BulkLoad = true // the build is not what is measured
-	ds, ix := buildFixture(b, 3, 3000, 128, opts)
-	ts := transform.MovingAverageSet(128, 5, 20)
-	var st QueryStats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, qst, err := ix.MTIndexNN(nil, ds.Records[i*131%len(ds.Records)], ts, 10, RangeOptions{})
-		if err != nil || len(res) != 10 {
-			b.Fatalf("%d results, err %v", len(res), err)
-		}
-		st.Add(qst)
+	ds, err := NewDataset(datagen.RandomWalks(3, 3000, 128), nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(st.Candidates)/float64(b.N), "candidates/op")
-	b.ReportMetric(float64(st.Abandoned)/float64(b.N), "abandoned/op")
+	ts := transform.MovingAverageSet(128, 5, 20)
+	for _, shards := range []int{1, 2} {
+		sh, err := BuildSharded(ds, shards, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var st QueryStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, qst, err := sh.MTIndexNN(nil, ds.Records[i*131%len(ds.Records)], ts, 10, RangeOptions{})
+				if err != nil || len(res) != 10 {
+					b.Fatalf("%d results, err %v", len(res), err)
+				}
+				st.Add(qst)
+			}
+			b.ReportMetric(float64(st.Candidates)/float64(b.N), "candidates/op")
+			b.ReportMetric(float64(st.Abandoned)/float64(b.N), "abandoned/op")
+			b.ReportMetric(float64(st.DAAll)/float64(b.N), "nodes/op")
+		})
+	}
 }

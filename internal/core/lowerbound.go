@@ -362,53 +362,87 @@ func (c *lbCascade) skipEach(feat geom.Point) int {
 	}
 	maxTier := 0
 	for ti := 0; ti < c.nt; ti++ {
-		base := ti * c.k
-		// Tier 0 for this transformation: magnitude gaps, no
-		// trigonometry and no stores — most transformations die here,
-		// and the few that survive recompute the two multiplies below.
-		var s float64
-		for j := 0; j < c.k; j++ {
-			tm := &c.term[base+j]
-			mu := tm.aMag*feat[2*(j+1)] + tm.bMag
-			gap := math.Abs(mu) - tm.absMv
-			s += gap * gap
-		}
-		if c.sym*s > c.cut {
-			continue // dismissed at tier 0
-		}
-		// Tiers 1 and 2: replace gap terms by exact polar terms,
-		// coefficient 1 first. Each replacement only grows the sum, so
-		// crossing the cutoff mid-way proves the full prefix bound
-		// would cross it too.
-		dismissedAt := -1
-		for j := 0; j < c.k; j++ {
-			tm := &c.term[base+j]
-			phi := feat[2*(j+1)+1]
-			if !c.havePhi[j] {
-				c.trig[j], c.trig[c.k+j] = math.Sincos(phi)
-				c.havePhi[j] = true
-			}
-			cosd := tm.cos(phi, c.trig[j], c.trig[c.k+j])
-			mu := tm.aMag*feat[2*(j+1)] + tm.bMag
-			gap := math.Abs(mu) - tm.absMv
-			s += -(gap * gap) + (mu*mu + tm.mv*tm.mv - 2*mu*tm.mv*cosd)
-			if c.sym*s > c.cut {
-				if j == 0 {
-					dismissedAt = 1
-				} else {
-					dismissedAt = 2
-				}
-				break
-			}
-		}
-		if dismissedAt < 0 {
+		tier, _ := c.member(feat, ti, c.cut)
+		if tier < 0 {
 			return -1 // survives the full prefix bound: verify
 		}
-		if dismissedAt > maxTier {
-			maxTier = dismissedAt
-		}
+		maxTier = max(maxTier, tier)
 	}
 	return maxTier
+}
+
+// member holds transformation ti's prefix sums at feat against cut, the
+// way skipEach does: the tier whose sum first exceeds cut, or -1 when none
+// does, and then the largest of the sums, the value member ti gives the
+// entry. Lazily computed phase pairs are shared through c.havePhi, which
+// the caller clears per entry.
+func (c *lbCascade) member(feat geom.Point, ti int, cut float64) (tier int, v float64) {
+	base := ti * c.k
+	// Tier 0: magnitude gaps, no trigonometry and no stores — most
+	// transformations die here, and the few that survive recompute the
+	// two multiplies below.
+	var s float64
+	for j := 0; j < c.k; j++ {
+		tm := &c.term[base+j]
+		mu := tm.aMag*feat[2*(j+1)] + tm.bMag
+		gap := math.Abs(mu) - tm.absMv
+		s += gap * gap
+	}
+	v = c.sym * s
+	if v > cut {
+		return 0, v
+	}
+	// Tiers 1 and 2: replace gap terms by exact polar terms, coefficient
+	// 1 first. Each replacement grows the sum but by rounding, so crossing
+	// the cutoff mid-way proves the full prefix bound would cross it too.
+	for j := 0; j < c.k; j++ {
+		tm := &c.term[base+j]
+		phi := feat[2*(j+1)+1]
+		if !c.havePhi[j] {
+			c.trig[j], c.trig[c.k+j] = math.Sincos(phi)
+			c.havePhi[j] = true
+		}
+		cosd := tm.cos(phi, c.trig[j], c.trig[c.k+j])
+		mu := tm.aMag*feat[2*(j+1)] + tm.bMag
+		gap := math.Abs(mu) - tm.absMv
+		s += -(gap * gap) + (mu*mu + tm.mv*tm.mv - 2*mu*tm.mv*cosd)
+		v = max(v, c.sym*s)
+		if c.sym*s > cut {
+			return min(j+1, 2), v
+		}
+	}
+	return -1, v
+}
+
+// kept is skip's bound as a number, for the entry skip has just let
+// through, and the key the NN search queues it under: the least over the
+// group of what each member's sums give the entry, so that it exceeds a
+// cutoff exactly when skip would dismiss the entry at that cutoff. A
+// scaled member's sums only grow from tier to tier, so its value is its
+// exact prefix sum; a looped member's is the largest of the sums
+// member holds against the cutoff. skip leaves the terms at hand (a
+// scaled group's exact terms, all of them; the loop's phase pairs), so
+// the value costs no trigonometry of its own and is computed for the
+// entries the NN search queues only.
+func (c *lbCascade) kept(feat geom.Point) float64 {
+	best := math.Inf(1)
+	if c.scaled {
+		for m := 0; m < c.nw; m++ {
+			var s float64 // summed as skipScaled sums its tier 2
+			for j, w := range c.w[m*c.k : (m+1)*c.k] {
+				s += w * c.exact[j]
+			}
+			best = min(best, c.sym*s)
+		}
+		return best
+	}
+	// A member with a sum above best cannot lower it: member stops there.
+	for ti := 0; ti < c.nt; ti++ {
+		if tier, v := c.member(feat, ti, best); tier < 0 {
+			best = v
+		}
+	}
+	return best
 }
 
 // rectLB is the bound on an index rectangle: a lower bound, squared and

@@ -5,6 +5,8 @@ import (
 
 	"tsq/internal/geom"
 	"tsq/internal/heapfile"
+	"tsq/internal/minheap"
+	"tsq/internal/rtree"
 	"tsq/internal/transform"
 )
 
@@ -57,10 +59,16 @@ type scratch struct {
 	// series length and is left out of bytes().
 	pair transform.Pair
 
-	// NN search: one leaf's candidates and their spectra, copied out of
-	// the decode slot because the leaf is verified in entry order.
-	leaf []nnCand
-	slab []float64
+	// NN search: the queue of nodes and leaf entries, each shard's tree
+	// slots, the k best so far, the run of entries popped since the last
+	// node, its records, and what reading them ahead of their
+	// verification summed.
+	queue  minheap.Heap[nnItem]
+	slots  []*rtree.Slots
+	top    []NNMatch
+	run    []nnCand
+	runBuf scanBuf
+	warm   float64
 
 	// A query by id on a paged index: the stored query point, decoded
 	// from its page (Index.point). Its arrays are one series length each
@@ -98,8 +106,10 @@ func (sc *scratch) bytes() int {
 		sc.fetch.Bytes() +
 		cap(sc.matches)*int(unsafe.Sizeof(Match{})) +
 		cap(sc.spans)*int(unsafe.Sizeof(matchSpan{})) +
-		cap(sc.leaf)*int(unsafe.Sizeof(nnCand{})) +
-		8*cap(sc.slab)
+		sc.queue.Cap()*int(unsafe.Sizeof(nnItem{})+8) +
+		cap(sc.top)*int(unsafe.Sizeof(NNMatch{})) +
+		cap(sc.run)*int(unsafe.Sizeof(nnCand{})) +
+		cap(sc.runBuf.recs)*int(unsafe.Sizeof(Record{})) + 8*cap(sc.runBuf.slab) + sc.runBuf.fetch.Bytes()
 }
 
 // acquireScratch returns an idle scratch of ix, or a new one. The free
@@ -123,9 +133,10 @@ func (ix *Index) releaseScratch(sc *scratch) {
 	if sc.bytes() > maxScratchBytes {
 		return
 	}
-	// An idle scratch must not keep the caller's transformation set and
-	// last pair alive.
+	// An idle scratch must not keep the caller's transformation set, the
+	// records of its last NN run or its last pair alive.
 	clear(sc.sub[:cap(sc.sub)])
+	clear(sc.runBuf.recs[:cap(sc.runBuf.recs)])
 	sc.pair.Init(nil, false)
 	ix.scratchMu.Lock()
 	defer ix.scratchMu.Unlock()

@@ -16,15 +16,16 @@ import (
 // This file implements the query engine: the dataset is partitioned into
 // N independent shards by a deterministic hash of the global series id,
 // each shard an Index owning its own R*-tree, heap file, buffer pool and
-// storage counters. Shards are built in parallel and queried
-// scatter-gather with a deterministic merge (range: id-ordered union;
-// NN: per-shard top-k merged in rank order; join and closest pairs, in
-// join.go and closest.go: same-shard plus pairwise cross-shard walks).
-// An unsharded database is the one-shard case of the same code, not a
-// separate path: the gather calls the one stage on the calling goroutine
-// and hands back its answer, the cross-shard loops are empty, and no id
-// is translated, so one shard does exactly the work — same matches, same
-// statistics, same spans, same page reads — of the bare Index.
+// storage counters. Shards are built in parallel. Range and raw-range
+// probes are scatter-gather with a deterministic merge into id order; the
+// join (join.go) walks same-shard plus pairwise cross-shard; NN (nn.go)
+// and closest pairs (closest.go) are one best-first search over every
+// shard's tree, with one queue and one k-th best. An unsharded database
+// is the one-shard case of the same code, not a separate path: the gather
+// calls the one stage on the calling goroutine and hands back its answer,
+// the cross-shard loops are empty, a search's queue holds one root, and
+// no id is translated, so one shard does exactly the work — same matches,
+// same statistics, same spans, same page reads — of the bare Index.
 
 // ShardOf is the partition function: the shard owning global series id
 // g in an n-shard layout. It is a fixed (splitmix64-style) integer mix
@@ -86,8 +87,9 @@ func PartitionDataset(ds *Dataset, n int) ([]*Dataset, error) {
 	return out, nil
 }
 
-// Sharded is the query engine: N independent feature indexes queried
-// scatter-gather, each Index the per-shard stage of every query shape.
+// Sharded is the query engine over N independent feature indexes, each
+// Index the per-shard stage of the range shapes and one of the trees the
+// NN and closest-pairs searches cover.
 // The tsq facade always talks to a Sharded.
 type Sharded struct {
 	shards []*Index
@@ -387,41 +389,24 @@ func (s *Sharded) globalID(sh int, l int64) int64 {
 	return s.global[sh][l]
 }
 
-// shardQuery returns the query record as shard sh should see it: the
-// owning shard receives the query under its local id (NN self-
-// exclusion keeps working), every other shard under id -1.
-func (s *Sharded) shardQuery(q *Record, sh int) *Record {
-	if q.ID < 0 || q.ID >= int64(len(s.local)) {
-		return q
-	}
-	q2 := *q
-	if ShardOf(q.ID, len(s.shards)) == sh {
-		q2.ID = s.local[q.ID]
-	} else {
-		q2.ID = -1
-	}
-	return &q2
-}
-
-// probe is one scatter-gather query as a per-shard stage receives it. It
-// travels by value and the stages are plain functions, not closures over
-// the query's arguments: a closure handed to gather would escape to the
-// heap on every query, including the one-shard ones that fork nothing.
+// probe is one scatter-gather range query as a per-shard stage receives
+// it. It travels by value and the stages are plain functions, not
+// closures over the query's arguments: a closure handed to gather would
+// escape to the heap on every query, including the one-shard ones that
+// fork nothing.
 type probe struct {
 	ctx  context.Context
 	q    *Record
 	ts   []transform.Transform
 	eps  float64 // threshold of a range or raw-range probe
-	k    int     // answer size of an NN probe
 	opts RangeOptions
 }
 
 // gather is the engine's one scatter-gather: run stage on every shard
 // concurrently, translate the answers' shard-local record ids (reached
 // through id) to global ones, sum the statistics in shard order,
-// concatenate and put the whole in order. Each shard sees the query under
-// shardQuery's id and its probe spans carry the shard tag. The first
-// error in shard order wins and names its shard.
+// concatenate and put the whole in order. Each shard's probe spans carry
+// the shard tag. The first error in shard order wins and names its shard.
 //
 // One shard is the degenerate case: its stage runs on the calling
 // goroutine and its answer, statistics and error are the engine's as
@@ -436,7 +421,6 @@ func gather[T any](s *Sharded, p probe, stage func(*Index, probe) ([]T, QuerySta
 	shared := p // what the goroutines capture; p stays on the one-shard caller's stack
 	err := ParallelFor(n, n, func(sh int) (err error) {
 		p := shared
-		p.q = s.shardQuery(p.q, sh)
 		p.opts.ShardID, p.opts.ShardTotal = sh, n
 		parts[sh], stats[sh], err = stage(s.shards[sh], p)
 		for i := range parts[sh] {
@@ -475,22 +459,6 @@ func (s *Sharded) MTIndexRange(ctx context.Context, q *Record, ts []transform.Tr
 func (s *Sharded) STIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
 	opts.Groups = SingletonGroups(len(ts))
 	return s.MTIndexRange(ctx, q, ts, eps, opts)
-}
-
-// MTIndexNN answers a k-NN query scatter-gather: every shard runs the
-// best-first search for its own top k, and the candidate lists merge in
-// rank order (lessNN) and are cut to k (none for k <= 0). Of opts only
-// OneSided applies.
-func (s *Sharded) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transform, k int, opts RangeOptions) ([]NNMatch, QueryStats, error) {
-	out, st, err := gather(s, probe{ctx: ctx, q: q, ts: ts, k: k, opts: opts},
-		func(ix *Index, p probe) ([]NNMatch, QueryStats, error) {
-			return ix.MTIndexNN(p.ctx, p.q, p.ts, p.k, p.opts)
-		},
-		func(m *NNMatch) *int64 { return &m.RecordID }, sortNN)
-	if len(out) > k {
-		out = out[:max(k, 0)]
-	}
-	return out, st, err
 }
 
 // RawRange answers the raw-distance range query scatter-gather, merged

@@ -53,15 +53,10 @@ type scanBuf struct {
 // chunks runs a visit over [lo, hi) in chunks of scanChunk ids: fill
 // loads the chunk [c, end) into b (through load), and fn then sees its
 // live records in id order, each named by its id.
-func (b *scanBuf) chunks(lo, hi, n int, fill func(c, end int) error, fn func(*Record) error) error {
+func (b *scanBuf) chunks(lo, hi int, fill func(c, end int) error, fn func(*Record) error) error {
 	for c := lo; c < hi; c += scanChunk {
 		m := min(scanChunk, hi-c)
-		b.recs = slices.Grow(b.recs[:0], m)[:m]
-		b.live = slices.Grow(b.live[:0], m)[:m]
-		clear(b.live)
-		if need := 3 * m * n; len(b.slab) < need {
-			b.slab = make([]float64, need)
-		}
+		b.reset(m)
 		if err := fill(c, c+m); err != nil {
 			return err
 		}
@@ -77,6 +72,13 @@ func (b *scanBuf) chunks(lo, hi, n int, fill func(c, end int) error, fn func(*Re
 		}
 	}
 	return nil
+}
+
+// reset makes b a chunk of m records, none of them live.
+func (b *scanBuf) reset(m int) {
+	b.recs = slices.Grow(b.recs[:0], m)[:m]
+	b.live = slices.Grow(b.live[:0], m)[:m]
+	clear(b.live)
 }
 
 // set copies the record v into chunk position i.
@@ -108,6 +110,9 @@ func (ix *Index) load(ctx context.Context, b *scanBuf) error {
 		}
 		return nil
 	}
+	if need := 3 * len(b.recs) * ix.n; len(b.slab) < need {
+		b.slab = make([]float64, need)
+	}
 	return ix.heap.Visit(ctx, b.ids, &b.fetch, func(i int, v *heapfile.View) error {
 		if v != nil { // a tombstone stays not live
 			b.set(b.at[i], v)
@@ -122,7 +127,7 @@ func (ix *Index) visit(ctx context.Context, lo, hi int, b *scanBuf, fn func(*Rec
 	if ix.heap == nil {
 		return ix.ds.visit(ctx, lo, hi, b, fn)
 	}
-	return b.chunks(lo, hi, ix.n, func(c, end int) error {
+	return b.chunks(lo, hi, func(c, end int) error {
 		b.ids, b.at = b.ids[:0], b.at[:0]
 		for id := c; id < end; id++ {
 			b.ids, b.at = append(b.ids, int64(id)), append(b.at, id-c)
@@ -137,7 +142,7 @@ func (s *Sharded) visit(ctx context.Context, lo, hi int, b *scanBuf, fn func(*Re
 	if s.single() {
 		return s.shards[0].visit(ctx, lo, hi, b, fn)
 	}
-	return b.chunks(lo, hi, s.SeriesLength(), func(c, end int) error {
+	return b.chunks(lo, hi, func(c, end int) error {
 		for sh, ix := range s.shards {
 			b.ids, b.at = b.ids[:0], b.at[:0]
 			for g := c; g < end; g++ {

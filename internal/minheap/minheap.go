@@ -23,6 +23,16 @@ type Heap[T any] struct {
 // Len returns the number of items in the heap.
 func (h *Heap[T]) Len() int { return len(h.items) }
 
+// Cap returns how many items the heap holds before its array grows.
+func (h *Heap[T]) Cap() int { return cap(h.items) }
+
+// Reset empties the heap and keeps its array, so a search that reuses
+// the heap stops growing it once warm.
+func (h *Heap[T]) Reset() {
+	clear(h.items) // drop what the vals reference
+	h.items = h.items[:0]
+}
+
 // Push adds v under key.
 func (h *Heap[T]) Push(key float64, v T) {
 	h.items = append(h.items, item[T]{key, v})

@@ -79,3 +79,43 @@ func TestPushPopDoNotAllocate(t *testing.T) {
 		t.Fatalf("pop+push allocates %v times, want 0", allocs)
 	}
 }
+
+// TestResetKeepsArray: a reset heap is empty, keeps its capacity and
+// drops what its items referenced, so refilling it to the same size
+// allocates nothing and pops in key order again.
+func TestResetKeepsArray(t *testing.T) {
+	var h Heap[*int]
+	fill := func() {
+		for i := 0; i < 64; i++ {
+			v := i
+			h.Push(float64((i*37)%64), &v)
+		}
+	}
+	fill()
+	c := h.Cap()
+	h.Reset()
+	if h.Len() != 0 || h.Cap() != c {
+		t.Fatalf("after Reset: Len %d, Cap %d; want 0, %d", h.Len(), h.Cap(), c)
+	}
+	for _, it := range h.items[:c] {
+		if it.val != nil {
+			t.Fatal("Reset kept a reference to a dropped item")
+		}
+	}
+	var v int
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 64; i++ {
+			h.Push(float64((i*37)%64), &v)
+		}
+		h.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("refilling a reset heap allocates %v times, want 0", allocs)
+	}
+	fill()
+	for want := 0.0; h.Len() > 0; want++ {
+		if key, _ := h.Pop(); key != want {
+			t.Fatalf("popped key %v, want %v", key, want)
+		}
+	}
+}

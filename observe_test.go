@@ -417,9 +417,10 @@ func TestResourceAttributionFacade(t *testing.T) {
 		t.Errorf("root span alloc_bytes = %d, stats say %d", root.Get(obs.AAllocBytes), st.AllocBytes)
 	}
 
-	// NN path books resources the same way (the scan's result buffer,
-	// one entry per stored series, is a large object too).
-	_, nst, err := db.NearestNeighbors(db.Get(2), ts, 3, QueryOptions{Algorithm: SeqScan})
+	// NN path books resources the same way. The scan keeps only its k
+	// best, so k is the whole database: its answer, one entry per other
+	// stored series, is a large object too.
+	_, nst, err := db.NearestNeighbors(db.Get(2), ts, db.Len(), QueryOptions{Algorithm: SeqScan})
 	if err != nil {
 		t.Fatal(err)
 	}

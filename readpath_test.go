@@ -90,6 +90,109 @@ func TestInMemoryRangeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestShardedNNAllocBudget pins what a warm, untraced 10-NN query of the
+// nn-shards2 shape allocates: featurizing the query and its answer. The
+// search's queue, the k best so far and each shard's decode slot live in
+// reused scratch, and one search covers every shard, so two shards cost
+// no more than one. Before, the query made 42 allocations at two shards.
+func TestShardedNNAllocBudget(t *testing.T) {
+	const budget = 10
+	ss := datagen.RandomWalks(5, 2000, 128)
+	q := datagen.RandomWalks(6, 1, 128)[0]
+	ts := MovingAverages(128, 10, 11)
+	for _, shards := range []int{1, 2} {
+		db, err := Open(ss, nil, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		allocs := testing.AllocsPerRun(20, func() {
+			nn, _, err := db.NearestNeighbors(q, ts, 10, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = len(nn)
+		})
+		if got != 10 || allocs > budget {
+			t.Fatalf("shards=%d: a 10-NN query with %d answers allocates %.1f times, budget %d", shards, got, allocs, budget)
+		}
+	}
+}
+
+// TestNNPagedEqualsInMemory holds the NN search's run logic to its
+// promise: the same records in memory and in a file behind a pool far
+// smaller than it, at one and two shards, give the same answers and every
+// QueryStats count the same, by-id queries (which leave the stored series
+// out) and deleted records included. The file fetches each run of popped
+// entries in one page-ordered batch and verifies it in pop order; memory
+// verifies the same runs without a fetch. The file is written without
+// page checksums, whose trailer costs a leaf one entry, so that both hold
+// the same tree.
+func TestNNPagedEqualsInMemory(t *testing.T) {
+	ss := datagen.RandomWalks(41, 900, 64)
+	queries := datagen.RandomWalks(42, 4, 64)
+	sets := []struct {
+		ts   []Transform
+		opts QueryOptions
+	}{
+		{MovingAverages(64, 5, 12), QueryOptions{}},
+		{TimeShifts(64, -3, 3), QueryOptions{OneSided: true}},
+		{append(MovingAverages(64, 4, 6), Reverse(64), Scale(64, 1.5)), QueryOptions{}},
+	}
+	for _, shards := range []int{1, 2} {
+		mem, err := Open(ss, nil, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := CreateFile(filepath.Join(t.TempDir(), "nn.tsq"), ss, nil, Options{Shards: shards, BufferPages: 16, DisableChecksums: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int64{3, 400, 401, 899} {
+			if err := mem.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := file.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var reqs []BatchRequest
+		for _, set := range sets {
+			for _, k := range []int{1, 10, 40} {
+				for _, q := range queries {
+					reqs = append(reqs, BatchRequest{Query: q, Transforms: set.ts, K: k, Opts: set.opts})
+				}
+				for _, id := range []int64{0, 402, 777} {
+					reqs = append(reqs, BatchRequest{ID: id, ByID: true, Transforms: set.ts, K: k, Opts: set.opts})
+				}
+			}
+		}
+		want, got := mem.Batch(context.Background(), reqs, 1), file.Batch(context.Background(), reqs, 1)
+		var skipped int
+		for i := range reqs {
+			w, g := want[i], got[i]
+			// An NN search runs no timed bound and no resource sampling:
+			// every field of its Stats is a count.
+			if w.Err != nil || g.Err != nil {
+				t.Fatalf("shards=%d request %d: errors %v (memory), %v (file)", shards, i, w.Err, g.Err)
+			}
+			if !reflect.DeepEqual(g.NN, w.NN) || len(g.NN) != reqs[i].K {
+				t.Errorf("shards=%d request %d (k=%d): file answers\n%+v\nmemory answers\n%+v", shards, i, reqs[i].K, g.NN, w.NN)
+			}
+			if g.Stats != w.Stats {
+				t.Errorf("shards=%d request %d (k=%d): file counts\n%+v\nmemory counts\n%+v", shards, i, reqs[i].K, g.Stats, w.Stats)
+			}
+			skipped += w.Stats.SkippedLB
+		}
+		if skipped == 0 {
+			t.Errorf("shards=%d: the prefix bound dismissed nothing", shards)
+		}
+		if err := file.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFileBackedAnswersEqualSeqScanWithWorkers runs range and NN queries
 // with Workers: 4 from several goroutines at once against one small-pool
 // file — every verification worker streaming records through its own

@@ -206,9 +206,18 @@ type Options struct {
 	BulkLoad bool
 	// Shards partitions the database into that many independent shards
 	// (deterministic hash over series ids), each with its own R*-tree,
-	// heap file and buffer pool, built in parallel and queried
-	// scatter-gather. 0 or 1 keeps the classic single-tree engine;
-	// answers are identical at every shard count.
+	// heap file and buffer pool, built in parallel. Range queries fan out
+	// to every shard and merge; nearest neighbors and closest pairs are
+	// one best-first search over all the shards' trees, on the calling
+	// goroutine, with one k-th best. 0 or 1 keeps the classic single-tree
+	// engine; answers are identical at every shard count. Shards buy
+	// parallel builds, parallel range probes and smaller files, not
+	// faster NN. A 10-NN query over 6 000 random walks on a 2-vCPU host,
+	// when each shard still ran its own search on its own goroutine,
+	// ran at 1 140 to 1 805 queries/s on one tree and 903 to 1 413 on
+	// two, reading 49 pages against 67. As one search, two shards
+	// resolve the same 215 candidates per query as one tree, read 54
+	// nodes against 51, and take about as long.
 	Shards int
 }
 
