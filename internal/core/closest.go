@@ -35,9 +35,13 @@ func lessPair(a, b JoinMatch) bool {
 // scan. It holds every live record's spectrum for the length of the call
 // and the k best pairs so far, each evaluation abandoning at the smaller
 // of the pair's running minimum and the k-th best distance so far
-// (scanBest).
+// (scanBest). At k <= 0 it returns at once, with no answer and zero
+// stats, as the index search does.
 func SeqScanClosestPairs(src RecordSource, ts []transform.Transform, k int) ([]JoinMatch, QueryStats, error) {
 	var st QueryStats
+	if k <= 0 {
+		return nil, st, nil
+	}
 	var top []JoinMatch
 	recs, err := liveSpectra(src)
 	if err != nil {
@@ -47,7 +51,7 @@ func SeqScanClosestPairs(src RecordSource, ts []transform.Transform, k int) ([]J
 	for i, a := range recs {
 		for _, b := range recs[i+1:] {
 			st.Candidates++
-			if d, ti, ok := st.scanBest(ts, a, b, worst, false); ok && k > 0 {
+			if d, ti, ok := st.scanBest(ts, a, b, worst, false); ok {
 				top = insertTopK(top, JoinMatch{IDA: a.ID, IDB: b.ID, TransformIdx: ti, Distance: d}, k, lessPair)
 				if len(top) == k {
 					worst = top[k-1].Distance

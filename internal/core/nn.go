@@ -37,15 +37,19 @@ func lessNN(a, b NNMatch) bool {
 // min_{t in ts} D(t(r), t(q)) (or D(t(r), q) when oneSided) is smallest,
 // in rank order, by exhaustive scan. It keeps the k best so far only, and
 // each evaluation abandons at the smaller of the record's running minimum
-// and the k-th best distance so far (scanBest). When ctx carries a span,
-// a KindScan child records the records scanned and comparisons made.
+// and the k-th best distance so far (scanBest). At k <= 0 it returns at
+// once, with no answer and zero stats, as the index search does. When ctx
+// carries a span, a KindScan child records the records scanned and
+// comparisons made.
 func SeqScanNN(ctx context.Context, src RecordSource, q *Record, ts []transform.Transform, k int, oneSided bool) ([]NNMatch, QueryStats, error) {
+	if k <= 0 {
+		return nil, QueryStats{}, nil
+	}
 	var sp *obs.Span
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		sp = parent.Child(obs.KindScan, fmt.Sprintf("nn seq scan (k=%d, %d records)", k, src.Len()))
 	}
 	var st QueryStats
-	k = max(k, 0)
 	best := make([]NNMatch, 0, min(k, src.Len()))
 	worst := math.Inf(1)
 	err := src.visit(ctx, 0, src.Len(), new(scanBuf), func(r *Record) error {
@@ -53,7 +57,7 @@ func SeqScanNN(ctx context.Context, src RecordSource, q *Record, ts []transform.
 			return nil
 		}
 		st.Candidates++
-		if d, ti, ok := st.scanBest(ts, r, q, worst, oneSided); ok && k > 0 {
+		if d, ti, ok := st.scanBest(ts, r, q, worst, oneSided); ok {
 			best = insertTopK(best, NNMatch{RecordID: r.ID, TransformIdx: ti, Distance: d}, k, lessNN)
 			if len(best) == k {
 				worst = best[k-1].Distance

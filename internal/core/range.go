@@ -94,7 +94,12 @@ type QueryStats struct {
 	// deltas sampled around the query when resource attribution is
 	// enabled (zero otherwise). Under concurrent queries they include
 	// neighbors' work — they attribute resource pressure to a query
-	// shape, they do not meter it exactly.
+	// shape, they do not meter it exactly. AllocBytes and Mallocs come
+	// from runtime/metrics, which books small objects per span when a
+	// goroutine's cached span fills, not per allocation: a query that
+	// allocates only small objects can read 0 (or another query's
+	// span), so the two are trustworthy only for queries with a large
+	// allocation.
 	AllocBytes int64
 	Mallocs    int64
 	GCCycles   int64

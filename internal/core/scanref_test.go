@@ -87,8 +87,10 @@ func sameAnswers[T any](got, want []T) bool {
 // (seven records at exactly one distance from the query, ranks 4..10),
 // both sidednesses, for k = 0, 1, k through the tie and k past the number
 // of records: the same records under the same transformations at the
-// same distances in the same order. The k-th best cutoff must abandon
-// evaluations the running minimum alone did not.
+// same distances in the same order. Every k > 0 evaluates every record;
+// k = 0 returns at once with zero stats, as the index search does. The
+// k-th best cutoff must abandon evaluations the running minimum alone
+// did not.
 func TestSeqScanNNEqualsCollectAndSort(t *testing.T) {
 	const query = 10
 	ss := datagen.RandomWalks(16, 320, 64)
@@ -126,8 +128,8 @@ func TestSeqScanNNEqualsCollectAndSort(t *testing.T) {
 			if !sameAnswers(got, want) {
 				t.Errorf("oneSided=%v %d-NN:\n   top-k %+v\ncollected %+v", oneSided, k, got, want)
 			}
-			if st.Candidates != len(ss)-1 {
-				t.Errorf("oneSided=%v %d-NN: %d candidates, want every record but the query (%d)", oneSided, k, st.Candidates, len(ss)-1)
+			if want := len(ss) - 1; k == 0 && st != (QueryStats{}) || k > 0 && st.Candidates != want {
+				t.Errorf("oneSided=%v %d-NN: %d candidates (stats %+v), want every record but the query (%d), none at k = 0", oneSided, k, st.Candidates, st, want)
 			}
 			if k == 5 {
 				abandoned = st.Abandoned
@@ -149,7 +151,8 @@ func TestSeqScanNNEqualsCollectAndSort(t *testing.T) {
 // to the collect-and-sort one on the tie fixture of
 // TestJoinClosestTiesEqualScan (six pairs at distance 0, then four at one
 // distance d), for k = 0, 1, k through each tie and k past the number of
-// pairs, and checks that the k-th best cutoff abandons evaluations.
+// pairs (k = 0 evaluates nothing and returns zero stats), and checks that
+// the k-th best cutoff abandons evaluations.
 func TestSeqScanClosestPairsEqualsCollectAndSort(t *testing.T) {
 	ss := datagen.RandomWalks(29, 150, 64)
 	ts := transform.MovingAverageSet(64, 4, 7)
@@ -181,8 +184,8 @@ func TestSeqScanClosestPairsEqualsCollectAndSort(t *testing.T) {
 		if !sameAnswers(got, want) {
 			t.Errorf("%d closest pairs:\n   top-k %+v\ncollected %+v", k, got, want)
 		}
-		if st.Candidates != pairs {
-			t.Errorf("%d closest pairs: %d candidates, want all %d pairs", k, st.Candidates, pairs)
+		if k == 0 && st != (QueryStats{}) || k > 0 && st.Candidates != pairs {
+			t.Errorf("%d closest pairs: %d candidates (stats %+v), want all %d pairs, none at k = 0", k, st.Candidates, st, pairs)
 		}
 		if k > 0 && k < pairs && st.Abandoned == 0 {
 			t.Errorf("%d closest pairs: no evaluation abandoned at the k-th best", k)

@@ -82,8 +82,8 @@ func TestAbortedDeleteKeepsFreedPages(t *testing.T) {
 // BenchmarkInsertDisk is one acknowledged insert on the program's file
 // stack (page file, checksums, staging overlay, WAL with its fsync) into
 // a database of 4200 series, whose heap directory is five pages long: ns,
-// bytes and allocations per insert, and the WAL bytes and page writes it
-// costs. The log is folded every 128 inserts off the clock, where
+// bytes and allocations per insert, and the WAL bytes, page reads
+// (buffer-pool hits included) and page writes it costs. The log is folded every 128 inserts off the clock, where
 // DefaultCheckpointThreshold would.
 func BenchmarkInsertDisk(b *testing.B) {
 	dir := b.TempDir()
@@ -107,7 +107,7 @@ func BenchmarkInsertDisk(b *testing.B) {
 	extra := datagen.RandomWalks(74, b.N, 128)
 	var walBytes int64
 	empty := log.Size()
-	writes := ix.DiskStats().Writes
+	before := ix.DiskStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i, s := range extra {
@@ -124,5 +124,7 @@ func BenchmarkInsertDisk(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(walBytes)/float64(b.N), "walB/op")
-	b.ReportMetric(float64(ix.DiskStats().Writes-writes)/float64(b.N), "pagewrites/op")
+	after := ix.DiskStats()
+	b.ReportMetric(float64(after.Reads+after.Hits-before.Reads-before.Hits)/float64(b.N), "pagereads/op")
+	b.ReportMetric(float64(after.Writes-before.Writes)/float64(b.N), "pagewrites/op")
 }

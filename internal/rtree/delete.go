@@ -34,6 +34,12 @@ func errCount(got, want int64) error {
 // Delete removes the entry with the given rectangle and record id. It
 // returns ErrNotFound if no such entry exists.
 func (t *Tree) Delete(r geom.Rect, rec int64) error {
+	t.begin()
+	return t.end(t.delete(r, rec))
+}
+
+// delete is the body of Delete, run as one operation (writeSet).
+func (t *Tree) delete(r geom.Rect, rec int64) error {
 	path, idx, err := t.findLeaf(t.root, t.height, r, rec)
 	if err != nil {
 		return err
@@ -42,36 +48,36 @@ func (t *Tree) Delete(r geom.Rect, rec int64) error {
 	leaf.Entries = append(leaf.Entries[:idx], leaf.Entries[idx+1:]...)
 
 	// Condense: walk the path bottom-up; underfull non-root nodes are
-	// removed and their entries queued for reinsertion at their level.
+	// removed and their entries queued for reinsertion at their level. A
+	// node whose rectangle comes out as it was ends the walk: nothing
+	// above it changed.
 	type orphan struct {
 		entries []Entry
 		level   int
 	}
 	var orphans []orphan
-	for i := len(path) - 1; i >= 1; i-- {
+	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i].node
-		level := t.height - i
-		parent := path[i-1].node
-		if minE, _ := t.Capacity(n.Leaf); len(n.Entries) < minE {
-			orphans = append(orphans, orphan{entries: n.Entries, level: level})
+		if minE, _ := t.Capacity(n.Leaf); i > 0 && len(n.Entries) < minE {
+			orphans = append(orphans, orphan{entries: n.Entries, level: t.height - i})
+			parent := path[i-1].node
 			parent.Entries = append(parent.Entries[:path[i].entryIdx], parent.Entries[path[i].entryIdx+1:]...)
 			// Re-index siblings' stored positions in the remaining path is
 			// unnecessary: only this branch of the path is walked.
-			t.mgr.Free(n.ID)
-		} else {
-			if err := t.store(n); err != nil {
-				return err
-			}
-			parent.Entries[path[i].entryIdx].Rect = n.mbr()
+			t.free(n.ID)
+			continue
 		}
-	}
-	if err := t.store(path[0].node); err != nil {
-		return err
+		if err := t.store(n); err != nil {
+			return err
+		}
+		if i == 0 || !n.refit(path[i-1].node.Entries[path[i].entryIdx].Rect) {
+			break
+		}
 	}
 
 	// Shrink the root while it is an internal node with a single child.
 	for {
-		root, err := t.Load(t.root)
+		root, err := t.loadOwned(t.root)
 		if err != nil {
 			return err
 		}
@@ -81,7 +87,7 @@ func (t *Tree) Delete(r geom.Rect, rec int64) error {
 		old := t.root
 		t.root = root.Entries[0].Child
 		t.height--
-		t.mgr.Free(old)
+		t.free(old)
 	}
 
 	// Reinsert orphaned entries at their original levels.
@@ -113,11 +119,11 @@ func (t *Tree) reinsertSubtree(e Entry, level int) error {
 	if level == 1 {
 		return t.insertAtLevel(e, 1, new(levelSet))
 	}
-	n, err := t.Load(e.Child)
+	n, err := t.loadOwned(e.Child)
 	if err != nil {
 		return err
 	}
-	t.mgr.Free(n.ID)
+	t.free(n.ID)
 	for _, child := range n.Entries {
 		if err := t.reinsertSubtree(child, level-1); err != nil {
 			return err
@@ -129,7 +135,7 @@ func (t *Tree) reinsertSubtree(e Entry, level int) error {
 // findLeaf locates the leaf containing (r, rec), returning the path to it
 // and the entry index inside the leaf.
 func (t *Tree) findLeaf(id storage.PageID, level int, r geom.Rect, rec int64) ([]pathElem, int, error) {
-	n, err := t.Load(id)
+	n, err := t.loadOwned(id)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -150,21 +150,25 @@ func (s *Scratch) push(e Entry) {
 func (n *Node) mbr() geom.Rect {
 	dim := n.Entries[0].Rect.Dim()
 	r := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
-	n.mbrInto(r)
+	n.refit(r)
 	return r
 }
 
-// mbrInto writes the node's minimum bounding rectangle into dst, which
-// must not be one of its entries' rectangles.
-func (n *Node) mbrInto(dst geom.Rect) {
-	copy(dst.Lo, n.Entries[0].Rect.Lo)
-	copy(dst.Hi, n.Entries[0].Rect.Hi)
-	for _, e := range n.Entries[1:] {
-		for d := range dst.Lo {
-			dst.Lo[d] = min(dst.Lo[d], e.Rect.Lo[d])
-			dst.Hi[d] = max(dst.Hi[d], e.Rect.Hi[d])
+// refit writes the node's minimum bounding rectangle into dst, which must
+// not be one of its entries' rectangles, and reports whether any bit of
+// dst changed.
+func (n *Node) refit(dst geom.Rect) bool {
+	changed := false
+	for d := range dst.Lo {
+		lo, hi := n.Entries[0].Rect.Lo[d], n.Entries[0].Rect.Hi[d]
+		for _, e := range n.Entries[1:] {
+			lo, hi = min(lo, e.Rect.Lo[d]), max(hi, e.Rect.Hi[d])
 		}
+		changed = changed || math.Float64bits(lo) != math.Float64bits(dst.Lo[d]) ||
+			math.Float64bits(hi) != math.Float64bits(dst.Hi[d])
+		dst.Lo[d], dst.Hi[d] = lo, hi
 	}
+	return changed
 }
 
 // Page layout (little endian):
@@ -209,6 +213,8 @@ func MaxPointEntries(pageSize, dim int) int {
 }
 
 // encodeNode serializes n into buf (one page) as a node of the given kind.
+// The page past the last entry is zeroed, so a node's bytes depend on the
+// node alone and not on what the buffer held before.
 func encodeNode(n *Node, kind byte, dim int, buf []byte) {
 	buf[0], buf[1] = kind, 0
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.Entries)))
@@ -226,6 +232,7 @@ func encodeNode(n *Node, kind byte, dim int, buf []byte) {
 		binary.LittleEndian.PutUint64(buf[off:], ref)
 		off += 8
 	}
+	clear(buf[off:])
 	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[:off]))
 }
 

@@ -29,13 +29,15 @@ type Tree struct {
 	maxE, minE         int // M and m of an internal node
 	leafMaxE, leafMinE int // M and m of a leaf: more entries when they are points
 	metaID             storage.PageID
-	buf                []byte       // scratch page buffer for writes
+	buf                []byte       // scratch page buffer for writes outside an operation
 	ovf                splitScratch // buffers of the split and reinsert decisions
+	ws                 writeSet     // the pages of the running Insert or Delete
 	// write holds the decode slots of the insert path, one per level, and
 	// path the root-to-target path an insertion is working on. Both are
 	// valid until the next choosePath: writes are exclusive, and an
 	// insertion that starts another (forced reinsertion) is done with its
-	// own path by then.
+	// own path by then. A node modified in a slot is stored before the
+	// next choosePath, which reloads the path from the write set.
 	write []*Scratch
 	path  []pathElem
 
@@ -158,9 +160,9 @@ func (t *Tree) Capacity(leaf bool) (int, int) {
 
 // Load reads and decodes one node. Each call costs one page access, which
 // is how the experiments count disk accesses. The node is the caller's to
-// keep and modify: Delete, which holds a root-to-leaf path of nodes while
-// condensing it, and the checks go through Load. Read traversals use
-// LoadInto or LoadView, insertions LoadInto.
+// keep and modify; the checks go through Load. Read traversals use
+// LoadInto or LoadView. Insert and Delete read through their write set
+// instead (writeSet), which reads each page once per operation.
 func (t *Tree) Load(id storage.PageID) (*Node, error) {
 	return t.LoadInto(nil, id, newScratch(t.mgr.PageSize(), t.dim))
 }
@@ -244,6 +246,8 @@ func (s *Slots) Release() {
 	}
 }
 
+// store encodes n into its page: into the running operation's write set,
+// or straight to the manager outside an operation (building a tree).
 func (t *Tree) store(n *Node) error {
 	if _, maxE := t.Capacity(n.Leaf); len(n.Entries) > maxE {
 		return fmt.Errorf("rtree: storing overfull node %d (%d > %d)", n.ID, len(n.Entries), maxE)
@@ -252,16 +256,26 @@ func (t *Tree) store(n *Node) error {
 	if n.Leaf {
 		kind = t.leafKind
 	}
-	encodeNode(n, kind, t.dim, t.buf)
-	return t.mgr.Write(n.ID, t.buf)
+	return t.encode(n.ID, func(buf []byte) { encodeNode(n, kind, t.dim, buf) })
 }
 
 func (t *Tree) writeMeta() error {
-	for i := range t.buf {
-		t.buf[i] = 0
+	return t.encode(t.metaID, func(buf []byte) {
+		clear(buf)
+		encodeMeta(buf, t.meta)
+	})
+}
+
+// encode has enc fill the page id, the way store describes.
+func (t *Tree) encode(id storage.PageID, enc func([]byte)) error {
+	if !t.ws.open {
+		enc(t.buf)
+		return t.mgr.Write(id, t.buf)
 	}
-	encodeMeta(t.buf, t.meta)
-	return t.mgr.Write(t.metaID, t.buf)
+	p, _ := t.page(id)
+	enc(p.page)
+	p.dirty = true
+	return nil
 }
 
 // Reload re-reads the meta page and restores the in-memory root,
@@ -291,7 +305,13 @@ func (t *Tree) Insert(r geom.Rect, rec int64) error {
 	if err := t.fits(r); err != nil {
 		return err
 	}
-	if err := t.insertAtLevel(Entry{Rect: r, Rec: rec}, 1, new(levelSet)); err != nil {
+	t.begin()
+	return t.end(t.insert(Entry{Rect: r, Rec: rec}))
+}
+
+// insert is the body of Insert, run as one operation (writeSet).
+func (t *Tree) insert(e Entry) error {
+	if err := t.insertAtLevel(e, 1, new(levelSet)); err != nil {
 		return err
 	}
 	t.size++
@@ -356,7 +376,7 @@ func (t *Tree) choosePath(r geom.Rect, targetLevel int) ([]pathElem, error) {
 			t.write = append(t.write, newScratch(t.mgr.PageSize(), t.dim))
 		}
 		slot := t.write[len(path)]
-		n, err := t.LoadInto(nil, id, slot)
+		n, err := t.loadOp(id, slot)
 		if err != nil {
 			return nil, err
 		}
@@ -428,7 +448,8 @@ func chooseLeastEnlargement(entries []Entry, r geom.Rect) int {
 
 // handleOverflowAndAdjust stores the modified tail node of path, resolving
 // overflow by forced reinsertion or split, and adjusts bounding rectangles
-// up to the root.
+// upwards until one comes out bit for bit as it was: the ancestors above
+// that node did not change.
 func (t *Tree) handleOverflowAndAdjust(path []pathElem, level int, overflowed *levelSet) error {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i].node
@@ -450,8 +471,8 @@ func (t *Tree) handleOverflowAndAdjust(path []pathElem, level int, overflowed *l
 		if err := t.store(n); err != nil {
 			return err
 		}
-		if i > 0 {
-			n.mbrInto(path[i-1].node.Entries[path[i].entryIdx].Rect)
+		if i == 0 || !n.refit(path[i-1].node.Entries[path[i].entryIdx].Rect) {
+			return nil
 		}
 	}
 	return nil
@@ -503,11 +524,10 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) err
 	if err := t.store(n); err != nil {
 		return err
 	}
-	// Tighten ancestors before reinserting.
-	for j := i; j > 0; j-- {
-		parent := path[j-1].node
-		path[j].node.mbrInto(parent.Entries[path[j].entryIdx].Rect)
-		if err := t.store(parent); err != nil {
+	// Tighten ancestors before reinserting, up to the first whose entry
+	// does not change.
+	for j := i; j > 0 && path[j].node.refit(path[j-1].node.Entries[path[j].entryIdx].Rect); j-- {
+		if err := t.store(path[j-1].node); err != nil {
 			return err
 		}
 	}
@@ -561,7 +581,7 @@ func (t *Tree) split(path []pathElem, i, level int, overflowed *levelSet) error 
 	}
 
 	// Update the parent: tighten the split node's rect and add the sibling.
-	n.mbrInto(path[i-1].node.Entries[path[i].entryIdx].Rect)
+	n.refit(path[i-1].node.Entries[path[i].entryIdx].Rect)
 	path[i-1].slot.push(newEntry)
 	return t.handleOverflowAndAdjust(path[:i], level+1, overflowed)
 }

@@ -61,7 +61,7 @@ func (s *splitScratch) bounds(n *Node, dim int) geom.Rect {
 	if len(s.box.Lo) != dim {
 		s.box = geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
 	}
-	n.mbrInto(s.box)
+	n.refit(s.box)
 	return s.box
 }
 

@@ -1,10 +1,14 @@
 package rtree
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tsq/internal/geom"
+	"tsq/internal/storage"
 )
 
 // TestInsertPointOnWarmTreeAllocatesOnlyNewPages pins the write path's
@@ -111,5 +115,250 @@ func TestChooseLeastOverlapAbandonIsExact(t *testing.T) {
 	}
 	if ties < 500 || covers < 500 {
 		t.Fatalf("%d trials with a tie for the winner, %d with a covering winner: the corpus is too tame", ties, covers)
+	}
+}
+
+// pageCounter counts the reads and writes of each page that reach the
+// backend since the last reset.
+type pageCounter struct {
+	storage.Backend
+	reads, writes map[storage.PageID]int
+}
+
+func (c *pageCounter) ReadPage(id storage.PageID, buf []byte) error {
+	c.reads[id]++
+	return c.Backend.ReadPage(id, buf)
+}
+
+func (c *pageCounter) WritePage(id storage.PageID, buf []byte) error {
+	c.writes[id]++
+	return c.Backend.WritePage(id, buf)
+}
+
+func (c *pageCounter) reset() {
+	c.reads, c.writes = map[storage.PageID]int{}, map[storage.PageID]int{}
+}
+
+func total(m map[storage.PageID]int) (n int) {
+	for _, c := range m {
+		n += c
+	}
+	return n
+}
+
+var errProbe = errors.New("probe")
+
+// probeLeaf returns the leaf an insertion of p goes to, and whether the
+// insertion leaves the leaf's rectangle as it is and fits in the leaf: p
+// lies in the leaf's entry in its parent (or the leaf is the root) and
+// the leaf is not full. It runs the descent in an operation it abandons,
+// which writes nothing.
+func probeLeaf(tr *Tree, p geom.Point) (leaf storage.PageID, same bool) {
+	tr.begin()
+	defer tr.end(errProbe)
+	path, err := tr.choosePath(geom.PointRect(p), 1)
+	if err != nil {
+		return storage.NilPage, false
+	}
+	last := path[len(path)-1]
+	_, maxE := tr.Capacity(true)
+	same = len(last.node.Entries) < maxE
+	if len(path) > 1 {
+		same = same && path[len(path)-2].node.Entries[last.entryIdx].Rect.Contains(p)
+	}
+	return last.node.ID, same
+}
+
+// TestInsertTouchesEachPageOnce drives 2 000 inserts and 300 deletes
+// through a 1 KiB-page tree on a counting backend without a buffer pool:
+// 50 deletes first empty most of a 60-point tree, so its root shrinks,
+// and the inserts then grow it to four levels through splits and forced
+// reinsertions, with the other 250 deletes among them. No operation reads a page from the backend twice or
+// writes one twice: an insertion keeps what it read and encoded until it
+// ends, and writes once what changed. An insert whose leaf rectangle does
+// not grow writes its leaf and the meta page and nothing else: the
+// adjustment stops at the first rectangle that did not change. Every
+// third insert is a copy of a stored point, so that case is common.
+func TestInsertTouchesEachPageOnce(t *testing.T) {
+	const dim, pageSize = 6, 1024
+	c := &pageCounter{Backend: storage.NewMemBackend(pageSize)}
+	c.reset()
+	mgr := storage.NewManager(storage.Options{PageSize: pageSize, Backend: c})
+	tr, err := New(mgr, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	pts := randPoints(rng, 2060, dim)
+	const warm = 60
+	for i, p := range pts[:warm] {
+		if err := tr.InsertPoint(p, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// live holds the stored record ids, point their points.
+	var live []int64
+	point := map[int64]geom.Point{}
+	for i, p := range pts[:warm] {
+		live, point[int64(i)] = append(live, int64(i)), p
+	}
+	var grew, shrank, splits, reinserts, unchanged int
+	check := func(op string, height int) {
+		t.Helper()
+		for id, n := range c.reads {
+			if n > 1 {
+				t.Fatalf("%s read page %d %d times", op, id, n)
+			}
+		}
+		for id, n := range c.writes {
+			if n > 1 {
+				t.Fatalf("%s wrote page %d %d times", op, id, n)
+			}
+		}
+		switch {
+		case tr.Height() > height:
+			grew++
+		case tr.Height() < height:
+			shrank++
+		}
+	}
+	del := func() {
+		t.Helper()
+		k := rng.Intn(len(live))
+		rec := live[k]
+		height := tr.Height()
+		c.reset()
+		if err := tr.Delete(geom.PointRect(point[rec]), rec); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("delete of %d", rec), height)
+		live = slices.Delete(live, k, k+1)
+	}
+	next := int64(warm)
+	ins := func(p geom.Point) {
+		t.Helper()
+		leaf, same := probeLeaf(tr, p)
+		height, allocs := tr.Height(), mgr.Stats().Allocs
+		c.reset()
+		if err := tr.InsertPoint(p, next); err != nil {
+			t.Fatal(err)
+		}
+		op := fmt.Sprintf("insert %d", next)
+		check(op, height)
+		if mgr.Stats().Allocs > allocs {
+			splits++
+		}
+		if total(c.reads) > height {
+			reinserts++ // only a reinsertion reads past the insertion's path
+		}
+		if same {
+			unchanged++
+			if len(c.writes) != 2 || c.writes[leaf] != 1 || c.writes[tr.MetaID()] != 1 {
+				t.Fatalf("%s into leaf %d, whose rectangle holds the point, wrote %v: want the leaf and the meta page %d", op, leaf, c.writes, tr.MetaID())
+			}
+		}
+		live, point[next] = append(live, next), p
+		next++
+	}
+	const first = 50
+	for range first {
+		del()
+	}
+	for i, p := range pts[warm:] {
+		if i%3 == 2 {
+			p = point[live[rng.Intn(len(live))]]
+		}
+		ins(p)
+		if i%8 == 7 {
+			del()
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("height %d: %d growths, %d shrinks, %d inserts with splits, %d with reinsertions, %d into an unchanged leaf",
+		tr.Height(), grew, shrank, splits, reinserts, unchanged)
+	if grew < 2 || shrank < 1 || splits < 50 || reinserts < 50 || unchanged < 300 {
+		t.Fatal("the sequence does not exercise what the test assumes")
+	}
+}
+
+// TestFailedInsertWritesNothing fails a backend read part-way through an
+// insert that has already encoded nodes (a forced reinsertion reading a
+// subtree off its path). Nothing reaches the backend's pages, the tree's
+// root, height and size are as before, and once the backend is revived
+// the tree is whole and finds every record it held.
+func TestFailedInsertWritesNothing(t *testing.T) {
+	const dim, pageSize = 3, 512
+	pts := randPoints(rand.New(rand.NewSource(4)), 600, dim)
+	// A twin tree on a counting backend finds an insert whose first
+	// backend operation past its path is a read: the reinsertion's.
+	c := &pageCounter{Backend: storage.NewMemBackend(pageSize)}
+	c.reset()
+	twin, err := New(storage.NewManager(storage.Options{PageSize: pageSize, Backend: c}), dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := -1
+	for i, p := range pts {
+		height := twin.Height()
+		c.reset()
+		if err := twin.InsertPoint(p, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 100 && total(c.reads) > height && len(c.writes) > 2 {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no insert reinserted past its path")
+	}
+
+	fb := &flakyBackend{inner: storage.NewMemBackend(pageSize), budget: 1 << 30}
+	w := &pageCounter{Backend: fb}
+	w.reset()
+	tr, err := New(storage.NewManager(storage.Options{PageSize: pageSize, Backend: w}), dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts[:victim] {
+		if err := tr.InsertPoint(p, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, height, size := tr.Root(), tr.Height(), tr.Len()
+	w.reset()
+	fb.budget = height // the path's reads succeed, the next read fails
+	if err := tr.InsertPoint(pts[victim], int64(victim)); !errors.Is(err, errInjected) {
+		t.Fatalf("insert %d with a dying backend: %v, want the injected failure", victim, err)
+	}
+	if total(w.reads) <= height {
+		t.Fatalf("the failed insert read %d pages, the path is %d: it failed before reinserting", total(w.reads), height)
+	}
+	if len(w.writes) != 0 {
+		t.Fatalf("the failed insert wrote %v", w.writes)
+	}
+	if tr.Root() != root || tr.Height() != height || tr.Len() != size {
+		t.Fatalf("after the failed insert: root %d height %d size %d, want %d %d %d", tr.Root(), tr.Height(), tr.Len(), root, height, size)
+	}
+	fb.budget = 1 << 30
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts[:victim] {
+		got, _, err := tr.Search(geom.PointRect(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(got, int64(i)) {
+			t.Fatalf("record %d lost after the failed insert", i)
+		}
+	}
+	if err := tr.InsertPoint(pts[victim], int64(victim)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
