@@ -364,9 +364,9 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBulkLoad compares a bulk-loaded (STR-packed) index
-// against one grown by repeated insertion: same answers, fewer pages,
-// fewer accesses.
+// BenchmarkAblationBulkLoad compares a bulk-loaded (STR-packed) index,
+// the one every facade build makes, against one grown by repeated
+// insertion through core: same answers, fewer pages, fewer accesses.
 func BenchmarkAblationBulkLoad(b *testing.B) {
 	ss := datagen.StockMarket(1999, 1068, benchLen, datagen.DefaultMarketOptions())
 	ts := MovingAverages(benchLen, 5, 20)
@@ -376,7 +376,7 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 		if bulk {
 			name = "packed"
 		}
-		db := benchDB(b, ss, Options{PageSize: 1024, BulkLoad: bulk})
+		db := openBuiltBy(b, ss, Options{PageSize: 1024}, bulk)
 		b.Run("tree="+name, func(b *testing.B) {
 			runRangeBench(b, db, ts, thr, QueryOptions{})
 		})

@@ -19,8 +19,8 @@ import (
 )
 
 // TestTopKTiesEqualScan: duplicated series put equal distances on the k
-// boundary. The index answers — at every shard count, insert-built or
-// bulk-loaded — must equal the sequential scan's in rank order: ties go
+// boundary. The index answers — at every shard count, insert-built
+// (through core) or bulk-loaded — must equal the sequential scan's in rank order: ties go
 // to the smaller id (NN) and the smaller (IDA, IDB) (closest pairs).
 func TestTopKTiesEqualScan(t *testing.T) {
 	ss := datagen.RandomWalks(41, 320, 64)
@@ -31,10 +31,7 @@ func TestTopKTiesEqualScan(t *testing.T) {
 	ts := MovingAverages(64, 4, 9)
 	for _, shards := range []int{1, 2, 3} {
 		for _, bulk := range []bool{false, true} {
-			db, err := Open(ss, nil, Options{Shards: shards, BulkLoad: bulk})
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := openBuiltBy(t, ss, Options{Shards: shards}, bulk)
 			// Three of the seven copies are the whole answer, then a tie
 			// group cut by k further down the ranking.
 			for _, k := range []int{3, 7, 9} {

@@ -10,6 +10,37 @@ import (
 	"tsq/internal/transform"
 )
 
+// TestIndexCarriesMeanAndStd: the feature tree organises by the DFT
+// coefficient dimensions only, because no query of normal forms
+// constrains mean or std, whether it is packed or grown by insertion. On
+// random walks a leaf spans on average more of the mean and std
+// dimensions, as a share of the root, than of the coefficient ones
+// (about 0.45 against 0.25 to 0.32); a tree that divides its cuts among
+// all six dimensions reads the other way round (about 0.2 against 0.35).
+func TestIndexCarriesMeanAndStd(t *testing.T) {
+	for _, packed := range []bool{false, true} {
+		opts := DefaultIndexOptions()
+		opts.BulkLoad = packed
+		_, ix := buildFixture(t, 3, 8000, 64, opts)
+		h, err := ix.Tree().Health()
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := h.Levels[h.Height-1].ExtentShare
+		t.Logf("packed %v: %d leaves, mean leaf extent per dimension %.2f", packed, h.Levels[h.Height-1].Nodes, share)
+		mean := func(s []float64) float64 {
+			var sum float64
+			for _, v := range s {
+				sum += v
+			}
+			return sum / float64(len(s))
+		}
+		if mean(share[:2]) <= mean(share[2:]) {
+			t.Errorf("packed %v: mean leaf extent per dimension %.2f: mean and std are cut as finely as the coefficients", packed, share)
+		}
+	}
+}
+
 // TestIndexHealthGroundTruth cross-checks the health report header and
 // tree section against the index's own metadata, and the group section
 // against the transformation partition.

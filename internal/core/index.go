@@ -64,8 +64,16 @@ type IndexOptions struct {
 	// BulkLoad builds the R*-tree with Sort-Tile-Recursive packing
 	// instead of repeated insertion: faster to build and near-full nodes
 	// (fewer disk accesses per query). The tree remains fully updatable.
+	// Every build of the tsq facade packs; insertion is kept for the
+	// tests of the insert path.
 	BulkLoad bool
 }
+
+// statDims is the number of leading feature dimensions, mean and std,
+// that the tree carries without organising by them: every predicate
+// compares normal forms, so no range, NN or join query constrains them
+// (RawRange filters on them and reads more of the tree for it).
+const statDims = 2
 
 // DefaultIndexOptions returns the paper's configuration.
 func DefaultIndexOptions() IndexOptions {
@@ -146,24 +154,21 @@ func BuildIndex(ds *Dataset, opts IndexOptions) (*Index, error) {
 			return nil, err
 		}
 	}
+	// The tree packs the items; without any it is empty, and the records
+	// it did not pack are inserted.
+	var items []rtree.BulkItem
 	if opts.BulkLoad {
-		items := make([]rtree.BulkItem, len(ds.Records))
+		items = make([]rtree.BulkItem, len(ds.Records))
 		for i, r := range ds.Records {
 			items[i] = rtree.BulkItem{Rect: geom.PointRect(r.Feature(opts.K)), Rec: r.ID}
 		}
-		tree, err := rtree.BulkLoad(mgr, ix.dim, items)
-		if err != nil {
-			return nil, err
-		}
-		ix.tree = tree
-		return ix, nil
 	}
-	tree, err := rtree.New(mgr, ix.dim)
+	tree, err := rtree.BulkLoad(mgr, ix.dim, statDims, items)
 	if err != nil {
 		return nil, err
 	}
 	ix.tree = tree
-	for _, r := range ds.Records {
+	for _, r := range ds.Records[len(items):] {
 		if err := tree.InsertPoint(r.Feature(opts.K), r.ID); err != nil {
 			return nil, err
 		}
@@ -173,7 +178,7 @@ func BuildIndex(ds *Dataset, opts IndexOptions) (*Index, error) {
 
 // newIndex returns an index with no tree, heap or records yet.
 func newIndex(opts IndexOptions, mgr *storage.Manager, n int) *Index {
-	ix := &Index{n: n, opts: opts, mgr: mgr, dim: 2 + 2*opts.K}
+	ix := &Index{n: n, opts: opts, mgr: mgr, dim: statDims + 2*opts.K}
 	for f := 1; f <= opts.K; f++ {
 		ix.comps = append(ix.comps, 2*f, 2*f+1)
 	}
@@ -193,11 +198,11 @@ func OpenIndex(mgr *storage.Manager, treeMeta, heapDir storage.PageID, n int, op
 	if err != nil {
 		return nil, err
 	}
-	tree, err := rtree.Open(mgr, treeMeta)
+	tree, err := rtree.Open(mgr, treeMeta, statDims)
 	if err != nil {
 		return nil, err
 	}
-	if tree.Dim() != 2+2*opts.K {
+	if tree.Dim() != statDims+2*opts.K {
 		return nil, fmt.Errorf("core: tree dimension %d does not match k=%d", tree.Dim(), opts.K)
 	}
 	ix := newIndex(opts, mgr, n)

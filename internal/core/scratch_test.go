@@ -64,7 +64,7 @@ func TestOpenIndexReadsNoRecord(t *testing.T) {
 	if _, err := heapfile.Open(mgr, heapDir, ds.N); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rtree.Open(mgr, treeMeta); err != nil {
+	if _, err := rtree.Open(mgr, treeMeta, statDims); err != nil {
 		t.Fatal(err)
 	}
 	attach := mgr.Stats()

@@ -129,13 +129,7 @@ func BuildSharded(ds *Dataset, nshards int, opts IndexOptions) (*Sharded, error)
 	}
 	shards := make([]*Index, nshards)
 	err = ParallelFor(nshards, nshards, func(s int) (err error) {
-		o := opts
-		if len(locals[s].Records) == 0 {
-			// STR bulk loading needs at least one item; an empty
-			// shard gets an empty insert-built tree.
-			o.BulkLoad = false
-		}
-		if shards[s], err = BuildIndex(locals[s], o); err != nil {
+		if shards[s], err = BuildIndex(locals[s], opts); err != nil {
 			return fmt.Errorf("core: build shard %d: %w", s, err)
 		}
 		return nil

@@ -212,14 +212,14 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 		distances             []float64
 	}{
 		{"half sum", ts, 0x4abcb5c8af6ea20d, 0x9ff638e750c3d279,
-			QueryStats{DAAll: 50, DALeaf: 49, Candidates: 32730, Comparisons: 130920, Terms: 697555, IndexSearches: 1, Abandoned: 125137},
-			QueryStats{DAAll: 200, DALeaf: 196, Candidates: 124308, Comparisons: 124308, Terms: 671107, IndexSearches: 4, Abandoned: 118525},
-			QueryStats{DAAll: 8, DALeaf: 7, Candidates: 11184, Comparisons: 33552, Terms: 137170, IndexSearches: 1, Abandoned: 33454},
+			QueryStats{DAAll: 26, DALeaf: 25, Candidates: 32730, Comparisons: 130920, Terms: 697555, IndexSearches: 1, Abandoned: 125137},
+			QueryStats{DAAll: 104, DALeaf: 100, Candidates: 124308, Comparisons: 124308, Terms: 671107, IndexSearches: 4, Abandoned: 118525},
+			QueryStats{DAAll: 6, DALeaf: 5, Candidates: 11184, Comparisons: 33552, Terms: 137550, IndexSearches: 1, Abandoned: 33442},
 			[]float64{0.7649495416054469, 0.7821719427855761, 0.9444261386483561, 1.030905636984939, 1.0348586359985197}},
 		{"full order", full, 0x276abd706ab053c1, 0xcf759499dbc74b51,
-			QueryStats{DAAll: 50, DALeaf: 49, Candidates: 43532, Comparisons: 174128, Terms: 1778976, IndexSearches: 1, Abandoned: 168345},
-			QueryStats{DAAll: 200, DALeaf: 196, Candidates: 173532, Comparisons: 173532, Terms: 1776592, IndexSearches: 4, Abandoned: 167749},
-			QueryStats{DAAll: 8, DALeaf: 7, Candidates: 16988, Comparisons: 50964, Terms: 220076, IndexSearches: 1, Abandoned: 50866},
+			QueryStats{DAAll: 26, DALeaf: 25, Candidates: 43532, Comparisons: 174128, Terms: 1778976, IndexSearches: 1, Abandoned: 168345},
+			QueryStats{DAAll: 104, DALeaf: 100, Candidates: 173532, Comparisons: 173532, Terms: 1776592, IndexSearches: 4, Abandoned: 167749},
+			QueryStats{DAAll: 6, DALeaf: 5, Candidates: 16988, Comparisons: 50964, Terms: 221648, IndexSearches: 1, Abandoned: 50854},
 			[]float64{0.7649495416054465, 0.7821719427855761, 0.9444261386483597, 1.0309056369849383, 1.0348586359985184}},
 	} {
 		gj, gjst, err := sh.MTIndexJoin(c.ts[:4], eps, ro)
@@ -264,8 +264,13 @@ func TestWrapIndexBitIdentity(t *testing.T) {
 		// fewer nodes (join 122 -> 50, ST join 488 -> 200, closest pairs
 		// 12 -> 8); closest pairs again meets its pairs in another order,
 		// so its Terms and Abandoned moved with them (half sum 137058 ->
-		// 137170 and 33458 -> 33454). Candidates, comparisons, join hashes
-		// and distances are the parent's.
+		// 137170 and 33458 -> 33454). Since the tree places entries by the
+		// coefficient dimensions only, leaving mean and std carried, every
+		// row reads fewer nodes again (join 50 -> 26, ST join 200 -> 104,
+		// closest pairs 8 -> 6) and closest pairs meets its pairs in
+		// another order (half sum Terms 137170 -> 137550, Abandoned
+		// 33454 -> 33442). Candidates, comparisons, join hashes and
+		// distances are the parent's.
 		if gcst != c.closest {
 			t.Errorf("%s: closest-pairs stats differ from the pinned ones:\n got %+v\nwant %+v", c.name, gcst, c.closest)
 		}

@@ -16,18 +16,20 @@ type BulkItem struct {
 
 // BulkLoad builds a tree of points from all items at once with
 // Sort-Tile-Recursive packing (Leutenegger et al.): items are recursively
-// sliced along each dimension by the center of their rectangles so every
-// leaf holds ~M entries, then upper levels are packed the same way. The
-// items must be points (ErrNotPoint otherwise). The resulting tree
-// has near-full nodes — fewer pages and fewer disk accesses per query
-// than one grown by repeated insertion — and supports the same searches,
-// inserts and deletes afterwards.
-func BulkLoad(mgr *storage.Manager, dim int, items []BulkItem) (*Tree, error) {
+// sliced along each organised dimension (every one after the first
+// carried, see Tree) by the center of their rectangles so every leaf
+// holds ~M entries, then upper levels are packed the same way. The items
+// must be points (ErrNotPoint otherwise); none makes an empty tree. The
+// resulting tree has near-full nodes — fewer pages and fewer disk
+// accesses per query than one grown by repeated insertion — and supports
+// the same searches, inserts and deletes afterwards, which place by the
+// same dimensions.
+func BulkLoad(mgr *storage.Manager, dim, carried int, items []BulkItem) (*Tree, error) {
 	m := meta{leafKind: kindPointLeaf, dim: dim}
 	if len(items) == 0 {
-		return create(mgr, m)
+		return create(mgr, m, carried)
 	}
-	t, err := newTree(mgr, m)
+	t, err := newTree(mgr, m, carried)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +69,7 @@ func BulkLoad(mgr *storage.Manager, dim int, items []BulkItem) (*Tree, error) {
 // parent entries (MBR + child page) for the next level.
 func (t *Tree) packLevel(entries []Entry, leaf bool) ([]Entry, error) {
 	_, maxE := t.Capacity(leaf)
-	groups := strTile(entries, maxE, t.dim, 0)
+	groups := strTile(entries, maxE, t.dim, t.carried)
 	parents := make([]Entry, 0, len(groups))
 	for _, g := range groups {
 		id, err := t.mgr.Alloc()
@@ -84,7 +86,8 @@ func (t *Tree) packLevel(entries []Entry, leaf bool) ([]Entry, error) {
 }
 
 // strTile recursively slices entries into groups of at most capacity,
-// sorting by rectangle centers one dimension at a time.
+// sorting by rectangle centers one dimension at a time from dimension d
+// on.
 func strTile(entries []Entry, capacity, dims, d int) [][]Entry {
 	if len(entries) <= capacity {
 		return [][]Entry{entries}

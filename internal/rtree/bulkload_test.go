@@ -27,7 +27,7 @@ func TestBulkLoadInvariantsAndSearch(t *testing.T) {
 		n := int(sizeRaw)%3000 + 1
 		mgr := storage.NewManager(storage.Options{PageSize: 512})
 		items := bulkItems(rng, n, 3)
-		tr, err := BulkLoad(mgr, 3, items)
+		tr, err := BulkLoad(mgr, 3, 0, items)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestBulkLoadInvariantsAndSearch(t *testing.T) {
 
 func TestBulkLoadEmpty(t *testing.T) {
 	mgr := storage.NewManager(storage.Options{PageSize: 512})
-	tr, err := BulkLoad(mgr, 2, nil)
+	tr, err := BulkLoad(mgr, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBulkLoadPacksTighter(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	items := bulkItems(rng, 2000, 4)
 	mgrA := storage.NewManager(storage.Options{PageSize: 512})
-	packed, err := BulkLoad(mgrA, 4, items)
+	packed, err := BulkLoad(mgrA, 4, 0, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBulkLoadSupportsUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	items := bulkItems(rng, 500, 2)
 	mgr := storage.NewManager(storage.Options{PageSize: 512})
-	tr, err := BulkLoad(mgr, 2, items)
+	tr, err := BulkLoad(mgr, 2, 0, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBulkLoadSupportsUpdates(t *testing.T) {
 
 func TestBulkLoadRejectsMismatchedDims(t *testing.T) {
 	mgr := storage.NewManager(storage.Options{PageSize: 512})
-	_, err := BulkLoad(mgr, 3, []BulkItem{{Rect: geom.PointRect(geom.Point{1, 2})}})
+	_, err := BulkLoad(mgr, 3, 0, []BulkItem{{Rect: geom.PointRect(geom.Point{1, 2})}})
 	if err == nil {
 		t.Error("mismatched dimension accepted")
 	}
@@ -147,7 +147,7 @@ func BenchmarkBulkLoadVsInsert(b *testing.B) {
 	b.Run("bulkload", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mgr := storage.NewManager(storage.Options{PageSize: 4096})
-			if _, err := BulkLoad(mgr, 6, items); err != nil {
+			if _, err := BulkLoad(mgr, 6, 0, items); err != nil {
 				b.Fatal(err)
 			}
 		}

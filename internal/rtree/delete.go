@@ -40,30 +40,33 @@ func (t *Tree) Delete(r geom.Rect, rec int64) error {
 
 // delete is the body of Delete, run as one operation (writeSet).
 func (t *Tree) delete(r geom.Rect, rec int64) error {
-	path, idx, err := t.findLeaf(t.root, t.height, r, rec)
+	t.path = t.path[:0]
+	idx, err := t.findLeaf(t.root, -1, r, rec)
 	if err != nil {
 		return err
 	}
+	path := t.path
 	leaf := path[len(path)-1].node
 	leaf.Entries = append(leaf.Entries[:idx], leaf.Entries[idx+1:]...)
 
 	// Condense: walk the path bottom-up; underfull non-root nodes are
-	// removed and their entries queued for reinsertion at their level. A
-	// node whose rectangle comes out as it was ends the walk: nothing
-	// above it changed.
-	type orphan struct {
-		entries []Entry
-		level   int
-	}
-	var orphans []orphan
+	// removed and their entries copied out of their slots, to be
+	// reinserted at their level. Only a node that lost an entry can
+	// underflow, so the removed nodes are the lowest ones of the path, one
+	// per level from the leaves up. A node whose rectangle comes out as it
+	// was ends the walk: nothing above it changed.
+	sc := &t.ovf
+	orphans := 0
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i].node
 		if minE, _ := t.Capacity(n.Leaf); i > 0 && len(n.Entries) < minE {
-			orphans = append(orphans, orphan{entries: n.Entries, level: t.height - i})
+			if len(sc.orphans) == orphans {
+				sc.orphans = append(sc.orphans, held{})
+			}
+			sc.orphans[orphans].keep(n.Entries, t.dim)
+			orphans++
 			parent := path[i-1].node
 			parent.Entries = append(parent.Entries[:path[i].entryIdx], parent.Entries[path[i].entryIdx+1:]...)
-			// Re-index siblings' stored positions in the remaining path is
-			// unnecessary: only this branch of the path is walked.
 			t.free(n.ID)
 			continue
 		}
@@ -77,7 +80,7 @@ func (t *Tree) delete(r geom.Rect, rec int64) error {
 
 	// Shrink the root while it is an internal node with a single child.
 	for {
-		root, err := t.loadOwned(t.root)
+		root, err := t.loadOp(t.root, t.writeSlot(0))
 		if err != nil {
 			return err
 		}
@@ -90,10 +93,11 @@ func (t *Tree) delete(r geom.Rect, rec int64) error {
 		t.free(old)
 	}
 
-	// Reinsert orphaned entries at their original levels.
-	for _, o := range orphans {
-		for _, e := range o.entries {
-			level := o.level
+	// Reinsert the orphaned entries at their original levels, the leaves'
+	// first.
+	for o, orphan := range sc.orphans[:orphans] {
+		level := o + 1
+		for _, e := range orphan.entries {
 			if level > t.height {
 				// The tree shrank below the orphan's level; reinsert the
 				// subtree's records instead.
@@ -114,12 +118,13 @@ func (t *Tree) delete(r geom.Rect, rec int64) error {
 
 // reinsertSubtree reinserts every leaf record under entry e (which lived at
 // the given level) one by one. Used only in the rare case where root
-// shrinkage removed the level an orphan belonged to.
+// shrinkage removed the level an orphan belonged to; its nodes are decoded
+// into slots of their own, since the reinsertions reload the write slots.
 func (t *Tree) reinsertSubtree(e Entry, level int) error {
 	if level == 1 {
 		return t.insertAtLevel(e, 1, new(levelSet))
 	}
-	n, err := t.loadOwned(e.Child)
+	n, err := t.loadOp(e.Child, newScratch(t.mgr.PageSize(), t.dim))
 	if err != nil {
 		return err
 	}
@@ -132,34 +137,34 @@ func (t *Tree) reinsertSubtree(e Entry, level int) error {
 	return nil
 }
 
-// findLeaf locates the leaf containing (r, rec), returning the path to it
-// and the entry index inside the leaf.
-func (t *Tree) findLeaf(id storage.PageID, level int, r geom.Rect, rec int64) ([]pathElem, int, error) {
-	n, err := t.loadOwned(id)
+// findLeaf locates the leaf containing (r, rec) in the subtree of node id,
+// whose entry index in its parent is entryIdx, and returns the entry's
+// index inside the leaf. Each node of the subtree is decoded into the
+// write slot of its depth and, while it is searched, appended to t.path,
+// which on success holds the path from the node to the leaf.
+func (t *Tree) findLeaf(id storage.PageID, entryIdx int, r geom.Rect, rec int64) (int, error) {
+	depth := len(t.path)
+	slot := t.writeSlot(depth)
+	n, err := t.loadOp(id, slot)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	if n.Leaf {
-		for i, e := range n.Entries {
-			if e.Rec == rec && rectsEqual(e.Rect, r) {
-				return []pathElem{{node: n, entryIdx: -1}}, i, nil
-			}
-		}
-		return nil, 0, ErrNotFound
-	}
+	t.path = append(t.path, pathElem{node: n, slot: slot, entryIdx: entryIdx})
 	for i, e := range n.Entries {
+		if n.Leaf {
+			if e.Rec == rec && rectsEqual(e.Rect, r) {
+				return i, nil
+			}
+			continue
+		}
 		if !e.Rect.ContainsRect(r) {
 			continue
 		}
-		sub, idx, err := t.findLeaf(e.Child, level-1, r, rec)
-		if err == nil {
-			path := append([]pathElem{{node: n, entryIdx: -1}}, sub...)
-			path[1].entryIdx = i
-			return path, idx, nil
-		}
+		idx, err := t.findLeaf(e.Child, i, r, rec)
 		if !errors.Is(err, ErrNotFound) {
-			return nil, 0, err
+			return idx, err
 		}
 	}
-	return nil, 0, ErrNotFound
+	t.path = t.path[:depth]
+	return 0, ErrNotFound
 }

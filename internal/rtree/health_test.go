@@ -136,7 +136,7 @@ func TestTreeHealthBulkVsIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bulk, err := BulkLoad(storage.NewManager(storage.Options{PageSize: 512}), 2, items)
+	bulk, err := BulkLoad(storage.NewManager(storage.Options{PageSize: 512}), 2, 0, items)
 	if err != nil {
 		t.Fatal(err)
 	}

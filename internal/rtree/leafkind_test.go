@@ -21,7 +21,7 @@ func TestLeafKinds(t *testing.T) {
 	for _, kind := range []byte{kindPointLeaf, kindRectLeaf} {
 		for _, pageSize := range []int{512, 1024, 4096} {
 			mgr := storage.NewManager(storage.Options{PageSize: pageSize})
-			tr, err := create(mgr, meta{leafKind: kind, dim: dim})
+			tr, err := create(mgr, meta{leafKind: kind, dim: dim}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestLeafKinds(t *testing.T) {
 				delete(live, int64(i))
 			}
 			check("after deletes")
-			if tr, err = Open(mgr, tr.MetaID()); err != nil {
+			if tr, err = Open(mgr, tr.MetaID(), 0); err != nil {
 				t.Fatal(err)
 			}
 			if tr.leafKind != kind {
@@ -104,7 +104,7 @@ func TestLeafKindMismatchReported(t *testing.T) {
 		{kindRectLeaf, kindPointLeaf},
 	} {
 		mgr := storage.NewManager(storage.Options{PageSize: 512})
-		tr, err := create(mgr, meta{leafKind: c.tree, dim: 2})
+		tr, err := create(mgr, meta{leafKind: c.tree, dim: 2}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,16 +28,24 @@ type Tree struct {
 	meta
 	maxE, minE         int // M and m of an internal node
 	leafMaxE, leafMinE int // M and m of a leaf: more entries when they are points
-	metaID             storage.PageID
-	buf                []byte       // scratch page buffer for writes outside an operation
-	ovf                splitScratch // buffers of the split and reinsert decisions
-	ws                 writeSet     // the pages of the running Insert or Delete
-	// write holds the decode slots of the insert path, one per level, and
-	// path the root-to-target path an insertion is working on. Both are
-	// valid until the next choosePath: writes are exclusive, and an
-	// insertion that starts another (forced reinsertion) is done with its
-	// own path by then. A node modified in a slot is stored before the
-	// next choosePath, which reloads the path from the write set.
+	// carried is the number of leading dimensions the tree stores but does
+	// not organise by: ChooseSubtree, the split and forced reinsertion
+	// measure only the dimensions from carried on, and bulk loading slices
+	// only those. Bounding rectangles, searches and the checks cover every
+	// dimension. It is not stored: it decides where a new entry goes,
+	// never how a page is read.
+	carried int
+	metaID  storage.PageID
+	buf     []byte       // scratch page buffer for writes outside an operation
+	ovf     splitScratch // buffers of the split and reinsert decisions
+	ws      writeSet     // the pages of the running Insert or Delete
+	// write holds the decode slots of the write path, one per level, and
+	// path the root-to-target path an insertion or deletion is working
+	// on. Both are valid until the next choosePath or findLeaf: writes
+	// are exclusive, and an insertion that starts another (forced
+	// reinsertion, a deletion's orphans) is done with its own path by
+	// then. A node modified in a slot is stored before the next path is
+	// loaded, which reloads it from the write set.
 	write []*Scratch
 	path  []pathElem
 
@@ -59,20 +67,21 @@ const maxIdleSlots = 32
 var ErrNotPoint = errors.New("rtree: rectangle with extent inserted into a tree of points")
 
 // New creates an empty tree of the given dimensionality on mgr whose
-// leaves store points.
+// leaves store points. It organises by every dimension; BulkLoad with no
+// items makes an empty tree that carries some.
 func New(mgr *storage.Manager, dim int) (*Tree, error) {
-	return create(mgr, meta{leafKind: kindPointLeaf, dim: dim})
+	return create(mgr, meta{leafKind: kindPointLeaf, dim: dim}, 0)
 }
 
 // NewRectLeaves creates an empty tree whose leaves store rectangles with
 // extent, such as the bounding boxes of sub-trails.
 func NewRectLeaves(mgr *storage.Manager, dim int) (*Tree, error) {
-	return create(mgr, meta{leafKind: kindRectLeaf, dim: dim})
+	return create(mgr, meta{leafKind: kindRectLeaf, dim: dim}, 0)
 }
 
 // create allocates the meta page and an empty root leaf of a new tree.
-func create(mgr *storage.Manager, m meta) (*Tree, error) {
-	t, err := newTree(mgr, m)
+func create(mgr *storage.Manager, m meta, carried int) (*Tree, error) {
+	t, err := newTree(mgr, m, carried)
 	if err != nil {
 		return nil, err
 	}
@@ -93,8 +102,11 @@ func create(mgr *storage.Manager, m meta) (*Tree, error) {
 }
 
 // newTree returns the in-memory tree described by m, with the capacities
-// of its two kinds of node.
-func newTree(mgr *storage.Manager, m meta) (*Tree, error) {
+// of its two kinds of node, carrying the first carried dimensions.
+func newTree(mgr *storage.Manager, m meta, carried int) (*Tree, error) {
+	if carried < 0 || carried >= m.dim {
+		return nil, fmt.Errorf("rtree: %d carried dimensions leave none of %d to organise by", carried, m.dim)
+	}
 	maxE := MaxEntries(mgr.PageSize(), m.dim)
 	if maxE < 4 {
 		return nil, fmt.Errorf("rtree: page size %d too small for dimension %d (capacity %d)", mgr.PageSize(), m.dim, maxE)
@@ -108,15 +120,19 @@ func newTree(mgr *storage.Manager, m meta) (*Tree, error) {
 		meta: m,
 		maxE: maxE, minE: minFill(maxE),
 		leafMaxE: leafMaxE, leafMinE: minFill(leafMaxE),
-		buf: make([]byte, mgr.PageSize()),
+		carried: carried,
+		buf:     make([]byte, mgr.PageSize()),
 	}, nil
 }
 
 func minFill(maxE int) int { return max(2, int(minFillFraction*float64(maxE))) }
 
 // Open loads an existing tree whose meta page is metaID. Its leaves store
-// points or rectangles as the meta page says.
-func Open(mgr *storage.Manager, metaID storage.PageID) (*Tree, error) {
+// points or rectangles as the meta page says. The entries it places from
+// now on are placed by the dimensions after the first carried; the file
+// does not record how its existing entries were placed, and reads the
+// same either way.
+func Open(mgr *storage.Manager, metaID storage.PageID, carried int) (*Tree, error) {
 	buf := make([]byte, mgr.PageSize())
 	if err := mgr.Read(metaID, buf); err != nil {
 		return nil, fmt.Errorf("rtree: reading meta page %d: %w", metaID, err)
@@ -125,7 +141,7 @@ func Open(mgr *storage.Manager, metaID storage.PageID) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtree: meta page %d: %w", metaID, err)
 	}
-	t, err := newTree(mgr, m)
+	t, err := newTree(mgr, m, carried)
 	if err != nil {
 		return nil, fmt.Errorf("rtree: meta page %d: %w", metaID, err)
 	}
@@ -356,7 +372,7 @@ func (t *Tree) insertAtLevel(e Entry, level int, overflowed *levelSet) error {
 }
 
 // pathElem is one step of a root-to-target path. slot is the write slot
-// node lives in; Delete's path holds owned nodes and has none.
+// node lives in.
 type pathElem struct {
 	node     *Node
 	slot     *Scratch
@@ -372,10 +388,7 @@ func (t *Tree) choosePath(r geom.Rect, targetLevel int) ([]pathElem, error) {
 	path := t.path[:0]
 	entryIdx := -1
 	for {
-		if len(path) == len(t.write) {
-			t.write = append(t.write, newScratch(t.mgr.PageSize(), t.dim))
-		}
-		slot := t.write[len(path)]
+		slot := t.writeSlot(len(path))
 		n, err := t.loadOp(id, slot)
 		if err != nil {
 			return nil, err
@@ -389,13 +402,22 @@ func (t *Tree) choosePath(r geom.Rect, targetLevel int) ([]pathElem, error) {
 			return nil, fmt.Errorf("rtree: reached leaf above target level %d", targetLevel)
 		}
 		if level-1 == 1 {
-			entryIdx = chooseLeastOverlap(n.Entries, r)
+			entryIdx = chooseLeastOverlap(n.Entries, r, t.carried)
 		} else {
-			entryIdx = chooseLeastEnlargement(n.Entries, r)
+			entryIdx = chooseLeastEnlargement(n.Entries, r, t.carried)
 		}
 		id = n.Entries[entryIdx].Child
 		level--
 	}
+}
+
+// writeSlot returns the write slot of path depth i, making it on first
+// use.
+func (t *Tree) writeSlot(i int) *Scratch {
+	for len(t.write) <= i {
+		t.write = append(t.write, newScratch(t.mgr.PageSize(), t.dim))
+	}
+	return t.write[i]
 }
 
 // chooseLeastOverlap implements the R* leaf-level choice: the child whose
@@ -404,24 +426,28 @@ func (t *Tree) choosePath(r geom.Rect, targetLevel int) ([]pathElem, error) {
 // sum exceeds the best complete one: every term is >= 0 in floating point
 // too (a union is no narrower than its part in any dimension, and a
 // product of non-negative widths is monotone), so the sum only grows and a
-// strict > drops neither a winner nor a tie.
-func chooseLeastOverlap(entries []Entry, r geom.Rect) int {
+// strict > drops neither a winner nor a tie. Every rectangle is measured
+// in the dimensions from c on (organised).
+func chooseLeastOverlap(entries []Entry, r geom.Rect, c int) int {
+	r = organised(r, c)
 	best := -1
 	bestOverlap, bestEnlarge, bestArea := math.Inf(1), 0.0, 0.0
 candidates:
 	for i, e := range entries {
+		er := organised(e.Rect, c)
 		var overlapDelta float64
 		for j, other := range entries {
 			if j == i {
 				continue
 			}
-			overlapDelta += e.Rect.UnionOverlapArea(r, other.Rect) - e.Rect.OverlapArea(other.Rect)
+			or := organised(other.Rect, c)
+			overlapDelta += er.UnionOverlapArea(r, or) - er.OverlapArea(or)
 			if overlapDelta > bestOverlap {
 				continue candidates
 			}
 		}
-		enlarge := e.Rect.Enlargement(r)
-		area := e.Rect.Area()
+		enlarge := er.Enlargement(r)
+		area := er.Area()
 		if best == -1 || overlapDelta < bestOverlap ||
 			(overlapDelta == bestOverlap && (enlarge < bestEnlarge ||
 				(enlarge == bestEnlarge && area < bestArea))) {
@@ -432,18 +458,26 @@ candidates:
 }
 
 // chooseLeastEnlargement implements the internal-level choice: least area
-// enlargement, ties broken by least area.
-func chooseLeastEnlargement(entries []Entry, r geom.Rect) int {
+// enlargement, ties broken by least area, in the dimensions from c on.
+func chooseLeastEnlargement(entries []Entry, r geom.Rect, c int) int {
+	r = organised(r, c)
 	best := -1
 	bestEnlarge, bestArea := 0.0, 0.0
 	for i, e := range entries {
-		enlarge := e.Rect.Enlargement(r)
-		area := e.Rect.Area()
+		er := organised(e.Rect, c)
+		enlarge := er.Enlargement(r)
+		area := er.Area()
 		if best == -1 || enlarge < bestEnlarge || (enlarge == bestEnlarge && area < bestArea) {
 			best, bestEnlarge, bestArea = i, enlarge, area
 		}
 	}
 	return best
+}
+
+// organised returns the view of r over the dimensions from c on, the ones
+// a tree carrying c dimensions places by. It shares r's memory.
+func organised(r geom.Rect, c int) geom.Rect {
+	return geom.Rect{Lo: r.Lo[c:], Hi: r.Hi[c:]}
 }
 
 // handleOverflowAndAdjust stores the modified tail node of path, resolving
@@ -481,8 +515,9 @@ func (t *Tree) handleOverflowAndAdjust(path []pathElem, level int, overflowed *l
 // reinsert implements R* forced reinsertion at path[i]: remove the
 // reinsertFraction of entries whose centers are farthest from the node's
 // center, tighten the node, then re-insert them at the same level. The
-// distance is taken in units of the node's extent per dimension (see
-// splitScratch.inv), squared: only its rank matters.
+// distance is taken in the organised dimensions, in units of the node's
+// extent per dimension (see splitScratch.inv), squared: only its rank
+// matters.
 func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) error {
 	n := path[i].node
 	dim, sc := t.dim, &t.ovf
@@ -491,7 +526,7 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) err
 	sc.dist = sc.dist[:0]
 	for j, e := range n.Entries {
 		var ss float64
-		for d := 0; d < dim; d++ {
+		for d := t.carried; d < dim; d++ {
 			c := ((e.Rect.Lo[d]+e.Rect.Hi[d])/2 - (box.Lo[d]+box.Hi[d])/2) * sc.inv[d]
 			ss += c * c
 		}
@@ -515,7 +550,11 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) err
 	for len(sc.removed) <= level {
 		sc.removed = append(sc.removed, held{})
 	}
-	removed := sc.removed[level].keep(n.Entries, des[:p], dim)
+	sc.work = sc.work[:0]
+	for _, de := range des[:p] {
+		sc.work = append(sc.work, n.Entries[de.i])
+	}
+	removed := sc.removed[level].keep(sc.work, dim)
 	sc.work = sc.work[:0]
 	for _, de := range des[p:] {
 		sc.work = append(sc.work, n.Entries[de.i])
@@ -547,7 +586,7 @@ func (t *Tree) reinsert(path []pathElem, i, level int, overflowed *levelSet) err
 func (t *Tree) split(path []pathElem, i, level int, overflowed *levelSet) error {
 	n := path[i].node
 	minE, _ := t.Capacity(n.Leaf)
-	left, right := t.ovf.splitEntries(n.Entries, minE, t.dim)
+	left, right := t.ovf.splitEntries(n.Entries, minE, t.carried, t.dim)
 	n.Entries = left
 	if err := t.store(n); err != nil {
 		return err

@@ -315,7 +315,7 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 	}
 	meta := tr.MetaID()
 
-	re, err := Open(mgr, meta)
+	re, err := Open(mgr, meta, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

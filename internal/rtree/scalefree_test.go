@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tsq/internal/geom"
+	"tsq/internal/storage"
 )
 
 // leafMembership returns the record ids of every leaf, each sorted, in
@@ -94,28 +95,53 @@ func TestSplitsAreScaleFree(t *testing.T) {
 }
 
 // TestSplitsPartitionEveryDimension: on coordinates three orders of
-// magnitude apart in scale the leaves are cut along all of them: no
-// dimension's mean leaf extent is more than three quarters of the root's
-// (uniform data, some 280 leaves in six dimensions: two to three cuts
-// each if shared evenly). Summed raw margins cut the two large
-// dimensions only and leave the other four spanned whole.
+// magnitude apart in scale the leaves are cut along every dimension the
+// tree organises by and along none it only carries, whichever way the
+// tree was built. Uniform data, 8 000 points in six dimensions, some 150
+// leaves. With no carried dimension no dimension's mean leaf
+// extent is more than three quarters of the root's: two to three cuts
+// each if shared evenly (summed raw margins cut the two large dimensions
+// only and leave the other four spanned whole). With the two largest
+// carried, as the feature index carries mean and std, the four others
+// share the cuts and the carried two are spanned almost whole (at least
+// 0.9): a cut there is one no query of normal forms can use.
 func TestSplitsPartitionEveryDimension(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	scales := []float64{14000, 3500, 8, 6.3, 4, 6.3}
-	tr := newTestTree(t, len(scales), 4096)
-	for i, p := range featureLikePoints(rng, 8000, scales) {
-		if err := tr.InsertPoint(p, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h, err := tr.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	share := h.Levels[h.Height-1].ExtentShare
-	for _, s := range share {
-		if s > 0.75 {
-			t.Fatalf("mean leaf extent per dimension, as a share of the root's: %s; want none above 0.75", fmtShares(share))
+	pts := featureLikePoints(rng, 8000, scales)
+	for _, carried := range []int{0, 2} {
+		for _, packed := range []bool{false, true} {
+			// Packed from the items, or empty and grown by insertion.
+			var items []BulkItem
+			if packed {
+				for i, p := range pts {
+					items = append(items, BulkItem{Rect: geom.Rect{Lo: p, Hi: p}, Rec: int64(i)})
+				}
+			}
+			tr, err := BulkLoad(storage.NewManager(storage.Options{PageSize: 4096}), len(scales), carried, items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !packed {
+				for i, p := range pts {
+					if err := tr.InsertPoint(p, int64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			h, err := tr.Health()
+			if err != nil {
+				t.Fatal(err)
+			}
+			share := h.Levels[h.Height-1].ExtentShare
+			t.Logf("carried %d, packed %v: %d leaves, mean leaf extent shares %s", carried, packed, h.Levels[h.Height-1].Nodes, fmtShares(share))
+			for d, s := range share {
+				if d >= carried && s > 0.75 || d < carried && s < 0.9 {
+					t.Errorf("carried %d, packed %v: mean leaf extent per dimension, as a share of the root's: %s; want the first %d at least 0.9 and none after above 0.75",
+						carried, packed, fmtShares(share), carried)
+					break
+				}
+			}
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestLoadIntoWarmSlotAllocatesNothing(t *testing.T) {
 // view gives the low corners.
 func TestLoadIntoMatchesLoad(t *testing.T) {
 	for _, kind := range []byte{kindPointLeaf, kindRectLeaf} {
-		tr, err := create(storage.NewManager(storage.Options{PageSize: 512}), meta{leafKind: kind, dim: 3})
+		tr, err := create(storage.NewManager(storage.Options{PageSize: 512}), meta{leafKind: kind, dim: 3}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,6 +31,9 @@ type splitScratch struct {
 	// removed holds, per level, the entries a forced reinsertion took out
 	// of its node while they are inserted again.
 	removed []held
+	// orphans holds, per level from the leaves up, the entries of the
+	// nodes a deletion removed while they are inserted again.
+	orphans []held
 }
 
 // held is a set of entries copied out of a decode slot, rectangles
@@ -40,12 +43,11 @@ type held struct {
 	corners []float64
 }
 
-// keep copies the picked entries of src into h and returns the copy.
-func (h *held) keep(src []Entry, picks []distEntry, dim int) []Entry {
-	h.entries = resized(h.entries, len(picks))
-	h.corners = resized(h.corners, 2*dim*len(picks))
-	for i, pick := range picks {
-		e := src[pick.i]
+// keep copies src into h and returns the copy.
+func (h *held) keep(src []Entry, dim int) []Entry {
+	h.entries = resized(h.entries, len(src))
+	h.corners = resized(h.corners, 2*dim*len(src))
+	for i, e := range src {
 		c := h.corners[2*dim*i : 2*dim*(i+1) : 2*dim*(i+1)]
 		copy(c[:dim], e.Rect.Lo)
 		copy(c[dim:], e.Rect.Hi)
@@ -96,21 +98,23 @@ func (s *splitScratch) normalise(entries []Entry, dim int) {
 // R*-tree split algorithm: ChooseSplitAxis picks the axis minimizing the
 // total margin over all distributions; ChooseSplitIndex picks the
 // distribution on that axis with minimum overlap, ties broken by minimum
-// combined area. Each group receives at least minE entries. left reuses
-// the backing array of entries; right is the tail of work, valid until the
-// scratch's next decision. Both share the rectangles of entries.
-func (s *splitScratch) splitEntries(entries []Entry, minE, dim int) (left, right []Entry) {
+// combined area. Axes, margins, overlaps and areas are those of the
+// dimensions from c on, the organised ones. Each group receives at least
+// minE entries. left reuses the backing array of entries; right is the
+// tail of work, valid until the scratch's next decision. Both share the
+// rectangles of entries.
+func (s *splitScratch) splitEntries(entries []Entry, minE, c, dim int) (left, right []Entry) {
 	s.normalise(entries, dim)
 	s.work = resized(s.work, len(entries))
 
 	// ChooseSplitAxis: the axis and sort key (lower or upper bound) with
 	// the minimum sum of margins over all legal distributions.
 	bestMargin := math.Inf(1)
-	axis, byLo := 0, true
-	for a := 0; a < dim; a++ {
+	axis, byLo := c, true
+	for a := c; a < dim; a++ {
 		for _, lo := range [2]bool{true, false} {
 			s.sortWork(entries, a, lo, dim)
-			if m := s.marginSum(minE, dim); m < bestMargin {
+			if m := s.marginSum(minE, c, dim); m < bestMargin {
 				bestMargin = m
 				axis, byLo = a, lo
 			}
@@ -118,7 +122,7 @@ func (s *splitScratch) splitEntries(entries []Entry, minE, dim int) (left, right
 	}
 
 	s.sortWork(entries, axis, byLo, dim)
-	splitAt := s.chooseSplitIndex(minE, dim)
+	splitAt := s.chooseSplitIndex(minE, c, dim)
 	return append(entries[:0], s.work[:splitAt]...), s.work[splitAt:]
 }
 
@@ -169,14 +173,15 @@ func extend(dst, src []float64, e Entry, dim int) {
 	}
 }
 
-// marginSum sums the margins of both groups over every legal distribution
-// of work, each side length as a share of the overfull node's.
-func (s *splitScratch) marginSum(minE, dim int) float64 {
+// marginSum sums the margins of both groups in the dimensions from c on
+// over every legal distribution of work, each side length as a share of
+// the overfull node's.
+func (s *splitScratch) marginSum(minE, c, dim int) float64 {
 	n, w := len(s.work), 2*dim
 	var sum float64
 	for k := minE; k <= n-minE; k++ {
 		l, r := s.prefix[(k-1)*w:k*w], s.suffix[k*w:(k+1)*w]
-		for d := 0; d < dim; d++ {
+		for d := c; d < dim; d++ {
 			sum += ((l[dim+d] - l[d]) + (r[dim+d] - r[d])) * s.inv[d]
 		}
 	}
@@ -184,17 +189,17 @@ func (s *splitScratch) marginSum(minE, dim int) float64 {
 }
 
 // chooseSplitIndex returns the split position in work (entries before it
-// go left) minimizing group overlap, ties broken by total area. Both are
-// products of side lengths, so the choice does not depend on the scale of
-// any coordinate.
-func (s *splitScratch) chooseSplitIndex(minE, dim int) int {
+// go left) minimizing group overlap, ties broken by total area, both in
+// the dimensions from c on. Both are products of side lengths, so the
+// choice does not depend on the scale of any coordinate.
+func (s *splitScratch) chooseSplitIndex(minE, c, dim int) int {
 	n, w := len(s.work), 2*dim
 	best := minE
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
 	for k := minE; k <= n-minE; k++ {
 		l, r := s.prefix[(k-1)*w:k*w], s.suffix[k*w:(k+1)*w]
 		overlap, areaL, areaR := 1.0, 1.0, 1.0
-		for d := 0; d < dim; d++ {
+		for d := c; d < dim; d++ {
 			areaL *= l[dim+d] - l[d]
 			areaR *= r[dim+d] - r[d]
 			if side := min(l[dim+d], r[dim+d]) - max(l[d], r[d]); side > 0 {

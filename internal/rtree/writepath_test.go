@@ -3,6 +3,7 @@ package rtree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -40,6 +41,38 @@ func TestInsertPointOnWarmTreeAllocatesOnlyNewPages(t *testing.T) {
 	// The backend's page map grows now and then; 1.5 leaves room for it.
 	if allocs > 1.5*pages {
 		t.Errorf("%d inserts allocated %.1f times for %.1f new pages: the insert path allocates per node or per entry", perRun, allocs, pages)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteOnWarmTreeAllocatesNothing pins the delete path's scratch: the
+// search for the leaf decodes into the write slots, one per depth,
+// abandoned subtrees included, the condensed nodes' entries are copied
+// into the tree's orphan sets and the root is read into a write slot.
+// It used to decode every node it read into a fresh slot, some 30
+// allocations per delete.
+func TestDeleteOnWarmTreeAllocatesNothing(t *testing.T) {
+	const n, runs = 20000, 200
+	tr, pts := filledTree(t, 3, n, 6, 4096)
+	if tr.Height() != 3 {
+		t.Fatalf("height %d, want 3", tr.Height())
+	}
+	victims := rand.New(rand.NewSource(4)).Perm(n)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		v := victims[next]
+		if err := tr.Delete(geom.Rect{Lo: pts[v], Hi: pts[v]}, int64(v)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("%.2f allocations per delete", allocs)
+	// A reinserted orphan that splits a node allocates its page now and
+	// then (the in-memory backend's).
+	if allocs > 2 {
+		t.Errorf("a delete allocated %.2f times: the delete path allocates per node", allocs)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -100,7 +133,7 @@ func TestChooseLeastOverlapAbandonIsExact(t *testing.T) {
 		}
 		r := randRect(dim, rng.Intn(2) == 0)
 		want := chooseLeastOverlapFull(entries, r)
-		if got := chooseLeastOverlap(entries, r); got != want {
+		if got := chooseLeastOverlap(entries, r, 0); got != want {
 			t.Fatalf("trial %d: chose entry %d, the full sums choose %d\nentries %v\nrect %v", trial, got, want, entries, r)
 		}
 		for i, e := range entries {
@@ -280,6 +313,98 @@ func TestInsertTouchesEachPageOnce(t *testing.T) {
 		tr.Height(), grew, shrank, splits, reinserts, unchanged)
 	if grew < 2 || shrank < 1 || splits < 50 || reinserts < 50 || unchanged < 300 {
 		t.Fatal("the sequence does not exercise what the test assumes")
+	}
+}
+
+// TestPackedTreeTakesUpdates packs 5 000 points carrying two of six
+// dimensions, as the feature index does, into pages whose leaves hold 10
+// points: an exactly full leaf level of 500 leaves, and with one point
+// more a level one leaf over it. 3 000 inserts and 1 000 deletes follow,
+// so the first inserts all meet full leaves. Every operation keeps the
+// rule of TestInsertTouchesEachPageOnce (no page read or written twice
+// on the backend), the tree passes its checks, and it finds exactly the
+// live records.
+func TestPackedTreeTakesUpdates(t *testing.T) {
+	const dim, carried, pageSize = 6, 2, 576
+	for _, n := range []int{5000, 5001} {
+		c := &pageCounter{Backend: storage.NewMemBackend(pageSize)}
+		c.reset()
+		rng := rand.New(rand.NewSource(int64(n)))
+		pts := randPoints(rng, n+3000, dim)
+		items := make([]BulkItem, n)
+		for i, p := range pts[:n] {
+			items[i] = BulkItem{Rect: geom.PointRect(p), Rec: int64(i)}
+		}
+		tr, err := BulkLoad(storage.NewManager(storage.Options{PageSize: pageSize, Backend: c}), dim, carried, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := tr.Health()
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := h.Levels[h.Height-1]
+		if _, maxE := tr.Capacity(true); maxE != 10 || n == 5000 && leaves.AvgFill != 1 {
+			t.Fatalf("%d points: %d leaves of %d, fill %.3f: not the full leaf level the test assumes", n, leaves.Nodes, maxE, leaves.AvgFill)
+		}
+		live := make(map[int64]geom.Point, n+3000)
+		for i, p := range pts[:n] {
+			live[int64(i)] = p
+		}
+		check := func(op string) {
+			t.Helper()
+			for id, k := range c.reads {
+				if k > 1 {
+					t.Fatalf("%d points: %s read page %d %d times", n, op, id, k)
+				}
+			}
+			for id, k := range c.writes {
+				if k > 1 {
+					t.Fatalf("%d points: %s wrote page %d %d times", n, op, id, k)
+				}
+			}
+		}
+		for i, p := range pts[n:] {
+			rec := int64(n + i)
+			c.reset()
+			if err := tr.InsertPoint(p, rec); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("insert %d", rec))
+			live[rec] = p
+			if i%3 == 2 {
+				victim := int64(rng.Intn(n + i + 1))
+				q, ok := live[victim]
+				for ; !ok; q, ok = live[victim] {
+					victim = (victim + 1) % int64(n+i+1)
+				}
+				c.reset()
+				if err := tr.Delete(geom.PointRect(q), victim); err != nil {
+					t.Fatalf("%d points: delete %d: %v", n, victim, err)
+				}
+				check(fmt.Sprintf("delete %d", victim))
+				delete(live, victim)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%d points: %v", n, err)
+		}
+		everything := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+		for d := range everything.Lo {
+			everything.Lo[d], everything.Hi[d] = math.Inf(-1), math.Inf(1)
+		}
+		got, _, err := tr.Search(everything)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(live) || int(tr.Len()) != len(live) {
+			t.Fatalf("%d points: search finds %d records, Len is %d, %d live", n, len(got), tr.Len(), len(live))
+		}
+		for _, rec := range got {
+			if _, ok := live[rec]; !ok {
+				t.Fatalf("%d points: search finds record %d, which is not live", n, rec)
+			}
+		}
 	}
 }
 

@@ -109,12 +109,6 @@ func (t *Tree) loadOp(id storage.PageID, s *Scratch) (*Node, error) {
 	return s.decode(id)
 }
 
-// loadOwned is loadOp into a slot of its own: the node is the caller's
-// to keep and modify, as Load's is.
-func (t *Tree) loadOwned(id storage.PageID) (*Node, error) {
-	return t.loadOp(id, newScratch(t.mgr.PageSize(), t.dim))
-}
-
 // free returns page id to the manager and drops it from the running
 // operation: a freed page is not written.
 func (t *Tree) free(id storage.PageID) {

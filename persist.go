@@ -311,7 +311,7 @@ func createShardFile(path string, ds *core.Dataset, opts Options, wrap func(stor
 		UseSymmetry: !opts.DisableSymmetry,
 		Paged:       true,
 		Manager:     mgr,
-		BulkLoad:    opts.BulkLoad && len(ds.Records) > 0,
+		BulkLoad:    true,
 	})
 	if err != nil {
 		return nil, err

@@ -64,15 +64,17 @@ func TestFileBackedInsertAllocBudget(t *testing.T) {
 // one byte of what it writes. The literals were re-pinned when leaves
 // began to store points (a leaf entry lost its high corner, so a 1 KiB
 // leaf holds 18 entries instead of 9 and the tree splits elsewhere and
-// writes "RST2"), and when a node page's unused tail became zero instead
-// of whatever node the encode buffer held before.
+// writes "RST2"), when a node page's unused tail became zero instead
+// of whatever node the encode buffer held before, and when CreateFile
+// began to pack every tree and the tree to place entries by the
+// coefficient dimensions only.
 func TestInsertBuiltFilesBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		want   string
 	}{
-		{0, "85dd41147032e7c6d3d3cecc72c89fdd57254190ef539e79a1be3c2ace733b96"},
-		{2, "f4bf19bc0f36e087ad6759eba53f5e91618a48fdf1550015b8d1234e0fceea0f"},
+		{0, "ceea5650ee4a4fe09b88b019bec96aacbf4d2c76f31e21c4e5d2b1de8ec3d2f6"},
+		{2, "ab92c7fa99e689c1526aa3e3fb023663f4a0bcbdf82fdf2ff686641ebde5fe35"},
 	} {
 		path := filepath.Join(t.TempDir(), "pin.tsq")
 		db, err := CreateFile(path, datagen.RandomWalks(71, 600, 32), nil, Options{PageSize: 1024, Shards: tc.shards})
