@@ -155,15 +155,25 @@ func BuildIndex(ds *Dataset, opts IndexOptions) (*Index, error) {
 		}
 	}
 	// The tree packs the items; without any it is empty, and the records
-	// it did not pack are inserted.
+	// it did not pack are inserted. A magnitude's unit is 1 and a phase's
+	// the mean magnitude of its coefficient over the items, the arc one
+	// radian spans at a typical magnitude: STR cuts the coefficient
+	// dimensions into tiles about equal-sided in distance.
 	var items []rtree.BulkItem
+	units := make([]float64, 2*opts.K)
 	if opts.BulkLoad {
 		items = make([]rtree.BulkItem, len(ds.Records))
 		for i, r := range ds.Records {
 			items[i] = rtree.BulkItem{Rect: geom.PointRect(r.Feature(opts.K)), Rec: r.ID}
+			for j := 1; j <= opts.K; j++ {
+				units[2*j-1] += r.Mags[j] / float64(len(items))
+			}
 		}
 	}
-	tree, err := rtree.BulkLoad(mgr, ix.dim, statDims, items)
+	for j := 0; j < opts.K; j++ {
+		units[2*j] = 1
+	}
+	tree, err := rtree.BulkLoad(mgr, ix.dim, statDims, items, units...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,9 @@ func TestBulkLoadRejectsMismatchedDims(t *testing.T) {
 	if err == nil {
 		t.Error("mismatched dimension accepted")
 	}
+	if _, err := BulkLoad(mgr, 2, 0, []BulkItem{{Rect: geom.PointRect(geom.Point{1, 2})}}, 1); err == nil {
+		t.Error("one unit for two organised dimensions accepted")
+	}
 }
 
 func BenchmarkBulkLoadVsInsert(b *testing.B) {
@@ -163,4 +167,77 @@ func BenchmarkBulkLoadVsInsert(b *testing.B) {
 			}
 		}
 	})
+}
+
+// polarItems draws n feature-like points: mean and std (carried), then
+// two magnitude-phase pairs whose magnitudes are three orders of
+// magnitude apart, phases in [-π, π). About one in eight series is
+// constant (zero magnitudes and phases) and one in five repeats an
+// earlier point. It returns the items and the units the feature index
+// packs them with: 1 for a magnitude, its mean for the phase beside it.
+func polarItems(rng *rand.Rand, n int) ([]BulkItem, []float64) {
+	items := make([]BulkItem, n)
+	units := []float64{1, 0, 1, 0}
+	for i := range items {
+		p := geom.Point{rng.NormFloat64() * 50, rng.Float64() * 20, rng.Float64() * 40, (rng.Float64()*2 - 1) * math.Pi, rng.Float64() * 0.04, (rng.Float64()*2 - 1) * math.Pi}
+		switch r := rng.Intn(40); {
+		case r < 5:
+			p[2], p[3], p[4], p[5] = 0, 0, 0, 0
+		case r < 13 && i > 0:
+			p = items[rng.Intn(i)].Rect.Lo.Clone()
+		}
+		units[1] += p[2] / float64(n)
+		units[3] += p[4] / float64(n)
+		items[i] = BulkItem{Rect: geom.PointRect(p), Rec: int64(i)}
+	}
+	return items, units
+}
+
+// TestUnitPackingKeepsFillAndAnswers: packed with units, as the feature
+// index packs, trees of 1 to 3 000 polar points on 512 B and 4 KiB pages
+// keep every node within its fill (cuts shared unevenly leave a node
+// below its minimum), hold every item and find what a brute-force scan
+// finds. The sizes sit at and just past products of the capacities (9
+// per leaf and 4 per internal node at 512 B, 73 and 39 at 4 KiB), and
+// ten more are drawn at random.
+func TestUnitPackingKeepsFillAndAnswers(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	sizes := []int{1, 2, 9, 10, 36, 37, 73, 74, 146, 147, 324, 325, 2847, 2848, 3000}
+	for i := 0; i < 10; i++ {
+		sizes = append(sizes, 1+rng.Intn(3000))
+	}
+	for _, page := range []int{512, 4096} {
+		for _, n := range sizes {
+			items, units := polarItems(rng, n)
+			tr, err := BulkLoad(storage.NewManager(storage.Options{PageSize: page}), 6, 2, items, units...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("page %d, n %d: %v", page, n, err)
+			}
+			if tr.Len() != int64(n) {
+				t.Fatalf("page %d, n %d: Len %d", page, n, tr.Len())
+			}
+			c := items[rng.Intn(n)].Rect.Lo
+			query := geom.Rect{Lo: c.Clone(), Hi: c.Clone()}
+			for d, w := range []float64{100, 10, 8, 1, 0.01, 1} {
+				query.Lo[d] -= w
+				query.Hi[d] += w
+			}
+			got, _, err := tr.Search(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int64
+			for _, it := range items {
+				if query.Contains(it.Rect.Lo) {
+					want = append(want, it.Rec)
+				}
+			}
+			if !equalInt64(sortedInt64(got), sortedInt64(want)) {
+				t.Fatalf("page %d, n %d: search found %d items, brute force %d", page, n, len(got), len(want))
+			}
+		}
+	}
 }

@@ -67,14 +67,15 @@ func TestFileBackedInsertAllocBudget(t *testing.T) {
 // writes "RST2"), when a node page's unused tail became zero instead
 // of whatever node the encode buffer held before, and when CreateFile
 // began to pack every tree and the tree to place entries by the
-// coefficient dimensions only.
+// coefficient dimensions only, and when STR packing began to size its
+// slabs in distance units and to share each cut evenly.
 func TestInsertBuiltFilesBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		want   string
 	}{
-		{0, "ceea5650ee4a4fe09b88b019bec96aacbf4d2c76f31e21c4e5d2b1de8ec3d2f6"},
-		{2, "ab92c7fa99e689c1526aa3e3fb023663f4a0bcbdf82fdf2ff686641ebde5fe35"},
+		{0, "522775507de02a4c26c55273915e34baf03b1dbf86c3320e1ec3e6bc4a3735fd"},
+		{2, "b329045aa55d24341073f1d859dda980930ac10c6d59ab955259e09069609744"},
 	} {
 		path := filepath.Join(t.TempDir(), "pin.tsq")
 		db, err := CreateFile(path, datagen.RandomWalks(71, 600, 32), nil, Options{PageSize: 1024, Shards: tc.shards})
