@@ -12,6 +12,7 @@ import (
 	"os"
 	"strings"
 
+	"tsq/internal/heapfile"
 	"tsq/internal/storage"
 	"tsq/internal/wal"
 )
@@ -38,6 +39,10 @@ type CheckReport struct {
 	BadPages     []storage.PageID
 	BadPageCount int
 	HealedPages  int
+	// BadRecords names, for each listed bad page that holds records, the
+	// page and the ids of the records with a part on it, so a damaged
+	// heap page says which series it takes with it.
+	BadRecords []string
 
 	// FreePages counts pages that are entirely zero: allocated (the file
 	// was grown) but never written. An aborted transaction leaves these
@@ -66,6 +71,12 @@ type CheckReport struct {
 	HeaderErr    string
 	OpenErr      string
 	IntegrityErr string
+
+	// Heap is the layout of the file's record heap (heapfile.Health):
+	// verify pages and their fill, raw pages, pages of inserted records,
+	// and the records out of tree-leaf order. Nil when the integrity
+	// pass did not run clean.
+	Heap *heapfile.Health
 
 	// Sharded databases: ShardCount is the manifest's shard count and
 	// Shards holds one sub-report per shard file, with that file's
@@ -105,6 +116,9 @@ func (r *CheckReport) String() string {
 		for i, s := range r.Shards {
 			if s.OK() {
 				fmt.Fprintf(&b, "  shard %d:   ok (%s)\n", i, s.Path)
+				if s.Heap != nil {
+					fmt.Fprintf(&b, "    heap:      %s\n", s.Heap)
+				}
 				continue
 			}
 			fmt.Fprintf(&b, "  shard %d:   CORRUPT (%s)\n", i, s.Path)
@@ -152,6 +166,12 @@ func (r *CheckReport) writeFile(b *strings.Builder) {
 			b.WriteString(")")
 		}
 		b.WriteString("\n")
+		for _, line := range r.BadRecords {
+			fmt.Fprintf(b, "             %s\n", line)
+		}
+	}
+	if r.Heap != nil {
+		fmt.Fprintf(b, "  heap:      %s\n", r.Heap)
 	}
 	if r.WALErr != "" {
 		fmt.Fprintf(b, "  wal:       BAD (%s)\n", r.WALErr)
@@ -214,6 +234,13 @@ func CheckFile(path string) (*CheckReport, error) {
 		return r, nil
 	}
 	defer func() { _ = db.Close() }() // read-only scrub
+	for i, sub := range reports {
+		for _, id := range sub.BadPages {
+			if recs := db.ix.RecordsOnPage(i, id); len(recs) > 0 {
+				sub.BadRecords = append(sub.BadRecords, fmt.Sprintf("page %d holds records %v", id, recs))
+			}
+		}
+	}
 	if err := db.Verify(); err != nil {
 		r.IntegrityErr = err.Error()
 		for i, sub := range reports {
@@ -221,6 +248,15 @@ func CheckFile(path string) (*CheckReport, error) {
 				sub.IntegrityErr = err.Error()
 			}
 		}
+		return r, nil
+	}
+	for i, sub := range reports {
+		h, err := db.ix.Shard(i).Heap().ComputeHealth(nil)
+		if err != nil {
+			sub.IntegrityErr = err.Error()
+			continue
+		}
+		sub.Heap = h
 	}
 	return r, nil
 }

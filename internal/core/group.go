@@ -40,6 +40,10 @@ import (
 //     not see. Every built-in passes; a hand-made map that fails leaves
 //     the coefficient unconstrained, and the bound on index rectangles,
 //     which handles both, still prunes.
+//   - whole: some member is not symmetric for the query's sidedness, so
+//     its distances sum f = 0..n-1 and verification needs each record's
+//     whole spectrum, rebuilt from its series on a paged index, where a
+//     verify part holds f = 0..n/2 only (WholeSpectrum).
 //   - ordered, when the query asks for ordering and the group is
 //     two-sided and a pure positive scale set (Sec. 4.4, Lemma 2): the
 //     members in ascending-factor order, which verification searches
@@ -60,6 +64,7 @@ type group struct {
 	mult, add geom.Rect
 	sym       float64
 	scaled    bool
+	whole     bool
 	free      []bool // free[j-1]: the box leaves coefficient j unconstrained; nil when none
 	ordered   []transform.Transform
 	perm      []int
@@ -85,6 +90,7 @@ func newGroup(ix *Index, ts []transform.Transform, idx []int, oneSided, ordering
 		}
 		g.ts = sc.sub
 	}
+	g.whole = WholeSpectrum(g.ts, oneSided)
 	if ordering && !oneSided {
 		if factors, ok := transform.OrderableAsScales(g.ts); ok {
 			perm := identityIndexes(len(g.ts))
@@ -132,6 +138,21 @@ func newGroup(ix *Index, ts []transform.Transform, idx []int, oneSided, ordering
 		}
 	}
 	return g, nil
+}
+
+// WholeSpectrum reports whether distances under ts, one- or two-sided,
+// read the upper half of a spectrum: whether some member is not
+// symmetric for that sidedness, so its sum runs over f = 0..n-1. A query
+// under such a set needs whole records, and its query point's whole
+// spectrum; any other reads f = 0..n/2, what a paged record's verify
+// part holds.
+func WholeSpectrum(ts []transform.Transform, oneSided bool) bool {
+	for _, t := range ts {
+		if !t.Symmetric(oneSided) {
+			return true
+		}
+	}
+	return false
 }
 
 // index returns the position in the query's set of member i.

@@ -70,7 +70,7 @@ type HealthReport struct {
 // ts/groups describe the MT-index transformation partition to profile
 // (both may be nil to skip the group section; groups nil with ts
 // non-nil profiles one group covering all of ts). The walk costs one
-// page read per tree node and, when paged, one per heap record.
+// page read per tree node and, when paged, one per heap page.
 func (ix *Index) Health(ctx context.Context, ts []transform.Transform, groups [][]int) (*HealthReport, error) {
 	hr := &HealthReport{
 		Series:       ix.Len(),
@@ -222,9 +222,7 @@ func (hr *HealthReport) writeStructure(w io.Writer) {
 	fmt.Fprintf(w, "leaf extent per dimension (mean, %% of the root's): %s\n", strings.Join(shares, " "))
 
 	if hr.Heap != nil {
-		h := hr.Heap
-		fmt.Fprintf(w, "\nheap: %d records (%d live, %d deleted) on %d pages + %d directory, %.1f%% utilized\n",
-			h.Records, h.Live, h.Deleted, h.RecordPages, h.DirectoryPages, 100*h.Utilization)
+		fmt.Fprintf(w, "\nheap: %s\n", hr.Heap)
 	}
 }
 

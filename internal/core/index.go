@@ -141,18 +141,6 @@ func BuildIndex(ds *Dataset, opts IndexOptions) (*Index, error) {
 			return nil, err
 		}
 		ix.heap = heap
-		for _, r := range ds.Records {
-			rec, err := heap.Append(recordToHeap(r))
-			if err != nil {
-				return nil, err
-			}
-			if rec != r.ID {
-				return nil, fmt.Errorf("core: heap record %d for id %d", rec, r.ID)
-			}
-		}
-		if err := heap.Sync(); err != nil {
-			return nil, err
-		}
 	}
 	// The tree packs the items; without any it is empty, and the records
 	// it did not pack are inserted. A magnitude's unit is 1 and a phase's
@@ -183,7 +171,52 @@ func BuildIndex(ds *Dataset, opts IndexOptions) (*Index, error) {
 			return nil, err
 		}
 	}
+	if ix.heap != nil {
+		if err := ix.packHeap(ds); err != nil {
+			return nil, err
+		}
+	}
 	return ix, nil
+}
+
+// packHeap writes the records of ds, which the tree indexes, to the empty
+// heap: the verify parts of each leaf's entries side by side, in leaf
+// order, cut into pages by the STR tiling of the entries' feature points
+// (rtree.Tile), and the raw parts in id order. A range probe's
+// candidates cluster in the leaves it reads, so they share pages, and a
+// page read serves the ones close to each other in feature space.
+func (ix *Index) packHeap(ds *Dataset) error {
+	per := ix.heap.VerifyPerPage()
+	var pages [][]int
+	var entries []rtree.Entry
+	err := ix.tree.Visit(func(n *rtree.Node, level int) error {
+		if level != 1 {
+			return nil
+		}
+		entries = append(entries[:0], n.Entries...)
+		for _, tile := range rtree.Tile(entries, per, statDims) {
+			page := make([]int, len(tile))
+			for i, e := range tile {
+				page[i] = int(e.Rec)
+			}
+			pages = append(pages, page)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	recs := make([]*heapfile.Rec, len(ds.Records))
+	for i, r := range ds.Records {
+		if r.ID != int64(i) {
+			return fmt.Errorf("core: record %d at position %d", r.ID, i)
+		}
+		recs[i] = recordToHeap(r)
+	}
+	if err := ix.heap.Pack(recs, pages); err != nil {
+		return err
+	}
+	return ix.heap.Sync()
 }
 
 // newIndex returns an index with no tree, heap or records yet.
@@ -230,28 +263,6 @@ func recordToHeap(r *Record) *heapfile.Rec {
 	}
 }
 
-// heapToRecord rebuilds a Record from an owned heap record, taking over
-// its arrays. The normal form is recomputed from the raw series and
-// statistics with series.NormalForm's formula, so it is bit-identical to
-// the one the record was built with.
-func heapToRecord(id int64, hr *heapfile.Rec) *Record {
-	norm := make(series.Series, len(hr.Raw))
-	if hr.Std != 0 {
-		for i, v := range hr.Raw {
-			norm[i] = (v - hr.Mean) / hr.Std
-		}
-	}
-	return &Record{
-		ID:   id,
-		Name: hr.Name,
-		Raw:  series.Series(hr.Raw),
-		Norm: norm,
-		Mean: hr.Mean,
-		Std:  hr.Std,
-		Mags: hr.Mags, Phases: hr.Phases,
-	}
-}
-
 // errNoRecord is the error of a write naming an id that holds no record.
 var errNoRecord = errors.New("core: no record")
 
@@ -278,11 +289,12 @@ func (ix *Index) Record(id int64) (*Record, error) {
 	return ix.fetch(nil, id)
 }
 
-// fetch retrieves the full record of id, which must be below Len. In
-// paged mode this reads (and counts) one record page, the Eq. 18
-// retrieval, crediting a storage.QueryIO in ctx (nil is fine); otherwise
-// it returns the in-memory record. A nil result with nil error marks a
-// deleted record.
+// fetch retrieves the whole record of id, which must be below Len. In
+// paged mode this reads (and counts) the page of the record's raw part,
+// the Eq. 18 retrieval, crediting a storage.QueryIO in ctx (nil is
+// fine), and rebuilds the record from its series with NewRecord's
+// formula; otherwise it returns the in-memory record. A nil result with
+// nil error marks a deleted record.
 func (ix *Index) fetch(ctx context.Context, id int64) (*Record, error) {
 	if ix.heap == nil {
 		return ix.ds.Record(id), nil
@@ -291,28 +303,58 @@ func (ix *Index) fetch(ctx context.Context, id int64) (*Record, error) {
 	if err != nil || hr == nil {
 		return nil, err
 	}
-	return heapToRecord(id, hr), nil
+	return NewRecord(id, hr.Name, hr.Raw), nil
 }
 
 // point decodes record id into sc.point, the query point of a query by
-// id (Sharded.QueryPoint): one page access, and no allocation once sc
-// has held a record before. It returns nil for a tombstone.
-func (ix *Index) point(sc *scratch, id int64) (*Record, error) {
+// id (Sharded.QueryPoint): its verify part — mean, std and the half
+// spectrum symmetric sums read — or, when whole, the record rebuilt from
+// its raw part. One page access, and no allocation once sc has held a
+// record before. It returns nil for a deleted record.
+func (ix *Index) point(sc *scratch, id int64, whole bool) (*Record, error) {
 	var r *Record
+	p := &sc.point
 	sc.ids = append(sc.ids[:0], id)
-	err := ix.heap.Visit(nil, sc.ids, &sc.fetch, func(_ int, v *heapfile.View) error {
-		if v == nil {
+	if whole {
+		err := ix.heap.VisitRaw(nil, sc.ids, &sc.fetch, func(_ int, v *heapfile.RawView) error {
+			if v != nil {
+				sc.spec, r = p.rebuild(id, v.Raw, sc.spec), p
+			}
 			return nil
+		})
+		return r, err
+	}
+	err := ix.heap.Visit(nil, sc.ids, &sc.fetch, func(_ int, v *heapfile.View) error {
+		if v != nil {
+			p.Raw, p.Norm = p.Raw[:0], p.Norm[:0]
+			p.Mags = append(p.Mags[:0], v.Mags...)
+			p.Phases = append(p.Phases[:0], v.Phases...)
+			p.ID, p.Mean, p.Std = id, v.Mean, v.Std
+			r = p
 		}
-		p := &sc.point
-		p.Raw = append(p.Raw[:0], v.Raw...)
-		p.Mags = append(p.Mags[:0], v.Mags...)
-		p.Phases = append(p.Phases[:0], v.Phases...)
-		p.ID, p.Mean, p.Std = id, v.Mean, v.Std
-		r = p
 		return nil
 	})
 	return r, err
+}
+
+// feature returns the feature point of live record id as the tree
+// indexes it, nil for a deleted record: in memory the record's, paged
+// the one its verify part holds.
+func (ix *Index) feature(id int64) (geom.Point, error) {
+	if ix.heap == nil {
+		if r := ix.ds.Record(id); r != nil {
+			return r.Feature(ix.opts.K), nil
+		}
+		return nil, nil
+	}
+	var feat geom.Point
+	err := ix.heap.Visit(nil, []int64{id}, new(heapfile.Scratch), func(_ int, v *heapfile.View) error {
+		if v != nil {
+			feat = (&Record{Mean: v.Mean, Std: v.Std, Mags: v.Mags, Phases: v.Phases}).Feature(ix.opts.K)
+		}
+		return nil
+	})
+	return feat, err
 }
 
 // Insert adds a new series to the dataset, the heap (when paged) and the
@@ -379,8 +421,8 @@ func (ix *Index) insertDirect(r *Record) error {
 }
 
 // Delete removes series id from the index and marks its record deleted
-// (the heap page, if any, is left in place). A paged index reads the
-// record's page for the feature it removes from the tree. With a WAL
+// (the heap pages, if any, are left in place). A paged index reads the
+// record's verify part for the feature it removes from the tree. With a WAL
 // attached the mutation is staged and logged first (write.go); without
 // one, a heap tombstone failure restores the just-removed tree entry so
 // the record never becomes unreachable-but-live.
@@ -388,18 +430,22 @@ func (ix *Index) Delete(id int64) error {
 	if err := ix.checkWritable(); err != nil {
 		return err
 	}
-	r, err := ix.Record(id)
+	var feat geom.Point
+	var err error
+	if id >= 0 && id < int64(ix.Len()) {
+		feat, err = ix.feature(id)
+	}
 	if err != nil {
 		return err
 	}
-	if r == nil {
+	if feat == nil {
 		return fmt.Errorf("%w %d", errNoRecord, id)
 	}
 	if ix.wal != nil && ix.stage != nil {
-		if err := ix.deleteStaged(r); err != nil {
+		if err := ix.deleteStaged(id, feat); err != nil {
 			return err
 		}
-	} else if err := ix.deleteDirect(r); err != nil {
+	} else if err := ix.deleteDirect(id, feat); err != nil {
 		return err
 	}
 	if ix.ds != nil {
@@ -410,15 +456,14 @@ func (ix *Index) Delete(id int64) error {
 
 // deleteDirect applies a delete straight to the tree and heap (no WAL),
 // re-inserting the tree entry if the heap tombstone fails.
-func (ix *Index) deleteDirect(r *Record) error {
-	feat := r.Feature(ix.opts.K)
-	if err := ix.tree.Delete(geom.PointRect(feat), r.ID); err != nil {
+func (ix *Index) deleteDirect(id int64, feat geom.Point) error {
+	if err := ix.tree.Delete(geom.PointRect(feat), id); err != nil {
 		return err
 	}
 	if ix.heap != nil {
-		if err := ix.heap.Delete(r.ID); err != nil {
-			if rerr := ix.tree.InsertPoint(feat, r.ID); rerr != nil {
-				ix.failStop(fmt.Errorf("restoring index entry %d: %v (after %w)", r.ID, rerr, err))
+		if err := ix.heap.Delete(id); err != nil {
+			if rerr := ix.tree.InsertPoint(feat, id); rerr != nil {
+				ix.failStop(fmt.Errorf("restoring index entry %d: %v (after %w)", id, rerr, err))
 			}
 			return err
 		}
@@ -582,8 +627,9 @@ func phaseBound(epsC, magLo float64) float64 {
 // entries and the records — every live record indexed exactly once, at
 // exactly the feature point its record computes, and no entry naming a
 // deleted or missing record. A paged index checks its heap file against
-// its tree directly, reading and checksumming every record page. It
-// returns the first problem found.
+// its tree directly, reading and checking every page of verify parts,
+// whose features the tree must hold, and every page of raw parts, whose
+// liveness must agree. It returns the first problem found.
 func (ix *Index) Verify() error {
 	if err := ix.tree.CheckInvariants(); err != nil {
 		return err
@@ -609,8 +655,8 @@ func (ix *Index) Verify() error {
 	if err != nil {
 		return err
 	}
-	// Every live record — read page by page from a heap file, every page
-	// decoded and checksummed — is indexed exactly once, at the feature
+	// Every live record — its verify part read page by page from a heap
+	// file, every page checked — is indexed exactly once, at the feature
 	// it computes.
 	live, nlive := make([]bool, ix.Len()), 0
 	err = ix.visit(nil, 0, len(live), new(scanBuf), func(r *Record) error {
@@ -636,6 +682,23 @@ func (ix *Index) Verify() error {
 	})
 	if err != nil {
 		return err
+	}
+	// Every raw part decodes, and a record is live in both parts or in
+	// neither.
+	if ix.heap != nil {
+		rawLive := make([]bool, len(live))
+		err = ix.visit(nil, 0, len(live), &scanBuf{whole: true}, func(r *Record) error {
+			rawLive[r.ID] = true
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for id := range live {
+			if live[id] != rawLive[id] {
+				return fmt.Errorf("core: record %d is live in its verify part (%v) but not in its raw part, or the reverse", id, live[id])
+			}
+		}
 	}
 	// Every entry names a live record: the lowest one that does not is
 	// reported.

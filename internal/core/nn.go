@@ -52,7 +52,7 @@ func SeqScanNN(ctx context.Context, src RecordSource, q *Record, ts []transform.
 	var st QueryStats
 	best := make([]NNMatch, 0, min(k, src.Len()))
 	worst := math.Inf(1)
-	err := src.visit(ctx, 0, src.Len(), new(scanBuf), func(r *Record) error {
+	err := src.visit(ctx, 0, src.Len(), &scanBuf{whole: true}, func(r *Record) error {
 		if r.ID == q.ID {
 			return nil
 		}
@@ -277,6 +277,7 @@ func (s *Sharded) MTIndexNN(ctx context.Context, q *Record, ts []transform.Trans
 	// their pages, because the run is verified in pop order, not in the
 	// order the batch streams by.
 	buf := &sc.runBuf
+	buf.whole = grp.whole
 	resolve := func() error {
 		buf.reset(len(run))
 		for sh, ix := range s.shards {

@@ -18,10 +18,13 @@ import (
 // match — the paper's false positives, the filter quality the trace
 // reports.
 //
-// Unless opts.NaiveVerify, this is the I/O-aware pipeline: the
-// candidates' record pages are fetched in one page-ordered batch — a
-// single candidate is a batch of one — and the distance evaluations run
-// through the early-abandoning kernels.
+// Unless opts.NaiveVerify, this is the I/O-aware pipeline: the pages of
+// the candidates' verify parts are fetched in one page-ordered batch, a
+// page shared by several candidates once — a single candidate is a batch
+// of one — and the distance evaluations run through the early-abandoning
+// kernels. A group whose distances read the upper half of the spectrum
+// (group.whole) fetches the raw parts instead and rebuilds each
+// candidate's whole record.
 //
 // Each candidate is verified as its page streams by, in page order,
 // against a Record that is only a view of the heap's decode slot: a
@@ -96,17 +99,32 @@ func (ix *Index) verifySerial(ctx context.Context, sc *scratch, candidates []int
 		return append(out, sc.matches...), st, falsePos, nil
 	}
 	// A candidate is a tree entry, and a deleted record has none (writes
-	// are exclusive), so every candidate's page is read.
+	// are exclusive), so every candidate's page is read: the page of its
+	// verify part, or of its raw part when the group's distances need the
+	// whole spectrum, which is rebuilt from the series.
 	sc.spans = append(sc.spans[:0], make([]matchSpan, len(candidates))...)
-	err := ix.heap.Visit(ctx, candidates, &sc.fetch, func(i int, v *heapfile.View) error {
-		if v == nil { // tombstoned on disk: the span stays empty
-			return nil
-		}
+	span := func(i int, r *Record) {
 		lo := len(sc.matches)
-		verify(&Record{ID: candidates[i], Mags: v.Mags, Phases: v.Phases})
+		verify(r)
 		sc.spans[i] = matchSpan{lo, len(sc.matches)}
-		return nil
-	})
+	}
+	var err error
+	if g.whole {
+		err = ix.heap.VisitRaw(ctx, candidates, &sc.fetch, func(i int, v *heapfile.RawView) error {
+			if v != nil { // deleted on disk: the span stays empty
+				sc.spec = sc.whole.rebuild(candidates[i], v.Raw, sc.spec)
+				span(i, &sc.whole)
+			}
+			return nil
+		})
+	} else {
+		err = ix.heap.Visit(ctx, candidates, &sc.fetch, func(i int, v *heapfile.View) error {
+			if v != nil {
+				span(i, &Record{ID: candidates[i], Mags: v.Mags, Phases: v.Phases})
+			}
+			return nil
+		})
+	}
 	if err != nil {
 		return nil, st, falsePos, err
 	}

@@ -194,9 +194,10 @@ type RangeOptions struct {
 // and Workers options apply: above one worker the relation is scanned in
 // that many contiguous chunks (each record's verification is
 // independent), concatenated in record order, so the answer and the
-// statistics equal the serial scan. A heap file is read in runs of
-// consecutive record pages, each page once, with one run buffer per
-// worker. When ctx carries a span, a KindScan child records the records
+// statistics equal the serial scan. A heap file is read through its raw
+// parts, which lie in id order, in runs of consecutive pages, each page
+// once per chunk of ids, with one run buffer per worker, and every record
+// is rebuilt whole from its series. When ctx carries a span, a KindScan child records the records
 // scanned, comparisons made and matches found.
 func SeqScanRange(ctx context.Context, src RecordSource, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
 	var sp *obs.Span
@@ -220,7 +221,7 @@ func SeqScanRange(ctx context.Context, src RecordSource, q *Record, ts []transfo
 	err := ParallelFor(workers, workers, func(w int) error {
 		p := &parts[w]
 		lo := min(w*chunk, n)
-		return src.visit(ctx, lo, min(lo+chunk, n), new(scanBuf), func(r *Record) error {
+		return src.visit(ctx, lo, min(lo+chunk, n), &scanBuf{whole: true}, func(r *Record) error {
 			p.st.Candidates++
 			if ordered != nil {
 				p.matches = appendOrderedMatches(p.matches, ordered, perm, r, q, eps, &p.st, opts.NaiveVerify, nil)

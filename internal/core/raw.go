@@ -32,7 +32,7 @@ type RawMatch struct {
 func SeqScanRawRange(src RecordSource, q *Record, eps float64) ([]RawMatch, QueryStats, error) {
 	var st QueryStats
 	var out []RawMatch
-	err := src.visit(nil, 0, src.Len(), new(scanBuf), func(r *Record) error {
+	err := src.visit(nil, 0, src.Len(), &scanBuf{whole: true}, func(r *Record) error {
 		st.Candidates++
 		st.Comparisons++
 		if d := rawDistance(r, q); d <= eps {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"tsq/internal/dft"
 	"tsq/internal/geom"
@@ -39,25 +40,48 @@ type Record struct {
 
 // NewRecord normalizes s and precomputes its spectrum.
 func NewRecord(id int64, name string, s series.Series) *Record {
-	norm, mean, std := s.NormalForm()
-	X := dft.TransformReal(norm)
-	polar := dft.ToPolar(X)
-	mags := make([]float64, len(polar))
-	phases := make([]float64, len(polar))
-	for i, p := range polar {
-		mags[i] = p.Mag
-		phases[i] = p.Phase
+	n := len(s)
+	arr := make([]float64, 3*n)
+	r := &Record{ID: id, Name: name, Raw: s.Clone(), Norm: arr[:n:n], Mags: arr[n : 2*n : 2*n], Phases: arr[2*n:]}
+	r.Mean, r.Std = derive(s, r.Norm, r.Mags, r.Phases, nil)
+	return r
+}
+
+// rebuild makes r the whole record id of series raw, as NewRecord builds
+// it, into r's own arrays (reused when they have room) with spec as the
+// transform's buffer, which it returns for the next call. It keeps no
+// name.
+func (r *Record) rebuild(id int64, raw []float64, spec []complex128) []complex128 {
+	n := len(raw)
+	r.ID, r.Raw = id, append(r.Raw[:0], raw...)
+	r.Norm, r.Mags, r.Phases, spec = resized(r.Norm, n), resized(r.Mags, n), resized(r.Phases, n), resized(spec, n)
+	r.Mean, r.Std = derive(r.Raw, r.Norm, r.Mags, r.Phases, spec)
+	return spec
+}
+
+// derive computes what a record holds besides its series s: the mean
+// and standard deviation it returns, the normal form into norm and the
+// polar spectrum of that into mags and phases, each len(s) long, with
+// spec (len(s) long, or nil) as the transform's buffer. It is the one
+// formula NewRecord uses, so a record rebuilt from its stored series
+// (a whole record read from a heap's raw part) is the one first built,
+// bit for bit.
+func derive(s series.Series, norm, mags, phases []float64, spec []complex128) (mean, std float64) {
+	mean, std = s.Stats()
+	clear(norm)
+	if std != 0 {
+		for i, v := range s {
+			norm[i] = (v - mean) / std
+		}
 	}
-	return &Record{
-		ID:     id,
-		Name:   name,
-		Raw:    s.Clone(),
-		Norm:   norm,
-		Mean:   mean,
-		Std:    std,
-		Mags:   mags,
-		Phases: phases,
+	if spec == nil {
+		spec = make([]complex128, len(s))
 	}
+	dft.PlanFor(len(s)).TransformRealInto(spec, norm)
+	for i, v := range spec {
+		mags[i], phases[i] = cmplx.Abs(v), cmplx.Phase(v)
+	}
+	return mean, std
 }
 
 // Spectrum reconstructs the complex spectrum of the normal form.

@@ -71,9 +71,13 @@ type scratch struct {
 	warm   float64
 
 	// A query by id on a paged index: the stored query point, decoded
-	// from its page (Index.point). Its arrays are one series length each
-	// and are left out of bytes().
+	// from its page (Index.point). A candidate rebuilt from its raw part
+	// when the group needs whole spectra (verifySerial), and the
+	// transform buffer the rebuilding takes. Their arrays are one series
+	// length each and are left out of bytes().
 	point Record
+	whole Record
+	spec  []complex128
 }
 
 // matchSpan is the half-open range of scratch.matches one verified
@@ -86,9 +90,8 @@ const (
 	// buffer grows with the entries a probe admits any more, only with
 	// what it fetches and returns, so an ordinary query stays far below
 	// the cap. It is there for the pathological one (a threshold that
-	// matches most of the relation) and for the heap's run buffer, which
-	// takes a run of consecutive record pages whole: 1 MiB once a probe
-	// fetches 256 neighbouring records.
+	// matches most of the relation). The heap's run buffer stops at
+	// heapfile's 16-page runs.
 	maxScratchBytes = 384 << 10
 	// maxIdleScratch bounds what a burst of concurrent probes leaves
 	// behind.

@@ -230,6 +230,30 @@ func (s *Sharded) Record(g int64) (*Record, error) {
 	return &c, nil
 }
 
+// Series returns the name and the original series of global id g, or
+// nil when it is deleted or was never stored. On a paged engine that is
+// its raw part, one page access and no spectrum computed; the series is
+// the caller's. In memory it is the stored record's, which the caller
+// must not modify.
+func (s *Sharded) Series(g int64) (string, series.Series, error) {
+	if g < 0 || g >= int64(s.Len()) {
+		return "", nil, nil
+	}
+	sh, l := s.locate(g)
+	ix := s.shards[sh]
+	if ix.heap == nil {
+		if r := ix.ds.Record(l); r != nil {
+			return r.Name, r.Raw, nil
+		}
+		return "", nil, nil
+	}
+	hr, err := ix.heap.Read(l)
+	if err != nil || hr == nil {
+		return "", nil, s.shardErr(sh, err)
+	}
+	return hr.Name, hr.Raw, nil
+}
+
 // QueryPoint is a stored record serving as the query point of one query
 // by id. In memory it is the stored record itself (a copy named by its
 // global id at more than one shard). On a paged engine it is decoded
@@ -244,9 +268,12 @@ type QueryPoint struct {
 	sc     *scratch
 }
 
-// QueryPoint returns record g as a query point. The caller must Release
-// it, and must not modify it.
-func (s *Sharded) QueryPoint(g int64) (QueryPoint, error) {
+// QueryPoint returns record g as a query point. On a paged engine that
+// is its verify part, which serves every query whose transformations
+// are all symmetric for its sidedness (WholeSpectrum reports false), or,
+// when whole, the record rebuilt from its series. The caller must
+// Release it, and must not modify it.
+func (s *Sharded) QueryPoint(g int64, whole bool) (QueryPoint, error) {
 	if g < 0 || g >= int64(s.Len()) {
 		return QueryPoint{}, nil
 	}
@@ -262,7 +289,7 @@ func (s *Sharded) QueryPoint(g int64) (QueryPoint, error) {
 		return QueryPoint{Record: r}, nil
 	}
 	sc := ix.acquireScratch()
-	r, err := ix.point(sc, l)
+	r, err := ix.point(sc, l, whole)
 	if err != nil || r == nil {
 		ix.releaseScratch(sc)
 		return QueryPoint{}, s.shardErr(sh, err)
@@ -277,6 +304,21 @@ func (p QueryPoint) Release() {
 	if p.sc != nil {
 		p.ix.releaseScratch(p.sc)
 	}
+}
+
+// RecordsOnPage returns the global ids of the records of shard sh with a
+// part on its heap page id, none on an in-memory engine, so a damaged
+// page can be named by what it holds.
+func (s *Sharded) RecordsOnPage(sh int, id storage.PageID) []int64 {
+	heap := s.shards[sh].heap
+	if heap == nil {
+		return nil
+	}
+	recs := heap.RecordsOn(id)
+	for i, l := range recs {
+		recs[i] = s.globalID(sh, l)
+	}
+	return recs
 }
 
 // Options returns the index options (identical across shards).

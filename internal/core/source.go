@@ -24,13 +24,15 @@ type RecordSource interface {
 	// visit calls fn with every live record whose id lies in [lo, hi), in
 	// id order, and stops at the first error fn or a page read returns.
 	// A record read from a heap file is buf's and valid only until fn
-	// returns; it carries no name and no normal form. A stored in-memory
-	// record is passed as it is and must not be modified.
+	// returns; it carries no name and no normal form, and unless
+	// buf.whole it is the record's verify part: no series, and the
+	// spectrum for f = 0..n/2 only. A stored in-memory record is passed
+	// as it is and must not be modified.
 	visit(ctx context.Context, lo, hi int, buf *scanBuf, fn func(*Record) error) error
 }
 
 // scanChunk is the number of consecutive ids a scan fetches per batch:
-// one run of record pages, read with one run buffer.
+// one run of raw pages, read with one run buffer.
 const scanChunk = 64
 
 // scanBuf is what one scan worker reads a heap file through: the batch
@@ -38,6 +40,15 @@ const scanChunk = 64
 // pages, because the heap streams them in page order and a scan visits
 // them in id order.
 type scanBuf struct {
+	// whole asks for whole records: read from their raw parts and
+	// rebuilt (derive), into norm and spec. The scans take them, because
+	// raw parts lie in id order, as a scan visits them, and a page of
+	// them is read once per chunk; so does a run of NN candidates whose
+	// distances read the upper half of the spectrum (WholeSpectrum).
+	// Otherwise a paged record is its verify part.
+	whole bool
+	norm  []float64
+	spec  []complex128
 	fetch heapfile.Scratch
 	// ids are the ids being fetched from one heap, at their positions in
 	// the chunk.
@@ -81,26 +92,37 @@ func (b *scanBuf) reset(m int) {
 	clear(b.live)
 }
 
-// set copies the record v into chunk position i.
-func (b *scanBuf) set(i int, v *heapfile.View) {
-	n := len(v.Raw)
+// slots returns the arrays of chunk position i: series, magnitudes and
+// phases, each n long.
+func (b *scanBuf) slots(i, n int) (raw, mags, phases []float64) {
 	arr := b.slab[3*i*n : 3*(i+1)*n]
-	b.recs[i] = Record{
-		Mean:   v.Mean,
-		Std:    v.Std,
-		Raw:    arr[:n:n],
-		Mags:   arr[n : 2*n : 2*n],
-		Phases: arr[2*n : 3*n : 3*n],
-	}
-	copy(b.recs[i].Raw, v.Raw)
-	copy(b.recs[i].Mags, v.Mags)
-	copy(b.recs[i].Phases, v.Phases)
+	return arr[:n:n], arr[n : 2*n : 2*n], arr[2*n : 3*n : 3*n]
+}
+
+// set copies the verify part v into chunk position i.
+func (b *scanBuf) set(i int, v *heapfile.View) {
+	_, mags, phases := b.slots(i, len(v.Mags))
+	copy(mags, v.Mags)
+	copy(phases, v.Phases)
+	b.recs[i] = Record{Mean: v.Mean, Std: v.Std, Mags: mags, Phases: phases}
+	b.live[i] = true
+}
+
+// setWhole rebuilds the record of the raw part v at chunk position i.
+func (b *scanBuf) setWhole(i int, v *heapfile.RawView) {
+	n := len(v.Raw)
+	raw, mags, phases := b.slots(i, n)
+	copy(raw, v.Raw)
+	b.norm, b.spec = resized(b.norm, n), resized(b.spec, n)
+	mean, std := derive(raw, b.norm, mags, phases, b.spec)
+	b.recs[i] = Record{Mean: mean, Std: std, Raw: raw, Mags: mags, Phases: phases}
 	b.live[i] = true
 }
 
 // load puts the records b.ids of ix at their chunk positions b.at: a
 // stored record is copied by value (its arrays are shared), a paged one
-// is copied out of its page. Deleted records stay not live.
+// is copied out of its page, its verify part or, when b.whole, rebuilt
+// from its raw part. Deleted records stay not live.
 func (ix *Index) load(ctx context.Context, b *scanBuf) error {
 	if ix.heap == nil {
 		for i, id := range b.ids {
@@ -113,8 +135,16 @@ func (ix *Index) load(ctx context.Context, b *scanBuf) error {
 	if need := 3 * len(b.recs) * ix.n; len(b.slab) < need {
 		b.slab = make([]float64, need)
 	}
+	if b.whole {
+		return ix.heap.VisitRaw(ctx, b.ids, &b.fetch, func(i int, v *heapfile.RawView) error {
+			if v != nil { // a deleted record stays not live
+				b.setWhole(b.at[i], v)
+			}
+			return nil
+		})
+	}
 	return ix.heap.Visit(ctx, b.ids, &b.fetch, func(i int, v *heapfile.View) error {
-		if v != nil { // a tombstone stays not live
+		if v != nil {
 			b.set(b.at[i], v)
 		}
 		return nil
@@ -163,7 +193,7 @@ func (s *Sharded) visit(ctx context.Context, lo, hi int, b *scanBuf, fn func(*Re
 // the caller holds for as long as it keeps the slice.
 func liveSpectra(src RecordSource) ([]*Record, error) {
 	var out []*Record
-	err := src.visit(nil, 0, src.Len(), new(scanBuf), func(r *Record) error {
+	err := src.visit(nil, 0, src.Len(), &scanBuf{whole: true}, func(r *Record) error {
 		out = append(out, &Record{ID: r.ID, Mags: slices.Clone(r.Mags), Phases: slices.Clone(r.Phases)})
 		return nil
 	})

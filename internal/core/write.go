@@ -138,17 +138,17 @@ func (ix *Index) insertStaged(r *Record, name string, s series.Series) error {
 }
 
 // deleteStaged is the WAL-protected delete: stage, log, flush.
-func (ix *Index) deleteStaged(r *Record) error {
+func (ix *Index) deleteStaged(id int64, feat geom.Point) error {
 	mem := ix.beginStaged()
-	err := ix.tree.Delete(geom.PointRect(r.Feature(ix.opts.K)), r.ID)
+	err := ix.tree.Delete(geom.PointRect(feat), id)
 	if err == nil && ix.heap != nil {
-		err = ix.heap.Delete(r.ID)
+		err = ix.heap.Delete(id)
 	}
 	if err != nil {
 		ix.abortStaged(mem)
 		return err
 	}
-	return ix.commitStaged(&wal.Record{Op: wal.OpDelete, ID: r.ID}, mem)
+	return ix.commitStaged(&wal.Record{Op: wal.OpDelete, ID: id}, mem)
 }
 
 // maybeCheckpoint folds the WAL into the main file when it has grown

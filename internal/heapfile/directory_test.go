@@ -25,11 +25,11 @@ func (w *writeLog) WritePage(id storage.PageID, buf []byte) error {
 // chain, as the rewrite of the whole directory produced it before Sync
 // learned to skip the pages that did not change.
 func fullDirectory(f *File) [][]byte {
-	ps, perPage := f.mgr.PageSize(), f.dirEntries()
+	ps := f.mgr.PageSize()
 	var images [][]byte
-	remaining := f.pages
+	remaining := f.verify
 	for slot := 0; ; slot++ {
-		count := min(len(remaining), perPage)
+		count := min(len(remaining), f.dirEntries(slot))
 		next := storage.NilPage
 		if count < len(remaining) {
 			next = f.dirPages[slot+1]
@@ -38,6 +38,11 @@ func fullDirectory(f *File) [][]byte {
 		copy(buf, dirMagic[:])
 		binary.LittleEndian.PutUint32(buf[4:], uint32(count))
 		binary.LittleEndian.PutUint32(buf[8:], uint32(next))
+		if slot == 0 {
+			binary.LittleEndian.PutUint32(buf[12:], uint32(f.packed))
+			binary.LittleEndian.PutUint32(buf[16:], uint32(f.rawFirst))
+			binary.LittleEndian.PutUint32(buf[20:], uint32(f.rawPerPage))
+		}
 		for i, id := range remaining[:count] {
 			binary.LittleEndian.PutUint32(buf[dirHeaderSize+4*i:], uint32(id))
 		}
@@ -50,7 +55,7 @@ func fullDirectory(f *File) [][]byte {
 }
 
 // TestDirectorySyncWritesOnlyWhatChanged drives a heap whose directory
-// holds 11 entries a page through random appends, unappends, syncs and
+// holds 17 entries a page (its head none) through random appends, unappends, syncs and
 // rolled-back transactions, so the chain spills, shrinks and is restored.
 // After every Sync the chain on disk must be, byte for byte, what the
 // full rewrite writes, a reopened heap must list the same record pages,
@@ -59,7 +64,7 @@ func fullDirectory(f *File) [][]byte {
 // that append linked a new page.
 func TestDirectorySyncWritesOnlyWhatChanged(t *testing.T) {
 	const n = 1
-	ps := recSize(n, 0) // the smallest page that holds a record
+	ps := insertSize(n, 0) // the smallest page that holds a record
 	perPage := (ps - dirHeaderSize) / 4
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -83,17 +88,17 @@ func TestDirectorySyncWritesOnlyWhatChanged(t *testing.T) {
 			return buf
 		}
 		mutate := func() {
-			if len(f.pages) > 4*perPage {
+			if len(f.verify) > 4*perPage {
 				falling = true
-			} else if len(f.pages) == 0 {
+			} else if len(f.verify) == 0 {
 				falling = false
 			}
 			odds := 3 // in 10 an unappend
 			if falling {
 				odds = 7
 			}
-			if len(f.pages) > floor && rng.Intn(10) < odds {
-				if err := f.Unappend(int64(len(f.pages) - 1)); err != nil {
+			if len(f.verify) > floor && rng.Intn(10) < odds {
+				if err := f.Unappend(int64(len(f.verify) - 1)); err != nil {
 					t.Fatal(err)
 				}
 				others++
@@ -113,7 +118,7 @@ func TestDirectorySyncWritesOnlyWhatChanged(t *testing.T) {
 			var changed []storage.PageID
 			for slot, img := range want {
 				if got := read(f.dirPages[slot]); !bytes.Equal(got, img) {
-					t.Fatalf("seed %d step %d: directory page %d (slot %d, %d records) differs from the full rewrite's", seed, step, f.dirPages[slot], slot, len(f.pages))
+					t.Fatalf("seed %d step %d: directory page %d (slot %d, %d records) differs from the full rewrite's", seed, step, f.dirPages[slot], slot, len(f.verify))
 				}
 				if slot >= len(disk) || !bytes.Equal(disk[slot], img) {
 					changed = append(changed, f.dirPages[slot])
@@ -123,8 +128,8 @@ func TestDirectorySyncWritesOnlyWhatChanged(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if !slices.Equal(g.pages, f.pages) {
-				t.Fatalf("seed %d step %d: reopened heap lists %v, want %v", seed, step, g.pages, f.pages)
+			if !slices.Equal(g.verify, f.verify) {
+				t.Fatalf("seed %d step %d: reopened heap lists %v, want %v", seed, step, g.verify, f.verify)
 			}
 			if others == 0 {
 				if !slices.Equal(log.written, changed) {
@@ -152,7 +157,7 @@ func TestDirectorySyncWritesOnlyWhatChanged(t *testing.T) {
 				// it grew go back to the allocator.
 				a, o := appends, others
 				mem := f.MemState()
-				floor = len(f.pages)
+				floor = len(f.verify)
 				stage.Begin()
 				mgr.HoldFrees()
 				for i := rng.Intn(2 * perPage); i > 0; i-- {

@@ -3,7 +3,6 @@ package heapfile
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"tsq/internal/storage"
@@ -25,35 +24,43 @@ func buildHeap(t testing.TB, count, n int) (*storage.Manager, *File) {
 	return mgr, f
 }
 
-// viewIsRec reports whether a visited view (nil for a tombstone) shows
-// the record Read returned.
-func viewIsRec(v *View, r *Rec) bool {
-	if v == nil || r == nil {
-		return v == nil && r == nil
-	}
-	return recsEqual(&Rec{Name: string(v.Name), Mean: v.Mean, Std: v.Std, Raw: v.Raw, Mags: v.Mags, Phases: v.Phases}, r)
+// readVerify returns record rec's verify part as a Rec, read alone
+// through a fresh scratch, nil when deleted.
+func readVerify(f *File, rec int64) (*Rec, error) {
+	var out *Rec
+	err := f.Visit(nil, []int64{rec}, new(Scratch), func(_ int, v *View) error {
+		if v != nil {
+			out = &Rec{Mean: v.Mean, Std: v.Std, Mags: append([]float64(nil), v.Mags...), Phases: append([]float64(nil), v.Phases...)}
+		}
+		return nil
+	})
+	return out, err
 }
 
-// checkVisitMatchesRead visits ids through s and compares every view,
-// while it is valid, with the record Read returns for the same id; every
-// position of ids must be visited exactly once, in page order.
+// checkVisitMatchesRead visits ids through s, both parts, and compares
+// every view, while it is valid, with the record the id reads alone;
+// every position of ids must be visited exactly once, in page order.
 func checkVisitMatchesRead(t *testing.T, f *File, s *Scratch, ids []int64) {
 	t.Helper()
 	seen := make([]int, len(ids))
 	lastPage := storage.NilPage
 	err := f.Visit(nil, ids, s, func(i int, v *View) error {
 		seen[i]++
-		if page := f.pages[ids[i]]; page < lastPage {
+		if page := f.verify[ids[i]]; page < lastPage {
 			t.Errorf("visit of ids[%d]=%d goes back from page %d to %d", i, ids[i], lastPage, page)
 		} else {
 			lastPage = page
 		}
-		want, err := f.Read(ids[i])
+		want, err := readVerify(f, ids[i])
 		if err != nil {
 			return err
 		}
-		if !viewIsRec(v, want) {
-			t.Errorf("ids[%d]=%d: visited record differs from Read (tombstone: visit %v, read %v)", i, ids[i], v == nil, want == nil)
+		if want == nil {
+			if v != nil {
+				t.Errorf("ids[%d]=%d: a deleted record visited live", i, ids[i])
+			}
+		} else if !viewIsRec(v, want) {
+			t.Errorf("ids[%d]=%d: visited verify part differs from the one read alone", i, ids[i])
 		}
 		return nil
 	})
@@ -63,6 +70,26 @@ func checkVisitMatchesRead(t *testing.T, f *File, s *Scratch, ids []int64) {
 	for i, n := range seen {
 		if n != 1 {
 			t.Errorf("ids[%d]=%d visited %d times", i, ids[i], n)
+		}
+	}
+	clear(seen)
+	err = f.VisitRaw(nil, ids, s, func(i int, v *RawView) error {
+		seen[i]++
+		want, err := f.Read(ids[i])
+		if err != nil {
+			return err
+		}
+		if (v == nil) != (want == nil) || v != nil && !recsEqual(&Rec{Name: string(v.Name), Raw: v.Raw}, want) {
+			t.Errorf("ids[%d]=%d: visited raw part differs from Read", i, ids[i])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("ids[%d]=%d raw part visited %d times", i, ids[i], n)
 		}
 	}
 }
@@ -123,23 +150,24 @@ func TestFetchBatchOutOfRange(t *testing.T) {
 	}
 }
 
-// TestFetchBatchRunIO: a batch over consecutively appended records is one
-// page run — one backend Read, the rest Prefetched — while the same ids
+// TestFetchBatchRunIO: a batch over consecutively appended records is
+// read in runs of maxRun pages — one backend Read each, the rest
+// Prefetched — while the same ids
 // fetched one at a time cost one Read each.
 func TestFetchBatchRunIO(t *testing.T) {
 	mgr, f := buildHeap(t, 32, 16)
 	defer mgr.Close()
 	ids := make([]int64, 32)
 	for i := range ids {
-		ids[i] = int64(31 - i) // descending: the batch must still sort into one run
+		ids[i] = int64(31 - i) // descending: the batch must still sort into runs
 	}
 	mgr.ResetStats()
 	if _, err := f.FetchBatch(nil, ids); err != nil {
 		t.Fatal(err)
 	}
 	st := mgr.Stats()
-	if st.Reads != 1 || st.Prefetched != 31 {
-		t.Errorf("batch: reads=%d prefetched=%d, want 1/31", st.Reads, st.Prefetched)
+	if runs := int64(32+maxRun-1) / maxRun; st.Reads != runs || st.Prefetched != 32-runs {
+		t.Errorf("batch: reads=%d prefetched=%d, want %d/%d", st.Reads, st.Prefetched, runs, 32-runs)
 	}
 	mgr.ResetStats()
 	for _, id := range ids {
@@ -213,14 +241,15 @@ func TestFetchBatchAllocsPerCandidate(t *testing.T) {
 		})
 	}
 	perCandidate := (owned(idsFor(128)) - owned(idsFor(32))) / 96
-	// Decode allocates the Rec, Raw, Mags, Phases, and the name string: 5.
-	if perCandidate > 5.5 {
-		t.Errorf("owning fetch: %.2f allocations per candidate, want <= 5.5 (decode only)", perCandidate)
+	// Decode allocates the Rec, Raw and the name string: 3.
+	if perCandidate > 3.5 {
+		t.Errorf("owning fetch: %.2f allocations per candidate, want <= 3.5 (decode only)", perCandidate)
 	}
 }
 
 // TestVisitStopsAtACorruptPage: a record page that fails its checksum in
-// the middle of a batch ends the fetch with the error naming the record;
+// the middle of a batch ends the fetch with the error naming the page and
+// its record;
 // the callback sees the records before it, never the bad one, and never
 // the previous record's contents under the bad one's position.
 func TestVisitStopsAtACorruptPage(t *testing.T) {
@@ -228,11 +257,11 @@ func TestVisitStopsAtACorruptPage(t *testing.T) {
 	defer mgr.Close()
 	const bad = 5
 	buf := make([]byte, mgr.PageSize())
-	if err := mgr.Read(f.pages[bad], buf); err != nil {
+	if err := mgr.Read(f.verify[bad], buf); err != nil {
 		t.Fatal(err)
 	}
-	buf[recHeaderSize+40] ^= 0x10
-	if err := mgr.Write(f.pages[bad], buf); err != nil {
+	buf[pageHeaderSize+verifyHeaderSize+40] ^= 0x10
+	if err := mgr.Write(f.verify[bad], buf); err != nil {
 		t.Fatal(err)
 	}
 	ids := []int64{9, 3, bad, 4, 8, 6}
@@ -240,7 +269,7 @@ func TestVisitStopsAtACorruptPage(t *testing.T) {
 	var visited []int64
 	err := f.Visit(nil, ids, &s, func(i int, v *View) error {
 		visited = append(visited, ids[i])
-		want, err := f.Read(ids[i])
+		want, err := readVerify(f, ids[i])
 		if err != nil {
 			return err
 		}
@@ -249,16 +278,14 @@ func TestVisitStopsAtACorruptPage(t *testing.T) {
 		}
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "record 5 fails its checksum") {
-		t.Fatalf("Visit over a corrupt page returned %v, want the checksum error of record 5", err)
+	wantErr := fmt.Sprintf("heapfile: page %d (record 5): checksum mismatch", f.verify[bad])
+	if err == nil || err.Error() != wantErr {
+		t.Fatalf("Visit over a corrupt page returned %v, want %q", err, wantErr)
 	}
 	if fmt.Sprint(visited) != "[3 4]" {
 		t.Errorf("visited %v before the error, want the two records on earlier pages", visited)
 	}
-	if len(s.slot.Raw)+len(s.slot.Mags)+len(s.slot.Phases)+len(s.slot.Name) != 0 {
-		t.Errorf("the slot still shows a record after the failed decode")
-	}
-	if _, err := f.FetchBatch(nil, ids); err == nil || !strings.Contains(err.Error(), "record 5 fails its checksum") {
+	if _, err := f.FetchBatch(nil, ids); err == nil || err.Error() != wantErr {
 		t.Errorf("FetchBatch over a corrupt page returned %v", err)
 	}
 }
@@ -276,6 +303,22 @@ func FuzzFetchBatch(f *testing.F) {
 		defer mgr.Close()
 		hf, err := Create(mgr, 8)
 		if err != nil {
+			t.Fatal(err)
+		}
+		// A packed start, in groups of up to VerifyPerPage records in a
+		// random order.
+		packed := make([]*Rec, rng.Intn(40))
+		for i := range packed {
+			packed[i] = randRec(rng, 8, fmt.Sprint("p", i))
+		}
+		var groups [][]int
+		for _, i := range rng.Perm(len(packed)) {
+			if len(groups) == 0 || len(groups[len(groups)-1]) == hf.VerifyPerPage() || rng.Intn(3) == 0 {
+				groups = append(groups, nil)
+			}
+			groups[len(groups)-1] = append(groups[len(groups)-1], i)
+		}
+		if err := hf.Pack(packed, groups); err != nil {
 			t.Fatal(err)
 		}
 		// Interleave appends, deletes, and directory syncs; syncs can

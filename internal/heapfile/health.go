@@ -4,61 +4,123 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+
+	"tsq/internal/storage"
 )
 
-// Health is a heap file's storage report: record liveness and how much
-// of the allocated page space the records actually use. One record per
-// page (the paper's "one disk access per retrieved sequence") means
-// utilization is bounded by the record size over the page size; low
-// utilization with many deleted records signals the heap should be
-// rebuilt.
+// Health is a heap file's storage report: record liveness, how the
+// records lie on their pages, and how much of the allocated page space
+// they use. Low utilization with many deleted records signals the heap
+// should be rebuilt; many out-of-order records, that it should be
+// re-packed (a rebuild writes every verify part in tree-leaf order).
 type Health struct {
-	Records        int   `json:"records"` // allocated record slots
-	Live           int   `json:"live"`
-	Deleted        int   `json:"deleted"`
-	RecordPages    int   `json:"record_pages"`
-	DirectoryPages int   `json:"directory_pages"`
+	Records int `json:"records"` // allocated record numbers
+	Live    int `json:"live"`
+	Deleted int `json:"deleted"`
+	// VerifyPages hold the verify parts a bulk build packed, VerifyFill
+	// their mean share of the parts a page can hold; RawPages hold the
+	// packed raw parts. InsertPages hold one appended record each, both
+	// parts, and RecordPages one record each of a format-1 heap.
+	VerifyPages    int     `json:"verify_pages"`
+	VerifyFill     float64 `json:"verify_fill"`
+	RawPages       int     `json:"raw_pages"`
+	InsertPages    int     `json:"insert_pages"`
+	RecordPages    int     `json:"record_pages"`
+	DirectoryPages int     `json:"directory_pages"`
+	// OutOfOrder counts the records whose verify part is not on a packed
+	// verify page — appended since the build, or written before the
+	// split — so a leaf's candidates do not share its pages.
+	OutOfOrder     int   `json:"out_of_order"`
 	BytesUsed      int64 `json:"bytes_used"` // live record bytes
 	BytesAllocated int64 `json:"bytes_allocated"`
 	// Utilization is BytesUsed / BytesAllocated over record pages.
 	Utilization float64 `json:"utilization"`
 }
 
-// ComputeHealth scans every record page once (header bytes only are
-// decoded, so the cost is the page reads — buffered pages count as
-// hits) and tallies liveness and space usage. When ctx carries a
-// storage.QueryIO the reads are attributed to it.
+// ComputeHealth reads every record page once, checking it as a fetch
+// does (buffered pages count as hits), and tallies liveness, page kinds
+// and space usage. When ctx carries a storage.QueryIO the reads are
+// attributed to it.
 func (f *File) ComputeHealth(ctx context.Context) (*Health, error) {
 	pageSize := f.mgr.PageSize()
-	h := &Health{
-		Records:        len(f.pages),
-		RecordPages:    len(f.pages),
-		DirectoryPages: len(f.dirPages),
-		BytesAllocated: int64(len(f.pages)) * int64(pageSize),
-	}
-	buf := make([]byte, pageSize)
-	for rec, id := range f.pages {
-		if err := f.mgr.ReadCtx(ctx, id, buf); err != nil {
-			return nil, err
-		}
-		switch buf[0] {
-		case 'D':
-			h.Deleted++
-		case 'R':
-			h.Live++
-			nameLen := int(binary.LittleEndian.Uint16(buf[2:]))
-			n := int(binary.LittleEndian.Uint32(buf[4:]))
-			sz := recSize(n, nameLen)
-			if n != f.n || sz > pageSize {
-				return nil, fmt.Errorf("heapfile: record %d header corrupt (n=%d nameLen=%d)", rec, n, nameLen)
+	h := &Health{Records: len(f.verify), DirectoryPages: len(f.dirPages)}
+	// The records with a part on each page, in page order.
+	onPage := make(map[storage.PageID][]int64)
+	var pages []storage.PageID
+	for rec := range int64(len(f.verify)) {
+		for _, id := range [2]storage.PageID{f.verify[rec], f.rawPage(rec)} {
+			if l := onPage[id]; len(l) == 0 || l[len(l)-1] != int64(rec) {
+				if len(l) == 0 {
+					pages = append(pages, id)
+				}
+				onPage[id] = append(l, rec)
 			}
-			h.BytesUsed += int64(sz)
-		default:
-			return nil, fmt.Errorf("heapfile: page %d is not a record page", id)
 		}
+	}
+	var fill float64
+	buf := make([]byte, pageSize)
+	for _, id := range pages {
+		if err := f.mgr.ReadCtx(ctx, id, buf); err != nil {
+			return nil, f.pageErr(id, err)
+		}
+		if err := f.checkPage(buf); err != nil {
+			return nil, f.pageErr(id, err)
+		}
+		h.BytesAllocated += int64(pageSize)
+		switch buf[0] {
+		case kindVerify:
+			h.VerifyPages++
+			fill += float64(buf[1]) / float64(f.VerifyPerPage())
+		case kindSeries:
+			h.RawPages++
+		case kindInsert:
+			h.InsertPages++
+		default:
+			h.RecordPages++
+		}
+		for _, rec := range onPage[id] {
+			if f.verify[rec] == id {
+				if buf[0] != kindVerify {
+					h.OutOfOrder++
+				}
+				_, live, err := f.verifyAt(buf, rec)
+				if err != nil {
+					return nil, f.pageErr(id, err)
+				}
+				switch {
+				case !live:
+					h.Deleted++
+				case buf[0] == kindRecord:
+					h.Live++
+					h.BytesUsed += int64(recSize(f.n, int(binary.LittleEndian.Uint16(buf[2:]))))
+				default:
+					h.Live++
+					h.BytesUsed += int64(verifySize(f.n))
+				}
+			}
+			if f.rawPage(rec) == id && buf[0] != kindRecord && buf[0] != kindTomb {
+				_, nameLen, live, err := f.rawAt(buf, rec)
+				if err != nil {
+					return nil, f.pageErr(id, err)
+				}
+				if live {
+					h.BytesUsed += int64(rawSize(f.n, nameLen))
+				}
+			}
+		}
+	}
+	if h.VerifyPages > 0 {
+		h.VerifyFill = fill / float64(h.VerifyPages)
 	}
 	if h.BytesAllocated > 0 {
 		h.Utilization = float64(h.BytesUsed) / float64(h.BytesAllocated)
 	}
 	return h, nil
+}
+
+// String renders the report on one line, as tsquery -inspect and -check
+// print it.
+func (h *Health) String() string {
+	return fmt.Sprintf("%d records (%d live, %d deleted); %d verify pages %.1f%% full, %d raw, %d insert, %d format-1 record, %d directory; %d out of leaf order; %.1f%% utilized",
+		h.Records, h.Live, h.Deleted, h.VerifyPages, 100*h.VerifyFill, h.RawPages, h.InsertPages, h.RecordPages, h.DirectoryPages, h.OutOfOrder, 100*h.Utilization)
 }

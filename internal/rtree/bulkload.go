@@ -94,6 +94,18 @@ func (t *Tree) packLevel(entries []Entry, units []float64, leaf bool) ([]Entry, 
 	return parents, nil
 }
 
+// Tile cuts entries into groups of at most capacity with the STR slicing
+// a build packs a level with, over the dimensions from the carried ones
+// on and without units, sorting entries in place. It is how a caller
+// lays out data that follows the tree's leaves (the index's record
+// heap). Every group holds at least len/groups entries.
+func Tile(entries []Entry, capacity, carried int) [][]Entry {
+	if len(entries) == 0 {
+		return nil
+	}
+	return strTile(entries, capacity, len(entries[0].Rect.Lo), carried, nil)
+}
+
 // strTile recursively slices entries into groups of at most capacity,
 // sorting by rectangle centers one dimension at a time from dimension d
 // on; the last dimension is cut into as many slabs as groups are needed.

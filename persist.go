@@ -75,6 +75,11 @@ const rawFlagChecksums = 1 << 0
 const (
 	superFlagSymmetry  = 1 << 0
 	superFlagChecksums = 1 << 1 // mirrors rawFlagChecksums; cross-checked on open
+	// superFlagSplitHeap marks a record heap in the split format (every
+	// file written since it exists): a verify and a raw part per record,
+	// a directory of two pages per record. Files without it hold one
+	// record per page. Cross-checked against the heap directory on open.
+	superFlagSplitHeap = 1 << 2
 )
 
 // indexParams are the index parameters the superblock and the manifest
@@ -83,6 +88,7 @@ type indexParams struct {
 	n, k        int
 	symmetry    bool
 	checksummed bool
+	splitHeap   bool
 }
 
 func (p indexParams) put(buf []byte) {
@@ -92,6 +98,9 @@ func (p indexParams) put(buf []byte) {
 	}
 	if p.checksummed {
 		flags |= superFlagChecksums
+	}
+	if p.splitHeap {
+		flags |= superFlagSplitHeap
 	}
 	binary.LittleEndian.PutUint32(buf, uint32(p.n))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(p.k))
@@ -105,6 +114,7 @@ func getParams(buf []byte) indexParams {
 		k:           int(binary.LittleEndian.Uint32(buf[4:])),
 		symmetry:    flags&superFlagSymmetry != 0,
 		checksummed: flags&superFlagChecksums != 0,
+		splitHeap:   flags&superFlagSplitHeap != 0,
 	}
 }
 
@@ -122,7 +132,7 @@ func (p indexParams) check() error {
 // params are the index parameters a database of series length n
 // created with opts records on disk.
 func (opts Options) params(n int) indexParams {
-	return indexParams{n: n, k: opts.K, symmetry: !opts.DisableSymmetry, checksummed: !opts.DisableChecksums}
+	return indexParams{n: n, k: opts.K, symmetry: !opts.DisableSymmetry, checksummed: !opts.DisableChecksums, splitHeap: true}
 }
 
 // superInfo is the decoded superblock.
@@ -137,7 +147,8 @@ type superInfo struct {
 //	offset 0: magic "TSQ1"
 //	offset 4: series length n (uint32)
 //	offset 8: indexed coefficients k (uint32)
-//	offset 12: flags (uint32; bit 0 = symmetry, bit 1 = checksummed)
+//	offset 12: flags (uint32; bit 0 = symmetry, bit 1 = checksummed,
+//	           bit 2 = split record heap)
 //	offset 16: tree meta page (uint32)
 //	offset 20: heap directory page (uint32)
 func encodeSuper(buf []byte, si superInfo) {
@@ -448,6 +459,8 @@ func (files dbFiles) check(si superInfo) error {
 		return fmt.Errorf("symmetry=%v, manifest says %v", si.symmetry, mi.symmetry)
 	case si.checksummed != mi.checksummed:
 		return fmt.Errorf("checksums=%v, manifest says %v", si.checksummed, mi.checksummed)
+	case si.splitHeap != mi.splitHeap:
+		return fmt.Errorf("split heap=%v, manifest says %v", si.splitHeap, mi.splitHeap)
 	}
 	return nil
 }
@@ -465,7 +478,7 @@ type manifestInfo struct {
 //	offset 8:  shard count (uint32)
 //	offset 12: series length n (uint32)
 //	offset 16: indexed coefficients k (uint32)
-//	offset 20: flags (uint32; bit 0 = symmetry, bit 1 = checksummed)
+//	offset 20: flags (uint32; as the superblock's)
 //	offset 24: reserved (8 bytes, zero)
 //	offset 32: CRC32C over bytes [0, 32)
 //
@@ -714,6 +727,11 @@ func openShardFile(path string, wrap func(storage.Backend) storage.Backend, mode
 	})
 	if err != nil {
 		return nil, si, err
+	}
+	if ix.Heap().Split() != si.splitHeap {
+		_ = ix.Close()
+		mgr = nil // closed with the index
+		return nil, si, fmt.Errorf("tsq: corrupt superblock: split heap=%v, but the heap directory says %v", si.splitHeap, ix.Heap().Split())
 	}
 	if mode == openRW {
 		ix.AttachWAL(wlog, staged)

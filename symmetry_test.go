@@ -199,7 +199,7 @@ func answerAll(t *testing.T, db *DB, set symmetrySet, queries []int64, alg Algor
 // equal the sequential scan, at one and two shards, in memory and from a
 // file, with the symmetry property on and off. The scan's answers do not
 // depend on where the records are, so they are taken once. From a file
-// the join and closest pairs read two record pages per candidate pair,
+// the join and closest pairs read two raw pages per candidate pair,
 // so there they run over the first set and the zero-crossing one (the
 // last, a join at 0.5) only.
 func TestAsymmetricSetsEqualScan(t *testing.T) {

@@ -324,10 +324,8 @@ func (db *DB) record(id int64) *core.Record {
 func (db *DB) Name(id int64) string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if r := db.record(id); r != nil {
-		return r.Name
-	}
-	return ""
+	name, _, _ := db.ix.Series(id)
+	return name
 }
 
 // Get returns a copy of the original series with the given id, or nil.
@@ -335,8 +333,8 @@ func (db *DB) Name(id int64) string {
 func (db *DB) Get(id int64) Series {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if r := db.record(id); r != nil {
-		return r.Raw.Clone()
+	if _, s, _ := db.ix.Series(id); s != nil {
+		return s.Clone()
 	}
 	return nil
 }
@@ -484,7 +482,7 @@ func (db *DB) RangeByID(id int64, ts []Transform, thr Threshold, opts QueryOptio
 func (db *DB) RangeByIDCtx(ctx context.Context, id int64, ts []Transform, thr Threshold, opts QueryOptions) ([]Match, Stats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	qp, err := db.queryPoint(id)
+	qp, err := db.queryPoint(id, ts, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -493,10 +491,17 @@ func (db *DB) RangeByIDCtx(ctx context.Context, id int64, ts []Transform, thr Th
 }
 
 // queryPoint returns stored series id as the query point of a query by
-// id; the caller must Release it. A deleted or never stored id is an
-// error.
-func (db *DB) queryPoint(id int64) (core.QueryPoint, error) {
-	qp, err := db.ix.QueryPoint(id)
+// id under ts and opts; the caller must Release it. A deleted or never
+// stored id is an error. A file-backed database reads the series' verify
+// part, unless the query needs the whole record: a distance that reads
+// the upper half of the spectrum (core.WholeSpectrum, or a query
+// transformation that is not symmetric and so turns the set to full
+// order), or a capture journal, which hashes the series.
+func (db *DB) queryPoint(id int64, ts []Transform, opts QueryOptions) (core.QueryPoint, error) {
+	qt := opts.QueryTransform
+	whole := captureWriter.Load() != nil || qt != nil && !qt.Symmetric(true) ||
+		core.WholeSpectrum(ts, opts.OneSided || qt != nil)
+	qp, err := db.ix.QueryPoint(id, whole)
 	if err == nil && qp.Record == nil {
 		err = fmt.Errorf("tsq: no series with id %d", id)
 	}
@@ -791,7 +796,7 @@ func (db *DB) Batch(ctx context.Context, reqs []BatchRequest, workers int) []Bat
 func (db *DB) batchOne(ctx context.Context, r *BatchRequest, memo *seriesMemo) (res BatchResult) {
 	var qr *core.Record
 	if r.ByID {
-		qp, err := db.queryPoint(r.ID)
+		qp, err := db.queryPoint(r.ID, r.Transforms, r.Opts)
 		if err != nil {
 			return BatchResult{Err: err}
 		}

@@ -68,14 +68,16 @@ func TestFileBackedInsertAllocBudget(t *testing.T) {
 // of whatever node the encode buffer held before, and when CreateFile
 // began to pack every tree and the tree to place entries by the
 // coefficient dimensions only, and when STR packing began to size its
-// slabs in distance units and to share each cut evenly.
+// slabs in distance units and to share each cut evenly, and when the
+// record heap was split into verify and raw parts, the verify parts of a
+// build packed in tree-leaf order.
 func TestInsertBuiltFilesBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		want   string
 	}{
-		{0, "522775507de02a4c26c55273915e34baf03b1dbf86c3320e1ec3e6bc4a3735fd"},
-		{2, "b329045aa55d24341073f1d859dda980930ac10c6d59ab955259e09069609744"},
+		{0, "f7464baf94564946530fd839e6ed833b6224246ed5b3e0f080a2c7413a6d3f91"},
+		{2, "abee904b0cbfc84f1c710f313d9ed97da01257641e98094e80638a4dee9c47b4"},
 	} {
 		path := filepath.Join(t.TempDir(), "pin.tsq")
 		db, err := CreateFile(path, datagen.RandomWalks(71, 600, 32), nil, Options{PageSize: 1024, Shards: tc.shards})
