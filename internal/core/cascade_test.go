@@ -153,7 +153,7 @@ func TestCascadeTiersEngage(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		q := ds.Records[trial*43%len(ds.Records)]
 		eps := series.DistanceForCorrelation(64, 0.70+0.04*float64(trial))
-		_, st, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		_, st, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func TestMTEqualsSeqScanRange(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		q := ds.Records[trial*17%len(ds.Records)]
 		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
-		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestSTEqualsSeqScanRange(t *testing.T) {
 	eps := series.DistanceForCorrelation(64, 0.90)
 	q := ds.Records[42]
 	want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
-	got, st, err := ix.STIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+	got, st, err := WrapIndex(ix).STIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMTRangePropertyAcrossSeeds(t *testing.T) {
 		eps := 1 + rng.Float64()*6
 		q := ds.Records[rng.Intn(len(ds.Records))]
 		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
-		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestGroupedMTRangeSameAnswer(t *testing.T) {
 	q := ds.Records[7]
 	want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
 	for _, per := range []int{1, 2, 5, 7, 24} {
-		got, st, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{
+		got, st, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{
 			Mode:   QRectSafe,
 			Groups: EqualPartition(len(ts), per),
 		})
@@ -172,7 +172,7 @@ func TestPaperModeIsSubsetAndUsuallyExact(t *testing.T) {
 	eps := series.DistanceForCorrelation(64, 0.92)
 	q := ds.Records[11]
 	want := matchKeySet(first(SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})))
-	got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectPaper})
+	got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectPaper})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestMTFiltersBetterThanST(t *testing.T) {
 	ts := transform.MovingAverageSet(128, 10, 25) // 16 transforms as in Fig. 5
 	eps := series.DistanceForCorrelation(128, 0.96)
 	q := ds.Records[123]
-	_, stMT, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+	_, stMT, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stST, err := ix.STIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+	_, stST, err := WrapIndex(ix).STIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestOrderedScaleRangeBinarySearch(t *testing.T) {
 		t.Errorf("ordered comparisons %d vs linear %d: no win", stOrdered.Comparisons, stLinear.Comparisons)
 	}
 	// Same through the MT index.
-	gotMT, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true})
+	gotMT, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestNNMTEqualsSeqScan(t *testing.T) {
 	q := ds.Records[17]
 	for _, k := range []int{1, 5, 10} {
 		want, _, _ := SeqScanNN(nil, ds, q, ts, k, false)
-		got, st, err := ix.MTIndexNN(nil, q, ts, k, RangeOptions{})
+		got, st, err := WrapIndex(ix).MTIndexNN(nil, q, ts, k, RangeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func TestClusterPartitionSeparatesInvertedSet(t *testing.T) {
 	_, ix := buildFixture(t, 10, 100, 64, DefaultIndexOptions())
 	base := transform.MovingAverageSet(64, 6, 17)
 	ts := transform.WithInverted(base)
-	groups := ix.ClusterPartition(ts, 3)
+	groups := WrapIndex(ix).ClusterPartition(ts, 3)
 	if len(groups) != 2 {
 		t.Fatalf("found %d clusters, want 2 (groups %v)", len(groups), groups)
 	}
@@ -381,7 +381,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 6, 21)
 	eps := series.DistanceForCorrelation(64, 0.92)
 	q := ds.Records[5]
-	groups, cost, err := ix.OptimalPartition(q, ts, eps, QRectSafe, DefaultCostParams())
+	groups, cost, err := WrapIndex(ix).OptimalPartition(q, ts, eps, QRectSafe, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 	}
 	// Its estimated cost is no worse than the single-rectangle and the
 	// all-singletons baselines (it considered both).
-	caLeaf, _ := ix.AvgLeafCapacity()
+	caLeaf, _ := WrapIndex(ix).AvgLeafCapacity()
 	costOf := func(groups [][]int) float64 {
 		total := 0.0
 		for _, g := range groups {
@@ -428,7 +428,7 @@ func TestOptimalPartitionValidAndNoWorse(t *testing.T) {
 	}
 	// The answer with the optimal partition is still exact.
 	want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
-	got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, Groups: groups})
+	got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, Groups: groups})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,8 +489,8 @@ func TestBuildIndexValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Options().K != 2 {
-		t.Errorf("default K = %d", ix.Options().K)
+	if ix.opts.K != 2 {
+		t.Errorf("default K = %d", ix.opts.K)
 	}
 	if ix.Tree().Len() != 10 {
 		t.Errorf("tree holds %d records", ix.Tree().Len())
@@ -526,7 +526,7 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestEmptyTransformSet(t *testing.T) {
 	ds, ix := buildFixture(t, 12, 20, 32, DefaultIndexOptions())
 	q := ds.Records[0]
-	got, st, err := ix.MTIndexRange(nil, q, nil, 1, RangeOptions{})
+	got, st, err := WrapIndex(ix).MTIndexRange(nil, q, nil, 1, RangeOptions{})
 	if err != nil || len(got) != 0 || st.DAAll != 0 {
 		t.Errorf("empty set: %v %v %v", got, st, err)
 	}
@@ -539,7 +539,7 @@ func TestEmptyTransformSet(t *testing.T) {
 func TestBadGroupIndexRejected(t *testing.T) {
 	ds, ix := buildFixture(t, 13, 20, 32, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(32, 2, 4)
-	_, _, err := ix.MTIndexRange(nil, ds.Records[0], ts, 1, RangeOptions{Groups: [][]int{{0, 9}}})
+	_, _, err := WrapIndex(ix).MTIndexRange(nil, ds.Records[0], ts, 1, RangeOptions{Groups: [][]int{{0, 9}}})
 	if err == nil {
 		t.Error("out-of-range group index accepted")
 	}
@@ -596,7 +596,7 @@ func TestRangeWrapStressEqualsSeqScan(t *testing.T) {
 		eps := 1 + rng.Float64()*6
 		q := ds.Records[rng.Intn(len(ds.Records))]
 		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
-		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,7 +620,7 @@ func TestMTExactWithGeneralTransforms(t *testing.T) {
 		for _, qid := range []int{3, 77, 150} {
 			q := ds.Records[qid]
 			want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
-			got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+			got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -640,7 +640,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	// One transformation: ST and MT coincide; either index plan must beat
 	// the scan and be chosen.
 	one := transform.MovingAverageSet(128, 10, 10)
-	plan, err := ix.PlanRange(nil, q, one, eps, RangeOptions{Mode: QRectSafe}, params)
+	plan, err := WrapIndex(ix).PlanRange(nil, q, one, eps, RangeOptions{Mode: QRectSafe}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,14 +651,14 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	// Many transformations: MT should win, and the plan must be
 	// executable with the same answer as the scan.
 	many := transform.MovingAverageSet(128, 5, 34)
-	plan, err = ix.PlanRange(nil, q, many, eps, RangeOptions{Mode: QRectSafe}, params)
+	plan, err = WrapIndex(ix).PlanRange(nil, q, many, eps, RangeOptions{Mode: QRectSafe}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Kind != PlanMTIndex {
 		t.Errorf("planner chose %v for |T|=30", plan.Kind)
 	}
-	got, _, err := ix.MTIndexRange(nil, q, many, eps, RangeOptions{Mode: QRectSafe, Groups: plan.Groups})
+	got, _, err := WrapIndex(ix).MTIndexRange(nil, q, many, eps, RangeOptions{Mode: QRectSafe, Groups: plan.Groups})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,7 +671,7 @@ func TestPlannerPicksReasonably(t *testing.T) {
 	}
 
 	// Empty set degenerates gracefully.
-	empty, err := ix.PlanRange(nil, q, nil, eps, RangeOptions{Mode: QRectSafe}, params)
+	empty, err := WrapIndex(ix).PlanRange(nil, q, nil, eps, RangeOptions{Mode: QRectSafe}, params)
 	if err != nil || empty.Kind != PlanSeqScan {
 		t.Errorf("empty set: %v %v", empty, err)
 	}
@@ -695,7 +695,7 @@ func TestPlannerClusterAwareOnTwoClusterSet(t *testing.T) {
 	// fetched and compared with the whole rectangle, so a rectangle that
 	// holds original and inverted transforms pays for the gap between the
 	// clusters: the chosen packing must not have one.
-	plan, err := ix.PlanRange(nil, ds.Records[5], ts, 3.0, RangeOptions{Mode: QRectSafe, NaiveVerify: true}, DefaultCostParams())
+	plan, err := WrapIndex(ix).PlanRange(nil, ds.Records[5], ts, 3.0, RangeOptions{Mode: QRectSafe, NaiveVerify: true}, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +706,7 @@ func TestPlannerClusterAwareOnTwoClusterSet(t *testing.T) {
 	// dismisses per transformation before anything is fetched, and the
 	// planner prices that: any packing may win, as long as the clustered
 	// one was considered and nothing considered would have run cheaper.
-	plan, err = ix.PlanRange(nil, ds.Records[5], ts, 3.0, RangeOptions{Mode: QRectSafe}, DefaultCostParams())
+	plan, err = WrapIndex(ix).PlanRange(nil, ds.Records[5], ts, 3.0, RangeOptions{Mode: QRectSafe}, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +748,7 @@ func TestPlannerPricesWhatTheExecutorRuns(t *testing.T) {
 		var fetched, admitted int
 		for _, qid := range []int{7, 400, 1111} {
 			q := ds.Records[qid]
-			plan, err := ix.PlanRange(nil, q, ts, eps, opts, params)
+			plan, err := WrapIndex(ix).PlanRange(nil, q, ts, eps, opts, params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -760,7 +760,7 @@ func TestPlannerPricesWhatTheExecutorRuns(t *testing.T) {
 				packings++
 				run := opts
 				run.Groups = alt.Groups
-				_, st, err := ix.MTIndexRange(nil, q, ts, eps, run)
+				_, st, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, run)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -770,7 +770,7 @@ func TestPlannerPricesWhatTheExecutorRuns(t *testing.T) {
 				}
 				want := 0.0
 				for _, g := range alt.Groups {
-					_, gst, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: opts.Mode, Groups: [][]int{g},
+					_, gst, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: opts.Mode, Groups: [][]int{g},
 						FlatLB: opts.FlatLB, NaiveVerify: opts.NaiveVerify, OneSided: opts.OneSided})
 					if err != nil {
 						t.Fatal(err)
@@ -803,7 +803,7 @@ func TestPlannerPricesWhatTheExecutorRuns(t *testing.T) {
 		factors[i] = 0.5 + 9.5*float64(i)/15
 	}
 	scales := transform.ScaleSet(64, factors)
-	nS := float64(ix.Len())
+	nS := float64(ix.len())
 	for _, opts := range []RangeOptions{
 		{Mode: QRectSafe},
 		{Mode: QRectSafe, UseOrdering: true},
@@ -812,11 +812,11 @@ func TestPlannerPricesWhatTheExecutorRuns(t *testing.T) {
 	} {
 		ordered := opts.UseOrdering && !opts.OneSided
 		q := ds.Records[11]
-		plan, err := ix.PlanRange(nil, q, scales, 2, opts, params)
+		plan, err := WrapIndex(ix).PlanRange(nil, q, scales, 2, opts, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, scan, err := SeqScanRange(nil, ix, q, scales, 2, opts)
+		_, scan, err := SeqScanRange(nil, WrapIndex(ix), q, scales, 2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -835,7 +835,7 @@ func TestPlannerPricesWhatTheExecutorRuns(t *testing.T) {
 				for _, g := range alt.Groups {
 					run := opts
 					run.Groups = [][]int{g}
-					_, gst, err := ix.MTIndexRange(nil, q, scales, 2, run)
+					_, gst, err := WrapIndex(ix).MTIndexRange(nil, q, scales, 2, run)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -871,7 +871,7 @@ func TestRawRangeEqualsSeqScan(t *testing.T) {
 		q := ds.Records[rng.Intn(len(ds.Records))]
 		eps := 1 + rng.Float64()*40
 		want, _, _ := SeqScanRawRange(ds, q, eps)
-		got, st, err := ix.RawRange(q, eps)
+		got, st, err := WrapIndex(ix).RawRange(q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -900,7 +900,7 @@ func TestRawRangeEqualsSeqScan(t *testing.T) {
 func TestRawRangeSelfMatch(t *testing.T) {
 	ds, ix := buildFixture(t, 80, 100, 32, DefaultIndexOptions())
 	q := ds.Records[42]
-	got, _, err := ix.RawRange(q, 1e-9)
+	got, _, err := WrapIndex(ix).RawRange(q, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -940,7 +940,7 @@ func TestQueryWithTinyCoefficientsStaysExact(t *testing.T) {
 		}
 		for _, eps := range []float64{1, 4, 8} {
 			want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{})
-			got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+			got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1092,7 +1092,7 @@ func TestAnalyticalEstimatorIsPositionBlind(t *testing.T) {
 		return stageOf(ix, q, sub, eps, RangeOptions{Mode: QRectPaper, NaiveVerify: true})
 	}
 	estimate := func(q *Record) float64 {
-		est, err := ix.AnalyticalAccessEstimate(stageOf(q).qrect)
+		est, err := WrapIndex(ix).AnalyticalAccessEstimate(stageOf(q).qrect)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1125,11 +1125,11 @@ func TestAnalyticalEstimatorSanity(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 10, 10)
 	small := stageOf(ix, q, ts, 0.5, RangeOptions{Mode: QRectSafe}).qrect
 	large := stageOf(ix, q, ts, 8, RangeOptions{Mode: QRectSafe}).qrect
-	eSmall, err := ix.AnalyticalAccessEstimate(small)
+	eSmall, err := WrapIndex(ix).AnalyticalAccessEstimate(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eLarge, err := ix.AnalyticalAccessEstimate(large)
+	eLarge, err := WrapIndex(ix).AnalyticalAccessEstimate(large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1140,7 +1140,7 @@ func TestAnalyticalEstimatorSanity(t *testing.T) {
 		t.Errorf("estimate below 1 (the root read): %v", eSmall)
 	}
 	// Statistics cover all levels and count all records' leaves.
-	stats, world, err := ix.TreeStats()
+	stats, world, err := WrapIndex(ix).TreeStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1157,12 +1157,12 @@ func TestParallelMTVerificationEqualsSerial(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 5, 20)
 	eps := series.DistanceForCorrelation(64, 0.9)
 	q := ds.Records[11]
-	want, wantSt, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+	want, wantSt, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 1000} {
-		got, gotSt, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, Workers: workers})
+		got, gotSt, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"tsq/internal/geom"
 	"tsq/internal/rtree"
@@ -31,47 +32,50 @@ type LevelStats struct {
 	AvgSide []float64 // average node-rectangle extent per dimension
 }
 
-// TreeStats collects per-level statistics and the data-space extent.
-func (ix *Index) TreeStats() ([]LevelStats, geom.Rect, error) {
-	height := ix.tree.Height()
-	stats := make([]LevelStats, height)
-	for i := range stats {
-		stats[i] = LevelStats{Level: height - i, AvgSide: make([]float64, ix.dim)}
-	}
+// TreeStats collects per-level statistics and the data-space extent in
+// one visit of every shard's tree, leaf-aligned: level 1 is the leaf
+// level of each, node counts and extents sum per level, the averages are
+// taken once at the end, and the world rectangle covers every node. The
+// levels are listed root first.
+func (s *Sharded) TreeStats() ([]LevelStats, geom.Rect, error) {
+	dim := s.shards[0].dim
+	var stats []LevelStats // stats[l-1] is level l
 	var world geom.Rect
-	first := true
-	err := ix.tree.Visit(func(n *rtree.Node, level int) error {
-		s := &stats[height-level]
-		s.Nodes++
-		var mbr geom.Rect
-		if len(n.Entries) > 0 {
+	for sh, ix := range s.shards {
+		err := ix.tree.Visit(func(n *rtree.Node, level int) error {
+			for len(stats) < level {
+				stats = append(stats, LevelStats{Level: len(stats) + 1, AvgSide: make([]float64, dim)})
+			}
+			ls := &stats[level-1]
+			ls.Nodes++
+			if len(n.Entries) == 0 {
+				return nil
+			}
 			rects := make([]geom.Rect, len(n.Entries))
 			for i, e := range n.Entries {
 				rects[i] = e.Rect
 			}
-			mbr = geom.MBRRects(rects)
-			for d := 0; d < ix.dim; d++ {
-				s.AvgSide[d] += mbr.Hi[d] - mbr.Lo[d]
+			mbr := geom.MBRRects(rects)
+			for d := 0; d < dim; d++ {
+				ls.AvgSide[d] += mbr.Hi[d] - mbr.Lo[d]
 			}
-			if first {
+			if world.Lo == nil {
 				world = mbr.Clone()
-				first = false
 			} else {
 				world = world.Union(mbr)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, geom.Rect{}, s.shardErr(sh, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, geom.Rect{}, err
 	}
 	for i := range stats {
-		if stats[i].Nodes > 0 {
-			for d := range stats[i].AvgSide {
-				stats[i].AvgSide[d] /= float64(stats[i].Nodes)
-			}
+		for d := range stats[i].AvgSide {
+			stats[i].AvgSide[d] /= float64(stats[i].Nodes)
 		}
 	}
+	slices.Reverse(stats)
 	return stats, world, nil
 }
 
@@ -79,18 +83,18 @@ func (ix *Index) TreeStats() ([]LevelStats, geom.Rect, error) {
 // a query rectangle. Only the query's per-dimension extents enter the
 // formula; its position is deliberately ignored (see the file comment).
 // Unbounded query dimensions count as covering the whole data space.
-func (ix *Index) AnalyticalAccessEstimate(qrect geom.Rect) (float64, error) {
-	stats, world, err := ix.TreeStats()
+func (s *Sharded) AnalyticalAccessEstimate(qrect geom.Rect) (float64, error) {
+	stats, world, err := s.TreeStats()
 	if err != nil {
 		return 0, err
 	}
-	total := 1.0 // the root is always read
-	for li, s := range stats {
-		if li == 0 || s.Nodes == 0 {
-			continue // root handled above
+	total := float64(stats[0].Nodes) // the top level, the roots, is always read
+	for li, ls := range stats {
+		if li == 0 {
+			continue // read above
 		}
 		p := 1.0
-		for d := 0; d < ix.dim; d++ {
+		for d := range world.Lo {
 			w := world.Hi[d] - world.Lo[d]
 			if w <= 0 {
 				continue
@@ -99,9 +103,9 @@ func (ix *Index) AnalyticalAccessEstimate(qrect geom.Rect) (float64, error) {
 			if math.IsInf(qd, 1) || math.IsNaN(qd) {
 				continue // unconstrained dimension: probability 1
 			}
-			p *= math.Min(1, (s.AvgSide[d]+qd)/w)
+			p *= math.Min(1, (ls.AvgSide[d]+qd)/w)
 		}
-		total += float64(s.Nodes) * p
+		total += float64(ls.Nodes) * p
 	}
 	return total, nil
 }

@@ -564,7 +564,7 @@ func TestFusedStageBoundaryNeverDismisses(t *testing.T) {
 		for _, oneSided := range []bool{false, true} {
 			ro := RangeOptions{Mode: QRectSafe, OneSided: oneSided}
 			// One-sided, only the identity maps the copy onto the query.
-			got, st, err := ix.MTIndexRange(nil, ds.Records[10], append(ts[:len(ts):len(ts)], transform.Identity(n)), 0, ro)
+			got, st, err := WrapIndex(ix).MTIndexRange(nil, ds.Records[10], append(ts[:len(ts):len(ts)], transform.Identity(n)), 0, ro)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -578,7 +578,7 @@ func TestFusedStageBoundaryNeverDismisses(t *testing.T) {
 					d = min(d, distancePred(tr, r, q, oneSided))
 				}
 				for _, eps := range []float64{d, d + 1e-9, d * (1 + 1e-9)} {
-					got, st, err := ix.MTIndexRange(nil, q, ts, eps, ro)
+					got, st, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, ro)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -612,31 +612,44 @@ func rangeDiskFixture(t testing.TB, checksums bool) (*Dataset, *Index, []transfo
 // every probe finds the scratch of the one before it and leaves it for
 // the next. maxScratchBytes is for the pathological query; an ordinary
 // one, however many entries it admits, must never reach it, or every
-// probe allocates its buffers anew.
+// probe allocates its buffers anew. The second half of the set queries
+// by id, as RangeByID does on a file: the query point lives in a point
+// buffer of its own, so the shard still keeps that one probe scratch.
 func TestRangeProbeKeepsItsScratch(t *testing.T) {
 	ds, ix, ts := rangeDiskFixture(t, true)
+	sh := WrapIndex(ix)
 	eps := series.DistanceForCorrelation(128, 0.96)
 	var kept *scratch
 	var admitted, largest int
-	for i := 0; i < 60; i++ {
-		_, st, err := ix.MTIndexRange(nil, ds.Records[(i*61)%len(ds.Records)], ts, eps, RangeOptions{Mode: QRectSafe})
+	for i := 0; i < 120; i++ {
+		id := int64((i * 61) % len(ds.Records))
+		q, release := ds.Records[id], func() {}
+		if i >= 60 {
+			qp, err := sh.QueryPoint(id, WholeSpectrum(ts, false))
+			if err != nil || qp.Record == nil {
+				t.Fatalf("query point %d: %v, %v", id, qp.Record, err)
+			}
+			q, release = qp.Record, qp.Release
+		}
+		_, st, err := sh.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		release()
 		if err != nil {
 			t.Fatal(err)
 		}
 		admitted += st.Candidates + st.SkippedLB
-		if len(ix.idleScratch) != 1 {
-			t.Fatalf("query %d (%d candidates, %d skipped) left %d idle scratches, want the one it used", i, st.Candidates, st.SkippedLB, len(ix.idleScratch))
+		if len(ix.idleScratch.items) != 1 {
+			t.Fatalf("query %d (%d candidates, %d skipped) left %d idle scratches, want the one it used", i, st.Candidates, st.SkippedLB, len(ix.idleScratch.items))
 		}
-		sc := ix.idleScratch[0]
+		sc := ix.idleScratch.items[0]
 		if kept != nil && sc != kept {
 			t.Fatalf("query %d ran in a new scratch: the previous one was dropped", i)
 		}
 		kept, largest = sc, max(largest, sc.bytes())
 	}
-	if admitted < 60*100 {
-		t.Fatalf("%d entries admitted by 60 queries; the workload is too tight to say anything", admitted)
+	if admitted < 120*100 {
+		t.Fatalf("%d entries admitted by 120 queries; the workload is too tight to say anything", admitted)
 	}
-	t.Logf("%d entries admitted per query, the scratch holds %d bytes (cap %d)", admitted/60, largest, maxScratchBytes)
+	t.Logf("%d entries admitted per query, the scratch holds %d bytes (cap %d)", admitted/120, largest, maxScratchBytes)
 }
 
 // TestRangeProbeAllocsIndependentOfAdmitted is the gain the fused stage
@@ -650,12 +663,13 @@ func TestRangeProbeAllocsIndependentOfAdmitted(t *testing.T) {
 	// under -race drops a quarter of its Puts and would bill this test
 	// a page per dropped one.
 	ds, ix, ts := rangeDiskFixture(t, false)
+	sh := WrapIndex(ix)
 	measure := func(rho float64) (bytesPerProbe, admittedPerProbe, matchBytesPerProbe float64) {
 		eps := series.DistanceForCorrelation(128, rho)
 		const probes = 40
 		run := func() (admitted, matches int) {
 			for i := 0; i < probes; i++ {
-				got, st, err := ix.MTIndexRange(nil, ds.Records[(i*37)%len(ds.Records)], ts, eps, RangeOptions{Mode: QRectSafe})
+				got, st, err := sh.MTIndexRange(nil, ds.Records[(i*37)%len(ds.Records)], ts, eps, RangeOptions{Mode: QRectSafe})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -695,12 +709,13 @@ func TestRangeProbeAllocsIndependentOfAdmitted(t *testing.T) {
 // correlation rho over ix, querying stored records in turn: ns, bytes and
 // allocations per probe, and the tree's share of it as counts.
 func benchmarkRangeProbe(b *testing.B, ds *Dataset, ix *Index, ts []transform.Transform, rho float64) {
+	sh := WrapIndex(ix)
 	eps := series.DistanceForCorrelation(128, rho)
 	var nodes, leaves int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := ix.MTIndexRange(nil, ds.Records[(i*61)%len(ds.Records)], ts, eps, RangeOptions{Mode: QRectSafe})
+		_, st, err := sh.MTIndexRange(nil, ds.Records[(i*61)%len(ds.Records)], ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			b.Fatal(err)
 		}

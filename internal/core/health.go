@@ -66,34 +66,39 @@ type HealthReport struct {
 	Shards     []*HealthReport `json:"shards,omitempty"`
 }
 
-// Health walks the index read-only and reports its structural health.
+// Health walks every shard read-only and reports its structural health:
+// per tree, one page read per node and, when paged, one per heap page.
 // ts/groups describe the MT-index transformation partition to profile
-// (both may be nil to skip the group section; groups nil with ts
-// non-nil profiles one group covering all of ts). The walk costs one
-// page read per tree node and, when paged, one per heap page.
-func (ix *Index) Health(ctx context.Context, ts []transform.Transform, groups [][]int) (*HealthReport, error) {
-	hr := &HealthReport{
-		Series:       ix.Len(),
-		SeriesLength: ix.n,
-		K:            ix.opts.K,
-		Dim:          ix.dim,
-		PageSize:     ix.mgr.PageSize(),
-	}
-	th, err := ix.tree.Health()
-	if err != nil {
-		return nil, err
-	}
-	hr.Tree = th
-	if ix.heap != nil {
-		hh, err := ix.heap.ComputeHealth(ctx)
-		if err != nil {
-			return nil, err
+// (both may be nil to skip the group section; groups nil with ts non-nil
+// profiles one group covering all of ts). With one shard the report is
+// that shard's; with more, the top level carries the summed storage
+// counters and the group geometry, and Shards one structural report per
+// shard.
+func (s *Sharded) Health(ctx context.Context, ts []transform.Transform, groups [][]int) (*HealthReport, error) {
+	reports := make([]*HealthReport, len(s.shards))
+	for sh, ix := range s.shards {
+		hr := &HealthReport{Series: ix.len(), SeriesLength: ix.n, K: ix.opts.K, Dim: ix.dim, PageSize: ix.mgr.PageSize()}
+		var err error
+		if hr.Tree, err = ix.tree.Health(); err != nil {
+			return nil, s.shardErr(sh, err)
 		}
-		hr.Heap = hh
+		if ix.heap != nil {
+			if hr.Heap, err = ix.heap.ComputeHealth(ctx); err != nil {
+				return nil, s.shardErr(sh, err)
+			}
+		}
+		hr.Storage = ix.mgr.Stats() // after the walks, which it counts
+		reports[sh] = hr
 	}
-	hr.Storage = ix.mgr.Stats()
-
-	gh, err := ix.groupHealth(ts, groups)
+	hr := reports[0]
+	if !s.single() {
+		hr = &HealthReport{Series: s.Len(), SeriesLength: hr.SeriesLength, K: hr.K, Dim: hr.Dim, PageSize: hr.PageSize,
+			ShardCount: len(s.shards), Shards: reports}
+		for _, r := range reports {
+			hr.Storage = addStats(hr.Storage, r.Storage)
+		}
+	}
+	gh, err := s.groupHealth(ts, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -104,11 +109,12 @@ func (ix *Index) Health(ctx context.Context, ts []transform.Transform, groups []
 // groupHealth computes the static geometry section of the report: one
 // GroupHealth per transformation group with the lifted-MBR volumes. The
 // result depends only on the transformation set and the index options,
-// so any shard of a sharded DB computes the same values.
-func (ix *Index) groupHealth(ts []transform.Transform, groups [][]int) ([]GroupHealth, error) {
+// so shard 0 computes it for all.
+func (s *Sharded) groupHealth(ts []transform.Transform, groups [][]int) ([]GroupHealth, error) {
 	if len(ts) > 0 && groups == nil {
 		groups = [][]int{identityIndexes(len(ts))}
 	}
+	ix := s.shards[0]
 	sc := ix.acquireScratch()
 	defer ix.releaseScratch(sc)
 	var out []GroupHealth

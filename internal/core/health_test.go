@@ -49,11 +49,11 @@ func TestIndexHealthGroundTruth(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 3, 14) // 12 transforms
 	groups := EqualPartition(len(ts), 4)
 
-	hr, err := ix.Health(context.Background(), ts, groups)
+	hr, err := WrapIndex(ix).Health(context.Background(), ts, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hr.Series != len(ds.Records) || hr.SeriesLength != 64 || hr.K != ix.Options().K {
+	if hr.Series != len(ds.Records) || hr.SeriesLength != 64 || hr.K != ix.opts.K {
 		t.Errorf("header = %+v", hr)
 	}
 	if hr.Tree.Height != ix.Tree().Height() || hr.Tree.Size != ix.Tree().Len() {
@@ -96,7 +96,7 @@ func TestIndexHealthFoldTrace(t *testing.T) {
 	groups := EqualPartition(len(ts), 4)
 	eps := series.DistanceForCorrelation(64, 0.9)
 
-	hr, err := ix.Health(context.Background(), ts, groups)
+	hr, err := WrapIndex(ix).Health(context.Background(), ts, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestIndexHealthFoldTrace(t *testing.T) {
 		root := tr.Start(obs.KindQuery, "range")
 		ctx := obs.ContextWithSpan(obs.WithTrace(context.Background(), tr), root)
 		opts := RangeOptions{Mode: QRectSafe, Groups: groups}
-		if _, _, err := ix.MTIndexRange(ctx, ds.Records[qi], ts, eps, opts); err != nil {
+		if _, _, err := WrapIndex(ix).MTIndexRange(ctx, ds.Records[qi], ts, eps, opts); err != nil {
 			t.Fatal(err)
 		}
 		// An NN query in the same trace must not disturb group folds.
-		if _, _, err := ix.MTIndexNN(ctx, ds.Records[qi], ts, 3, RangeOptions{}); err != nil {
+		if _, _, err := WrapIndex(ix).MTIndexNN(ctx, ds.Records[qi], ts, 3, RangeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
@@ -147,7 +147,7 @@ func TestIndexHealthFoldTrace(t *testing.T) {
 func TestHealthReportText(t *testing.T) {
 	_, ix := pagedFixture(t, 2, 150, 64)
 	ts := transform.MovingAverageSet(64, 3, 6)
-	hr, err := ix.Health(context.Background(), ts, EqualPartition(len(ts), 2))
+	hr, err := WrapIndex(ix).Health(context.Background(), ts, EqualPartition(len(ts), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"tsq/internal/geom"
 	"tsq/internal/heapfile"
@@ -80,8 +79,11 @@ func DefaultIndexOptions() IndexOptions {
 	return IndexOptions{K: 2, PageSize: storage.DefaultPageSize, UseSymmetry: true}
 }
 
-// Index is the multidimensional feature index of Sec. 5: an R*-tree over
-// [mean, std, |F_1|, angle(F_1), ..., |F_k|, angle(F_k)].
+// Index is one shard of the engine: the multidimensional feature index of
+// Sec. 5, an R*-tree over [mean, std, |F_1|, angle(F_1), ..., |F_k|,
+// angle(F_k)], with the records it indexes and the storage both live on.
+// It keeps per-shard state and storage only; the queries over it are the
+// engine's (Sharded).
 type Index struct {
 	// ds holds an in-memory index's records, their only copy. A paged
 	// index has none: its records live on their heap pages (source.go).
@@ -94,13 +96,13 @@ type Index struct {
 	comps []int          // polar component ids of the transform-sensitive dims
 	dim   int
 
-	// idleScratch holds the query buffers of finished range probes for
-	// the next ones (see scratch.go).
-	scratchMu   sync.Mutex
-	idleScratch []*scratch
+	// idleScratch holds the query buffers of finished probes for the next
+	// ones, idlePoints those of finished queries by id (see scratch.go).
+	idleScratch idle[scratch]
+	idlePoints  idle[pointBuf]
 
 	// nnDismissed, when a test sets it, sees every leaf entry of this
-	// shard MTIndexNN dismisses by the prefix bound, those still queued
+	// shard the NN search dismisses by the prefix bound, those still queued
 	// when the search stops included, with the k-th best distance in
 	// force.
 	nnDismissed func(rec int64, worst float64)
@@ -266,30 +268,16 @@ func recordToHeap(r *Record) *heapfile.Rec {
 // errNoRecord is the error of a write naming an id that holds no record.
 var errNoRecord = errors.New("core: no record")
 
-// Len returns the number of ids the index has handed out, deleted
+// len returns the number of ids the index has handed out, deleted
 // records included.
-func (ix *Index) Len() int {
+func (ix *Index) len() int {
 	if ix.heap != nil {
 		return ix.heap.Len()
 	}
 	return len(ix.ds.Records)
 }
 
-// SeriesLength returns the common series length.
-func (ix *Index) SeriesLength() int { return ix.n }
-
-// Record returns record id, or nil when it is deleted or was never
-// stored. In memory that is the stored record, which the caller must not
-// modify; a paged index decodes a copy from the record's page, one page
-// access.
-func (ix *Index) Record(id int64) (*Record, error) {
-	if id < 0 || id >= int64(ix.Len()) {
-		return nil, nil
-	}
-	return ix.fetch(nil, id)
-}
-
-// fetch retrieves the whole record of id, which must be below Len. In
+// fetch retrieves the whole record of id, which must be below len. In
 // paged mode this reads (and counts) the page of the record's raw part,
 // the Eq. 18 retrieval, crediting a storage.QueryIO in ctx (nil is
 // fine), and rebuilds the record from its series with NewRecord's
@@ -306,25 +294,36 @@ func (ix *Index) fetch(ctx context.Context, id int64) (*Record, error) {
 	return NewRecord(id, hr.Name, hr.Raw), nil
 }
 
-// point decodes record id into sc.point, the query point of a query by
-// id (Sharded.QueryPoint): its verify part — mean, std and the half
-// spectrum symmetric sums read — or, when whole, the record rebuilt from
-// its raw part. One page access, and no allocation once sc has held a
-// record before. It returns nil for a deleted record.
-func (ix *Index) point(sc *scratch, id int64, whole bool) (*Record, error) {
+// pointBuf holds the query point of a query by id on a paged index
+// (Sharded.QueryPoint) as read from its page: the record, the one-page
+// fetch state and the transform buffer a whole record is rebuilt with.
+// Each shard keeps its idle ones apart from its probes' scratches, so a
+// query by id holds one scratch, its probe's, and a small buffer.
+type pointBuf struct {
+	rec   Record
+	ids   []int64
+	fetch heapfile.Scratch
+	spec  []complex128
+}
+
+// read decodes record id of heap into pb: its verify part — mean, std
+// and the half spectrum symmetric sums read — or, when whole, the record
+// rebuilt from its raw part. One page access, and no allocation once pb
+// has held a record before. It returns nil for a deleted record.
+func (pb *pointBuf) read(heap *heapfile.File, id int64, whole bool) (*Record, error) {
 	var r *Record
-	p := &sc.point
-	sc.ids = append(sc.ids[:0], id)
+	p := &pb.rec
+	pb.ids = append(pb.ids[:0], id)
 	if whole {
-		err := ix.heap.VisitRaw(nil, sc.ids, &sc.fetch, func(_ int, v *heapfile.RawView) error {
+		err := heap.VisitRaw(nil, pb.ids, &pb.fetch, func(_ int, v *heapfile.RawView) error {
 			if v != nil {
-				sc.spec, r = p.rebuild(id, v.Raw, sc.spec), p
+				pb.spec, r = p.rebuild(id, v.Raw, pb.spec), p
 			}
 			return nil
 		})
 		return r, err
 	}
-	err := ix.heap.Visit(nil, sc.ids, &sc.fetch, func(_ int, v *heapfile.View) error {
+	err := heap.Visit(nil, pb.ids, &pb.fetch, func(_ int, v *heapfile.View) error {
 		if v != nil {
 			p.Raw, p.Norm = p.Raw[:0], p.Norm[:0]
 			p.Mags = append(p.Mags[:0], v.Mags...)
@@ -339,37 +338,38 @@ func (ix *Index) point(sc *scratch, id int64, whole bool) (*Record, error) {
 
 // feature returns the feature point of live record id as the tree
 // indexes it, nil for a deleted record: in memory the record's, paged
-// the one its verify part holds.
+// the one its verify part holds, read into a point buffer.
 func (ix *Index) feature(id int64) (geom.Point, error) {
+	var r *Record
 	if ix.heap == nil {
-		if r := ix.ds.Record(id); r != nil {
-			return r.Feature(ix.opts.K), nil
+		r = ix.ds.Record(id)
+	} else {
+		pb := ix.idlePoints.get()
+		defer ix.idlePoints.put(pb)
+		var err error
+		if r, err = pb.read(ix.heap, id, false); err != nil {
+			return nil, err
 		}
+	}
+	if r == nil {
 		return nil, nil
 	}
-	var feat geom.Point
-	err := ix.heap.Visit(nil, []int64{id}, new(heapfile.Scratch), func(_ int, v *heapfile.View) error {
-		if v != nil {
-			feat = (&Record{Mean: v.Mean, Std: v.Std, Mags: v.Mags, Phases: v.Phases}).Feature(ix.opts.K)
-		}
-		return nil
-	})
-	return feat, err
+	return r.Feature(ix.opts.K), nil
 }
 
-// Insert adds a new series to the dataset, the heap (when paged) and the
+// insert adds a new series to the dataset, the heap (when paged) and the
 // tree, returning its id. With a WAL attached the mutation is staged,
 // logged, and only then applied to the file (write.go); without one it
 // mutates in place but unwinds on partial failure, so a failed insert
 // never leaves an orphaned heap record.
-func (ix *Index) Insert(name string, s series.Series) (int64, error) {
+func (ix *Index) insert(name string, s series.Series) (int64, error) {
 	if err := ix.checkWritable(); err != nil {
 		return 0, err
 	}
 	if len(s) != ix.n {
 		return 0, fmt.Errorf("core: inserting series of length %d into dataset of length %d", len(s), ix.n)
 	}
-	id := int64(ix.Len())
+	id := int64(ix.len())
 	if err := checkFinite(s); err != nil { // before the WAL sees the record
 		return 0, fmt.Errorf("core: series %d: %w", id, err)
 	}
@@ -420,19 +420,19 @@ func (ix *Index) insertDirect(r *Record) error {
 	return ix.tree.InsertPoint(r.Feature(ix.opts.K), r.ID)
 }
 
-// Delete removes series id from the index and marks its record deleted
+// remove deletes series id from the index and marks its record deleted
 // (the heap pages, if any, are left in place). A paged index reads the
 // record's verify part for the feature it removes from the tree. With a WAL
 // attached the mutation is staged and logged first (write.go); without
 // one, a heap tombstone failure restores the just-removed tree entry so
 // the record never becomes unreachable-but-live.
-func (ix *Index) Delete(id int64) error {
+func (ix *Index) remove(id int64) error {
 	if err := ix.checkWritable(); err != nil {
 		return err
 	}
 	var feat geom.Point
 	var err error
-	if id >= 0 && id < int64(ix.Len()) {
+	if id >= 0 && id < int64(ix.len()) {
 		feat, err = ix.feature(id)
 	}
 	if err != nil {
@@ -477,24 +477,8 @@ func (ix *Index) Manager() *storage.Manager { return ix.mgr }
 // Heap returns the record heap (nil unless paged).
 func (ix *Index) Heap() *heapfile.File { return ix.heap }
 
-// Dataset returns the records of an in-memory index, nil for a paged one,
-// whose records are on their heap pages only.
-func (ix *Index) Dataset() *Dataset { return ix.ds }
-
-// Options returns the build options.
-func (ix *Index) Options() IndexOptions { return ix.opts }
-
 // Tree exposes the underlying R*-tree (read-only use).
 func (ix *Index) Tree() *rtree.Tree { return ix.tree }
-
-// DiskStats returns the storage counters accumulated so far.
-func (ix *Index) DiskStats() storage.Stats { return ix.mgr.Stats() }
-
-// ResetDiskStats zeroes the storage counters.
-func (ix *Index) ResetDiskStats() { ix.mgr.ResetStats() }
-
-// DropBuffer empties the buffer pool (no-op without one).
-func (ix *Index) DropBuffer() { ix.mgr.DropBuffer() }
 
 // rectIn returns the rectangle whose low corner is the first half of buf
 // and whose high corner is the second.
@@ -658,8 +642,10 @@ func (ix *Index) Verify() error {
 	// Every live record — its verify part read page by page from a heap
 	// file, every page checked — is indexed exactly once, at the feature
 	// it computes.
-	live, nlive := make([]bool, ix.Len()), 0
-	err = ix.visit(nil, 0, len(live), new(scanBuf), func(r *Record) error {
+	// The one-shard engine over ix visits its records by their local ids.
+	one := WrapIndex(ix)
+	live, nlive := make([]bool, ix.len()), 0
+	err = one.visit(nil, 0, len(live), new(scanBuf), func(r *Record) error {
 		live[r.ID] = true
 		nlive++
 		info, ok := indexed[r.ID]
@@ -687,7 +673,7 @@ func (ix *Index) Verify() error {
 	// neither.
 	if ix.heap != nil {
 		rawLive := make([]bool, len(live))
-		err = ix.visit(nil, 0, len(live), &scanBuf{whole: true}, func(r *Record) error {
+		err = one.visit(nil, 0, len(live), &scanBuf{whole: true}, func(r *Record) error {
 			rawLive[r.ID] = true
 			return nil
 		})

@@ -50,11 +50,11 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 					t.Fatalf("paged=%v trial=%d: seqscan effort accounting changed: %+v vs %+v", paged, trial, seqSt, seqNaiveSt)
 				}
 
-				wantST, stNaiveSt, err := ix.STIndexRange(nil, q, ts, eps, naive)
+				wantST, stNaiveSt, err := WrapIndex(ix).STIndexRange(nil, q, ts, eps, naive)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotST, stSt, err := ix.STIndexRange(nil, q, ts, eps, variant)
+				gotST, stSt, err := WrapIndex(ix).STIndexRange(nil, q, ts, eps, variant)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,18 +64,18 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 					t.Fatalf("paged=%v trial=%d %+v: ST pipeline diverged", paged, trial, variant)
 				}
 				checkEffort(t, "ST", variant, stSt, stNaiveSt, func(o RangeOptions) QueryStats {
-					_, st, err := ix.STIndexRange(nil, q, ts, eps, o)
+					_, st, err := WrapIndex(ix).STIndexRange(nil, q, ts, eps, o)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return st
 				})
 
-				wantMT, mtNaiveSt, err := ix.MTIndexRange(nil, q, ts, eps, naive)
+				wantMT, mtNaiveSt, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, naive)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotMT, mtSt, err := ix.MTIndexRange(nil, q, ts, eps, variant)
+				gotMT, mtSt, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, variant)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestPipelineMatchesNaiveAllPaths(t *testing.T) {
 					t.Fatalf("paged=%v trial=%d %+v: MT pipeline diverged", paged, trial, variant)
 				}
 				checkEffort(t, "MT", variant, mtSt, mtNaiveSt, func(o RangeOptions) QueryStats {
-					_, st, err := ix.MTIndexRange(nil, q, ts, eps, o)
+					_, st, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -164,11 +164,11 @@ func TestPipelineMatchesNaiveOrdered(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: ordered seqscan pipeline diverged", trial)
 		}
-		wantMT, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true, NaiveVerify: true})
+		wantMT, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true, NaiveVerify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMT, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true})
+		gotMT, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, UseOrdering: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,19 +195,19 @@ func TestOrderedBatchFetchFewerReads(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		q := ds.Records[trial*53%len(ds.Records)]
 
-		ix.ResetDiskStats()
-		want, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, NaiveVerify: true})
+		ix.mgr.ResetStats()
+		want, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, NaiveVerify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		naiveReads += ix.DiskStats().Reads
+		naiveReads += ix.mgr.Stats().Reads
 
-		ix.ResetDiskStats()
-		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		ix.mgr.ResetStats()
+		got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := ix.DiskStats()
+		st := ix.mgr.Stats()
 		pipeReads += st.Reads
 
 		SortMatches(want)
@@ -307,7 +307,7 @@ func TestStreamedVerifyKeepsCandidateOrder(t *testing.T) {
 	opts.BufferPages = 4
 	ds, ix := buildFixture(t, 13, 300, 64, opts)
 	for _, id := range []int64{5, 77, 140} {
-		if err := ix.Delete(id); err != nil {
+		if err := ix.remove(id); err != nil {
 			t.Fatal(err)
 		}
 	}

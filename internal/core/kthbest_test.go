@@ -108,7 +108,7 @@ func TestNNCascadeDismissalsSound(t *testing.T) {
 			q := ds.Records[trial*37%len(ds.Records)]
 			k := 1 + 3*trial
 			seen = seen[:0]
-			got, st, err := ix.MTIndexNN(nil, q, c.ts, k, RangeOptions{OneSided: c.oneSided})
+			got, st, err := WrapIndex(ix).MTIndexNN(nil, q, c.ts, k, RangeOptions{OneSided: c.oneSided})
 			if err != nil {
 				t.Fatal(err)
 			}

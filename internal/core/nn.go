@@ -396,8 +396,3 @@ func (s *Sharded) MTIndexNN(ctx context.Context, q *Record, ts []transform.Trans
 	nMatches = len(top)
 	return append([]NNMatch(nil), top...), st, nil
 }
-
-// MTIndexNN is the NN search of the one-shard engine over ix alone.
-func (ix *Index) MTIndexNN(ctx context.Context, q *Record, ts []transform.Transform, k int, opts RangeOptions) ([]NNMatch, QueryStats, error) {
-	return (&Sharded{shards: []*Index{ix}}).MTIndexNN(ctx, q, ts, k, opts)
-}

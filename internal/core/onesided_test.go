@@ -24,7 +24,7 @@ func TestOneSidedMTEqualsSeqScan(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		q := ds.Records[trial*31%len(ds.Records)]
 		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{OneSided: true})
-		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
+		got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestOneSidedShiftSetsWithWrap(t *testing.T) {
 		eps := 2 + rng.Float64()*4
 		q := ds.Records[rng.Intn(len(ds.Records))]
 		want, _, _ := SeqScanRange(nil, ds, q, ts, eps, RangeOptions{OneSided: true})
-		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
+		got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, OneSided: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestOneSidedNNEqualsSeqScan(t *testing.T) {
 	ts := transform.MovingAverageSet(64, 3, 12)
 	q := ds.Records[9]
 	want, _, _ := SeqScanNN(nil, ds, q, ts, 5, true)
-	got, _, err := ix.MTIndexNN(nil, q, ts, 5, RangeOptions{OneSided: true})
+	got, _, err := WrapIndex(ix).MTIndexNN(nil, q, ts, 5, RangeOptions{OneSided: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestOneSidedExample12EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	qm := q.ApplyTransform(mom)
-	nn, _, err := ix.MTIndexNN(nil, qm, ts, 1, RangeOptions{OneSided: true})
+	nn, _, err := WrapIndex(ix).MTIndexNN(nil, qm, ts, 1, RangeOptions{OneSided: true})
 	if err != nil {
 		t.Fatal(err)
 	}

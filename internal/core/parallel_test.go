@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tsq/internal/datagen"
 	"tsq/internal/series"
 	"tsq/internal/transform"
 )
@@ -53,34 +54,92 @@ func TestVerifyParallelEmptyCandidates(t *testing.T) {
 	}
 }
 
-// TestMTRangeParallelGroupsEqualsSerial checks that probing the
-// transformation rectangles concurrently returns byte-identical matches
-// and statistics to the serial group loop, across worker counts and
-// partitions.
+// TestMTRangeParallelGroupsEqualsSerial checks that the range query's
+// one fan-out, over its (shard, rectangle) pairs, returns exactly what
+// the serial one-worker run does — the same matches in the same order
+// and every statistic — at shards 1 to 3, in memory and on files without
+// a pool (so every page access is a read, whatever the order), for one
+// rectangle, four transformations per rectangle and singletons (the
+// ST-index), on 1, 2 and 4 workers. The fan-out reads no page more than
+// its pairs do, each probed alone at the same worker count; in memory,
+// where a probe reads tree nodes only, that is the serial run's count. On
+// a file the workers also split each probe's verification into chunks,
+// each fetching its own heap pages, so a page two chunks share is read
+// twice.
 func TestMTRangeParallelGroupsEqualsSerial(t *testing.T) {
-	ds, ix := buildFixture(t, 3, 300, 64, DefaultIndexOptions())
+	ds, err := NewDataset(datagen.RandomWalks(3, 300, 64), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := transform.MovingAverageSet(64, 5, 28) // 24 transforms
 	eps := series.DistanceForCorrelation(64, 0.92)
-	for _, per := range []int{1, 4, 8} {
-		groups := EqualPartition(len(ts), per)
-		for trial := 0; trial < 5; trial++ {
-			q := ds.Records[trial*31%len(ds.Records)]
-			want, wantSt, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Groups: groups})
+	for _, nshards := range []int{1, 2, 3} {
+		parts, err := PartitionDataset(ds, nshards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, onFile := range []bool{false, true} {
+			shards := make([]*Index, nshards)
+			for i, part := range parts {
+				opts := DefaultIndexOptions()
+				if onFile {
+					opts.Manager = fileManager(t, 0, true)
+					opts.PageSize, opts.Paged = opts.Manager.PageSize(), true
+				}
+				if shards[i], err = BuildIndex(part, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sh, err := AssembleShards(shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4, 16} {
-				got, gotSt, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Groups: groups, Workers: workers})
+			run := func(sh *Sharded, q *Record, groups [][]int, workers int) ([]Match, QueryStats, int64) {
+				sh.ResetDiskStats()
+				got, st, err := sh.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, Groups: groups, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				SortMatches(got)
-				SortMatches(want)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("per=%d workers=%d: parallel matches diverge from serial", per, workers)
+				return got, noTime(st), sh.DiskStats().Reads
+			}
+			// pairReads probes every pair alone.
+			pairReads := func(q *Record, groups [][]int, workers int) (reads int64) {
+				for _, ix := range shards {
+					if groups == nil {
+						_, _, r := run(WrapIndex(ix), q, nil, workers)
+						reads += r
+					}
+					for _, g := range groups {
+						_, _, r := run(WrapIndex(ix), q, [][]int{g}, workers)
+						reads += r
+					}
 				}
-				if noTime(gotSt) != noTime(wantSt) {
-					t.Fatalf("per=%d workers=%d: stats = %+v, want %+v", per, workers, gotSt, wantSt)
+				return reads
+			}
+			for _, groups := range [][][]int{nil, EqualPartition(len(ts), 4), SingletonGroups(len(ts))} {
+				for trial := 0; trial < 3; trial++ {
+					q := ds.Records[trial*31%len(ds.Records)]
+					want, wantSt, serialReads := run(sh, q, groups, 1)
+					if len(want) == 0 {
+						t.Fatalf("query %d matches nothing: the parity says nothing", q.ID)
+					}
+					for _, workers := range []int{1, 2, 4} {
+						got, gotSt, gotReads := run(sh, q, groups, workers)
+						wantReads := pairReads(q, groups, workers)
+						if !onFile && wantReads != serialReads {
+							t.Fatalf("%d shards, %d workers: the pairs alone read %d pages, the serial run %d", nshards, workers, wantReads, serialReads)
+						}
+						where := fmt.Sprintf("%d shards, file %v, %d rectangles, %d workers, query %d", nshards, onFile, max(1, len(groups)), workers, q.ID)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: matches or their order differ from the serial run", where)
+						}
+						if gotSt != wantSt {
+							t.Fatalf("%s: stats = %+v, want %+v", where, gotSt, wantSt)
+						}
+						if gotReads != wantReads {
+							t.Fatalf("%s: %d pages read, its pairs alone %d", where, gotReads, wantReads)
+						}
+					}
 				}
 			}
 		}
@@ -93,7 +152,7 @@ func TestMTRangeParallelBadGroupIndex(t *testing.T) {
 	ds, ix := buildFixture(t, 5, 40, 32, DefaultIndexOptions())
 	ts := transform.MovingAverageSet(32, 3, 8)
 	groups := [][]int{{0, 1}, {len(ts) + 3}}
-	_, _, err := ix.MTIndexRange(nil, ds.Records[0], ts, 1.0, RangeOptions{Groups: groups, Workers: 4})
+	_, _, err := WrapIndex(ix).MTIndexRange(nil, ds.Records[0], ts, 1.0, RangeOptions{Groups: groups, Workers: 4})
 	if err == nil {
 		t.Fatal("out-of-range group index did not error")
 	}

@@ -50,24 +50,33 @@ func (p CostParams) CostOfStats(st QueryStats) float64 {
 	return p.CDA*float64(st.DAAll) + p.Ccmp*float64(st.Comparisons)
 }
 
-// AvgLeafCapacity estimates CA_leaf for the index: records divided by the
-// number of leaves (measured by one full traversal; not counted in query
-// statistics).
-func (ix *Index) AvgLeafCapacity() (float64, error) {
-	leaves := 0
-	err := ix.tree.Visit(func(n *rtree.Node, level int) error {
-		if level == 1 {
-			leaves++
+// AvgLeafCapacity estimates CA_leaf for the engine: records divided by
+// the number of leaves over every shard (measured by one full traversal
+// of each tree; not counted in query statistics).
+func (s *Sharded) AvgLeafCapacity() (float64, error) {
+	return s.leafCapacity(len(s.shards))
+}
+
+// leafCapacity is the records per leaf of the trees of the first nshards
+// shards.
+func (s *Sharded) leafCapacity(nshards int) (float64, error) {
+	leaves, records := 0, 0
+	for sh, ix := range s.shards[:nshards] {
+		err := ix.tree.Visit(func(n *rtree.Node, level int) error {
+			if level == 1 {
+				leaves++
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, s.shardErr(sh, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
+		records += ix.len()
 	}
 	if leaves == 0 {
 		return 0, nil
 	}
-	return float64(ix.Len()) / float64(leaves), nil
+	return float64(records) / float64(leaves), nil
 }
 
 // EqualPartition splits indices 0..n-1 into contiguous groups of size
@@ -96,12 +105,14 @@ func EqualPartition(n, perGroup int) [][]int {
 // parameter points over the index's transform-sensitive components (the
 // Sec. 4.3/5.2 remedy for multi-cluster transformation sets: never pack
 // two clusters into one rectangle). jumpFactor is the cluster.Detect
-// merge-stop factor; <= 1 selects the default.
-func (ix *Index) ClusterPartition(ts []transform.Transform, jumpFactor float64) [][]int {
+// merge-stop factor; <= 1 selects the default. The components depend on
+// the index options only, which every shard shares.
+func (s *Sharded) ClusterPartition(ts []transform.Transform, jumpFactor float64) [][]int {
+	comps := s.shards[0].comps
 	pts := make([]geom.Point, len(ts))
 	for i, t := range ts {
-		p := make(geom.Point, 0, 2*len(ix.comps))
-		for _, c := range ix.comps {
+		p := make(geom.Point, 0, 2*len(comps))
+		for _, c := range comps {
 			p = append(p, t.A[c], t.B[c])
 		}
 		pts[i] = p
@@ -114,9 +125,9 @@ func (ix *Index) ClusterPartition(ts []transform.Transform, jumpFactor float64) 
 // perGroup members. It combines the two Sec. 4.3 observations: rectangles
 // should not span clusters, and within a cluster six-to-eight
 // transformations per rectangle is the sweet spot.
-func (ix *Index) ClusterThenEqualPartition(ts []transform.Transform, perGroup int, jumpFactor float64) [][]int {
+func (s *Sharded) ClusterThenEqualPartition(ts []transform.Transform, perGroup int, jumpFactor float64) [][]int {
 	var out [][]int
-	for _, c := range ix.ClusterPartition(ts, jumpFactor) {
+	for _, c := range s.ClusterPartition(ts, jumpFactor) {
 		for start := 0; start < len(c); start += perGroup {
 			end := start + perGroup
 			if end > len(c) {
@@ -133,13 +144,16 @@ func (ix *Index) ClusterThenEqualPartition(ts []transform.Transform, perGroup in
 // filter-only traversal for every candidate segment (O(|T|^2) probes, each
 // a search without verification). The probe accesses are not charged to
 // any query statistics; this is an offline optimizer. It returns the
-// partition and its estimated cost.
-func (ix *Index) OptimalPartition(q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) ([][]int, float64, error) {
+// partition and its estimated cost. It probes shard 0's tree: the costs
+// describe one shard, but the chosen grouping — the only output a caller
+// applies — ranks the same on every shard.
+func (s *Sharded) OptimalPartition(q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) ([][]int, float64, error) {
 	n := len(ts)
 	if n == 0 {
 		return nil, 0, nil
 	}
-	caLeaf, err := ix.AvgLeafCapacity()
+	ix := s.shards[0]
+	caLeaf, err := s.leafCapacity(1)
 	if err != nil {
 		return nil, 0, err
 	}

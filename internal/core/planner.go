@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,10 +93,15 @@ func (p *Plan) String() string {
 // or the relation is large. When ctx carries a span, the probing
 // traversals are recorded as one KindPlan span (node visits and page I/O
 // attributed), so an EXPLAIN ANALYZE of an Auto query accounts for the
-// planner's own disk accesses too.
-func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, params CostParams) (_ *Plan, retErr error) {
+// planner's own disk accesses too. A plan is a grouping and an algorithm,
+// both shard-independent, so shard 0's probes stand in for every shard:
+// at more than one the absolute costs describe that shard, about 1/N of
+// the data, and the ranking of the alternatives, all the planner uses,
+// is unaffected.
+func (s *Sharded) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, params CostParams) (_ *Plan, retErr error) {
+	ix := s.shards[0]
 	nT := len(ts)
-	nS := ix.Len()
+	nS := ix.len()
 	if nT == 0 {
 		return &Plan{Kind: PlanSeqScan}, nil
 	}
@@ -145,25 +151,18 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 	}
 
 	// ST-index: sample three singleton probes and extrapolate.
-	samples := []int{0, nT / 2, nT - 1}
+	samples := slices.Compact([]int{0, nT / 2, nT - 1}) // ascending: a repeat is adjacent
 	var stDA, stCand float64
-	seen := map[int]bool{}
-	count := 0
 	for _, i := range samples {
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
 		da, cand, _, err := probe([]int{i})
 		if err != nil {
 			return nil, err
 		}
 		stDA += float64(da)
 		stCand += float64(cand)
-		count++
 	}
-	stDA /= float64(count)
-	stCand /= float64(count)
+	stDA /= float64(len(samples))
+	stCand /= float64(len(samples))
 	stCost := float64(nT) * (params.CDA*(stDA+stCand) + params.Ccmp*stCand)
 	alts = append(alts, PlanCost{Description: fmt.Sprintf("st-index (%d probes)", nT), Cost: stCost, Kind: PlanSTIndex})
 
@@ -176,7 +175,7 @@ func (ix *Index) PlanRange(ctx context.Context, q *Record, ts []transform.Transf
 	if nT > 8 {
 		packings = append(packings, packing{desc: "mt-index 8 per rectangle", groups: EqualPartition(nT, 8)})
 	}
-	if clustered := ix.ClusterThenEqualPartition(ts, 8, 0); len(clustered) > 1 && nT > 8 {
+	if clustered := s.ClusterThenEqualPartition(ts, 8, 0); len(clustered) > 1 && nT > 8 {
 		packings = append(packings, packing{desc: fmt.Sprintf("mt-index clustered (%d rects)", len(clustered)), groups: clustered})
 	}
 	for _, p := range packings {

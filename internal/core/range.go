@@ -152,9 +152,11 @@ type RangeOptions struct {
 	// pure scale set orderable per Definition 1. Ignored in one-sided
 	// mode (Definition 1 is a statement about the two-sided predicate).
 	UseOrdering bool
-	// Workers parallelizes the probes of a multi-rectangle query, candidate
-	// verification and the sequential scan across that many goroutines
-	// when above 1. Answers are identical to serial evaluation.
+	// Workers parallelizes a range query's probes, one per (shard,
+	// rectangle) pair on a pool of max(Workers, shards) goroutines, the
+	// verification of each probe's candidates and the sequential scan
+	// across that many goroutines when above 1. Answers are identical to
+	// serial evaluation.
 	Workers int
 	// OneSided switches the predicate from the symmetric Query-1 form
 	// D(t(s), t(q)) to the literal Algorithm-1 form D(t(s), q): the
@@ -180,9 +182,10 @@ type RangeOptions struct {
 	// is the reference fused_test.go and ioaware_test.go hold the
 	// cascade's decisions and the filter stage's counts to.
 	FlatLB bool
-	// ShardID and ShardTotal identify the shard a scatter-gather probe
-	// runs in. When ShardTotal > 1 every probe span carries an AShard
-	// attribute; the zero values leave single-shard traces untouched.
+	// ShardID and ShardTotal identify the shard a probe runs in; the
+	// engine sets them on each (shard, rectangle) pair of a range query.
+	// When ShardTotal > 1 every probe span carries an AShard attribute;
+	// the zero values leave single-shard traces untouched.
 	ShardID    int
 	ShardTotal int
 }
@@ -296,53 +299,72 @@ func SingletonGroups(n int) [][]int {
 
 // STIndexRange answers Query 1 with one index traversal per transformation
 // (the ST-index algorithm): MT-index over singleton groups.
-func (ix *Index) STIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
+func (s *Sharded) STIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
 	opts.Groups = SingletonGroups(len(ts))
-	return ix.MTIndexRange(ctx, q, ts, eps, opts)
+	return s.MTIndexRange(ctx, q, ts, eps, opts)
 }
 
 // MTIndexRange answers Query 1 with Algorithm 1: build the transformation
 // MBR(s), traverse the index once per MBR applying Eq. 12 to every index
 // rectangle, and verify candidates against every transformation in the
-// rectangle (binary search when ordered). The rectangles are probed by
-// up to opts.Workers goroutines and merged in group order, so matches
-// and statistics do not depend on the worker count.
+// rectangle (binary search when ordered). Every shard probes every
+// rectangle, one probe per (shard, rectangle) pair, run by a pool of
+// max(opts.Workers, shards) goroutines. At one shard the matches are
+// in rectangle order; at more, each pair's record ids are translated to
+// global ones and the whole is put in (RecordID, TransformIdx) order. The
+// statistics sum over the pairs. Neither depends on the worker count.
+// One pair, the common case, is probed on the calling goroutine.
 //
-// When ctx holds a parent span (obs.ContextWithSpan), every rectangle
+// When ctx holds a parent span (obs.ContextWithSpan), every pair
 // contributes a KindProbe span with KindFilter and KindVerify children,
-// and the probe's page I/O is attributed via storage.QueryIO. A nil ctx —
-// or one without a span — takes the untraced path: the only added work
-// is one context lookup per query, no allocations.
-func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	if len(ts) == 0 {
+// tagged with its shard at more than one, and the probe's page I/O is
+// attributed via storage.QueryIO. A nil ctx — or one without a span —
+// takes the untraced path: the only added work is one context lookup per
+// query, no allocations.
+func (s *Sharded) MTIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
+	if len(ts) == 0 || opts.Groups != nil && len(opts.Groups) == 0 {
 		return nil, QueryStats{}, nil
 	}
-	groups := opts.Groups
-	if groups == nil {
-		// One rectangle over the whole set, which rangeGroup takes as a
-		// nil group.
-		return ix.rangeGroup(ctx, q, ts, nil, 0, 1, eps, opts)
-	}
-	if len(groups) == 1 {
-		// One rectangle is one probe: nothing to fork and nothing to
-		// merge, so the probe's matches are returned as they are.
-		if len(groups[0]) == 0 {
-			return nil, QueryStats{}, nil
+	if len(s.shards) == 1 && len(opts.Groups) <= 1 {
+		var g []int // nil groups: one rectangle over the whole set, a nil group
+		if opts.Groups != nil {
+			g = opts.Groups[0]
 		}
-		return ix.rangeGroup(ctx, q, ts, groups[0], 0, 1, eps, opts)
+		return s.shards[0].rangeGroup(ctx, q, ts, g, 0, 1, eps, opts)
 	}
+	return s.rangePairs(ctx, q, ts, eps, opts)
+}
+
+// rangePairs is MTIndexRange's fan-out over more than one (shard,
+// rectangle) pair: pair i is shard i/ngroups and rectangle i%ngroups, so
+// the parts concatenate shard by shard and, within a shard, in rectangle
+// order. The first error in that order wins and names its shard.
+func (s *Sharded) rangePairs(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
+	groups, n := opts.Groups, len(s.shards)
+	ngroups := max(len(groups), 1) // nil groups: one rectangle, the nil group
 	type part struct {
 		matches []Match
 		st      QueryStats
 	}
-	parts := make([]part, len(groups))
-	err := ParallelFor(len(groups), opts.Workers, func(gi int) (err error) {
-		if len(groups[gi]) == 0 {
-			return nil // an empty group is no probe at all
+	parts := make([]part, n*ngroups)
+	err := ParallelFor(len(parts), max(opts.Workers, n), func(i int) (err error) {
+		sh, gi := i/ngroups, i%ngroups
+		var g []int
+		if groups != nil {
+			g = groups[gi]
 		}
-		p := &parts[gi]
-		p.matches, p.st, err = ix.rangeGroup(ctx, q, ts, groups[gi], gi, len(groups), eps, opts)
-		return err
+		o := opts
+		if n > 1 {
+			o.ShardID, o.ShardTotal = sh, n
+		}
+		p := &parts[i]
+		p.matches, p.st, err = s.shards[sh].rangeGroup(ctx, q, ts, g, gi, ngroups, eps, o)
+		if n > 1 {
+			for j := range p.matches {
+				p.matches[j].RecordID = s.global[sh][p.matches[j].RecordID]
+			}
+		}
+		return s.shardErr(sh, err)
 	})
 	var st QueryStats
 	var out []Match
@@ -352,6 +374,9 @@ func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Tra
 	}
 	if err != nil {
 		return nil, st, err
+	}
+	if n > 1 {
+		SortMatches(out)
 	}
 	return out, st, nil
 }
@@ -364,9 +389,12 @@ func (ix *Index) MTIndexRange(ctx context.Context, q *Record, ts []transform.Tra
 // recorded as a KindProbe span (one per transformation rectangle, owned
 // by the goroutine running this call) with KindFilter and KindVerify
 // children, and every page this probe touches is attributed to it. A nil
-// group is every transformation of ts; the caller passes no empty one.
+// group is every transformation of ts; an empty one is no probe at all.
 func (ix *Index) rangeGroup(ctx context.Context, q *Record, ts []transform.Transform, g []int, gi, ngroups int, eps float64, opts RangeOptions) (_ []Match, _ QueryStats, retErr error) {
 	var st QueryStats
+	if g != nil && len(g) == 0 {
+		return nil, st, nil
+	}
 	sc := ix.acquireScratch()
 	defer ix.releaseScratch(sc)
 	grp, err := newGroup(ix, ts, g, opts.OneSided, opts.UseOrdering, sc)

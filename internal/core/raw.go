@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"tsq/internal/geom"
 	"tsq/internal/storage"
@@ -57,8 +58,38 @@ func rawDistance(r, q *Record) float64 {
 
 // RawRange answers the same query through the index: the mean and std
 // dimensions filter directly, and the DFT magnitude dimensions filter via
-// the product with the std dimension.
-func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error) {
+// the product with the std dimension. Each shard's tree is walked on a
+// goroutine of its own, and the answers merge into ascending global id
+// order; one shard is walked on the calling goroutine, and its answer is
+// in tree order.
+func (s *Sharded) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error) {
+	if s.single() {
+		return s.rawWalk(0, q, eps)
+	}
+	n := len(s.shards)
+	parts := make([][]RawMatch, n)
+	stats := make([]QueryStats, n)
+	err := ParallelFor(n, n, func(sh int) (err error) {
+		parts[sh], stats[sh], err = s.rawWalk(sh, q, eps)
+		return s.shardErr(sh, err)
+	})
+	var st QueryStats
+	var out []RawMatch
+	for sh := range parts {
+		st.Add(stats[sh])
+		out = append(out, parts[sh]...)
+	}
+	if err != nil {
+		return nil, st, err
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].RecordID < out[j].RecordID })
+	return out, st, nil
+}
+
+// rawWalk is the raw range query over shard sh's tree, its answers named
+// by global id.
+func (s *Sharded) rawWalk(sh int, q *Record, eps float64) ([]RawMatch, QueryStats, error) {
+	ix := s.shards[sh]
 	var st QueryStats
 	st.IndexSearches++
 	n := float64(ix.n)
@@ -100,7 +131,7 @@ func (ix *Index) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error
 			st.Candidates++
 			st.Comparisons++
 			if d := rawDistance(r, q); d <= eps {
-				out = append(out, RawMatch{RecordID: r.ID, Distance: d})
+				out = append(out, RawMatch{RecordID: s.globalID(sh, r.ID), Distance: d})
 			}
 		}
 		return nil

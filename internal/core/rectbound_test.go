@@ -279,7 +279,7 @@ func TestFilterNodeBoundSound(t *testing.T) {
 				d = min(d, distancePred(t, r, q, g.oneSided))
 			}
 			for _, eps := range []float64{d, d + 1e-9, d * (1 + 1e-9)} {
-				got, st, err := ix.MTIndexRange(ctx, q, g.ts, eps, ro)
+				got, st, err := WrapIndex(ix).MTIndexRange(ctx, q, g.ts, eps, ro)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -378,7 +378,7 @@ func TestNNBoundaryThroughNodePrune(t *testing.T) {
 				for _, q := range []*Record{qr, ds.Records[7]} {
 					for _, k := range []int{1, 5, 12, 19, 20, 21, 30, 40, 41, 57} {
 						want, _, _ := SeqScanNN(nil, ds, q, g.ts, k, g.oneSided)
-						got, _, err := ix.MTIndexNN(ctx, q, g.ts, k, RangeOptions{OneSided: g.oneSided})
+						got, _, err := WrapIndex(ix).MTIndexNN(ctx, q, g.ts, k, RangeOptions{OneSided: g.oneSided})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -431,7 +431,7 @@ func TestTreePrunesOnWalkCorpus(t *testing.T) {
 	const probes = 25
 	for i := 0; i < probes; i++ {
 		q := ds.Records[(i*811+3)%len(ds.Records)]
-		got, st, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		got, st, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatal(err)
 		}

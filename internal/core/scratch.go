@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"unsafe"
 
 	"tsq/internal/geom"
@@ -14,8 +15,8 @@ import (
 // kept between queries so a steady workload stops allocating them. A
 // range probe takes one (rangeGroup) for both of its stages, and one
 // more per extra worker when verification is parallel, so workers never
-// share one; an NN search, a join, a closest-pairs search, a
-// planner's counting traversals and a stored query point take one each.
+// share one; an NN search, a join, a closest-pairs search and a
+// planner's counting traversals take one each.
 // Nothing in a scratch outlives the call that acquired it: what a query
 // returns is copied out first.
 type scratch struct {
@@ -44,7 +45,7 @@ type scratch struct {
 	skip       func(geom.Point) int
 
 	// Verify stage: the ids to fetch when they are not the filter's
-	// candidates (an NN leaf's, a query point), the record decode slot
+	// candidates (an NN leaf's), the record decode slot
 	// and run buffer, the matches in the order their pages streamed by,
 	// and each fetched id's span of them.
 	ids     []int64
@@ -70,12 +71,10 @@ type scratch struct {
 	runBuf scanBuf
 	warm   float64
 
-	// A query by id on a paged index: the stored query point, decoded
-	// from its page (Index.point). A candidate rebuilt from its raw part
-	// when the group needs whole spectra (verifySerial), and the
-	// transform buffer the rebuilding takes. Their arrays are one series
-	// length each and are left out of bytes().
-	point Record
+	// A candidate rebuilt from its raw part when the group needs whole
+	// spectra (verifySerial), and the transform buffer the rebuilding
+	// takes. Their arrays are one series length each and are left out of
+	// bytes().
 	whole Record
 	spec  []complex128
 }
@@ -115,20 +114,39 @@ func (sc *scratch) bytes() int {
 		cap(sc.runBuf.recs)*int(unsafe.Sizeof(Record{})) + 8*cap(sc.runBuf.slab) + sc.runBuf.fetch.Bytes()
 }
 
-// acquireScratch returns an idle scratch of ix, or a new one. The free
-// list is per index and mutex-guarded rather than a sync.Pool for the
-// reason rtree.Slots gives: under -race a sync.Pool drops Puts at
+// idle is a shard's free list of buffers of one kind, a probe's scratch
+// or a query point's buffer, kept for the next query and never more than
+// maxIdleScratch of them. It is mutex-guarded rather than a sync.Pool for
+// the reason rtree.Slots gives: under -race a sync.Pool drops Puts at
 // random, and the allocation-count tests run under -race.
-func (ix *Index) acquireScratch() *scratch {
-	ix.scratchMu.Lock()
-	defer ix.scratchMu.Unlock()
-	if n := len(ix.idleScratch); n > 0 {
-		sc := ix.idleScratch[n-1]
-		ix.idleScratch = ix.idleScratch[:n-1]
-		return sc
-	}
-	return new(scratch)
+type idle[T any] struct {
+	mu    sync.Mutex
+	items []*T
 }
+
+// get returns an idle buffer, or a new one.
+func (l *idle[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.items); n > 0 {
+		x := l.items[n-1]
+		l.items = l.items[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+// put keeps x for the next get, unless the list is full.
+func (l *idle[T]) put(x *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.items) < maxIdleScratch {
+		l.items = append(l.items, x)
+	}
+}
+
+// acquireScratch returns an idle scratch of ix, or a new one.
+func (ix *Index) acquireScratch() *scratch { return ix.idleScratch.get() }
 
 // releaseScratch returns sc to ix for the next probe, which empties each
 // buffer where it starts to fill it.
@@ -141,9 +159,5 @@ func (ix *Index) releaseScratch(sc *scratch) {
 	clear(sc.sub[:cap(sc.sub)])
 	clear(sc.runBuf.recs[:cap(sc.runBuf.recs)])
 	sc.pair.Init(nil, false)
-	ix.scratchMu.Lock()
-	defer ix.scratchMu.Unlock()
-	if len(ix.idleScratch) < maxIdleScratch {
-		ix.idleScratch = append(ix.idleScratch, sc)
-	}
+	ix.idleScratch.put(sc)
 }

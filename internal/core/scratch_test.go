@@ -20,7 +20,7 @@ func TestScratchDropsLargeBuffers(t *testing.T) {
 	big := ix.acquireScratch()
 	big.matches = make([]Match, 0, maxScratchBytes/24+1)
 	ix.releaseScratch(big)
-	if len(ix.idleScratch) != 0 {
+	if len(ix.idleScratch.items) != 0 {
 		t.Fatalf("a scratch of %d bytes was kept (limit %d)", big.bytes(), maxScratchBytes)
 	}
 	small := ix.acquireScratch()
@@ -36,8 +36,8 @@ func TestScratchDropsLargeBuffers(t *testing.T) {
 	for _, sc := range out {
 		ix.releaseScratch(sc)
 	}
-	if len(ix.idleScratch) != maxIdleScratch {
-		t.Fatalf("%d idle scratches kept, want %d", len(ix.idleScratch), maxIdleScratch)
+	if len(ix.idleScratch.items) != maxIdleScratch {
+		t.Fatalf("%d idle scratches kept, want %d", len(ix.idleScratch.items), maxIdleScratch)
 	}
 }
 
@@ -49,12 +49,12 @@ func TestOpenIndexReadsNoRecord(t *testing.T) {
 	opts := DefaultIndexOptions()
 	opts.Paged = true
 	ds, ix := buildFixture(t, 4, 300, 32, opts)
-	if ix.Dataset() != nil {
+	if ix.ds != nil {
 		t.Fatal("a paged index keeps its dataset")
 	}
 	deleted := map[int64]bool{0: true, 63: true, 64: true, 299: true}
 	for id := range deleted {
-		if err := ix.Delete(id); err != nil {
+		if err := ix.remove(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,11 +77,11 @@ func TestOpenIndexReadsNoRecord(t *testing.T) {
 	if st := mgr.Stats(); st != attach {
 		t.Errorf("open made %+v page accesses, attaching the directory and the tree %+v", st, attach)
 	}
-	if reopened.Len() != len(ds.Records) || reopened.SeriesLength() != ds.N {
-		t.Fatalf("reopened: Len %d, SeriesLength %d", reopened.Len(), reopened.SeriesLength())
+	if reopened.len() != len(ds.Records) || reopened.n != ds.N {
+		t.Fatalf("reopened: Len %d, SeriesLength %d", reopened.len(), reopened.n)
 	}
 	for _, want := range ds.Records {
-		got, err := reopened.Record(want.ID)
+		got, err := WrapIndex(reopened).Record(want.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkOpenIndex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix := open()
-		st := ix.DiskStats()
+		st := ix.mgr.Stats()
 		pages += st.Reads + st.Prefetched + st.Hits
 		if err := ix.Close(); err != nil {
 			b.Fatal(err)

@@ -1,31 +1,26 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
 
-	"tsq/internal/geom"
-	"tsq/internal/rtree"
 	"tsq/internal/series"
 	"tsq/internal/storage"
-	"tsq/internal/transform"
 )
 
 // This file implements the query engine: the dataset is partitioned into
 // N independent shards by a deterministic hash of the global series id,
-// each shard an Index owning its own R*-tree, heap file, buffer pool and
-// storage counters. Shards are built in parallel. Range and raw-range
-// probes are scatter-gather with a deterministic merge into id order; the
-// join (join.go) walks same-shard plus pairwise cross-shard; NN (nn.go)
-// and closest pairs (closest.go) are one best-first search over every
-// shard's tree, with one queue and one k-th best. An unsharded database
-// is the one-shard case of the same code, not a separate path: the gather
-// calls the one stage on the calling goroutine and hands back its answer,
-// the cross-shard loops are empty, a search's queue holds one root, and
-// no id is translated, so one shard does exactly the work — same matches,
-// same statistics, same spans, same page reads — of the bare Index.
+// each shard an Index that owns its storage — R*-tree, heap file, buffer
+// pool, WAL, storage counters and the idle query buffers — and nothing
+// else. Every query shape, statistic and report is a method of the
+// engine, written once as a loop over its shards. A range query is one
+// fan-out over its (shard, rectangle) pairs, merged into id order; raw
+// range is one over the shards; the join (join.go) walks same-shard plus
+// pairwise cross-shard; NN (nn.go) and closest pairs (closest.go) are one
+// best-first search over every shard's tree. An unsharded database is
+// the one-shard case of the same code: no id is translated and nothing is
+// re-ordered, a single probe runs on the calling goroutine, the
+// cross-shard loops are empty and a search's queue holds one root.
 
 // ShardOf is the partition function: the shard owning global series id
 // g in an n-shard layout. It is a fixed (splitmix64-style) integer mix
@@ -87,9 +82,7 @@ func PartitionDataset(ds *Dataset, n int) ([]*Dataset, error) {
 	return out, nil
 }
 
-// Sharded is the query engine over N independent feature indexes, each
-// Index the per-shard stage of the range shapes and one of the trees the
-// NN and closest-pairs searches cover.
+// Sharded is the query engine over N independent shards, each an Index.
 // The tsq facade always talks to a Sharded.
 type Sharded struct {
 	shards []*Index
@@ -151,19 +144,19 @@ func AssembleShards(shards []*Index) (*Sharded, error) {
 	}
 	var total int64
 	for _, ix := range shards {
-		total += int64(ix.Len())
+		total += int64(ix.len())
 	}
 	local, global := shardLayout(total, len(shards))
 	for s, ix := range shards {
-		if n, n0 := ix.SeriesLength(), shards[0].SeriesLength(); n != n0 {
+		if n, n0 := ix.n, shards[0].n; n != n0 {
 			return nil, fmt.Errorf("core: shard %d: series length %d, shard 0 has %d", s, n, n0)
 		}
-		if ix.Options().K != shards[0].Options().K {
-			return nil, fmt.Errorf("core: shard %d: k=%d, shard 0 has k=%d", s, ix.Options().K, shards[0].Options().K)
+		if k, k0 := ix.opts.K, shards[0].opts.K; k != k0 {
+			return nil, fmt.Errorf("core: shard %d: k=%d, shard 0 has k=%d", s, k, k0)
 		}
-		if ix.Len() != len(global[s]) {
+		if ix.len() != len(global[s]) {
 			return nil, fmt.Errorf("core: shard %d: %d records, partition of %d ids expects %d",
-				s, ix.Len(), total, len(global[s]))
+				s, ix.len(), total, len(global[s]))
 		}
 	}
 	return &Sharded{shards: shards, local: local, global: global}, nil
@@ -174,7 +167,7 @@ func AssembleShards(shards []*Index) (*Sharded, error) {
 func (s *Sharded) single() bool { return len(s.shards) == 1 }
 
 // shardErr names the failing shard in err; with one shard there is
-// nothing to name and the stage's error is the engine's.
+// nothing to name and the shard's error is the engine's.
 func (s *Sharded) shardErr(sh int, err error) error {
 	if err == nil || len(s.shards) == 1 {
 		return err
@@ -197,20 +190,20 @@ func (s *Sharded) Dataset() *Dataset {
 	if !s.single() {
 		return nil
 	}
-	return s.shards[0].Dataset()
+	return s.shards[0].ds
 }
 
 // Len returns the number of global ids handed out, deleted records
 // included.
 func (s *Sharded) Len() int {
 	if s.single() {
-		return s.shards[0].Len()
+		return s.shards[0].len()
 	}
 	return len(s.local)
 }
 
 // SeriesLength returns the common series length.
-func (s *Sharded) SeriesLength() int { return s.shards[0].SeriesLength() }
+func (s *Sharded) SeriesLength() int { return s.shards[0].n }
 
 // Record returns the record with global id g, named by g, or nil when it
 // is deleted or was never stored. It is a copy decoded from its page on
@@ -257,15 +250,15 @@ func (s *Sharded) Series(g int64) (string, series.Series, error) {
 // QueryPoint is a stored record serving as the query point of one query
 // by id. In memory it is the stored record itself (a copy named by its
 // global id at more than one shard). On a paged engine it is decoded
-// from its page into a scratch of its shard's pool, which Release gives
+// from its page into a point buffer of its shard, which Release gives
 // back when the query is done: a query by id costs one page access more
-// than an ad-hoc one and, once the pool is warm, no allocation.
+// than an ad-hoc one and, once the shard has served one, no allocation.
 type QueryPoint struct {
 	// Record is the query point, nil when the id is deleted or was
 	// never stored.
 	Record *Record
 	ix     *Index
-	sc     *scratch
+	pb     *pointBuf
 }
 
 // QueryPoint returns record g as a query point. On a paged engine that
@@ -280,29 +273,24 @@ func (s *Sharded) QueryPoint(g int64, whole bool) (QueryPoint, error) {
 	sh, l := s.locate(g)
 	ix := s.shards[sh]
 	if ix.heap == nil {
-		r := ix.ds.Record(l)
-		if r != nil && !s.single() {
-			c := *r
-			c.ID = g
-			r = &c
-		}
-		return QueryPoint{Record: r}, nil
+		r, err := s.Record(g)
+		return QueryPoint{Record: r}, err
 	}
-	sc := ix.acquireScratch()
-	r, err := ix.point(sc, l, whole)
+	pb := ix.idlePoints.get()
+	r, err := pb.read(ix.heap, l, whole)
 	if err != nil || r == nil {
-		ix.releaseScratch(sc)
+		ix.idlePoints.put(pb)
 		return QueryPoint{}, s.shardErr(sh, err)
 	}
 	r.ID = g
-	return QueryPoint{Record: r, ix: ix, sc: sc}, nil
+	return QueryPoint{Record: r, ix: ix, pb: pb}, nil
 }
 
 // Release gives a paged query point's buffer back; the record must not be
 // used afterwards.
 func (p QueryPoint) Release() {
-	if p.sc != nil {
-		p.ix.releaseScratch(p.sc)
+	if p.pb != nil {
+		p.ix.idlePoints.put(p.pb)
 	}
 }
 
@@ -322,19 +310,19 @@ func (s *Sharded) RecordsOnPage(sh int, id storage.PageID) []int64 {
 }
 
 // Options returns the index options (identical across shards).
-func (s *Sharded) Options() IndexOptions { return s.shards[0].Options() }
+func (s *Sharded) Options() IndexOptions { return s.shards[0].opts }
 
 // Paged reports whether the shards are disk-backed.
-func (s *Sharded) Paged() bool { return s.shards[0].Heap() != nil }
+func (s *Sharded) Paged() bool { return s.shards[0].heap != nil }
 
 // PageSize returns the storage page size (identical across shards).
-func (s *Sharded) PageSize() int { return s.shards[0].Manager().PageSize() }
+func (s *Sharded) PageSize() int { return s.shards[0].mgr.PageSize() }
 
 // NumPages sums the allocated pages across shards.
 func (s *Sharded) NumPages() int {
 	total := 0
 	for _, ix := range s.shards {
-		total += ix.Manager().NumPages()
+		total += ix.mgr.NumPages()
 	}
 	return total
 }
@@ -343,31 +331,24 @@ func (s *Sharded) NumPages() int {
 func (s *Sharded) Height() int {
 	h := 0
 	for _, ix := range s.shards {
-		if th := ix.Tree().Height(); th > h {
-			h = th
-		}
+		h = max(h, ix.tree.Height())
 	}
 	return h
 }
 
 // Close closes every shard — folding each shard's WAL first when one
 // is attached and healthy — returning the first error but closing all.
-func (s *Sharded) Close() error {
-	var first error
-	for _, ix := range s.shards {
-		if err := ix.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (s *Sharded) Close() error { return s.each((*Index).Close) }
 
 // Checkpoint folds every shard's WAL into its main file (no-op for
 // shards without one), returning the first error but attempting all.
-func (s *Sharded) Checkpoint() error {
+func (s *Sharded) Checkpoint() error { return s.each((*Index).checkpoint) }
+
+// each calls f on every shard and returns the first error.
+func (s *Sharded) each(f func(*Index) error) error {
 	var first error
 	for _, ix := range s.shards {
-		if err := ix.Checkpoint(); err != nil && first == nil {
+		if err := f(ix); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -378,7 +359,7 @@ func (s *Sharded) Checkpoint() error {
 func (s *Sharded) DiskStats() storage.Stats {
 	var total storage.Stats
 	for _, ix := range s.shards {
-		total = addStats(total, ix.DiskStats())
+		total = addStats(total, ix.mgr.Stats())
 	}
 	return total
 }
@@ -386,14 +367,7 @@ func (s *Sharded) DiskStats() storage.Stats {
 // ResetDiskStats resets every shard's storage counters.
 func (s *Sharded) ResetDiskStats() {
 	for _, ix := range s.shards {
-		ix.ResetDiskStats()
-	}
-}
-
-// DropBuffer empties every shard's buffer pool.
-func (s *Sharded) DropBuffer() {
-	for _, ix := range s.shards {
-		ix.DropBuffer()
+		ix.mgr.ResetStats()
 	}
 }
 
@@ -425,109 +399,17 @@ func (s *Sharded) globalID(sh int, l int64) int64 {
 	return s.global[sh][l]
 }
 
-// probe is one scatter-gather range query as a per-shard stage receives
-// it. It travels by value and the stages are plain functions, not
-// closures over the query's arguments: a closure handed to gather would
-// escape to the heap on every query, including the one-shard ones that
-// fork nothing.
-type probe struct {
-	ctx  context.Context
-	q    *Record
-	ts   []transform.Transform
-	eps  float64 // threshold of a range or raw-range probe
-	opts RangeOptions
-}
-
-// gather is the engine's one scatter-gather: run stage on every shard
-// concurrently, translate the answers' shard-local record ids (reached
-// through id) to global ones, sum the statistics in shard order,
-// concatenate and put the whole in order. Each shard's probe spans carry
-// the shard tag. The first error in shard order wins and names its shard.
-//
-// One shard is the degenerate case: its stage runs on the calling
-// goroutine and its answer, statistics and error are the engine's as
-// they stand — nothing to translate, sum or re-order.
-func gather[T any](s *Sharded, p probe, stage func(*Index, probe) ([]T, QueryStats, error), id func(*T) *int64, order func([]T)) ([]T, QueryStats, error) {
-	n := len(s.shards)
-	if n == 1 {
-		return stage(s.shards[0], p)
-	}
-	parts := make([][]T, n)
-	stats := make([]QueryStats, n)
-	shared := p // what the goroutines capture; p stays on the one-shard caller's stack
-	err := ParallelFor(n, n, func(sh int) (err error) {
-		p := shared
-		p.opts.ShardID, p.opts.ShardTotal = sh, n
-		parts[sh], stats[sh], err = stage(s.shards[sh], p)
-		for i := range parts[sh] {
-			rec := id(&parts[sh][i])
-			*rec = s.globalID(sh, *rec)
-		}
-		return s.shardErr(sh, err)
-	})
-	var st QueryStats
-	var out []T
-	for sh := range parts {
-		st.Add(stats[sh])
-		out = append(out, parts[sh]...)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	order(out)
-	return out, st, nil
-}
-
-// MTIndexRange answers a range query scatter-gather: every shard runs
-// the MT-index pipeline (filter, LB cascade, batched fetch, early
-// abandoning) over its own tree, and the answers merge into
-// (RecordID, TransformIdx) order. See Index.MTIndexRange for ctx.
-func (s *Sharded) MTIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	return gather(s, probe{ctx: ctx, q: q, ts: ts, eps: eps, opts: opts},
-		func(ix *Index, p probe) ([]Match, QueryStats, error) {
-			return ix.MTIndexRange(p.ctx, p.q, p.ts, p.eps, p.opts)
-		},
-		func(m *Match) *int64 { return &m.RecordID }, SortMatches)
-}
-
-// STIndexRange runs the range query with singleton groups (one index
-// probe per transformation) on every shard.
-func (s *Sharded) STIndexRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions) ([]Match, QueryStats, error) {
-	opts.Groups = SingletonGroups(len(ts))
-	return s.MTIndexRange(ctx, q, ts, eps, opts)
-}
-
-// RawRange answers the raw-distance range query scatter-gather, merged
-// into ascending global id order.
-func (s *Sharded) RawRange(q *Record, eps float64) ([]RawMatch, QueryStats, error) {
-	return gather(s, probe{q: q, eps: eps},
-		func(ix *Index, p probe) ([]RawMatch, QueryStats, error) { return ix.RawRange(p.q, p.eps) },
-		func(m *RawMatch) *int64 { return &m.RecordID },
-		func(ms []RawMatch) {
-			sort.Slice(ms, func(i, j int) bool { return ms[i].RecordID < ms[j].RecordID })
-		})
-}
-
-// PlanRange plans on shard 0 — a plan is a transformation grouping
-// plus an algorithm choice, both shard-independent, so one shard's
-// sampled probes stand in for all. (At N>1 the absolute cost figures
-// describe one shard, i.e. ~1/N of the data; the *relative* ranking of
-// the candidate plans, which is all the planner uses, is unaffected.)
-func (s *Sharded) PlanRange(ctx context.Context, q *Record, ts []transform.Transform, eps float64, opts RangeOptions, params CostParams) (*Plan, error) {
-	return s.shards[0].PlanRange(ctx, q, ts, eps, opts, params)
-}
-
 // Insert routes a new series to its shard. New ids are assigned
 // globally ascending, so the positional (ascending global order)
 // invariant of the per-shard layouts is preserved: the new global id is
 // the maximum, hence also the last local id of its shard.
 func (s *Sharded) Insert(name string, ser series.Series) (int64, error) {
 	if s.single() { // the shard's ids are the global ones
-		return s.shards[0].Insert(name, ser)
+		return s.shards[0].insert(name, ser)
 	}
 	g := int64(len(s.local))
 	sh := ShardOf(g, len(s.shards))
-	l, err := s.shards[sh].Insert(name, ser)
+	l, err := s.shards[sh].insert(name, ser)
 	if err != nil {
 		return 0, s.shardErr(sh, err)
 	}
@@ -544,13 +426,13 @@ func (s *Sharded) Insert(name string, ser series.Series) (int64, error) {
 // record is named by its global id, as at one shard.
 func (s *Sharded) Delete(g int64) error {
 	if s.single() { // the shard's ids are the global ones
-		return s.shards[0].Delete(g)
+		return s.shards[0].remove(g)
 	}
 	if g < 0 || g >= int64(len(s.local)) {
 		return fmt.Errorf("%w %d", errNoRecord, g)
 	}
 	sh, l := s.locate(g)
-	if err := s.shards[sh].Delete(l); err != nil {
+	if err := s.shards[sh].remove(l); err != nil {
 		if errors.Is(err, errNoRecord) {
 			return fmt.Errorf("%w %d", errNoRecord, g)
 		}
@@ -568,140 +450,9 @@ func (s *Sharded) Verify() error {
 		if err := ix.Verify(); err != nil {
 			return s.shardErr(sh, err)
 		}
-		if got, want := ix.Len(), len(global[sh]); got != want {
+		if got, want := ix.len(), len(global[sh]); got != want {
 			return fmt.Errorf("core: shard %d holds %d records, partition expects %d", sh, got, want)
 		}
 	}
 	return nil
-}
-
-// AvgLeafCapacity returns records per leaf across all shards.
-func (s *Sharded) AvgLeafCapacity() (float64, error) {
-	leaves, records := 0, 0
-	for sh, ix := range s.shards {
-		err := ix.Tree().Visit(func(n *rtree.Node, level int) error {
-			if level == 1 {
-				leaves++
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, s.shardErr(sh, err)
-		}
-		records += ix.Len()
-	}
-	if leaves == 0 {
-		return 0, nil
-	}
-	return float64(records) / float64(leaves), nil
-}
-
-// TreeStats merges the per-shard level statistics leaf-aligned (level
-// 1 is the leaf level in every shard): node counts sum, average
-// extents combine weighted by node count, and the world rectangle is
-// the union. The result feeds the same analytical estimator as the
-// single-tree stats.
-func (s *Sharded) TreeStats() ([]LevelStats, geom.Rect, error) {
-	if s.single() { // a weighted mean of one, (x*n)/n, need not round back to x
-		return s.shards[0].TreeStats()
-	}
-	byLevel := make(map[int]*LevelStats)
-	var world geom.Rect
-	first := true
-	maxLevel := 0
-	for sh, ix := range s.shards {
-		stats, w, err := ix.TreeStats()
-		if err != nil {
-			return nil, geom.Rect{}, s.shardErr(sh, err)
-		}
-		if len(w.Lo) > 0 {
-			if first {
-				world = w.Clone()
-				first = false
-			} else {
-				world = world.Union(w)
-			}
-		}
-		for _, ls := range stats {
-			m := byLevel[ls.Level]
-			if m == nil {
-				m = &LevelStats{Level: ls.Level, AvgSide: make([]float64, len(ls.AvgSide))}
-				byLevel[ls.Level] = m
-			}
-			if ls.Level > maxLevel {
-				maxLevel = ls.Level
-			}
-			for d := range ls.AvgSide {
-				m.AvgSide[d] += ls.AvgSide[d] * float64(ls.Nodes)
-			}
-			m.Nodes += ls.Nodes
-		}
-	}
-	out := make([]LevelStats, 0, maxLevel)
-	for lvl := maxLevel; lvl >= 1; lvl-- {
-		m := byLevel[lvl]
-		if m == nil {
-			continue
-		}
-		if m.Nodes > 0 {
-			for d := range m.AvgSide {
-				m.AvgSide[d] /= float64(m.Nodes)
-			}
-		}
-		out = append(out, *m)
-	}
-	return out, world, nil
-}
-
-// ClusterPartition groups the transformation set by parameter
-// clustering; the grouping depends only on the transformations and the
-// index options, so shard 0 answers for all.
-func (s *Sharded) ClusterPartition(ts []transform.Transform, jumpFactor float64) [][]int {
-	return s.shards[0].ClusterPartition(ts, jumpFactor)
-}
-
-// ClusterThenEqualPartition is ClusterPartition followed by equal
-// splitting, delegated to shard 0 (shard-independent).
-func (s *Sharded) ClusterThenEqualPartition(ts []transform.Transform, perGroup int, jumpFactor float64) [][]int {
-	return s.shards[0].ClusterThenEqualPartition(ts, perGroup, jumpFactor)
-}
-
-// OptimalPartition runs the DP partitioner against shard 0's tree: the
-// probe costs it samples describe one shard, but the chosen grouping —
-// the only output a caller applies — ranks identically.
-func (s *Sharded) OptimalPartition(q *Record, ts []transform.Transform, eps float64, mode QRectMode, params CostParams) ([][]int, float64, error) {
-	return s.shards[0].OptimalPartition(q, ts, eps, mode, params)
-}
-
-// Health reports the combined and per-shard structural health. With one
-// shard the report is exactly the single-index report; with more, the
-// top level carries the summed storage counters, the group geometry
-// (shard-independent) and a per-shard report in Shards.
-func (s *Sharded) Health(ctx context.Context, ts []transform.Transform, groups [][]int) (*HealthReport, error) {
-	if s.single() { // the classic report has no per-shard sub-reports
-		return s.shards[0].Health(ctx, ts, groups)
-	}
-	opts := s.Options()
-	hr := &HealthReport{
-		Series:       s.Len(),
-		SeriesLength: s.SeriesLength(),
-		K:            opts.K,
-		Dim:          2 + 2*opts.K,
-		PageSize:     s.PageSize(),
-		ShardCount:   len(s.shards),
-	}
-	for sh, ix := range s.shards {
-		shr, err := ix.Health(ctx, nil, nil)
-		if err != nil {
-			return nil, s.shardErr(sh, err)
-		}
-		hr.Shards = append(hr.Shards, shr)
-		hr.Storage = addStats(hr.Storage, shr.Storage)
-	}
-	gh, err := s.shards[0].groupHealth(ts, groups)
-	if err != nil {
-		return nil, err
-	}
-	hr.Groups = gh
-	return hr, nil
 }

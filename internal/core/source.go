@@ -13,8 +13,7 @@ import (
 // its tree, and reads a record from its page whenever it needs one.
 
 // RecordSource is where a sequential scan reads the stored records from:
-// a Dataset, an Index (its records in memory, or its heap file) or the
-// sharded engine, which numbers them globally.
+// a Dataset or the engine, which numbers its shards' records globally.
 type RecordSource interface {
 	// Len returns the number of ids handed out, deleted records
 	// included: the ids are 0..Len()-1.
@@ -151,26 +150,12 @@ func (ix *Index) load(ctx context.Context, b *scanBuf) error {
 	})
 }
 
-// visit makes the index a RecordSource over its local ids: its dataset
-// in memory, its heap file in chunks of consecutive ids otherwise.
-func (ix *Index) visit(ctx context.Context, lo, hi int, b *scanBuf, fn func(*Record) error) error {
-	if ix.heap == nil {
-		return ix.ds.visit(ctx, lo, hi, b, fn)
-	}
-	return b.chunks(lo, hi, func(c, end int) error {
-		b.ids, b.at = b.ids[:0], b.at[:0]
-		for id := c; id < end; id++ {
-			b.ids, b.at = append(b.ids, int64(id)), append(b.at, id-c)
-		}
-		return ix.load(ctx, b)
-	}, fn)
-}
-
-// visit makes the engine a RecordSource over global ids. One shard is its
-// shard; with more, every chunk of global ids is loaded shard by shard.
+// visit makes the engine a RecordSource over global ids. A one-shard
+// in-memory engine is its dataset; otherwise every chunk of global ids is
+// loaded shard by shard, from memory or in runs of heap pages.
 func (s *Sharded) visit(ctx context.Context, lo, hi int, b *scanBuf, fn func(*Record) error) error {
-	if s.single() {
-		return s.shards[0].visit(ctx, lo, hi, b, fn)
+	if ds := s.Dataset(); ds != nil {
+		return ds.visit(ctx, lo, hi, b, fn)
 	}
 	return b.chunks(lo, hi, func(c, end int) error {
 		for sh, ix := range s.shards {

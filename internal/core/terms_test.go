@@ -88,7 +88,7 @@ func TestTermsPerComparison(t *testing.T) {
 		}
 	}
 	run("range", 0.5, queries(func(q *Record, ts []transform.Transform) (QueryStats, error) {
-		_, st, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		_, st, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		return st, err
 	}))
 	run("range scan", 0.5, queries(func(q *Record, ts []transform.Transform) (QueryStats, error) {
@@ -109,7 +109,7 @@ func TestTermsPerComparison(t *testing.T) {
 	})
 
 	q := ds.Records[11]
-	_, st, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, NaiveVerify: true})
+	_, st, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe, NaiveVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 	q := ds.Records[7]
 	opts := RangeOptions{Mode: QRectSafe, Groups: EqualPartition(len(ts), 4)}
 
-	intact, intactSt, err := ix.MTIndexRange(nil, q, ts, eps, opts)
+	intact, intactSt, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 	if err := ix.heap.Delete(intact[len(intact)-1].RecordID); err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := ix.MTIndexRange(nil, q, ts, eps, opts)
+	want, wantSt, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTracedRangeCrossCheck(t *testing.T) {
 		root := tr.Start(obs.KindQuery, "range")
 		ctx := obs.ContextWithSpan(obs.WithTrace(context.Background(), tr), root)
 		before := ix.Manager().Stats()
-		got, st, err := ix.MTIndexRange(ctx, q, ts, eps, opts)
+		got, st, err := WrapIndex(ix).MTIndexRange(ctx, q, ts, eps, opts)
 		root.End()
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestTracedNNCrossCheck(t *testing.T) {
 	ts := transform.MovingAverageSet(32, 2, 6)
 	q := ds.Records[3]
 
-	want, wantSt, err := ix.MTIndexNN(nil, q, ts, 5, RangeOptions{})
+	want, wantSt, err := WrapIndex(ix).MTIndexNN(nil, q, ts, 5, RangeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTracedNNCrossCheck(t *testing.T) {
 	root := tr.Start(obs.KindQuery, "nn")
 	ctx := obs.ContextWithSpan(obs.WithTrace(context.Background(), tr), root)
 	before := ix.Manager().Stats()
-	got, st, err := ix.MTIndexNN(ctx, q, ts, 5, RangeOptions{})
+	got, st, err := WrapIndex(ix).MTIndexNN(ctx, q, ts, 5, RangeOptions{})
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -190,14 +190,15 @@ func TestUntracedRangeAddsNoAllocs(t *testing.T) {
 	q := ds.Records[0]
 	opts := RangeOptions{Mode: QRectSafe, Groups: EqualPartition(len(ts), 4)}
 	ctx := context.Background()
+	sh := WrapIndex(ix)
 
 	plain := testing.AllocsPerRun(20, func() {
-		if _, _, err := ix.MTIndexRange(nil, q, ts, eps, opts); err != nil {
+		if _, _, err := sh.MTIndexRange(nil, q, ts, eps, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	withCtx := testing.AllocsPerRun(20, func() {
-		if _, _, err := ix.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
+		if _, _, err := sh.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -212,6 +213,7 @@ func TestUntracedRangeAddsNoAllocs(t *testing.T) {
 // BenchmarkMTIndexRangeTraced to see the instrumentation cost.
 func BenchmarkMTIndexRangeUntraced(b *testing.B) {
 	ds, ix := buildFixture(b, 2, 400, 64, DefaultIndexOptions())
+	sh := WrapIndex(ix)
 	ts := transform.MovingAverageSet(64, 3, 10)
 	eps := series.DistanceForCorrelation(64, 0.95)
 	q := ds.Records[0]
@@ -220,7 +222,7 @@ func BenchmarkMTIndexRangeUntraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
+		if _, _, err := sh.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,6 +232,7 @@ func BenchmarkMTIndexRangeUntraced(b *testing.B) {
 // I/O attribution (a fresh trace per query, as -explain uses it).
 func BenchmarkMTIndexRangeTraced(b *testing.B) {
 	ds, ix := buildFixture(b, 2, 400, 64, DefaultIndexOptions())
+	sh := WrapIndex(ix)
 	ts := transform.MovingAverageSet(64, 3, 10)
 	eps := series.DistanceForCorrelation(64, 0.95)
 	q := ds.Records[0]
@@ -240,7 +243,7 @@ func BenchmarkMTIndexRangeTraced(b *testing.B) {
 		tr := obs.New()
 		root := tr.Start(obs.KindQuery, "bench")
 		ctx := obs.ContextWithSpan(obs.WithTrace(context.Background(), tr), root)
-		if _, _, err := ix.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
+		if _, _, err := sh.MTIndexRange(ctx, q, ts, eps, opts); err != nil {
 			b.Fatal(err)
 		}
 		root.End()

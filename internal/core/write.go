@@ -34,19 +34,9 @@ func (ix *Index) AttachWAL(w *wal.Log, stage *storage.StagedBackend) {
 	ix.walThreshold = DefaultCheckpointThreshold
 }
 
-// SetCheckpointThreshold overrides the WAL size that triggers an inline
-// checkpoint; zero or negative disables automatic checkpointing.
-func (ix *Index) SetCheckpointThreshold(bytes int64) { ix.walThreshold = bytes }
-
 // SetReadOnly marks the index read-only: Insert and Delete return
 // ErrReadOnly and Close folds nothing back.
 func (ix *Index) SetReadOnly() { ix.readOnly = true }
-
-// WAL returns the attached write-ahead log (nil without one).
-func (ix *Index) WAL() *wal.Log { return ix.wal }
-
-// FailErr returns the error that fail-stopped the index, or nil.
-func (ix *Index) FailErr() error { return ix.failErr }
 
 // failStop poisons the index: a mutation left memory or disk in a state
 // the code cannot prove consistent, so all further writes are refused.
@@ -160,16 +150,16 @@ func (ix *Index) maybeCheckpoint() {
 	if ix.walThreshold <= 0 || ix.wal.Size() < ix.walThreshold {
 		return
 	}
-	if err := ix.Checkpoint(); err != nil {
+	if err := ix.checkpoint(); err != nil {
 		ix.failStop(fmt.Errorf("checkpointing: %w", err))
 	}
 }
 
-// Checkpoint makes the main file durable and truncates the WAL: every
+// checkpoint makes the main file durable and truncates the WAL: every
 // logged operation is already applied to the file's pages (log-then-
 // apply), so after one fsync of the file the log carries no information
 // the file lacks. No-op without a WAL.
-func (ix *Index) Checkpoint() error {
+func (ix *Index) checkpoint() error {
 	if ix.wal == nil {
 		return nil
 	}
@@ -190,7 +180,7 @@ func (ix *Index) Checkpoint() error {
 func (ix *Index) Close() error {
 	var firstErr error
 	if ix.wal != nil && !ix.readOnly && ix.failErr == nil {
-		if err := ix.Checkpoint(); err != nil {
+		if err := ix.checkpoint(); err != nil {
 			firstErr = err
 		}
 	}

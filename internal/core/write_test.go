@@ -41,18 +41,18 @@ func TestAbortedDeleteKeepsFreedPages(t *testing.T) {
 	eps := series.DistanceForCorrelation(n, 0.90)
 	check := func(what string, id int) {
 		t.Helper()
-		if err := ix.FailErr(); err != nil {
+		if err := ix.failErr; err != nil {
 			t.Fatalf("%s %d: index fail-stopped: %v", what, id, err)
 		}
 		if err := ix.Verify(); err != nil {
 			t.Fatalf("%s %d: %v", what, id, err)
 		}
 		q := ds.Records[count-1]
-		want, _, err := SeqScanRange(nil, ix, q, ts, eps, RangeOptions{})
+		want, _, err := SeqScanRange(nil, WrapIndex(ix), q, ts, eps, RangeOptions{})
 		if err != nil {
 			t.Fatalf("%s %d: scan: %v", what, id, err)
 		}
-		got, _, err := ix.MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
+		got, _, err := WrapIndex(ix).MTIndexRange(nil, q, ts, eps, RangeOptions{Mode: QRectSafe})
 		if err != nil {
 			t.Fatalf("%s %d: %v", what, id, err)
 		}
@@ -63,16 +63,16 @@ func TestAbortedDeleteKeepsFreedPages(t *testing.T) {
 	extra := datagen.RandomWalks(8, count/2, n)
 	for id := 0; id < count/2; id++ {
 		fd.FailAt(1, storage.FaultError)
-		if err := ix.Delete(int64(id)); !errors.Is(err, storage.ErrInjected) {
+		if err := ix.remove(int64(id)); !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("delete %d with a failing log: %v", id, err)
 		}
 		fd.FailAt(0, storage.FaultNone)
 		check("aborted delete", id)
-		if _, err := ix.Insert("", extra[id]); err != nil {
+		if _, err := ix.insert("", extra[id]); err != nil {
 			t.Fatalf("insert after aborted delete %d: %v", id, err)
 		}
 		check("insert after aborted delete", id)
-		if err := ix.Delete(int64(id)); err != nil {
+		if err := ix.remove(int64(id)); err != nil {
 			t.Fatalf("delete %d: %v", id, err)
 		}
 		check("delete", id)
@@ -102,29 +102,29 @@ func BenchmarkInsertDisk(b *testing.B) {
 		b.Fatal(err)
 	}
 	ix.AttachWAL(log, stage)
-	ix.SetCheckpointThreshold(0)
+	ix.walThreshold = 0
 	defer func() { _ = ix.Close() }()
 	extra := datagen.RandomWalks(74, b.N, 128)
 	var walBytes int64
 	empty := log.Size()
-	before := ix.DiskStats()
+	before := ix.mgr.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i, s := range extra {
-		if _, err := ix.Insert("", s); err != nil {
+		if _, err := ix.insert("", s); err != nil {
 			b.Fatal(err)
 		}
 		if i%128 == 127 || i == len(extra)-1 {
 			b.StopTimer()
 			walBytes += log.Size() - empty
-			if err := ix.Checkpoint(); err != nil {
+			if err := ix.checkpoint(); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
 		}
 	}
 	b.ReportMetric(float64(walBytes)/float64(b.N), "walB/op")
-	after := ix.DiskStats()
+	after := ix.mgr.Stats()
 	b.ReportMetric(float64(after.Reads+after.Hits-before.Reads-before.Hits)/float64(b.N), "pagereads/op")
 	b.ReportMetric(float64(after.Writes-before.Writes)/float64(b.N), "pagewrites/op")
 }

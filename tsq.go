@@ -209,13 +209,14 @@ type Options struct {
 	BulkLoad bool
 	// Shards partitions the database into that many independent shards
 	// (deterministic hash over series ids), each with its own R*-tree,
-	// heap file and buffer pool, built in parallel. Range queries fan out
-	// to every shard and merge; nearest neighbors and closest pairs are
-	// one best-first search over all the shards' trees, on the calling
-	// goroutine, with one k-th best. 0 or 1 keeps the classic single-tree
-	// engine; answers are identical at every shard count. Shards buy
-	// parallel builds, parallel range probes and smaller files, not
-	// faster NN. A 10-NN query over 6 000 random walks on a 2-vCPU host,
+	// heap file and buffer pool, built in parallel. A range query fans
+	// out once, one probe per (shard, rectangle) pair on a pool of
+	// max(Workers, Shards) goroutines, and merges into id order; nearest
+	// neighbors and closest pairs are one best-first search over all the
+	// shards' trees, on the calling goroutine, with one k-th best. 0 or 1
+	// keeps the classic single-tree engine; answers are identical at every
+	// shard count. Shards buy parallel builds, parallel range probes and
+	// smaller files, not faster NN. A 10-NN query over 6 000 random walks on a 2-vCPU host,
 	// when each shard still ran its own search on its own goroutine,
 	// ran at 1 140 to 1 805 queries/s on one tree and 903 to 1 413 on
 	// two, reading 49 pages against 67. As one search, two shards
@@ -258,7 +259,9 @@ type QueryOptions struct {
 	QueryTransform *Transform
 	// Workers, when above 1, shards the sequential scan and the index
 	// algorithms' candidate-verification phase across that many
-	// goroutines. Answers are identical to serial evaluation.
+	// goroutines. A range query's probes, one per (shard, rectangle)
+	// pair, run on a pool of max(Workers, Shards) goroutines. Answers are
+	// identical to serial evaluation.
 	Workers int
 	// NaiveVerify disables the I/O-aware candidate pipeline (DFT-prefix
 	// lower-bound skipping, page-ordered batched fetch, early-abandoning
