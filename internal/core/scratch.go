@@ -102,7 +102,8 @@ const (
 // dimension and a leaf's fan-out.
 func (sc *scratch) bytes() int {
 	return cap(sc.sub)*int(unsafe.Sizeof(transform.Transform{})) +
-		cap(sc.casc.term)*int(unsafe.Sizeof(lbTerm{})) + 8*cap(sc.casc.w) + cap(sc.casc.keep) +
+		cap(sc.casc.term)*int(unsafe.Sizeof(transform.Term{})) + 8*cap(sc.casc.w) + cap(sc.casc.keep) +
+		cap(sc.casc.query)*int(unsafe.Sizeof(transform.Scaled{})) +
 		8*cap(sc.cands) +
 		8*cap(sc.ids) +
 		sc.fetch.Bytes() +

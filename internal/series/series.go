@@ -26,6 +26,9 @@ func (s Series) Clone() Series {
 }
 
 // Mean returns the arithmetic mean of s. The mean of an empty series is 0.
+// A sum of finite samples that overflows is taken again over the samples
+// divided by the largest magnitude (scaledMean), so a finite series has a
+// finite mean; any other sum keeps the plain loop's bits.
 func (s Series) Mean() float64 {
 	if len(s) == 0 {
 		return 0
@@ -34,11 +37,24 @@ func (s Series) Mean() float64 {
 	for _, v := range s {
 		sum += v
 	}
+	if math.IsInf(sum, 0) {
+		if m := s.maxAbs(); m < math.Inf(1) {
+			return s.scaledMean(m) * m
+		}
+	}
 	return sum / float64(len(s))
 }
 
 // Std returns the sample standard deviation of s (divisor n-1). Series
 // shorter than two points have standard deviation 0.
+//
+// Squared deviations overflow past about 1e154 and underflow below about
+// 1e-154 (to zero below about 1e-162): the plain sum then reads +Inf, or
+// 0 or a subnormal that has lost its bits although the series is not
+// constant, and a normal form taken from it would be all zeros. In those
+// cases, and only then, the sum is taken again over the samples divided
+// by the largest magnitude, as math.Hypot divides by the larger side, and
+// scaled back; every other series keeps the plain loop's bits.
 func (s Series) Std() float64 {
 	n := len(s)
 	if n < 2 {
@@ -50,7 +66,62 @@ func (s Series) Std() float64 {
 		d := v - mu
 		ss += d * d
 	}
+	if math.IsInf(ss, 0) || ss < minPlainSum && s.varies(mu) {
+		if m := s.maxAbs(); m < math.Inf(1) {
+			return s.scaledStd(m) * m
+		}
+	}
 	return math.Sqrt(ss / float64(n-1))
+}
+
+// minPlainSum is the least sum of squared deviations Std trusts: each
+// term below the smallest normal float64 keeps fewer bits than a normal
+// one, and a sum at least 2^53 times that is off by no more than its own
+// rounding.
+const minPlainSum = 0x1p-969
+
+// maxAbs is the largest magnitude of a sample of s.
+func (s Series) maxAbs() float64 {
+	var m float64
+	for _, v := range s {
+		m = max(m, math.Abs(v))
+	}
+	return m
+}
+
+// varies reports whether some sample of s differs from mu.
+func (s Series) varies(mu float64) bool {
+	for _, v := range s {
+		if v != mu {
+			return true
+		}
+	}
+	return false
+}
+
+// scaledMean is the mean of s divided by m, m > 0 its largest magnitude:
+// every scaled sample lies in [-1, 1], so the sum cannot overflow.
+func (s Series) scaledMean(m float64) float64 {
+	var sum float64
+	for _, v := range s {
+		sum += v / m
+	}
+	return sum / float64(len(s))
+}
+
+// scaledStd is the sample standard deviation of s divided by m, m > 0 its
+// largest magnitude. The scaled samples lie in [-1, 1] and one of them
+// has magnitude 1, so when they differ their spread is at least 2^-53:
+// the largest deviation lies between 2^-54 and 2, and the sum of the
+// squares neither overflows nor underflows.
+func (s Series) scaledStd(m float64) float64 {
+	mu := s.scaledMean(m)
+	var ss float64
+	for _, v := range s {
+		d := v/m - mu
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(s)-1))
 }
 
 // Stats returns the mean and sample standard deviation in one pass pair.

@@ -40,6 +40,31 @@ func TestMeanStdDegenerate(t *testing.T) {
 	}
 }
 
+// TestMeanStdScaleFree: the mean and std of a·s are a times those of s,
+// and the normal form is s's, for a = 10^k over the whole finite range,
+// where the plain sums overflow (k >= 150 here) or underflow (k <= -160).
+func TestMeanStdScaleFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	s := randSeries(rng, 64)
+	norm, mean, std := s.NormalForm()
+	for k := -300; k <= 306; k += 6 {
+		a := math.Pow(10, float64(k))
+		as := make(Series, len(s))
+		for i, v := range s {
+			as[i] = a * v
+		}
+		gotNorm, gotMean, gotStd := as.NormalForm()
+		if !almostEqual(gotMean/a, mean, 1e-12*mean) || !almostEqual(gotStd/a, std, 1e-12*std) {
+			t.Fatalf("a=1e%d: mean %v, std %v; want a times %v and %v", k, gotMean, gotStd, mean, std)
+		}
+		for i := range norm {
+			if !almostEqual(gotNorm[i], norm[i], 1e-12) {
+				t.Fatalf("a=1e%d: normal form[%d] = %v, want %v", k, i, gotNorm[i], norm[i])
+			}
+		}
+	}
+}
+
 func TestNormalFormProperties(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%100 + 2

@@ -53,7 +53,7 @@ func TestDistancePolarAbandonAgreesWithExact(t *testing.T) {
 
 		exactL := tr.DistancePolarLeft(xm, xp, ym, yp)
 		epsL := exactL * (0.5 + rng.Float64())
-		dL, abandonedL := tr.DistancePolarLeftAbandon(xm, xp, ym, yp, epsL)
+		dL, abandonedL, _ := tr.Verify(xm, xp, ym, yp, true, epsL)
 		if abandonedL {
 			if exactL <= epsL {
 				t.Fatalf("trial %d: one-sided abandoned at eps=%v but exact %v qualifies", trial, epsL, exactL)

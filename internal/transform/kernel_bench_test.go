@@ -33,7 +33,7 @@ func benchPolar(b *testing.B, left, abandon, early, full bool) {
 	for i := 0; i < b.N; i++ {
 		switch {
 		case left && abandon:
-			d, _ := tr.DistancePolarLeftAbandon(xm, xp, ym, yp, eps)
+			d, _, _ := tr.Verify(xm, xp, ym, yp, true, eps)
 			sink += d
 		case left:
 			sink += tr.DistancePolarLeft(xm, xp, ym, yp)

@@ -96,16 +96,6 @@ func ApplyMBRsInto(lo, hi geom.Point, mult, add, x geom.Rect) geom.Rect {
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
-// ApplyToPoint applies a single transformation, restricted to the chosen
-// components, to a feature point: out[d] = A[comps[d]]*p[d] + B[comps[d]].
-func (t Transform) ApplyToPoint(comps []int, p geom.Point) geom.Point {
-	out := make(geom.Point, len(p))
-	for d, c := range comps {
-		out[d] = t.A[c]*p[d] + t.B[c]
-	}
-	return out
-}
-
 func min4(a, b, c, d float64) float64 {
 	m := a
 	if b < m {

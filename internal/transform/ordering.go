@@ -1,10 +1,6 @@
 package transform
 
-import (
-	"sort"
-
-	"tsq/internal/dft"
-)
+import "sort"
 
 // This file implements the ordering notion of Sec. 4.4 (Definition 1):
 // an ordering t_l <= t_k of a transformation set such that for all values
@@ -51,17 +47,6 @@ func (o OrderedSet) LargestQualifying(pred func(i int) bool) int {
 	return ans
 }
 
-// QualifyingByDistance returns every transformation in the ordered set
-// that brings X within distance eps of Y, using binary search: by
-// Definition 1 the qualifying transformations form a prefix of the order.
-// The number of distance evaluations is O(log |T|) instead of |T|.
-func (o OrderedSet) QualifyingByDistance(X, Y []complex128, eps float64) []Transform {
-	k := o.LargestQualifying(func(i int) bool {
-		return o.Transforms[i].Distance(X, Y) <= eps
-	})
-	return o.Transforms[:k+1]
-}
-
 // CheckOrdering verifies Definition 1 empirically: it reports whether, for
 // every consecutive pair (t_i, t_{i+1}) in ts and every pair of sample
 // spectra, D(t_i(x), t_i(y)) <= D(t_{i+1}(x), t_{i+1}(y)) + tol. It is the
@@ -104,14 +89,4 @@ func OrderableAsScales(ts []Transform) ([]float64, bool) {
 		factors[i] = c
 	}
 	return factors, true
-}
-
-// spectra is a convenience for tests and callers: transform a batch of
-// real series to spectra.
-func Spectra(seriesList [][]float64) [][]complex128 {
-	out := make([][]complex128, len(seriesList))
-	for i, s := range seriesList {
-		out[i] = dft.TransformReal(s)
-	}
-	return out
 }

@@ -27,7 +27,7 @@ import (
 //
 // Sums are bit-identical to Verify's: 1·d == d exactly in IEEE
 // arithmetic, so the cached cosine is the value polarTerm computes; the
-// term itself is the one polarTermCos both share; and the loop below has
+// term itself is sqDiff for both (term.go); and the loop below has
 // Verify's span, accumulators, block width, cutoff checks and combine
 // order. The abandon decisions are therefore Verify's too.
 //
@@ -105,7 +105,7 @@ func (p *Pair) edgeTerm(t *Transform, f int) float64 {
 			p.mid = true
 		}
 	}
-	return polarTermCos(t.A[2*f], t.B[2*f], p.xm[f], p.ym[f], p.cos[f])
+	return termCos(t.A[2*f], t.B[2*f], p.xm[f], p.ym[f], p.cos[f])
 }
 
 // DistanceAbandon returns the distance of the bound pair under
@@ -134,10 +134,10 @@ func (p *Pair) DistanceAbandon(i int, eps float64) (d float64, abandoned bool, t
 		if f+4 > p.filled {
 			p.fill(f + 4)
 		}
-		s0 += polarTermCos(A[2*f], B[2*f], xm[f], ym[f], cos[f])
-		s1 += polarTermCos(A[2*f+2], B[2*f+2], xm[f+1], ym[f+1], cos[f+1])
-		s2 += polarTermCos(A[2*f+4], B[2*f+4], xm[f+2], ym[f+2], cos[f+2])
-		s3 += polarTermCos(A[2*f+6], B[2*f+6], xm[f+3], ym[f+3], cos[f+3])
+		s0 += termCos(A[2*f], B[2*f], xm[f], ym[f], cos[f])
+		s1 += termCos(A[2*f+2], B[2*f+2], xm[f+1], ym[f+1], cos[f+1])
+		s2 += termCos(A[2*f+4], B[2*f+4], xm[f+2], ym[f+2], cos[f+2])
+		s3 += termCos(A[2*f+6], B[2*f+6], xm[f+3], ym[f+3], cos[f+3])
 		if s := weight * ((s0 + s1) + (s2 + s3)); s > cut {
 			return math.Sqrt(s), true, f + 4 - lo
 		}
@@ -146,7 +146,7 @@ func (p *Pair) DistanceAbandon(i int, eps float64) (d float64, abandoned bool, t
 		if f >= p.filled {
 			p.fill(f + 1)
 		}
-		s0 += polarTermCos(A[2*f], B[2*f], xm[f], ym[f], cos[f])
+		s0 += termCos(A[2*f], B[2*f], xm[f], ym[f], cos[f])
 		if s := weight * ((s0 + s1) + (s2 + s3)); s > cut {
 			return math.Sqrt(s), true, f + 1 - lo
 		}

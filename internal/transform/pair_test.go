@@ -106,7 +106,7 @@ func TestPairEqualsPlainKernels(t *testing.T) {
 			var wd float64
 			var wab bool
 			if oneSided {
-				wd, wab = ts[i].DistancePolarLeftAbandon(xm, xp, ym, yp, eps)
+				wd, wab, _ = ts[i].Verify(xm, xp, ym, yp, true, eps)
 			} else {
 				wd, wab = ts[i].DistancePolarAbandon(xm, xp, ym, yp, eps)
 			}

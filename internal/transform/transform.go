@@ -402,55 +402,11 @@ func (t Transform) ApplySeries(s series.Series) series.Series {
 	return dft.InverseReal(t.ApplySpectrum(dft.TransformReal(s)))
 }
 
-// ApplyPolar applies t to one polar component pair in place of the full
-// spectrum: given (mag, phase) of coefficient f it returns the
-// transformed pair.
-func (t Transform) ApplyPolar(f int, mag, phase float64) (float64, float64) {
-	return t.A[2*f]*mag + t.B[2*f], t.A[2*f+1]*phase + t.B[2*f+1]
-}
-
 // Distance returns the Euclidean distance between t(x) and t(y), where x
 // and y are given as complex spectra. By Parseval this equals the
 // time-domain distance between the transformed series.
 func (t Transform) Distance(X, Y []complex128) float64 {
 	return dft.Distance(t.ApplySpectrum(X), t.ApplySpectrum(Y))
-}
-
-// sqDiff is |u - v|² for complex u and v of moduli mu and mv whose
-// arguments differ by an angle of cosine cosd: a coefficient's term. It
-// is the only place the term's arithmetic is written down, so a kernel
-// that takes the cosine from a cache (Pair) and one that computes it in
-// place sum the same expression.
-func sqDiff(mu, mv, cosd float64) float64 {
-	return mu*mu + mv*mv - 2*mu*mv*cosd
-}
-
-// polarTermCos is the term of the two-sided sum with the cosine of the
-// transformed phase difference supplied: a and b act on both magnitudes,
-// and the phase offsets cancel in the two-sided difference.
-func polarTermCos(a, b, xm, ym, cosd float64) float64 {
-	return sqDiff(a*xm+b, a*ym+b, cosd)
-}
-
-// polarTerm is a coefficient's term given what polar returns for it.
-func polarTerm(mu, mv, dp float64) float64 {
-	return sqDiff(mu, mv, math.Cos(dp))
-}
-
-// polar returns what coefficient f's term is made of: the transformed
-// magnitudes and the phase difference whose cosine the term takes.
-// Two-sided, the phase offsets cancel and the term is polarTermCos's;
-// one-sided, the transformation applies to the left spectrum only, so
-// mv = ym and the offset survives into a_phase·xp + b_phase - yp. It is
-// small enough to inline, so a term costs the call to polarTerm and the
-// cosine in it.
-func polar(A, B, xm, xp, ym, yp []float64, f int, oneSided bool) (mu, mv, dp float64) {
-	a, b, ap := A[2*f], B[2*f], A[2*f+1]
-	mu = a*xm[f] + b
-	if oneSided {
-		return mu, ym[f], ap*xp[f] + B[2*f+1] - yp[f]
-	}
-	return mu, a*ym[f] + b, ap * (xp[f] - yp[f])
 }
 
 // span is the part of the spectrum a kernel sums, given whether the
@@ -497,12 +453,8 @@ func AbandonCutoff(eps float64) float64 { return eps*eps*(1+1e-9) + 1e-9 }
 // DistancePolarLeft and their abandoning forms: the distance
 // D(t(x), t(y)), or D(t(x), y) when oneSided, of two polar spectra
 // (magnitude and phase arrays of length n), with an early-abandoning
-// cutoff. Per coefficient it costs one cosine,
-//
-//	|t(x)_f - t(y)_f|² = mu² + mv² - 2·mu·mv·cos(a_phase·(xp - yp))
-//
-// with mu, mv the transformed magnitudes (one-sided: mv = ym and the
-// phase difference a_phase·xp + b_phase - yp).
+// cutoff. Per coefficient it costs one cosine: the term is polar's
+// (term.go), in the kernels' evaluation order.
 //
 // Precondition: x and y are spectra of real series, coefficient n-f the
 // conjugate of coefficient f. Under a transformation classified
@@ -537,25 +489,25 @@ func (t Transform) Verify(xm, xp, ym, yp []float64, oneSided bool, eps float64) 
 	var s0, s1, s2, s3 float64
 	f := lo
 	for ; f+4 <= hi; f += 4 {
-		s0 += polarTerm(polar(A, B, xm, xp, ym, yp, f, oneSided))
-		s1 += polarTerm(polar(A, B, xm, xp, ym, yp, f+1, oneSided))
-		s2 += polarTerm(polar(A, B, xm, xp, ym, yp, f+2, oneSided))
-		s3 += polarTerm(polar(A, B, xm, xp, ym, yp, f+3, oneSided))
+		s0 += polarTerm(polar(A, B, f, xm[f], xp[f], ym[f], yp[f], oneSided))
+		s1 += polarTerm(polar(A, B, f+1, xm[f+1], xp[f+1], ym[f+1], yp[f+1], oneSided))
+		s2 += polarTerm(polar(A, B, f+2, xm[f+2], xp[f+2], ym[f+2], yp[f+2], oneSided))
+		s3 += polarTerm(polar(A, B, f+3, xm[f+3], xp[f+3], ym[f+3], yp[f+3], oneSided))
 		if s := weight * ((s0 + s1) + (s2 + s3)); s > cut {
 			return math.Sqrt(s), true, f + 4 - lo
 		}
 	}
 	for ; f < hi; f++ {
-		s0 += polarTerm(polar(A, B, xm, xp, ym, yp, f, oneSided))
+		s0 += polarTerm(polar(A, B, f, xm[f], xp[f], ym[f], yp[f], oneSided))
 		if s := weight * ((s0 + s1) + (s2 + s3)); s > cut {
 			return math.Sqrt(s), true, f + 1 - lo
 		}
 	}
 	s := weight * ((s0 + s1) + (s2 + s3))
 	if symmetric {
-		s, terms = s+polarTerm(polar(A, B, xm, xp, ym, yp, 0, oneSided)), 1
+		s, terms = s+polarTerm(polar(A, B, 0, xm[0], xp[0], ym[0], yp[0], oneSided)), 1
 		if mid > 0 {
-			s, terms = s+polarTerm(polar(A, B, xm, xp, ym, yp, mid, oneSided)), 2
+			s, terms = s+polarTerm(polar(A, B, mid, xm[mid], xp[mid], ym[mid], yp[mid], oneSided)), 2
 		}
 	}
 	if s < 0 {
@@ -591,13 +543,6 @@ func (t Transform) DistancePolarLeft(xm, xp, ym, yp []float64) float64 {
 // false.
 func (t Transform) DistancePolarAbandon(xm, xp, ym, yp []float64, eps float64) (float64, bool) {
 	d, abandoned, _ := t.Verify(xm, xp, ym, yp, false, eps)
-	return d, abandoned
-}
-
-// DistancePolarLeftAbandon is DistancePolarLeft with the same
-// early-abandoning contract as DistancePolarAbandon.
-func (t Transform) DistancePolarLeftAbandon(xm, xp, ym, yp []float64, eps float64) (float64, bool) {
-	d, abandoned, _ := t.Verify(xm, xp, ym, yp, true, eps)
 	return d, abandoned
 }
 

@@ -138,6 +138,13 @@ type Threshold = query.Threshold
 func Distance(d float64) Threshold { return query.DistanceThreshold(d) }
 
 // Correlation returns a threshold fixed as a minimum cross-correlation.
+// It resolves to the distance of Eq. 9, sqrt(2(n-1)(1-rho)), for series
+// of length n. Outside [-1, 1] it is not an error. A rho above 1
+// resolves to distance 0: only a series whose transformed normal form
+// equals the transformed query's matches (under the identity, an exact
+// duplicate). A rho below -1 resolves to Eq. 9's distance, which lies
+// above 2·sqrt(n-1), the largest distance between two normal forms: under
+// the identity every series matches.
 func Correlation(rho float64) Threshold { return query.CorrelationThreshold(rho) }
 
 // Algorithm selects a query processing strategy.
@@ -302,7 +309,10 @@ func Open(ss []Series, names []string, opts Options) (*DB, error) {
 // Shards returns the shard count of the database (1 when unsharded).
 func (db *DB) Shards() int { return db.ix.ShardCount() }
 
-// Len returns the number of stored series.
+// Len returns the number of ids the database has assigned: one past the
+// largest, since ids run 0..Len()-1. Deleted series keep their ids (an
+// id is never reused), so Len counts them too; a deleted id reads as
+// absent (Get returns nil).
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -46,6 +46,74 @@ func TestOpenAndAccessors(t *testing.T) {
 	}
 }
 
+// TestLenCountsDeletedIDs: Len is the number of ids assigned, so a
+// delete leaves it as it was (the id reads as absent and is not reused)
+// and an insert takes the next id.
+func TestLenCountsDeletedIDs(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		ss := datagen.RandomWalks(28, 10, 32)
+		db, err := Open(ss, nil, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Delete(4); err != nil {
+			t.Fatal(err)
+		}
+		if db.Len() != 10 || db.Get(4) != nil {
+			t.Errorf("shards=%d: after a delete Len = %d, Get(4) = %v; want 10 and nil", shards, db.Len(), db.Get(4))
+		}
+		id, err := db.Insert("new", ss[4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != 10 || db.Len() != 11 {
+			t.Errorf("shards=%d: insert took id %d, Len = %d; want 10 and 11", shards, id, db.Len())
+		}
+	}
+}
+
+// TestCorrelationOutsideUnitInterval pins what a correlation threshold
+// beyond [-1, 1] resolves to: above 1, distance 0, which only an exact
+// duplicate of the query's normal form meets; below -1, Eq. 9's distance,
+// above any distance between two normal forms, which every series meets
+// untransformed.
+func TestCorrelationOutsideUnitInterval(t *testing.T) {
+	const n = 32
+	ss := datagen.RandomWalks(29, 40, n)
+	db, err := Open(ss, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := db.Insert("dup", ss[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := []Transform{Identity(n)}
+	if eps := Correlation(2).Epsilon(n); eps != 0 {
+		t.Errorf("Correlation(2) resolves to distance %v, want 0", eps)
+	}
+	if eps := Correlation(-2).Epsilon(n); eps != DistanceForCorrelation(n, -2) || eps <= 2*math.Sqrt(n-1) {
+		t.Errorf("Correlation(-2) resolves to distance %v, want Eq. 9's %v, above %v", eps, DistanceForCorrelation(n, -2), 2*math.Sqrt(n-1))
+	}
+	for _, alg := range []Algorithm{MTIndex, SeqScan} {
+		opts := QueryOptions{Algorithm: alg}
+		ms, _, err := db.Range(ss[5], ts, Correlation(2), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != 2 || ms[0].RecordID != 5 && ms[1].RecordID != 5 || ms[0].RecordID != dup && ms[1].RecordID != dup {
+			t.Errorf("%v: Correlation(2) matches %v, want the query's series 5 and its duplicate %d", alg, ms, dup)
+		}
+		ms, _, err = db.Range(ss[5], ts, Correlation(-2), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != db.Len() {
+			t.Errorf("%v: Correlation(-2) matches %d of %d series, want all", alg, len(ms), db.Len())
+		}
+	}
+}
+
 func TestAllAlgorithmsAgree(t *testing.T) {
 	db := openTestDB(t, 2, 300, 64)
 	ts := MovingAverages(64, 5, 20)
